@@ -2,13 +2,20 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-kernel bench-serve bench-sched serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke bench-hier multihost-smoke verify repro chaos chaos-serve bench-recover fuzz clean
+.PHONY: all build noasm test race cover bench bench-kernel bench-serve bench-sched serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke bench-hier multihost-smoke verify repro chaos chaos-serve bench-recover fuzz clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+
+# The micro-kernel and FMA-probe fallbacks for architectures without our
+# assembly (microkernel_noasm.go, peak_noasm.go) run on no CI machine, so at
+# least compile and vet them.
+noasm:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/bench
 
 test:
 	$(GO) test ./...
@@ -26,10 +33,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Local dgemm kernel sweep on real hardware: seed vs packed vs parallel
-# kernels plus an end-to-end real-engine multiply (see BENCH_kernel.json
-# for recorded results).
+# kernels at whole-tile and ragged sizes in all four transpose cases, each
+# as a share of the FMA-probe peak, plus an end-to-end real-engine
+# multiply. Rewrites BENCH_kernel.json (environment block included),
+# carrying its "before" rows over.
 bench-kernel:
-	$(GO) run ./cmd/srumma-bench -kernel
+	$(GO) run ./cmd/srumma-bench -kernel -kernel-out BENCH_kernel.json
 
 # End-to-end smoke of the GEMM service: start srumma-serve (workload
 # scheduler mode, elastic pool, result cache on), drive a class-tagged

@@ -46,7 +46,8 @@ func main() {
 	blocksize := flag.Bool("blocksize", false, "run the task-granularity (block size) sweep")
 	chaos := flag.Bool("chaos", false, "run the fault-injection chaos sweep on the real engine")
 	kernel := flag.Bool("kernel", false, "run the local dgemm kernel sweep (seed vs packed vs parallel) on real hardware")
-	kernelThreads := flag.Int("kernel-threads", 4, "worker count for the parallel kernel rows")
+	kernelThreads := flag.Int("kernel-threads", 4, "worker count asked of the parallel kernel rows (capped at GOMAXPROCS)")
+	kernelOut := flag.String("kernel-out", "", "also write the -kernel sweep document (BENCH_kernel.json schema) to this file, keeping its \"before\" rows")
 	seed := flag.Uint64("seed", 1, "base seed for the chaos sweep (runs seed, seed+1, seed+2)")
 	all := flag.Bool("all", false, "run everything")
 	quick := flag.Bool("quick", false, "reduced sweeps (smaller N and P)")
@@ -306,10 +307,12 @@ func main() {
 	}
 	if *kernel {
 		run("kernel", func() error {
-			ns := []int{256, 512, 1024}
+			// Whole-tile sizes and, beside each, a ragged (prime-ish) one.
+			ns := []int{256, 511, 512, 1021, 1024}
 			if *quick {
-				ns = []int{256, 512}
+				ns = []int{255, 256}
 			}
+			doc := bench.KernelDoc{Env: bench.CurrentEnv(), Peak: bench.KernelPeaks(nil)}
 			rows, err := bench.KernelSweep(ns, *kernelThreads)
 			if err != nil {
 				return err
@@ -318,8 +321,13 @@ func main() {
 			if err != nil {
 				return err
 			}
-			rows = append(rows, e2e...)
-			emit("kernel", rows, bench.FormatKernel(rows))
+			doc.Kernel = append(rows, e2e...)
+			doc.Peak = bench.KernelPeaks(doc.Peak)
+			bench.PeakShares(doc.Kernel, doc.Peak)
+			emit("kernel", doc, bench.FormatKernel(doc))
+			if *kernelOut != "" {
+				return bench.WriteKernelDoc(*kernelOut, doc)
+			}
 			return nil
 		})
 	}

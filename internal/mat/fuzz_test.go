@@ -2,7 +2,7 @@ package mat
 
 import "testing"
 
-// FuzzGemmMatchesNaive cross-checks the blocked kernel against the naive
+// FuzzGemmMatchesNaive cross-checks the packed kernel against the naive
 // triple loop for fuzzer-chosen shapes, transposes and scalars. Run with
 // `go test -fuzz=FuzzGemmMatchesNaive ./internal/mat` to explore; the seed
 // corpus executes on every normal `go test`.
@@ -11,6 +11,14 @@ func FuzzGemmMatchesNaive(f *testing.F) {
 	f.Add(uint8(64), uint8(64), uint8(64), uint8(3), int16(100), int16(0), uint16(2))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), int16(0), int16(7), uint16(3))
 	f.Add(uint8(65), uint8(63), uint8(66), uint8(2), int16(-3), int16(12), uint16(4))
+	// One off either side of whole register tiles (m = 1+mm, n = 1+nn):
+	// q*mr±1 rows and q*nr±1 columns for the 4x8 and 8x16 kernels.
+	f.Add(uint8(6), uint8(14), uint8(30), uint8(0), int16(16), int16(0), uint16(5))   // 7 x 15
+	f.Add(uint8(8), uint8(16), uint8(31), uint8(1), int16(16), int16(16), uint16(6))  // 9 x 17
+	f.Add(uint8(30), uint8(32), uint8(8), uint8(2), int16(-8), int16(4), uint16(7))   // 31 x 33
+	f.Add(uint8(32), uint8(30), uint8(9), uint8(3), int16(24), int16(-16), uint16(8)) // 33 x 31
+	f.Add(uint8(2), uint8(6), uint8(2), uint8(3), int16(16), int16(16), uint16(9))    // 3 x 7
+	f.Add(uint8(4), uint8(8), uint8(4), uint8(0), int16(16), int16(0), uint16(10))    // 5 x 9
 	f.Fuzz(func(t *testing.T, mm, nn, kk, cs uint8, alphaMil, betaMil int16, seed uint16) {
 		m := 1 + int(mm%80)
 		n := 1 + int(nn%80)
@@ -58,6 +66,11 @@ func FuzzPackTransposeRoundTrip(f *testing.F) {
 	f.Add(uint8(3), uint8(4), uint16(9))
 	f.Add(uint8(1), uint8(1), uint16(0))
 	f.Add(uint8(8), uint8(2), uint16(77))
+	// One off either side of the register-tile edges 4 and 8 (r = 1+rr).
+	f.Add(uint8(2), uint8(4), uint16(3))  // 3 x 5
+	f.Add(uint8(6), uint8(8), uint16(4))  // 7 x 9
+	f.Add(uint8(8), uint8(6), uint16(5))  // 9 x 7
+	f.Add(uint8(10), uint8(2), uint16(6)) // 11 x 3
 	f.Fuzz(func(t *testing.T, rr, cc uint8, seed uint16) {
 		r := 1 + int(rr%12)
 		c := 1 + int(cc%12)

@@ -4,22 +4,22 @@ package mat
 //
 //	C = alpha*op(A)*op(B) + beta*C
 //
-// with op(X) = X or Xᵀ, as a BLIS-style packed hierarchy in pure Go. The
-// paper uses vendor dgemm (ESSL/MKL/SCS/libsci); this is our substitution.
+// with op(X) = X or Xᵀ, as a BLIS-style packed hierarchy: Go macro loops
+// around a register-tile micro-kernel chosen for the CPU. The paper uses
+// vendor dgemm (ESSL/MKL/SCS/libsci); this is our substitution.
 //
 // Structure (outer to inner):
 //
 //	for jc (nc)           B column slabs
-//	  for pc (kc)         contraction panels: pack op(B) slab (packB)
-//	    for ic (mc)       A row slabs: pack alpha*op(A) slab (packA)
+//	  for pc (kc)         contraction panels: pack op(B) slab
+//	    for ic (mc)       A row slabs: pack alpha*op(A) slab
 //	      for jr (nr)     B micro-panels (stay in L1)
 //	        for ir (mr)   A micro-panels (stream from L2)
-//	          microKernel4x8
+//	          micro-kernel tile (microkernel.go)
 //
 // Packing resolves all four transpose variants into one contiguous layout
-// (pack.go), so there is no strided inner loop anywhere — in particular the
-// old TT column walk is gone. The pack buffers come from sync.Pools, so
-// steady-state calls allocate nothing.
+// (pack.go), so there is no strided inner loop anywhere. The pack buffers
+// come from sync.Pools, so steady-state calls allocate nothing.
 
 // gemmShape derives (m, n, k) from the stored operand shapes and checks
 // conformance against C.
@@ -61,30 +61,32 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 // GemmParallel partitions across workers — disjoint C ranges share nothing
 // but the read-only operands.
 func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, n, k int) {
-	apBuf, bpBuf := getAPanel(), getBPanel()
+	kern := active
+	mr, nr := kern.mr, kern.nr
+	apBuf, bpBuf := aPanelPool.Get().(*[]float64), bPanelPool.Get().(*[]float64)
 	ap, bp := *apBuf, *bpBuf
 	for jc := 0; jc < n; jc += ncBlock {
 		ncEff := min(ncBlock, n-jc)
 		for pc := 0; pc < k; pc += kcBlock {
 			kcEff := min(kcBlock, k-pc)
-			packB(bp, b, transB, pc, j0+jc, kcEff, ncEff)
+			packPanels(kern, bp, b, transB, 1, nr, pc, j0+jc, kcEff, ncEff)
 			for ic := 0; ic < m; ic += mcBlock {
 				mcEff := min(mcBlock, m-ic)
-				packA(ap, a, transA, alpha, i0+ic, pc, mcEff, kcEff)
+				packPanels(kern, ap, a, !transA, alpha, mr, pc, i0+ic, kcEff, mcEff)
 				for q := 0; q*nr < ncEff; q++ {
 					cols := min(nr, ncEff-q*nr)
 					bPanel := bp[q*nr*kcEff:]
 					for p := 0; p*mr < mcEff; p++ {
 						rows := min(mr, mcEff-p*mr)
 						cOff := (i0+ic+p*mr)*c.Stride + j0 + jc + q*nr
-						microKernel4x8(kcEff, ap[p*mr*kcEff:], bPanel, c.Data[cOff:], c.Stride, rows, cols)
+						kern.tile(kcEff, ap[p*mr*kcEff:], bPanel, c.Data[cOff:], c.Stride, rows, cols)
 					}
 				}
 			}
 		}
 	}
-	putAPanel(apBuf)
-	putBPanel(bpBuf)
+	aPanelPool.Put(apBuf)
+	bPanelPool.Put(bpBuf)
 }
 
 func scaleC(beta float64, c *Matrix) {
@@ -103,158 +105,8 @@ func scaleC(beta float64, c *Matrix) {
 	}
 }
 
-// Block sizes for GemmBlocked, the seed cache-blocked kernel kept below as
-// the benchmark baseline. Chosen so an (mc x kc) panel of A plus a
-// (kc x nc) panel of B fit comfortably in a typical L2 cache.
-const (
-	blockM = 64
-	blockN = 256
-	blockK = 64
-)
-
-// GemmBlocked is the previous generation of the serial kernel: cache
-// blocked but unpacked, with axpy/dot inner loops (and a strided walk in
-// the TT case). It is retained as the measured baseline for the packed
-// kernel — `srumma-bench -kernel` and BenchmarkGemm report both — and as
-// an independent implementation for cross-checking tests.
-func GemmBlocked(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) error {
-	m, n, k, err := gemmShape(transA, transB, a, b, c)
-	if err != nil {
-		return err
-	}
-	scaleC(beta, c)
-	if alpha == 0 || m == 0 || n == 0 || k == 0 {
-		return nil
-	}
-	// Blocked outer loops shared by all four variants; the inner kernels
-	// operate on views so they never see the blocking.
-	for i0 := 0; i0 < m; i0 += blockM {
-		ib := min(blockM, m-i0)
-		for l0 := 0; l0 < k; l0 += blockK {
-			lb := min(blockK, k-l0)
-			for j0 := 0; j0 < n; j0 += blockN {
-				jb := min(blockN, n-j0)
-				cBlk := c.View(i0, j0, ib, jb)
-				switch {
-				case !transA && !transB:
-					gemmNN(alpha, a.View(i0, l0, ib, lb), b.View(l0, j0, lb, jb), cBlk)
-				case transA && !transB:
-					gemmTN(alpha, a.View(l0, i0, lb, ib), b.View(l0, j0, lb, jb), cBlk)
-				case !transA && transB:
-					gemmNT(alpha, a.View(i0, l0, ib, lb), b.View(j0, l0, jb, lb), cBlk)
-				default:
-					gemmTT(alpha, a.View(l0, i0, lb, ib), b.View(j0, l0, jb, lb), cBlk)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// gemmNN: C(ib x jb) += alpha * A(ib x lb) * B(lb x jb).
-// Inner loop streams rows of B and C (axpy form).
-func gemmNN(alpha float64, a, b, c *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		aRow := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-		cRow := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-		for l, av := range aRow {
-			s := alpha * av
-			if s == 0 {
-				continue
-			}
-			bRow := b.Data[l*b.Stride : l*b.Stride+b.Cols]
-			axpy(s, bRow, cRow)
-		}
-	}
-}
-
-// gemmTN: C(ib x jb) += alpha * A(lb x ib)ᵀ * B(lb x jb).
-// Outer loop over l keeps row l of both A and B contiguous.
-func gemmTN(alpha float64, a, b, c *Matrix) {
-	for l := 0; l < a.Rows; l++ {
-		aRow := a.Data[l*a.Stride : l*a.Stride+a.Cols]
-		bRow := b.Data[l*b.Stride : l*b.Stride+b.Cols]
-		for i, av := range aRow {
-			s := alpha * av
-			if s == 0 {
-				continue
-			}
-			cRow := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-			axpy(s, bRow, cRow)
-		}
-	}
-}
-
-// gemmNT: C(ib x jb) += alpha * A(ib x lb) * B(jb x lb)ᵀ.
-// Dot-product form: rows of A and rows of B are both contiguous.
-func gemmNT(alpha float64, a, b, c *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		aRow := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-		cRow := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-		for j := 0; j < b.Rows; j++ {
-			bRow := b.Data[j*b.Stride : j*b.Stride+b.Cols]
-			cRow[j] += alpha * dot(aRow, bRow)
-		}
-	}
-}
-
-// gemmTT: C(ib x jb) += alpha * A(lb x ib)ᵀ * B(jb x lb)ᵀ.
-// Loop over l outermost keeps row l of A contiguous; B is read by column of
-// the transposed operand, i.e. strided (the packed kernel avoids this by
-// resolving the transpose at pack time).
-func gemmTT(alpha float64, a, b, c *Matrix) {
-	for l := 0; l < a.Rows; l++ {
-		aRow := a.Data[l*a.Stride : l*a.Stride+a.Cols]
-		for j := 0; j < b.Rows; j++ {
-			s := alpha * b.Data[j*b.Stride+l]
-			if s == 0 {
-				continue
-			}
-			for i, av := range aRow {
-				c.Data[i*c.Stride+j] += s * av
-			}
-		}
-	}
-}
-
-// axpy computes y += s*x over equal-length slices, unrolled by four to give
-// the compiler room to keep values in registers.
-func axpy(s float64, x, y []float64) {
-	n := len(x)
-	y = y[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += s * x[i]
-		y[i+1] += s * x[i+1]
-		y[i+2] += s * x[i+2]
-		y[i+3] += s * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += s * x[i]
-	}
-}
-
-// dot returns the inner product of equal-length slices.
-func dot(x, y []float64) float64 {
-	n := len(x)
-	y = y[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < n; i++ {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
 // GemmNaive is the reference triple loop used only by tests to validate the
-// blocked kernel. C = alpha*op(A)*op(B) + beta*C.
+// packed kernel. C = alpha*op(A)*op(B) + beta*C.
 func GemmNaive(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) error {
 	m, k := a.Rows, a.Cols
 	if transA {

@@ -51,8 +51,11 @@ func TestGemmPackedProperty(t *testing.T) {
 // TestGemmParallelMatchesSerial checks the goroutine-parallel kernel
 // against the serial packed kernel. The stripe split preserves per-element
 // summation order, so the comparison is exact. Run under -race this also
-// proves the workers share no mutable state.
+// proves the workers share no mutable state. GemmParallel never starts more
+// workers than GOMAXPROCS, so that is raised for the larger stripe counts to
+// exist on a small machine.
 func TestGemmParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	shapes := []struct{ m, n, k int }{
 		{64, 64, 64},    // below the parallel threshold: serial fallback
 		{97, 201, 130},  // wide C, odd edges
@@ -95,41 +98,17 @@ func TestGemmParallelShapeErrors(t *testing.T) {
 	}
 }
 
-// TestGemmBlockedMatchesNaive keeps the retained seed kernel honest — it is
-// the measured baseline for the packed kernel, so it has to stay correct.
-func TestGemmBlockedMatchesNaive(t *testing.T) {
-	for _, tc := range gemmCases {
-		a := Random(opShapePair(tc.transA, 70, 53))
-		b := Random(opShapePair(tc.transB, 53, 61))
-		c1 := Random(70, 61, 3)
-		c2 := c1.Clone()
-		if err := GemmBlocked(tc.transA, tc.transB, 0.5, a, b, 1.25, c1); err != nil {
-			t.Fatal(err)
-		}
-		if err := GemmNaive(tc.transA, tc.transB, 0.5, a, b, 1.25, c2); err != nil {
-			t.Fatal(err)
-		}
-		if d := MaxAbsDiff(c1, c2); d > 1e-10 {
-			t.Fatalf("%s: blocked kernel diff %g", tc.name, d)
-		}
-	}
-}
-
-func opShapePair(trans bool, r, c int) (int, int, uint64) {
-	rr, cc := opShape(trans, r, c)
-	return rr, cc, uint64(r*1000 + c)
-}
-
 // TestGemmSteadyStateNoAlloc: after warm-up, serial packed Gemm calls must
-// not allocate — the pack panels come from pools. This is the kernel's
-// share of the zero-alloc Multiply hot path.
+// not allocate — the pack panels come from pools, and the scratch tile of
+// the edge tiles (the shape is ragged for every kernel) stays on the stack.
+// This is the kernel's share of the zero-alloc Multiply hot path.
 func TestGemmSteadyStateNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
-	a := Random(160, 96, 1)
-	b := Random(144, 96, 2) // stored n x k: consumed via transB
-	c := New(160, 144)
+	a := Random(157, 96, 1)
+	b := Random(141, 96, 2) // stored n x k: consumed via transB
+	c := New(157, 141)
 	run := func() {
 		if err := Gemm(false, true, 1.5, a, b, 0.5, c); err != nil {
 			t.Fatal(err)
@@ -141,10 +120,8 @@ func TestGemmSteadyStateNoAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkGemm reports GFLOP/s for the packed kernel, serial and parallel,
-// and for the retained seed kernel, at the sizes the acceptance criteria
-// name. The parallel variant uses 4 workers (capped by GOMAXPROCS only in
-// wall-clock terms, not correctness).
+// BenchmarkGemm reports GFLOP/s for the packed kernel, serial and parallel.
+// The parallel variant asks for 4 workers and gets min(4, GOMAXPROCS).
 func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
 		a := Random(n, n, 1)
@@ -165,14 +142,6 @@ func BenchmarkGemm(b *testing.B) {
 		b.Run(sizeName(n)+"/parallel4", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := GemmParallel(4, false, false, 1, a, bb, 0, c); err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b)
-		})
-		b.Run(sizeName(n)+"/seed", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := GemmBlocked(false, false, 1, a, bb, 0, c); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,14 +4,11 @@ package mat
 // the serving layer's info endpoint: which micro-kernel the packed dgemm
 // hierarchy dispatches to on this machine.
 
-// HasVectorKernel reports whether the AVX2+FMA 4x8 micro-kernel passed its
-// CPUID/OS gate and is live. False means the portable scalar 4x4 kernel.
-func HasVectorKernel() bool { return haveFMAKernel }
+// HasVectorKernel reports whether a vector micro-kernel (AVX-512 8x16 or
+// AVX2+FMA 4x8) passed its CPUID/OS gate and is live. False means the
+// portable scalar 4x4 kernel.
+func HasVectorKernel() bool { return active.isa != isaScalar }
 
-// KernelName identifies the active micro-kernel.
-func KernelName() string {
-	if haveFMAKernel {
-		return "avx2+fma 4x8"
-	}
-	return "scalar 4x4"
-}
+// KernelName identifies the micro-kernel every tile is dispatched to:
+// "avx512 8x16", "avx2+fma 4x8" or "scalar 4x4".
+func KernelName() string { return active.name }

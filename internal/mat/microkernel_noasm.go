@@ -2,11 +2,13 @@
 
 package mat
 
-// Non-amd64 platforms always take the scalar micro-kernel.
-const haveFMAKernel = false
+// Non-amd64 platforms have the scalar micro-kernel only.
+func supportedKernels() []kernel { return []kernel{scalarKernel} }
 
-// fmaKernel4x8 is never called when haveFMAKernel is false; this stub only
-// satisfies the compiler.
-func fmaKernel4x8(kc int, ap, bp, c *float64, ldc int) {
-	panic("mat: fmaKernel4x8 called without hardware support")
+func (k *kernel) run(kc int, ap, bp, c []float64, ldc int) {
+	scalarKernel4x8(kc, ap, bp, c, ldc)
+}
+
+func (k *kernel) packPanel(d []float64, w int, s []float64, sl, sj, kc int, scale float64) {
+	packPanelGo(d, w, s, sl, sj, kc, scale)
 }

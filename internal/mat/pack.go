@@ -6,20 +6,23 @@ package mat
 // current mc x kc slab of op(A) and kc x nc slab of op(B) are copied into
 // contiguous pooled buffers arranged exactly in the order the micro-kernel
 // consumes them. Packing is where the four transpose variants are resolved
-// — every variant has a contiguous direction to read along, so the old
-// strided TT inner loop is gone — and where alpha is folded into A, so the
-// micro-kernel does pure multiply-accumulate.
+// — every variant has a contiguous direction to read along — and where
+// alpha is folded into A, so the micro-kernel does pure multiply-accumulate.
+//
+// Both operands pack through one routine. A slab of op(B) is kc x nc cut
+// into micro-panels of nr columns; a slab of op(A) is mc x kc cut into
+// micro-panels of mr rows, which is the same layout applied to op(A)ᵀ. So
+// packing A is packing "B = Aᵀ" with width mr and scale alpha.
 
 import "sync"
 
-// Macro-tile blocking. An A panel is mc x kc (256 KiB of float64), a B
-// panel is kc x nc (up to 1 MiB but streamed through once per A panel);
-// the register tile is mr x nr. mc and nc are multiples of mr and nr so
-// only the final micro-panel of a slab can be partial.
+// Macro-tile blocking. An A panel is mc x kc, a B panel is kc x nc (streamed
+// through once per A panel); the register tile is the active kernel's
+// mr x nr. mc and nc are multiples of every table entry's mr and nr, so
+// only the final micro-panel of a slab can be partial. kc is one value for
+// all kernels: it fixes where the k-panel boundaries (the only boundaries
+// the rounding of C depends on) fall.
 const (
-	mr = 4
-	nr = 8
-
 	mcBlock = 128
 	kcBlock = 256
 	ncBlock = 512
@@ -35,87 +38,51 @@ var (
 	bPanelPool = sync.Pool{New: func() any { b := make([]float64, bPanelElems); return &b }}
 )
 
-func getAPanel() *[]float64  { return aPanelPool.Get().(*[]float64) }
-func putAPanel(p *[]float64) { aPanelPool.Put(p) }
-func getBPanel() *[]float64  { return bPanelPool.Get().(*[]float64) }
-func putBPanel(p *[]float64) { bPanelPool.Put(p) }
-
-// packA copies op(A)[i0:i0+mcEff, l0:l0+kcEff], scaled by alpha, into dst
-// as micro-panels of mr rows: micro-panel p holds rows [p*mr, p*mr+mr) in
-// column order, dst[p*mr*kcEff + l*mr + r] = alpha * op(A)[p*mr+r, l].
-// Rows past mcEff in the last micro-panel are zero-padded so the
-// micro-kernel always runs a full mr x nr tile.
-func packA(dst []float64, a *Matrix, transA bool, alpha float64, i0, l0, mcEff, kcEff int) {
-	for p := 0; p*mr < mcEff; p++ {
-		base := p * mr * kcEff
-		i := i0 + p*mr
-		rows := min(mr, mcEff-p*mr)
-		if !transA {
-			// op(A)[i+r, l] = A[i+r, l0+l]: read along rows of A.
-			for r := 0; r < rows; r++ {
-				src := a.Data[(i+r)*a.Stride+l0 : (i+r)*a.Stride+l0+kcEff]
-				d := dst[base+r:]
-				for l, v := range src {
-					d[l*mr] = alpha * v
+// packPanels copies the kc x n slab X[l, j] (l < kc, j < n) of an operand,
+// scaled, into dst as micro-panels of w columns in row order:
+//
+//	dst[(j/w)*w*kc + l*w + j%w] = scale * X[l, j]
+//
+// with the columns past n in the last micro-panel zero, so the micro-kernel
+// always runs a full tile. X[l, j] is src[l0+l, j0+j], or src[j0+j, l0+l]
+// when trans; either way dst is written front to back, one w-vector per l.
+// w is kern's mr or nr.
+func packPanels(kern *kernel, dst []float64, src *Matrix, trans bool, scale float64, w, l0, j0, kc, n int) {
+	// X[l, j] = s[l*sl + j*sj].
+	s, sl, sj := src.Data, src.Stride, 1
+	if trans {
+		sl, sj = 1, src.Stride
+	}
+	s = s[l0*sl+j0*sj:]
+	for q := 0; q*w < n; q++ {
+		d := dst[q*w*kc : (q+1)*w*kc]
+		from := s[q*w*sj:]
+		if cols := n - q*w; cols < w {
+			for l := 0; l < kc; l++ {
+				row := d[l*w : l*w+w]
+				for c := 0; c < cols; c++ {
+					row[c] = scale * from[l*sl+c*sj]
 				}
+				clear(row[cols:])
 			}
-		} else {
-			// op(A)[i+r, l] = A[l0+l, i+r]: for each l the r run is a
-			// contiguous piece of row l0+l of A.
-			for l := 0; l < kcEff; l++ {
-				src := a.Data[(l0+l)*a.Stride+i : (l0+l)*a.Stride+i+rows]
-				d := dst[base+l*mr : base+l*mr+rows]
-				for r, v := range src {
-					d[r] = alpha * v
-				}
-			}
+			break
 		}
-		if rows < mr {
-			for l := 0; l < kcEff; l++ {
-				for r := rows; r < mr; r++ {
-					dst[base+l*mr+r] = 0
-				}
-			}
-		}
+		kern.packPanel(d, w, from, sl, sj, kc, scale)
 	}
 }
 
-// packB copies op(B)[l0:l0+kcEff, j0:j0+ncEff] into dst as micro-panels of
-// nr columns: micro-panel q holds columns [q*nr, q*nr+nr) in row order,
-// dst[q*nr*kcEff + l*nr + j] = op(B)[l, q*nr+j]. Columns past ncEff in the
-// last micro-panel are zero-padded.
-func packB(dst []float64, b *Matrix, transB bool, l0, j0, kcEff, ncEff int) {
-	for q := 0; q*nr < ncEff; q++ {
-		base := q * nr * kcEff
-		j := j0 + q*nr
-		cols := min(nr, ncEff-q*nr)
-		if !transB {
-			// op(B)[l, j+c] = B[l0+l, j+c]: the c run is contiguous.
-			for l := 0; l < kcEff; l++ {
-				src := b.Data[(l0+l)*b.Stride+j : (l0+l)*b.Stride+j+cols]
-				d := dst[base+l*nr : base+l*nr+nr]
-				copy(d, src)
-				for c := cols; c < nr; c++ {
-					d[c] = 0
-				}
-			}
-		} else {
-			// op(B)[l, j+c] = B[j+c, l0+l]: for each column c the l run is
-			// a contiguous piece of row j+c of B.
-			if cols < nr {
-				for l := 0; l < kcEff; l++ {
-					for c := cols; c < nr; c++ {
-						dst[base+l*nr+c] = 0
-					}
-				}
-			}
-			for c := 0; c < cols; c++ {
-				src := b.Data[(j+c)*b.Stride+l0 : (j+c)*b.Stride+l0+kcEff]
-				d := dst[base+c:]
-				for l, v := range src {
-					d[l*nr] = v
-				}
-			}
+// packPanelGo is the portable packPanel: one full micro-panel,
+// d[l*w+i] = scale * s[l*sl+i*sj] for l < kc, i < w (w a multiple of 4),
+// four columns per pass.
+func packPanelGo(d []float64, w int, s []float64, sl, sj, kc int, scale float64) {
+	for g := 0; g < w; g += 4 {
+		for l := 0; l < kc; l++ {
+			v := (*[4]float64)(d[l*w+g:])
+			x := s[l*sl+g*sj : l*sl+(g+3)*sj+1]
+			v[0] = scale * x[0]
+			v[1] = scale * x[sj]
+			v[2] = scale * x[2*sj]
+			v[3] = scale * x[3*sj]
 		}
 	}
 }

@@ -9,15 +9,20 @@ package mat
 // element is identical to the serial packed kernel, so parallel and serial
 // results agree bit-for-bit.
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // parallelMinWork is the flop count below which spawning workers costs more
 // than it saves; such calls run serially regardless of the thread count.
 const parallelMinWork = 64 * 64 * 64
 
 // GemmParallel computes C = alpha*op(A)*op(B) + beta*C like Gemm, using up
-// to `threads` worker goroutines. threads <= 1, tiny problems, and stripe
-// counts of one all degrade to the serial packed kernel.
+// to `threads` worker goroutines, and never more than GOMAXPROCS: a worker
+// without a processor of its own only repeats the B packing and evicts its
+// neighbours' panels. threads <= 1, tiny problems, and stripe counts of one
+// all degrade to the serial packed kernel.
 func GemmParallel(threads int, transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) error {
 	m, n, k, err := gemmShape(transA, transB, a, b, c)
 	if err != nil {
@@ -27,6 +32,8 @@ func GemmParallel(threads int, transA, transB bool, alpha float64, a, b *Matrix,
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return nil
 	}
+	mr, nr := active.mr, active.nr
+	threads = min(threads, runtime.GOMAXPROCS(0))
 	if threads > 1 && m >= n {
 		threads = min(threads, (m+mr-1)/mr)
 	} else if threads > 1 {

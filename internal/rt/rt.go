@@ -10,10 +10,13 @@
 //   - a compute interface (Gemm, Pack) so the engine decides whether work is
 //     executed (real engine) or charged to a virtual clock (sim engine).
 //
-// Two engines implement Ctx: internal/armci runs real goroutine processes
-// sharing one address space (the correctness engine), and internal/simrt
-// runs simulated processes over internal/vtime + internal/simnet (the
-// performance-model engine reproducing the paper's platforms).
+// Three engines implement Ctx: internal/armci runs real goroutine processes
+// sharing one address space (the correctness engine), internal/ipcrt runs
+// every rank as an OS process over mmap'd segments and socket RMA (unix or
+// tcp), and internal/simrt runs simulated processes over internal/vtime +
+// internal/simnet (the performance-model engine reproducing the paper's
+// platforms). internal/faults and internal/hier wrap a Ctx (seeded fault
+// injection; fetches served from a group-staged band) and are not engines.
 package rt
 
 import (
