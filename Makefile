@@ -69,9 +69,10 @@ serve-smoke:
 	echo "serve-smoke: PASS (clean drain, class stats recorded, binary wire + cache hit verified)"
 
 # Scheduler benchmark: (a) batched coalescing of queued small GEMMs vs
-# per-request engine dispatch (bit-identity asserted), (b) mixed
-# interactive/batch load through sched vs fifo dispatch (interactive p99
-# gain). Recorded to BENCH_sched.json.
+# per-request engine dispatch (bit-identity asserted), (b) per-class
+# latency of a mixed interactive/batch load. Recorded to BENCH_sched.json
+# (the committed record also keeps the arm of the first-come-first-served
+# dispatch path that PR 14 deleted).
 bench-sched:
 	$(GO) run ./cmd/srumma-load -bench-sched -out BENCH_sched.json
 
@@ -184,8 +185,8 @@ chaos:
 # fault plan (mid-compute rank crash + silent block corruption) must
 # return a bit-correct product for every accepted request, with the
 # recovery counters proving jobs were resumed (not restarted) and
-# corrupted blocks detected and recomputed. Covers sched and FIFO modes
-# plus the circuit-breaker 503 path.
+# corrupted blocks detected and recomputed. Also covers the
+# circuit-breaker 503 path.
 chaos-serve:
 	$(GO) test -race -count=1 -run 'TestChaosServe|TestBreakerServes503' ./internal/server
 

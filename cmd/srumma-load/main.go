@@ -19,8 +19,7 @@
 //     per product, the pre-scheduler serving path) — with batched
 //     results checked bit-identical against the serial kernel;
 //   - mixed load: an interactive/batch class mix driven through the full
-//     HTTP server in "sched" and "fifo" modes, reporting per-class
-//     latency quantiles and the interactive p99 improvement.
+//     HTTP server, reporting per-class latency quantiles.
 package main
 
 import (
@@ -832,28 +831,25 @@ type BatchBenchReport struct {
 	BitIdentical     bool    `json:"bit_identical"`
 }
 
-// MixedModeReport is one dispatch mode's view of the mixed-class load.
+// MixedModeReport is the server's view of the mixed-class load.
 type MixedModeReport struct {
-	Mode          string                  `json:"mode"`
 	WallSeconds   float64                 `json:"wall_s"`
 	ThroughputRPS float64                 `json:"throughput_rps"`
 	Classes       map[string]ClassReport  `json:"classes"`
 	ServerMetrics *server.MetricsSnapshot `json:"server_metrics,omitempty"`
 }
 
-// MixedBenchReport compares interactive-class latency under the workload
-// scheduler against the FIFO dispatch path on an identical request
-// stream.
+// MixedBenchReport records per-class latency of a batch-heavy
+// interactive/batch request stream under the workload scheduler. (The
+// committed BENCH_sched.json also carries the first-come-first-served arm
+// the scheduler was measured against before that path was deleted.)
 type MixedBenchReport struct {
-	Requests             int             `json:"requests"`
-	Concurrency          int             `json:"concurrency"`
-	Classes              string          `json:"classes"`
-	InteractiveShape     string          `json:"interactive_shape"`
-	BatchShape           string          `json:"batch_shape"`
-	Fifo                 MixedModeReport `json:"fifo"`
-	Sched                MixedModeReport `json:"sched"`
-	InteractiveP99Gain   float64         `json:"interactive_p99_gain_x"`
-	InteractiveP99Better bool            `json:"interactive_p99_better"`
+	Requests         int             `json:"requests"`
+	Concurrency      int             `json:"concurrency"`
+	Classes          string          `json:"classes"`
+	InteractiveShape string          `json:"interactive_shape"`
+	BatchShape       string          `json:"batch_shape"`
+	Sched            MixedModeReport `json:"sched"`
 }
 
 // SchedBenchReport is the BENCH_sched.json document.
@@ -871,9 +867,8 @@ func runBenchSched(out string, seed uint64) {
 	fmt.Printf("batch: %.0f tasks/s batched vs %.0f tasks/s per-request engine (%.2fx; %.2fx vs coalesce-off; bit-identical %v)\n",
 		rep.Batch.Batched.TasksPerSecond, rep.Batch.PerRequest.TasksPerSecond,
 		rep.Batch.SpeedupX, rep.Batch.CoalesceSpeedupX, rep.Batch.BitIdentical)
-	fmt.Printf("mixed: interactive p99 %.1f ms (sched) vs %.1f ms (fifo), %.2fx\n",
-		rep.Mixed.Sched.Classes["interactive"].P99Ms, rep.Mixed.Fifo.Classes["interactive"].P99Ms,
-		rep.Mixed.InteractiveP99Gain)
+	fmt.Printf("mixed: interactive p99 %.1f ms, batch p99 %.1f ms\n",
+		rep.Mixed.Sched.Classes["interactive"].P99Ms, rep.Mixed.Sched.Classes["batch"].P99Ms)
 	if !rep.Batch.BitIdentical {
 		log.Fatal("batched results are NOT bit-identical to serial")
 	}
@@ -1163,17 +1158,15 @@ func runBatchArm(topo rt.Topology, as, bs []*mat.Matrix, dim, batchMax int) (Bat
 	return arm, got, nil
 }
 
-// runMixedBench drives an identical interactive/batch request stream
-// through the full HTTP server twice — workload scheduler versus FIFO
-// dispatch — and compares interactive-class p99. Both shapes route to
-// the distributed engine, so the difference is pure queue policy: under
-// FIFO an interactive request waits behind every queued batch job; under
-// the scheduler it is dispatched by class weight and deadline.
+// runMixedBench drives an interactive/batch request stream through the
+// full HTTP server and records per-class latency. Both shapes route to the
+// distributed engine, so what separates the classes is pure queue policy:
+// an interactive request is dispatched by class weight and deadline
+// instead of waiting behind every queued batch job.
 func runMixedBench(seed uint64) MixedBenchReport {
 	// Batch-heavy mix: sparse latency-sensitive queries competing with a
-	// stream of bulk jobs — the workload where FIFO hurts interactive p99
-	// most (each query waits behind every queued bulk job). Both shapes
-	// route to the engine, so the difference is pure queue policy.
+	// stream of bulk jobs — the workload where arrival-order dispatch hurts
+	// interactive p99 most.
 	interactive := shape{192, 192, 192}
 	batch := shape{384, 384, 384}
 	spec := "interactive:1,batch:3"
@@ -1188,25 +1181,19 @@ func runMixedBench(seed uint64) MixedBenchReport {
 		InteractiveShape: interactive.String(),
 		BatchShape:       batch.String(),
 	}
-	rep.Fifo = runMixedMode("fifo", interactive, batch, pattern, seed)
-	rep.Sched = runMixedMode("sched", interactive, batch, pattern, seed)
-	if p99 := rep.Sched.Classes["interactive"].P99Ms; p99 > 0 {
-		rep.InteractiveP99Gain = rep.Fifo.Classes["interactive"].P99Ms / p99
-	}
-	rep.InteractiveP99Better = rep.Sched.Classes["interactive"].P99Ms < rep.Fifo.Classes["interactive"].P99Ms
+	rep.Sched = runMixedLoad(interactive, batch, pattern, seed)
 	return rep
 }
 
-func runMixedMode(mode string, interactive, batch shape, pattern []classAssign, seed uint64) MixedModeReport {
+func runMixedLoad(interactive, batch shape, pattern []classAssign, seed uint64) MixedModeReport {
 	s, err := server.New(server.Config{
 		NProcs:         benchNProcs,
 		Teams:          1,
 		QueueCap:       64,
-		SchedMode:      mode,
 		DefaultTimeout: 60 * time.Second,
 	})
 	if err != nil {
-		log.Fatalf("mixed bench (%s): %v", mode, err)
+		log.Fatalf("mixed bench: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -1246,17 +1233,17 @@ func runMixedMode(mode string, interactive, batch shape, pattern []classAssign, 
 		return byClass[pattern[idx%len(pattern)].name]
 	}
 
-	// Latency-only: correctness of both serving paths is covered by the
+	// Latency-only: correctness of the serving path is covered by the
 	// package tests and the verified batch arms above; decoding 384^3
 	// results in the client would steal CPU from the server under test.
 	results, wall := drive(ts.URL, pick, mixedRequests, mixedConcurrency, false, 1e-9, 1000)
 	for _, r := range results {
 		if r.err != nil {
-			log.Fatalf("mixed bench (%s): %v", mode, r.err)
+			log.Fatalf("mixed bench: %v", r.err)
 		}
 	}
 
-	rep := MixedModeReport{Mode: mode, WallSeconds: wall, Classes: classStats(results)}
+	rep := MixedModeReport{WallSeconds: wall, Classes: classStats(results)}
 	if wall > 0 {
 		ok := 0
 		for _, r := range results {
@@ -1272,7 +1259,7 @@ func runMixedMode(mode string, interactive, batch shape, pattern []classAssign, 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
-		log.Fatalf("mixed bench (%s) shutdown: %v", mode, err)
+		log.Fatalf("mixed bench shutdown: %v", err)
 	}
 	return rep
 }

@@ -38,6 +38,49 @@ func transportName(t string) string {
 	return t
 }
 
+// The flags live at package level so the README drift test can walk
+// flag.CommandLine without running main.
+var (
+	addr             = flag.String("addr", ":8711", "listen address")
+	nprocs           = flag.Int("nprocs", 4, "SPMD ranks per engine team (perfect square)")
+	ppn              = flag.Int("procs-per-node", 0, "ranks per shared-memory domain (0: all)")
+	teams            = flag.Int("teams", 1, "persistent engine teams (max concurrent SRUMMA jobs)")
+	queueCap         = flag.Int("queue-cap", 0, "admitted-request bound; overflow gets 429 (0: 4*teams)")
+	smallMNK         = flag.Int("small-mnk", 0, "route products with M*N*K <= this to the local kernel (0: 128^3)")
+	maxDim           = flag.Int("max-dim", 0, "reject matrix dimensions beyond this (0: 4096)")
+	timeout          = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
+	kernelThreads    = flag.Int("kernel-threads", 0, "local-dgemm workers per rank (0: engine default)")
+	drainGrace       = flag.Duration("drain-grace", 30*time.Second, "max time to drain in-flight work on shutdown")
+	maxTeams         = flag.Int("max-teams", 0, "elastic pool ceiling; the pool grows from -teams toward it under backlog (0: fixed pool)")
+	batchMax         = flag.Int("batch-max", 0, "max queued small GEMMs coalesced into one team job (0: 32)")
+	starveAfter      = flag.Duration("starve-after", 0, "promote any request waiting this long regardless of class weights (0: 2s)")
+	teamIdle         = flag.Duration("team-idle", 0, "retire elastic teams idle this long (0: 30s)")
+	traceEvents      = flag.Int("trace-events", 0, "per-lane span ring size for GET /debug/trace (0: tracing off)")
+	traceSample      = flag.Int("trace-sample", 0, "record spans for one in every N requests (0 or 1: every request; needs -trace-events)")
+	abft             = flag.Bool("abft", false, "verify every SRUMMA task's C block with Huang-Abraham checksums; corrupted blocks are restored and recomputed")
+	abftTol          = flag.Float64("abft-tol", 0, "relative ABFT tolerance (0: engine default 1e-6)")
+	noResume         = flag.Bool("no-resume", false, "disable ledger-based resume: retried jobs restart from their inputs")
+	maxTaskK         = flag.Int("max-task-k", 0, "SRUMMA task contraction cap; finer tasks mean finer recovery units (0: one task per K block)")
+	retryBudget      = flag.Int("retry-budget", 0, "retries for recoverably-failed SRUMMA jobs (0: 2; negative: no retries)")
+	retryBackoff     = flag.Duration("retry-backoff", 0, "base pre-retry backoff, doubling per attempt (0: 10ms)")
+	breakerThreshold = flag.Float64("breaker-threshold", 0, "per-route circuit breaker failure fraction (0: breaker off)")
+	breakerWindow    = flag.Int("breaker-window", 0, "breaker decision window in outcomes (0: 20)")
+	breakerCooldown  = flag.Duration("breaker-cooldown", 0, "breaker open-state cooldown before a probe (0: 2s)")
+	brownoutAt       = flag.Float64("brownout-at", 0, "queue-depth fraction that sheds ABFT and batching (0: 0.9; negative: off)")
+	cacheEntries     = flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables SHA-256 operand digests, result caching and operand interning (0: off)")
+	cacheBytes       = flag.Int64("cache-bytes", 0, "result cache capacity in bytes (0: 256 MiB when the cache is on)")
+	cacheTTL         = flag.Duration("cache-ttl", 0, "expire cached results this long after insertion (0: LRU eviction only)")
+	jsonOnly         = flag.Bool("json-only", false, "disable the binary wire: binary requests get 415, responses are always JSON")
+	clusterOn        = flag.Bool("cluster", false, "shard the distributed route across OS-process worker nodes instead of in-process teams")
+	nodes            = flag.Int("nodes", 0, "cluster worker nodes (0: 2; needs -cluster)")
+	clusterPPN       = flag.Int("ppn", 0, "ranks per emulated shared-memory domain on each node (0: -procs-per-node)")
+	clusterTransport = flag.String("cluster-transport", "", `node RMA transport: "unix" (default) or "tcp"`)
+	clusterListen    = flag.String("listen", "", `fixed "host:port" for the node coordinators' TCP control listeners (node i binds port+i; the addresses srumma-worker -join dials; implies -cluster-transport tcp)`)
+	clusterHeartbeat = flag.Duration("cluster-heartbeat", 0, "idle-node health-check period (0: 2s; negative: off)")
+	hierOn           = flag.Bool("hier", false, "hierarchical routing mode: two-level multiply, outer SUMMA panels across rank groups, inner SRUMMA within each group")
+	hierGroup        = flag.Int("hier-group", 0, "ranks per hierarchical group (0: one group per shared-memory domain; must nest in domains)")
+)
+
 func main() {
 	// Cluster mode re-executes this binary for its node ranks; a worker
 	// copy diverts here and never returns.
@@ -46,45 +89,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("srumma-serve: ")
 
-	addr := flag.String("addr", ":8711", "listen address")
-	nprocs := flag.Int("nprocs", 4, "SPMD ranks per engine team (perfect square)")
-	ppn := flag.Int("procs-per-node", 0, "ranks per shared-memory domain (0: all)")
-	teams := flag.Int("teams", 1, "persistent engine teams (max concurrent SRUMMA jobs)")
-	queueCap := flag.Int("queue-cap", 0, "admitted-request bound; overflow gets 429 (0: 4*teams)")
-	smallMNK := flag.Int("small-mnk", 0, "route products with M*N*K <= this to the local kernel (0: 128^3)")
-	maxDim := flag.Int("max-dim", 0, "reject matrix dimensions beyond this (0: 4096)")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-	kernelThreads := flag.Int("kernel-threads", 0, "local-dgemm workers per rank (0: engine default)")
-	drainGrace := flag.Duration("drain-grace", 30*time.Second, "max time to drain in-flight work on shutdown")
-	schedMode := flag.String("sched", "sched", `dispatch mode: "sched" (workload scheduler) or "fifo"`)
-	maxTeams := flag.Int("max-teams", 0, "elastic pool ceiling; the pool grows from -teams toward it under backlog (0: fixed pool)")
-	batchMax := flag.Int("batch-max", 0, "max queued small GEMMs coalesced into one team job (0: 32)")
-	starveAfter := flag.Duration("starve-after", 0, "promote any request waiting this long regardless of class weights (0: 2s)")
-	teamIdle := flag.Duration("team-idle", 0, "retire elastic teams idle this long (0: 30s)")
-	traceEvents := flag.Int("trace-events", 0, "per-lane span ring size for GET /debug/trace (0: tracing off)")
-	traceSample := flag.Int("trace-sample", 0, "record spans for one in every N requests (0 or 1: every request; needs -trace-events)")
-	abft := flag.Bool("abft", false, "verify every SRUMMA task's C block with Huang-Abraham checksums; corrupted blocks are restored and recomputed")
-	abftTol := flag.Float64("abft-tol", 0, "relative ABFT tolerance (0: engine default 1e-6)")
-	noResume := flag.Bool("no-resume", false, "disable ledger-based resume: retried jobs restart from their inputs")
-	maxTaskK := flag.Int("max-task-k", 0, "SRUMMA task contraction cap; finer tasks mean finer recovery units (0: one task per K block)")
-	retryBudget := flag.Int("retry-budget", 0, "retries for recoverably-failed SRUMMA jobs (0: 2; negative: no retries)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base pre-retry backoff, doubling per attempt (0: 10ms)")
-	breakerThreshold := flag.Float64("breaker-threshold", 0, "per-route circuit breaker failure fraction (0: breaker off)")
-	breakerWindow := flag.Int("breaker-window", 0, "breaker decision window in outcomes (0: 20)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "breaker open-state cooldown before a probe (0: 2s)")
-	brownoutAt := flag.Float64("brownout-at", 0, "queue-depth fraction that sheds ABFT and batching (0: 0.9; negative: off)")
-	cacheEntries := flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables SHA-256 operand digests, result caching and operand interning (0: off)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "result cache capacity in bytes (0: 256 MiB when the cache is on)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "expire cached results this long after insertion (0: LRU eviction only)")
-	jsonOnly := flag.Bool("json-only", false, "disable the binary wire: binary requests get 415, responses are always JSON")
-	clusterOn := flag.Bool("cluster", false, "shard the distributed route across OS-process worker nodes instead of in-process teams")
-	nodes := flag.Int("nodes", 0, "cluster worker nodes (0: 2; needs -cluster)")
-	clusterPPN := flag.Int("ppn", 0, "ranks per emulated shared-memory domain on each node (0: -procs-per-node)")
-	clusterTransport := flag.String("cluster-transport", "", `node RMA transport: "unix" (default) or "tcp"`)
-	clusterListen := flag.String("listen", "", `fixed "host:port" for the node coordinators' TCP control listeners (node i binds port+i; the addresses srumma-worker -join dials; implies -cluster-transport tcp)`)
-	clusterHeartbeat := flag.Duration("cluster-heartbeat", 0, "idle-node health-check period (0: 2s; negative: off)")
-	hierOn := flag.Bool("hier", false, "hierarchical routing mode: two-level multiply, outer SUMMA panels across rank groups, inner SRUMMA within each group")
-	hierGroup := flag.Int("hier-group", 0, "ranks per hierarchical group (0: one group per shared-memory domain; must nest in domains)")
 	flag.Parse()
 
 	ppnEff := *ppn
@@ -101,7 +105,6 @@ func main() {
 		MaxDim:           *maxDim,
 		DefaultTimeout:   *timeout,
 		KernelThreads:    *kernelThreads,
-		SchedMode:        *schedMode,
 		MaxTeams:         *maxTeams,
 		BatchMax:         *batchMax,
 		StarveAfter:      *starveAfter,
@@ -138,8 +141,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s: %d ranks/team, %d team(s), mode %s, kernel %s, GOMAXPROCS %d",
-		l.Addr(), *nprocs, *teams, *schedMode, mat.KernelName(), goruntime.GOMAXPROCS(0))
+	log.Printf("listening on %s: %d ranks/team, %d team(s), kernel %s, GOMAXPROCS %d",
+		l.Addr(), *nprocs, *teams, mat.KernelName(), goruntime.GOMAXPROCS(0))
 	if *clusterOn {
 		transport := *clusterTransport
 		if transport == "" && *clusterListen != "" {

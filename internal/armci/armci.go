@@ -218,20 +218,10 @@ func (c *ctx) ObsRecorder() *obs.Recorder { return c.rec }
 // spanStart returns time.Now when tracing is on, the zero time otherwise.
 // Ops that do not already read the clock for stats use it so the disabled
 // path never touches the clock.
-func (c *ctx) spanStart() time.Time {
-	if c.rec == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
+func (c *ctx) spanStart() time.Time { return c.rec.SpanStart() }
 
 // span records one wall-clock interval ending now on this rank's lane.
-func (c *ctx) span(k obs.Kind, t0 time.Time) {
-	if c.rec == nil || t0.IsZero() {
-		return
-	}
-	c.rec.RecordWall(c.rank, k, t0, time.Now())
-}
+func (c *ctx) span(k obs.Kind, t0 time.Time) { c.rec.SpanEnd(c.rank, k, t0) }
 
 func (c *ctx) Rank() int         { return c.rank }
 func (c *ctx) Size() int         { return c.rt.topo.NProcs }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"srumma/internal/grid"
 	"srumma/internal/obs"
@@ -260,25 +259,25 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 		if issuedA >= upTo {
 			return
 		}
-		t0 := issueStart(rec)
+		t0 := rec.SpanStart()
 		for issuedA < upTo {
 			issuedA++
 			it := &sa.items[issuedA]
 			it.h = c.NbGetSub(ga, it.owner, it.off, it.ld, it.rows, it.cols, bufsA[issuedA%nbuf], 0)
 		}
-		issueSpan(rec, me, t0)
+		rec.SpanEnd(me, obs.KindIssue, t0)
 	}
 	issueB := func(upTo int) {
 		if issuedB >= upTo {
 			return
 		}
-		t0 := issueStart(rec)
+		t0 := rec.SpanStart()
 		for issuedB < upTo {
 			issuedB++
 			it := &sb.items[issuedB]
 			it.h = c.NbGetSub(gb, it.owner, it.off, it.ld, it.rows, it.cols, bufsB[issuedB%nbuf], 0)
 		}
-		issueSpan(rec, me, t0)
+		rec.SpanEnd(me, obs.KindIssue, t0)
 	}
 	// Warm the pipeline: with double buffering both buffers may be filled
 	// before any compute, so the first remote transfers hide behind the
@@ -379,23 +378,6 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 	}
 	releaseScratch(c, bufsA, bufsB)
 	return nil
-}
-
-// issueStart and issueSpan bracket one fetch-issue burst with a KindIssue
-// span. A nil recorder (tracing off, or the sim engine whose tracer works
-// at the Ctx layer) makes both a pointer compare.
-func issueStart(rec *obs.Recorder) time.Time {
-	if rec == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func issueSpan(rec *obs.Recorder, lane int, t0 time.Time) {
-	if rec == nil || t0.IsZero() {
-		return
-	}
-	rec.RecordWall(lane, obs.KindIssue, t0, time.Now())
 }
 
 // releaseScratch hands the per-multiply communication buffers back to the

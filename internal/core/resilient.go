@@ -28,7 +28,10 @@ package core
 // tracked per C region at execution time because dynamic order invalidates
 // the planner's static First marks.
 
-import "srumma/internal/rt"
+import (
+	"srumma/internal/obs"
+	"srumma/internal/rt"
+)
 
 // inflight is one task whose fetches have been issued into buffer slot
 // `slot` (handles nil for direct operands).
@@ -117,7 +120,7 @@ func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options,
 		if t.ADirect && t.BDirect {
 			return f
 		}
-		t0 := issueStart(rec)
+		t0 := rec.SpanStart()
 		if !t.ADirect {
 			r := aRegion(t)
 			f.ha = c.NbGetSub(ga, r.owner, r.off, r.ld, r.rows, r.cols, bufsA[slot], 0)
@@ -126,7 +129,7 @@ func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options,
 			r := bRegion(t)
 			f.hb = c.NbGetSub(gb, r.owner, r.off, r.ld, r.rows, r.cols, bufsB[slot], 0)
 		}
-		issueSpan(rec, me, t0)
+		rec.SpanEnd(me, obs.KindIssue, t0)
 		return f
 	}
 

@@ -10,7 +10,6 @@ package hier
 
 import (
 	"fmt"
-	"time"
 
 	"srumma/internal/core"
 	"srumma/internal/obs"
@@ -108,7 +107,7 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 	rec := rt.FindRecorder(c)
 	local := c.Local(band)
 	var handles []rt.Handle
-	t0 := issueStart(rec)
+	t0 := rec.SpanStart()
 	for i, r := range regions {
 		if i%nMembers != me-lo {
 			continue
@@ -120,7 +119,7 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 		h := c.NbGetSub(src, r.Owner, r.Off, r.LD, r.Rows, r.Cols, local, loc[r].off)
 		handles = append(handles, h)
 	}
-	issueSpan(rec, me, t0)
+	rec.SpanEnd(me, obs.KindIssue, t0)
 	for _, h := range handles {
 		c.Wait(h)
 	}
@@ -200,20 +199,4 @@ func (s *stagedCtx) Wait(h rt.Handle) {
 		return
 	}
 	s.Ctx.Wait(h)
-}
-
-// issueStart and issueSpan mirror the executor's KindIssue bracketing for
-// the staging burst.
-func issueStart(rec *obs.Recorder) time.Time {
-	if rec == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func issueSpan(rec *obs.Recorder, lane int, t0 time.Time) {
-	if rec == nil || t0.IsZero() {
-		return
-	}
-	rec.RecordWall(lane, obs.KindIssue, t0, time.Now())
 }

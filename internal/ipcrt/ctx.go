@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	goruntime "runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,20 +156,9 @@ func (c *ipcCtx) MmapMallocs() int64 { return c.mmapMallocs }
 // TCPPeers reports lifetime peer connections dialed over TCP.
 func (c *ipcCtx) TCPPeers() int64 { return c.tcpPeers }
 
-func (c *ipcCtx) spanStart() time.Time {
-	if c.rec.Load() == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
+func (c *ipcCtx) spanStart() time.Time { return c.rec.Load().SpanStart() }
 
-func (c *ipcCtx) span(k obs.Kind, t0 time.Time) {
-	rec := c.rec.Load()
-	if rec == nil || t0.IsZero() {
-		return
-	}
-	rec.RecordWall(c.rank, k, t0, time.Now())
-}
+func (c *ipcCtx) span(k obs.Kind, t0 time.Time) { c.rec.Load().SpanEnd(c.rank, k, t0) }
 
 func (c *ipcCtx) segPath(segID int64, rank int) string {
 	return segFilePath(c.dir, segID, rank)
@@ -329,6 +319,25 @@ func (c *ipcCtx) Free(g rt.Global) {
 		m.unmap()
 	}
 	removeSegFile(c.segPath(gg.id, c.rank))
+}
+
+// freeJobSegments collectively releases what a finished job body left
+// allocated — its operand Globals — so the coordinator can park them for
+// the next same-shape job. The shared body does not Free (on the in-process
+// engine that is three barriers for nothing), so the worker does it here.
+// Ascending id is allocation order, identical on every rank, which keeps
+// the collective sequence aligned.
+func (c *ipcCtx) freeJobSegments() {
+	c.segMu.Lock()
+	live := make([]*ipcGlobal, 0, len(c.segs))
+	for id, seg := range c.segs {
+		live = append(live, &ipcGlobal{id: id, sizes: seg.sizes})
+	}
+	c.segMu.Unlock()
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	for _, g := range live {
+		c.Free(g)
+	}
 }
 
 func (c *ipcCtx) LocalBuf(elems int) rt.Buffer {

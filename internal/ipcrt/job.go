@@ -38,21 +38,26 @@ type JobSpec struct {
 	B    []float64 `json:",omitempty"`
 	CIn  []float64 `json:",omitempty"`
 	// UseLedger attaches a core.JobLedger so a crashing rank's completion
-	// bitset rides back in its salvage; Prior* restore per-rank state
-	// salvaged from a failed attempt (C block, ledger bits, task count) —
-	// a rank with all three resumes mid-job, every other rank restarts.
-	UseLedger  bool
-	PriorC     map[int][]float64 `json:",omitempty"`
-	PriorBits  map[int][]uint64  `json:",omitempty"`
-	PriorTasks map[int]int       `json:",omitempty"`
+	// bitset rides back in its salvage; Prior restores per-rank state
+	// salvaged from a failed attempt — a rank with an entry resumes
+	// mid-job, every other rank restarts.
+	UseLedger bool
+	Prior     map[int]RankPrior `json:",omitempty"`
 	// ABFT forwards Huang–Abraham block verification to core.Options.
 	ABFT    bool
 	ABFTTol float64
-	// Executor knobs, forwarded to core.Options.
+	// Executor knobs, forwarded to core.Options. KernelThreads is stated to
+	// the engine on every job, 0 (the engine default) included: persistent
+	// ranks keep the previous job's setting otherwise.
 	SingleBuffer    bool
 	NoDiagonalShift bool
 	KernelThreads   int
 	MaxTaskK        int
+	// Cancel is the job's cancellation signal (core.Options.Cancel). A
+	// channel cannot cross a process boundary, so only in-process runs of
+	// the body see it; the cluster route checks its deadline before
+	// submitting instead.
+	Cancel <-chan struct{} `json:"-"`
 	// Hier routes the job through the hierarchical two-level path
 	// (internal/hier): groups of ranks stage their outer panels once per
 	// group, bit-identical to the flat path. HierGroup overrides the group
@@ -123,13 +128,14 @@ type RankResult struct {
 	LedgerTasks int
 }
 
-// Salvage receives a failed job body's recoverable state (see RunBodyEx).
-type Salvage struct {
-	Valid      bool
-	C          []float64
-	Rows, Cols int
-	Bits       []uint64
-	Tasks      int
+// RankPrior is what one rank salvaged from a failed attempt of the same
+// job: its partial C block, its ledger's completion bitset and the task
+// count the bitset covers. The three travel together — a block without the
+// marks that say what it contains (or the reverse) cannot be resumed over.
+type RankPrior struct {
+	C     []float64
+	Bits  []uint64
+	Tasks int
 }
 
 // RunBody executes one spec against any data-carrying engine Ctx. It is
@@ -150,11 +156,24 @@ func matFrom(rows, cols int, data []float64, name string) *mat.Matrix {
 
 // RunBodyEx is RunBody with a salvage sink: when the body panics mid-run
 // (an injected crash, a real bug) and the spec attached a ledger, the
-// partial C block and the completion bitset are captured into salv before
-// the panic continues — the raw material of a cross-process resume.
-func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, error) {
+// partial C block and the completion bitset are captured into salv (marked
+// Salvaged) before the panic continues — the raw material of a resume, in
+// this process or another. It is the one rank body of the serving stack:
+// worker processes and the server's in-process teams both run it.
+//
+// The body leaves its three operand Globals allocated. A worker process
+// frees them after the job so the coordinator can park the segments for
+// the next one; on the in-process engine every Free is a full barrier that
+// buys nothing (the memory is garbage collected), so team runs skip it.
+func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *RankResult) ([]float64, int, int, error) {
 	if spec.MPCheck {
 		return runMPCheck(c, spec)
+	}
+	// Stated here, unconditionally, rather than through core.Options (which
+	// only forwards positive counts): persistent ranks keep the previous
+	// job's setting, which is only correct if every job states its own.
+	if kt := rt.FindKernelTuner(c); kt != nil {
+		kt.SetKernelThreads(spec.KernelThreads)
 	}
 	d := core.Dims{M: spec.M, N: spec.N, K: spec.K}
 	if err := d.Validate(); err != nil {
@@ -181,13 +200,10 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, err
 	if spec.UseLedger {
 		jl = core.NewJobLedger(c.Size())
 	}
-	prior := spec.PriorC[me]
-	resumed := false
-	if jl != nil && len(prior) == rows*cols {
-		if bits := spec.PriorBits[me]; len(bits) > 0 && spec.PriorTasks[me] > 0 {
-			jl.RestoreRank(me, spec.PriorTasks[me], bits)
-			resumed = true
-		}
+	prior := spec.Prior[me]
+	resumed := jl != nil && len(prior.C) == rows*cols && len(prior.Bits) > 0 && prior.Tasks > 0
+	if resumed {
+		jl.RestoreRank(me, prior.Tasks, prior.Bits)
 	}
 
 	ar, ac := d.M, d.K
@@ -207,7 +223,7 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, err
 	}
 	switch {
 	case resumed:
-		c.WriteBuf(c.Local(gc), 0, prior)
+		c.WriteBuf(c.Local(gc), 0, prior.C)
 	case spec.Beta != 0 && spec.Data:
 		driver.LoadBlock(c, dc, gc, matFrom(d.M, d.N, spec.CIn, "C"))
 	case spec.Beta != 0:
@@ -218,13 +234,16 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, err
 		Case:            cs,
 		SingleBuffer:    spec.SingleBuffer,
 		NoDiagonalShift: spec.NoDiagonalShift,
-		KernelThreads:   spec.KernelThreads,
 		MaxTaskK:        spec.MaxTaskK,
 		Ledger:          jl,
 		ABFT:            spec.ABFT,
 		ABFTTol:         spec.ABFTTol,
+		Cancel:          spec.Cancel,
 	}
 	if salv != nil && jl != nil {
+		// Only the panic path salvages. A rank RETURNING an error (e.g. an
+		// exhausted ABFT recompute) holds a corrupted accumulation for an
+		// unmarked task, and resuming over it would double-add.
 		defer func() {
 			if p := recover(); p != nil {
 				// Best-effort: the engine may be half-wedged, so a salvage
@@ -233,9 +252,9 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, err
 					defer func() { _ = recover() }()
 					cBlock := c.ReadBuf(c.Local(gc), 0, rows*cols)
 					if bits, n := jl.RankBits(me); len(bits) > 0 && n > 0 {
-						salv.C, salv.Rows, salv.Cols = cBlock, rows, cols
-						salv.Bits, salv.Tasks = bits, n
-						salv.Valid = true
+						salv.C, salv.CRows, salv.CCols = cBlock, rows, cols
+						salv.LedgerBits, salv.LedgerTasks = bits, n
+						salv.Salvaged = true
 					}
 				}()
 				panic(p)
@@ -253,11 +272,7 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, err
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("rank %d: %w", me, err)
 	}
-	out := c.ReadBuf(c.Local(gc), 0, rows*cols)
-	c.Free(ga)
-	c.Free(gb)
-	c.Free(gc)
-	return out, rows, cols, nil
+	return c.ReadBuf(c.Local(gc), 0, rows*cols), rows, cols, nil
 }
 
 // runMPCheck exercises the two-sided layer end to end: rank 0 broadcasts a

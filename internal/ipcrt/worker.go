@@ -198,7 +198,6 @@ func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 	defer c.rec.Store(nil)
 
 	t0 := time.Now()
-	salv := &Salvage{}
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -210,7 +209,8 @@ func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 			res.Err = err.Error()
 			return
 		}
-		out, rows, cols, err := RunBodyEx(body, spec, salv)
+		// A panicking body deposits its salvage straight into res.
+		out, rows, cols, err := RunBodyEx(body, spec, res)
 		if err != nil {
 			res.Err = err.Error()
 			return
@@ -218,12 +218,8 @@ func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 		if spec.ReturnC {
 			res.C, res.CRows, res.CCols = out, rows, cols
 		}
+		c.freeJobSegments()
 	}()
-	if res.Err != "" && salv.Valid {
-		res.C, res.CRows, res.CCols = salv.C, salv.Rows, salv.Cols
-		res.LedgerBits, res.LedgerTasks = salv.Bits, salv.Tasks
-		res.Salvaged = true
-	}
 	if rec != nil {
 		rec.RecordWall(c.rank, obs.KindJob, t0, time.Now())
 		res.Events = rec.Events()

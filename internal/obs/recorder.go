@@ -117,6 +117,24 @@ func (r *Recorder) RecordWall(laneIdx int, k Kind, t0, t1 time.Time) {
 	r.Record(laneIdx, k, t0.Sub(r.epoch).Seconds(), t1.Sub(r.epoch).Seconds())
 }
 
+// SpanStart and SpanEnd bracket one wall-clock span that ends when SpanEnd
+// is called. On a nil recorder SpanStart returns the zero time without
+// reading the clock and SpanEnd drops it, so the disabled tracing path of
+// an engine or executor is two pointer compares.
+func (r *Recorder) SpanStart() time.Time {
+	if r == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (r *Recorder) SpanEnd(laneIdx int, k Kind, t0 time.Time) {
+	if r == nil || t0.IsZero() {
+		return
+	}
+	r.RecordWall(laneIdx, k, t0, time.Now())
+}
+
 // ByLane returns lane's events in start order. Ring lanes return oldest
 // surviving first.
 func (r *Recorder) ByLane(laneIdx int) []Event {

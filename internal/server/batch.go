@@ -40,11 +40,9 @@ type schedJob struct {
 	cs  core.Case
 	d   core.Dims
 	ctx context.Context // request context; Done() doubles as Task.Cancel
-	// rec carries the SRUMMA route's recovery state (ledger + salvaged C
-	// segments) across retry attempts; nil on the small route. crec is its
-	// cluster-route twin (cross-process salvage); at most one is set.
-	rec    *recoverJob
-	crec   *clusterRecover
+	// rec carries a distributed request's recovery state (what a failed
+	// attempt's ranks salvaged) across retry attempts; nil on the small route.
+	rec    *jobRecovery
 	traced bool // head-sampling verdict for this request's spans
 
 	out      *mat.Matrix
@@ -107,21 +105,25 @@ func (s *Server) newScheduler() (*sched.Scheduler, error) {
 	})
 }
 
-// schedExec runs one dispatch on a team: a singleton SRUMMA job, or a
-// locality-sorted batch of small GEMMs.
+// schedExec runs one dispatch on a team: a singleton distributed job, or a
+// locality-sorted batch of small GEMMs (a batch of one when brownout shed
+// the coalescing). Only distributed jobs carry recovery state.
 func (s *Server) schedExec(w sched.Worker, tasks []*sched.Task) sched.Outcome {
 	tm := w.(*teamWorker).tm
-	if !tasks[0].Batchable {
-		return s.execSRUMMATask(tm, tasks[0])
+	if tasks[0].Payload.(*schedJob).rec != nil {
+		return s.execDistributedTask(tm, tasks[0])
 	}
 	return s.execGemmBatch(tm, tasks)
 }
 
-// execSRUMMATask runs one large multiply on the team, translating the run
-// outcome into the scheduler's resilience protocol: a leaked-rank watchdog
-// report poisons the team (ReplaceWorker) and, if the task itself never
-// completed, requeues it.
-func (s *Server) execSRUMMATask(tm *armci.Team, t *sched.Task) sched.Outcome {
+// execDistributedTask runs one large multiply, translating the run outcome
+// into the scheduler's resilience protocol: a leaked-rank watchdog report
+// poisons the team (ReplaceWorker) and, if the task itself never completed,
+// requeues it. On the cluster route the team hosting the dispatch only
+// serializes cluster jobs with the rest of the workload — the pool's worker
+// processes do the arithmetic, and a node failure is repaired inside the
+// pool, so it never poisons the team.
+func (s *Server) execDistributedTask(tm *armci.Team, t *sched.Task) sched.Outcome {
 	job := t.Payload.(*schedJob)
 	if hook := s.batchHook(); hook != nil {
 		hook(t)
@@ -130,22 +132,15 @@ func (s *Server) execSRUMMATask(tm *armci.Team, t *sched.Task) sched.Outcome {
 		t.Finish(sched.ErrCancelled)
 		return sched.Outcome{}
 	}
-	if job.crec != nil {
-		// Cluster route: the pool's worker processes run the job; the team
-		// hosting this dispatch just serializes cluster jobs with the rest
-		// of the workload. Node failure is repaired inside the pool, so it
-		// never poisons the team (no ReplaceWorker).
-		return s.execClusterTask(t, job)
-	}
-	if t.Attempts() > 1 && job.rec != nil {
-		// The scheduler requeued this task (watchdog-leaked team): reconcile
-		// the recovery ledger with whatever the failed dispatch salvaged so
-		// the replacement team resumes rather than double-accumulates.
-		s.met.noteRetry(job.rec.prepareRetry())
+	if t.Attempts() > 1 {
+		// The scheduler requeued this task (watchdog-leaked team). The failed
+		// dispatch already banked its salvage, so the replacement team
+		// resumes rather than double-accumulates; only the books are due.
+		s.met.noteRetry(job.rec.resumedTasks())
 	}
 	job.started = time.Now()
 	job.batch = 1
-	out, err := s.runSRUMMA(job.ctx, tm, job.req, job.cs, job.d, job.rec, job.traced)
+	out, err := s.runDistributed(tm, job)
 	job.out = out
 	job.finished = time.Now()
 

@@ -10,7 +10,6 @@ package server
 // observe.
 
 import (
-	"sync"
 	"time"
 
 	"srumma/internal/cluster"
@@ -35,7 +34,8 @@ type MetricsSnapshot struct {
 	Rejected  uint64 `json:"rejected_429_total"`
 	Errors    uint64 `json:"error_total"`
 	Cancelled uint64 `json:"cancelled_total"`
-	// TeamsReplaced counts pooled engine teams retired after leaking ranks.
+	// TeamsReplaced counts pooled engine teams retired after leaking ranks
+	// (the scheduler's pool_replaced).
 	TeamsReplaced uint64 `json:"teams_replaced_total"`
 
 	QueueDepth int `json:"queue_depth"`
@@ -69,8 +69,8 @@ type MetricsSnapshot struct {
 	// cache is disabled).
 	Cache *CacheStats `json:"cache,omitempty"`
 
-	// Sched is the workload scheduler's view (nil in FIFO mode): per-class
-	// queue depth, batch occupancy, deadline misses, pool elasticity.
+	// Sched is the workload scheduler's view: per-class queue depth, batch
+	// occupancy, deadline misses, pool elasticity.
 	Sched *sched.Snapshot `json:"sched,omitempty"`
 
 	// Recovery is the block-level job recovery view: handler retries,
@@ -128,20 +128,18 @@ type metrics struct {
 	start    time.Time
 	queueCap int
 
-	reg           *obs.Registry
-	admitted      *obs.Counter
-	completed     *obs.Counter
-	rejected      *obs.Counter
-	errors        *obs.Counter
-	cancelled     *obs.Counter
-	teamsReplaced *obs.Counter
-	inFlight      *obs.Gauge
-	executing     *obs.Gauge
-	flops         *obs.FloatCounter
-	overall       *obs.Histogram
-	routes        map[string]*obs.Histogram
-	classes       map[string]*obs.Histogram
-	rate          obs.RateWindow
+	reg       *obs.Registry
+	admitted  *obs.Counter
+	completed *obs.Counter
+	rejected  *obs.Counter
+	errors    *obs.Counter
+	cancelled *obs.Counter
+	inFlight  *obs.Gauge
+	flops     *obs.FloatCounter
+	overall   *obs.Histogram
+	routes    map[string]*obs.Histogram
+	classes   map[string]*obs.Histogram
+	rate      obs.RateWindow
 
 	retries        *obs.Counter
 	resumedJobs    *obs.Counter
@@ -157,31 +155,26 @@ type metrics struct {
 	// arrived on (responses usually mirror it; Accept can diverge).
 	wires map[string]*wireInstruments
 
-	// mu guards schedSnap, which is installed after construction in
-	// scheduler mode.
-	mu sync.Mutex
-	// schedSnap, when set, sources the queue/executing gauges and the Sched
-	// section from the workload scheduler instead of the FIFO admission
-	// counters.
+	// schedSnap sources the queue/executing gauges, the replaced-team count
+	// and the Sched section from the workload scheduler, where the run queue
+	// and the team pool live. New installs it before the server serves.
 	schedSnap func() sched.Snapshot
 }
 
 func newMetrics(queueCap int) *metrics {
 	reg := obs.NewRegistry()
 	return &metrics{
-		start:         time.Now(),
-		queueCap:      queueCap,
-		reg:           reg,
-		admitted:      reg.Counter("server.admitted"),
-		completed:     reg.Counter("server.completed"),
-		rejected:      reg.Counter("server.rejected_429"),
-		errors:        reg.Counter("server.errors"),
-		cancelled:     reg.Counter("server.cancelled"),
-		teamsReplaced: reg.Counter("server.teams_replaced"),
-		inFlight:      reg.Gauge("server.in_flight"),
-		executing:     reg.Gauge("server.executing"),
-		flops:         reg.Float("server.flops"),
-		overall:       reg.Histogram("server.latency"),
+		start:     time.Now(),
+		queueCap:  queueCap,
+		reg:       reg,
+		admitted:  reg.Counter("server.admitted"),
+		completed: reg.Counter("server.completed"),
+		rejected:  reg.Counter("server.rejected_429"),
+		errors:    reg.Counter("server.errors"),
+		cancelled: reg.Counter("server.cancelled"),
+		inFlight:  reg.Gauge("server.in_flight"),
+		flops:     reg.Float("server.flops"),
+		overall:   reg.Histogram("server.latency"),
 		routes: map[string]*obs.Histogram{
 			routeSmall:   reg.Histogram("server.latency.route." + routeSmall),
 			routeSRUMMA:  reg.Histogram("server.latency.route." + routeSRUMMA),
@@ -293,19 +286,10 @@ func (m *metrics) reject() {
 	m.rejected.Inc()
 }
 
-func (m *metrics) execStart() {
-	m.executing.Add(1)
-}
-
-// finish settles one admitted request. route is "" for requests that never
-// executed (bad input discovered post-admission, cancellation while
-// queued); class labels the workload class; outcome is one of "ok",
-// "error", "cancelled".
-func (m *metrics) finish(route, class string, outcome string, latency time.Duration, flops float64, executed bool) {
+// finish settles one admitted request. class labels the workload class;
+// outcome is one of "ok", "error", "cancelled".
+func (m *metrics) finish(route, class string, outcome string, latency time.Duration, flops float64) {
 	m.inFlight.Add(-1)
-	if executed {
-		m.executing.Add(-1)
-	}
 	switch outcome {
 	case "ok":
 		m.completed.Inc()
@@ -330,17 +314,6 @@ func (m *metrics) recentRPS() float64 {
 	return m.rate.RPS(time.Now())
 }
 
-func (m *metrics) teamReplaced() {
-	m.teamsReplaced.Inc()
-}
-
-// setSchedSnap installs the scheduler's snapshot source (scheduler mode).
-func (m *metrics) setSchedSnap(f func() sched.Snapshot) {
-	m.mu.Lock()
-	m.schedSnap = f
-	m.mu.Unlock()
-}
-
 func histStats(h *obs.Histogram) RouteStats {
 	return RouteStats{
 		Count:  h.Count(),
@@ -351,17 +324,8 @@ func histStats(h *obs.Histogram) RouteStats {
 }
 
 func (m *metrics) snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	schedSnap := m.schedSnap
-	m.mu.Unlock()
-	var ss *sched.Snapshot
-	if schedSnap != nil {
-		snap := schedSnap() // the scheduler has its own locking
-		ss = &snap
-	}
+	ss := m.schedSnap() // the scheduler has its own locking
 	up := time.Since(m.start).Seconds()
-	inFlight := int(m.inFlight.Load())
-	executing := int(m.executing.Load())
 	s := MetricsSnapshot{
 		UptimeSeconds: up,
 		Admitted:      uint64(m.admitted.Load()),
@@ -369,9 +333,9 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		Rejected:      uint64(m.rejected.Load()),
 		Errors:        uint64(m.errors.Load()),
 		Cancelled:     uint64(m.cancelled.Load()),
-		TeamsReplaced: uint64(m.teamsReplaced.Load()),
-		QueueDepth:    inFlight - executing,
-		Executing:     executing,
+		TeamsReplaced: ss.PoolReplaced,
+		QueueDepth:    ss.Queued,
+		Executing:     max(0, int(ss.InFlight)-ss.Queued),
 		QueueCap:      m.queueCap,
 		FlopsTotal:    m.flops.Load(),
 		LatencyP50Ms:  m.overall.Quantile(0.50) * 1e3,
@@ -382,6 +346,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		RecentRPS:     m.rate.RPS(time.Now()),
 		Routes:        make(map[string]RouteStats, len(m.routes)),
 		Classes:       make(map[string]RouteStats, len(m.classes)),
+		Sched:         &ss,
 		Recovery: RecoveryStats{
 			Retries:          uint64(m.retries.Load()),
 			ResumedJobs:      uint64(m.resumedJobs.Load()),
@@ -392,11 +357,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			BrownoutRequests: uint64(m.brownoutReqs.Load()),
 		},
 	}
-	// The two gauges are updated independently on the hot path, so a
-	// snapshot between the paired updates can transiently skew; clamp.
-	if s.QueueDepth < 0 {
-		s.QueueDepth = 0
-	}
 	if up > 0 {
 		s.ThroughputRPS = float64(s.Completed) / up
 		s.GFlopsServed = s.FlopsTotal / up / 1e9
@@ -406,16 +366,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	}
 	for name, h := range m.classes {
 		s.Classes[name] = histStats(h)
-	}
-	if ss != nil {
-		// Under the scheduler the run queue lives in internal/sched, not in
-		// the FIFO admission counters: source the gauges from it.
-		s.Sched = ss
-		s.QueueDepth = ss.Queued
-		s.Executing = int(ss.InFlight) - ss.Queued
-		if s.Executing < 0 {
-			s.Executing = 0
-		}
 	}
 	return s
 }

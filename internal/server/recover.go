@@ -1,18 +1,21 @@
 package server
 
-// Block-level job recovery for the SRUMMA route. One recoverJob rides
-// along with each distributed request across its retry attempts: it owns
-// the core.JobLedger (which tasks each rank completed) and the salvaged
-// per-rank C segments read out of a failed attempt. A retried job reloads
-// the salvage, hands the ledger back to the executor, and re-executes only
-// the tasks absent from it — bit-identical to an uninterrupted run. Ranks
-// whose C could not be salvaged (they exited the job body cleanly before a
-// peer's failure aborted the run, so their salvage hook never fired) have
-// their ledger reset and restart from their request inputs.
+// Block-level job recovery for the distributed routes. One jobRecovery
+// rides along with each distributed request across its retry attempts,
+// whichever runner executes them (an in-process team or the cluster pool):
+// it holds what the ranks of a failed attempt salvaged on their panic
+// unwind — partial C block, ledger completion bitset, task count. A
+// retried job hands the salvage back to the rank body (ipcrt.JobSpec.Prior),
+// which reloads the block, restores the ledger and re-executes only the
+// tasks absent from it — bit-identical to an uninterrupted run. Ranks with
+// no salvage (they exited the body cleanly before a peer's failure aborted
+// the run, or returned an error — see ipcrt.RunBodyEx for why errors never
+// salvage) restart from the request inputs with an empty ledger.
 
 import (
 	"context"
 	"errors"
+	mathbits "math/bits"
 	"sync"
 	"time"
 
@@ -23,64 +26,65 @@ import (
 	"srumma/internal/sched"
 )
 
-// recoverJob is one SRUMMA request's recovery state, shared by every
-// attempt. salv is written by team ranks during unwind and read by the
-// next attempt's ranks; the ledger is the executor's own.
-type recoverJob struct {
-	ledger *core.JobLedger // nil when resume is disabled (restart-only retries)
-	abft   bool            // this request verifies blocks (may be shed by brownout)
+// jobRecovery is one distributed request's recovery state, shared by every
+// attempt.
+type jobRecovery struct {
+	resume bool // ledger-based resume enabled (!NoResume)
+	abft   bool // this request verifies blocks (may be shed by brownout)
 
-	mu   sync.Mutex
-	salv [][]float64 // per-rank C segment rescued from a failed attempt
+	mu    sync.Mutex
+	ranks map[int]ipcrt.RankPrior
 }
 
-func (s *Server) newRecoverJob(abft bool) *recoverJob {
-	rj := &recoverJob{abft: abft, salv: make([][]float64, s.cfg.NProcs)}
-	if !s.cfg.NoResume {
-		rj.ledger = core.NewJobLedger(s.cfg.NProcs)
+func (s *Server) newJobRecovery(abft bool) *jobRecovery {
+	return &jobRecovery{resume: !s.cfg.NoResume, abft: abft}
+}
+
+// store replaces the salvage with what a failed attempt's results carry
+// (nothing when resume is disabled: retries then restart).
+func (jr *jobRecovery) store(results []*ipcrt.RankResult) {
+	if !jr.resume {
+		return
 	}
-	return rj
-}
-
-func (rj *recoverJob) save(rank int, c []float64) {
-	rj.mu.Lock()
-	rj.salv[rank] = c
-	rj.mu.Unlock()
-}
-
-// take consumes rank's salvaged C segment. Clearing on read is what keeps
-// salvage and ledger in lockstep across multiple retries: a rank that later
-// exits cleanly while the job fails again has salv == nil at the next
-// prepareRetry, so its (now stale relative to its advanced ledger) segment
-// can never be paired with newer marks — the ledger resets and the rank
-// restarts.
-func (rj *recoverJob) take(rank int) []float64 {
-	if rj == nil {
-		return nil
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	jr.ranks = nil
+	for _, r := range results {
+		if r == nil || !r.Salvaged {
+			continue
+		}
+		if jr.ranks == nil {
+			jr.ranks = make(map[int]ipcrt.RankPrior)
+		}
+		jr.ranks[r.Rank] = ipcrt.RankPrior{C: r.C, Bits: r.LedgerBits, Tasks: r.LedgerTasks}
 	}
-	rj.mu.Lock()
-	defer rj.mu.Unlock()
-	c := rj.salv[rank]
-	rj.salv[rank] = nil
-	return c
 }
 
-// prepareRetry reconciles the ledger with what actually survived: a rank
-// with completed tasks but no salvaged C lost its work, so its marks are
-// cleared and it restarts. Returns how many tasks the retry will skip —
-// the resumed-work count the recovery metrics report.
-func (rj *recoverJob) prepareRetry() int {
-	if rj.ledger == nil {
-		return 0
-	}
-	rj.mu.Lock()
-	defer rj.mu.Unlock()
-	for rank, s := range rj.salv {
-		if s == nil {
-			rj.ledger.Reset(rank)
+// resumedTasks counts the completed tasks the next attempt will skip — the
+// resumed-work figure the recovery metrics report.
+func (jr *jobRecovery) resumedTasks() int {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	n := 0
+	for _, p := range jr.ranks {
+		for _, w := range p.Bits {
+			n += mathbits.OnesCount64(w)
 		}
 	}
-	return rj.ledger.Completed()
+	return n
+}
+
+// take consumes the salvage for one attempt. Consuming on read is what
+// keeps blocks and marks in lockstep across multiple retries: a rank that
+// exits cleanly while the job fails again has no entry in the next store,
+// so its (by then stale) block can never be paired with newer marks — it
+// restarts.
+func (jr *jobRecovery) take() map[int]ipcrt.RankPrior {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	ranks := jr.ranks
+	jr.ranks = nil
+	return ranks
 }
 
 // retryableRunError classifies a failed SRUMMA run: rank panics (injected

@@ -3,8 +3,8 @@ package server
 // Recovery-layer tests: the end-to-end chaos gate (crash + silent compute
 // corruption against a live server, every accepted request bit-correct),
 // the circuit breaker state machine under a fake clock, the retryability
-// classification, the recoverJob salvage/ledger reconciliation, and the
-// brownout shed counter.
+// classification, the jobRecovery salvage reconciliation, and the brownout
+// shed counter.
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 	"srumma/internal/armci"
 	"srumma/internal/core"
 	"srumma/internal/faults"
+	"srumma/internal/ipcrt"
 	"srumma/internal/obs"
 	"srumma/internal/sched"
 )
@@ -124,50 +125,6 @@ func TestChaosServe(t *testing.T) {
 		t.Error("ABFT recomputed no blocks; detections did not recover")
 	}
 	t.Logf("chaos recovery: %+v", rec)
-}
-
-// TestChaosServeFIFO runs a reduced chaos gate through the FIFO dispatch
-// path, which retries on the same pinned team.
-func TestChaosServeFIFO(t *testing.T) {
-	plan, err := faults.NewPlan(faults.Config{
-		Seed:               1,
-		ComputeCrash:       true,
-		ComputeCrashOpSpan: 6,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Config{
-		NProcs:       4,
-		SmallMNK:     1,
-		MaxTaskK:     8,
-		SchedMode:    "fifo",
-		ABFT:         true,
-		FaultPlan:    plan,
-		RetryBudget:  3,
-		RetryBackoff: 2 * time.Millisecond,
-	})
-	clean := newTestServer(t, Config{NProcs: 4, SmallMNK: 1, MaxTaskK: 8, SchedMode: "fifo"})
-	for i := 0; i < 4; i++ {
-		req := randReq(64, 64, 64, uint64(700+i))
-		var want MultiplyResponse
-		if code, _ := post(t, clean, req, &want); code != http.StatusOK {
-			t.Fatalf("request %d: clean twin status %d", i, code)
-		}
-		var resp MultiplyResponse
-		code, w := post(t, s, req, &resp)
-		if code != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, code, w.Body.String())
-		}
-		for e := range resp.C {
-			if resp.C[e] != want.C[e] {
-				t.Fatalf("request %d: C[%d] = %v under chaos, want %v (bit-exact)", i, e, resp.C[e], want.C[e])
-			}
-		}
-	}
-	if rec := s.Metrics().Recovery; rec.Retries == 0 {
-		t.Errorf("FIFO path recorded no retries: %+v", rec)
-	}
 }
 
 // TestBreakerStateMachine drives the circuit breaker through
@@ -287,40 +244,44 @@ func TestRetryableRunError(t *testing.T) {
 	}
 }
 
-// TestRecoverJobSalvage pins the salvage/ledger reconciliation: ranks with
-// salvage keep their marks, ranks without are reset, and take consumes —
-// a segment can never be paired with a ledger newer than itself.
-func TestRecoverJobSalvage(t *testing.T) {
-	rj := &recoverJob{ledger: core.NewJobLedger(2), salv: make([][]float64, 2)}
-	lg0 := rj.ledger.Rank(0, 4)
-	lg0.Mark(0)
-	lg0.Mark(2)
-	lg1 := rj.ledger.Rank(1, 4)
-	lg1.Mark(1)
-	rj.save(0, []float64{1, 2, 3})
-
-	// Rank 1 has marks but no salvage: reset; rank 0 resumes 2 tasks.
-	if got := rj.prepareRetry(); got != 2 {
-		t.Fatalf("prepareRetry = %d resumed tasks, want 2", got)
+// TestJobRecoverySalvage pins the salvage reconciliation of the one
+// recovery type: only ranks that salvaged resume, take consumes — a block
+// can never be paired with marks newer than itself — and a later failure's
+// salvage replaces, never merges with, an earlier one.
+func TestJobRecoverySalvage(t *testing.T) {
+	jr := &jobRecovery{resume: true}
+	// Rank 0 panicked with tasks 0 and 2 of 4 done; rank 1 exited cleanly
+	// (a result, but no salvage); rank 2's worker died (no result at all).
+	jr.store([]*ipcrt.RankResult{
+		{Rank: 0, Salvaged: true, C: []float64{1, 2, 3}, LedgerBits: []uint64{0b101}, LedgerTasks: 4},
+		{Rank: 1, C: []float64{9, 9, 9}},
+		nil,
+	})
+	if got := jr.resumedTasks(); got != 2 {
+		t.Fatalf("resumedTasks = %d, want 2", got)
 	}
-	if lg1.Completed() != 0 {
-		t.Fatal("unsalvaged rank's ledger not reset")
+	prior := jr.take()
+	if len(prior) != 1 || len(prior[0].C) != 3 || prior[0].Tasks != 4 || prior[0].Bits[0] != 0b101 {
+		t.Fatalf("take = %+v, want rank 0's block, bits and task count", prior)
 	}
-	if got := rj.take(0); len(got) != 3 {
-		t.Fatalf("take(0) = %v", got)
-	}
-	if rj.take(0) != nil {
+	if jr.take() != nil || jr.resumedTasks() != 0 {
 		t.Fatal("take did not consume the salvage")
 	}
-	// Next failure with no new salvage: rank 0's ledger resets too.
-	if got := rj.prepareRetry(); got != 0 {
-		t.Fatalf("second prepareRetry = %d, want 0 (stale ledger must reset)", got)
+	// The next failure salvages only rank 3: rank 0's earlier block is gone
+	// (consumed, and not re-salvaged), so it restarts.
+	jr.store([]*ipcrt.RankResult{{Rank: 0}, {Rank: 3, Salvaged: true, C: []float64{4}, LedgerBits: []uint64{0b1}, LedgerTasks: 2}})
+	if got := jr.resumedTasks(); got != 1 {
+		t.Fatalf("second failure: resumedTasks = %d, want 1", got)
+	}
+	if prior := jr.take(); len(prior) != 1 || prior[3].Tasks != 2 {
+		t.Fatalf("second failure: take = %+v, want only rank 3", prior)
 	}
 
-	// Resume disabled: no ledger, nothing resumes.
-	none := &recoverJob{salv: make([][]float64, 2)}
-	if got := none.prepareRetry(); got != 0 {
-		t.Fatalf("no-resume prepareRetry = %d, want 0", got)
+	// Resume disabled: nothing is kept, retries restart.
+	none := &jobRecovery{}
+	none.store([]*ipcrt.RankResult{{Rank: 0, Salvaged: true, C: []float64{1}, LedgerBits: []uint64{1}, LedgerTasks: 1}})
+	if none.resumedTasks() != 0 || none.take() != nil {
+		t.Fatal("no-resume recovery kept salvage")
 	}
 }
 

@@ -1,6 +1,6 @@
 package server
 
-// Scheduler-mode serving tests: batching bit-identity, priority dispatch,
+// Scheduler serving tests: batching bit-identity, priority dispatch,
 // deadline handling, overflow, elastic pooling, drain, and the chaos case
 // where a team crash mid-batch requeues the batch's unfinished tasks.
 
@@ -218,7 +218,7 @@ func TestServerSchedDeadlineWhileQueued(t *testing.T) {
 }
 
 // TestServerSchedOverflow429: a full run queue refuses with 429 and a
-// Retry-After hint, and admitted requests still complete.
+// Retry-After hint, and admitted requests still complete correctly.
 func TestServerSchedOverflow429(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 2})
 	release, entered := blockOn(s, "blocker")
@@ -251,11 +251,17 @@ func TestServerSchedOverflow429(t *testing.T) {
 	if res := <-blockerCh; res.code != http.StatusOK {
 		t.Fatalf("blocker status %d", res.code)
 	}
-	if res := <-queuedCh; res.code != http.StatusOK {
+	res := <-queuedCh
+	if res.code != http.StatusOK {
 		t.Fatalf("queued request status %d", res.code)
 	}
-	if m := s.Metrics(); m.Rejected != 1 {
+	checkResult(t, res.resp, wantGemm(t, req), 1e-10)
+	m := s.Metrics()
+	if m.Rejected != 1 {
 		t.Fatalf("rejected_429_total = %d, want 1", m.Rejected)
+	}
+	if m.Completed != 2 {
+		t.Fatalf("completed_total = %d, want 2", m.Completed)
 	}
 }
 
@@ -319,6 +325,16 @@ func TestServerSchedChaosCrashRequeue(t *testing.T) {
 	if m.Completed != n+1 {
 		t.Fatalf("completed_total = %d, want %d", m.Completed, n+1)
 	}
+	// A panic unwinds every rank, so no team was wedged and replaced here;
+	// when the scheduler does replace one (pool_replaced), /metrics must
+	// report it as teams_replaced_total.
+	if m.TeamsReplaced != 0 {
+		t.Fatalf("teams_replaced_total = %d after a clean unwind, want 0", m.TeamsReplaced)
+	}
+	s.met.reg.Counter("sched.pool_replaced").Add(1)
+	if got := s.Metrics().TeamsReplaced; got != 1 {
+		t.Fatalf("teams_replaced_total = %d with sched.pool_replaced = 1, want 1", got)
+	}
 }
 
 // TestServerSchedElasticPool: the team pool grows under backlog up to
@@ -372,7 +388,7 @@ func TestServerSchedElasticPool(t *testing.T) {
 	}
 }
 
-// TestServerSchedShutdownDrains: graceful shutdown in scheduler mode — the
+// TestServerSchedShutdownDrains: graceful shutdown — the
 // admitted request completes, new work and healthz are refused, and the
 // pooled teams close clean.
 func TestServerSchedShutdownDrains(t *testing.T) {

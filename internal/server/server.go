@@ -5,14 +5,15 @@
 //   - a pool of persistent engine teams (armci.Team) whose rank goroutines,
 //     kernel-thread configuration and scratch pools stay warm across
 //     requests;
-//   - an admission-controlled request queue with backpressure: a bounded
-//     number of requests is admitted (queued + executing); overflow is
-//     refused immediately with 429 and a Retry-After hint rather than
-//     buffered without bound;
+//   - an admission-controlled run queue with backpressure (the workload
+//     scheduler, internal/sched): a bounded number of requests is admitted
+//     (queued + executing); overflow is refused immediately with 429 and a
+//     Retry-After hint rather than buffered without bound;
 //   - size-based routing across execution tiers (cf. the hierarchical
 //     platform argument of Quintin et al.): small products run directly on
 //     the local packed parallel kernel, large ones on the distributed
-//     SRUMMA engine;
+//     SRUMMA engine — one job pipeline (distributed.go) whether its ranks
+//     are an in-process team or a cluster node's worker processes;
 //   - per-request deadlines enforced as cooperative cancellation between
 //     SRUMMA tasks (core.Options.Cancel), so an expired request releases
 //     its engine promptly and the team survives for the next one;
@@ -40,7 +41,6 @@ import (
 	"srumma/internal/armci"
 	"srumma/internal/cluster"
 	"srumma/internal/core"
-	"srumma/internal/driver"
 	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/hier"
@@ -99,12 +99,7 @@ type Config struct {
 	// allocates nothing.
 	TraceEvents int
 
-	// SchedMode selects the dispatch path: "sched" (default) runs admitted
-	// requests through the workload scheduler — batched small GEMMs,
-	// priority/deadline dispatch, elastic team pool; "fifo" keeps the
-	// plain first-come-first-served channel of the original serving layer.
-	SchedMode string
-	// MaxTeams is the elastic pool ceiling in sched mode: the pool grows
+	// MaxTeams is the elastic pool ceiling: the pool grows
 	// from Teams toward it under backlog and shrinks back when teams idle
 	// (default: Teams, i.e. a fixed pool).
 	MaxTeams int
@@ -180,8 +175,8 @@ type Config struct {
 
 	// Cluster shards the SRUMMA route across OS-process worker nodes: an
 	// internal/cluster pool of ClusterNodes nodes (each NProcs ranks, PPN
-	// ProcsPerNode) replaces the in-process distributed tier. Requires
-	// SchedMode "sched". The small route, batching, cache, breaker and
+	// ProcsPerNode) replaces the in-process distributed tier. The small
+	// route, batching, cache, breaker and
 	// retry machinery are unchanged; worker death folds into the retry
 	// budget via the pool's typed errors and the cross-process salvage.
 	Cluster bool
@@ -231,9 +226,6 @@ func (c Config) fill() Config {
 	}
 	if c.Teams <= 0 {
 		c.Teams = 1
-	}
-	if c.SchedMode == "" {
-		c.SchedMode = "sched"
 	}
 	if c.MaxTeams < c.Teams {
 		c.MaxTeams = c.Teams
@@ -316,12 +308,8 @@ type Server struct {
 	topo rt.Topology
 	g    *grid.Grid
 
-	// FIFO mode ("fifo"): channel-based admission and a fixed team pool.
-	slots chan struct{}    // admission tokens, cap = QueueCap
-	teams chan *armci.Team // engine pool, cap = Teams
-
-	// Scheduler mode ("sched", default): the workload scheduler owns
-	// admission, ordering, batching and the elastic team pool.
+	// sched is the workload scheduler: it owns admission, ordering,
+	// batching and the elastic pool of persistent engine teams.
 	sched *sched.Scheduler
 
 	// cpool is the cluster node pool (nil unless Config.Cluster): the
@@ -417,9 +405,6 @@ func New(cfg Config) (*Server, error) {
 		s.laneNames[cfg.NProcs+1] = "sched"
 	}
 	if cfg.Cluster {
-		if cfg.SchedMode != "sched" {
-			return nil, fmt.Errorf("server: cluster mode requires SchedMode \"sched\", got %q", cfg.SchedMode)
-		}
 		if !ipcrt.Available() {
 			return nil, fmt.Errorf("server: cluster mode needs the multi-process engine, unavailable on this platform")
 		}
@@ -443,32 +428,15 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.cpool = pool
 	}
-	switch cfg.SchedMode {
-	case "sched":
-		sc, err := s.newScheduler()
-		if err != nil {
-			if s.cpool != nil {
-				s.cpool.Close()
-			}
-			return nil, err
+	sc, err := s.newScheduler()
+	if err != nil {
+		if s.cpool != nil {
+			s.cpool.Close()
 		}
-		s.sched = sc
-		s.met.schedSnap = sc.Snapshot
-	case "fifo":
-		s.slots = make(chan struct{}, cfg.QueueCap)
-		s.teams = make(chan *armci.Team, cfg.Teams)
-		for i := 0; i < cfg.Teams; i++ {
-			tm, err := armci.NewTeam(topo)
-			if err != nil {
-				s.closeTeams()
-				return nil, err
-			}
-			tm.SetRecorder(s.rec)
-			s.teams <- tm
-		}
-	default:
-		return nil, fmt.Errorf("server: unknown SchedMode %q (want sched or fifo)", cfg.SchedMode)
+		return nil, err
 	}
+	s.sched = sc
+	s.met.schedSnap = sc.Snapshot
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/multiply", s.handleMultiply)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -525,7 +493,10 @@ func (s *Server) Serve(l net.Listener) error {
 // multiplies get 503), in-flight requests run to completion (or their
 // deadlines), the listener closes, and the engine teams are closed with
 // leaked-rank detection — a team that fails to drain surfaces as a
-// *WatchdogError.
+// *WatchdogError. When ctx expires before the in-flight requests finish,
+// Shutdown stops waiting and returns "drain interrupted" — but still tears
+// the scheduler and the cluster pool down, so no worker process, socket or
+// segment file outlives the server.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var herr error
@@ -540,46 +511,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.jobs.Wait()
 		close(done)
 	}()
+	var derr error
 	select {
 	case <-done:
 	case <-ctx.Done():
-		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
+		derr = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 	}
-	if s.sched != nil {
-		// Scheduler mode: drain the run queue and close every pooled team
-		// (leaked-rank reports surface through the scheduler's Close), then
-		// shut the cluster node pool down — after the scheduler, so no
-		// dispatch can race a closing pool.
-		cerr := s.sched.Close(ctx)
-		if s.cpool != nil {
-			s.cpool.Close()
-		}
-		if cerr != nil {
-			return cerr
-		}
-		return herr
+	// Drain the run queue and close every pooled team (leaked-rank reports
+	// surface through the scheduler's Close; with ctx already expired it
+	// cancels what is still queued instead of waiting), then shut the
+	// cluster node pool down — after the scheduler, so no dispatch can race
+	// a closing pool.
+	cerr := s.sched.Close(ctx)
+	if s.cpool != nil {
+		s.cpool.Close()
 	}
-	if cerr := s.closeTeams(); cerr != nil {
+	switch {
+	case derr != nil:
+		return derr
+	case cerr != nil:
 		return cerr
 	}
 	return herr
-}
-
-func (s *Server) closeTeams() error {
-	if s.teams == nil {
-		return nil
-	}
-	var first error
-	for {
-		select {
-		case tm := <-s.teams:
-			if err := tm.Close(); err != nil && first == nil {
-				first = err
-			}
-		default:
-			return first
-		}
-	}
 }
 
 func boolToInt64(b bool) int64 {
@@ -639,10 +592,9 @@ type InfoResponse struct {
 	Kernel        string `json:"kernel"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	KernelThreads int    `json:"default_kernel_threads"`
-	// Scheduler deployment parameters (sched mode).
-	SchedMode string `json:"sched_mode"`
-	MaxTeams  int    `json:"max_teams"`
-	BatchMax  int    `json:"batch_max"`
+	// Scheduler deployment parameters.
+	MaxTeams int `json:"max_teams"`
+	BatchMax int `json:"batch_max"`
 	// Wire and cache deployment parameters: whether the dense binary wire
 	// is negotiable, and the content-addressed result cache bounds (zero
 	// entries = content addressing off).
@@ -692,7 +644,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Kernel:        mat.KernelName(),
 		GOMAXPROCS:    goruntime.GOMAXPROCS(0),
 		KernelThreads: kt,
-		SchedMode:     s.cfg.SchedMode,
 		MaxTeams:      s.cfg.MaxTeams,
 		BatchMax:      s.cfg.BatchMax,
 
@@ -716,16 +667,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 // (cold start, long stall) it falls back to one mean service time. The
 // hint is clamped to [1s, 60s].
 func (s *Server) retryAfter() int {
-	depth := 0
-	if s.sched != nil {
-		depth = s.sched.Queued()
-	} else {
-		snap := s.met.snapshot()
-		depth = snap.QueueDepth
-	}
 	secs := 0
 	if rps := s.met.recentRPS(); rps > 0 {
-		secs = int(math.Ceil(float64(depth+1) / rps))
+		secs = int(math.Ceil(float64(s.sched.Queued()+1) / rps))
 	} else {
 		snap := s.met.snapshot()
 		secs = int(snap.LatencyMeanMs/1e3) + 1
@@ -847,41 +791,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if s.sched != nil {
-		s.handleSchedMultiply(w, r, env)
-		return
-	}
-
-	// FIFO admission: a bounded number of requests may be in the building.
-	// Overflow is backpressure, not buffering.
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		ra := s.retryAfter()
-		s.met.reject()
-		w.Header().Set("Retry-After", strconv.Itoa(ra))
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{ID: req.ID, Error: "queue full", RetryAfterSeconds: ra})
-		return
-	}
-	s.jobs.Add(1)
-	s.met.admit()
-	admitted := time.Now()
-	defer func() {
-		<-s.slots
-		s.jobs.Done()
-	}()
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	resp, out, status, eresp := s.execute(ctx, env, admitted)
-	s.recordBreaker(route, status)
-	if eresp != nil {
-		s.writeErr(w, env, status, *eresp)
-		return
-	}
-	s.storeResult(env, out, resp)
-	s.writeOK(w, env, resp)
+	s.runScheduled(w, r, env)
 }
 
 // negotiateRespWire picks the response encoding: Accept wins when it names
@@ -996,7 +906,7 @@ func (s *Server) serveCacheHit(w http.ResponseWriter, env *reqEnv, t0 time.Time,
 	if env.key.cIn != (digest{}) {
 		resp.DigestCIn = hexDigest(env.wr.digC)
 	}
-	s.met.finish(routeCache, env.cls.String(), "ok", time.Since(t0), 0, false)
+	s.met.finish(routeCache, env.cls.String(), "ok", time.Since(t0), 0)
 	s.writeOK(w, env, resp)
 }
 
@@ -1045,13 +955,14 @@ func (s *Server) recordBreaker(route string, status int) {
 	}
 }
 
-// handleSchedMultiply runs one validated request through the workload
-// scheduler: build a task, submit (backpressure on a full run queue), wait
-// for the executor — or the deadline — and translate the outcome. A SRUMMA
-// job that fails recoverably (rank panic, exhausted ABFT recompute) is
-// resubmitted with exponential backoff up to RetryBudget times, resuming
-// from its recovery ledger.
-func (s *Server) handleSchedMultiply(w http.ResponseWriter, r *http.Request, env *reqEnv) {
+// runScheduled runs one validated, routed request through the workload
+// scheduler: build a task, submit (backpressure on a full run queue —
+// overflow is refused with 429, never buffered), wait for the executor —
+// or the deadline — and translate the outcome. A distributed job that
+// fails recoverably (rank panic, worker death, exhausted ABFT recompute)
+// is resubmitted with exponential backoff up to RetryBudget times,
+// resuming from what its ranks salvaged.
+func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEnv) {
 	req, cs, d := &env.wr.req, env.cs, env.d
 	cls, timeout, route, traced := env.cls, env.timeout, env.route, env.traced
 	admitted := time.Now()
@@ -1080,11 +991,8 @@ func (s *Server) handleSchedMultiply(w http.ResponseWriter, r *http.Request, env
 	}
 
 	job := &schedJob{req: req, cs: cs, d: d, ctx: ctx, traced: traced}
-	switch route {
-	case routeSRUMMA:
-		job.rec = s.newRecoverJob(s.cfg.ABFT && !brownout)
-	case routeCluster:
-		job.crec = s.newClusterRecover(s.cfg.ABFT && !brownout)
+	if route != routeSmall {
+		job.rec = s.newJobRecovery(s.cfg.ABFT && !brownout)
 	}
 
 	// Register the job BEFORE Submit: once submitted, the task can dispatch
@@ -1138,7 +1046,7 @@ func (s *Server) handleSchedMultiply(w http.ResponseWriter, r *http.Request, env
 			// Deadline while queued or executing: the scheduler drops a queued
 			// task when it surfaces; an executing one finishes into the void —
 			// possibly still reading the operands, so wr.noPool stays set.
-			s.met.finish(route, cls.String(), "cancelled", 0, 0, false)
+			s.met.finish(route, cls.String(), "cancelled", 0, 0)
 			s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "deadline exceeded: " + ctx.Err().Error()})
 			return
 		}
@@ -1148,20 +1056,16 @@ func (s *Server) handleSchedMultiply(w http.ResponseWriter, r *http.Request, env
 		if errors.As(err, &werr) {
 			sawWatchdog = true
 		}
-		if err == nil || (job.rec == nil && job.crec == nil) || attempt >= s.cfg.RetryBudget || !retryableRunError(err) {
+		if err == nil || job.rec == nil || attempt >= s.cfg.RetryBudget || !retryableRunError(err) {
 			break
 		}
 		t0 := time.Now()
-		if job.crec != nil {
-			s.met.noteRetry(job.crec.resumedTasks())
-		} else {
-			s.met.noteRetry(job.rec.prepareRetry())
-		}
+		s.met.noteRetry(job.rec.resumedTasks())
 		if s.rec != nil {
 			s.rec.RecordWall(s.cfg.NProcs, obs.KindRecover, t0, time.Now())
 		}
 		if !sleepCtx(ctx, retryBackoff(s.cfg.RetryBackoff, attempt)) {
-			s.met.finish(route, cls.String(), "cancelled", 0, 0, false)
+			s.met.finish(route, cls.String(), "cancelled", 0, 0)
 			s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "deadline exceeded: " + ctx.Err().Error()})
 			return
 		}
@@ -1176,7 +1080,7 @@ func (s *Server) handleSchedMultiply(w http.ResponseWriter, r *http.Request, env
 	case err == nil:
 		s.recordBreaker(route, http.StatusOK)
 		total := time.Since(admitted)
-		s.met.finish(route, cls.String(), "ok", total, flops, false)
+		s.met.finish(route, cls.String(), "ok", total, flops)
 		elapsed := job.finished.Sub(job.started)
 		resp := MultiplyResponse{
 			ID:            req.ID,
@@ -1196,275 +1100,14 @@ func (s *Server) handleSchedMultiply(w http.ResponseWriter, r *http.Request, env
 		s.writeOK(w, env, &resp)
 	case errors.Is(err, sched.ErrCancelled), errors.Is(err, core.ErrCancelled),
 		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.met.finish(route, cls.String(), "cancelled", 0, 0, false)
+		s.met.finish(route, cls.String(), "cancelled", 0, 0)
 		s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "cancelled: " + err.Error()})
 	case errors.Is(err, sched.ErrClosed):
-		s.met.finish(route, cls.String(), "cancelled", 0, 0, false)
+		s.met.finish(route, cls.String(), "cancelled", 0, 0)
 		s.writeErr(w, env, http.StatusServiceUnavailable, ErrorResponse{ID: req.ID, Error: "server draining"})
 	default:
 		s.recordBreaker(route, http.StatusInternalServerError)
-		s.met.finish(route, cls.String(), "error", 0, 0, false)
+		s.met.finish(route, cls.String(), "error", 0, 0)
 		s.writeErr(w, env, http.StatusInternalServerError, ErrorResponse{ID: req.ID, Error: err.Error()})
 	}
-}
-
-// execute routes and runs one admitted request, settling metrics exactly
-// once. It returns either a success response (with the freshly allocated
-// result matrix, for the cache) or an error response with its HTTP status.
-func (s *Server) execute(ctx context.Context, env *reqEnv, admitted time.Time) (*MultiplyResponse, *mat.Matrix, int, *ErrorResponse) {
-	req, cs, d, route, traced := &env.wr.req, env.cs, env.d, env.route, env.traced
-	class := env.cls.String()
-	flops := 2 * float64(d.M) * float64(d.N) * float64(d.K)
-
-	var (
-		out      *mat.Matrix
-		queueed  time.Duration
-		execTime time.Duration
-		err      error
-	)
-	switch route {
-	case routeSmall:
-		s.met.execStart()
-		queueed = time.Since(admitted)
-		t0 := time.Now()
-		out, err = s.runSmall(ctx, req, cs, d)
-		execTime = time.Since(t0)
-	default:
-		var tm *armci.Team
-		select {
-		case tm = <-s.teams:
-		case <-ctx.Done():
-			s.met.finish(route, class, "cancelled", 0, 0, false)
-			return nil, nil, http.StatusGatewayTimeout, &ErrorResponse{ID: req.ID, Error: "deadline exceeded while queued"}
-		}
-		s.met.execStart()
-		queueed = time.Since(admitted)
-		t0 := time.Now()
-		// The engine reads the operand buffers from here; recycle only
-		// after a run whose ranks provably joined (no watchdog leak).
-		env.wr.noPool = true
-		rj := s.newRecoverJob(s.cfg.ABFT)
-		for attempt := 0; ; attempt++ {
-			out, err = s.runSRUMMA(ctx, tm, req, cs, d, rj, traced)
-			if err == nil || attempt >= s.cfg.RetryBudget || !retryableRunError(err) {
-				break
-			}
-			var werr *armci.WatchdogError
-			if errors.As(err, &werr) {
-				// FIFO mode retries on the SAME team; a leaked-rank team is
-				// suspect, so surface the error and let recycleTeam replace it.
-				break
-			}
-			t0r := time.Now()
-			s.met.noteRetry(rj.prepareRetry())
-			if s.rec != nil {
-				s.rec.RecordWall(s.cfg.NProcs, obs.KindRecover, t0r, time.Now())
-			}
-			if !sleepCtx(ctx, retryBackoff(s.cfg.RetryBackoff, attempt)) {
-				break
-			}
-		}
-		execTime = time.Since(t0)
-		var werr *armci.WatchdogError
-		if !errors.As(err, &werr) {
-			env.wr.noPool = false
-		}
-		s.recycleTeam(tm, err)
-	}
-
-	switch {
-	case err == nil:
-		total := time.Since(admitted)
-		s.met.finish(route, class, "ok", total, flops, true)
-		resp := &MultiplyResponse{
-			ID:            req.ID,
-			Rows:          d.M,
-			Cols:          d.N,
-			C:             out.Data,
-			Route:         route,
-			QueueMillis:   queueed.Seconds() * 1e3,
-			ElapsedMillis: execTime.Seconds() * 1e3,
-			Class:         class,
-			Batch:         1,
-		}
-		if secs := execTime.Seconds(); secs > 0 {
-			resp.GFlops = flops / secs / 1e9
-		}
-		return resp, out, http.StatusOK, nil
-	case errors.Is(err, core.ErrCancelled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.met.finish(route, class, "cancelled", 0, 0, true)
-		return nil, nil, http.StatusGatewayTimeout, &ErrorResponse{ID: req.ID, Error: "cancelled: " + err.Error()}
-	default:
-		s.met.finish(route, class, "error", 0, 0, true)
-		return nil, nil, http.StatusInternalServerError, &ErrorResponse{ID: req.ID, Error: err.Error()}
-	}
-}
-
-// recycleTeam returns a team to the pool, replacing it first when the run
-// leaked ranks (a wedged team never accepts another job).
-func (s *Server) recycleTeam(tm *armci.Team, runErr error) {
-	var werr *armci.WatchdogError
-	if errors.As(runErr, &werr) && len(werr.Leaked) > 0 {
-		tm.Close() // returns the leak report again; already surfaced to the caller
-		if fresh, err := armci.NewTeam(s.topo); err == nil {
-			fresh.SetRecorder(s.rec)
-			s.met.teamReplaced()
-			s.teams <- fresh
-			return
-		}
-		// Could not replace: shrink the pool rather than pool a corpse.
-		s.met.teamReplaced()
-		return
-	}
-	s.teams <- tm
-}
-
-// runSmall executes the request on the local packed parallel kernel — the
-// fast tier for products too small to amortize distribution.
-func (s *Server) runSmall(ctx context.Context, req *MultiplyRequest, cs core.Case, d core.Dims) (*mat.Matrix, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	a := &mat.Matrix{Rows: req.ARows, Cols: req.ACols, Stride: req.ACols, Data: req.A}
-	b := &mat.Matrix{Rows: req.BRows, Cols: req.BCols, Stride: req.BCols, Data: req.B}
-	c := mat.New(d.M, d.N)
-	if req.beta() != 0 {
-		copy(c.Data, req.C)
-	}
-	threads := req.KernelThreads
-	if threads <= 0 {
-		threads = s.cfg.KernelThreads
-	}
-	if threads <= 0 {
-		threads = goruntime.GOMAXPROCS(0)
-	}
-	if err := mat.GemmParallel(threads, cs.TransA(), cs.TransB(), req.alpha(), a, b, req.beta(), c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// runSRUMMA executes the request on a persistent engine team: distribute,
-// multiply under the request deadline, gather. rj (nil on the non-recovering
-// paths) carries the request's recovery state across retry attempts: a rank
-// that panics mid-job salvages its C segment on the unwind, and a retried
-// attempt reloads the salvage and hands the completion ledger to the
-// executor so only unfinished tasks re-execute. traced gates span recording
-// under head-sampling.
-func (s *Server) runSRUMMA(ctx context.Context, tm *armci.Team, req *MultiplyRequest, cs core.Case, d core.Dims, rj *recoverJob, traced bool) (*mat.Matrix, error) {
-	a := &mat.Matrix{Rows: req.ARows, Cols: req.ACols, Stride: req.ACols, Data: req.A}
-	b := &mat.Matrix{Rows: req.BRows, Cols: req.BCols, Stride: req.BCols, Data: req.B}
-	var cIn *mat.Matrix
-	if req.beta() != 0 {
-		cIn = &mat.Matrix{Rows: d.M, Cols: d.N, Stride: d.N, Data: req.C}
-	}
-	cOpts := core.Options{
-		Case:          cs,
-		Flavor:        core.FlavorDirect,
-		MaxTaskK:      s.cfg.MaxTaskK,
-		KernelThreads: req.KernelThreads,
-		Cancel:        ctx.Done(),
-	}
-	if cOpts.KernelThreads <= 0 {
-		cOpts.KernelThreads = s.cfg.KernelThreads
-	}
-	if rj != nil {
-		cOpts.Ledger = rj.ledger
-		cOpts.ABFT = rj.abft
-		cOpts.ABFTTol = s.cfg.ABFTTol
-	}
-	da, db, dc := core.Dists(s.g, d, cs)
-	n := s.topo.NProcs
-	errs := make([]error, n)
-	co := driver.NewCollect(n)
-	if s.cfg.TraceSample > 1 {
-		// Head-sampling: attach the recorder only for sampled requests. Safe
-		// because a team runs one job at a time.
-		if traced {
-			tm.SetRecorder(s.rec)
-		} else {
-			tm.SetRecorder(nil)
-		}
-	}
-	stats, err := tm.Run(func(rawC rt.Ctx) {
-		c := rawC
-		if s.chaos != nil {
-			// Chaos layering: the injector draws from process-wide op counters
-			// (so fault schedules advance across jobs) and the resilience layer
-			// sits on top because transport drops/corruption are invisible to
-			// ABFT — a corrupted OPERAND yields a consistent-but-wrong
-			// prediction, so it must be caught by transfer checksums, not sums.
-			c = faults.Resilient(s.chaos.Wrap(rawC), faults.RecoveryConfig{})
-		}
-		rank := c.Rank()
-		lr, lc := dc.LocalShape(rank)
-		var gc rt.Global
-		haveC := false
-		if rj != nil && rj.ledger != nil {
-			// Salvage hook: on panic (injected crash, real bug) copy this
-			// rank's C segment out before the unwind destroys the run, then
-			// re-panic so the team-level error handling still fires. Only the
-			// panic path salvages — a rank returning an error (e.g. exhausted
-			// ABFT recompute) holds a corrupted accumulation for an unmarked
-			// task, and resuming over it would double-add.
-			defer func() {
-				if p := recover(); p != nil {
-					if haveC {
-						if data := c.ReadBuf(c.Local(gc), 0, lr*lc); data != nil {
-							rj.save(rank, append([]float64(nil), data...))
-						}
-					}
-					panic(p)
-				}
-			}()
-		}
-		// Restore the per-request kernel-thread configuration explicitly:
-		// team ranks keep the previous request's setting warm, which is
-		// only correct if every request states its own.
-		if kt := rt.FindKernelTuner(c); kt != nil {
-			kt.SetKernelThreads(cOpts.KernelThreads)
-		}
-		ga := driver.AllocBlock(c, da)
-		gb := driver.AllocBlock(c, db)
-		gc = driver.AllocBlock(c, dc)
-		haveC = true
-		driver.LoadBlock(c, da, ga, a)
-		driver.LoadBlock(c, db, gb, b)
-		if salv := rj.take(rank); salv != nil {
-			// Resume: start from the salvaged segment of the failed attempt;
-			// the ledger says which tasks it already contains.
-			c.WriteBuf(c.Local(gc), 0, salv)
-		} else if cIn != nil {
-			driver.LoadBlock(c, dc, gc, cIn)
-		}
-		if s.cfg.Hier {
-			// Hierarchical routing mode: same grid, same task lists, same
-			// ledger/salvage semantics — only the data movement changes, so
-			// the retry/resume policy above needs no adjustment.
-			errs[rank] = hier.MultiplyEx(c, hier.From(s.topo, s.g), d,
-				hier.Options{Options: cOpts}, req.alpha(), req.beta(), ga, gb, gc)
-		} else {
-			errs[rank] = core.MultiplyEx(c, s.g, d, cOpts, req.alpha(), req.beta(), ga, gb, gc)
-		}
-		co.Deposit(c, driver.StoreBlock(c, dc, gc))
-	})
-	if s.met != nil {
-		var det, rec int64
-		for _, st := range stats {
-			if st != nil {
-				det += st.ABFTDetected
-				rec += st.ABFTRecomputed
-			}
-		}
-		s.met.noteABFT(det, rec)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return grid.NewBlockDist(s.g, d.M, d.N).Gather(co.Blocks)
 }

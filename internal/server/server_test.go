@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -166,102 +165,6 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
-// TestServerOverflow429 fills the admission queue deterministically by
-// withholding the only engine team, then verifies overflow gets 429 with a
-// Retry-After hint while every admitted request still completes correctly.
-func TestServerOverflow429(t *testing.T) {
-	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 2, SmallMNK: 1, SchedMode: "fifo"})
-	tm := <-s.teams // occupy the engine: admitted requests queue on it
-
-	req := randReq(24, 24, 24, 400)
-	want := wantGemm(t, req)
-
-	type result struct {
-		code int
-		resp MultiplyResponse
-	}
-	results := make(chan result, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var resp MultiplyResponse
-			code, _ := post(t, s, req, &resp)
-			results <- result{code, resp}
-		}()
-	}
-	// Wait until both are admitted (queued on the withheld team).
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().Admitted < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("requests were not admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Queue is full: the next request must bounce with 429 + Retry-After.
-	code, w := post(t, s, req, nil)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("overflow status %d, want 429", code)
-	}
-	if w.Header().Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	var eresp ErrorResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &eresp); err != nil {
-		t.Fatal(err)
-	}
-	if eresp.RetryAfterSeconds < 1 {
-		t.Fatalf("retry_after_s = %d, want >= 1", eresp.RetryAfterSeconds)
-	}
-
-	// Release the engine: both admitted requests complete and are correct.
-	s.teams <- tm
-	wg.Wait()
-	close(results)
-	for res := range results {
-		if res.code != http.StatusOK {
-			t.Fatalf("admitted request status %d, want 200", res.code)
-		}
-		checkResult(t, res.resp, want, 1e-9)
-	}
-	m := s.Metrics()
-	if m.Rejected != 1 {
-		t.Fatalf("rejected_429_total = %d, want 1", m.Rejected)
-	}
-	if m.Completed != 2 {
-		t.Fatalf("completed_total = %d, want 2", m.Completed)
-	}
-}
-
-// TestServerDeadlineWhileQueued verifies a request whose deadline expires
-// before an engine frees up gets 504 and counts as cancelled — and the
-// server keeps serving afterwards.
-func TestServerDeadlineWhileQueued(t *testing.T) {
-	s := newTestServer(t, Config{NProcs: 4, Teams: 1, SmallMNK: 1, SchedMode: "fifo"})
-	tm := <-s.teams
-
-	req := randReq(24, 24, 24, 500)
-	req.TimeoutMillis = 20
-	code, w := post(t, s, req, nil)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %s", code, w.Body.String())
-	}
-	if m := s.Metrics(); m.Cancelled != 1 {
-		t.Fatalf("cancelled_total = %d, want 1", m.Cancelled)
-	}
-
-	s.teams <- tm
-	req.TimeoutMillis = 0
-	var resp MultiplyResponse
-	code, _ = post(t, s, req, &resp)
-	if code != http.StatusOK {
-		t.Fatalf("post-timeout status %d, want 200", code)
-	}
-	checkResult(t, resp, wantGemm(t, req), 1e-9)
-}
-
 func TestServerMetricsSnapshot(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, SmallMNK: 32 * 32 * 32})
 	small := randReq(16, 16, 16, 600)
@@ -328,67 +231,6 @@ func TestServerInfoAndHealth(t *testing.T) {
 	}
 	if info.NProcs != 4 || info.QueueCap != 4 || info.Kernel == "" {
 		t.Fatalf("implausible info: %+v", info)
-	}
-}
-
-// TestServerShutdownDrains verifies graceful shutdown: an in-flight
-// (admitted, engine-waiting) request completes with 200, new requests and
-// healthz are refused, and the engine teams close without leak reports.
-func TestServerShutdownDrains(t *testing.T) {
-	s, err := New(Config{NProcs: 4, Teams: 1, SmallMNK: 1, SchedMode: "fifo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := <-s.teams // request admits, then waits for the engine
-
-	req := randReq(24, 24, 24, 800)
-	want := wantGemm(t, req)
-	type result struct {
-		code int
-		resp MultiplyResponse
-	}
-	done := make(chan result, 1)
-	go func() {
-		var resp MultiplyResponse
-		code, _ := post(t, s, req, &resp)
-		done <- result{code, resp}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().Admitted < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request was not admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	shutErr := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutErr <- s.Shutdown(ctx)
-	}()
-	// Draining: wait for the flag, then confirm refusals.
-	for !s.draining.Load() {
-		time.Sleep(time.Millisecond)
-	}
-	if code, _ := post(t, s, req, nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("multiply during drain: status %d, want 503", code)
-	}
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz during drain: status %d, want 503", w.Code)
-	}
-
-	// Release the engine: the admitted request completes, then teams close.
-	s.teams <- tm
-	res := <-done
-	if res.code != http.StatusOK {
-		t.Fatalf("in-flight request status %d, want 200", res.code)
-	}
-	checkResult(t, res.resp, want, 1e-9)
-	if err := <-shutErr; err != nil {
-		t.Fatalf("shutdown: %v", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestDebugTraceDisabledByDefault(t *testing.T) {
 }
 
 // TestDebugTraceExportsSpans drives requests through both routes of a traced
-// scheduler-mode server and checks the exported Chrome trace: it validates,
+// server and checks the exported Chrome trace: it validates,
 // names every lane, and contains request, engine and scheduler spans.
 func TestDebugTraceExportsSpans(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, TraceEvents: 256, SmallMNK: 1})
@@ -84,7 +84,7 @@ func TestDebugTraceExportsSpans(t *testing.T) {
 	}
 }
 
-// TestSchedRegistryShared: in scheduler mode the sched.* instruments live in
+// TestSchedRegistryShared: the scheduler's sched.* instruments live in
 // the server's registry — one namespace for the whole service.
 func TestSchedRegistryShared(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 1})
@@ -102,28 +102,5 @@ func TestSchedRegistryShared(t *testing.T) {
 	}
 	if got["server.admitted"] < 1 {
 		t.Fatalf("server.admitted = %v, want >= 1", got["server.admitted"])
-	}
-}
-
-// TestFifoTeamsTraced: the FIFO pool's teams also share the recorder.
-func TestFifoTeamsTraced(t *testing.T) {
-	s := newTestServer(t, Config{NProcs: 4, SchedMode: "fifo", TraceEvents: 128, SmallMNK: 1})
-	req := randReq(16, 16, 16, 500)
-	var resp MultiplyResponse
-	if code, _ := post(t, s, req, &resp); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	checkResult(t, resp, wantGemm(t, req), 1e-12)
-	var gemm, request bool
-	for _, e := range s.rec.Events() {
-		switch e.Kind {
-		case obs.KindGemm:
-			gemm = true
-		case obs.KindRequest:
-			request = true
-		}
-	}
-	if !gemm || !request {
-		t.Fatalf("fifo trace missing spans: gemm=%v request=%v", gemm, request)
 	}
 }

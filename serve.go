@@ -16,8 +16,7 @@ import (
 // (429 + Retry-After priced from the observed service rate), size-based
 // routing between the direct local kernel and the distributed engine,
 // per-request deadlines enforced as cooperative cancellation, /metrics and
-// /healthz, and graceful draining shutdown. Set ServerConfig.SchedMode to
-// "fifo" for the plain first-come-first-served dispatch path.
+// /healthz, and graceful draining shutdown.
 type Server = server.Server
 
 // ServerConfig sizes a Server; the zero value gets serviceable defaults
