@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build noasm test race cover bench bench-kernel bench-serve bench-sched serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke bench-hier multihost-smoke verify repro chaos chaos-serve bench-recover fuzz clean
+.PHONY: all build noasm test race cover bench benchmark benchmark-compare bench-kernel bench-serve bench-sched serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke bench-hier multihost-smoke verify repro chaos chaos-serve bench-recover fuzz clean
 
 all: build test
 
@@ -31,6 +31,17 @@ cover:
 # One testing.B benchmark per paper figure/table.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's one end-to-end + per-layer benchmark (BENCHMARK.json,
+# benchmark/README.md): every workload untraced for the gated end-to-end
+# metrics, then traced for the per-layer ones; results land in
+# benchmark/out/. benchmark-compare sets two result files side by side:
+#   make benchmark-compare OLD=before/result.json NEW=benchmark/out/result.json
+benchmark:
+	$(GO) run ./benchmark
+
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # Local dgemm kernel sweep on real hardware: seed vs packed vs parallel
 # kernels at whole-tile and ragged sizes in all four transpose cases, each

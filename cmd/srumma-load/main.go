@@ -952,9 +952,9 @@ func runBatchBench(seed uint64) BatchBenchReport {
 }
 
 // runEngineArm times the PR 3 baseline: each GEMM dispatched as its own
-// engine team job — distribute the operands into the block layout, run
-// the full SRUMMA multiply, gather the result — serialized FIFO on one
-// team, exactly how the pre-scheduler serving layer drives every
+// engine team job — bind the operands and the result as the team's
+// distributed Globals, run the full SRUMMA multiply — serialized FIFO on
+// one team, exactly how the pre-scheduler serving layer drives every
 // engine-routed request.
 func runEngineArm(topo rt.Topology, as, bs []*mat.Matrix, dim int) (BatchArmReport, []*mat.Matrix, error) {
 	var arm BatchArmReport
@@ -969,18 +969,12 @@ func runEngineArm(topo rt.Topology, as, bs []*mat.Matrix, dim int) (BatchArmRepo
 	defer tm.Close()
 	d := core.Dims{M: dim, N: dim, K: dim}
 	da, db, dc := core.Dists(g, d, core.NN)
-	cd := grid.NewBlockDist(g, d.M, d.N)
 	one := func(a, b *mat.Matrix) (*mat.Matrix, error) {
 		errs := make([]error, topo.NProcs)
-		co := driver.NewCollect(topo.NProcs)
+		out := mat.New(d.M, d.N)
 		_, runErr := tm.Run(func(c rt.Ctx) {
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			driver.LoadBlock(c, da, ga, a)
-			driver.LoadBlock(c, db, gb, b)
+			ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
 			errs[c.Rank()] = core.MultiplyEx(c, g, d, core.Options{}, 1, 0, ga, gb, gc)
-			co.Deposit(c, driver.StoreBlock(c, dc, gc))
 		})
 		if runErr != nil {
 			return nil, runErr
@@ -990,7 +984,7 @@ func runEngineArm(topo rt.Topology, as, bs []*mat.Matrix, dim int) (BatchArmRepo
 				return nil, e
 			}
 		}
-		return cd.Gather(co.Blocks)
+		return out, nil
 	}
 	// Warm the engine scratch pools before timing, as a running server
 	// would be.
@@ -1311,102 +1305,38 @@ type ChaosBenchReport struct {
 	BitIdentical bool    `json:"bit_identical"`
 }
 
-// chaosSalvage mirrors the serving layer's salvage map at the core level:
-// a panicking rank deposits its partial C segment on the unwind, and the
-// retry consumes it (take clears, so stale segments can never pair with a
-// newer ledger).
-type chaosSalvage struct {
-	mu  sync.Mutex
-	seg map[int][]float64
-}
-
-func (s *chaosSalvage) save(rank int, seg []float64) {
-	s.mu.Lock()
-	s.seg[rank] = seg
-	s.mu.Unlock()
-}
-
-func (s *chaosSalvage) take(rank int) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seg := s.seg[rank]
-	delete(s.seg, rank)
-	return seg
-}
-
-func (s *chaosSalvage) has(rank int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seg[rank] != nil
-}
-
-func (s *chaosSalvage) clear() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.seg)
-	s.seg = map[int][]float64{}
-	return n
-}
-
-// chaosAttempt runs one SRUMMA attempt, optionally under the shared fault
-// injector, salvaging every panicking rank's C segment exactly as the
-// serving layer does, and gathers C on success. sh and salv are nil for
-// the fault-free reference run.
-func chaosAttempt(topo rt.Topology, g *grid.Grid, d core.Dims, opts core.Options, sh *faults.Shared, salv *chaosSalvage, a, b *mat.Matrix) (*mat.Matrix, error) {
+// chaosAttempt runs one SRUMMA attempt into out, optionally under the
+// shared fault injector (nil for the fault-free reference run). The ranks
+// compute in place in out (driver.Bind adopts it), so what a failed attempt
+// completed is simply still there for the retry, next to the ledger marks
+// that say what it is: the salvage is the result matrix itself.
+func chaosAttempt(topo rt.Topology, g *grid.Grid, d core.Dims, opts core.Options, sh *faults.Shared, a, b, out *mat.Matrix) error {
 	da, db, dc := core.Dists(g, d, opts.Case)
-	co := driver.NewCollect(topo.NProcs)
 	errs := make([]error, topo.NProcs)
 	_, err := armci.RunWithTimeout(topo, recoverTimeout, func(raw rt.Ctx) {
 		c := raw
 		if sh != nil {
 			c = faults.Resilient(sh.Wrap(raw), faults.RecoveryConfig{})
 		}
-		rank := c.Rank()
-		lr, lc := dc.LocalShape(rank)
-		var gc rt.Global
-		haveC := false
-		if salv != nil {
-			defer func() {
-				if p := recover(); p != nil {
-					if haveC {
-						if data := c.ReadBuf(c.Local(gc), 0, lr*lc); data != nil {
-							salv.save(rank, append([]float64(nil), data...))
-						}
-					}
-					panic(p)
-				}
-			}()
-		}
-		ga := driver.AllocBlock(c, da)
-		gb := driver.AllocBlock(c, db)
-		gc = driver.AllocBlock(c, dc)
-		haveC = true
-		driver.LoadBlock(c, da, ga, a)
-		driver.LoadBlock(c, db, gb, b)
-		if salv != nil {
-			if seg := salv.take(rank); seg != nil {
-				c.WriteBuf(c.Local(gc), 0, seg)
-			}
-		}
-		errs[rank] = core.MultiplyEx(c, g, d, opts, 1, 0, ga, gb, gc)
-		co.Deposit(c, driver.StoreBlock(c, dc, gc))
+		ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
+		errs[c.Rank()] = core.MultiplyEx(c, g, d, opts, 1, 0, ga, gb, gc)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, e := range errs {
 		if e != nil {
-			return nil, e
+			return e
 		}
 	}
-	return dc.Gather(co.Blocks)
+	return nil
 }
 
 // runChaosArm executes the crash-then-retry experiment with one recovery
 // strategy. Both arms share the fault schedule (same seed, fresh latch):
 // attempt 1 always dies at the planted (rank, op); the resume arm then
-// resets only unsalvaged ranks and retries over the salvage, while the
-// restart arm discards everything the first attempt did.
+// retries over the partial result with every rank's ledger, while the
+// restart arm forgets everything the first attempt did.
 func runChaosArm(resume bool, topo rt.Topology, g *grid.Grid, d core.Dims, cfg faults.Config, a, b *mat.Matrix) (ChaosArmReport, *mat.Matrix, int, error) {
 	var rep ChaosArmReport
 	plan, err := faults.NewPlan(cfg, topo.NProcs)
@@ -1415,37 +1345,28 @@ func runChaosArm(resume bool, topo rt.Topology, g *grid.Grid, d core.Dims, cfg f
 	}
 	sh := faults.NewShared(plan)
 	jl := core.NewJobLedger(topo.NProcs)
-	salv := &chaosSalvage{seg: map[int][]float64{}}
 	opts := core.Options{Case: core.NN, Flavor: core.FlavorDirect, MaxTaskK: recoverTaskK, Ledger: jl}
+	got := mat.New(d.M, d.N)
 
 	t0 := time.Now()
-	if _, err := chaosAttempt(topo, g, d, opts, sh, salv, a, b); err == nil {
+	if err := chaosAttempt(topo, g, d, opts, sh, a, b, got); err == nil {
 		return rep, nil, 0, fmt.Errorf("planted compute crash did not fire")
 	}
 	rep.CrashWallS = time.Since(t0).Seconds()
 
 	if resume {
-		rep.SalvagedRanks = 0
-		for r := 0; r < topo.NProcs; r++ {
-			if salv.has(r) {
-				rep.SalvagedRanks++
-			} else {
-				jl.Reset(r)
-			}
-		}
+		rep.SalvagedRanks = topo.NProcs // every rank's partial block is where it was
 	} else {
 		for r := 0; r < topo.NProcs; r++ {
 			jl.Reset(r)
 		}
-		salv.clear()
 	}
 	rep.ResumedTasks = jl.Completed()
 	total := jl.Total()
 	rep.ReexecutedTasks = total - rep.ResumedTasks
 
 	t1 := time.Now()
-	got, err := chaosAttempt(topo, g, d, opts, sh, salv, a, b)
-	if err != nil {
+	if err := chaosAttempt(topo, g, d, opts, sh, a, b, got); err != nil {
 		return rep, nil, 0, fmt.Errorf("retry failed: %w", err)
 	}
 	rep.RetryWallS = time.Since(t1).Seconds()
@@ -1485,8 +1406,8 @@ func runBenchChaos(out string, seed uint64) {
 	rep.CrashRank, rep.CrashOp = plan.ComputeCrashPoint()
 
 	cleanOpts := core.Options{Case: core.NN, Flavor: core.FlavorDirect, MaxTaskK: recoverTaskK}
-	clean, err := chaosAttempt(topo, g, d, cleanOpts, nil, nil, a, b)
-	if err != nil {
+	clean := mat.New(d.M, d.N)
+	if err := chaosAttempt(topo, g, d, cleanOpts, nil, a, b, clean); err != nil {
 		log.Fatalf("fault-free reference run: %v", err)
 	}
 	want := mat.New(d.M, d.N)

@@ -90,26 +90,21 @@ type runtime struct {
 	mbox    *mailbox
 	start   time.Time
 
+	// slots carries the collective exchanges in flight, by call sequence
+	// number: the Global every rank publishes its own segment into.
 	mu    sync.Mutex
-	slots map[int]*collSlot
+	slots map[int]*global
 }
 
-// collSlot carries one collective-call exchange: every rank deposits its
-// argument, rank 0 publishes the result.
-type collSlot struct {
-	sizes []int
-	g     *global
-}
-
-func (r *runtime) slot(seq int) *collSlot {
+func (r *runtime) slot(seq int) *global {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.slots[seq]
+	g, ok := r.slots[seq]
 	if !ok {
-		s = &collSlot{sizes: make([]int, r.topo.NProcs)}
-		r.slots[seq] = s
+		g = &global{id: seq, segs: make([]*buffer, r.topo.NProcs)}
+		r.slots[seq] = g
 	}
-	return s
+	return g
 }
 
 func (r *runtime) dropSlot(seq int) {
@@ -168,16 +163,19 @@ func sizeClass(n int) int {
 	return c
 }
 
-// global is a collectively allocated set of per-rank segments. accMu
-// serializes accumulate operations (ARMCI guarantees Acc atomicity with
-// respect to other Accs on the same array).
+// global is a collectively allocated (Malloc) or adopted (Adopt) set of
+// per-rank segments; ld is the row stride of the matrix adopted segments
+// are windows of, 0 for allocated ones. accMu serializes accumulate
+// operations (ARMCI guarantees Acc atomicity among Accs on one array).
 type global struct {
 	id    int
+	ld    int
 	segs  []*buffer
 	accMu sync.Mutex
 }
 
 func (g *global) LenAt(rank int) int { return len(g.segs[rank].data) }
+func (g *global) LD() int            { return g.ld }
 
 // doneHandle is an already-completed nonblocking operation.
 type doneHandle struct{}
@@ -229,26 +227,37 @@ func (c *ctx) Topo() rt.Topology { return c.rt.topo }
 func (c *ctx) Now() float64      { return time.Since(c.rt.start).Seconds() }
 func (c *ctx) Stats() *rt.Stats  { return c.stats }
 
+// Malloc allocates (and so first-touches) this rank's own zeroed segment on
+// its own goroutine, in parallel with every other rank's, and publishes it.
 func (c *ctx) Malloc(elems int) rt.Global {
 	if elems < 0 {
 		panic(fmt.Sprintf("armci: Malloc(%d)", elems))
 	}
+	return c.publish(make([]float64, elems), 0)
+}
+
+// Adopt implements rt.Adopter: ranks share the caller's address space, so
+// the caller's window is this rank's segment as it stands.
+func (c *ctx) Adopt(seg []float64, ld int) rt.Global { return c.publish(seg, ld) }
+
+// publish is the collective exchange behind Malloc and Adopt: every rank
+// deposits its segment into the slot's Global and one barrier makes them
+// all visible. Every rank fetched the slot before entering the barrier, so
+// rank 0 may drop it from the table right after.
+func (c *ctx) publish(seg []float64, ld int) rt.Global {
 	seq := c.collSeq
 	c.collSeq++
-	s := c.rt.slot(seq)
-	s.sizes[c.rank] = elems
-	c.Barrier()
+	g := c.rt.slot(seq)
+	g.segs[c.rank] = &buffer{data: seg}
 	if c.rank == 0 {
-		g := &global{id: seq, segs: make([]*buffer, c.Size())}
-		for i, n := range s.sizes {
-			g.segs[i] = &buffer{data: make([]float64, n)}
-		}
-		s.g = g
+		g.ld = ld
 	}
 	c.Barrier()
-	g := s.g
 	if c.rank == 0 {
 		c.rt.dropSlot(seq)
+	}
+	if g.ld != ld {
+		panic(fmt.Sprintf("armci: rank %d published leading dimension %d, rank 0 published %d", c.rank, ld, g.ld))
 	}
 	return g
 }
@@ -662,6 +671,7 @@ func (c *ctx) ReadBuf(src rt.Buffer, off, n int) []float64 {
 var (
 	_ rt.Ctx            = (*ctx)(nil)
 	_ rt.KernelTuner    = (*ctx)(nil)
+	_ rt.Adopter        = (*ctx)(nil)
 	_ rt.BufferReleaser = (*ctx)(nil)
 	_ rt.Recorded       = (*ctx)(nil)
 )

@@ -3,13 +3,14 @@ package armci
 import (
 	"testing"
 
+	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
 
 // testCtx builds a standalone ctx (no Run harness) for allocation tests.
 func testCtx() *ctx {
 	topo := rt.Topology{NProcs: 1, ProcsPerNode: 1}
-	r := &runtime{topo: topo, barrier: newBarrier(1), mbox: newMailbox(), slots: make(map[int]*collSlot)}
+	r := &runtime{topo: topo, barrier: newBarrier(1), mbox: newMailbox(), slots: make(map[int]*global)}
 	return &ctx{rt: r, stats: &rt.Stats{}, kernelThreads: 1}
 }
 
@@ -194,6 +195,57 @@ func TestSetKernelThreads(t *testing.T) {
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("element %d: serial %g != parallel %g", i, serial[i], parallel[i])
+		}
+	}
+}
+
+// TestMallocOwnSegmentOneExchange pins the collective allocation: every
+// rank gets a zeroed segment of the size IT asked for (none included), the
+// exchange costs one barrier — each rank allocates and first-touches its
+// own segment on its own goroutine, there is no phase in which rank 0 works
+// while the others wait — and Malloc, Adopt and Free advance the collective
+// call sequence by one each, identically on every rank.
+func TestMallocOwnSegmentOneExchange(t *testing.T) {
+	const n = 4
+	rec := obs.NewRecorder(n, 0)
+	window := make([]float64, 3)
+	_, err := RunTraced(rt.Topology{NProcs: n, ProcsPerNode: 2}, rec, func(c rt.Ctx) {
+		me := c.Rank()
+		g := c.Malloc(1000 * me)
+		for r := 0; r < n; r++ {
+			if g.LenAt(r) != 1000*r {
+				t.Errorf("rank %d sees LenAt(%d) = %d", me, r, g.LenAt(r))
+			}
+		}
+		if g.LD() != 0 {
+			t.Errorf("allocated Global reports leading dimension %d", g.LD())
+		}
+		for i, v := range c.Local(g).(*buffer).data {
+			if v != 0 {
+				t.Errorf("rank %d: fresh segment dirty at %d", me, i)
+				break
+			}
+		}
+		a := c.(rt.Adopter).Adopt(window[:me%2], 3)
+		c.Free(a)
+		c.Free(g)
+		if seq := c.(*ctx).collSeq; seq != 4 {
+			t.Errorf("rank %d: collective sequence at %d after Malloc, Adopt, Free, Free", me, seq)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		barriers := 0
+		for _, e := range rec.ByLane(r) {
+			if e.Kind == obs.KindBarrier {
+				barriers++
+			}
+		}
+		// One per Malloc, Adopt and Free.
+		if barriers != 4 {
+			t.Errorf("rank %d entered %d barriers for Malloc+Adopt+2 Free, want 4", r, barriers)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func (t *Team) RunWithTimeout(timeout time.Duration, body func(rt.Ctx)) ([]*rt.S
 			topo:    t.topo,
 			barrier: newBarrier(n),
 			mbox:    newMailbox(),
-			slots:   make(map[int]*collSlot),
+			slots:   make(map[int]*global),
 			start:   time.Now(),
 		},
 		errs:     make([]error, n),

@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -239,13 +240,10 @@ func KernelEndToEnd(ns []int) ([]KernelRow, error) {
 		d := core.Dims{M: n, N: n, K: n}
 		opts := core.Options{Case: core.NN, Flavor: core.FlavorDirect}
 		da, db, dc := core.Dists(g, d, opts.Case)
+		out := mat.New(n, n)
 		durations := make([]float64, nprocs)
 		_, err := armci.Run(topo, func(c rt.Ctx) {
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			driver.LoadBlock(c, da, ga, a)
-			driver.LoadBlock(c, db, gb, b)
+			ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
 			t0 := c.Now()
 			if err := core.Multiply(c, g, d, opts, ga, gb, gc); err != nil {
 				panic(err)
@@ -255,12 +253,7 @@ func KernelEndToEnd(ns []int) ([]KernelRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		slowest := 0.0
-		for _, dt := range durations {
-			if dt > slowest {
-				slowest = dt
-			}
-		}
+		slowest := slices.Max(durations)
 		flops := 2 * float64(n) * float64(n) * float64(n)
 		rows = append(rows, KernelRow{
 			Kernel:  fmt.Sprintf("srumma-%dp", nprocs),

@@ -271,6 +271,10 @@ func (p *Pool) Run(spec *ipcrt.JobSpec, key PlaceKey) ([]*ipcrt.RankResult, erro
 	}
 	p.closeMu.Unlock()
 
+	// A malformed spec is refused here, before it can cost a node.
+	if err := spec.Validate(p.cfg.NP); err != nil {
+		return nil, err
+	}
 	p.applyInjections(spec)
 	if p.cfg.Hier && !spec.Hier {
 		// Pool-level hierarchical mode decorates every job unless the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,9 @@ type cancelHarness struct {
 	aGlob      *mat.Matrix
 	bGlob      *mat.Matrix
 	da, db, dc *grid.BlockDist
+	// adopt binds the operands where they lie (driver.Bind) instead of
+	// allocate-and-load; the result is then computed in place.
+	adopt bool
 }
 
 func newCancelHarness(t *testing.T, nprocs int, d Dims) *cancelHarness {
@@ -57,13 +61,19 @@ func (h *cancelHarness) multiply(t *testing.T, opts Options) ([]error, *mat.Matr
 	errs := make([]error, n)
 	var granted, released int64
 	co := driver.NewCollect(n)
+	out := mat.New(h.d.M, h.d.N)
 	_, err := h.team.Run(func(c rt.Ctx) {
 		spy := &releaseSpy{Ctx: c}
-		ga := driver.AllocBlock(spy, h.da)
-		gb := driver.AllocBlock(spy, h.db)
-		gc := driver.AllocBlock(spy, h.dc)
-		driver.LoadBlock(spy, h.da, ga, h.aGlob)
-		driver.LoadBlock(spy, h.db, gb, h.bGlob)
+		var ga, gb, gc rt.Global
+		if h.adopt {
+			ga, gb, gc = driver.Bind(spy, h.da, h.aGlob), driver.Bind(spy, h.db, h.bGlob), driver.Bind(spy, h.dc, out)
+		} else {
+			ga = driver.AllocBlock(spy, h.da)
+			gb = driver.AllocBlock(spy, h.db)
+			gc = driver.AllocBlock(spy, h.dc)
+			driver.LoadBlock(spy, h.da, ga, h.aGlob)
+			driver.LoadBlock(spy, h.db, gb, h.bGlob)
+		}
 		errs[c.Rank()] = Multiply(spy, h.g, h.d, opts, ga, gb, gc)
 		co.Deposit(spy, driver.StoreBlock(spy, h.dc, gc))
 		atomic.AddInt64(&granted, int64(spy.granted))
@@ -75,6 +85,9 @@ func (h *cancelHarness) multiply(t *testing.T, opts Options) ([]error, *mat.Matr
 	cMat, gerr := grid.NewBlockDist(h.g, h.d.M, h.d.N).Gather(co.Blocks)
 	if gerr != nil {
 		t.Fatal(gerr)
+	}
+	if h.adopt && !mat.Equal(cMat, out) {
+		t.Fatal("the in-place result and the blocks read back from it differ")
 	}
 	return errs, cMat, int(atomic.LoadInt64(&granted)), int(atomic.LoadInt64(&released))
 }
@@ -113,11 +126,19 @@ func TestMultiplyCancelledBeforeStart(t *testing.T) {
 }
 
 func TestMultiplyCancelledMidFlight(t *testing.T) {
+	for _, adopt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adopt=%v", adopt), func(t *testing.T) { cancelMidFlight(t, adopt) })
+	}
+}
+
+func cancelMidFlight(t *testing.T, adopt bool) {
 	// A deadline that expires while tasks remain: MaxTaskK slices the task
 	// list fine-grained so the cancel lands between tasks, and the run must
 	// return promptly, release all pooled scratch, and leave the team
-	// serving correct results.
+	// serving correct results — whether the operands were copied into
+	// segments or adopted where they lie.
 	h := newCancelHarness(t, 4, Dims{M: 128, N: 128, K: 128})
+	h.adopt = adopt
 	cancel := make(chan struct{})
 	go func() {
 		time.Sleep(2 * time.Millisecond)

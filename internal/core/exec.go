@@ -33,33 +33,50 @@ func cancelled(ch <-chan struct{}) bool {
 // owner's segment.
 type fetchItem struct {
 	owner      int
-	off, ld    int // region within the owner's block
+	off, ld    int // region within the owner's segment
 	rows, cols int
 	h          rt.Handle
 }
 
 func (f *fetchItem) elems() int { return f.rows * f.cols }
 
-// aRegion returns the fetch region of a task's A operand within the
-// owner's block.
-func aRegion(t *Task) fetchItem {
-	return fetchItem{
-		owner: t.AOwner,
-		off:   t.ASubI*t.ABlockCols + t.ASubJ,
-		ld:    t.ABlockCols,
-		rows:  t.ASubR,
-		cols:  t.ASubC,
+// segLen is the length of a rows x cols block's segment of g: tight, it is
+// simply rows*cols.
+func segLen(g rt.Global, rows, cols int) int {
+	if rows == 0 || cols == 0 {
+		return 0
 	}
+	return (rows-1)*rt.SegLD(g, cols) + cols
 }
 
-func bRegion(t *Task) fetchItem {
-	return fetchItem{
-		owner: t.BOwner,
-		off:   t.BSubI*t.BBlockCols + t.BSubJ,
-		ld:    t.BBlockCols,
-		rows:  t.BSubR,
-		cols:  t.BSubC,
+// aRegion returns the region of a task's A operand within the owner's
+// segment of g (nil = tight). The task's own coordinates are
+// block-relative, so the plan does not depend on how g is stored.
+func aRegion(t *Task, g rt.Global) fetchItem {
+	ld := rt.SegLD(g, t.ABlockCols)
+	return fetchItem{owner: t.AOwner, off: t.ASubI*ld + t.ASubJ, ld: ld, rows: t.ASubR, cols: t.ASubC}
+}
+
+func bRegion(t *Task, g rt.Global) fetchItem {
+	ld := rt.SegLD(g, t.BBlockCols)
+	return fetchItem{owner: t.BOwner, off: t.BSubI*ld + t.BSubJ, ld: ld, rows: t.BSubR, cols: t.BSubC}
+}
+
+// operandView is the Gemm operand for a task's piece of A or B: the fetched
+// copy packed tight in buf or, when buf is nil (a direct operand), the
+// piece in place inside its owner's segment.
+func operandView(c rt.Ctx, g rt.Global, reg fetchItem, buf rt.Buffer, trans bool) rt.Mat {
+	m := rt.Mat{Buf: buf, LD: reg.cols, Rows: reg.rows, Cols: reg.cols, Trans: trans}
+	if buf != nil {
+		return m
 	}
+	m.Off, m.LD = reg.off, reg.ld
+	if reg.owner == c.Rank() {
+		m.Buf = c.Local(g)
+	} else {
+		m.Buf, m.Remote = c.Direct(g, reg.owner), true
+	}
+	return m
 }
 
 func sameRegion(a, b fetchItem) bool {
@@ -77,7 +94,7 @@ type schedule struct {
 	need   []int // running max fetch index needed through each task
 }
 
-func buildSchedule(tasks []Task, slots int, region func(*Task) fetchItem, direct func(*Task) bool) schedule {
+func buildSchedule(tasks []Task, slots int, g rt.Global, region func(*Task, rt.Global) fetchItem, direct func(*Task) bool) schedule {
 	s := schedule{
 		ofTask: make([]int, len(tasks)),
 		need:   make([]int, len(tasks)),
@@ -85,7 +102,7 @@ func buildSchedule(tasks []Task, slots int, region func(*Task) fetchItem, direct
 	run := -1
 	for ti := range tasks {
 		t := &tasks[ti]
-		reg := region(t)
+		reg := region(t, g)
 		if direct(t) {
 			s.ofTask[ti] = -1
 		} else if n := len(s.items); n > 0 && sameRegion(s.items[n-1], reg) {
@@ -122,9 +139,10 @@ func (s *schedule) maxElems() int {
 
 // Multiply runs SRUMMA collectively: every rank computes its block of
 // C = op(A) op(B). ga, gb and gc hold the block-distributed operands laid
-// out per Dists (each rank's segment is its block, tight row-major). C is
-// overwritten. The call barriers on entry (so freshly written A and B are
-// globally visible) and on exit.
+// out per Dists: each rank's segment is its block, row-major with the
+// Global's leading dimension — stored tight, or in place as a window of the
+// caller's matrix (rt.Adopter). C is overwritten. The call barriers on
+// entry (so freshly written A and B are globally visible) and on exit.
 func Multiply(c rt.Ctx, g *grid.Grid, d Dims, opts Options, ga, gb, gc rt.Global) error {
 	return MultiplyEx(c, g, d, opts, 1, 0, ga, gb, gc)
 }
@@ -143,9 +161,10 @@ func MultiplyEx(c rt.Ctx, g *grid.Grid, d Dims, opts Options, alpha, beta float6
 		ar, ac := da.LocalShape(r)
 		br, bc := db.LocalShape(r)
 		cr, cc := dc.LocalShape(r)
-		if ga.LenAt(r) != ar*ac || gb.LenAt(r) != br*bc || gc.LenAt(r) != cr*cc {
+		wa, wb, wc := segLen(ga, ar, ac), segLen(gb, br, bc), segLen(gc, cr, cc)
+		if ga.LenAt(r) != wa || gb.LenAt(r) != wb || gc.LenAt(r) != wc {
 			return fmt.Errorf("core: rank %d segments A=%d B=%d C=%d do not match distribution (%d,%d,%d)",
-				r, ga.LenAt(r), gb.LenAt(r), gc.LenAt(r), ar*ac, br*bc, cr*cc)
+				r, ga.LenAt(r), gb.LenAt(r), gc.LenAt(r), wa, wb, wc)
 		}
 	}
 
@@ -156,9 +175,8 @@ func MultiplyEx(c rt.Ctx, g *grid.Grid, d Dims, opts Options, alpha, beta float6
 		}
 	}
 	tasks := Plan(c.Topo(), me, g, d, opts)
-	myRow, myCol := g.Coords(me)
-	mLoc := dc.RowChunks[myRow].N
-	nLoc := dc.ColChunks[myCol].N
+	_, myCol := g.Coords(me)
+	ldc := rt.SegLD(gc, dc.ColChunks[myCol].N)
 
 	// Recovery ledger: each rank binds its per-rank bitset before the entry
 	// barrier; a resumed attempt (marks already present) executes only the
@@ -171,14 +189,7 @@ func MultiplyEx(c rt.Ctx, g *grid.Grid, d Dims, opts Options, alpha, beta float6
 	c.Barrier()
 	var execErr error
 	if len(tasks) > 0 {
-		execErr = execTasks(c, tasks, opts, alpha, beta, ga, gb, gc, nLoc, lg)
-	} else if mLoc*nLoc > 0 {
-		// No contributions (cannot happen for valid dims, but keep C
-		// well-defined): C = beta*C via a k=0 multiply.
-		cb := c.Local(gc)
-		zero := rt.Mat{Buf: cb, LD: nLoc, Rows: mLoc, Cols: 0}
-		zeroB := rt.Mat{Buf: cb, LD: nLoc, Rows: 0, Cols: nLoc}
-		c.Gemm(1, zero, zeroB, beta, rt.Mat{Buf: cb, LD: nLoc, Rows: mLoc, Cols: nLoc})
+		execErr = execTasks(c, tasks, opts, alpha, beta, ga, gb, gc, ldc, lg)
 	}
 	// The exit barrier runs even on cancellation: every rank shares the
 	// Cancel signal and checks it at task granularity, so all of them reach
@@ -198,11 +209,12 @@ type rankHealth interface {
 	Degraded() bool
 }
 
-func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, nLoc int, lg *Ledger) error {
+// execTasks runs the ordered task list; ldc is the leading dimension of
+// this rank's own block of C.
+func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, ldc int, lg *Ledger) error {
 	if h, ok := c.(rankHealth); ok {
-		return execTasksResilient(c, h, tasks, opts, alpha, beta, ga, gb, gc, nLoc, lg)
+		return execTasksResilient(c, h, tasks, opts, alpha, beta, ga, gb, gc, ldc, lg)
 	}
-	me := c.Rank()
 	transA, transB := opts.Case.TransA(), opts.Case.TransB()
 
 	// Resume: filter the list down to pending tasks, remembering original
@@ -235,56 +247,15 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 	if opts.SingleBuffer {
 		nbuf = 1
 	}
-	sa := buildSchedule(tasks, nbuf, aRegion, func(t *Task) bool { return t.ADirect })
-	sb := buildSchedule(tasks, nbuf, bRegion, func(t *Task) bool { return t.BDirect })
-	var bufsA, bufsB []rt.Buffer
-	if n := sa.maxElems(); n > 0 {
-		for i := 0; i < nbuf; i++ {
-			bufsA = append(bufsA, c.LocalBuf(n))
-		}
-	}
-	if n := sb.maxElems(); n > 0 {
-		for i := 0; i < nbuf; i++ {
-			bufsB = append(bufsB, c.LocalBuf(n))
-		}
-	}
-
-	// When the engine records spans, each burst of fetch issues is bracketed
-	// with a KindIssue span — the executor-level view of "how long does
-	// putting transfers in flight cost" that the overlap analysis separates
-	// from the Wait time those transfers hide.
 	rec := rt.FindRecorder(c)
-	issuedA, issuedB := -1, -1
-	issueA := func(upTo int) {
-		if issuedA >= upTo {
-			return
-		}
-		t0 := rec.SpanStart()
-		for issuedA < upTo {
-			issuedA++
-			it := &sa.items[issuedA]
-			it.h = c.NbGetSub(ga, it.owner, it.off, it.ld, it.rows, it.cols, bufsA[issuedA%nbuf], 0)
-		}
-		rec.SpanEnd(me, obs.KindIssue, t0)
-	}
-	issueB := func(upTo int) {
-		if issuedB >= upTo {
-			return
-		}
-		t0 := rec.SpanStart()
-		for issuedB < upTo {
-			issuedB++
-			it := &sb.items[issuedB]
-			it.h = c.NbGetSub(gb, it.owner, it.off, it.ld, it.rows, it.cols, bufsB[issuedB%nbuf], 0)
-		}
-		rec.SpanEnd(me, obs.KindIssue, t0)
-	}
+	pa := newPipe(c, rec, ga, nbuf, buildSchedule(tasks, nbuf, ga, aRegion, func(t *Task) bool { return t.ADirect }))
+	pb := newPipe(c, rec, gb, nbuf, buildSchedule(tasks, nbuf, gb, bRegion, func(t *Task) bool { return t.BDirect }))
 	// Warm the pipeline: with double buffering both buffers may be filled
 	// before any compute, so the first remote transfers hide behind the
 	// shared-memory tasks at the head of the list (paper §3.1 step 2).
 	if !opts.SingleBuffer {
-		issueA(min(1, len(sa.items)-1))
-		issueB(min(1, len(sb.items)-1))
+		pa.issue(min(1, len(pa.s.items)-1))
+		pb.issue(min(1, len(pb.s.items)-1))
 	}
 
 	cBuf := c.Local(gc)
@@ -293,68 +264,17 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 			// Outstanding nonblocking gets are simply never waited on — the
 			// real engine completes them eagerly, and their targets are the
 			// scratch buffers being surrendered right here anyway.
-			releaseScratch(c, bufsA, bufsB)
+			releaseScratch(c, pa.bufs, pb.bufs)
 			return ErrCancelled
 		}
 		t := &tasks[ti]
-		// Top up the pipeline: everything this task needs, plus (double
-		// buffered) everything the next task needs. Issuing item f evicts
-		// item f-2's buffer, so the look-ahead is capped one past the item
-		// the CURRENT task uses — a task re-reading the older slot must
-		// finish before that slot is refilled.
-		targetA, targetB := sa.need[ti], sb.need[ti]
-		if !opts.SingleBuffer && ti+1 < len(tasks) {
-			targetA, targetB = sa.need[ti+1], sb.need[ti+1]
-			if fi := sa.ofTask[ti]; fi >= 0 && targetA > fi+1 {
-				targetA = fi + 1
-			}
-			if fi := sb.ofTask[ti]; fi >= 0 && targetB > fi+1 {
-				targetB = fi + 1
-			}
-			if targetA < sa.need[ti] {
-				targetA = sa.need[ti]
-			}
-			if targetB < sb.need[ti] {
-				targetB = sb.need[ti]
-			}
-		}
-		issueA(targetA)
-		issueB(targetB)
+		lookahead := !opts.SingleBuffer && ti+1 < len(tasks)
+		pa.issue(pa.target(ti, lookahead))
+		pb.issue(pb.target(ti, lookahead))
+		aMat := operandView(c, ga, aRegion(t, ga), pa.ready(ti), transA)
+		bMat := operandView(c, gb, bRegion(t, gb), pb.ready(ti), transB)
 
-		var aMat, bMat rt.Mat
-		if fi := sa.ofTask[ti]; fi >= 0 {
-			// Fetched: the buffer holds the sub-block packed tight.
-			c.Wait(sa.items[fi].h)
-			aMat = rt.Mat{Buf: bufsA[fi%nbuf], LD: t.ASubC}
-		} else {
-			// Direct: view the sub-block in place inside the owner's block.
-			if t.AOwner == me {
-				aMat = rt.Mat{Buf: c.Local(ga)}
-			} else {
-				aMat = rt.Mat{Buf: c.Direct(ga, t.AOwner), Remote: true}
-			}
-			aMat.Off = t.ASubI*t.ABlockCols + t.ASubJ
-			aMat.LD = t.ABlockCols
-		}
-		aMat.Rows, aMat.Cols = t.ASubR, t.ASubC
-		aMat.Trans = transA
-
-		if fi := sb.ofTask[ti]; fi >= 0 {
-			c.Wait(sb.items[fi].h)
-			bMat = rt.Mat{Buf: bufsB[fi%nbuf], LD: t.BSubC}
-		} else {
-			if t.BOwner == me {
-				bMat = rt.Mat{Buf: c.Local(gb)}
-			} else {
-				bMat = rt.Mat{Buf: c.Direct(gb, t.BOwner), Remote: true}
-			}
-			bMat.Off = t.BSubI*t.BBlockCols + t.BSubJ
-			bMat.LD = t.BBlockCols
-		}
-		bMat.Rows, bMat.Cols = t.BSubR, t.BSubC
-		bMat.Trans = transB
-
-		cMat := rt.Mat{Buf: cBuf, Off: t.CI*nLoc + t.CJ, LD: nLoc, Rows: t.CR, Cols: t.CC}
+		cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
 		taskBeta := 1.0
 		if touched == nil {
 			if t.First {
@@ -365,7 +285,7 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 			taskBeta = beta
 		}
 		if err := gemmVerified(c, ab, alpha, aMat, bMat, taskBeta, cMat); err != nil {
-			releaseScratch(c, bufsA, bufsB)
+			releaseScratch(c, pa.bufs, pb.bufs)
 			return err
 		}
 		if lg != nil {
@@ -376,8 +296,77 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 			}
 		}
 	}
-	releaseScratch(c, bufsA, bufsB)
+	releaseScratch(c, pa.bufs, pb.bufs)
 	return nil
+}
+
+// pipe is one operand's half of the static pipeline: its fetch schedule,
+// the Global the fetches read, and the buffers they cycle through.
+type pipe struct {
+	c      rt.Ctx
+	rec    *obs.Recorder
+	g      rt.Global
+	s      schedule
+	bufs   []rt.Buffer
+	issued int // last item put in flight
+}
+
+func newPipe(c rt.Ctx, rec *obs.Recorder, g rt.Global, nbuf int, s schedule) *pipe {
+	return &pipe{c: c, rec: rec, g: g, s: s, bufs: scratch(c, nbuf, s.maxElems()), issued: -1}
+}
+
+// scratch returns nbuf communication buffers, none when nothing is fetched.
+func scratch(c rt.Ctx, nbuf, elems int) (bufs []rt.Buffer) {
+	for i := 0; i < nbuf && elems > 0; i++ {
+		bufs = append(bufs, c.LocalBuf(elems))
+	}
+	return bufs
+}
+
+// issue puts every item up to upTo in flight, each burst bracketed with a
+// KindIssue span — the executor-level view of "how long does putting
+// transfers in flight cost" that the overlap analysis separates from the
+// Wait time those transfers hide.
+func (p *pipe) issue(upTo int) {
+	if p.issued >= upTo {
+		return
+	}
+	t0 := p.rec.SpanStart()
+	for p.issued < upTo {
+		p.issued++
+		it := &p.s.items[p.issued]
+		it.h = p.c.NbGetSub(p.g, it.owner, it.off, it.ld, it.rows, it.cols, p.bufs[p.issued%len(p.bufs)], 0)
+	}
+	p.rec.SpanEnd(p.c.Rank(), obs.KindIssue, t0)
+}
+
+// target is how far the fetches must be issued before task ti runs:
+// everything it needs plus, with lookahead (double buffered, not the last
+// task), everything the next task needs. Issuing item f evicts item f-2's
+// buffer, so the look-ahead is capped one past the item the CURRENT task
+// uses — a task re-reading the older slot must finish before that slot is
+// refilled.
+func (p *pipe) target(ti int, lookahead bool) int {
+	t := p.s.need[ti]
+	if lookahead {
+		t = p.s.need[ti+1]
+		if fi := p.s.ofTask[ti]; fi >= 0 && t > fi+1 {
+			t = fi + 1
+		}
+		t = max(t, p.s.need[ti])
+	}
+	return t
+}
+
+// ready waits for task ti's fetch and returns the buffer it landed in,
+// packed tight — or nil for a direct operand, which has no fetch.
+func (p *pipe) ready(ti int) rt.Buffer {
+	fi := p.s.ofTask[ti]
+	if fi < 0 {
+		return nil
+	}
+	p.c.Wait(p.s.items[fi].h)
+	return p.bufs[fi%len(p.bufs)]
 }
 
 // releaseScratch hands the per-multiply communication buffers back to the

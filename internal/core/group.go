@@ -44,17 +44,19 @@ func regionOf(matrix int, it fetchItem) FetchRegion {
 
 // RankFetches returns the exact sequence of fetch regions rank me's static
 // executor will issue for its task list, in issue order, after the
-// consecutive-task and double-buffer-slot reuse the executor applies. The
-// sum of Elems over the result is the rank's flat communication volume in
-// elements (remote or intra-domain copy, depending on each owner).
+// consecutive-task and double-buffer-slot reuse the executor applies, for
+// operands stored tight (a wider leading dimension moves each region's Off
+// and LD, never which regions are fetched or their size). The sum of Elems
+// over the result is the rank's flat communication volume in elements
+// (remote or intra-domain copy, depending on each owner).
 func RankFetches(topo rt.Topology, me int, g *grid.Grid, d Dims, opts Options) []FetchRegion {
 	tasks := Plan(topo, me, g, d, opts)
 	nbuf := 2
 	if opts.SingleBuffer {
 		nbuf = 1
 	}
-	sa := buildSchedule(tasks, nbuf, aRegion, func(t *Task) bool { return t.ADirect })
-	sb := buildSchedule(tasks, nbuf, bRegion, func(t *Task) bool { return t.BDirect })
+	sa := buildSchedule(tasks, nbuf, nil, aRegion, func(t *Task) bool { return t.ADirect })
+	sb := buildSchedule(tasks, nbuf, nil, bRegion, func(t *Task) bool { return t.BDirect })
 	out := make([]FetchRegion, 0, len(sa.items)+len(sb.items))
 	for _, it := range sa.items {
 		out = append(out, regionOf(MatA, it))
@@ -67,12 +69,13 @@ func RankFetches(topo rt.Topology, me int, g *grid.Grid, d Dims, opts Options) [
 
 // GroupFetchPlan plans against the sub-grid owned by group grp (per
 // topo.GroupRanks): it returns the deduplicated union of the fetch regions
-// every member's executor will request, in first-need order (members
-// ascending, each member's task order within). The result is what the
+// every member's executor will request from the operands ga and gb (nil =
+// stored tight), in first-need order (members ascending, each member's task
+// order within). The result is what the
 // hierarchical outer level stages into the group's shared band; dedup
 // across members is exactly the inter-group communication the two-level
 // scheme saves over flat SRUMMA.
-func GroupFetchPlan(topo rt.Topology, grp int, g *grid.Grid, d Dims, opts Options) []FetchRegion {
+func GroupFetchPlan(topo rt.Topology, grp int, g *grid.Grid, d Dims, opts Options, ga, gb rt.Global) []FetchRegion {
 	lo, hi := topo.GroupRanks(grp)
 	seen := make(map[FetchRegion]bool)
 	var out []FetchRegion
@@ -87,10 +90,10 @@ func GroupFetchPlan(topo rt.Topology, grp int, g *grid.Grid, d Dims, opts Option
 		for ti := range tasks {
 			t := &tasks[ti]
 			if !t.ADirect {
-				add(regionOf(MatA, aRegion(t)))
+				add(regionOf(MatA, aRegion(t, ga)))
 			}
 			if !t.BDirect {
-				add(regionOf(MatB, bRegion(t)))
+				add(regionOf(MatB, bRegion(t, gb)))
 			}
 		}
 	}

@@ -42,7 +42,7 @@ type inflight struct {
 	hb   rt.Handle
 }
 
-func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, nLoc int, lg *Ledger) error {
+func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, ldc int, lg *Ledger) error {
 	me := c.Rank()
 	transA, transB := opts.Case.TransA(), opts.Case.TransB()
 
@@ -63,13 +63,7 @@ func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options,
 			maxB = t.BSubR * t.BSubC
 		}
 	}
-	var bufsA, bufsB []rt.Buffer
-	for i := 0; i < nbuf && maxA > 0; i++ {
-		bufsA = append(bufsA, c.LocalBuf(maxA))
-	}
-	for i := 0; i < nbuf && maxB > 0; i++ {
-		bufsB = append(bufsB, c.LocalBuf(maxB))
-	}
+	bufsA, bufsB := scratch(c, nbuf, maxA), scratch(c, nbuf, maxB)
 	// Deferred: this executor returns from inside its scheduling loop.
 	defer releaseScratch(c, bufsA, bufsB)
 
@@ -122,11 +116,11 @@ func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options,
 		}
 		t0 := rec.SpanStart()
 		if !t.ADirect {
-			r := aRegion(t)
+			r := aRegion(t, ga)
 			f.ha = c.NbGetSub(ga, r.owner, r.off, r.ld, r.rows, r.cols, bufsA[slot], 0)
 		}
 		if !t.BDirect {
-			r := bRegion(t)
+			r := bRegion(t, gb)
 			f.hb = c.NbGetSub(gb, r.owner, r.off, r.ld, r.rows, r.cols, bufsB[slot], 0)
 		}
 		rec.SpanEnd(me, obs.KindIssue, t0)
@@ -141,36 +135,17 @@ func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options,
 	cBuf := c.Local(gc)
 	exec := func(f inflight) error {
 		t := &tasks[f.ti]
-		var aMat, bMat rt.Mat
-		if t.ADirect {
-			if t.AOwner == me {
-				aMat = rt.Mat{Buf: c.Local(ga)}
-			} else {
-				aMat = rt.Mat{Buf: c.Direct(ga, t.AOwner), Remote: true}
-			}
-			aMat.Off = t.ASubI*t.ABlockCols + t.ASubJ
-			aMat.LD = t.ABlockCols
-		} else {
+		var bufA, bufB rt.Buffer
+		if !t.ADirect {
 			c.Wait(f.ha)
-			aMat = rt.Mat{Buf: bufsA[f.slot], LD: t.ASubC}
+			bufA = bufsA[f.slot]
 		}
-		aMat.Rows, aMat.Cols = t.ASubR, t.ASubC
-		aMat.Trans = transA
-
-		if t.BDirect {
-			if t.BOwner == me {
-				bMat = rt.Mat{Buf: c.Local(gb)}
-			} else {
-				bMat = rt.Mat{Buf: c.Direct(gb, t.BOwner), Remote: true}
-			}
-			bMat.Off = t.BSubI*t.BBlockCols + t.BSubJ
-			bMat.LD = t.BBlockCols
-		} else {
+		if !t.BDirect {
 			c.Wait(f.hb)
-			bMat = rt.Mat{Buf: bufsB[f.slot], LD: t.BSubC}
+			bufB = bufsB[f.slot]
 		}
-		bMat.Rows, bMat.Cols = t.BSubR, t.BSubC
-		bMat.Trans = transB
+		aMat := operandView(c, ga, aRegion(t, ga), bufA, transA)
+		bMat := operandView(c, gb, bRegion(t, gb), bufB, transB)
 
 		reg := cRegion{t.CI, t.CJ, t.CR, t.CC}
 		taskBeta := 1.0
@@ -178,7 +153,7 @@ func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options,
 			touched[reg] = true
 			taskBeta = beta
 		}
-		cMat := rt.Mat{Buf: cBuf, Off: t.CI*nLoc + t.CJ, LD: nLoc, Rows: t.CR, Cols: t.CC}
+		cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
 		if err := gemmVerified(c, ab, alpha, aMat, bMat, taskBeta, cMat); err != nil {
 			return err
 		}

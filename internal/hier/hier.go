@@ -108,7 +108,13 @@ type Panel struct {
 // schedule, which is what lets the staging work be split without
 // negotiation.
 func Schedule(t Topo, grp int, d core.Dims, opts Options) []Panel {
-	regions := core.GroupFetchPlan(t.Topology, grp, t.Grid, d, opts.Options)
+	return panels(t, grp, opts, core.GroupFetchPlan(t.Topology, grp, t.Grid, d, opts.Options, nil, nil))
+}
+
+// panels arranges a group's fetch plan into the outer schedule. The
+// arrangement reads only each region's owner, so it is the same whatever
+// leading dimension the regions were planned against.
+func panels(t Topo, grp int, opts Options, regions []core.FetchRegion) []Panel {
 	if len(regions) == 0 {
 		return nil
 	}
@@ -120,19 +126,19 @@ func Schedule(t Topo, grp int, d core.Dims, opts Options) []Panel {
 	order := summa.ScheduleOrder(len(regions),
 		func(i int) int { return t.GroupOf(regions[i].Owner) }, nG, rot, true)
 	byGroup := make(map[int]*Panel)
-	var panels []Panel
+	var out []Panel
 	for _, i := range order {
 		og := t.GroupOf(regions[i].Owner)
 		p := byGroup[og]
 		if p == nil {
-			panels = append(panels, Panel{OwnerGroup: og})
-			p = &panels[len(panels)-1]
+			out = append(out, Panel{OwnerGroup: og})
+			p = &out[len(out)-1]
 			byGroup[og] = p
 		}
 		p.Regions = append(p.Regions, regions[i])
 		p.Elems += regions[i].Elems()
 	}
-	return panels
+	return out
 }
 
 // Volumes is the predicted communication volume of one multiply, in

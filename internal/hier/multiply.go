@@ -74,12 +74,15 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 		}
 	}
 
-	// The outer schedule, flattened into staging order. Region i is staged
-	// by member lo + i%nMembers; every member derives the full assignment so
-	// the band layout is agreed without messages.
+	// The outer schedule, flattened into staging order, planned against the
+	// operands' own leading dimensions so the staged keys are the regions
+	// the executor will ask for. Region i is staged by member
+	// lo + i%nMembers; every member derives the full assignment so the band
+	// layout is agreed without messages.
 	var regions []core.FetchRegion
 	if direct {
-		for _, p := range Schedule(t, grp, d, opts) {
+		plan := core.GroupFetchPlan(t.Topology, grp, t.Grid, d, opts.Options, ga, gb)
+		for _, p := range panels(t, grp, opts, plan) {
 			regions = append(regions, p.Regions...)
 		}
 	}

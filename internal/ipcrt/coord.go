@@ -527,8 +527,12 @@ func (cl *Cluster) poison(err error) {
 // *RankExitError (errors.Is rt.ErrRankExited); on a missed deadline with
 // live processes, *DeadlockError (errors.Is rt.ErrRankDeadlocked). Both
 // poison the cluster, as does any per-rank job failure — the collective
-// counters can't be realigned once ranks diverge.
+// counters can't be realigned once ranks diverge. A malformed spec is
+// refused with *SpecError before anything is sent, and poisons nothing.
 func (cl *Cluster) RunJob(spec *JobSpec, timeout time.Duration) ([]*RankResult, error) {
+	if err := spec.Validate(cl.topo.NProcs); err != nil {
+		return nil, err
+	}
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()

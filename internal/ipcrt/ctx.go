@@ -61,6 +61,7 @@ type ipcGlobal struct {
 }
 
 func (g *ipcGlobal) LenAt(rank int) int { return g.sizes[rank] }
+func (g *ipcGlobal) LD() int            { return 0 }
 
 // segment tracks this process's mappings of one Global: its own segment
 // (created at Malloc) plus lazily-opened same-node peer segments.

@@ -10,6 +10,7 @@ import (
 
 	"srumma/internal/armci"
 	"srumma/internal/core"
+	"srumma/internal/faults"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
@@ -298,7 +299,8 @@ func TestIPCJobError(t *testing.T) {
 		t.Skip("multi-process run in -short mode")
 	}
 	cl := launchCluster(t, 2, 2)
-	spec := DefaultSpec(0, 0, 0) // invalid dims: every rank fails cleanly
+	spec := DefaultSpec(8, 8, 8)
+	spec.Chaos = &faults.Config{DropRate: 2} // no such fault plan: every rank's body fails cleanly
 
 	results, err := cl.RunJob(spec, time.Minute)
 	if err == nil {
@@ -310,7 +312,7 @@ func TestIPCJobError(t *testing.T) {
 	}
 	for _, res := range results {
 		if res != nil && res.Err == "" {
-			t.Errorf("rank %d reported success on invalid dims", res.Rank)
+			t.Errorf("rank %d reported success on an unbuildable fault plan", res.Rank)
 		}
 	}
 }
@@ -324,5 +326,36 @@ func TestLaunchValidation(t *testing.T) {
 	}
 	if _, err := Launch(Config{NP: 4, PPN: 0}); err == nil {
 		t.Error("Launch accepted 0 ranks per node")
+	}
+}
+
+// TestRunJobRefusesMalformedSpec: the coordinator turns a spec that cannot
+// run into a *SpecError before a single frame is sent — no rank fails, the
+// cluster is not poisoned, and the next job runs.
+func TestRunJobRefusesMalformedSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process run in -short mode")
+	}
+	cl := launchCluster(t, 2, 2)
+	bad := map[string]*JobSpec{
+		"dims":       DefaultSpec(0, 4, 4),
+		"case":       {M: 4, N: 4, K: 4, Case: 7, ExitRank: -1, HangRank: -1},
+		"short A":    {M: 4, N: 4, K: 4, Data: true, A: make([]float64, 15), B: make([]float64, 16), ExitRank: -1, HangRank: -1},
+		"long B":     {M: 4, N: 4, K: 4, Data: true, A: make([]float64, 16), B: make([]float64, 17), ExitRank: -1, HangRank: -1},
+		"no C":       {M: 4, N: 4, K: 4, Beta: 1, Data: true, A: make([]float64, 16), B: make([]float64, 16), ExitRank: -1, HangRank: -1},
+		"prior rank": {M: 4, N: 4, K: 4, Prior: map[int]RankPrior{2: {}}, ExitRank: -1, HangRank: -1},
+		"prior size": {M: 4, N: 4, K: 4, Prior: map[int]RankPrior{1: {C: make([]float64, 9)}}, ExitRank: -1, HangRank: -1},
+	}
+	for name, spec := range bad {
+		_, err := cl.RunJob(spec, time.Minute)
+		var se *SpecError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: err = %v, want *SpecError", name, err)
+		}
+	}
+	spec := DefaultSpec(8, 8, 8)
+	spec.MPCheck = true // its operands are not a GEMM's; nothing to check
+	if _, err := cl.RunJob(spec, time.Minute); err != nil {
+		t.Fatalf("job after the refused specs: %v", err)
 	}
 }

@@ -58,6 +58,10 @@ type JobSpec struct {
 	// the body see it; the cluster route checks its deadline before
 	// submitting instead.
 	Cancel <-chan struct{} `json:"-"`
+	// Out is the M x N result of an in-process run: ranks sharing the
+	// caller's address space compute their blocks in place in it and return
+	// none. Worker processes return their block instead (ReturnC).
+	Out *mat.Matrix `json:"-"`
 	// Hier routes the job through the hierarchical two-level path
 	// (internal/hier): groups of ranks stage their outer panels once per
 	// group, bit-identical to the flat path. HierGroup overrides the group
@@ -146,12 +150,46 @@ func RunBody(c rt.Ctx, spec *JobSpec) ([]float64, int, int, error) {
 	return RunBodyEx(c, spec, nil)
 }
 
-// matFrom wraps a row-major inline operand as a matrix view.
-func matFrom(rows, cols int, data []float64, name string) *mat.Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("ipcrt: inline operand %s holds %d elements, want %dx%d", name, len(data), rows, cols))
+// SpecError reports a job that cannot run as stated — an inline operand
+// whose length disagrees with the shape, salvage that does not fit its
+// rank's block — found before any rank enters a collective: not a rank
+// failure, and not worth a retry.
+type SpecError struct{ Msg string }
+
+func (e *SpecError) Error() string { return "ipcrt: bad job spec: " + e.Msg }
+
+// Validate checks what a rank body would otherwise trip over mid-run on
+// nprocs ranks. The in-process runner, the coordinator and every worker
+// call it before the job starts.
+func (s *JobSpec) Validate(nprocs int) error {
+	if s.MPCheck {
+		return nil
 	}
-	return &mat.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: data}
+	bad := func(format string, args ...any) error { return &SpecError{fmt.Sprintf(format, args...)} }
+	d := core.Dims{M: s.M, N: s.N, K: s.K}
+	if err := d.Validate(); err != nil {
+		return bad("%v", err)
+	}
+	if s.Case < int(core.NN) || s.Case > int(core.TT) {
+		return bad("transpose case %d", s.Case)
+	}
+	if s.Data && (len(s.A) != d.M*d.K || len(s.B) != d.K*d.N || s.Beta != 0 && len(s.CIn) != d.M*d.N) {
+		return bad("inline A, B, C hold %d, %d, %d elements for %dx%dx%d with beta %g", len(s.A), len(s.B), len(s.CIn), d.M, d.N, d.K, s.Beta)
+	}
+	g, err := grid.Square(nprocs)
+	if err != nil {
+		return bad("%v", err)
+	}
+	dc := grid.NewBlockDist(g, d.M, d.N)
+	for rank, p := range s.Prior {
+		if rank < 0 || rank >= nprocs {
+			return bad("salvage for rank %d of %d", rank, nprocs)
+		}
+		if r, c := dc.LocalShape(rank); len(p.C) != r*c {
+			return bad("rank %d salvaged %d elements of a %dx%d block", rank, len(p.C), r, c)
+		}
+	}
+	return nil
 }
 
 // RunBodyEx is RunBody with a salvage sink: when the body panics mid-run
@@ -161,10 +199,12 @@ func matFrom(rows, cols int, data []float64, name string) *mat.Matrix {
 // this process or another. It is the one rank body of the serving stack:
 // worker processes and the server's in-process teams both run it.
 //
-// The body leaves its three operand Globals allocated. A worker process
-// frees them after the job so the coordinator can park the segments for
-// the next one; on the in-process engine every Free is a full barrier that
-// buys nothing (the memory is garbage collected), so team runs skip it.
+// Operand placement is internal/driver's choice (adopted in process, copied
+// into segments in a worker). The body leaves the three Globals allocated.
+// A worker process frees them after the job so the coordinator can park the
+// segments for the next one; on the in-process engine every Free is a full
+// barrier that buys nothing (the memory is garbage collected), so team runs
+// skip it.
 func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *RankResult) ([]float64, int, int, error) {
 	if spec.MPCheck {
 		return runMPCheck(c, spec)
@@ -185,13 +225,25 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *RankResult) ([]float64, int, int, 
 	}
 	cs := core.Case(spec.Case)
 	da, db, dc := core.Dists(g, d, cs)
-
-	ga := driver.AllocBlock(c, da)
-	gb := driver.AllocBlock(c, db)
-	gc := driver.AllocBlock(c, dc)
-
 	me := c.Rank()
 	rows, cols := dc.LocalShape(me)
+
+	var a, b *mat.Matrix
+	if spec.Data {
+		a, b = mat.FromData(da.Rows, da.Cols, spec.A), mat.FromData(db.Rows, db.Cols, spec.B)
+	} else {
+		a, b = mat.Random(da.Rows, da.Cols, spec.Seed), mat.Random(db.Rows, db.Cols, spec.Seed+1)
+	}
+	ga := driver.Bind(c, da, a)
+	gb := driver.Bind(c, db, b)
+	// The result is computed in place in spec.Out when the run has one,
+	// otherwise in a segment that is read back as this rank's block.
+	var gc rt.Global
+	if spec.Out != nil {
+		gc = driver.Bind(c, dc, spec.Out)
+	} else {
+		gc = driver.AllocBlock(c, dc)
+	}
 
 	// Resume state: this rank rejoins mid-job only with all three pieces
 	// of salvage (partial C, ledger bits, task count); otherwise it
@@ -202,30 +254,12 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *RankResult) ([]float64, int, int, 
 	}
 	prior := spec.Prior[me]
 	resumed := jl != nil && len(prior.C) == rows*cols && len(prior.Bits) > 0 && prior.Tasks > 0
-	if resumed {
-		jl.RestoreRank(me, prior.Tasks, prior.Bits)
-	}
-
-	ar, ac := d.M, d.K
-	if cs.TransA() {
-		ar, ac = d.K, d.M
-	}
-	br, bc := d.K, d.N
-	if cs.TransB() {
-		br, bc = d.N, d.K
-	}
-	if spec.Data {
-		driver.LoadBlock(c, da, ga, matFrom(ar, ac, spec.A, "A"))
-		driver.LoadBlock(c, db, gb, matFrom(br, bc, spec.B, "B"))
-	} else {
-		driver.LoadBlock(c, da, ga, mat.Random(ar, ac, spec.Seed))
-		driver.LoadBlock(c, db, gb, mat.Random(br, bc, spec.Seed+1))
-	}
 	switch {
 	case resumed:
-		c.WriteBuf(c.Local(gc), 0, prior.C)
+		jl.RestoreRank(me, prior.Tasks, prior.Bits)
+		driver.WriteBlock(c, gc, mat.FromData(rows, cols, prior.C))
 	case spec.Beta != 0 && spec.Data:
-		driver.LoadBlock(c, dc, gc, matFrom(d.M, d.N, spec.CIn, "C"))
+		driver.LoadBlock(c, dc, gc, mat.FromData(d.M, d.N, spec.CIn))
 	case spec.Beta != 0:
 		driver.LoadBlock(c, dc, gc, mat.Random(d.M, d.N, spec.Seed+2))
 	}
@@ -250,7 +284,7 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *RankResult) ([]float64, int, int, 
 				// failure must not mask the original panic.
 				func() {
 					defer func() { _ = recover() }()
-					cBlock := c.ReadBuf(c.Local(gc), 0, rows*cols)
+					cBlock := driver.StoreBlock(c, dc, gc).Data
 					if bits, n := jl.RankBits(me); len(bits) > 0 && n > 0 {
 						salv.C, salv.CRows, salv.CCols = cBlock, rows, cols
 						salv.LedgerBits, salv.LedgerTasks = bits, n
@@ -272,7 +306,10 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *RankResult) ([]float64, int, int, 
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("rank %d: %w", me, err)
 	}
-	return c.ReadBuf(c.Local(gc), 0, rows*cols), rows, cols, nil
+	if spec.Out != nil {
+		return nil, rows, cols, nil
+	}
+	return driver.StoreBlock(c, dc, gc).Data, rows, cols, nil
 }
 
 // runMPCheck exercises the two-sided layer end to end: rank 0 broadcasts a

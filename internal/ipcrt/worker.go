@@ -204,6 +204,12 @@ func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 				res.Err = fmt.Sprintf("panic: %v", p)
 			}
 		}()
+		// Every worker rejects a malformed spec the same way, before any of
+		// them enters a collective.
+		if err := spec.Validate(c.topo.NProcs); err != nil {
+			res.Err = err.Error()
+			return
+		}
 		body, err := WrapChaos(c, spec, c.topo.NProcs)
 		if err != nil {
 			res.Err = err.Error()

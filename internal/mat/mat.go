@@ -61,12 +61,12 @@ func (m *Matrix) View(i, j, r, c int) *Matrix {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("mat: View(%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
-	off := i*m.Stride + j
-	end := off
-	if r > 0 && c > 0 {
-		end = off + (r-1)*m.Stride + c
+	if r == 0 || c == 0 {
+		// No elements: an origin on the matrix's edge may lie past its data.
+		return &Matrix{Rows: r, Cols: c, Stride: m.Stride}
 	}
-	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off:end]}
+	off := i*m.Stride + j
+	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off : off+(r-1)*m.Stride+c]}
 }
 
 // Clone returns a deep copy of m with a tight stride.

@@ -50,6 +50,13 @@ func TestViewZeroSize(t *testing.T) {
 	if v.Rows != 0 || v.Cols != 0 {
 		t.Fatalf("zero view has shape %dx%d", v.Rows, v.Cols)
 	}
+	// An empty view on the far edge — the block of a rank that owns no rows
+	// or no columns — starts past the data and must still be a view.
+	for _, e := range []*Matrix{m.View(4, 2, 0, 2), m.View(2, 4, 2, 0), m.View(4, 4, 0, 0)} {
+		if len(e.Data) != 0 || e.Stride != m.Stride {
+			t.Fatalf("edge view %dx%d holds %d elements, stride %d", e.Rows, e.Cols, len(e.Data), e.Stride)
+		}
+	}
 }
 
 func TestCloneIndependent(t *testing.T) {

@@ -39,6 +39,21 @@ type Buffer interface {
 type Global interface {
 	// LenAt returns the number of elements in rank's segment.
 	LenAt(rank int) int
+	// LD returns the segments' leading dimension: the row stride of the
+	// matrix each segment is a window of (Adopter), or 0 when every segment
+	// is its owner's block stored tight (ld = the block's column count).
+	LD() int
+}
+
+// SegLD resolves the leading dimension of a cols-wide block inside its
+// segment of g: g's own when its segments are windows of a wider matrix,
+// the block's column count when they are stored tight (or g is nil, an
+// operand planned for without having been placed).
+func SegLD(g Global, cols int) int {
+	if g != nil && g.LD() > 0 {
+		return g.LD()
+	}
+	return cols
 }
 
 // Handle identifies an outstanding nonblocking operation.
@@ -111,6 +126,25 @@ type BufferReleaser interface {
 	ReleaseBuf(b Buffer)
 }
 
+// Adopter is an optional capability of a Ctx (found through the Unwrap chain
+// like KernelTuner) that only an engine whose ranks live in the caller's
+// address space can offer: binding memory the caller already holds as the
+// segments of a Global — the paper's direct-access flavour applied to the
+// operands themselves.
+type Adopter interface {
+	// Adopt is collective like Malloc, and sequenced with it. Each rank
+	// contributes seg, the window holding its block of a row-major matrix
+	// with row stride ld: elements [origin, origin+(rows-1)*ld+cols), empty
+	// for an empty block. Nothing is allocated or copied; the Global's LD is
+	// ld. The memory stays the caller's: it must outlive the Global, and a
+	// window that is only read must not be written meanwhile.
+	Adopt(seg []float64, ld int) Global
+}
+
+// FindAdopter walks c's Unwrap chain and returns the first layer that can
+// adopt caller memory, or nil.
+func FindAdopter(c Ctx) Adopter { return find[Adopter](c) }
+
 // Runner abstracts "execute one SPMD body and return per-rank stats" — the
 // engine lifecycle, as opposed to Ctx, which is the in-body API. Two
 // lifecycles implement it on the real engine: the one-shot form (spawn
@@ -129,37 +163,30 @@ type Unwrapper interface {
 	Unwrap() Ctx
 }
 
-// FindKernelTuner walks c's Unwrap chain and returns the first layer that
-// can tune kernel threads, or nil.
-func FindKernelTuner(c Ctx) KernelTuner {
+// find walks c's Unwrap chain and returns the first layer that provides
+// capability T, or T's zero value (a nil interface) when none does.
+func find[T any](c Ctx) T {
 	for c != nil {
-		if t, ok := c.(KernelTuner); ok {
+		if t, ok := c.(T); ok {
 			return t
 		}
 		u, ok := c.(Unwrapper)
 		if !ok {
-			return nil
+			break
 		}
 		c = u.Unwrap()
 	}
-	return nil
+	var none T
+	return none
 }
+
+// FindKernelTuner walks c's Unwrap chain and returns the first layer that
+// can tune kernel threads, or nil.
+func FindKernelTuner(c Ctx) KernelTuner { return find[KernelTuner](c) }
 
 // FindBufferReleaser walks c's Unwrap chain and returns the first layer
 // that can recycle scratch buffers, or nil.
-func FindBufferReleaser(c Ctx) BufferReleaser {
-	for c != nil {
-		if r, ok := c.(BufferReleaser); ok {
-			return r
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		c = u.Unwrap()
-	}
-	return nil
-}
+func FindBufferReleaser(c Ctx) BufferReleaser { return find[BufferReleaser](c) }
 
 // Recorded is an optional capability of a Ctx: exposing the obs.Recorder
 // this process's spans land in. Algorithm layers that want to emit their
@@ -175,15 +202,8 @@ type Recorded interface {
 // FindRecorder walks c's Unwrap chain and returns the attached recorder, or
 // nil when no layer records (a valid, zero-cost recorder per obs).
 func FindRecorder(c Ctx) *obs.Recorder {
-	for c != nil {
-		if r, ok := c.(Recorded); ok {
-			return r.ObsRecorder()
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		c = u.Unwrap()
+	if r := find[Recorded](c); r != nil {
+		return r.ObsRecorder()
 	}
 	return nil
 }

@@ -156,6 +156,13 @@ type bufPool struct {
 	classes [40]sync.Pool
 }
 
+// operandBufs is the pool every Server decodes into. It is process-wide
+// because a sync.Pool's contents outlive their owner anyway (the runtime
+// keeps them reachable for two GC cycles): a pool per Server only made a
+// closed server's warm buffers useless to the next one while they still
+// counted against the heap.
+var operandBufs bufPool
+
 // bufSizeClass returns the smallest c with 1<<c >= n (n >= 1).
 func bufSizeClass(n int) int {
 	c := 0

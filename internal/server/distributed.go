@@ -12,11 +12,12 @@ package server
 //     node's persistent segment pool stays warm for repeated shapes.
 //
 // Everything after the run — ABFT counters, trace merge, salvage banking
-// for the retry, gathering the per-rank C blocks — happens once, on that
-// result, without knowing which runner produced it. Failure folds into the
-// one recovery policy too: a rank panic in a team and a worker death in
-// the pool (the node is replaced synchronously before the error returns)
-// both surface as retryable errors with whatever the ranks salvaged.
+// for the retry — happens once, on that result, without knowing which
+// runner produced it; only worker processes send C blocks back to be
+// gathered. Failure folds into the one recovery policy too: a rank panic in
+// a team and a worker death in the pool (the node is replaced synchronously
+// before the error returns) both surface as retryable errors with whatever
+// the ranks salvaged.
 
 import (
 	"fmt"
@@ -81,7 +82,7 @@ func (s *Server) jobSpec(job *schedJob) *ipcrt.JobSpec {
 
 // runDistributed executes one large multiply: build the spec, run it on
 // the cluster pool or on the dispatch's team, account for what the ranks
-// report, and gather C. On failure it banks whatever the ranks salvaged
+// report, and return C. On failure it banks whatever the ranks salvaged
 // for the retry that follows.
 func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, error) {
 	// A channel does not reach the pool's worker processes, so an expired
@@ -125,6 +126,9 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 		job.rec.store(results)
 		return nil, err
 	}
+	if spec.Out != nil {
+		return spec.Out, nil // the in-process ranks wrote the result where it lies
+	}
 	blocks := make([]*mat.Matrix, len(results))
 	for rank, r := range results {
 		if r == nil {
@@ -136,11 +140,17 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 }
 
 // runOnTeam is the in-process runner: every rank of a persistent team runs
-// the shared body, reporting in the shape the cluster pool reports. A rank
-// that panics leaves its salvage in its result on the way out (the team
-// turns the panic into the run error); a rank that returns an error keeps
-// the error's type, so cancellation and ABFT exhaustion stay recognisable.
+// the shared body, reporting in the shape the cluster pool reports — except
+// that the ranks share this address space, so they read the request's A and
+// B where they lie and compute C in place in spec.Out. A rank that panics
+// leaves its salvage in its result on the way out (the team turns the panic
+// into the run error); a rank that returns an error keeps the error's type,
+// so cancellation and ABFT exhaustion stay recognisable.
 func (s *Server) runOnTeam(tm *armci.Team, spec *ipcrt.JobSpec) ([]*ipcrt.RankResult, error) {
+	if err := spec.Validate(s.topo.NProcs); err != nil {
+		return nil, err
+	}
+	spec.Out = mat.New(spec.M, spec.N)
 	if s.cfg.TraceSample > 1 {
 		// Head-sampling: attach the recorder only for sampled requests. Safe
 		// because a team runs one job at a time.

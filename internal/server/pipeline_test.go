@@ -11,6 +11,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,7 +22,9 @@ import (
 	"time"
 
 	"srumma/internal/armci"
+	"srumma/internal/cluster"
 	"srumma/internal/faults"
+	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
 	"srumma/internal/mat"
 	"srumma/internal/rt"
@@ -279,4 +282,81 @@ func TestInterruptedDrainClosesClusterPool(t *testing.T) {
 	}
 	release()
 	<-parked // the parked request fails against the closed pool; it must not hang
+}
+
+// TestRunnersRefuseMalformedSpec: a job whose inline operands or salvage do
+// not fit its shape is refused by both runners with the same typed,
+// non-retryable error BEFORE any rank runs — on a team that used to be a
+// rank panic (a poisoned team for a bad request), on the pool a dead node.
+// Both runners must serve the next job unharmed.
+func TestRunnersRefuseMalformedSpec(t *testing.T) {
+	skipWithoutCluster(t)
+	cfg := Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1}
+	teamSrv := newTestServer(t, cfg)
+	tm, err := armci.NewTeam(teamSrv.topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tm.Close()
+	cfg.Cluster, cfg.ClusterNodes, cfg.ClusterHeartbeat = true, 1, -1
+	poolSrv := newTestServer(t, cfg)
+	key := cluster.PlaceKey{Class: "interactive", M: 24, N: 20, K: 28}
+	runners := map[string]func(*ipcrt.JobSpec) (*mat.Matrix, error){
+		"team": func(spec *ipcrt.JobSpec) (*mat.Matrix, error) {
+			_, err := teamSrv.runOnTeam(tm, spec)
+			return spec.Out, err
+		},
+		"pool": func(spec *ipcrt.JobSpec) (*mat.Matrix, error) {
+			results, err := poolSrv.cpool.Run(spec, key)
+			if err != nil {
+				return nil, err
+			}
+			blocks := make([]*mat.Matrix, len(results))
+			for rank, r := range results {
+				blocks[rank] = mat.FromData(r.CRows, r.CCols, r.C)
+			}
+			return grid.NewBlockDist(poolSrv.g, spec.M, spec.N).Gather(blocks)
+		},
+	}
+	req := clusterCaseReq(24, 28, 20, "NN", 7, 0.5)
+	good := func() *ipcrt.JobSpec { return teamSrv.jobSpec(runnerJob(t, teamSrv, &req)) }
+	hostile := map[string]func(*ipcrt.JobSpec){
+		"short A":            func(s *ipcrt.JobSpec) { s.A = s.A[:len(s.A)-1] },
+		"long B":             func(s *ipcrt.JobSpec) { s.B = append(append([]float64{}, s.B...), 1) },
+		"short C under beta": func(s *ipcrt.JobSpec) { s.CIn = s.CIn[:3] },
+		"mismatched Prior.C": func(s *ipcrt.JobSpec) {
+			s.UseLedger = true
+			s.Prior = map[int]ipcrt.RankPrior{2: {C: make([]float64, 7), Bits: []uint64{1}, Tasks: 1}}
+		},
+	}
+	for rname, run := range runners {
+		want, err := run(good())
+		if err != nil {
+			t.Fatalf("%s, clean: %v", rname, err)
+		}
+		for hname, corrupt := range hostile {
+			spec := good()
+			corrupt(spec)
+			_, err := run(spec)
+			var bad *ipcrt.SpecError
+			if !errors.As(err, &bad) {
+				t.Fatalf("%s, %s: err = %v, want *ipcrt.SpecError", rname, hname, err)
+			}
+			if retryableRunError(err) {
+				t.Fatalf("%s, %s: a refused spec must not be retried", rname, hname)
+			}
+		}
+		again, err := run(good())
+		if err != nil {
+			t.Fatalf("%s: job after the refused ones: %v", rname, err)
+		}
+		if !mat.Equal(again, want) {
+			t.Fatalf("%s: the result changed after the refused jobs", rname)
+		}
+	}
+	for _, nd := range poolSrv.cpool.Snapshot() {
+		if nd.Replaced != 0 {
+			t.Fatalf("node %d was replaced %d times over refused specs", nd.ID, nd.Replaced)
+		}
+	}
 }

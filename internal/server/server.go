@@ -374,7 +374,7 @@ func New(cfg Config) (*Server, error) {
 		topo: topo,
 		g:    g,
 		met:  newMetrics(cfg.QueueCap),
-		pool: &bufPool{},
+		pool: &operandBufs,
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, s.met.reg)

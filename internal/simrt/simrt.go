@@ -166,6 +166,7 @@ type global struct {
 }
 
 func (g *global) LenAt(rank int) int { return g.segs[rank] }
+func (g *global) LD() int            { return 0 }
 
 // handle wraps a vtime completion with protocol hooks: preWait runs when the
 // owner enters Wait (rendezvous "sender is in the library"), postWait is CPU

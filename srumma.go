@@ -24,6 +24,7 @@ package srumma
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"srumma/internal/armci"
@@ -148,30 +149,16 @@ type Report struct {
 // grouped into shared-memory domains of procsPerNode ranks (or one
 // machine-wide domain).
 type Cluster struct {
-	topo     rt.Topology
-	g        *grid.Grid
-	team     *armci.Team
-	lastComm commTotals
-}
-
-type commTotals struct {
-	shared, remote, msgs                                 int64
-	faults, retries, refetches, badsums, steals, degrade int64
+	topo rt.Topology
+	g    *grid.Grid
+	team *armci.Team
 }
 
 // NewCluster creates an engine with nprocs processes, procsPerNode ranks
 // per node, and optionally one machine-wide shared-memory domain (the
 // paper's SGI Altix / Cray X1 configuration).
 func NewCluster(nprocs, procsPerNode int, sharedMachine bool) (*Cluster, error) {
-	topo := rt.Topology{NProcs: nprocs, ProcsPerNode: procsPerNode, DomainSpansMachine: sharedMachine}
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	g, err := grid.Square(nprocs)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{topo: topo, g: g}, nil
+	return newCluster(nprocs, procsPerNode, sharedMachine, grid.Square)
 }
 
 // NewClusterFor is NewCluster with the process grid chosen for an m x n
@@ -179,11 +166,15 @@ func NewCluster(nprocs, procsPerNode int, sharedMachine bool) (*Cluster, error) 
 // skinny results get stretched grids that minimize per-process
 // communication.
 func NewClusterFor(nprocs, procsPerNode int, sharedMachine bool, m, n int) (*Cluster, error) {
+	return newCluster(nprocs, procsPerNode, sharedMachine, func(np int) (*grid.Grid, error) { return grid.BestFor(np, m, n) })
+}
+
+func newCluster(nprocs, procsPerNode int, sharedMachine bool, shape func(nprocs int) (*grid.Grid, error)) (*Cluster, error) {
 	topo := rt.Topology{NProcs: nprocs, ProcsPerNode: procsPerNode, DomainSpansMachine: sharedMachine}
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := grid.BestFor(nprocs, m, n)
+	g, err := shape(nprocs)
 	if err != nil {
 		return nil, err
 	}
@@ -231,26 +222,45 @@ func (cl *Cluster) Procs() int { return cl.topo.NProcs }
 // GridShape returns the process grid dimensions.
 func (cl *Cluster) GridShape() (p, q int) { return cl.g.P, cl.g.Q }
 
-// Multiply computes C = op(A) op(B) in parallel and returns C with a
-// performance report. A and B are the STORED operands: for Case TN pass A
-// as the k x m matrix that will be used transposed, and so on.
-func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Report, error) {
-	d, err := cl.dims(a, b, opts.Case)
-	if err != nil {
-		return nil, nil, err
-	}
-	alg := opts.Algorithm
-	if alg == "" {
-		alg = AlgSRUMMA
-	}
-	var cMat *Matrix
-	rep := &Report{}
-	var body func(c rt.Ctx)
-	co := driver.NewCollect(cl.topo.NProcs)
-	durations := make([]float64, cl.topo.NProcs)
+// algorithm is one row of Multiply's table: how an algorithm places its
+// operands, what it runs, and how its result comes back.
+type algorithm struct {
+	// place produces the three distributed operands (collective).
+	place    func(c rt.Ctx) (ga, gb, gc rt.Global)
+	multiply multiplyFn
+	// out is the result when place bound it and the ranks computed it in
+	// place; otherwise collect reads each rank's block back and gather
+	// assembles them.
+	out     *Matrix
+	collect func(c rt.Ctx, gc rt.Global) *Matrix
+	gather  func(blocks []*Matrix) (*Matrix, error)
+}
 
-	switch alg {
-	case AlgSRUMMA:
+// multiplyFn is an algorithm's collective multiply over placed operands.
+type multiplyFn = func(c rt.Ctx, ga, gb, gc rt.Global) error
+
+// loaded is the placement of the message-passing baselines, whose
+// segment-length checks demand tight blocks: allocate, copy each block in,
+// read each result block back, gather.
+func loaded(a, b *Matrix, da, db, dc *grid.BlockDist, multiply multiplyFn) *algorithm {
+	return &algorithm{
+		place: func(c rt.Ctx) (ga, gb, gc rt.Global) {
+			ga, gb, gc = driver.AllocBlock(c, da), driver.AllocBlock(c, db), driver.AllocBlock(c, dc)
+			driver.LoadBlock(c, da, ga, a)
+			driver.LoadBlock(c, db, gb, b)
+			return ga, gb, gc
+		},
+		multiply: multiply,
+		collect:  func(c rt.Ctx, gc rt.Global) *Matrix { return driver.StoreBlock(c, dc, gc) },
+		gather:   dc.Gather,
+	}
+}
+
+// algorithm resolves opts into its table row.
+func (cl *Cluster) algorithm(a, b *Matrix, d core.Dims, opts MultiplyOptions) (*algorithm, error) {
+	g := cl.g
+	switch opts.Algorithm {
+	case "", AlgSRUMMA:
 		cOpts := core.Options{
 			Case:            opts.Case,
 			Flavor:          core.FlavorDirect, // real shared memory is cacheable
@@ -262,155 +272,133 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 		if opts.Context != nil {
 			cOpts.Cancel = opts.Context.Done()
 		}
-		da, db, dc := core.Dists(cl.g, d, opts.Case)
-		rankErrs := make([]error, cl.topo.NProcs)
-		body = func(c rt.Ctx) {
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			driver.LoadBlock(c, da, ga, a)
-			driver.LoadBlock(c, db, gb, b)
-			t0 := c.Now()
-			rankErrs[c.Rank()] = core.Multiply(c, cl.g, d, cOpts, ga, gb, gc)
-			durations[c.Rank()] = c.Now() - t0
-			co.Deposit(c, driver.StoreBlock(c, dc, gc))
-		}
-		if err := cl.run(body, opts.Chaos); err != nil {
-			return nil, nil, err
-		}
-		for _, rerr := range rankErrs {
-			if rerr != nil {
-				return nil, nil, rerr
-			}
-		}
-		dcD := grid.NewBlockDist(cl.g, d.M, d.N)
-		cMat, err = dcD.Gather(co.Blocks)
+		// The ranks share this address space, so A and B are used where
+		// they lie and C is computed in place: nothing moves but the
+		// blocks the algorithm itself fetches.
+		da, db, dc := core.Dists(g, d, opts.Case)
+		out := NewMatrix(d.M, d.N)
+		return &algorithm{
+			place: func(c rt.Ctx) (ga, gb, gc rt.Global) {
+				return driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
+			},
+			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return core.Multiply(c, g, d, cOpts, ga, gb, gc) },
+			out:      out,
+		}, nil
 	case AlgSUMMA:
 		sOpts := summa.Options{Case: summa.Case(opts.Case), NB: opts.NB}
 		sd := summa.Dims(d)
-		da, db, dc := summa.Dists(cl.g, sd, sOpts.Case)
-		body = func(c rt.Ctx) {
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			driver.LoadBlock(c, da, ga, a)
-			driver.LoadBlock(c, db, gb, b)
-			t0 := c.Now()
-			if err := summa.Multiply(c, cl.g, sd, sOpts, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-			co.Deposit(c, driver.StoreBlock(c, dc, gc))
-		}
-		if err := cl.run(body, opts.Chaos); err != nil {
-			return nil, nil, err
-		}
-		cMat, err = dc.Gather(co.Blocks)
+		da, db, dc := summa.Dists(g, sd, sOpts.Case)
+		return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
+			return summa.Multiply(c, g, sd, sOpts, ga, gb, gc)
+		}), nil
 	case AlgPdgemm:
 		pOpts := pdgemm.Options{Case: pdgemm.Case(opts.Case), NB: opts.NB}
 		pd := pdgemm.Dims(d)
-		da, db, dc, derr := pdgemm.Dists(cl.g, pd, pOpts.Case, pOpts.NB)
-		if derr != nil {
-			return nil, nil, derr
+		da, db, dc, err := pdgemm.Dists(g, pd, pOpts.Case, pOpts.NB)
+		if err != nil {
+			return nil, err
 		}
-		body = func(c rt.Ctx) {
-			ga := driver.AllocCyclic(c, da)
-			gb := driver.AllocCyclic(c, db)
-			gc := driver.AllocCyclic(c, dc)
-			driver.LoadCyclic(c, da, ga, a)
-			driver.LoadCyclic(c, db, gb, b)
-			t0 := c.Now()
-			if err := pdgemm.Multiply(c, cl.g, pd, pOpts, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-			co.Deposit(c, driver.StoreCyclic(c, dc, gc))
-		}
-		if err := cl.run(body, opts.Chaos); err != nil {
-			return nil, nil, err
-		}
-		cMat, err = dc.Gather(co.Blocks)
-	case AlgCannon:
+		return &algorithm{
+			place: func(c rt.Ctx) (ga, gb, gc rt.Global) {
+				ga, gb, gc = driver.AllocCyclic(c, da), driver.AllocCyclic(c, db), driver.AllocCyclic(c, dc)
+				driver.LoadCyclic(c, da, ga, a)
+				driver.LoadCyclic(c, db, gb, b)
+				return ga, gb, gc
+			},
+			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return pdgemm.Multiply(c, g, pd, pOpts, ga, gb, gc) },
+			collect:  func(c rt.Ctx, gc rt.Global) *Matrix { return driver.StoreCyclic(c, dc, gc) },
+			gather:   dc.Gather,
+		}, nil
+	case AlgCannon, AlgFox:
 		if opts.Case != NN {
-			return nil, nil, fmt.Errorf("srumma: Cannon supports C=AB only")
+			return nil, fmt.Errorf("srumma: %s supports C=AB only", opts.Algorithm)
+		}
+		if opts.Algorithm == AlgFox {
+			fd := fox.Dims(d)
+			da, db, dc := fox.Dists(g, fd)
+			return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
+				return fox.Multiply(c, g, fd, ga, gb, gc)
+			}), nil
 		}
 		cd := cannon.Dims(d)
-		da, db, dc := cannon.Dists(cl.g, cd)
-		body = func(c rt.Ctx) {
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			driver.LoadBlock(c, da, ga, a)
-			driver.LoadBlock(c, db, gb, b)
-			t0 := c.Now()
-			if err := cannon.Multiply(c, cl.g, cd, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-			co.Deposit(c, driver.StoreBlock(c, dc, gc))
-		}
-		if err := cl.run(body, opts.Chaos); err != nil {
-			return nil, nil, err
-		}
-		cMat, err = dc.Gather(co.Blocks)
-	case AlgFox:
-		if opts.Case != NN {
-			return nil, nil, fmt.Errorf("srumma: Fox supports C=AB only")
-		}
-		fd := fox.Dims(d)
-		da, db, dc := fox.Dists(cl.g, fd)
-		body = func(c rt.Ctx) {
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			driver.LoadBlock(c, da, ga, a)
-			driver.LoadBlock(c, db, gb, b)
-			t0 := c.Now()
-			if err := fox.Multiply(c, cl.g, fd, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-			co.Deposit(c, driver.StoreBlock(c, dc, gc))
-		}
-		if err := cl.run(body, opts.Chaos); err != nil {
-			return nil, nil, err
-		}
-		cMat, err = dc.Gather(co.Blocks)
-	default:
-		return nil, nil, fmt.Errorf("srumma: unknown algorithm %q", alg)
+		da, db, dc := cannon.Dists(g, cd)
+		return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
+			return cannon.Multiply(c, g, cd, ga, gb, gc)
+		}), nil
 	}
+	return nil, fmt.Errorf("srumma: unknown algorithm %q", opts.Algorithm)
+}
+
+// Multiply computes C = op(A) op(B) in parallel and returns C with a
+// performance report. A and B are the STORED operands: for Case TN pass A
+// as the k x m matrix that will be used transposed, and so on. SRUMMA reads
+// A and B where they lie — views (Stride > Cols) included — so neither may
+// be written until Multiply returns.
+func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Report, error) {
+	d, err := cl.dims(a, b, opts.Case)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, dt := range durations {
-		if dt > rep.Seconds {
-			rep.Seconds = dt
+	alg, err := cl.algorithm(a, b, d, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := cl.topo.NProcs
+	blocks := make([]*Matrix, n)
+	rankErrs := make([]error, n)
+	durations := make([]float64, n)
+	body := func(c rt.Ctx) {
+		me := c.Rank()
+		ga, gb, gc := alg.place(c)
+		t0 := c.Now()
+		rankErrs[me] = alg.multiply(c, ga, gb, gc)
+		durations[me] = c.Now() - t0
+		if alg.collect != nil {
+			blocks[me] = alg.collect(c, gc)
 		}
+	}
+	sum, err := cl.run(body, opts.Chaos)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, rerr := range rankErrs {
+		if rerr != nil {
+			return nil, nil, rerr
+		}
+	}
+	cMat := alg.out
+	if alg.gather != nil {
+		if cMat, err = alg.gather(blocks); err != nil {
+			return nil, nil, err
+		}
+	}
+	rep := &Report{
+		Seconds:     slices.Max(durations),
+		BytesShared: sum.BytesShared, BytesRemote: sum.BytesRemote, Messages: sum.Msgs,
+		Faults: sum.FaultsInjected, Retries: sum.FaultRetries, Refetches: sum.FaultRefetches,
+		ChecksumErrors: sum.ChecksumErrors, StragglerSteals: sum.StragglerSteals, DegradedRanks: sum.DegradedMode,
 	}
 	if rep.Seconds > 0 {
 		rep.GFLOPS = 2 * float64(d.M) * float64(d.N) * float64(d.K) / rep.Seconds / 1e9
 	}
-	rep.BytesShared, rep.BytesRemote, rep.Messages = cl.lastComm.shared, cl.lastComm.remote, cl.lastComm.msgs
-	rep.Faults, rep.Retries, rep.Refetches = cl.lastComm.faults, cl.lastComm.retries, cl.lastComm.refetches
-	rep.ChecksumErrors, rep.StragglerSteals, rep.DegradedRanks = cl.lastComm.badsums, cl.lastComm.steals, cl.lastComm.degrade
 	return cMat, rep, nil
 }
 
-func (cl *Cluster) run(body func(rt.Ctx), chaos *ChaosOptions) error {
+// run executes body on the chaos, persistent or one-shot engine and returns
+// the ranks' accounting, summed.
+func (cl *Cluster) run(body func(rt.Ctx), chaos *ChaosOptions) (sum rt.Stats, err error) {
 	var stats []*rt.Stats
-	var err error
 	if chaos != nil {
 		plan, perr := faults.NewPlan(chaos.Faults, cl.topo.NProcs)
 		if perr != nil {
-			return perr
+			return sum, perr
 		}
 		timeout := chaos.Timeout
 		if timeout <= 0 {
 			timeout = 60 * time.Second
 		}
-		inner := body
 		stats, err = armci.RunWithTimeout(cl.topo, timeout, func(c rt.Ctx) {
-			inner(faults.Resilient(faults.Inject(c, plan, nil), chaos.Recovery))
+			body(faults.Resilient(faults.Inject(c, plan, nil), chaos.Recovery))
 		})
 	} else if cl.team != nil {
 		stats, err = cl.team.Run(body)
@@ -418,21 +406,12 @@ func (cl *Cluster) run(body func(rt.Ctx), chaos *ChaosOptions) error {
 		stats, err = armci.Run(cl.topo, body)
 	}
 	if err != nil {
-		return err
+		return sum, err
 	}
-	cl.lastComm = commTotals{}
 	for _, s := range stats {
-		cl.lastComm.shared += s.BytesShared
-		cl.lastComm.remote += s.BytesRemote
-		cl.lastComm.msgs += s.Msgs
-		cl.lastComm.faults += s.FaultsInjected
-		cl.lastComm.retries += s.FaultRetries
-		cl.lastComm.refetches += s.FaultRefetches
-		cl.lastComm.badsums += s.ChecksumErrors
-		cl.lastComm.steals += s.StragglerSteals
-		cl.lastComm.degrade += s.DegradedMode
+		sum.Add(s)
 	}
-	return nil
+	return sum, nil
 }
 
 // dims derives (M, N, K) from the stored operand shapes and validates
