@@ -209,14 +209,16 @@ bench-recover:
 	$(GO) run ./cmd/srumma-load -chaos -out BENCH_recover.json
 
 # Short fuzzing session over the numeric kernels, index math, the fault
-# planner, and the binary wire decoder (crash-free on arbitrary bytes,
-# encode/decode round-trip bit-identical).
+# planner, the binary wire decoder (crash-free on arbitrary bytes,
+# encode/decode round-trip bit-identical, nothing non-finite admitted) and
+# the block finite scan against its per-element reference.
 fuzz:
 	$(GO) test -fuzz=FuzzGemmMatchesNaive -fuzztime=30s ./internal/mat
 	$(GO) test -fuzz=FuzzIntersect -fuzztime=15s ./internal/grid
 	$(GO) test -fuzz=FuzzCyclicMapping -fuzztime=15s ./internal/grid
 	$(GO) test -fuzz=FuzzPlan -fuzztime=15s ./internal/faults
 	$(GO) test -fuzz=FuzzBinWire -fuzztime=15s ./internal/server
+	$(GO) test -fuzz=FuzzFiniteScan -fuzztime=15s ./internal/server
 	$(GO) test -fuzz=FuzzIPCWire -fuzztime=15s ./internal/ipcrt
 	$(GO) test -fuzz=FuzzTCPWire -fuzztime=15s ./internal/ipcrt
 

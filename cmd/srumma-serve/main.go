@@ -67,7 +67,7 @@ var (
 	breakerWindow    = flag.Int("breaker-window", 0, "breaker decision window in outcomes (0: 20)")
 	breakerCooldown  = flag.Duration("breaker-cooldown", 0, "breaker open-state cooldown before a probe (0: 2s)")
 	brownoutAt       = flag.Float64("brownout-at", 0, "queue-depth fraction that sheds ABFT and batching (0: 0.9; negative: off)")
-	cacheEntries     = flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables SHA-256 operand digests, result caching and operand interning (0: off)")
+	cacheEntries     = flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables keyed 128-bit operand digests, result caching and operand interning (0: off)")
 	cacheBytes       = flag.Int64("cache-bytes", 0, "result cache capacity in bytes (0: 256 MiB when the cache is on)")
 	cacheTTL         = flag.Duration("cache-ttl", 0, "expire cached results this long after insertion (0: LRU eviction only)")
 	jsonOnly         = flag.Bool("json-only", false, "disable the binary wire: binary requests get 415, responses are always JSON")

@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 	"unsafe"
 
 	"srumma/internal/core"
@@ -203,20 +204,21 @@ func (p *bufPool) put(b *alignedBuf) {
 // payloads, 413 for oversized bodies, 415 for a disabled wire.
 type wireError struct {
 	status int
-	msg    string
+	err    error // carries the message, and through %w the read error behind it
 }
 
-func (e *wireError) Error() string { return e.msg }
+func (e *wireError) Error() string { return e.err.Error() }
+func (e *wireError) Unwrap() error { return e.err }
 
 func badWire(format string, args ...any) *wireError {
-	return &wireError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+	return &wireError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
 // wireRequest is one decoded /v1/multiply request plus the wire state the
 // handler needs to respond and to release pooled storage afterwards: which
 // wire it arrived on, how many wire bytes it occupied, the pooled operand
-// buffers (binary wire), and — once the cache layer has run — the operand
-// digests and block-table registrations.
+// buffers (binary wire), the operand digests and — once the cache layer has
+// run — the block-table registrations.
 type wireRequest struct {
 	req     MultiplyRequest
 	wire    string // wireJSON or wireBinary
@@ -227,12 +229,12 @@ type wireRequest struct {
 	// on the JSON wire or once ownership moved into the block table.
 	bufs [3]*alignedBuf
 
-	// Content addressing (filled by Server.computeDigests when the cache
-	// is enabled). interned lists the digests registered in the block
-	// table, released when the request finishes.
-	digA, digB, digC [32]byte
-	haveDigests      bool
-	interned         [][32]byte
+	// Content addressing, in A, B, C order (filled by admit when the cache
+	// is enabled). The first interned of them are registered in the block
+	// table (computeDigests), to be released when the request finishes.
+	dig              [3]digest
+	interned         int
+	validate, digest time.Duration // spent in admit's two passes
 
 	// scratch is header/probe space for the binary decoder: reading into a
 	// field of the (already heap-allocated) request keeps the steady-state
@@ -252,14 +254,14 @@ type wireRequest struct {
 // run after the response is written: the engine and the encoder read the
 // operand slices in place.
 func (wr *wireRequest) release(s *Server) {
-	for _, dig := range wr.interned {
+	for _, dig := range wr.dig[:wr.interned] {
 		if wr.noPool {
 			s.blocks.abandon(dig)
 		} else {
 			s.blocks.release(dig)
 		}
 	}
-	wr.interned = nil
+	wr.interned = 0
 	for i, b := range wr.bufs {
 		if b == nil {
 			continue
@@ -337,13 +339,8 @@ func parseBinHeader(hdr *[binReqHeaderLen]byte, maxDim int) (binShape, *wireErro
 	}
 	sh.kernelThreads = int(kt)
 	sh.timeout = int(binary.LittleEndian.Uint32(hdr[44:]))
-	sh.m, sh.n = sh.aRows, sh.bCols
-	if sh.cs.TransA() {
-		sh.m = sh.aCols
-	}
-	if sh.cs.TransB() {
-		sh.n = sh.bRows
-	}
+	sh.m, _ = opShape(sh.cs.TransA(), sh.aRows, sh.aCols)
+	_, sh.n = opShape(sh.cs.TransB(), sh.bRows, sh.bCols)
 	return sh, nil
 }
 
@@ -357,12 +354,13 @@ func (sh binShape) bodyLen() int64 {
 }
 
 // decodeBinaryRequest reads one binary request from r into wr, drawing
-// operand storage from pool. contentLength is the transport's claimed
-// body size (-1 when unknown or gzip-compressed); when known it must
-// match the header-derived size exactly — checked before allocation.
-func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, pool *bufPool, wr *wireRequest) *wireError {
+// operand storage from pool and admitting each operand as it lands.
+// contentLength is the transport's claimed body size (-1 when unknown or
+// gzip-compressed); when known it must match the header-derived size
+// exactly — checked before allocation. On error wr owns the buffers drawn.
+func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, pool *bufPool, dg *digester, wr *wireRequest) *wireError {
 	if _, err := io.ReadFull(r, wr.scratch[:]); err != nil {
-		return badWire("truncated binary header: %v", err)
+		return badWire("truncated binary header: %w", err)
 	}
 	sh, werr := parseBinHeader(&wr.scratch, maxDim)
 	if werr != nil {
@@ -372,20 +370,21 @@ func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, pool *buf
 		return badWire("content length %d does not match header-derived body size %d", contentLength, sh.bodyLen())
 	}
 
-	sizes := [3]int{sh.aRows * sh.aCols, sh.bRows * sh.bCols, 0}
+	shapes := [3][2]int{{sh.aRows, sh.aCols}, {sh.bRows, sh.bCols}, {}}
 	if sh.hasC {
-		sizes[2] = sh.m * sh.n
+		shapes[2] = [2]int{sh.m, sh.n}
 	}
-	for i, n := range sizes {
-		if n == 0 {
+	for i, shp := range shapes {
+		if shp[0] == 0 {
 			continue
 		}
-		buf := pool.get(n)
-		if err := readFloats(r, buf.data); err != nil {
-			pool.put(buf)
-			return badWire("truncated operand %c: %v", 'a'+i, err)
+		wr.bufs[i] = pool.get(shp[0] * shp[1])
+		if err := readFloats(r, wr.bufs[i].data); err != nil {
+			return badWire("truncated operand %c: %w", 'a'+i, err)
 		}
-		wr.bufs[i] = buf
+		if werr := wr.admit(i, shp, wr.bufs[i].data, dg); werr != nil {
+			return werr
+		}
 	}
 	// The body must end exactly where the header said it would; trailing
 	// bytes mean a framing bug (or a length-smuggling attempt).
@@ -522,108 +521,138 @@ func binBodyLimit(maxDim int) int64 {
 	return 3*int64(maxDim)*int64(maxDim)*8 + binReqHeaderLen + 1<<12
 }
 
-// decodeRequest dispatches on Content-Type: the binary wire for
-// ContentTypeBinary, JSON for everything else (the compatibility default).
-// Either way the body is size-bounded, optionally gzip-decoded, counted,
-// and scanned for non-finite operands.
+// decodeRequest decodes one /v1/multiply body. A failure any byte limit
+// caused — either wire, compressed or inflated — is a 413.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireRequest, *wireError) {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = strings.TrimSpace(ct[:i])
-	}
-	wr := &wireRequest{wire: wireJSON}
-	wr.gzipped = r.Header.Get("Content-Encoding") == "gzip"
-
-	if ct == ContentTypeBinary {
-		if s.cfg.JSONOnly {
-			return nil, &wireError{status: http.StatusUnsupportedMediaType, msg: "binary wire disabled (server runs -json-only)"}
-		}
-		wr.wire = wireBinary
-		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, binBodyLimit(s.cfg.MaxDim))}
-		var body io.Reader = cr
-		contentLength := r.ContentLength
-		if wr.gzipped {
-			gz, err := gzip.NewReader(cr)
-			if err != nil {
-				return nil, badWire("bad gzip body: %v", err)
-			}
-			defer gz.Close()
-			body = gz
-			contentLength = -1 // compressed size says nothing about the payload
-		}
-		werr := decodeBinaryRequest(body, contentLength, s.cfg.MaxDim, s.pool, wr)
-		wr.bytesIn = cr.n
-		if werr != nil {
-			wr.release(s)
-			if isMaxBytesError(werr) {
-				werr.status = http.StatusRequestEntityTooLarge
-			}
-			return nil, werr
-		}
-		// Scalars that have no binary field ride as headers.
-		wr.req.ID = r.Header.Get("X-Srumma-Id")
-		wr.req.Class = r.Header.Get("X-Srumma-Class")
-		if v := r.Header.Get("X-Srumma-Deadline-Ms"); v != "" {
-			ms, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || ms < 0 {
-				wr.release(s)
-				return nil, badWire("bad X-Srumma-Deadline-Ms %q", v)
-			}
-			wr.req.DeadlineMillis = ms
-		}
-	} else {
-		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, jsonBodyLimit(s.cfg.MaxDim))}
-		var body io.Reader = cr
-		if wr.gzipped {
-			gz, err := gzip.NewReader(cr)
-			if err != nil {
-				return nil, badWire("bad gzip body: %v", err)
-			}
-			defer gz.Close()
-			body = gz
-		}
-		err := json.NewDecoder(body).Decode(&wr.req)
-		wr.bytesIn = cr.n
-		if err != nil {
-			werr := badWire("bad request body: %v", err)
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				werr.status = http.StatusRequestEntityTooLarge
-			}
-			return nil, werr
-		}
-	}
-
-	if err := checkFinite(&wr.req); err != nil {
+	t0 := time.Now()
+	wr := &wireRequest{wire: wireJSON, gzipped: r.Header.Get("Content-Encoding") == "gzip"}
+	if werr := s.decodeBody(w, r, wr); werr != nil {
 		wr.release(s)
-		return nil, badWire("%v", err)
+		var mbe *http.MaxBytesError
+		if errors.As(werr, &mbe) {
+			werr.status = http.StatusRequestEntityTooLarge
+		}
+		return nil, werr
+	}
+	s.met.decodeMs.Observe((time.Since(t0) - wr.validate - wr.digest).Seconds() * 1e3)
+	s.met.validateMs.Observe(wr.validate.Seconds() * 1e3)
+	if s.dg != nil {
+		s.met.digestMs.Observe(wr.digest.Seconds() * 1e3)
 	}
 	return wr, nil
 }
 
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// checkFinite enforces the non-finite policy on both wires: NaN and Inf
-// operands are rejected at the door. A NaN poisons every block it meets
-// and defeats both the ABFT checksums and content addressing (NaN != NaN),
-// so it is a malformed request, not a numerical edge case.
-func checkFinite(req *MultiplyRequest) error {
-	if (req.Alpha != nil && !isFinite(*req.Alpha)) || (req.Beta != nil && !isFinite(*req.Beta)) {
-		return fmt.Errorf("alpha and beta must be finite")
+// decodeBody dispatches on Content-Type — the binary wire, or JSON for
+// everything else — over a size-bounded, optionally gzipped, counted body.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, wr *wireRequest) *wireError {
+	ct := r.Header.Get("Content-Type")
+	if i := strings.IndexByte(ct, ';'); i >= 0 {
+		ct = strings.TrimSpace(ct[:i])
 	}
-	for _, op := range []struct {
-		name string
-		data []float64
-	}{{"a", req.A}, {"b", req.B}, {"c", req.C}} {
-		for _, v := range op.data {
-			if !isFinite(v) {
-				return fmt.Errorf("operand %s contains a non-finite value", op.name)
-			}
+	limit := jsonBodyLimit(s.cfg.MaxDim)
+	if ct == ContentTypeBinary {
+		if s.cfg.JSONOnly {
+			return &wireError{status: http.StatusUnsupportedMediaType, err: errors.New("binary wire disabled (server runs -json-only)")}
+		}
+		wr.wire = wireBinary
+		limit = binBodyLimit(s.cfg.MaxDim)
+	}
+	cr := &countingReader{r: http.MaxBytesReader(w, r.Body, limit)}
+	defer func() { wr.bytesIn = cr.n }()
+	var body io.Reader = cr
+	contentLength := r.ContentLength
+	if wr.gzipped {
+		gz, err := gzip.NewReader(cr)
+		if err != nil {
+			return badWire("bad gzip body: %w", err)
+		}
+		defer gz.Close()
+		// cr bounds the compressed bytes only, and a small body can inflate
+		// without end: hold what comes out of gz to the same limit.
+		body = http.MaxBytesReader(w, gz, limit)
+		contentLength = -1 // compressed size says nothing about the payload
+	}
+	if wr.wire == wireJSON {
+		return decodeJSONRequest(body, s.dg, wr)
+	}
+	if werr := decodeBinaryRequest(body, contentLength, s.cfg.MaxDim, s.pool, s.dg, wr); werr != nil {
+		return werr
+	}
+	// Scalars that have no binary field ride as headers.
+	wr.req.ID = r.Header.Get("X-Srumma-Id")
+	wr.req.Class = r.Header.Get("X-Srumma-Class")
+	if v := r.Header.Get("X-Srumma-Deadline-Ms"); v != "" {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms < 0 {
+			return badWire("bad X-Srumma-Deadline-Ms %q", v)
+		}
+		wr.req.DeadlineMillis = ms
+	}
+	return nil
+}
+
+// decodeJSONRequest reads one JSON request from r into wr.
+func decodeJSONRequest(r io.Reader, dg *digester, wr *wireRequest) *wireError {
+	req := &wr.req
+	if err := json.NewDecoder(r).Decode(req); err != nil {
+		return badWire("bad request body: %w", err)
+	}
+	if !isFinite(req.alpha()) || !isFinite(req.beta()) {
+		return badWire("alpha and beta must be finite")
+	}
+	cs, _ := parseCase(req.Case) // a bad case is the handler's to report
+	m, _ := opShape(cs.TransA(), req.ARows, req.ACols)
+	_, n := opShape(cs.TransB(), req.BRows, req.BCols)
+	shapes := [3][2]int{{req.ARows, req.ACols}, {req.BRows, req.BCols}, {m, n}}
+	for i, data := range [3][]float64{req.A, req.B, req.C} {
+		if werr := wr.admit(i, shapes[i], data, dg); werr != nil {
+			return werr
 		}
 	}
 	return nil
 }
 
-func isMaxBytesError(werr *wireError) bool {
-	return werr != nil && strings.Contains(werr.msg, "request body too large")
+// admit is the one look each operand gets on the way in, still warm from the
+// read: the non-finite policy, then (cache on) its content address. A NaN
+// poisons every block it meets and defeats both the ABFT checksums and
+// content addressing (NaN != NaN): a malformed request, not an edge case.
+func (wr *wireRequest) admit(i int, shape [2]int, data []float64, dg *digester) *wireError {
+	t0 := time.Now()
+	ok := allFinite(data)
+	t1 := time.Now()
+	wr.validate += t1.Sub(t0)
+	if !ok {
+		return badWire("operand %c contains a non-finite value", 'a'+i)
+	}
+	if dg != nil {
+		wr.dig[i] = dg.sum(shape[0], shape[1], data)
+		wr.digest += time.Since(t1)
+	}
+	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// allFinite is isFinite over a whole operand: a float64 is NaN or Inf
+// exactly when all eleven exponent bits are set, and adding one exponent ulp
+// to the masked field carries into bit 63 only then. Four words fold without
+// a branch; the verdict is tested per block, so a poisoned body is still
+// refused early.
+func allFinite(data []float64) bool {
+	const exp, one = 0x7ff0000000000000, 1 << 52
+	if len(data) == 0 {
+		return true
+	}
+	w := unsafe.Slice((*uint64)(unsafe.Pointer(&data[0])), len(data)) // the bit patterns, in place
+	for ; len(w) >= 4; w = w[4:] {
+		if ((w[0]&exp+one)|(w[1]&exp+one)|(w[2]&exp+one)|(w[3]&exp+one))>>63 != 0 {
+			return false
+		}
+	}
+	for _, x := range w {
+		if x&exp == exp {
+			return false
+		}
+	}
+	return true
 }

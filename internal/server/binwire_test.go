@@ -5,9 +5,13 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -267,6 +271,59 @@ func TestBinaryWireMalformed(t *testing.T) {
 	}
 }
 
+// TestBinaryWireNonFinite: the admit step refuses a non-finite value in
+// any operand — first element, last element, either NaN flavour, either
+// infinity — with the message naming the operand, and lets the largest
+// finite value through.
+func TestBinaryWireNonFinite(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, MaxDim: 64})
+	// header | A 4x3 | B 3x5 | C 4x5
+	req := randReq(4, 3, 5, 701)
+	beta := 1.0
+	req.Beta, req.C = &beta, make([]float64, 4*5)
+	valid, err := EncodeBinaryRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const qNaN, sNaN, posInf, negInf, maxFinite = 0x7ff8000000000000, 0xfff0000000000001, 0x7ff0000000000000, 0xfff0000000000000, 0x7fefffffffffffff
+	for _, tc := range []struct {
+		name string
+		elem int // counted across A, B, C
+		bits uint64
+		msg  string // "" = the request must succeed
+	}{
+		{"nan starting a", 0, qNaN, "operand a contains a non-finite value"},
+		{"-inf ending a", 11, negInf, "operand a contains a non-finite value"},
+		{"signalling nan starting b", 12, sNaN, "operand b contains a non-finite value"},
+		{"+inf ending b", 26, posInf, "operand b contains a non-finite value"},
+		{"nan starting c", 27, qNaN, "operand c contains a non-finite value"},
+		{"+inf ending c", 46, posInf, "operand c contains a non-finite value"},
+		{"max finite ending c", 46, maxFinite, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint64(body[binReqHeaderLen+8*tc.elem:], tc.bits)
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(body))
+			r.Header.Set("Content-Type", ContentTypeBinary)
+			s.Handler().ServeHTTP(w, r)
+			if tc.msg == "" {
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d, want 200 (body: %s)", w.Code, w.Body.String())
+				}
+				return
+			}
+			var eresp ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &eresp); err != nil {
+				t.Fatal(err)
+			}
+			if w.Code != http.StatusBadRequest || eresp.Error != tc.msg {
+				t.Fatalf("status %d %q, want 400 %q", w.Code, eresp.Error, tc.msg)
+			}
+		})
+	}
+}
+
 func TestJSONWireMalformed(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, MaxDim: 8})
 	big := make([]float64, 40000) // ~360 KB of JSON, beyond jsonBodyLimit(8)
@@ -279,6 +336,13 @@ func TestJSONWireMalformed(t *testing.T) {
 		{"truncated json", `{"a_rows": 2, "a_cols":`, http.StatusBadRequest},
 		{"nan alpha", `{"a_rows":1,"a_cols":1,"a":[1],"b_rows":1,"b_cols":1,"b":[1],"alpha":"NaN"}`, http.StatusBadRequest},
 		{"length mismatch", `{"a_rows":2,"a_cols":2,"a":[1,2,3],"b_rows":2,"b_cols":2,"b":[1,2,3,4]}`, http.StatusBadRequest},
+		// JSON has no spelling for a non-finite number: every attempt dies in
+		// the decoder, before the admit step's scan could see it.
+		{"overflowing a", `{"a_rows":1,"a_cols":1,"a":[1e999],"b_rows":1,"b_cols":1,"b":[1]}`, http.StatusBadRequest},
+		{"overflowing b", `{"a_rows":1,"a_cols":1,"a":[1],"b_rows":1,"b_cols":1,"b":[-1e999]}`, http.StatusBadRequest},
+		{"bare NaN in c", `{"a_rows":1,"a_cols":1,"a":[1],"b_rows":1,"b_cols":1,"b":[1],"beta":1,"c":[NaN]}`, http.StatusBadRequest},
+		{"overflowing alpha", `{"a_rows":1,"a_cols":1,"a":[1],"b_rows":1,"b_cols":1,"b":[1],"alpha":1e999}`, http.StatusBadRequest},
+		{"Infinity beta", `{"a_rows":1,"a_cols":1,"a":[1],"b_rows":1,"b_cols":1,"b":[1],"beta":Infinity,"c":[1]}`, http.StatusBadRequest},
 		{"oversized body", func() string {
 			b, _ := json.Marshal(MultiplyRequest{ARows: 200, ACols: 200, A: big, BRows: 200, BCols: 200, B: big})
 			return string(b)
@@ -316,7 +380,7 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rd.Reset(body)
 		wr = wireRequest{}
-		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, pool, &wr); werr != nil {
+		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, pool, nil, &wr); werr != nil {
 			t.Fatal(werr)
 		}
 		for _, b := range wr.bufs {
@@ -326,7 +390,7 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		rd.Reset(body)
 		wr = wireRequest{}
-		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, pool, &wr); werr != nil {
+		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, pool, nil, &wr); werr != nil {
 			t.Fatal(werr)
 		}
 		for _, b := range wr.bufs {
@@ -373,17 +437,24 @@ func FuzzBinWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pool := &bufPool{}
 		var wr wireRequest
-		werr := decodeBinaryRequest(bytes.NewReader(data), int64(len(data)), 128, pool, &wr)
+		werr := decodeBinaryRequest(bytes.NewReader(data), int64(len(data)), 128, pool, nil, &wr)
 		if werr != nil {
 			return
 		}
-		// Decoded OK: the re-encoded body must decode to the same request.
+		// Decoded OK: the admit step ran, so no operand holds a non-finite
+		// value by the per-element reference either.
+		for i, op := range [][]float64{wr.req.A, wr.req.B, wr.req.C} {
+			if !refFinite(op) {
+				t.Fatalf("decoder admitted a non-finite value in operand %c", 'a'+i)
+			}
+		}
+		// The re-encoded body must decode to the same request.
 		out, err := EncodeBinaryRequest(&wr.req)
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %v", err)
 		}
 		var wr2 wireRequest
-		if werr := decodeBinaryRequest(bytes.NewReader(out), int64(len(out)), 128, pool, &wr2); werr != nil {
+		if werr := decodeBinaryRequest(bytes.NewReader(out), int64(len(out)), 128, pool, nil, &wr2); werr != nil {
 			t.Fatalf("re-encoded body does not decode: %v", werr)
 		}
 		if wr2.req.ARows != wr.req.ARows || wr2.req.ACols != wr.req.ACols ||
@@ -417,4 +488,206 @@ func randReqFuzz(m, k, n int) MultiplyRequest {
 		b[i] = float64(i) * -0.25
 	}
 	return MultiplyRequest{ARows: m, ACols: k, A: a, BRows: k, BCols: n, B: b}
+}
+
+// refFinite is the per-element policy allFinite must reproduce.
+func refFinite(v []float64) bool {
+	for _, x := range v {
+		if !isFinite(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAllFiniteMatchesReference pins the block scan against the per-element
+// reference at every length across the 4-word block boundary and the scalar
+// tail, with every kind of poison at every position.
+func TestAllFiniteMatchesReference(t *testing.T) {
+	poisons := []uint64{
+		0x7ff8000000000000, // quiet NaN
+		0x7ff8deadbeef0001, // quiet NaN with a payload
+		0x7ff0000000000001, // signalling NaN, smallest payload
+		0xfff7ffffffffffff, // negative signalling NaN, largest payload
+		0x7ff0000000000000, // +Inf
+		0xfff0000000000000, // -Inf
+	}
+	benign := []uint64{
+		0x7fefffffffffffff, // largest finite
+		0xffefffffffffffff, // most negative finite
+		0x0000000000000001, // smallest subnormal
+		0x800fffffffffffff, // largest-magnitude negative subnormal
+		0x8000000000000000, // -0.0
+		0x0000000000000000,
+		0x3ff0000000000000, // 1
+		0x7fe0000000000000, // top exponent that is still finite
+		0x000fffffffffffff,
+	}
+	for n := 0; n <= 67; n++ {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = math.Float64frombits(benign[(i+n)%len(benign)])
+		}
+		if !refFinite(v) || !allFinite(v) {
+			t.Fatalf("n=%d: a finite operand was refused", n)
+		}
+		for pos := 0; pos < n; pos++ {
+			keep := v[pos]
+			for _, p := range poisons {
+				v[pos] = math.Float64frombits(p)
+				if refFinite(v) || allFinite(v) {
+					t.Fatalf("n=%d: %#x at position %d passed the scan", n, p, pos)
+				}
+			}
+			v[pos] = keep
+		}
+	}
+
+	// Random bit patterns, an eighth of them forced non-finite, over random
+	// lengths and offsets (the pooled buffers are 64-byte aligned; a JSON
+	// operand need not be).
+	rng := rand.New(rand.NewSource(17))
+	buf := make([]float64, 300)
+	for trial := 0; trial < 4000; trial++ {
+		off := rng.Intn(8)
+		v := buf[off : off+rng.Intn(len(buf)-off)]
+		dirty := rng.Intn(3) == 0
+		for i := range v {
+			w := rng.Uint64()
+			if w&0x7ff0000000000000 == 0x7ff0000000000000 {
+				w &^= 1 << 62 // keep the draw finite
+			}
+			if dirty && rng.Intn(8) == 0 {
+				w |= 0x7ff0000000000000
+			}
+			v[i] = math.Float64frombits(w)
+		}
+		if got, want := allFinite(v), refFinite(v); got != want {
+			t.Fatalf("trial %d (len %d, offset %d): allFinite %v, reference %v", trial, len(v), off, got, want)
+		}
+	}
+}
+
+// FuzzFiniteScan: on arbitrary bit patterns, at any offset into a buffer,
+// the block scan and the per-element reference give the same verdict.
+func FuzzFiniteScan(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0xFF}, 40), uint8(1))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, 9), uint8(3))
+	f.Add(bytes.Repeat([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}, 13), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, skip uint8) {
+		v := make([]float64, len(data)/8)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		if int(skip) < len(v) {
+			v = v[skip:]
+		}
+		if got, want := allFinite(v), refFinite(v); got != want {
+			t.Fatalf("allFinite %v, reference %v on %x", got, want, data)
+		}
+	})
+}
+
+// gzipBytes compresses b, optionally with a gzip header extra field.
+func gzipBytes(t *testing.T, b, extra []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Extra = extra
+	if _, err := zw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGzipBombs: a small compressed body may not inflate past the limit the
+// uncompressed body is held to. JSON is refused with 413 mid-stream; the
+// binary decoder only ever reads the lengths its header implies, so there
+// the surplus is a framing error after a bounded read.
+func TestGzipBombs(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, MaxDim: 8})
+	limit := jsonBodyLimit(8)
+
+	jsonBomb := gzipBytes(t, []byte(`{"a_rows":1,"a_cols":1,"b_rows":1,"b_cols":1,"b":[1],"a":[`+
+		strings.Repeat("0,", int(limit))+`0]}`), nil)
+	valid, err := EncodeBinaryRequest(&MultiplyRequest{ARows: 2, ACols: 2, A: make([]float64, 4), BRows: 2, BCols: 2, B: make([]float64, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binBomb := gzipBytes(t, append(valid, make([]byte, 4<<20)...), nil)
+
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+		want              int
+		msg               string
+	}{
+		{"json", ContentTypeJSON, jsonBomb, http.StatusRequestEntityTooLarge, "request body too large"},
+		{"binary", ContentTypeBinary, binBomb, http.StatusBadRequest, "trailing bytes after request body"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if int64(len(tc.body)) >= limit/8 {
+				t.Fatalf("bomb is %d bytes compressed: not small against the %d-byte limit", len(tc.body), limit)
+			}
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(tc.body))
+			r.Header.Set("Content-Type", tc.contentType)
+			r.Header.Set("Content-Encoding", "gzip")
+			s.Handler().ServeHTTP(w, r)
+			if w.Code != tc.want || !strings.Contains(w.Body.String(), tc.msg) {
+				t.Fatalf("status %d, want %d with %q (body: %s)", w.Code, tc.want, tc.msg, w.Body.String())
+			}
+		})
+	}
+}
+
+// TestBodyLimitCauseIs413 pins how a body-limit overrun is recognised: by
+// the *http.MaxBytesError in the failure's chain, wherever on either wire
+// it struck, not by the text of the message.
+func TestBodyLimitCauseIs413(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, MaxDim: 8})
+	valid, err := EncodeBinaryRequest(&MultiplyRequest{ARows: 2, ACols: 2, A: make([]float64, 4), BRows: 2, BCols: 2, B: make([]float64, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Through the handler, binary wire: a gzip header whose extra field alone
+	// outgrows binBodyLimit strikes the limit before the first payload byte.
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/v1/multiply",
+		bytes.NewReader(gzipBytes(t, valid, make([]byte, 2*binBodyLimit(8)))))
+	r.Header.Set("Content-Type", ContentTypeBinary)
+	r.Header.Set("Content-Encoding", "gzip")
+	s.Handler().ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized gzip header on the binary wire: status %d, want 413 (body: %s)", w.Code, w.Body.String())
+	}
+
+	// In the decoders: the limit striking mid-operand (binary) or mid-value
+	// (JSON) stays reachable through errors.As, message untouched.
+	limited := func(b []byte, n int64) io.Reader {
+		return http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(b)), n)
+	}
+	jsonBody, _ := json.Marshal(randReq(2, 2, 2, 1))
+	for name, werr := range map[string]*wireError{
+		"binary": decodeBinaryRequest(limited(valid, binReqHeaderLen+20), -1, 8, &bufPool{}, nil, &wireRequest{}),
+		"json":   decodeJSONRequest(limited(jsonBody, 30), nil, &wireRequest{}),
+	} {
+		var mbe *http.MaxBytesError
+		if werr == nil || !errors.As(werr, &mbe) {
+			t.Fatalf("%s: a body-limit overrun lost its cause: %v", name, werr)
+		}
+		if werr.status != http.StatusBadRequest || !strings.Contains(werr.Error(), "request body too large") {
+			t.Fatalf("%s: decoder returned status %d %q", name, werr.status, werr)
+		}
+	}
+	// And an ordinary truncation is not a 413.
+	var mbe *http.MaxBytesError
+	if werr := decodeBinaryRequest(bytes.NewReader(valid[:60]), -1, 8, &bufPool{}, nil, &wireRequest{}); werr == nil || errors.As(werr, &mbe) {
+		t.Fatalf("plain truncation: %v", werr)
+	}
 }

@@ -1,9 +1,9 @@
 package server
 
 // Content addressing for the serving layer. Every operand is identified
-// by the SHA-256 of its shape-prefixed little-endian byte image — a
-// wire-independent digest, so the same matrix sent over JSON and over the
-// binary wire hashes identically. On top of the digests sit two
+// by a keyed 128-bit digest of its shape and native float64 image (see
+// digester) — wire-independent, so the same matrix sent over JSON and over
+// the binary wire digests identically. On top of the digests sit two
 // structures:
 //
 //   - resultCache: a bounded LRU keyed by the full multiply identity
@@ -27,10 +27,11 @@ package server
 
 import (
 	"container/list"
-	"crypto/sha256"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 	"sync"
 	"time"
@@ -40,52 +41,55 @@ import (
 	"srumma/internal/obs"
 )
 
-// digest is a SHA-256 content address.
-type digest = [32]byte
+// digest is a keyed 128-bit content address: an opaque token, equal for
+// equal content within one server process and meaningless outside it.
+type digest = [16]byte
 
-// digester bundles a SHA-256 state with scratch space for the shape prefix
-// and the sum. Pooling the whole bundle keeps steady-state digest
-// computation allocation-free: writing a stack array into hash.Hash (or
-// summing into one) would force it to escape on every call.
+// digester computes AES_k2(GCM_k1.Seal(nonce = shape, plaintext = nil,
+// additionalData = the operand's float64 image)): a hash-then-PRP MAC from
+// the standard library's AES alone, at GHASH speed (several times SHA-256's).
+// GHASH is almost-XOR-universal, not collision resistant against someone who
+// sees its output, so the GCM tag never leaves sum: seen only through the
+// second key, collisions can neither be searched for offline nor solved for
+// from echoed digests — what a shared cache and intern table need.
 type digester struct {
-	h     hash.Hash
-	shape [16]byte
-	sum   [sha256.Size]byte
+	mac cipher.AEAD  // GCM under k1
+	prp cipher.Block // AES under k2
 }
 
-var digesterPool = sync.Pool{New: func() any { return &digester{h: sha256.New()} }}
-
-// digestMatrix content-addresses one operand: SHA-256 over a 16-byte
-// little-endian (rows, cols) prefix followed by the little-endian float64
-// image of data. The shape prefix keeps a 2x8 and an 8x2 with identical
-// elements distinct; the LE image makes the digest equal across wires and
-// hosts.
-func digestMatrix(rows, cols int, data []float64) digest {
-	dg := digesterPool.Get().(*digester)
-	h := dg.h
-	h.Reset()
-	binary.LittleEndian.PutUint64(dg.shape[0:], uint64(rows))
-	binary.LittleEndian.PutUint64(dg.shape[8:], uint64(cols))
-	h.Write(dg.shape[:])
-	if hostLittleEndian {
-		h.Write(floatBytes(data))
-	} else {
-		var chunk [8192]byte
-		for len(data) > 0 {
-			n := len(data)
-			if n > len(chunk)/8 {
-				n = len(chunk) / 8
-			}
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(data[i]))
-			}
-			h.Write(chunk[:8*n])
-			data = data[n:]
-		}
+// newDigester panics on a key that is not an AES key (a bug, never input).
+func newDigester(k1, k2 []byte) *digester {
+	b1, err1 := aes.NewCipher(k1)
+	prp, err2 := aes.NewCipher(k2)
+	if err1 != nil || err2 != nil {
+		panic("server: digester keys must be AES keys")
 	}
-	h.Sum(dg.sum[:0])
-	d := dg.sum
-	digesterPool.Put(dg)
+	mac, err := cipher.NewGCM(b1)
+	if err != nil {
+		panic(err)
+	}
+	return &digester{mac: mac, prp: prp}
+}
+
+// processDigester is keyed once and shared by every Server in the process.
+var processDigester = func() *digester {
+	var k [32]byte
+	if _, err := rand.Read(k[:]); err != nil {
+		panic(err)
+	}
+	return newDigester(k[:16], k[16:])
+}()
+
+// sum content-addresses one operand. The shape rides in the nonce (a 2x8 and
+// an 8x2 with equal elements differ); the image is the host's own float64
+// bytes — keys are per process, there is no other host to agree with.
+func (dg *digester) sum(rows, cols int, data []float64) (d digest) {
+	var buf [12 + 16]byte // nonce | tag; the one allocation (escapes through the cipher interfaces)
+	binary.LittleEndian.PutUint32(buf[0:], uint32(rows))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(cols))
+	tag := dg.mac.Seal(buf[12:12], buf[:12], nil, floatBytes(data))
+	dg.prp.Encrypt(tag, tag)
+	copy(d[:], tag)
 	return d
 }
 
@@ -343,34 +347,27 @@ func (t *blockTable) dedupCount() int64 { return t.dedup.Load() }
 // ---------------------------------------------------------------------------
 // Server-side digest plumbing.
 
-// computeDigests content-addresses wr's operands, interns them in the
-// block table, and builds the request's cache key. dims must already have
-// validated the request. Called only when the cache is enabled.
-func (s *Server) computeDigests(wr *wireRequest, cs core.Case, d core.Dims) cacheKey {
-	wr.digA = digestMatrix(wr.req.ARows, wr.req.ACols, wr.req.A)
-	wr.req.A = s.blocks.intern(wr.digA, wr.req.A, wr.bufs[0])
-	wr.bufs[0] = nil // ownership moved to the block table
-	wr.interned = append(wr.interned, wr.digA)
-
-	wr.digB = digestMatrix(wr.req.BRows, wr.req.BCols, wr.req.B)
-	wr.req.B = s.blocks.intern(wr.digB, wr.req.B, wr.bufs[1])
-	wr.bufs[1] = nil
-	wr.interned = append(wr.interned, wr.digB)
+// computeDigests interns wr's operands under the digests admit computed and
+// builds the request's cache key. dims must already have validated the
+// request. Called only when the cache is enabled.
+func (s *Server) computeDigests(wr *wireRequest, cs core.Case) cacheKey {
+	wr.req.A = s.blocks.intern(wr.dig[0], wr.req.A, wr.bufs[0])
+	wr.req.B = s.blocks.intern(wr.dig[1], wr.req.B, wr.bufs[1])
+	wr.bufs[0], wr.bufs[1] = nil, nil // ownership moved to the block table
+	wr.interned = 2
 
 	key := cacheKey{
-		a:         wr.digA,
-		b:         wr.digB,
+		a:         wr.dig[0],
+		b:         wr.dig[1],
 		cs:        cs,
 		alphaBits: math.Float64bits(wr.req.alpha()),
 		betaBits:  math.Float64bits(wr.req.beta()),
 	}
 	// C only contributes when beta != 0 (otherwise it is never read, and
 	// keying on it would split identical computations).
-	if wr.req.beta() != 0 && len(wr.req.C) > 0 {
-		wr.digC = digestMatrix(d.M, d.N, wr.req.C)
-		key.cIn = wr.digC
+	if wr.req.beta() != 0 {
+		key.cIn = wr.dig[2]
 	}
-	wr.haveDigests = true
 	return key
 }
 

@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"testing"
@@ -63,7 +68,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	}
 
 	// Same operands over the binary wire: digests are computed over the
-	// shape-prefixed LE byte image, not the wire encoding, so this hits too.
+	// decoded operand, not the wire encoding, so this hits too.
 	w := binPost(t, s, req, false, "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("binary status %d: %s", w.Code, w.Body.String())
@@ -304,16 +309,16 @@ func TestDigestCacheLookupAllocs(t *testing.T) {
 	a := mat.Random(64, 64, 5)
 	b := mat.Random(64, 64, 6)
 	c := newTestCache(8, 0, 0)
-	key := cacheKey{a: digestMatrix(64, 64, a.Data), b: digestMatrix(64, 64, b.Data)}
+	key := cacheKey{a: processDigester.sum(64, 64, a.Data), b: processDigester.sum(64, 64, b.Data)}
 	c.put(key, matOf(1, 2, 3), digest{1})
 	avg := testing.AllocsPerRun(100, func() {
-		k := cacheKey{a: digestMatrix(64, 64, a.Data), b: digestMatrix(64, 64, b.Data)}
+		k := cacheKey{a: processDigester.sum(64, 64, a.Data), b: processDigester.sum(64, 64, b.Data)}
 		if _, _, ok := c.get(k); !ok {
 			t.Fatal("lookup missed")
 		}
 	})
-	// The sha256 digest state is pooled; the only tolerated allocations are
-	// the hash.Sum escape (one per digest).
+	// The only tolerated allocation is the nonce+tag scratch that escapes
+	// through the cipher interfaces (one per digest).
 	if avg > 2 {
 		t.Fatalf("digest+lookup allocates %.1f objects/op, want <= 2", avg)
 	}
@@ -353,5 +358,150 @@ func TestMetricsWireAndCacheSnapshot(t *testing.T) {
 	// is strictly larger than the 48-byte header + 1024 bytes of floats.
 	if bw.BytesInP50 >= jw.BytesInP50 {
 		t.Fatalf("binary request body (%g) not smaller than JSON (%g)", bw.BytesInP50, jw.BytesInP50)
+	}
+}
+
+// flipBit returns a copy of v with one bit of element pos inverted.
+func flipBit(v []float64, pos int, bit uint) []float64 {
+	out := append([]float64(nil), v...)
+	out[pos] = math.Float64frombits(math.Float64bits(out[pos]) ^ 1<<bit)
+	return out
+}
+
+// TestDigestProperties pins what the cache and the intern table rely on:
+// equal content digests equally, and shape, every element position and the
+// sign of zero are all bound.
+func TestDigestProperties(t *testing.T) {
+	dg := processDigester
+	elems := mat.Random(2, 8, 11).Data
+	if dg.sum(2, 8, elems) != dg.sum(2, 8, append([]float64(nil), elems...)) {
+		t.Fatal("equal content digested differently")
+	}
+	if dg.sum(2, 8, elems) == dg.sum(8, 2, elems) {
+		t.Fatal("2x8 and 8x2 with equal elements share a digest: shape is not bound")
+	}
+	if dg.sum(1, 1, []float64{0}) == dg.sum(1, 1, []float64{math.Copysign(0, -1)}) {
+		t.Fatal("0.0 and -0.0 share a digest")
+	}
+	// One flipped bit anywhere moves the digest: a length-1 operand, one
+	// shorter than a GHASH block pair, and one long enough for the 8-block
+	// assembly stride plus a ragged tail.
+	for _, n := range []int{1, 3, 16, 389} {
+		base := mat.Random(1, n, uint64(20+n)).Data
+		want := dg.sum(1, n, base)
+		for _, pos := range []int{0, n / 2, n - 1} {
+			for _, bit := range []uint{0, 29, 52, 63} {
+				if dg.sum(1, n, flipBit(base, pos, bit)) == want {
+					t.Fatalf("n=%d: flipping bit %d of element %d left the digest unchanged", n, bit, pos)
+				}
+			}
+		}
+	}
+}
+
+// TestDigestKeyedAndNeverTheRawTag builds digesters from fixed keys: two
+// keyings disagree on the same content, and what sum returns is the GCM tag
+// seen through the second key — computed here independently — never the tag
+// itself, which would let a client solve for GHASH collisions.
+func TestDigestKeyedAndNeverTheRawTag(t *testing.T) {
+	k1, k2 := []byte("0123456789abcdef"), []byte("fedcba9876543210")
+	data := mat.Random(5, 7, 31).Data
+	got := newDigester(k1, k2).sum(5, 7, data)
+	if other := newDigester(k2, k1).sum(5, 7, data); other == got {
+		t.Fatal("digesters under different keys agree")
+	}
+
+	blk, err := aes.NewCipher(k1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCM(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := make([]byte, 12)
+	binary.LittleEndian.PutUint32(nonce[0:], 5)
+	binary.LittleEndian.PutUint32(nonce[4:], 7)
+	tag := gcm.Seal(nil, nonce, nil, floatBytes(data))
+	if bytes.Equal(got[:], tag) {
+		t.Fatal("digest is the raw GCM tag")
+	}
+	prp, err := aes.NewCipher(k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 16)
+	prp.Encrypt(want, tag)
+	if !bytes.Equal(got[:], want) {
+		t.Fatalf("digest %x, want AES_k2(tag) = %x", got, want)
+	}
+	if h := hexDigest(got); len(h) != 32 {
+		t.Fatalf("hex digest %q: %d chars, want 32", h, len(h))
+	}
+}
+
+// TestDigestAcrossWiresAndServers: within one process the same matrix
+// digests identically whether it arrived as JSON on one Server or as binary
+// on another, and so does the (deterministic) result.
+func TestDigestAcrossWiresAndServers(t *testing.T) {
+	s1 := newTestServer(t, Config{NProcs: 4, CacheEntries: 4})
+	s2 := newTestServer(t, Config{NProcs: 4, CacheEntries: 4})
+	req := randReq(12, 9, 7, 904)
+	beta := 0.5
+	req.Beta = &beta
+	req.C = mat.Random(12, 7, 905).Data
+
+	var viaJSON MultiplyResponse
+	if code, _ := post(t, s1, req, &viaJSON); code != http.StatusOK {
+		t.Fatalf("json status %d", code)
+	}
+	w := binPost(t, s2, req, false, "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("binary status %d: %s", w.Code, w.Body.String())
+	}
+	if w.Header().Get("X-Srumma-Cached") != "" {
+		t.Fatal("second Server answered from the first one's cache")
+	}
+	for _, p := range []struct{ name, header, json string }{
+		{"a", "X-Srumma-Digest-A", viaJSON.DigestA},
+		{"b", "X-Srumma-Digest-B", viaJSON.DigestB},
+		{"c_in", "X-Srumma-Digest-C-In", viaJSON.DigestCIn},
+		{"result", "X-Srumma-Digest", viaJSON.Digest},
+	} {
+		if got := w.Header().Get(p.header); len(got) != 32 || got != p.json {
+			t.Fatalf("digest %s: binary wire on another Server says %q, JSON wire said %q (want equal 32-char tokens)", p.name, got, p.json)
+		}
+	}
+}
+
+// TestStageHistograms: the server reports what decode, validation and
+// content addressing cost from inside; the digest stage records nothing
+// when the cache is off.
+func TestStageHistograms(t *testing.T) {
+	for _, entries := range []int{4, 0} {
+		s := newTestServer(t, Config{NProcs: 4, CacheEntries: entries})
+		if w := binPost(t, s, randReq(16, 16, 16, 906), false, ""); w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		want := map[string]uint64{"decode": 1, "validate": 1, "digest": 1}
+		if entries == 0 {
+			want["digest"] = 0
+		}
+		stages := s.Metrics().Stages
+		for name, n := range want {
+			if got := stages[name].Count; got != n {
+				t.Fatalf("cache entries %d: stage %q has %d samples, want %d (%+v)", entries, name, got, n, stages)
+			}
+		}
+		var prom bytes.Buffer
+		if err := obs.WritePrometheus(&prom, s.met.reg.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		for name, n := range want {
+			line := fmt.Sprintf("\nserver_%s_ms_count %d\n", name, n)
+			if !bytes.Contains(prom.Bytes(), []byte(line)) {
+				t.Fatalf("cache entries %d: Prometheus surface lacks %q", entries, line)
+			}
+		}
 	}
 }

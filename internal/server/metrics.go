@@ -61,6 +61,10 @@ type MetricsSnapshot struct {
 	// Classes breaks latency down by workload class (interactive/batch).
 	Classes map[string]RouteStats `json:"classes"`
 
+	// Stages is each pre-admission stage's cost from inside: "decode" (read
+	// and parse), "validate" (non-finite scan), "digest" (cache on only).
+	Stages map[string]RouteStats `json:"stages"`
+
 	// Wire breaks request traffic down by wire format ("json"/"binary"):
 	// request counts and bytes on the wire in each direction, with p50/p99
 	// body sizes from streaming histograms.
@@ -139,7 +143,9 @@ type metrics struct {
 	overall   *obs.Histogram
 	routes    map[string]*obs.Histogram
 	classes   map[string]*obs.Histogram
-	rate      obs.RateWindow
+	// decodeRequest's stages, observed in milliseconds as named.
+	decodeMs, validateMs, digestMs *obs.Histogram
+	rate                           obs.RateWindow
 
 	retries        *obs.Counter
 	resumedJobs    *obs.Counter
@@ -189,6 +195,9 @@ func newMetrics(queueCap int) *metrics {
 			sched.ClassInteractive.String(): reg.Histogram("server.latency.class." + sched.ClassInteractive.String()),
 			sched.ClassBatch.String():       reg.Histogram("server.latency.class." + sched.ClassBatch.String()),
 		},
+		decodeMs:       reg.Histogram("server.decode_ms"),
+		validateMs:     reg.Histogram("server.validate_ms"),
+		digestMs:       reg.Histogram("server.digest_ms"),
 		retries:        reg.Counter("recover.retries"),
 		resumedJobs:    reg.Counter("recover.resumed_jobs"),
 		restartedJobs:  reg.Counter("recover.restarted_jobs"),
@@ -314,13 +323,19 @@ func (m *metrics) recentRPS() float64 {
 	return m.rate.RPS(time.Now())
 }
 
-func histStats(h *obs.Histogram) RouteStats {
-	return RouteStats{
-		Count:  h.Count(),
-		P50Ms:  h.Quantile(0.50) * 1e3,
-		P99Ms:  h.Quantile(0.99) * 1e3,
-		MeanMs: h.Mean() * 1e3,
+// histStats reads a family of histograms in milliseconds; toMs is 1e3 for
+// histograms observed in seconds, 1 for ones observed in milliseconds.
+func histStats(hs map[string]*obs.Histogram, toMs float64) map[string]RouteStats {
+	out := make(map[string]RouteStats, len(hs))
+	for name, h := range hs {
+		out[name] = RouteStats{
+			Count:  h.Count(),
+			P50Ms:  h.Quantile(0.50) * toMs,
+			P99Ms:  h.Quantile(0.99) * toMs,
+			MeanMs: h.Mean() * toMs,
+		}
 	}
+	return out
 }
 
 func (m *metrics) snapshot() MetricsSnapshot {
@@ -344,8 +359,9 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		LatencyMeanMs: m.overall.Mean() * 1e3,
 		LatencyMaxMs:  m.overall.Max() * 1e3,
 		RecentRPS:     m.rate.RPS(time.Now()),
-		Routes:        make(map[string]RouteStats, len(m.routes)),
-		Classes:       make(map[string]RouteStats, len(m.classes)),
+		Routes:        histStats(m.routes, 1e3),
+		Classes:       histStats(m.classes, 1e3),
+		Stages:        histStats(map[string]*obs.Histogram{"decode": m.decodeMs, "validate": m.validateMs, "digest": m.digestMs}, 1),
 		Sched:         &ss,
 		Recovery: RecoveryStats{
 			Retries:          uint64(m.retries.Load()),
@@ -360,12 +376,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	if up > 0 {
 		s.ThroughputRPS = float64(s.Completed) / up
 		s.GFlopsServed = s.FlopsTotal / up / 1e9
-	}
-	for name, h := range m.routes {
-		s.Routes[name] = histStats(h)
-	}
-	for name, h := range m.classes {
-		s.Classes[name] = histStats(h)
 	}
 	return s
 }

@@ -195,7 +195,7 @@ type Config struct {
 	ClusterHeartbeat time.Duration
 
 	// CacheEntries enables the content-addressed result cache when > 0:
-	// operands are SHA-256 digested at decode, identical requests are
+	// operands get a keyed 128-bit digest at decode, identical requests are
 	// served bit-identical results from a bounded LRU without touching
 	// the scheduler or engine, and repeated operands are interned so
 	// concurrent requests share one canonical buffer. 0 (the default)
@@ -321,9 +321,10 @@ type Server struct {
 	jobs     sync.WaitGroup // in-flight multiply handlers
 
 	// pool recycles the 64-byte-aligned operand buffers the binary wire
-	// decodes into; blocks interns operands by content digest and cache is
-	// the bounded LRU result store (both nil unless CacheEntries > 0).
+	// decodes into; dg content-addresses operands, blocks interns them and
+	// cache is the bounded LRU result store (all nil unless CacheEntries > 0).
 	pool   *bufPool
+	dg     *digester
 	cache  *resultCache
 	blocks *blockTable
 
@@ -377,6 +378,7 @@ func New(cfg Config) (*Server, error) {
 		pool: &operandBufs,
 	}
 	if cfg.CacheEntries > 0 {
+		s.dg = processDigester
 		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, s.met.reg)
 		s.blocks = newBlockTable(s.pool, s.met.reg)
 	}
@@ -699,8 +701,7 @@ type reqEnv struct {
 	respWire string // wireJSON or wireBinary, from Accept (default: mirror the request)
 	gzipOut  bool   // gzip the (binary) response body
 
-	key     cacheKey
-	haveKey bool
+	key cacheKey // set when the cache is on
 }
 
 func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
@@ -719,7 +720,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	}
 	wr, werr := s.decodeRequest(w, r)
 	if werr != nil {
-		writeJSON(w, werr.status, ErrorResponse{Error: werr.msg})
+		writeJSON(w, werr.status, ErrorResponse{Error: werr.Error()})
 		return
 	}
 	// Pooled and interned operand storage is recycled when the handler
@@ -755,13 +756,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	env := &reqEnv{wr: wr, cs: cs, d: d, cls: cls, timeout: timeout, traced: traced}
 	env.respWire, env.gzipOut = s.negotiateRespWire(r, wr)
 
-	// Content addressing: digest the operands, intern them (repeated
-	// operands collapse onto one canonical buffer), and probe the result
-	// cache. A hit is served straight from memory — bit-identical to a
-	// fresh compute — without touching admission, scheduler, or engine.
+	// Content addressing: intern the operands under their decode-time
+	// digests (repeats collapse onto one canonical buffer) and probe the
+	// result cache. A hit is served straight from memory — bit-identical to
+	// a fresh compute — without touching admission, scheduler, or engine.
 	if s.cache != nil {
-		env.key = s.computeDigests(wr, cs, d)
-		env.haveKey = true
+		env.key = s.computeDigests(wr, cs)
 		if out, dig, ok := s.cache.get(env.key); ok {
 			s.serveCacheHit(w, env, t0, out, dig)
 			return
@@ -892,22 +892,26 @@ func (s *Server) writeErr(w http.ResponseWriter, env *reqEnv, status int, eresp 
 func (s *Server) serveCacheHit(w http.ResponseWriter, env *reqEnv, t0 time.Time, out mat.Matrix, dig digest) {
 	s.met.admit()
 	resp := &MultiplyResponse{
-		ID:      env.wr.req.ID,
-		Rows:    env.d.M,
-		Cols:    env.d.N,
-		C:       out.Data,
-		Route:   routeCache,
-		Class:   env.cls.String(),
-		Cached:  true,
-		DigestA: hexDigest(env.wr.digA),
-		DigestB: hexDigest(env.wr.digB),
-		Digest:  hexDigest(dig),
+		ID:     env.wr.req.ID,
+		Rows:   env.d.M,
+		Cols:   env.d.N,
+		C:      out.Data,
+		Route:  routeCache,
+		Class:  env.cls.String(),
+		Cached: true,
 	}
-	if env.key.cIn != (digest{}) {
-		resp.DigestCIn = hexDigest(env.wr.digC)
-	}
+	env.stampDigests(resp, dig)
 	s.met.finish(routeCache, env.cls.String(), "ok", time.Since(t0), 0)
 	s.writeOK(w, env, resp)
+}
+
+// stampDigests attaches the digest chain: the operands as decoded, and the
+// result as served.
+func (env *reqEnv) stampDigests(resp *MultiplyResponse, result digest) {
+	resp.DigestA, resp.DigestB, resp.Digest = hexDigest(env.wr.dig[0]), hexDigest(env.wr.dig[1]), hexDigest(result)
+	if env.key.cIn != (digest{}) {
+		resp.DigestCIn = hexDigest(env.key.cIn)
+	}
 }
 
 // storeResult content-addresses a fresh result, stamps the response's
@@ -915,16 +919,11 @@ func (s *Server) serveCacheHit(w http.ResponseWriter, env *reqEnv, t0 time.Time,
 // freshly allocated matrix (mat.New or engine Gather output) — never
 // pooled request storage — so the cache can own its backing array.
 func (s *Server) storeResult(env *reqEnv, out *mat.Matrix, resp *MultiplyResponse) {
-	if !env.haveKey || out == nil {
+	if s.cache == nil || out == nil {
 		return
 	}
-	dig := digestMatrix(resp.Rows, resp.Cols, out.Data)
-	resp.DigestA = hexDigest(env.wr.digA)
-	resp.DigestB = hexDigest(env.wr.digB)
-	if env.key.cIn != (digest{}) {
-		resp.DigestCIn = hexDigest(env.wr.digC)
-	}
-	resp.Digest = hexDigest(dig)
+	dig := s.dg.sum(resp.Rows, resp.Cols, out.Data)
+	env.stampDigests(resp, dig)
 	s.cache.put(env.key, *out, dig)
 }
 

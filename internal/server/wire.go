@@ -75,11 +75,12 @@ type MultiplyResponse struct {
 	Batch int `json:"batch,omitempty"`
 
 	// Digest chain (present when the server runs with the result cache
-	// enabled): SHA-256 content addresses of the operands as decoded and
-	// of the result as served, hex-encoded. DigestCIn is set only when
-	// beta != 0 (C unread otherwise). A client can verify end to end that
-	// the served bytes are the multiply of exactly the operands it sent,
-	// and that a cached result digests identically to a fresh compute.
+	// enabled): keyed 128-bit content addresses of the operands as decoded
+	// and of the result as served, hex-encoded — opaque tokens, comparable
+	// with each other for the life of one server process and with nothing
+	// else. DigestCIn is set only when beta != 0 (C unread otherwise). A
+	// client can check that two requests carried the same operand, and
+	// that a cached result digests identically to a fresh compute.
 	DigestA   string `json:"digest_a,omitempty"`
 	DigestB   string `json:"digest_b,omitempty"`
 	DigestCIn string `json:"digest_c_in,omitempty"`
@@ -114,6 +115,14 @@ func parseCase(s string) (core.Case, error) {
 	return 0, fmt.Errorf("unknown case %q (want NN, TN, NT or TT)", s)
 }
 
+// opShape is the shape of op(X) for a stored rows x cols X.
+func opShape(trans bool, rows, cols int) (int, int) {
+	if trans {
+		return cols, rows
+	}
+	return rows, cols
+}
+
 // dims derives (M, N, K) from the stored shapes under the transpose case
 // and validates the request, enforcing maxDim as the resource-protection
 // bound.
@@ -132,14 +141,8 @@ func (r *MultiplyRequest) dims(cs core.Case, maxDim int) (core.Dims, error) {
 	if len(r.B) != r.BRows*r.BCols {
 		return core.Dims{}, fmt.Errorf("b has %d elements, want b_rows*b_cols = %d", len(r.B), r.BRows*r.BCols)
 	}
-	m, k := r.ARows, r.ACols
-	if cs.TransA() {
-		m, k = r.ACols, r.ARows
-	}
-	kb, n := r.BRows, r.BCols
-	if cs.TransB() {
-		kb, n = r.BCols, r.BRows
-	}
+	m, k := opShape(cs.TransA(), r.ARows, r.ACols)
+	kb, n := opShape(cs.TransB(), r.BRows, r.BCols)
 	if k != kb {
 		return core.Dims{}, fmt.Errorf("inner dimensions disagree: op(A) is %dx%d, op(B) is %dx%d", m, k, kb, n)
 	}
