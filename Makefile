@@ -151,13 +151,17 @@ cluster-smoke:
 # Hierarchical (two-level) multiplication gate, race-enabled: a two-group
 # run on the sim and ipc engines. The property tests pin hier-vs-flat
 # BIT-identity across all four transpose cases on the armci and ipc
-# engines, the sim test pins measured remote volume == the analytic
+# engines — staged regions read in place and copied out, member fetches,
+# the pooled (poisoned) band, cancel/resume, ABFT and transfer faults on
+# band views — the sim test pins measured remote volume == the analytic
 # per-level prediction for both paths, the serving tests cover the hier
-# route end to end including the kill-one-group chaos resume, and the
-# flat-vs-hier volume sweep must still find its crossover.
+# route end to end including the kill-one-group chaos resume and the
+# staged/member-fetched counters, and the flat-vs-hier volume sweep must
+# still find its crossover.
 hier-smoke:
 	$(GO) test -race -count=1 ./internal/hier
-	$(GO) test -race -count=1 -run 'TestHierIPCBitIdentical' ./internal/ipcrt
+	$(GO) test -race -count=1 -run 'TestExecutorMultipliesHeldRegionsInPlace' ./internal/core
+	$(GO) test -race -count=1 -run 'TestHierIPC' ./internal/ipcrt
 	$(GO) test -race -count=1 -run 'TestHierServe' ./internal/server
 	$(GO) run ./cmd/srumma-bench -hier -quick | grep -q 'crossover: hierarchical volume strictly beats flat'
 	@echo "hier-smoke: PASS (two-level bit-identical to flat on armci+ipc under -race, volume crossover reproduced)"

@@ -294,7 +294,7 @@ func main() {
 			}
 			emit("hier", doc, bench.FormatHier(doc))
 			if *hierOut != "" {
-				buf, err := json.MarshalIndent(map[string]any{"hier_sweep": doc}, "", "  ")
+				buf, err := json.MarshalIndent(map[string]any{"env": bench.CurrentEnv(), "hier_sweep": doc}, "", "  ")
 				if err != nil {
 					return err
 				}

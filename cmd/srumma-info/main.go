@@ -114,7 +114,7 @@ func show(p machine.Profile) {
 	// communication volume next to the flat pipeline's.
 	fmt.Printf("  two-level topology (chosen by hier.Choose), N=2000:\n")
 	fmt.Printf("    %6s %10s %12s %14s %14s %14s\n",
-		"P", "grid", "groups", "flat remote", "outer remote", "band copies")
+		"P", "grid", "groups", "flat remote", "outer remote", "staged")
 	for _, procs := range []int{4, 16, 64} {
 		topo := rt.Topology{
 			NProcs:             procs,
@@ -131,7 +131,7 @@ func show(p machine.Profile) {
 		v := hier.PredictVolumes(ht, d, hier.Options{})
 		fmt.Printf("    %6d %10s %6d x %dx%d %14d %14d %14d\n",
 			procs, fmt.Sprintf("%dx%d", ht.Grid.P, ht.Grid.Q),
-			ht.NumGroups(), gr, gc, v.FlatRemote, v.OuterRemote, v.InnerCopy)
+			ht.NumGroups(), gr, gc, v.FlatRemote, v.OuterRemote, v.Staged)
 	}
 	fmt.Println()
 }

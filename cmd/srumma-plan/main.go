@@ -128,8 +128,10 @@ func main() {
 
 // printHier reports the two-level carving: the group grid, this rank's
 // group and intra-group shape, the predicted communication volume per
-// level (outer staged gets vs the flat pipeline's), and the rank's group
-// panel schedule in outer (group-level diagonal-shifted) order.
+// level (the group union against the flat pipeline's, split into what is
+// staged once and what its only consumer fetches — hier pays only where the
+// first is not zero), and the rank's group panel schedule in outer
+// (group-level diagonal-shifted) order.
 func printHier(topo rt.Topology, g *grid.Grid, rank int, d core.Dims, opts core.Options) {
 	ht := hier.From(topo, g)
 	fmt.Printf("\ntwo-level topology:\n")
@@ -146,13 +148,14 @@ func printHier(topo rt.Topology, g *grid.Grid, rank int, d core.Dims, opts core.
 	v := hier.PredictVolumes(ht, d, hier.Options{Options: opts})
 	fmt.Printf("  predicted comm volume (elements):\n")
 	fmt.Printf("    flat:  %12d remote  %12d shared\n", v.FlatRemote, v.FlatShared)
-	fmt.Printf("    hier:  %12d remote (outer staged)  %12d shared  %12d band copies (inner)\n",
-		v.OuterRemote, v.OuterShared, v.InnerCopy)
+	fmt.Printf("    hier:  %12d remote  %12d shared\n", v.OuterRemote, v.OuterShared)
+	fmt.Printf("           %12d staged once per group  %12d fetched by their only consumer  %12d band copy-outs\n",
+		v.Staged, v.MemberFetch, v.InnerCopy)
 
 	panels := hier.Schedule(ht, grp, d, hier.Options{Options: opts})
 	fmt.Printf("  group %d outer panel schedule (%d panels):\n", grp, len(panels))
 	for i, p := range panels {
-		fmt.Printf("    panel %2d: owner group %2d, %3d regions, %9d elements\n",
-			i, p.OwnerGroup, len(p.Regions), p.Elems)
+		fmt.Printf("    panel %2d: owner group %2d, %3d regions, %9d elements, %9d staged\n",
+			i, p.OwnerGroup, len(p.Regions), p.Elems, p.Staged)
 	}
 }

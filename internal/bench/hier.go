@@ -4,14 +4,14 @@ package bench
 // (internal/hier) across process counts on the virtual-time engine. Both
 // paths run the SAME inner task list, so the comparison isolates data
 // movement: the flat double-buffered pipeline's per-rank remote gets vs
-// the outer level's deduplicated group staging plus intra-group band
-// copies. The sweep reports measured remote bytes (which the sim engine
-// charges exactly — they equal hier.PredictVolumes * 8), modeled wall
-// time, and the crossover: the smallest P where the hierarchical volume
-// strictly beats flat. Below the crossover each shared-memory domain
-// coincides with one grid row/column and no two node-mates want the same
-// remote region, so staging has nothing to deduplicate and the volumes
-// tie.
+// the outer level's group union — shared regions staged once, the rest
+// fetched by their only consumer. The sweep reports measured remote bytes
+// (which the sim engine charges exactly — they equal hier.PredictVolumes
+// * 8), modeled wall time, and the crossover: the smallest P where the
+// hierarchical volume strictly beats flat. Below the crossover each
+// shared-memory domain coincides with one grid row/column and no two
+// node-mates want the same remote region, so nothing is staged and the
+// volumes tie.
 
 import (
 	"fmt"
@@ -56,7 +56,7 @@ type HierSweepDoc struct {
 	// CrossoverP is the smallest swept P where the hierarchical remote
 	// volume strictly beats flat (0 = never within the sweep). Below it
 	// the two tie: groups coincide with single grid rows/columns and the
-	// outer staging has nothing to deduplicate.
+	// outer level has nothing to deduplicate.
 	CrossoverP int `json:"crossover_p"`
 
 	Rows []HierRow `json:"rows"`

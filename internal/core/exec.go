@@ -63,12 +63,16 @@ func bRegion(t *Task, g rt.Global) fetchItem {
 }
 
 // operandView is the Gemm operand for a task's piece of A or B: the fetched
-// copy packed tight in buf or, when buf is nil (a direct operand), the
-// piece in place inside its owner's segment.
-func operandView(c rt.Ctx, g rt.Global, reg fetchItem, buf rt.Buffer, trans bool) rt.Mat {
+// copy packed tight in buf or, when buf is nil (nothing was fetched), the
+// piece where staged holds it or in place inside its owner's segment.
+func operandView(c rt.Ctx, g rt.Global, staged inPlacer, reg fetchItem, buf rt.Buffer, trans bool) rt.Mat {
 	m := rt.Mat{Buf: buf, LD: reg.cols, Rows: reg.rows, Cols: reg.cols, Trans: trans}
 	if buf != nil {
 		return m
+	}
+	if v, held := inPlace(staged, g, reg); held {
+		v.Trans = trans
+		return v
 	}
 	m.Off, m.LD = reg.off, reg.ld
 	if reg.owner == c.Rank() {
@@ -87,14 +91,14 @@ func sameRegion(a, b fetchItem) bool {
 // the sequence of distinct blocks to fetch (consecutive tasks reusing a
 // block share one fetch, which is the paper's buffer-reuse optimization)
 // plus, per task, the fetch index it depends on (-1 when the operand is
-// accessed directly).
+// accessed directly or, under staged, already readable in place).
 type schedule struct {
 	items  []fetchItem
 	ofTask []int // fetch index per task, -1 = direct
 	need   []int // running max fetch index needed through each task
 }
 
-func buildSchedule(tasks []Task, slots int, g rt.Global, region func(*Task, rt.Global) fetchItem, direct func(*Task) bool) schedule {
+func buildSchedule(tasks []Task, slots int, g rt.Global, staged inPlacer, region func(*Task, rt.Global) fetchItem, direct func(*Task) bool) schedule {
 	s := schedule{
 		ofTask: make([]int, len(tasks)),
 		need:   make([]int, len(tasks)),
@@ -103,7 +107,7 @@ func buildSchedule(tasks []Task, slots int, g rt.Global, region func(*Task, rt.G
 	for ti := range tasks {
 		t := &tasks[ti]
 		reg := region(t, g)
-		if direct(t) {
+		if _, held := inPlace(staged, g, reg); held || direct(t) {
 			s.ofTask[ti] = -1
 		} else if n := len(s.items); n > 0 && sameRegion(s.items[n-1], reg) {
 			// The most recently fetched region is the one we need: reuse
@@ -125,6 +129,18 @@ func buildSchedule(tasks []Task, slots int, g rt.Global, region func(*Task, rt.G
 		s.need[ti] = run
 	}
 	return s
+}
+
+// fetchSchedules derives both operands' schedules from a rank's task list
+// as its static executor issues them; what staged holds is not fetched.
+func fetchSchedules(tasks []Task, opts Options, ga, gb rt.Global, staged inPlacer) (nbuf int, sa, sb schedule) {
+	nbuf = 2
+	if opts.SingleBuffer {
+		nbuf = 1
+	}
+	sa = buildSchedule(tasks, nbuf, ga, staged, aRegion, func(t *Task) bool { return t.ADirect })
+	sb = buildSchedule(tasks, nbuf, gb, staged, bRegion, func(t *Task) bool { return t.BDirect })
+	return nbuf, sa, sb
 }
 
 func (s *schedule) maxElems() int {
@@ -209,6 +225,23 @@ type rankHealth interface {
 	Degraded() bool
 }
 
+// inPlacer is the capability a staging layer (internal/hier's group band)
+// exposes to the static executor, discovered like rankHealth: InPlace takes
+// NbGetSub's description of a region and, when it is already readable where
+// it lies, returns that view, packed tight. Under FlavorDirect such a region
+// is multiplied from there like an in-domain block of A or B — nothing
+// issued, no scratch taken for it; FlavorCopy never asks, and fetches it.
+type inPlacer interface {
+	InPlace(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, bool)
+}
+
+func inPlace(s inPlacer, g rt.Global, reg fetchItem) (rt.Mat, bool) {
+	if s == nil {
+		return rt.Mat{}, false
+	}
+	return s.InPlace(g, reg.owner, reg.off, reg.ld, reg.rows, reg.cols)
+}
+
 // execTasks runs the ordered task list; ldc is the leading dimension of
 // this rank's own block of C.
 func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, ldc int, lg *Ledger) error {
@@ -243,13 +276,14 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 		ab = newABFTState(c, opts.ABFTTol)
 	}
 
-	nbuf := 2
-	if opts.SingleBuffer {
-		nbuf = 1
+	var staged inPlacer
+	if opts.Flavor == FlavorDirect {
+		staged, _ = c.(inPlacer)
 	}
+	nbuf, sa, sb := fetchSchedules(tasks, opts, ga, gb, staged)
 	rec := rt.FindRecorder(c)
-	pa := newPipe(c, rec, ga, nbuf, buildSchedule(tasks, nbuf, ga, aRegion, func(t *Task) bool { return t.ADirect }))
-	pb := newPipe(c, rec, gb, nbuf, buildSchedule(tasks, nbuf, gb, bRegion, func(t *Task) bool { return t.BDirect }))
+	pa := newPipe(c, rec, ga, nbuf, sa)
+	pb := newPipe(c, rec, gb, nbuf, sb)
 	// Warm the pipeline: with double buffering both buffers may be filled
 	// before any compute, so the first remote transfers hide behind the
 	// shared-memory tasks at the head of the list (paper §3.1 step 2).
@@ -271,8 +305,8 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 		lookahead := !opts.SingleBuffer && ti+1 < len(tasks)
 		pa.issue(pa.target(ti, lookahead))
 		pb.issue(pb.target(ti, lookahead))
-		aMat := operandView(c, ga, aRegion(t, ga), pa.ready(ti), transA)
-		bMat := operandView(c, gb, bRegion(t, gb), pb.ready(ti), transB)
+		aMat := operandView(c, ga, staged, aRegion(t, ga), pa.ready(ti), transA)
+		bMat := operandView(c, gb, staged, bRegion(t, gb), pb.ready(ti), transB)
 
 		cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
 		taskBeta := 1.0
@@ -301,18 +335,20 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 }
 
 // pipe is one operand's half of the static pipeline: its fetch schedule,
-// the Global the fetches read, and the buffers they cycle through.
+// the Global the fetches read, and the nbuf buffers (taken at the first
+// fetch) they cycle through.
 type pipe struct {
 	c      rt.Ctx
 	rec    *obs.Recorder
 	g      rt.Global
+	nbuf   int
 	s      schedule
 	bufs   []rt.Buffer
 	issued int // last item put in flight
 }
 
 func newPipe(c rt.Ctx, rec *obs.Recorder, g rt.Global, nbuf int, s schedule) *pipe {
-	return &pipe{c: c, rec: rec, g: g, s: s, bufs: scratch(c, nbuf, s.maxElems()), issued: -1}
+	return &pipe{c: c, rec: rec, g: g, nbuf: nbuf, s: s, issued: -1}
 }
 
 // scratch returns nbuf communication buffers, none when nothing is fetched.
@@ -330,6 +366,9 @@ func scratch(c rt.Ctx, nbuf, elems int) (bufs []rt.Buffer) {
 func (p *pipe) issue(upTo int) {
 	if p.issued >= upTo {
 		return
+	}
+	if p.bufs == nil {
+		p.bufs = scratch(p.c, p.nbuf, p.s.maxElems())
 	}
 	t0 := p.rec.SpanStart()
 	for p.issued < upTo {

@@ -5,13 +5,13 @@ package core
 //
 // A flat SRUMMA rank fetches every non-direct operand sub-block itself, so
 // ranks that share a node repeatedly pull the same remote region over the
-// interconnect. The hierarchical outer level instead stages the UNION of a
-// group's fetch regions once per group. The exported plan here is that
-// union: the exact (matrix, owner, off, ld, rows, cols) tuples group
-// members' executors will request, deduplicated, in deterministic
-// first-need order. Because the tuples are derived from the same Task
-// geometry the executor uses, a staged copy can be substituted for the
-// engine fetch byte-for-byte.
+// interconnect. The hierarchical outer level instead stages what a group's
+// members share once per group. The exported plan here is the union of
+// their fetches: the exact (matrix, owner, off, ld, rows, cols) tuples group
+// members' executors will request, deduplicated and counted, in
+// deterministic first-need order. Because the tuples are derived from the
+// same Task geometry the executor uses, a staged copy can be substituted for
+// the engine fetch byte-for-byte.
 
 import (
 	"srumma/internal/grid"
@@ -51,12 +51,7 @@ func regionOf(matrix int, it fetchItem) FetchRegion {
 // (remote or intra-domain copy, depending on each owner).
 func RankFetches(topo rt.Topology, me int, g *grid.Grid, d Dims, opts Options) []FetchRegion {
 	tasks := Plan(topo, me, g, d, opts)
-	nbuf := 2
-	if opts.SingleBuffer {
-		nbuf = 1
-	}
-	sa := buildSchedule(tasks, nbuf, nil, aRegion, func(t *Task) bool { return t.ADirect })
-	sb := buildSchedule(tasks, nbuf, nil, bRegion, func(t *Task) bool { return t.BDirect })
+	_, sa, sb := fetchSchedules(tasks, opts, nil, nil, nil)
 	out := make([]FetchRegion, 0, len(sa.items)+len(sb.items))
 	for _, it := range sa.items {
 		out = append(out, regionOf(MatA, it))
@@ -67,33 +62,51 @@ func RankFetches(topo rt.Topology, me int, g *grid.Grid, d Dims, opts Options) [
 	return out
 }
 
+// GroupRegion is one region of a group's fetch plan and how often the
+// members' flat executors would fetch it between them.
+type GroupRegion struct {
+	FetchRegion
+	Fetches int
+}
+
+// Shared reports whether staging the region once for the group removes
+// traffic: two members need it, or one would fetch it twice. Fetched once,
+// it is left to its only consumer, who overlaps the fetch with compute.
+func (r GroupRegion) Shared() bool { return r.Fetches > 1 }
+
 // GroupFetchPlan plans against the sub-grid owned by group grp (per
 // topo.GroupRanks): it returns the deduplicated union of the fetch regions
 // every member's executor will request from the operands ga and gb (nil =
-// stored tight), in first-need order (members ascending, each member's task
-// order within). The result is what the
-// hierarchical outer level stages into the group's shared band; dedup
-// across members is exactly the inter-group communication the two-level
+// stored tight), in first-need order (members ascending, each member's
+// issue order within), each with its fetch count. Staging the Shared ones
+// once per group is exactly the inter-group communication the two-level
 // scheme saves over flat SRUMMA.
-func GroupFetchPlan(topo rt.Topology, grp int, g *grid.Grid, d Dims, opts Options, ga, gb rt.Global) []FetchRegion {
+func GroupFetchPlan(topo rt.Topology, grp int, g *grid.Grid, d Dims, opts Options, ga, gb rt.Global) []GroupRegion {
 	lo, hi := topo.GroupRanks(grp)
-	seen := make(map[FetchRegion]bool)
-	var out []FetchRegion
+	at := make(map[FetchRegion]int)
+	var out []GroupRegion
 	add := func(r FetchRegion) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
+		i, ok := at[r]
+		if !ok {
+			i = len(out)
+			at[r] = i
+			out = append(out, GroupRegion{FetchRegion: r})
 		}
+		out[i].Fetches++
 	}
 	for m := lo; m < hi; m++ {
 		tasks := Plan(topo, m, g, d, opts)
+		_, sa, sb := fetchSchedules(tasks, opts, ga, gb, nil)
+		// A task's fetch index beyond every earlier one is a new issue.
+		ia, ib := -1, -1
 		for ti := range tasks {
-			t := &tasks[ti]
-			if !t.ADirect {
-				add(regionOf(MatA, aRegion(t, ga)))
+			if fi := sa.ofTask[ti]; fi > ia {
+				ia = fi
+				add(regionOf(MatA, sa.items[fi]))
 			}
-			if !t.BDirect {
-				add(regionOf(MatB, bRegion(t, gb)))
+			if fi := sb.ofTask[ti]; fi > ib {
+				ib = fi
+				add(regionOf(MatB, sb.items[fi]))
 			}
 		}
 	}

@@ -144,8 +144,8 @@ func execTasksResilient(c rt.Ctx, health rankHealth, tasks []Task, opts Options,
 			c.Wait(f.hb)
 			bufB = bufsB[f.slot]
 		}
-		aMat := operandView(c, ga, aRegion(t, ga), bufA, transA)
-		bMat := operandView(c, gb, bRegion(t, gb), bufB, transB)
+		aMat := operandView(c, ga, nil, aRegion(t, ga), bufA, transA)
+		bMat := operandView(c, gb, nil, bRegion(t, gb), bufB, transB)
 
 		reg := cRegion{t.CI, t.CJ, t.CR, t.CC}
 		taskBeta := 1.0

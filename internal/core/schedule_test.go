@@ -23,7 +23,7 @@ func makeTasks(owners []int, direct []bool) []Task {
 }
 
 func aSched(tasks []Task, slots int) schedule {
-	return buildSchedule(tasks, slots, nil, aRegion, func(t *Task) bool { return t.ADirect })
+	return buildSchedule(tasks, slots, nil, nil, aRegion, func(t *Task) bool { return t.ADirect })
 }
 
 func TestScheduleDedupsConsecutive(t *testing.T) {

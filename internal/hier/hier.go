@@ -3,24 +3,31 @@
 // arXiv:1306.4161, composed with the paper's flat SRUMMA).
 //
 // Ranks are partitioned into GROUPS — shared-memory domains by default,
-// carved finer when rt.Topology.GroupSize says so. The OUTER level moves
-// operand panels between groups: each group computes the deduplicated
-// union of the remote sub-blocks its members' task lists will fetch
-// (core.GroupFetchPlan), orders those regions as a DIMMA-style panel
-// schedule across owner groups (summa.ScheduleOrder with the requesting
-// group's diagonal shift as the rotation), splits the staging work across
-// members, and pulls each region exactly once into a collectively
-// allocated band with rt one-sided gets. The INNER level is the untouched
-// flat SRUMMA executor (core.MultiplyEx): a ctx wrapper serves its fetches
-// from the group band by direct shared-memory access, so no extra copies
-// cross the group boundary and — because the task lists, their order, and
-// every Gemm operand value are exactly the flat plan's — the result is
-// bit-identical to flat SRUMMA.
+// carved finer when rt.Topology.GroupSize says so. Each group plans the
+// deduplicated union of the sub-blocks its members' task lists will fetch
+// (core.GroupFetchPlan), and the OUTER level moves a region through the
+// group only when that removes traffic. A region two members need (or one
+// would fetch twice) is STAGED: pulled exactly once with a one-sided get
+// into a band the members share, the work split across them in a DIMMA-style
+// panel order (summa.ScheduleOrder, rotated by the requesting group's
+// diagonal shift). A region fetched once is left to its consumer's ordinary
+// double-buffered pipeline, overlapped with compute — where nothing is
+// shared, the two-level path is the flat data path.
 //
-// What changes is communication volume: a region needed by several group
-// members crosses the interconnect once instead of once per member. The
-// crossover against flat SRUMMA is swept on the virtual-time engine by
-// srumma-bench -hier (BENCH_hier.json).
+// The INNER level is the untouched flat SRUMMA executor (core.MultiplyEx)
+// on a ctx wrapper that knows the band. A staged region gets the paper's two
+// flavours, chosen by core.Options.Flavor: FlavorDirect multiplies it in
+// place from the band like any in-domain block, FlavorCopy copies it out
+// into the executor's fetch buffer. Task lists, their order and every Gemm
+// operand value are exactly the flat plan's, so the result is bit-identical
+// to flat SRUMMA; what changes is volume — a staged region crosses the
+// interconnect once instead of once per fetch (swept by srumma-bench -hier,
+// BENCH_hier.json; srumma-plan -hier shows a shape's split).
+//
+// Where the engine adopts caller memory (rt.Adopter) the band lives across
+// calls: members publish pooled, UNZEROED slices. A member reads the band
+// only where the plan put a staged region, and all of that is overwritten by
+// its staging get before the publishing barrier. Other engines allocate it.
 //
 // À la COSMA (arXiv:1908.09606) the composite grid need not be square:
 // Choose evaluates every P×Q factorization by exact predicted inter-group
@@ -93,15 +100,17 @@ type Options struct {
 	NoOuterShift bool
 }
 
-// Panel is one outer-level step of the group schedule: every staged region
-// owned by one group, streamed back to back DIMMA-style.
+// Panel is one outer-level step of the group schedule: every region of the
+// group's fetch plan owned by one group, streamed back to back DIMMA-style.
+// Staged of its Elems are in Shared regions and go through the band.
 type Panel struct {
 	OwnerGroup int
-	Regions    []core.FetchRegion
+	Regions    []core.GroupRegion
 	Elems      int
+	Staged     int
 }
 
-// Schedule plans group grp's outer level: the staged regions of
+// Schedule plans group grp's outer level: the regions of
 // core.GroupFetchPlan arranged into per-owner-group panels, with the owner
 // sequence rotated by grp (the group-level diagonal shift) unless
 // NoOuterShift. Deterministic — every member of grp computes the same
@@ -114,7 +123,7 @@ func Schedule(t Topo, grp int, d core.Dims, opts Options) []Panel {
 // panels arranges a group's fetch plan into the outer schedule. The
 // arrangement reads only each region's owner, so it is the same whatever
 // leading dimension the regions were planned against.
-func panels(t Topo, grp int, opts Options, regions []core.FetchRegion) []Panel {
+func panels(t Topo, grp int, opts Options, regions []core.GroupRegion) []Panel {
 	if len(regions) == 0 {
 		return nil
 	}
@@ -137,21 +146,26 @@ func panels(t Topo, grp int, opts Options, regions []core.FetchRegion) []Panel {
 		}
 		p.Regions = append(p.Regions, regions[i])
 		p.Elems += regions[i].Elems()
+		if regions[i].Shared() {
+			p.Staged += regions[i].Elems()
+		}
 	}
 	return out
 }
 
 // Volumes is the predicted communication volume of one multiply, in
 // float64 elements, split by level. Flat* is what flat SRUMMA moves (every
-// rank fetches for itself); Outer* is what the hierarchical staging moves
-// between groups; InnerCopy is the intra-group band traffic that replaces
-// the flat fetches (shared-memory copies, not interconnect bytes).
+// rank fetches for itself); Outer* is what the two-level path moves, the
+// per-group union, which Staged/MemberFetch split by issuer; InnerCopy is
+// what is copied out of the band again.
 type Volumes struct {
 	FlatRemote  int64 `json:"flat_remote"`  // flat: fetched across domains
 	FlatShared  int64 `json:"flat_shared"`  // flat: fetched within a domain
-	OuterRemote int64 `json:"outer_remote"` // hier: staged across domains
-	OuterShared int64 `json:"outer_shared"` // hier: staged within a domain
-	InnerCopy   int64 `json:"inner_copy"`   // hier: band reads inside groups
+	OuterRemote int64 `json:"outer_remote"` // hier: fetched across domains
+	OuterShared int64 `json:"outer_shared"` // hier: fetched within a domain
+	Staged      int64 `json:"staged"`       // hier: of Outer*, staged into a band
+	MemberFetch int64 `json:"member_fetch"` // hier: of Outer*, fetched by the one consumer
+	InnerCopy   int64 `json:"inner_copy"`   // hier: band copy-outs (FlavorCopy only)
 }
 
 // PredictVolumes computes the per-level communication volumes analytically
@@ -163,25 +177,26 @@ func PredictVolumes(t Topo, d core.Dims, opts Options) Volumes {
 	var v Volumes
 	for me := 0; me < t.NProcs; me++ {
 		for _, r := range core.RankFetches(t.Topology, me, t.Grid, d, opts.Options) {
-			n := int64(r.Elems())
 			if t.SameDomain(me, r.Owner) {
-				v.FlatShared += n
+				v.FlatShared += int64(r.Elems())
 			} else {
-				v.FlatRemote += n
+				v.FlatRemote += int64(r.Elems())
 			}
-			// Under hier every flat fetch becomes a read of the staged band.
-			v.InnerCopy += n
 		}
 	}
 	for grp := 0; grp < t.NumGroups(); grp++ {
 		lo, _ := t.GroupRanks(grp)
 		for _, p := range Schedule(t, grp, d, opts) {
+			v.Staged += int64(p.Staged)
+			v.MemberFetch += int64(p.Elems - p.Staged)
 			for _, r := range p.Regions {
-				n := int64(r.Elems())
 				if t.SameDomain(lo, r.Owner) {
-					v.OuterShared += n
+					v.OuterShared += int64(r.Elems())
 				} else {
-					v.OuterRemote += n
+					v.OuterRemote += int64(r.Elems())
+				}
+				if r.Shared() && opts.Flavor == core.FlavorCopy {
+					v.InnerCopy += int64(r.Elems() * r.Fetches)
 				}
 			}
 		}

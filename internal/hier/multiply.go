@@ -1,26 +1,45 @@
 package hier
 
-// The hierarchical multiply: stage the group's outer panels into a shared
-// band with one-sided gets, then run the UNTOUCHED flat SRUMMA executor
-// with its fetches served from the band. Bit-identity with flat SRUMMA
-// falls out of the construction: the task lists, their order, the beta
-// application and every Gemm operand value are exactly the flat plan's —
-// only where the fetched bytes come from changes (PR 8 pinned that Gemm is
+// The hierarchical multiply: stage what the group's members share into a
+// band with one-sided gets, then run the UNTOUCHED flat SRUMMA executor on a
+// ctx that knows the band. Bit-identity with flat SRUMMA falls out of the
+// construction: the task lists, their order, the beta application and every
+// Gemm operand value are exactly the flat plan's — only where a staged
+// operand's bytes are read from changes (PR 8 pinned that Gemm is
 // layout-independent bitwise, so same bytes ⇒ same C).
 
 import (
 	"fmt"
+	"sync"
 
 	"srumma/internal/core"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
 
+// bandKey names a staged region the way NbGetSub names a fetch. Keying by
+// the Global (not by "A or B") keeps C = A·A right, one Global both operands.
+type bandKey struct {
+	g                          rt.Global
+	owner, off, ld, rows, cols int
+}
+
 // bandLoc says where a staged region lives: which group member's band
 // segment, at which element offset.
 type bandLoc struct {
 	member int
 	off    int
+}
+
+// bandPool keeps band segments across calls on engines that adopt caller
+// memory; slices come back unzeroed (see the package doc for why that holds).
+var bandPool sync.Pool
+
+func getBand(n int) []float64 {
+	if p, _ := bandPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]float64, n)
 }
 
 // Multiply runs the hierarchical multiply collectively: C = op(A) op(B)
@@ -32,13 +51,12 @@ func Multiply(c rt.Ctx, t Topo, d core.Dims, opts Options, ga, gb, gc rt.Global)
 
 // MultiplyEx is the full dgemm form: C = alpha * op(A) op(B) + beta * C.
 //
-// Every rank stages its share of the group's outer panels (the schedule is
-// deterministic, so members split the work without negotiation), barriers,
-// and runs core.MultiplyEx through a ctx wrapper that satisfies the
-// executor's fetches from the staged band by direct shared-memory access.
-// On engines or platforms where group members cannot direct-map each
-// other's band segments the group degrades to the flat path for this call
-// (still correct, no staging win).
+// Every rank stages its share of the group's shared regions (the schedule
+// is deterministic, so members split the work without negotiation),
+// barriers, and runs core.MultiplyEx through a ctx wrapper that knows what
+// the band holds; the rest the executor fetches itself. Where group members
+// cannot direct-map each other's band segments the group degrades to the
+// flat path for this call (still correct, no staging win).
 func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64, ga, gb, gc rt.Global) error {
 	// The engine's topology is the ground truth the inner executor plans
 	// against (core.MultiplyEx calls Plan with c.Topo()); only the group
@@ -74,55 +92,63 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 		}
 	}
 
-	// The outer schedule, flattened into staging order, planned against the
-	// operands' own leading dimensions so the staged keys are the regions
-	// the executor will ask for. Region i is staged by member
+	// The Shared regions of the outer schedule, in staging order, planned
+	// against the operands' own leading dimensions so the staged keys are
+	// the regions the executor will ask for. Region i is staged by member
 	// lo + i%nMembers; every member derives the full assignment so the band
 	// layout is agreed without messages.
-	var regions []core.FetchRegion
+	var staged []core.GroupRegion
 	if direct {
 		plan := core.GroupFetchPlan(t.Topology, grp, t.Grid, d, opts.Options, ga, gb)
 		for _, p := range panels(t, grp, opts, plan) {
-			regions = append(regions, p.Regions...)
+			if me == lo { // one member speaks for the group: rank sums are machine totals
+				c.Stats().HierStagedBytes += int64(p.Staged) * 8
+				c.Stats().HierMemberBytes += int64(p.Elems-p.Staged) * 8
+			}
+			for _, r := range p.Regions {
+				if r.Shared() {
+					staged = append(staged, r)
+				}
+			}
 		}
 	}
+	src := [...]rt.Global{core.MatA: ga, core.MatB: gb}
 	bandElems := make([]int, nMembers)
-	loc := make(map[core.FetchRegion]bandLoc, len(regions))
-	for i, r := range regions {
+	loc := make(map[bandKey]bandLoc, len(staged))
+	for i, r := range staged {
 		mi := i % nMembers
-		loc[r] = bandLoc{member: lo + mi, off: bandElems[mi]}
+		loc[bandKey{src[r.Matrix], r.Owner, r.Off, r.LD, r.Rows, r.Cols}] = bandLoc{member: lo + mi, off: bandElems[mi]}
 		bandElems[mi] += r.Elems()
 	}
 
-	// Malloc is collective across ALL groups — even a group with nothing to
-	// stage (or no direct access) allocates a token element so the global
-	// call sequence stays aligned.
-	myBand := bandElems[me-lo]
-	if myBand == 0 {
-		myBand = 1
+	// The band is collective across ALL groups — even a group with nothing to
+	// stage (or no direct access) contributes a token element so the global
+	// call sequence stays aligned: one allocate, one free, on every engine.
+	myBand := max(bandElems[me-lo], 1)
+	var band rt.Global
+	var seg []float64
+	if ad := rt.FindAdopter(c); ad != nil {
+		seg = getBand(myBand)
+		band = ad.Adopt(seg, 0)
+	} else {
+		band = c.Malloc(myBand)
 	}
-	band := c.Malloc(myBand)
 
-	// Stage my share: one NbGetSub per assigned region, issued as one burst
-	// (bracketed with a KindIssue span like the executor's own fetch
-	// bursts), then drained. The gets run on the REAL ctx, so chaos layers
-	// and engine accounting see ordinary one-sided traffic.
+	// Stage my share: one NbGetSub per assigned region, issued as one burst,
+	// then drained, on the REAL ctx — chaos layers and engine accounting see
+	// ordinary one-sided traffic.
 	rec := rt.FindRecorder(c)
+	t0 := rec.SpanStart()
 	local := c.Local(band)
 	var handles []rt.Handle
-	t0 := rec.SpanStart()
-	for i, r := range regions {
+	off := 0
+	for i, r := range staged {
 		if i%nMembers != me-lo {
 			continue
 		}
-		src := ga
-		if r.Matrix == core.MatB {
-			src = gb
-		}
-		h := c.NbGetSub(src, r.Owner, r.Off, r.LD, r.Rows, r.Cols, local, loc[r].off)
-		handles = append(handles, h)
+		handles = append(handles, c.NbGetSub(src[r.Matrix], r.Owner, r.Off, r.LD, r.Rows, r.Cols, local, off))
+		off += r.Elems()
 	}
-	rec.SpanEnd(me, obs.KindIssue, t0)
 	for _, h := range handles {
 		c.Wait(h)
 	}
@@ -130,69 +156,70 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 	// every segment (the same write-then-barrier-then-read discipline the
 	// flat direct path relies on).
 	c.Barrier()
+	rec.SpanEnd(me, obs.KindStage, t0)
 
 	var inner rt.Ctx = c
 	if len(loc) > 0 {
-		inner = &stagedCtx{Ctx: c, ga: ga, gb: gb, band: band, loc: loc}
+		inner = &stagedCtx{Ctx: c, band: band, loc: loc}
 	}
 	err := core.MultiplyEx(inner, t.Grid, d, opts.Options, alpha, beta, ga, gb, gc)
 	// core.MultiplyEx exits through a barrier on every path (including
-	// cancellation), so the band is quiescent and the collective Free stays
-	// aligned.
+	// cancellation): the band is quiescent, Free stays aligned, seg can go back.
 	c.Free(band)
+	if seg != nil {
+		bandPool.Put(&seg)
+	}
 	return err
 }
 
-// stagedCtx is the inner team's runtime: a pass-through rt.Ctx whose
-// NbGetSub, when asked for a region the outer level staged, copies it out
-// of the group band instead of touching the interconnect. The handle it
-// returns is already complete; everything else — direct operands, scratch,
+// stagedCtx is the inner team's runtime: a pass-through rt.Ctx that knows
+// which fetch regions the outer level staged. Under FlavorDirect the
+// executor asks InPlace and multiplies them where they lie; under
+// FlavorCopy it fetches as ever and NbGetSub serves the staged ones from
+// the band. Everything else — member fetches, direct operands, scratch,
 // Gemm, barriers, chaos injection in a wrapped engine — flows to the
-// underlying ctx unchanged. It deliberately does NOT forward the
-// resilient executor's rankHealth capability: under hier the static
-// executor runs, and failures are handled at the job level (retry +
-// ledger resume), not by per-fetch rescheduling.
+// underlying ctx unchanged. It deliberately does NOT forward the resilient
+// executor's rankHealth capability: under hier the static executor runs,
+// and failures are handled at the job level (retry + ledger resume), not
+// by per-fetch rescheduling.
 type stagedCtx struct {
 	rt.Ctx
-	ga, gb rt.Global
-	band   rt.Global
-	loc    map[core.FetchRegion]bandLoc
+	band rt.Global
+	loc  map[bandKey]bandLoc
 }
 
 // Unwrap keeps engine capabilities (kernel tuning, buffer pools, span
 // recorders) discoverable through the wrapper.
 func (s *stagedCtx) Unwrap() rt.Ctx { return s.Ctx }
 
+// InPlace is the executor's in-place capability (core.execTasks): the view
+// of a staged region inside its member's band segment, packed tight.
+func (s *stagedCtx) InPlace(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, bool) {
+	bl, ok := s.loc[bandKey{g, rank, off, ld, rows, cols}]
+	if !ok {
+		return rt.Mat{}, false
+	}
+	m := rt.Mat{Off: bl.off, LD: cols, Rows: rows, Cols: cols}
+	if bl.member == s.Rank() {
+		m.Buf = s.Local(s.band)
+	} else {
+		m.Buf, m.Remote = s.Direct(s.band, bl.member), true
+	}
+	return m, true
+}
+
 // servedHandle is the no-op handle of a fetch satisfied from the band.
 type servedHandle struct{}
 
 func (servedHandle) Done() bool { return true }
 
+// NbGetSub is the FlavorCopy arm: a staged region is copied out of the band
+// into the executor's fetch buffer — a contiguous Pack, charged as a
+// shared-memory copy by the sim engine, a plain memcpy on the real ones.
 func (s *stagedCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
-	matrix := -1
-	switch g {
-	case s.ga:
-		matrix = core.MatA
-	case s.gb:
-		matrix = core.MatB
-	}
-	if matrix >= 0 {
-		key := core.FetchRegion{Matrix: matrix, Owner: rank, Off: off, LD: ld, Rows: rows, Cols: cols}
-		if bl, ok := s.loc[key]; ok {
-			var src rt.Buffer
-			remote := bl.member != s.Ctx.Rank()
-			if remote {
-				src = s.Ctx.Direct(s.band, bl.member)
-			} else {
-				src = s.Ctx.Local(s.band)
-			}
-			// The band holds the region packed tight, so the copy into the
-			// executor's fetch buffer is a contiguous rows x cols Pack —
-			// charged as a shared-memory copy by the sim engine, a plain
-			// memcpy on the real ones.
-			s.Ctx.Pack(rt.Mat{Buf: src, Off: bl.off, LD: cols, Rows: rows, Cols: cols, Remote: remote}, dst, dstOff)
-			return servedHandle{}
-		}
+	if m, ok := s.InPlace(g, rank, off, ld, rows, cols); ok {
+		s.Ctx.Pack(m, dst, dstOff)
+		return servedHandle{}
 	}
 	return s.Ctx.NbGetSub(g, rank, off, ld, rows, cols, dst, dstOff)
 }

@@ -35,6 +35,11 @@ type Meters struct {
 	DegradedMode    int64 // 1 once the rank fell back to blocking transfers
 	ABFTDetected    int64 // C blocks failing Huang-Abraham sum verification
 	ABFTRecomputed  int64 // corrupted C blocks restored and recomputed clean
+
+	// Two-level accounting (internal/hier, one member counts for its group):
+	// bytes staged once into the band, bytes fetched by their only consumer.
+	HierStagedBytes int64
+	HierMemberBytes int64
 }
 
 // Add accumulates o into s.
@@ -61,6 +66,8 @@ func (s *Meters) Add(o *Meters) {
 	s.DegradedMode += o.DegradedMode
 	s.ABFTDetected += o.ABFTDetected
 	s.ABFTRecomputed += o.ABFTRecomputed
+	s.HierStagedBytes += o.HierStagedBytes
+	s.HierMemberBytes += o.HierMemberBytes
 }
 
 // Each calls f once per meter in declaration order, with the canonical
@@ -88,6 +95,8 @@ func (s *Meters) Each(f func(name string, value float64)) {
 	f("degraded_mode", float64(s.DegradedMode))
 	f("abft_detected", float64(s.ABFTDetected))
 	f("abft_recomputed", float64(s.ABFTRecomputed))
+	f("hier_staged_bytes", float64(s.HierStagedBytes))
+	f("hier_member_fetch_bytes", float64(s.HierMemberBytes))
 }
 
 // Map returns the meters as a name→value map (for JSON benchmark dumps).

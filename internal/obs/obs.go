@@ -43,17 +43,18 @@ const (
 	KindQueue               // task queue-wait (admission to dispatch)
 	KindBatch               // one scheduler dispatch on a worker
 	KindRecover             // job recovery work: salvage, resume, ABFT redo
+	KindStage               // hier outer level: staging burst + publish barrier
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"gemm", "wait", "copy", "pack", "barrier", "steal",
-	"get", "put", "issue", "job", "request", "queue", "batch", "recover",
+	"get", "put", "issue", "job", "request", "queue", "batch", "recover", "stage",
 }
 
 // glyphs are the single-cell timeline letters. The first six are pinned by
 // the golden sim output.
-var glyphs = [numKinds]byte{'g', 'w', 'c', 'p', 'b', 's', 't', 'u', 'i', 'j', 'r', 'q', 'a', 'v'}
+var glyphs = [numKinds]byte{'g', 'w', 'c', 'p', 'b', 's', 't', 'u', 'i', 'j', 'r', 'q', 'a', 'v', 'o'}
 
 // String returns the kind's stable name (used in Chrome traces, summaries
 // and BENCH json).

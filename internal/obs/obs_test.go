@@ -17,7 +17,7 @@ func TestKindNamesAndGlyphs(t *testing.T) {
 		KindPack: {"pack", 'p'}, KindBarrier: {"barrier", 'b'}, KindSteal: {"steal", 's'},
 		KindGet: {"get", 't'}, KindPut: {"put", 'u'}, KindIssue: {"issue", 'i'},
 		KindJob: {"job", 'j'}, KindRequest: {"request", 'r'}, KindQueue: {"queue", 'q'},
-		KindBatch: {"batch", 'a'},
+		KindBatch: {"batch", 'a'}, KindRecover: {"recover", 'v'}, KindStage: {"stage", 'o'},
 	}
 	for k, w := range want {
 		if k.String() != w.name || k.Glyph() != w.glyph {
@@ -34,9 +34,9 @@ func TestRecorderUnbounded(t *testing.T) {
 	r.Record(0, KindGemm, 1, 2)
 	r.Record(0, KindWait, 0.5, 0.8)
 	r.Record(1, KindGemm, 3, 4)
-	r.Record(0, KindGemm, 2, 2)   // degenerate: dropped silently
-	r.Record(5, KindGemm, 0, 1)   // misplaced lane
-	r.Record(-1, KindGemm, 0, 1)  // misplaced lane
+	r.Record(0, KindGemm, 2, 2)  // degenerate: dropped silently
+	r.Record(5, KindGemm, 0, 1)  // misplaced lane
+	r.Record(-1, KindGemm, 0, 1) // misplaced lane
 	ev := r.ByLane(0)
 	if len(ev) != 2 || ev[0].Kind != KindWait || ev[1].Kind != KindGemm {
 		t.Fatalf("lane 0 events wrong: %+v", ev)
@@ -241,8 +241,8 @@ func TestMetersAddAndEach(t *testing.T) {
 	if m["gets_shared"] != 5 || m["wait_time_s"] != 0.75 || m["flops"] != 100 {
 		t.Fatalf("Map wrong: %+v", m)
 	}
-	if len(m) != 22 {
-		t.Fatalf("Map has %d meters, want 22 (did a field get added without Each?)", len(m))
+	if len(m) != 24 {
+		t.Fatalf("Map has %d meters, want 24 (did a field get added without Each?)", len(m))
 	}
 }
 

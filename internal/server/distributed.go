@@ -118,6 +118,8 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 		if r != nil && r.Stats != nil {
 			det += r.Stats.ABFTDetected
 			recomputed += r.Stats.ABFTRecomputed
+			s.met.hierStaged.Add(r.Stats.HierStagedBytes)
+			s.met.hierFetched.Add(r.Stats.HierMemberBytes)
 		}
 	}
 	s.met.noteABFT(det, recomputed)

@@ -10,10 +10,14 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"srumma/internal/core"
 	"srumma/internal/faults"
+	"srumma/internal/hier"
 )
 
 // TestHierServeBitIdentical pins the serving-layer half of the
@@ -49,6 +53,51 @@ func TestHierServeBitIdentical(t *testing.T) {
 	m := hierS.Metrics()
 	if m.HierGroups != 2 || m.HierGroupShape == "" {
 		t.Errorf("hier metrics: groups=%d shape=%q, want 2 groups with a shape", m.HierGroups, m.HierGroupShape)
+	}
+	// On 2 nodes x 2 ranks each group is one grid column: no two members
+	// want the same remote block, and the operator can see the mode is
+	// buying nothing — everything is fetched by its only consumer.
+	if m.HierStagedBytes != 0 || m.HierMemberFetchBytes == 0 {
+		t.Errorf("no-sharing topology: %d bytes staged, %d member-fetched; want 0 and > 0", m.HierStagedBytes, m.HierMemberFetchBytes)
+	}
+	if fm := flat.Metrics(); fm.HierStagedBytes != 0 || fm.HierMemberFetchBytes != 0 {
+		t.Errorf("flat server counted two-level bytes: %d staged, %d member-fetched", fm.HierStagedBytes, fm.HierMemberFetchBytes)
+	}
+}
+
+// TestHierServeCountsTheSplit: on a topology whose groups share fetch
+// regions (2 nodes x 4 ranks, each group a 2x2 corner of the 2x4 grid) the
+// counters report exactly the predicted staged / member-fetched split of
+// every request served, on /metrics and on the Prometheus surface.
+func TestHierServeCountsTheSplit(t *testing.T) {
+	cfg := Config{NProcs: 8, ProcsPerNode: 4, SmallMNK: 1, MaxTaskK: 16, Hier: true}
+	s := newTestServer(t, cfg)
+	var want hier.Volumes
+	for i, mkn := range [][3]int{{64, 64, 64}, {72, 60, 84}} {
+		req := randReq(mkn[0], mkn[1], mkn[2], uint64(900+i))
+		var got MultiplyResponse
+		if code, w := post(t, s, req, &got); code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, code, w.Body.String())
+		}
+		v := hier.PredictVolumes(hier.From(s.topo, s.g), core.Dims{M: mkn[0], K: mkn[1], N: mkn[2]},
+			hier.Options{Options: core.Options{MaxTaskK: cfg.MaxTaskK}})
+		want.Staged += v.Staged
+		want.MemberFetch += v.MemberFetch
+	}
+	m := s.Metrics()
+	if want.Staged == 0 || m.HierStagedBytes != uint64(8*want.Staged) || m.HierMemberFetchBytes != uint64(8*want.MemberFetch) {
+		t.Errorf("counted %d bytes staged, %d member-fetched; predicted %d and %d",
+			m.HierStagedBytes, m.HierMemberFetchBytes, 8*want.Staged, 8*want.MemberFetch)
+	}
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	for _, line := range []string{
+		fmt.Sprintf("hier_staged_bytes %d", 8*want.Staged),
+		fmt.Sprintf("hier_member_fetch_bytes %d", 8*want.MemberFetch),
+	} {
+		if !strings.Contains(rr.Body.String(), line) {
+			t.Errorf("prometheus exposition lacks %q", line)
+		}
 	}
 }
 

@@ -91,9 +91,13 @@ type MetricsSnapshot struct {
 	// HierGroups/HierGroupShape describe the two-level topology in
 	// hierarchical routing mode (omitted when flat): how many SUMMA
 	// groups the engine grid is carved into and the intra-group grid
-	// shape "RxC".
-	HierGroups     int    `json:"hier_groups,omitempty"`
-	HierGroupShape string `json:"hier_group_shape,omitempty"`
+	// shape "RxC". The byte counts say whether the mode is buying anything:
+	// what went through a band once for several members, and what was
+	// fetched by its only consumer exactly as flat would.
+	HierGroups           int    `json:"hier_groups,omitempty"`
+	HierGroupShape       string `json:"hier_group_shape,omitempty"`
+	HierStagedBytes      uint64 `json:"hier_staged_bytes,omitempty"`
+	HierMemberFetchBytes uint64 `json:"hier_member_fetch_bytes,omitempty"`
 }
 
 // RecoveryStats is the recovery slice of a metrics snapshot.
@@ -155,6 +159,8 @@ type metrics struct {
 	abftRecomputed *obs.Counter
 	brownoutG      *obs.Gauge
 	brownoutReqs   *obs.Counter
+	hierStaged     *obs.Counter
+	hierFetched    *obs.Counter
 
 	// wires is the per-wire-format traffic instrument block, keyed by
 	// wireJSON/wireBinary. A request is attributed to the wire its BODY
@@ -206,6 +212,8 @@ func newMetrics(queueCap int) *metrics {
 		abftRecomputed: reg.Counter("recover.abft_recomputed"),
 		brownoutG:      reg.Gauge("server.brownout"),
 		brownoutReqs:   reg.Counter("server.brownout_requests"),
+		hierStaged:     reg.Counter("hier.staged_bytes"),
+		hierFetched:    reg.Counter("hier.member_fetch_bytes"),
 	}
 }
 
@@ -372,6 +380,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			ABFTRecomputed:   uint64(m.abftRecomputed.Load()),
 			BrownoutRequests: uint64(m.brownoutReqs.Load()),
 		},
+		HierStagedBytes:      uint64(m.hierStaged.Load()),
+		HierMemberFetchBytes: uint64(m.hierFetched.Load()),
 	}
 	if up > 0 {
 		s.ThroughputRPS = float64(s.Completed) / up
