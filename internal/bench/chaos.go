@@ -37,18 +37,21 @@ type ChaosRow struct {
 	Faults    int64 // injected faults seen by this run's ranks
 	Retries   int64 // timed-out transfers re-issued
 	Refetches int64 // checksum-mismatch re-fetches
-	Steals    int64 // tasks executed out of order to dodge a straggler
+	Steals    int64 // tasks planned behind later ones to dodge a straggler
 	Degraded  int64 // ranks that fell back to blocking transfers
 
 	Seconds  float64 // chaos-run wall time
 	Baseline float64 // fault-free wall time of the same problem
 }
 
-// ChaosFaults returns the fault configuration for one class at one seed.
-// Rates are deliberately aggressive — a chaos table with zero injected
-// faults proves nothing.
-func ChaosFaults(class string, seed uint64) (faults.Config, error) {
+// ChaosFaults returns the fault and recovery configuration for one class at
+// one seed. Rates are deliberately aggressive — a chaos table with zero
+// injected faults proves nothing, nor does a steals column no row can fill:
+// straggle runs TestChaosStragglerStealing's settings, two stragglers well
+// over a tight latency threshold, so the re-plan around them shows.
+func ChaosFaults(class string, seed uint64) (faults.Config, faults.RecoveryConfig, error) {
 	cfg := faults.Config{Seed: seed}
+	var recov faults.RecoveryConfig
 	switch class {
 	case "drop":
 		cfg.DropRate = 0.15
@@ -58,21 +61,22 @@ func ChaosFaults(class string, seed uint64) (faults.Config, error) {
 	case "corrupt":
 		cfg.CorruptRate = 0.15
 	case "straggle":
-		cfg.Stragglers = 1
-		cfg.StragglerDelay = 2 * time.Millisecond
+		cfg.Stragglers = 2
+		cfg.StragglerDelay = 4 * time.Millisecond
+		recov.StragglerLatency = 500 * time.Microsecond
 	case "crash":
 		cfg.Crash = true
 		cfg.CrashOpSpan = 2 // early enough to land within small runs
 	default:
-		return cfg, fmt.Errorf("bench: unknown chaos class %q", class)
+		return cfg, recov, fmt.Errorf("bench: unknown chaos class %q", class)
 	}
-	return cfg, nil
+	return cfg, recov, nil
 }
 
 // chaosMultiply runs one real-engine SRUMMA multiply of a x b, under the
-// fault plan when cfg is non-nil, and returns C with summed stats and the
-// slowest rank's wall time.
-func chaosMultiply(topo rt.Topology, g *grid.Grid, a, b *mat.Matrix, cfg *faults.Config) (*mat.Matrix, rt.Stats, float64, error) {
+// fault plan and recovery layer when cfg is non-nil, and returns C with
+// summed stats and the slowest rank's wall time.
+func chaosMultiply(topo rt.Topology, g *grid.Grid, a, b *mat.Matrix, cfg *faults.Config, recov faults.RecoveryConfig) (*mat.Matrix, rt.Stats, float64, error) {
 	d := core.Dims{M: a.Rows, N: b.Cols, K: a.Cols}
 	// Fine task granularity so the run issues enough one-sided ops for the
 	// per-op fault rates to land.
@@ -97,7 +101,7 @@ func chaosMultiply(topo rt.Topology, g *grid.Grid, a, b *mat.Matrix, cfg *faults
 			return nil, rt.Stats{}, 0, perr
 		}
 		stats, err = armci.RunWithTimeout(topo, 30*time.Second, func(c rt.Ctx) {
-			body(faults.Resilient(faults.Inject(c, plan, nil), faults.RecoveryConfig{}))
+			body(faults.Resilient(faults.Inject(c, plan, nil), recov))
 		})
 	} else {
 		stats, err = armci.Run(topo, body)
@@ -133,7 +137,7 @@ func Chaos(n, nprocs, ppn int, seeds []uint64) ([]ChaosRow, error) {
 	tol := 1e-10 * float64(n)
 
 	// Fault-free baseline for the overhead column.
-	_, _, baseline, err := chaosMultiply(topo, g, a, b, nil)
+	_, _, baseline, err := chaosMultiply(topo, g, a, b, nil, faults.RecoveryConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -141,12 +145,12 @@ func Chaos(n, nprocs, ppn int, seeds []uint64) ([]ChaosRow, error) {
 	var rows []ChaosRow
 	for _, class := range ChaosClasses {
 		for _, seed := range seeds {
-			fc, err := ChaosFaults(class, seed)
+			fc, recov, err := ChaosFaults(class, seed)
 			if err != nil {
 				return nil, err
 			}
 			row := ChaosRow{Class: class, Seed: seed, Baseline: baseline}
-			got, stats, secs, err := chaosMultiply(topo, g, a, b, &fc)
+			got, stats, secs, err := chaosMultiply(topo, g, a, b, &fc, recov)
 			if err != nil {
 				// Loud failure: the contract for unrecoverable faults
 				// (expected for the crash class).

@@ -139,7 +139,7 @@ func TestEnginesAgreeOnCommunication(t *testing.T) {
 }
 
 // TestEnginesAgreePerRank sharpens the aggregate check to per-rank
-// equality for a fixed SRUMMA plan: the static executor's fetch schedule is
+// equality for a fixed SRUMMA plan: the executor's fetch schedule is
 // deterministic, so each rank must issue the same shared-domain gets,
 // remote gets and messages on both engines. This guards the observability
 // refactor (rt.Stats is now a view over internal/obs meters) against

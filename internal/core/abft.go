@@ -1,6 +1,6 @@
 package core
 
-// Algorithm-based fault tolerance (ABFT) for the task executors, after
+// Algorithm-based fault tolerance (ABFT) for the task executor, after
 // Huang & Abraham: a block product's element sum is predicted from operand
 // row/column sums — ones^T (op(A) op(B)) ones = colsums(op(A)) · rowsums(op(B))
 // — so each produced C view can be verified in O(operand + view) extra work
@@ -179,7 +179,7 @@ func abs(v float64) float64 {
 	return v
 }
 
-// gemmVerified is the shared verified-gemm step of both executors: plain
+// gemmVerified is the executor's verified-gemm step: plain
 // gemm when verification is off (ab == nil — no extra work, no
 // allocations), otherwise snapshot → predict → gemm → verify, with
 // restore-and-recompute on mismatch. Detections and recomputes land in the

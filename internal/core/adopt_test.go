@@ -1,11 +1,11 @@
 package core
 
-// The executors against operands that are windows of wider matrices
+// The executor against operands that are windows of wider matrices
 // (rt.Adopter): the leading dimension is the operand's, the plan is not
 // touched, and C — computed in place — is bit-identical to the result over
 // tight segments. The whole shape x grid x option matrix lives with
-// driver.Bind (internal/driver/adopt_test.go); here are the two executors
-// and the verified-gemm step on a strided C.
+// driver.Bind (internal/driver/adopt_test.go); here are the executor, with
+// and without a health report, and the verified-gemm step on a strided C.
 
 import (
 	"fmt"
@@ -82,8 +82,8 @@ func adoptedRun(t *testing.T, p, q int, d Dims, opts Options, wrap, ref func(rt.
 func TestExecutorsOnAdoptedOperands(t *testing.T) {
 	d := Dims{M: 37, N: 29, K: 41}
 	executors := map[string]func(rt.Ctx) rt.Ctx{
-		"static": func(c rt.Ctx) rt.Ctx { return c },
-		"resilient": func(c rt.Ctx) rt.Ctx {
+		"plain": func(c rt.Ctx) rt.Ctx { return c },
+		"slow-owner": func(c rt.Ctx) rt.Ctx {
 			return &unwrappingHealth{fakeHealth{Ctx: c, slow: map[int]bool{1: true}}}
 		},
 	}
@@ -94,7 +94,7 @@ func TestExecutorsOnAdoptedOperands(t *testing.T) {
 					opts := Options{Case: cs, MaxTaskK: maxK, SingleBuffer: single}
 					adopted, tight, _ := adoptedRun(t, 2, 3, d, opts, wrap, wrap)
 					if !mat.Equal(adopted, tight) {
-						t.Errorf("%s executor, %v maxK=%d single=%v: in-place result differs from tight segments", name, cs, maxK, single)
+						t.Errorf("%s ctx, %v maxK=%d single=%v: in-place result differs from tight segments", name, cs, maxK, single)
 					}
 				}
 			}

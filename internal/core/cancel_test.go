@@ -179,9 +179,9 @@ func cancelMidFlight(t *testing.T, adopt bool) {
 }
 
 func TestMultiplyCancelledResilientExecutor(t *testing.T) {
-	// The dynamic (fault-aware) executor honors Cancel too: wrap the engine
-	// ctx in the resilience layer (no injected faults) so execution takes
-	// the resilient path, then cancel before the task loop starts.
+	// Cancel is honored under the resilience layer too: wrap the engine ctx
+	// in it (no injected faults) so the executor plans around rank health,
+	// then cancel before the task loop starts.
 	h := newCancelHarness(t, 4, Dims{M: 96, N: 96, K: 96})
 	done := make(chan struct{})
 	close(done)

@@ -132,10 +132,10 @@ func buildSchedule(tasks []Task, slots int, g rt.Global, staged inPlacer, region
 }
 
 // fetchSchedules derives both operands' schedules from a rank's task list
-// as its static executor issues them; what staged holds is not fetched.
-func fetchSchedules(tasks []Task, opts Options, ga, gb rt.Global, staged inPlacer) (nbuf int, sa, sb schedule) {
+// as its executor issues them; what staged holds is not fetched.
+func fetchSchedules(tasks []Task, single bool, ga, gb rt.Global, staged inPlacer) (nbuf int, sa, sb schedule) {
 	nbuf = 2
-	if opts.SingleBuffer {
+	if single {
 		nbuf = 1
 	}
 	sa = buildSchedule(tasks, nbuf, ga, staged, aRegion, func(t *Task) bool { return t.ADirect })
@@ -203,10 +203,7 @@ func MultiplyEx(c rt.Ctx, g *grid.Grid, d Dims, opts Options, alpha, beta float6
 	}
 
 	c.Barrier()
-	var execErr error
-	if len(tasks) > 0 {
-		execErr = execTasks(c, tasks, opts, alpha, beta, ga, gb, gc, ldc, lg)
-	}
+	execErr := execTasks(c, tasks, opts, alpha, beta, ga, gb, gc, ldc, lg)
 	// The exit barrier runs even on cancellation: every rank shares the
 	// Cancel signal and checks it at task granularity, so all of them reach
 	// this point and the collective sequence stays aligned.
@@ -214,22 +211,11 @@ func MultiplyEx(c rt.Ctx, g *grid.Grid, d Dims, opts Options, alpha, beta float6
 	return execErr
 }
 
-// rankHealth is the capability a fault-tolerant runtime layer (the
-// internal/faults resilient wrapper) exposes to the executor: which owners
-// are currently stalling, and whether this rank has degraded to blocking
-// transfers. When the ctx provides it, execution switches to the dynamic
-// resilient schedule (see resilient.go); otherwise the static
-// double-buffered pipeline below runs unchanged.
-type rankHealth interface {
-	IsSlow(rank int) bool
-	Degraded() bool
-}
-
 // inPlacer is the capability a staging layer (internal/hier's group band)
-// exposes to the static executor, discovered like rankHealth: InPlace takes
-// NbGetSub's description of a region and, when it is already readable where
-// it lies, returns that view, packed tight. Under FlavorDirect such a region
-// is multiplied from there like an in-domain block of A or B — nothing
+// exposes to the executor, by type assertion on the ctx it is handed: InPlace
+// takes NbGetSub's description of a region and, when it is already readable
+// where it lies, returns that view, packed tight. Under FlavorDirect such a
+// region is multiplied from there like an in-domain block of A or B — nothing
 // issued, no scratch taken for it; FlavorCopy never asks, and fetches it.
 type inPlacer interface {
 	InPlace(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, bool)
@@ -242,101 +228,188 @@ func inPlace(s inPlacer, g rt.Global, reg fetchItem) (rt.Mat, bool) {
 	return s.InPlace(g, reg.owner, reg.off, reg.ld, reg.rows, reg.cols)
 }
 
-// execTasks runs the ordered task list; ldc is the leading dimension of
-// this rank's own block of C.
-func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, ldc int, lg *Ledger) error {
-	if h, ok := c.(rankHealth); ok {
-		return execTasksResilient(c, h, tasks, opts, alpha, beta, ga, gb, gc, ldc, lg)
-	}
-	transA, transB := opts.Case.TransA(), opts.Case.TransB()
+// watch is the health verdict one plan was made under, kept so the task
+// loop can tell when it moved under a task still pending.
+type watch struct {
+	rt.Health
+	slow []bool // per owner, as planned
+}
 
-	// Resume: filter the list down to pending tasks, remembering original
-	// indexes for ledger marks, and seed the dynamic beta tracker with the
-	// regions completed tasks already touched (their beta is spent; the
-	// planner's static First marks no longer apply). A fresh ledger keeps
-	// the original list and the First-mark fast path.
-	var orig []int
-	touched := resumeTouched(tasks, lg)
-	if touched != nil {
-		pending := make([]Task, 0, len(tasks)-lg.Completed())
-		orig = make([]int, 0, len(tasks)-lg.Completed())
-		for i := range tasks {
-			if !lg.Done(i) {
-				pending = append(pending, tasks[i])
-				orig = append(orig, i)
+// late reports whether task ti waits on a fetch from an owner planned slow.
+func (w *watch) late(sa, sb *schedule, ti int) bool {
+	fa, fb := sa.ofTask[ti], sb.ofTask[ti]
+	return fa >= 0 && w.slow[sa.items[fa].owner] || fb >= 0 && w.slow[sb.items[fb].owner]
+}
+
+// deferSlow is a plan's ordering under health: a stable partition of the
+// pending list (orig nil = its indexes are the original ones) that puts the
+// late tasks behind the others — the rank steals forward work from its own
+// list instead of blocking behind the straggler. It returns its inputs and 0
+// when that moves nothing, else fresh lists and how many tasks were overtaken.
+func (w *watch) deferSlow(pending []Task, orig []int, sa, sb *schedule) ([]Task, []int, int) {
+	nLate, overtaken := 0, 0
+	for ti := range pending {
+		if w.late(sa, sb, ti) {
+			nLate++
+		} else {
+			overtaken = nLate
+		}
+	}
+	if overtaken == 0 {
+		return pending, orig, 0
+	}
+	tasks, at := make([]Task, 0, len(pending)), make([]int, 0, len(pending))
+	for _, late := range [...]bool{false, true} {
+		for ti := range pending {
+			if w.late(sa, sb, ti) != late {
+				continue
+			}
+			tasks = append(tasks, pending[ti])
+			if orig != nil {
+				ti = orig[ti]
+			}
+			at = append(at, ti)
+		}
+	}
+	return tasks, at, overtaken
+}
+
+// moved reports whether the verdict differs from the one planned under in
+// a way the rest of the plan would see: the owner of a fetch still to be
+// waited for became slow or recovered, or the buffering changed. A list that
+// merely got shorter is the same plan.
+func (w *watch) moved(single bool, pa, pb *pipe) bool {
+	if (single || w.Degraded()) != (pa.nbuf == 1) {
+		return true
+	}
+	for _, p := range [...]*pipe{pa, pb} {
+		for _, it := range p.s.items[p.waited+1:] {
+			if w.IsSlow(it.owner) != w.slow[it.owner] {
+				return true
 			}
 		}
-		tasks = pending
-		if len(tasks) == 0 {
-			return nil
-		}
 	}
+	return false
+}
+
+// execTasks runs the ordered task list; ldc is the leading dimension of
+// this rank's own block of C. It is the one task loop: plan what the ledger
+// does not hold yet, run the double-buffered pipeline over that, and — when
+// the ctx reports rank health (rt.Health) and the verdict moves under a task
+// still pending — plan again from what is now done. A retried job and a
+// re-plan inside one job are the same step. With no health on the ctx, or a
+// silent one, that is a single pass over the planner's list in the planner's
+// order.
+func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, ldc int, lg *Ledger) error {
+	transA, transB := opts.Case.TransA(), opts.Case.TransB()
 	var ab *abftState
 	if opts.ABFT {
 		ab = newABFTState(c, opts.ABFTTol)
 	}
-
 	var staged inPlacer
 	if opts.Flavor == FlavorDirect {
 		staged, _ = c.(inPlacer)
 	}
-	nbuf, sa, sb := fetchSchedules(tasks, opts, ga, gb, staged)
-	rec := rt.FindRecorder(c)
-	pa := newPipe(c, rec, ga, nbuf, sa)
-	pb := newPipe(c, rec, gb, nbuf, sb)
-	// Warm the pipeline: with double buffering both buffers may be filled
-	// before any compute, so the first remote transfers hide behind the
-	// shared-memory tasks at the head of the list (paper §3.1 step 2).
-	if !opts.SingleBuffer {
-		pa.issue(min(1, len(pa.s.items)-1))
-		pb.issue(min(1, len(pb.s.items)-1))
-	}
-
-	cBuf := c.Local(gc)
-	for ti := range tasks {
-		if cancelled(opts.Cancel) {
-			// Outstanding nonblocking gets are simply never waited on — the
-			// real engine completes them eagerly, and their targets are the
-			// scratch buffers being surrendered right here anyway.
-			releaseScratch(c, pa.bufs, pb.bufs)
-			return ErrCancelled
+	var w *watch
+	if h := rt.FindHealth(c); h != nil {
+		w = &watch{Health: h, slow: make([]bool, c.Size())}
+		if lg == nil {
+			lg = newLedger(len(tasks)) // what a re-plan resumes from
 		}
-		t := &tasks[ti]
-		lookahead := !opts.SingleBuffer && ti+1 < len(tasks)
-		pa.issue(pa.target(ti, lookahead))
-		pb.issue(pb.target(ti, lookahead))
-		aMat := operandView(c, ga, staged, aRegion(t, ga), pa.ready(ti), transA)
-		bMat := operandView(c, gb, staged, bRegion(t, gb), pb.ready(ti), transB)
+	}
+	rec := rt.FindRecorder(c)
+	cBuf := c.Local(gc)
 
-		cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
-		taskBeta := 1.0
-		if touched == nil {
-			if t.First {
+	for {
+		pending, orig, touched := unfinished(tasks, lg)
+		if len(pending) == 0 {
+			return nil
+		}
+		// Blocking fetches: the caller asked for them, or the rank degraded.
+		single := opts.SingleBuffer || w != nil && w.Degraded()
+		nbuf, sa, sb := fetchSchedules(pending, single, ga, gb, staged)
+		if w != nil {
+			for o := range w.slow {
+				w.slow[o] = w.IsSlow(o)
+			}
+			var overtaken int
+			if pending, orig, overtaken = w.deferSlow(pending, orig, &sa, &sb); overtaken > 0 {
+				c.Stats().StragglerSteals += int64(overtaken)
+				// Out of list order the planner's First marks no longer say
+				// which task reaches a C region first.
+				if touched == nil {
+					touched = make(map[cRegion]bool)
+				}
+				_, sa, sb = fetchSchedules(pending, single, ga, gb, staged)
+			}
+		}
+		pa := newPipe(c, rec, ga, nbuf, sa)
+		pb := newPipe(c, rec, gb, nbuf, sb)
+		// Warm the pipeline: with double buffering both buffers may be filled
+		// before any compute, so the first remote transfers hide behind the
+		// shared-memory tasks at the head of the list (paper §3.1 step 2).
+		if nbuf > 1 {
+			pa.issue(min(1, len(pa.s.items)-1))
+			pb.issue(min(1, len(pb.s.items)-1))
+		}
+
+		// stale: the verdict moved. The loop stops looking ahead, lets the
+		// tasks whose fetches are in flight consume them, and plans again once
+		// nothing issued is un-waited: an engine may complete a get after issue
+		// returns (ipcrt's socket path), so no scratch is handed out again with
+		// a get still aimed at it — and no transfer is paid for twice.
+		stale := false
+		for ti := range pending {
+			if stale && pa.waited == pa.issued && pb.waited == pb.issued {
+				break
+			}
+			if cancelled(opts.Cancel) {
+				// Outstanding nonblocking gets are simply never waited on — the
+				// real engine completes them eagerly, and their targets are the
+				// scratch buffers being surrendered right here anyway.
+				releaseScratch(c, pa.bufs, pb.bufs)
+				return ErrCancelled
+			}
+			t := &pending[ti]
+			lookahead := nbuf > 1 && !stale && ti+1 < len(pending)
+			pa.issue(pa.target(ti, lookahead))
+			pb.issue(pb.target(ti, lookahead))
+			aMat := operandView(c, ga, staged, aRegion(t, ga), pa.ready(ti), transA)
+			bMat := operandView(c, gb, staged, bRegion(t, gb), pb.ready(ti), transB)
+
+			cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
+			taskBeta := 1.0
+			if touched == nil {
+				if t.First {
+					taskBeta = beta
+				}
+			} else if reg := (cRegion{t.CI, t.CJ, t.CR, t.CC}); !touched[reg] {
+				touched[reg] = true
 				taskBeta = beta
 			}
-		} else if reg := (cRegion{t.CI, t.CJ, t.CR, t.CC}); !touched[reg] {
-			touched[reg] = true
-			taskBeta = beta
-		}
-		if err := gemmVerified(c, ab, alpha, aMat, bMat, taskBeta, cMat); err != nil {
-			releaseScratch(c, pa.bufs, pb.bufs)
-			return err
-		}
-		if lg != nil {
-			if orig != nil {
-				lg.Mark(orig[ti])
-			} else {
-				lg.Mark(ti)
+			if err := gemmVerified(c, ab, alpha, aMat, bMat, taskBeta, cMat); err != nil {
+				releaseScratch(c, pa.bufs, pb.bufs)
+				return err
 			}
+			if lg != nil {
+				if orig != nil {
+					lg.Mark(orig[ti])
+				} else {
+					lg.Mark(ti)
+				}
+			}
+			stale = stale || w != nil && ti+1 < len(pending) && w.moved(opts.SingleBuffer, pa, pb)
+		}
+		releaseScratch(c, pa.bufs, pb.bufs)
+		if !stale {
+			return nil
 		}
 	}
-	releaseScratch(c, pa.bufs, pb.bufs)
-	return nil
 }
 
-// pipe is one operand's half of the static pipeline: its fetch schedule,
-// the Global the fetches read, and the nbuf buffers (taken at the first
-// fetch) they cycle through.
+// pipe is one operand's half of the pipeline: its fetch schedule, the
+// Global the fetches read, and the nbuf buffers (taken at the first fetch)
+// they cycle through.
 type pipe struct {
 	c      rt.Ctx
 	rec    *obs.Recorder
@@ -345,18 +418,11 @@ type pipe struct {
 	s      schedule
 	bufs   []rt.Buffer
 	issued int // last item put in flight
+	waited int // last item whose completion was waited for
 }
 
 func newPipe(c rt.Ctx, rec *obs.Recorder, g rt.Global, nbuf int, s schedule) *pipe {
-	return &pipe{c: c, rec: rec, g: g, nbuf: nbuf, s: s, issued: -1}
-}
-
-// scratch returns nbuf communication buffers, none when nothing is fetched.
-func scratch(c rt.Ctx, nbuf, elems int) (bufs []rt.Buffer) {
-	for i := 0; i < nbuf && elems > 0; i++ {
-		bufs = append(bufs, c.LocalBuf(elems))
-	}
-	return bufs
+	return &pipe{c: c, rec: rec, g: g, nbuf: nbuf, s: s, issued: -1, waited: -1}
 }
 
 // issue puts every item up to upTo in flight, each burst bracketed with a
@@ -367,8 +433,8 @@ func (p *pipe) issue(upTo int) {
 	if p.issued >= upTo {
 		return
 	}
-	if p.bufs == nil {
-		p.bufs = scratch(p.c, p.nbuf, p.s.maxElems())
+	for len(p.bufs) < p.nbuf {
+		p.bufs = append(p.bufs, p.c.LocalBuf(p.s.maxElems()))
 	}
 	t0 := p.rec.SpanStart()
 	for p.issued < upTo {
@@ -404,7 +470,13 @@ func (p *pipe) ready(ti int) rt.Buffer {
 	if fi < 0 {
 		return nil
 	}
-	p.c.Wait(p.s.items[fi].h)
+	// Items are first used, so waited for, in order. A task reusing a region
+	// that already landed does not wait again: under a recovery layer that
+	// would re-verify the payload and read as a prompt transfer from its owner.
+	if fi > p.waited {
+		p.waited = fi
+		p.c.Wait(p.s.items[fi].h)
+	}
 	return p.bufs[fi%len(p.bufs)]
 }
 

@@ -42,7 +42,7 @@ func regionOf(matrix int, it fetchItem) FetchRegion {
 	return FetchRegion{Matrix: matrix, Owner: it.owner, Off: it.off, LD: it.ld, Rows: it.rows, Cols: it.cols}
 }
 
-// RankFetches returns the exact sequence of fetch regions rank me's static
+// RankFetches returns the exact sequence of fetch regions rank me's
 // executor will issue for its task list, in issue order, after the
 // consecutive-task and double-buffer-slot reuse the executor applies, for
 // operands stored tight (a wider leading dimension moves each region's Off
@@ -51,7 +51,7 @@ func regionOf(matrix int, it fetchItem) FetchRegion {
 // (remote or intra-domain copy, depending on each owner).
 func RankFetches(topo rt.Topology, me int, g *grid.Grid, d Dims, opts Options) []FetchRegion {
 	tasks := Plan(topo, me, g, d, opts)
-	_, sa, sb := fetchSchedules(tasks, opts, nil, nil, nil)
+	_, sa, sb := fetchSchedules(tasks, opts.SingleBuffer, nil, nil, nil)
 	out := make([]FetchRegion, 0, len(sa.items)+len(sb.items))
 	for _, it := range sa.items {
 		out = append(out, regionOf(MatA, it))
@@ -96,7 +96,7 @@ func GroupFetchPlan(topo rt.Topology, grp int, g *grid.Grid, d Dims, opts Option
 	}
 	for m := lo; m < hi; m++ {
 		tasks := Plan(topo, m, g, d, opts)
-		_, sa, sb := fetchSchedules(tasks, opts, ga, gb, nil)
+		_, sa, sb := fetchSchedules(tasks, opts.SingleBuffer, ga, gb, nil)
 		// A task's fetch index beyond every earlier one is a new issue.
 		ia, ib := -1, -1
 		for ti := range tasks {

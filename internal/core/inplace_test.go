@@ -1,6 +1,6 @@
 package core
 
-// The static executor's in-place capability (inPlacer), against a ctx that
+// The executor's in-place capability (inPlacer), against a ctx that
 // holds copies of some of a rank's fetch regions the way internal/hier's
 // group band does: under FlavorDirect a held region is multiplied from
 // where it lies — not fetched, no scratch taken for it — and under
@@ -57,7 +57,7 @@ func (h *holder) LocalBuf(elems int) rt.Buffer {
 // the side buffer.
 func hold(c rt.Ctx, g *grid.Grid, d Dims, opts Options, ga, gb rt.Global, keep int) *holder {
 	tasks := Plan(c.Topo(), c.Rank(), g, d, opts)
-	_, sa, sb := fetchSchedules(tasks, opts, ga, gb, nil)
+	_, sa, sb := fetchSchedules(tasks, opts.SingleBuffer, ga, gb, nil)
 	h := &holder{Ctx: c, at: make(map[heldKey]int)}
 	type src struct {
 		g  rt.Global

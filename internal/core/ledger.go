@@ -180,24 +180,29 @@ func (j *JobLedger) Total() int {
 }
 
 // cRegion identifies one C view a task accumulates into — the key for
-// beta-application tracking shared by both executors.
+// beta-application tracking once the planner's First marks no longer apply
+// (a resumed list, or one planned out of order around a slow rank).
 type cRegion struct{ i, j, r, c int }
 
-// resumeState derives the executor-side resume view from a ledger: which
-// C regions completed tasks already touched (their beta is spent) and, for
-// the static executor, the pending task list with original-index mapping.
-// A fresh ledger (nothing done) returns nil touched — the executors then
-// keep their zero-overhead first-attempt paths.
-func resumeTouched(tasks []Task, lg *Ledger) map[cRegion]bool {
+// unfinished is the executor's resume prologue: the tasks lg does not hold
+// yet, in list order, their original indexes for ledger marks, and the C
+// regions completed tasks already touched (their beta is spent; the
+// planner's static First marks no longer apply). A fresh or absent ledger
+// keeps the whole list and the First-mark fast path: orig and touched nil.
+func unfinished(tasks []Task, lg *Ledger) (pending []Task, orig []int, touched map[cRegion]bool) {
 	if lg == nil || lg.Completed() == 0 {
-		return nil
+		return tasks, nil, nil
 	}
-	touched := make(map[cRegion]bool, lg.Completed())
+	touched = make(map[cRegion]bool, lg.Completed())
+	pending = make([]Task, 0, len(tasks)-lg.Completed())
+	orig = make([]int, 0, len(tasks)-lg.Completed())
 	for i := range tasks {
-		if lg.Done(i) {
-			t := &tasks[i]
+		if t := &tasks[i]; lg.Done(i) {
 			touched[cRegion{t.CI, t.CJ, t.CR, t.CC}] = true
+		} else {
+			pending = append(pending, *t)
+			orig = append(orig, i)
 		}
 	}
-	return touched
+	return pending, orig, touched
 }

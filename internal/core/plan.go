@@ -88,7 +88,8 @@ type Options struct {
 	NoSharedFirst bool
 	// SingleBuffer uses one communication buffer per matrix instead of two,
 	// turning the nonblocking pipeline into blocking gets (the "blocking"
-	// configuration of paper Figure 9).
+	// configuration of paper Figure 9); a rank whose runtime reports itself
+	// Degraded (rt.Health) is planned the same way without being asked.
 	SingleBuffer bool
 	// KernelThreads, when positive, sets how many goroutines each rank's
 	// local dgemm may use (forwarded to the engine via rt.KernelTuner).
@@ -102,7 +103,7 @@ type Options struct {
 	// empirically" knob. Zero means tasks span whole owner blocks.
 	MaxTaskK int
 	// Cancel, when non-nil, is a cancellation signal — typically a
-	// context.Done() channel — polled by the executors between tasks. Once
+	// context.Done() channel — polled by the executor between tasks. Once
 	// it fires, remaining tasks are skipped, communication scratch is
 	// released back to the engine pools, the exit barrier still runs (every
 	// rank shares the signal, so the collective call sequence stays aligned

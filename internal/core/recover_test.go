@@ -80,11 +80,11 @@ func TestLedgerZeroAlloc(t *testing.T) {
 	}
 	tasks := make([]Task, 8)
 	if n := testing.AllocsPerRun(100, func() {
-		if resumeTouched(tasks, nil) != nil {
-			t.Fatal("nil ledger produced a touched map")
+		if _, orig, touched := unfinished(tasks, nil); orig != nil || touched != nil {
+			t.Fatal("nil ledger produced a resume view")
 		}
-		if resumeTouched(tasks, lg) != nil {
-			t.Fatal("empty ledger produced a touched map")
+		if _, orig, touched := unfinished(tasks, lg); orig != nil || touched != nil {
+			t.Fatal("empty ledger produced a resume view")
 		}
 	}); n != 0 {
 		t.Errorf("disabled resume filter allocates %v per run, want 0", n)

@@ -20,6 +20,14 @@ import (
 	"srumma/internal/rt"
 )
 
+// timingBlind is the recovery layer with the straggler threshold out of
+// reach. A replay that must be bit-identical cannot also plan by the wall
+// clock: a rank descheduled for a millisecond (under -race, routinely) reads
+// as slow at the default threshold, the executor plans its tasks behind the
+// others, and NN — one C region per rank, so every reordering reorders its
+// sum — accumulates in a different order.
+var timingBlind = faults.RecoveryConfig{StragglerLatency: time.Hour}
+
 // abftRun executes one SRUMMA multiply with ABFT verification on the real
 // engine under a gemm fault plan, returning the gathered C and summed stats.
 func abftRun(t *testing.T, cfg faults.Config) (*mat.Matrix, rt.Stats, error) {
@@ -40,7 +48,7 @@ func abftRun(t *testing.T, cfg faults.Config) (*mat.Matrix, rt.Stats, error) {
 		t.Fatal(err)
 	}
 	stats, err := armci.RunWithTimeout(topo, chaosTimout, func(c rt.Ctx) {
-		cc := faults.Resilient(faults.Inject(c, plan, nil), faults.RecoveryConfig{})
+		cc := faults.Resilient(faults.Inject(c, plan, nil), timingBlind)
 		ga := driver.AllocBlock(cc, da)
 		gb := driver.AllocBlock(cc, db)
 		gc := driver.AllocBlock(cc, dc)
@@ -164,7 +172,7 @@ func TestComputeCrashPanicsWithContext(t *testing.T) {
 	wantRank, _ := plan.ComputeCrashPoint()
 	start := time.Now()
 	_, err = armci.RunWithTimeout(rt.Topology{NProcs: chaosProcs, ProcsPerNode: chaosPPN}, chaosTimout, func(c rt.Ctx) {
-		cc := faults.Resilient(faults.Inject(c, plan, nil), faults.RecoveryConfig{})
+		cc := faults.Resilient(faults.Inject(c, plan, nil), timingBlind)
 		ga := driver.AllocBlock(cc, da)
 		gb := driver.AllocBlock(cc, db)
 		gc := driver.AllocBlock(cc, dc)

@@ -178,10 +178,9 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 // FlavorCopy it fetches as ever and NbGetSub serves the staged ones from
 // the band. Everything else — member fetches, direct operands, scratch,
 // Gemm, barriers, chaos injection in a wrapped engine — flows to the
-// underlying ctx unchanged. It deliberately does NOT forward the resilient
-// executor's rankHealth capability: under hier the static executor runs,
-// and failures are handled at the job level (retry + ledger resume), not
-// by per-fetch rescheduling.
+// underlying ctx unchanged. That includes rank health: the executor finds a
+// resilience layer beneath through Unwrap like any engine capability, and
+// plans member fetches around its verdict exactly as flat SRUMMA does.
 type stagedCtx struct {
 	rt.Ctx
 	band rt.Global

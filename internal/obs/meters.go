@@ -31,7 +31,7 @@ type Meters struct {
 	FaultRetries    int64 // one-sided ops re-issued after a timed-out transfer
 	FaultRefetches  int64 // one-sided ops re-issued after a checksum mismatch
 	ChecksumErrors  int64 // corrupted payloads detected end-to-end
-	StragglerSteals int64 // tasks executed out of order to dodge a slow rank
+	StragglerSteals int64 // tasks planned behind later ones because they wait on a slow rank, over all (re-)plans
 	DegradedMode    int64 // 1 once the rank fell back to blocking transfers
 	ABFTDetected    int64 // C blocks failing Huang-Abraham sum verification
 	ABFTRecomputed  int64 // corrupted C blocks restored and recomputed clean

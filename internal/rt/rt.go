@@ -188,6 +188,19 @@ func FindKernelTuner(c Ctx) KernelTuner { return find[KernelTuner](c) }
 // that can recycle scratch buffers, or nil.
 func FindBufferReleaser(c Ctx) BufferReleaser { return find[BufferReleaser](c) }
 
+// Health is the capability a fault-tolerant runtime layer (the
+// internal/faults resilient wrapper) exposes to the SRUMMA executor, which
+// plans around the verdict: tasks waiting on an owner that IsSlow run after
+// the others, and a Degraded rank fetches blocking, one buffer per operand.
+type Health interface {
+	IsSlow(rank int) bool
+	Degraded() bool
+}
+
+// FindHealth walks c's Unwrap chain and returns the first layer that
+// reports rank health, or nil.
+func FindHealth(c Ctx) Health { return find[Health](c) }
+
 // Recorded is an optional capability of a Ctx: exposing the obs.Recorder
 // this process's spans land in. Algorithm layers that want to emit their
 // own spans (e.g. the executor's fetch-issue intervals) discover it with

@@ -141,7 +141,7 @@ type Report struct {
 	Retries         int64 // ops re-issued after a timeout
 	Refetches       int64 // ops re-issued after a checksum mismatch
 	ChecksumErrors  int64 // corrupted payloads detected
-	StragglerSteals int64 // tasks re-ordered away from slow ranks
+	StragglerSteals int64 // tasks planned behind later ones because they wait on a slow rank
 	DegradedRanks   int64 // ranks that fell back to blocking transfers
 }
 
