@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build noasm test race cover bench benchmark benchmark-compare bench-kernel bench-serve bench-sched serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke bench-hier multihost-smoke verify repro chaos chaos-serve bench-recover fuzz clean
+.PHONY: all build noasm test race cover bench benchmark benchmark-compare bench-kernel serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke bench-hier multihost-smoke verify repro chaos chaos-serve fuzz clean
 
 all: build test
 
@@ -78,31 +78,6 @@ serve-smoke:
 	grep -q '"wire": "binary"' $$tmp/bench_bin.json; \
 	grep -q '"cache_hits"' $$tmp/bench_bin.json; \
 	echo "serve-smoke: PASS (clean drain, class stats recorded, binary wire + cache hit verified)"
-
-# Scheduler benchmark: (a) batched coalescing of queued small GEMMs vs
-# per-request engine dispatch (bit-identity asserted), (b) per-class
-# latency of a mixed interactive/batch load. Recorded to BENCH_sched.json
-# (the committed record also keeps the arm of the first-come-first-served
-# dispatch path that PR 14 deleted).
-bench-sched:
-	$(GO) run ./cmd/srumma-load -bench-sched -out BENCH_sched.json
-
-# Serving benchmarks, each a keyed section of BENCH_server.json:
-#   wire          — one 256^3 GEMM over the JSON wire, the binary wire and
-#                   a warm result cache (p50/p99, exact bytes, bit-identity);
-#   cluster       — the same stream served in-process vs sharded across
-#                   OS-process worker nodes (unix and tcp transports),
-#                   bit-identical across arms;
-#   cache_shaping — hit rate and throughput multiplier vs cache size/TTL
-#                   under a shared-weights revisit profile;
-#   overload      — breaker threshold/window sweep (500-rate vs
-#                   availability) and brownout fraction sweep (tail
-#                   latency vs degraded requests).
-bench-serve:
-	$(GO) run ./cmd/srumma-load -bench-wire -out BENCH_server.json
-	$(GO) run ./cmd/srumma-load -bench-cluster -out BENCH_server.json
-	$(GO) run ./cmd/srumma-load -bench-cache -out BENCH_server.json
-	$(GO) run ./cmd/srumma-load -bench-overload -out BENCH_server.json
 
 # Trace both engines end to end: a traced multiply on the virtual-time
 # model and on the real engine, Chrome trace-event JSON exported from
@@ -204,13 +179,6 @@ chaos:
 # circuit-breaker 503 path.
 chaos-serve:
 	$(GO) test -race -count=1 -run 'TestChaosServe|TestBreakerServes503' ./internal/server
-
-# Crash-recovery benchmark: one planted mid-compute crash recovered by
-# ledger resume vs full restart; the resumed retry must re-execute
-# strictly fewer tasks and both products must be bit-identical to a
-# fault-free run. Recorded to BENCH_recover.json.
-bench-recover:
-	$(GO) run ./cmd/srumma-load -chaos -out BENCH_recover.json
 
 # Short fuzzing session over the numeric kernels, index math, the fault
 # planner, the binary wire decoder (crash-free on arbitrary bytes,

@@ -15,7 +15,7 @@ import (
 // srumma-serve is a stale mention.
 var otherTools = map[string]bool{
 	"classes": true, "deadline": true, "wire": true, "gzip": true, "repeat-operands": true,
-	"min-cache-hits": true, "chaos": true, // srumma-load
+	"min-cache-hits": true, "out": true, // srumma-load
 	"join": true, "rank": true, "np": true, "dir": true, "transport": true, // srumma-worker
 	"race": true,
 }

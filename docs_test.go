@@ -1,0 +1,44 @@
+package srumma
+
+import (
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+var (
+	makeTarget  = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	makeMention = regexp.MustCompile("(?:`|run: )make((?:\\s+[a-z][a-z0-9-]*)+)")
+)
+
+// TestDocsNameLiveMakeTargets keeps a deleted Makefile target from leaving
+// its mentions behind: every `make <target>...` the living documents show
+// (and every `run: make ...` step of CI) must name targets the Makefile
+// has. CHANGES.md and ROADMAP.md are history and are not read.
+func TestDocsNameLiveMakeTargets(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	for _, doc := range []string{
+		"README.md", "DESIGN.md", "EXPERIMENTS.md",
+		".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
+	} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range makeMention.FindAllSubmatch(text, -1) {
+			for _, name := range strings.Fields(string(m[1])) {
+				if !targets[name] {
+					t.Errorf("%s shows `make %s`, which the Makefile does not have", doc, name)
+				}
+			}
+		}
+	}
+}

@@ -196,3 +196,105 @@ func TestComputeCrashPanicsWithContext(t *testing.T) {
 		t.Fatal("crash recovery exceeded the watchdog window")
 	}
 }
+
+// The resume-vs-restart gate's job: small enough for -race, with enough
+// tasks per rank (192/8 = 24) that a crash inside a rank's first six gemms
+// leaves work both done and undone.
+const (
+	resumeProcs = 4
+	resumeN     = 192
+	resumeSpan  = 6
+)
+
+// resumeAttempt runs one SRUMMA attempt in place in out (driver.Bind adopts
+// it), under the shared injector unless sh is nil, and returns the attempt's
+// summed stats. What a failed attempt completed is therefore still in out
+// for the retry, next to the ledger marks in opts that say what it is.
+func resumeAttempt(t *testing.T, opts core.Options, sh *faults.Shared, a, b, out *mat.Matrix) (rt.Stats, error) {
+	t.Helper()
+	g, err := grid.Square(resumeProcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := core.Dims{M: resumeN, N: resumeN, K: resumeN}
+	da, db, dc := core.Dists(g, d, opts.Case)
+	errs := make([]error, resumeProcs)
+	topo := rt.Topology{NProcs: resumeProcs, ProcsPerNode: chaosPPN}
+	stats, err := armci.RunWithTimeout(topo, chaosTimout, func(c rt.Ctx) {
+		if sh != nil {
+			c = faults.Resilient(sh.Wrap(c), timingBlind)
+		}
+		ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
+		errs[c.Rank()] = core.MultiplyEx(c, g, d, opts, 1, 0, ga, gb, gc)
+	})
+	var sum rt.Stats
+	for _, s := range stats {
+		sum.Add(s)
+	}
+	return sum, errors.Join(append(errs, err)...)
+}
+
+// TestComputeCrashResumeVsRestart is the crash-recovery gate: one planted
+// mid-compute crash, recovered once by retrying over the partial result
+// with the job's ledger and once by forgetting the ledger. Both retries
+// must land bit-identically on the fault-free product; the resumed one must
+// have executed strictly less gemm work than a whole run, the restarted one
+// exactly a whole run's (Stats.Flops counts every gemm the engine executes).
+func TestComputeCrashResumeVsRestart(t *testing.T) {
+	a := mat.Random(resumeN, resumeN, 101)
+	b := mat.Random(resumeN, resumeN, 102)
+	opts := core.Options{Case: core.NN, Flavor: core.FlavorDirect, MaxTaskK: chaosTaskK}
+	clean, want := mat.New(resumeN, resumeN), mat.New(resumeN, resumeN)
+	whole, err := resumeAttempt(t, opts, nil, a, b, clean)
+	if err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	if err := mat.Gemm(false, false, 1, a, b, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	if diff := mat.MaxAbsDiff(clean, want); diff > 1e-10*resumeN {
+		t.Fatalf("fault-free run diverges from the serial kernel: max diff %g", diff)
+	}
+
+	for _, resume := range []bool{true, false} {
+		plan, err := faults.NewPlan(faults.Config{Seed: 1, ComputeCrash: true, ComputeCrashOpSpan: resumeSpan}, resumeProcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRank, _ := plan.ComputeCrashPoint()
+		sh := faults.NewShared(plan) // one latch across both attempts: the crash fires once
+		jl := core.NewJobLedger(resumeProcs)
+		opts.Ledger = jl
+		got := mat.New(resumeN, resumeN)
+
+		_, err = resumeAttempt(t, opts, sh, a, b, got)
+		var ce faults.CrashError
+		if !errors.As(err, &ce) || ce.Rank != wantRank || !ce.Compute {
+			t.Fatalf("resume=%v: first attempt returned %v, want the compute crash planted on rank %d", resume, err, wantRank)
+		}
+		if done, total := jl.Completed(), jl.Total(); done <= 0 || done >= total {
+			t.Fatalf("resume=%v: ledger holds %d of %d tasks after the crash, want some but not all", resume, done, total)
+		}
+		if !resume {
+			for r := 0; r < resumeProcs; r++ {
+				jl.Reset(r)
+			}
+		}
+
+		retry, err := resumeAttempt(t, opts, sh, a, b, got)
+		if err != nil {
+			t.Fatalf("resume=%v: retry failed: %v", resume, err)
+		}
+		for i := range clean.Data {
+			if got.Data[i] != clean.Data[i] {
+				t.Fatalf("resume=%v: C[%d] = %v != fault-free %v (must be bit-identical)", resume, i, got.Data[i], clean.Data[i])
+			}
+		}
+		if resume && retry.Flops >= whole.Flops {
+			t.Errorf("resumed retry executed %g flops, not fewer than a whole run's %g: the ledger preserved nothing", retry.Flops, whole.Flops)
+		}
+		if !resume && retry.Flops != whole.Flops {
+			t.Errorf("restarted retry executed %g flops, want a whole run's %g", retry.Flops, whole.Flops)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package srumma
 
 // Public surface of the serving layer: GEMM-as-a-service on persistent
 // engine teams. See cmd/srumma-serve for the standalone daemon and
-// cmd/srumma-load for the load-test harness.
+// cmd/srumma-load for the load client.
 
 import (
 	"srumma/internal/armci"
