@@ -53,10 +53,13 @@ bench-kernel:
 
 # End-to-end smoke of the GEMM service: start srumma-serve (workload
 # scheduler mode, elastic pool, result cache on), drive a class-tagged
-# deadline-hinted mix through srumma-load — small shapes coalesce into
-# batched team jobs, the large shape runs as an engine singleton, 429
-# backpressure exercised via a tiny queue (every result checked against
-# the serial kernel) — then repeat part of the mix over the binary wire:
+# deadline-hinted mix of distinct operands (so the cache serves none of it)
+# through srumma-load — small shapes are computed by
+# their handlers while the pool is idle (sched.inline_dispatches in the
+# /metrics the load tool embeds must be > 0) and queue behind a busy one,
+# the large shape runs as an engine singleton, 429 backpressure exercised
+# via a tiny queue (every result checked against the serial kernel) — then
+# repeat part of the mix over the binary wire:
 # identical operands must hit the result cache (the load tool asserts the
 # echoed result digests match across wires). Finally SIGTERM and assert a
 # clean drain (the server exits non-zero on a WatchdogError).
@@ -69,15 +72,16 @@ serve-smoke:
 	set +e; \
 	$$tmp/srumma-load -addr http://127.0.0.1:18711 -concurrency 6 -requests 24 \
 	    -mix 24x24x24,96x96x96,160x160x160 -classes interactive:2,batch:1 \
-	    -deadline 5s -out $$tmp/bench.json; ok=$$?; \
+	    -repeat-operands 8 -deadline 5s -out $$tmp/bench.json; ok=$$?; \
 	$$tmp/srumma-load -addr http://127.0.0.1:18711 -concurrency 4 -requests 12 \
 	    -mix 96x96x96 -wire binary -min-cache-hits 1 -out $$tmp/bench_bin.json; okbin=$$?; \
 	kill -TERM $$pid 2>/dev/null; wait $$pid; drain=$$?; \
 	set -e; test $$ok -eq 0; test $$okbin -eq 0; test $$drain -eq 0; \
 	grep -q '"interactive"' $$tmp/bench.json; grep -q '"batch"' $$tmp/bench.json; \
+	grep -Eq '"inline_dispatches": [1-9]' $$tmp/bench.json; \
 	grep -q '"wire": "binary"' $$tmp/bench_bin.json; \
 	grep -q '"cache_hits"' $$tmp/bench_bin.json; \
-	echo "serve-smoke: PASS (clean drain, class stats recorded, binary wire + cache hit verified)"
+	echo "serve-smoke: PASS (clean drain, class stats recorded, caller-run dispatches seen, binary wire + cache hit verified)"
 
 # Trace both engines end to end: a traced multiply on the virtual-time
 # model and on the real engine, Chrome trace-event JSON exported from

@@ -52,7 +52,7 @@ var (
 	kernelThreads    = flag.Int("kernel-threads", 0, "local-dgemm workers per rank (0: engine default)")
 	drainGrace       = flag.Duration("drain-grace", 30*time.Second, "max time to drain in-flight work on shutdown")
 	maxTeams         = flag.Int("max-teams", 0, "elastic pool ceiling; the pool grows from -teams toward it under backlog (0: fixed pool)")
-	batchMax         = flag.Int("batch-max", 0, "max queued small GEMMs coalesced into one team job (0: 32)")
+	batchMax         = flag.Int("batch-max", 0, "max queued small GEMMs coalesced into one dispatch (0: 32)")
 	starveAfter      = flag.Duration("starve-after", 0, "promote any request waiting this long regardless of class weights (0: 2s)")
 	teamIdle         = flag.Duration("team-idle", 0, "retire elastic teams idle this long (0: 30s)")
 	traceEvents      = flag.Int("trace-events", 0, "per-lane span ring size for GET /debug/trace (0: tracing off)")

@@ -3,8 +3,9 @@ package core
 // The workload scheduler is engine-agnostic: it orders, groups and
 // dispatches opaque payloads. This test drives it straight from the core
 // engine — no HTTP serving layer — mixing full SRUMMA team jobs
-// (non-batchable singletons) with coalesced local-kernel batches, and
-// verifies every result against the naive kernel.
+// (non-batchable singletons) with coalesced local-kernel batches and a
+// small product its submitter computes, and verifies every result against
+// the naive kernel.
 
 import (
 	"context"
@@ -48,9 +49,11 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var callerRuns atomic.Int64
 	exec := func(w sched.Worker, tasks []*sched.Task) sched.Outcome {
-		tm := w.(*engineWorker).tm
 		if !tasks[0].Batchable {
+			// An engine job always comes with an engine.
+			tm := w.(*engineWorker).tm
 			job := tasks[0].Payload.(*srummaDriveJob)
 			da, db, dc := Dists(g, job.d, NN)
 			a := mat.Random(da.Rows, da.Cols, job.seedA)
@@ -73,30 +76,23 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 			tasks[0].Finish(runErr)
 			return sched.Outcome{Err: runErr}
 		}
-		// Coalesced batch: ranks pull small products off a shared counter.
-		var next atomic.Int64
-		n := len(tasks)
-		_, runErr := tm.Run(func(rt.Ctx) {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				job := tasks[i].Payload.(*gemmDriveJob)
-				got := mat.New(job.a.Rows, job.b.Cols)
-				err := mat.GemmParallel(1, false, false, 1, job.a, job.b, 0, got)
-				job.got = got
-				tasks[i].Finish(err)
-			}
-		})
-		if runErr != nil {
-			for _, tk := range tasks {
-				if !tk.Finished() {
-					tk.Finish(runErr)
-				}
+		// Small products need no engine, and may get none: a coalesced batch
+		// arrives on a worker, a lone task on an idle pool on the goroutine
+		// that submitted it (w nil). Whoever holds them computes them.
+		if w == nil {
+			callerRuns.Add(1)
+			if len(tasks) != 1 {
+				t.Errorf("caller-run dispatch of %d tasks, want 1", len(tasks))
 			}
 		}
-		return sched.Outcome{Err: runErr}
+		for _, tk := range tasks {
+			job := tk.Payload.(*gemmDriveJob)
+			got := mat.New(job.a.Rows, job.b.Cols)
+			err := mat.GemmParallel(1, false, false, 1, job.a, job.b, 0, got)
+			job.got = got
+			tk.Finish(err)
+		}
+		return sched.Outcome{}
 	}
 
 	sch, err := sched.New(sched.Config{
@@ -192,6 +188,33 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 	if snap.Completed != uint64(len(tasks)) {
 		t.Errorf("completed %d, want %d", snap.Completed, len(tasks))
 	}
+	if snap.InlineDispatches != uint64(callerRuns.Load()) {
+		t.Errorf("inline_dispatches %d, exec saw %d nil workers", snap.InlineDispatches, callerRuns.Load())
+	}
+
+	// The backlog is gone: a lone small product is now computed inside
+	// Submit, by this goroutine. (A worker may still be settling its last
+	// dispatch, in which case the product is queued for it; try again.)
+	before := callerRuns.Load()
+	for try := 0; callerRuns.Load() == before; try++ {
+		if try == 100 {
+			t.Fatal("no small product was caller-run on an idle pool in 100 tries")
+		}
+		job := &gemmDriveJob{a: mat.Random(24, 24, 900), b: mat.Random(24, 24, 901)}
+		tk := &sched.Task{Batchable: true, Payload: job}
+		if err := sch.Submit(tk); err != nil {
+			t.Fatal(err)
+		}
+		<-tk.Done()
+		want := mat.New(24, 24)
+		if err := mat.GemmNaive(false, false, 1, job.a, job.b, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if diff := mat.MaxAbsDiff(job.got, want); tk.Err() != nil || diff > 1e-10*24 {
+			t.Fatalf("lone product: err %v, max diff %g", tk.Err(), diff)
+		}
+	}
+	snap = sch.Snapshot()
 	if snap.MaxBatch < 2 {
 		t.Errorf("max batch %d: small products were never coalesced", snap.MaxBatch)
 	}

@@ -63,7 +63,8 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, n, k int) {
 	kern := active
 	mr, nr := kern.mr, kern.nr
-	apBuf, bpBuf := aPanelPool.Get().(*[]float64), bPanelPool.Get().(*[]float64)
+	aPool, bPool := packPools(m, n, k)
+	apBuf, bpBuf := aPool.Get().(*[]float64), bPool.Get().(*[]float64)
 	ap, bp := *apBuf, *bpBuf
 	for jc := 0; jc < n; jc += ncBlock {
 		ncEff := min(ncBlock, n-jc)
@@ -85,8 +86,8 @@ func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, 
 			}
 		}
 	}
-	aPanelPool.Put(apBuf)
-	bPanelPool.Put(bpBuf)
+	aPool.Put(apBuf)
+	bPool.Put(bpBuf)
 }
 
 func scaleC(beta float64, c *Matrix) {

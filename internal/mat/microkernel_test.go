@@ -242,3 +242,48 @@ func raggedShapeKeepsRate(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallPackBuffersChangeNothing: a product with every extent at most
+// smallDim packs into smallDim² buffers, a larger one into full panels. At
+// the boundary the choice must not show: the top-left window of a product
+// one past smallDim (full panels), recomputed on its own at smallDim and
+// just below (small buffers), is the same bit for bit.
+func TestSmallPackBuffersChangeNothing(t *testing.T) {
+	if a, b := packPools(smallDim, smallDim, smallDim); a != &smallPanelPool || b != &smallPanelPool {
+		t.Fatal("a smallDim³ product does not use the small pack buffers")
+	}
+	for _, ext := range [][3]int{{smallDim + 1, 1, 1}, {1, smallDim + 1, 1}, {1, 1, smallDim + 1}} {
+		if a, b := packPools(ext[0], ext[1], ext[2]); a != &aPanelPool || b != &bPanelPool {
+			t.Fatalf("a %v product does not use full panels", ext)
+		}
+	}
+	forEachKernel(t, func(t *testing.T, kern *kernel) {
+		if smallDim%kern.mr != 0 || smallDim%kern.nr != 0 {
+			t.Fatalf("smallDim %d is not a multiple of the %dx%d tile", smallDim, kern.mr, kern.nr)
+		}
+		big := smallDim + 1
+		for _, k := range []int{smallDim - 1, smallDim} {
+			for _, tc := range gemmCases {
+				ar, ac := opShape(tc.transA, big, k)
+				br, bc := opShape(tc.transB, k, big)
+				a, b, c0 := Random(ar, ac, 91), Random(br, bc, 92), Random(big, big, 93)
+				whole := c0.Clone()
+				if err := Gemm(tc.transA, tc.transB, 1.5, a, b, 0.5, whole); err != nil {
+					t.Fatal(err)
+				}
+				for _, mn := range [][2]int{{smallDim, smallDim}, {smallDim - 1, smallDim}, {smallDim, smallDim - 3}} {
+					m, n := mn[0], mn[1]
+					ar, ac := opShape(tc.transA, m, k)
+					br, bc := opShape(tc.transB, k, n)
+					part := c0.Clone().View(0, 0, m, n)
+					if err := Gemm(tc.transA, tc.transB, 1.5, a.View(0, 0, ar, ac), b.View(0, 0, br, bc), 0.5, part); err != nil {
+						t.Fatal(err)
+					}
+					if !bitsEqual(part, whole.View(0, 0, m, n)) {
+						t.Errorf("%s %dx%dx%d: small-buffer product differs from the window of the full-panel one", tc.name, m, n, k)
+					}
+				}
+			}
+		}
+	})
+}

@@ -31,12 +31,30 @@ const (
 	bPanelElems = kcBlock * ncBlock
 )
 
-// Pack buffers are uniform (aPanelElems / bPanelElems capacity), so a
-// sync.Pool per panel kind keeps steady-state Gemm calls allocation-free.
+// Pack buffers are uniform per pool, so a sync.Pool per capacity keeps
+// steady-state Gemm calls allocation-free. A product with m, n and k all at
+// most smallDim packs both its slabs into smallDim² buffers instead of full
+// panels — neither slab outgrows one, smallDim being a multiple of every
+// kernel's mr and nr, so micro-panel padding stays inside. A server
+// computing many such products at once, one per processor, then keeps
+// 256 KB of pack space warm per product in flight, not the 1.25 MB a
+// 512-column slab needs.
+const smallDim = 128
+
 var (
-	aPanelPool = sync.Pool{New: func() any { b := make([]float64, aPanelElems); return &b }}
-	bPanelPool = sync.Pool{New: func() any { b := make([]float64, bPanelElems); return &b }}
+	aPanelPool     = sync.Pool{New: func() any { b := make([]float64, aPanelElems); return &b }}
+	bPanelPool     = sync.Pool{New: func() any { b := make([]float64, bPanelElems); return &b }}
+	smallPanelPool = sync.Pool{New: func() any { b := make([]float64, smallDim*smallDim); return &b }}
 )
+
+// packPools returns the pools a product of the given extent takes its A and
+// B pack buffers from.
+func packPools(m, n, k int) (a, b *sync.Pool) {
+	if max(m, n, k) <= smallDim {
+		return &smallPanelPool, &smallPanelPool
+	}
+	return &aPanelPool, &bPanelPool
+}
 
 // packPanels copies the kc x n slab X[l, j] (l < kc, j < n) of an operand,
 // scaled, into dst as micro-panels of w columns in row order:

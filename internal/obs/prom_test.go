@@ -12,6 +12,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("server.requests").Add(3)
 	r.Gauge("breaker.state./multiply").Set(1)
 	r.Float("sched.service_s").Add(0.25)
+	r.Counter("sched.inline_dispatches").Add(2)
 	r.Histogram("sched.queue_wait.batch") // empty: quantiles export as 0
 
 	var b strings.Builder
@@ -20,6 +21,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 	want := `# TYPE breaker_state__multiply untyped
 breaker_state__multiply 1
+# TYPE sched_inline_dispatches untyped
+sched_inline_dispatches 2
 # TYPE sched_queue_wait_batch_count untyped
 sched_queue_wait_batch_count 0
 # TYPE sched_queue_wait_batch_max_s untyped

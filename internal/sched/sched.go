@@ -1,12 +1,20 @@
 // Package sched is the workload scheduler between request admission and
-// the engine pool: it decides WHAT runs next and on HOW MANY engines,
-// while staying agnostic about what an engine is (Worker) and how work
-// executes on it (Config.Exec). Three policies compose:
+// the engine pool: it decides WHAT runs next, on HOW MANY engines and on
+// WHOSE goroutine, while staying agnostic about what an engine is (Worker)
+// and how work executes on it (Config.Exec).
+//
+// Who runs a dispatch: a batchable task submitted while nothing is queued,
+// a pool worker is idle and fewer than GOMAXPROCS such dispatches are in
+// flight is dispatched — alone — on the goroutine that called Submit. It
+// needs no engine (Exec gets a nil Worker), so handing it to a worker
+// goroutine would buy two goroutine switches and a place in single file
+// behind whatever that worker runs next, and nothing else. Everything else
+// is queued for the pool, where three policies compose — they exist for
+// contention, and apply exactly when there is some:
 //
 //   - batched execution: queued batchable tasks of one class are coalesced
-//     into a single dispatch, sorted by locality key, so the executor can
-//     amortize per-dispatch overhead (engine wake, barriers) across many
-//     small tasks;
+//     into a single dispatch, sorted by locality key, so equal shapes run
+//     back to back and one worker hand-off serves the whole backlog;
 //   - priority + deadline dispatch: per-class index-heap run queues with
 //     EDF order within a class, weighted fair queueing across classes, and
 //     starvation aging (a head task waiting past StarveAfter is served
@@ -26,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -112,6 +121,9 @@ type Config struct {
 	// Exec runs one dispatch — a locality-sorted batch of one class, or a
 	// single non-batchable task — on a worker (required). It must Finish
 	// every task it completes and return the rest in Outcome.Unfinished.
+	// w is nil for a dispatch run by Submit's caller (one batchable task,
+	// see the package comment): batchable work must not need the engine.
+	// Exec may then be running on several goroutines at once.
 	Exec func(w Worker, tasks []*Task) Outcome
 	// Now is the clock used for deadlines and aging (default time.Now;
 	// injectable for tests).
@@ -172,6 +184,8 @@ type Scheduler struct {
 	mu       sync.Mutex
 	q        runQueue
 	workers  int
+	busy     int // workers holding a dispatch (popped, not yet settled)
+	callers  int // caller-run dispatches in flight, at most maxCallers
 	draining bool
 	stopped  bool
 	closeErr error
@@ -179,6 +193,10 @@ type Scheduler struct {
 	ready chan struct{} // work-available wakeups (best effort, never lost)
 	stop  chan struct{}
 	wg    sync.WaitGroup
+
+	// maxCallers is GOMAXPROCS at New: past it a caller-run dispatch would
+	// only time-slice against the others, so the task queues instead.
+	maxCallers int
 
 	// Counters live in an obs.Registry (cfg.Metrics or a private one) under
 	// "sched.*" names; the struct caches the pointers so hot paths never
@@ -194,6 +212,7 @@ type Scheduler struct {
 	cancelled       *obs.Counter
 	dispatches      *obs.Counter
 	dispatchedTasks *obs.Counter
+	inline          *obs.Counter // dispatches run by Submit's caller
 	maxBatch        *obs.Counter // running maximum via RaiseTo
 	requeued        *obs.Counter
 	retriesDropped  *obs.Counter
@@ -223,6 +242,7 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:             cfg,
 		ready:           make(chan struct{}, cfg.QueueCap),
 		stop:            make(chan struct{}),
+		maxCallers:      runtime.GOMAXPROCS(0),
 		reg:             reg,
 		inflight:        reg.Gauge("sched.in_flight"),
 		groups:          reg.Gauge("sched.groups"),
@@ -233,6 +253,7 @@ func New(cfg Config) (*Scheduler, error) {
 		cancelled:       reg.Counter("sched.cancelled"),
 		dispatches:      reg.Counter("sched.dispatches"),
 		dispatchedTasks: reg.Counter("sched.dispatched_tasks"),
+		inline:          reg.Counter("sched.inline_dispatches"),
 		maxBatch:        reg.Counter("sched.max_batch"),
 		requeued:        reg.Counter("sched.requeued"),
 		retriesDropped:  reg.Counter("sched.retries_exhausted"),
@@ -296,7 +317,10 @@ func (s *Scheduler) Queued() int {
 func (s *Scheduler) now() time.Time { return s.cfg.Now() }
 
 // Submit admits t or refuses with ErrQueueFull/ErrClosed. On admission the
-// task WILL be finished eventually; wait on t.Done().
+// task WILL be finished eventually; wait on t.Done(). A batchable task may
+// be dispatched on the calling goroutine (package comment): Submit then
+// returns after Exec did, normally with t finished — but a dispatch that
+// failed leaves t requeued for a worker, so callers wait on Done either way.
 func (s *Scheduler) Submit(t *Task) error {
 	if t.Class >= NumClasses {
 		return fmt.Errorf("sched: invalid class %d", t.Class)
@@ -314,12 +338,45 @@ func (s *Scheduler) Submit(t *Task) error {
 	s.inflight.Add(1)
 	t.s = s
 	t.done = make(chan struct{})
-	s.q.push(t, s.now())
-	s.resizeLocked()
+	now := s.now()
+	callerRun := t.Batchable && s.q.len() == 0 && s.busy < s.workers && s.callers < s.maxCallers
+	if callerRun {
+		s.callers++
+		t.enq = now
+		s.q.vtime[t.Class] += s.issueLocked(t, now) / s.cfg.Weights[t.Class]
+	} else {
+		s.q.push(t, now)
+		s.resizeLocked()
+	}
 	s.mu.Unlock()
 	s.submitted.Add(1)
-	s.wake()
+	if callerRun {
+		s.inline.Add(1)
+		s.runCaller(t)
+	} else {
+		s.wake()
+	}
 	return nil
+}
+
+// runCaller is a caller-run dispatch: one task, no worker, the same books
+// and the same settle as a worker's. A panic out of Exec must not unwind
+// into Submit's caller with the task admitted and never finished, so it is
+// turned into a failed dispatch: the task is requeued and a worker tries it.
+func (s *Scheduler) runCaller(t *Task) {
+	batch := []*Task{t}
+	out := func() (out Outcome) {
+		defer func() {
+			if r := recover(); r != nil {
+				out = Outcome{Unfinished: batch, Err: fmt.Errorf("sched: caller-run dispatch panicked: %v", r)}
+			}
+		}()
+		return s.dispatch(nil, batch)
+	}()
+	s.settle(out)
+	s.mu.Lock()
+	s.callers--
+	s.mu.Unlock()
 }
 
 // wake nudges one worker. The channel is sized to QueueCap, so a full
@@ -413,10 +470,25 @@ func (s *Scheduler) pickClassLocked(now time.Time) (Class, bool) {
 	return 0, false
 }
 
+// issueLocked books t's passage from admitted to dispatched at now — the
+// attempt, the queue-wait sample and span — and returns its fairness cost.
+func (s *Scheduler) issueLocked(t *Task, now time.Time) float64 {
+	t.attempts.Add(1)
+	// Queue-wait lands in the per-class histogram so /metrics separates
+	// wait p99 from service p99 — the queueing-delay half of latency.
+	s.qwait[t.Class].Observe(now.Sub(t.enq).Seconds())
+	if s.cfg.Trace != nil {
+		// Queue-wait span: admission (enq) to dispatch, on the sched lane.
+		s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindQueue, t.enq, now)
+	}
+	return max(t.Cost, 1)
+}
+
 // popBatch assembles the next dispatch into buf: the picked class's EDF
 // head, extended with up to BatchMax-1 further batchable heads of the same
 // class, sorted by locality key. Cancelled tasks surfacing at the head are
-// dropped on the spot. An empty result means no dispatchable work.
+// dropped on the spot. An empty result means no dispatchable work; a
+// non-empty one marks the calling worker busy until it says otherwise.
 func (s *Scheduler) popBatch(buf []*Task) []*Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -439,20 +511,8 @@ func (s *Scheduler) popBatch(buf []*Task) []*Task {
 			break
 		}
 		s.q.popHead(c)
-		head.attempts.Add(1)
-		// Queue-wait lands in the per-class histogram so /metrics separates
-		// wait p99 from service p99 — the queueing-delay half of latency.
-		s.qwait[c].Observe(now.Sub(head.enq).Seconds())
-		if s.cfg.Trace != nil {
-			// Queue-wait span: admission (enq) to dispatch, on the sched lane.
-			s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindQueue, head.enq, now)
-		}
+		cost += s.issueLocked(head, now)
 		buf = append(buf, head)
-		if head.Cost > 1 {
-			cost += head.Cost
-		} else {
-			cost++
-		}
 		if !head.Batchable {
 			break
 		}
@@ -460,6 +520,7 @@ func (s *Scheduler) popBatch(buf []*Task) []*Task {
 	if len(buf) == 0 {
 		return buf
 	}
+	s.busy++
 	s.q.vtime[c] += cost / s.cfg.Weights[c]
 	if len(buf) > 1 {
 		sort.Slice(buf, func(i, j int) bool {
@@ -529,21 +590,11 @@ func (s *Scheduler) runWorker(w Worker) {
 				continue
 			}
 		}
-		// Count the dispatch when it is issued, not when Exec returns:
-		// tasks Finish() inside Exec, so an observer woken by a completion
-		// must already see the dispatch that produced it in the counters.
-		s.dispatches.Add(1)
-		s.dispatchedTasks.Add(int64(len(batch)))
-		s.maxBatch.RaiseTo(int64(len(batch)))
-		var t0 time.Time
-		if s.cfg.Trace != nil {
-			t0 = s.now()
-		}
-		out := s.cfg.Exec(w, batch)
-		if s.cfg.Trace != nil {
-			s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindBatch, t0, s.now())
-		}
+		out := s.dispatch(w, batch)
 		s.settle(out)
+		s.mu.Lock()
+		s.busy--
+		s.mu.Unlock()
 		if out.ReplaceWorker {
 			w.Close()
 			w = nil
@@ -561,6 +612,26 @@ func (s *Scheduler) runWorker(w Worker) {
 			w = nw
 		}
 	}
+}
+
+// dispatch counts and runs one dispatch, on worker w or (w nil) on the
+// goroutine that submitted its only task.
+func (s *Scheduler) dispatch(w Worker, batch []*Task) Outcome {
+	// Count the dispatch when it is issued, not when Exec returns:
+	// tasks Finish() inside Exec, so an observer woken by a completion
+	// must already see the dispatch that produced it in the counters.
+	s.dispatches.Add(1)
+	s.dispatchedTasks.Add(int64(len(batch)))
+	s.maxBatch.RaiseTo(int64(len(batch)))
+	var t0 time.Time
+	if s.cfg.Trace != nil {
+		t0 = s.now()
+	}
+	out := s.cfg.Exec(w, batch)
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindBatch, t0, s.now())
+	}
+	return out
 }
 
 // settle requeues a failed dispatch's unfinished tasks, dropping those out

@@ -29,17 +29,22 @@ type harness struct {
 
 	mu         sync.Mutex
 	dispatches [][]*Task
+	byCaller   []bool // per dispatch: Exec saw a nil worker
 	made       int
 }
 
 func newHarness(t *testing.T, cfg Config, exec func(w Worker, tasks []*Task) Outcome) *harness {
 	t.Helper()
 	h := &harness{t: t}
+	factory := cfg.NewWorker
 	cfg.NewWorker = func() (Worker, error) {
 		h.mu.Lock()
 		h.made++
 		id := h.made
 		h.mu.Unlock()
+		if factory != nil {
+			return factory()
+		}
 		return &fakeWorker{id: id}, nil
 	}
 	if exec == nil {
@@ -54,6 +59,7 @@ func newHarness(t *testing.T, cfg Config, exec func(w Worker, tasks []*Task) Out
 		cp := append([]*Task(nil), tasks...)
 		h.mu.Lock()
 		h.dispatches = append(h.dispatches, cp)
+		h.byCaller = append(h.byCaller, w == nil)
 		h.mu.Unlock()
 		return exec(w, tasks)
 	}
@@ -587,28 +593,47 @@ func TestSchedulerCloseInterrupted(t *testing.T) {
 }
 
 // TestSchedulerSteadyStateAllocs pins the per-task allocation count of the
-// submit→dispatch→finish cycle.
+// submit→dispatch→finish cycle, on the worker's goroutine and on the
+// caller's.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting in -short")
 	}
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8}, nil)
-	// Warm up so pool slices reach steady capacity.
-	for i := 0; i < 64; i++ {
-		tk := &Task{Batchable: true}
-		mustSubmit(t, h.s, tk)
-		waitDone(t, tk)
-	}
-	tk := &Task{Batchable: true}
-	avg := testing.AllocsPerRun(200, func() {
-		*tk = Task{Batchable: true}
-		mustSubmit(t, h.s, tk)
-		<-tk.Done()
-	})
-	// Budget: the done channel, the harness's dispatch-record copy, and a
-	// couple of runtime incidentals. The hot path itself must not allocate
-	// per task beyond that.
-	if avg > 8 {
-		t.Fatalf("steady-state allocs per task = %.1f, want <= 8", avg)
+	for _, tc := range []struct {
+		name      string
+		batchable bool // idle pool: a batchable task is caller-run
+	}{
+		{"worker", false},
+		{"caller", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8}, nil)
+			// Warm up so pool slices reach steady capacity.
+			for i := 0; i < 64; i++ {
+				tk := &Task{Batchable: tc.batchable}
+				mustSubmit(t, h.s, tk)
+				waitDone(t, tk)
+			}
+			tk := &Task{}
+			avg := testing.AllocsPerRun(200, func() {
+				*tk = Task{Batchable: tc.batchable}
+				mustSubmit(t, h.s, tk)
+				<-tk.Done()
+			})
+			// Budget: the done channel, the harness's dispatch-record copy, the
+			// caller's one-task batch, and a couple of runtime incidentals. The
+			// hot path itself must not allocate per task beyond that.
+			if avg > 8 {
+				t.Fatalf("steady-state allocs per task = %.1f, want <= 8", avg)
+			}
+			snap := h.s.Snapshot()
+			want := uint64(0)
+			if tc.batchable {
+				want = snap.Dispatches
+			}
+			if snap.InlineDispatches != want {
+				t.Fatalf("%d of %d dispatches were caller-run, want %d", snap.InlineDispatches, snap.Dispatches, want)
+			}
+		})
 	}
 }

@@ -29,6 +29,9 @@ type Snapshot struct {
 	DispatchedTasks uint64  `json:"dispatched_tasks"`
 	BatchOccupancy  float64 `json:"batch_occupancy"` // mean tasks per dispatch
 	MaxBatch        int64   `json:"max_batch"`
+	// InlineDispatches is the part of Dispatches that Submit's caller ran
+	// itself (one batchable task, idle pool): work that never woke a worker.
+	InlineDispatches uint64 `json:"inline_dispatches"`
 
 	// Deadlines and aging.
 	DeadlineMisses       uint64 `json:"deadline_misses"`
@@ -92,6 +95,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 		Dispatches:           uint64(s.dispatches.Load()),
 		DispatchedTasks:      uint64(s.dispatchedTasks.Load()),
 		MaxBatch:             s.maxBatch.Load(),
+		InlineDispatches:     uint64(s.inline.Load()),
 		DeadlineMisses:       uint64(s.misses.Load()),
 		ExpiredBeforeRun:     uint64(s.expired.Load()),
 		StarvationPromotions: uint64(s.starved.Load()),

@@ -1,14 +1,16 @@
 package server
 
 // Scheduler integration: the glue between internal/sched (which decides
-// WHAT runs next) and the armci.Team engine pool (which runs it). A
-// sched.Worker is a persistent team; a sched.Task carries one admitted
-// multiply as a schedJob payload. Small batchable products are coalesced
-// into one team job and executed as a dynamic task list — each rank pulls
-// the next GEMM off a shared counter — so the team wake/barrier cost is
-// paid once per batch instead of once per request. Results are bit
-// identical to individual runs because mat.GemmParallel's stripe split is
-// thread-count-invariant.
+// WHAT runs next, and on whose goroutine) and what runs it. A sched.Worker
+// is a persistent armci.Team; a sched.Task carries one admitted multiply as
+// a schedJob payload. Distributed jobs run on the worker's team. Small
+// products need no team — each is one call into the local packed kernel —
+// so whoever holds a dispatch of them computes them: the handler goroutine
+// whose Submit the scheduler turned into a dispatch of one (idle pool, see
+// sched's package comment), or the pool worker that popped a coalesced
+// backlog, with helpers up to the processor count pulling from the same
+// counter. Results are bit identical however a product was reached because
+// mat.GemmParallel's stripe split is thread-count-invariant.
 //
 // With the content-addressed cache on, batched jobs that share an operand
 // (the LocKey sort puts equal shapes — and therefore repeated operands —
@@ -21,6 +23,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +33,6 @@ import (
 	"srumma/internal/core"
 	"srumma/internal/hier"
 	"srumma/internal/mat"
-	"srumma/internal/rt"
 	"srumma/internal/sched"
 )
 
@@ -45,7 +49,11 @@ type schedJob struct {
 	rec    *jobRecovery
 	traced bool // head-sampling verdict for this request's spans
 
-	out      *mat.Matrix
+	out *mat.Matrix
+	// outBuf is the pooled storage behind a small-route out (nil when the
+	// result cache is on, or on the distributed routes): the handler gives it
+	// back once the response is written.
+	outBuf   *alignedBuf
 	batch    int // dispatch size that served this job
 	started  time.Time
 	finished time.Time
@@ -98,22 +106,21 @@ func (s *Server) newScheduler() (*sched.Scheduler, error) {
 			if err != nil {
 				return nil, err
 			}
-			tm.SetRecorder(s.rec)
 			return &teamWorker{tm: tm}, nil
 		},
 		Exec: s.schedExec,
 	})
 }
 
-// schedExec runs one dispatch on a team: a singleton distributed job, or a
-// locality-sorted batch of small GEMMs (a batch of one when brownout shed
-// the coalescing). Only distributed jobs carry recovery state.
+// schedExec runs one dispatch: a singleton distributed job on the worker's
+// team, or small GEMMs (one that the scheduler had its submitter run, w nil;
+// a locality-sorted backlog; one alone when brownout shed the coalescing) on
+// the goroutine that holds them. Only distributed jobs carry recovery state.
 func (s *Server) schedExec(w sched.Worker, tasks []*sched.Task) sched.Outcome {
-	tm := w.(*teamWorker).tm
 	if tasks[0].Payload.(*schedJob).rec != nil {
-		return s.execDistributedTask(tm, tasks[0])
+		return s.execDistributedTask(w.(*teamWorker).tm, tasks[0])
 	}
-	return s.execGemmBatch(tm, tasks)
+	return s.execGemmBatch(tasks)
 }
 
 // execDistributedTask runs one large multiply, translating the run outcome
@@ -154,76 +161,89 @@ func (s *Server) execDistributedTask(tm *armci.Team, t *sched.Task) sched.Outcom
 	return sched.Outcome{}
 }
 
-// execGemmBatch executes a coalesced batch of small GEMMs as ONE team job:
-// the ranks pull tasks off a shared counter (the same dynamic owner-
-// computes shape as the engine's task executor) and each task runs on the
-// local packed kernel. One wake + one barrier pays for the whole batch.
-func (s *Server) execGemmBatch(tm *armci.Team, tasks []*sched.Task) sched.Outcome {
-	var next atomic.Int64
-	hook := s.batchHook()
-	n := len(tasks)
-	threads := s.batchKernelThreads()
-	if s.cfg.TraceSample > 1 {
-		// Head-sampling: the batch records spans iff any member was sampled.
-		traced := false
-		for _, t := range tasks {
-			if t.Payload.(*schedJob).traced {
-				traced = true
-				break
-			}
-		}
-		if traced {
-			tm.SetRecorder(s.rec)
-		} else {
-			tm.SetRecorder(nil)
-		}
+// gemmBatch is one dispatch of small GEMMs while it is being computed.
+type gemmBatch struct {
+	s       *Server
+	tasks   []*sched.Task
+	next    atomic.Int64 // the shared counter every executor pulls from
+	threads int
+	hook    func(*sched.Task)
+
+	helpers sync.WaitGroup
+	mu      sync.Mutex
+	err     error // the first executor failure
+}
+
+// execGemmBatch computes a dispatch of small GEMMs on the goroutine that was
+// handed it, joined for more than one task by helpers — executors never
+// outnumber processors or tasks — that pull from the same counter. A task an
+// executor died on comes back unfinished, for the scheduler to requeue.
+func (s *Server) execGemmBatch(tasks []*sched.Task) sched.Outcome {
+	b := &gemmBatch{s: s, tasks: tasks, threads: s.batchKernelThreads(), hook: s.batchHook()}
+	for i := min(len(tasks), goruntime.GOMAXPROCS(0)) - 1; i > 0; i-- {
+		b.helpers.Add(1)
+		go func() {
+			defer b.helpers.Done()
+			b.drain()
+		}()
 	}
-	_, runErr := tm.Run(func(c rt.Ctx) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			t := tasks[i]
-			if hook != nil {
-				hook(t)
-			}
-			if t.Cancelled() {
-				t.Finish(sched.ErrCancelled)
-				continue
-			}
-			job := t.Payload.(*schedJob)
-			job.started = time.Now()
-			job.batch = n
-			out, err := s.gemmLocal(job.req, job.cs, job.d, threads)
-			job.out = out
-			job.finished = time.Now()
-			t.Finish(err)
-		}
-	})
-	if runErr == nil {
-		// The job function finishes every task it reaches, so a clean run
-		// means a clean batch.
+	b.drain()
+	b.helpers.Wait()
+	if b.err == nil {
+		// drain finishes every task it reaches, so a clean run means a clean
+		// batch.
 		return sched.Outcome{}
 	}
-	// A rank died mid-batch (panic or watchdog): the tasks it — or ranks
-	// that aborted with it — never reached are requeued.
-	out := sched.Outcome{Err: runErr}
+	out := sched.Outcome{Err: b.err}
 	for _, t := range tasks {
 		if !t.Finished() {
 			out.Unfinished = append(out.Unfinished, t)
 		}
 	}
-	var werr *armci.WatchdogError
-	if errors.As(runErr, &werr) && len(werr.Leaked) > 0 {
-		out.ReplaceWorker = true
-	}
 	return out
 }
 
-// batchKernelThreads is the local-kernel width each rank uses inside a
-// batch: the configured per-rank width, so a full team of ranks running
-// batch tasks concurrently saturates the machine without oversubscribing.
+// drain is one executor: it computes tasks off the shared counter until
+// none are left. A panic — the kernel's, or the test hook's — ends the
+// executor and is recorded as the batch's error; the others carry on, so
+// only the task it was holding is left unfinished.
+func (b *gemmBatch) drain() {
+	defer func() {
+		if r := recover(); r != nil {
+			b.mu.Lock()
+			if b.err == nil {
+				b.err = fmt.Errorf("server: small-route executor panicked: %v", r)
+			}
+			b.mu.Unlock()
+		}
+	}()
+	n := len(b.tasks)
+	for {
+		i := int(b.next.Add(1)) - 1
+		if i >= n {
+			return
+		}
+		t := b.tasks[i]
+		if b.hook != nil {
+			b.hook(t)
+		}
+		if t.Cancelled() {
+			t.Finish(sched.ErrCancelled)
+			continue
+		}
+		job := t.Payload.(*schedJob)
+		job.started = time.Now()
+		job.batch = n
+		out, buf, err := b.s.gemmLocal(job.req, job.cs, job.d, b.threads)
+		job.out, job.outBuf = out, buf
+		job.finished = time.Now()
+		t.Finish(err)
+	}
+}
+
+// batchKernelThreads is the local-kernel width of one small GEMM: the
+// configured per-rank width, which divides the machine by the rank count —
+// concurrent requests, not threads inside one, are what fill the processors.
 func (s *Server) batchKernelThreads() int {
 	if s.cfg.KernelThreads > 0 {
 		return s.cfg.KernelThreads
@@ -234,11 +254,23 @@ func (s *Server) batchKernelThreads() int {
 // gemmLocal runs one product on the local packed parallel kernel. The
 // result is bit-identical for every threads value (GemmParallel's
 // guarantee), which is what makes batched and unbatched execution
-// indistinguishable to the caller.
-func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, threads int) (*mat.Matrix, error) {
+// indistinguishable to the caller. The result is written into a buffer from
+// the operand pool, returned beside it for the handler to give back — unless
+// the result cache is on: a cached result outlives its request, so it gets
+// an allocation of its own that the cache can keep. A pooled buffer arrives
+// dirty; beta == 0 makes the kernel clear it, any other beta overwrites it
+// with the request's C first.
+func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, threads int) (*mat.Matrix, *alignedBuf, error) {
 	a := &mat.Matrix{Rows: req.ARows, Cols: req.ACols, Stride: req.ACols, Data: req.A}
 	b := &mat.Matrix{Rows: req.BRows, Cols: req.BCols, Stride: req.BCols, Data: req.B}
-	c := mat.New(d.M, d.N)
+	var buf *alignedBuf
+	var c *mat.Matrix
+	if s.cache == nil {
+		buf = s.pool.get(d.M * d.N)
+		c = &mat.Matrix{Rows: d.M, Cols: d.N, Stride: d.N, Data: buf.data}
+	} else {
+		c = mat.New(d.M, d.N)
+	}
 	if req.beta() != 0 {
 		copy(c.Data, req.C)
 	}
@@ -249,9 +281,10 @@ func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, thre
 		threads = 1
 	}
 	if err := mat.GemmParallel(threads, cs.TransA(), cs.TransB(), req.alpha(), a, b, req.beta(), c); err != nil {
-		return nil, err
+		s.pool.put(buf)
+		return nil, nil, err
 	}
-	return c, nil
+	return c, buf, nil
 }
 
 // batchHook returns the test-only per-task hook, if any (set via

@@ -175,11 +175,14 @@ func bufSizeClass(n int) int {
 
 // get returns an aligned buffer with len(data) == n.
 func (p *bufPool) get(n int) *alignedBuf {
-	const pad = bufAlign / 8 // extra floats so an aligned window always fits
-	cls := bufSizeClass(n + pad)
+	// A class holds 1<<cls floats plus the slack an aligned window may need,
+	// so a power-of-two operand (64², 128²) fits the class of its own size
+	// instead of spilling into the next, twice as large.
+	const pad = bufAlign / 8
+	cls := bufSizeClass(n)
 	b, _ := p.classes[cls].Get().(*alignedBuf)
 	if b == nil {
-		raw := make([]float64, 1<<cls)
+		raw := make([]float64, 1<<cls+pad)
 		b = &alignedBuf{raw: raw, cls: cls}
 	}
 	addr := uintptr(unsafe.Pointer(&b.raw[0]))
@@ -228,6 +231,9 @@ type wireRequest struct {
 	// bufs holds pooled operand storage in A, B, C order; entries are nil
 	// on the JSON wire or once ownership moved into the block table.
 	bufs [3]*alignedBuf
+	// result is the pooled storage of a small-route result the response
+	// encodes out of (nil otherwise); it goes back with the operands.
+	result *alignedBuf
 
 	// Content addressing, in A, B, C order (filled by admit when the cache
 	// is enabled). The first interned of them are registered in the block
@@ -250,7 +256,7 @@ type wireRequest struct {
 	noPool bool
 }
 
-// release returns the request's pooled and interned operand storage. Must
+// release returns the request's pooled and interned storage. Must
 // run after the response is written: the engine and the encoder read the
 // operand slices in place.
 func (wr *wireRequest) release(s *Server) {
@@ -271,6 +277,10 @@ func (wr *wireRequest) release(s *Server) {
 		}
 		wr.bufs[i] = nil
 	}
+	if !wr.noPool {
+		s.pool.put(wr.result)
+	}
+	wr.result = nil
 }
 
 // countingReader counts wire bytes as they are read.

@@ -19,7 +19,7 @@ package server
 //     serving shape), every request after the first adopts the interned
 //     slice, its own pooled decode buffer is returned immediately, and
 //     the scheduler's LocKey coalescing packs the one canonical buffer
-//     once per team job instead of once per request.
+//     once per dispatch instead of once per request.
 //
 // Cached results are always freshly-allocated matrices (mat.New or
 // engine Gather output) — never pooled request storage — so retaining

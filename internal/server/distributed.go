@@ -28,6 +28,7 @@ import (
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
 	"srumma/internal/mat"
+	"srumma/internal/obs"
 	"srumma/internal/rt"
 	"srumma/internal/sched"
 )
@@ -153,15 +154,14 @@ func (s *Server) runOnTeam(tm *armci.Team, spec *ipcrt.JobSpec) ([]*ipcrt.RankRe
 		return nil, err
 	}
 	spec.Out = mat.New(spec.M, spec.N)
-	if s.cfg.TraceSample > 1 {
-		// Head-sampling: attach the recorder only for sampled requests. Safe
-		// because a team runs one job at a time.
-		if spec.Trace {
-			tm.SetRecorder(s.rec)
-		} else {
-			tm.SetRecorder(nil)
-		}
+	// The ranks record spans iff the request was sampled (always, with
+	// tracing on and no head-sampling). Safe because a team runs one job at
+	// a time.
+	var rec *obs.Recorder
+	if spec.Trace {
+		rec = s.rec
 	}
+	tm.SetRecorder(rec)
 	n := s.topo.NProcs
 	results := make([]*ipcrt.RankResult, n)
 	errs := make([]error, n)

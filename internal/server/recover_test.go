@@ -298,8 +298,7 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 	})
 	release, entered := blockOn(s, "blocker")
 	defer release()
-	blocker := randReq(16, 16, 16, 1)
-	blocker.ID = "blocker"
+	blocker := blockerReq()
 	blockerCh := postAsync(t, s, blocker)
 	<-entered
 

@@ -2,11 +2,12 @@ package server
 
 // Scheduler serving tests: batching bit-identity, priority dispatch,
 // deadline handling, overflow, elastic pooling, drain, and the chaos case
-// where a team crash mid-batch requeues the batch's unfinished tasks.
+// where an executor crash mid-batch requeues the batch's unfinished tasks.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -37,6 +38,16 @@ func blockOn(s *Server, id string) (release func(), entered <-chan struct{}) {
 	return func() { onceRel.Do(func() { close(rel) }) }, ent
 }
 
+// blockerReq is the request tests park in the batch hook to pin the pool's
+// single worker: just too large for the small route, so the scheduler queues
+// it for the worker's team. (A small one would be computed — and parked —
+// by its own handler, leaving the worker free.)
+func blockerReq() MultiplyRequest {
+	r := randReq(129, 129, 129, 1)
+	r.ID = "blocker"
+	return r
+}
+
 // postAsync issues the request from a goroutine, delivering the outcome on
 // the returned channel.
 func postAsync(t *testing.T, s *Server, req MultiplyRequest) <-chan struct {
@@ -59,16 +70,20 @@ func postAsync(t *testing.T, s *Server, req MultiplyRequest) <-chan struct {
 	return ch
 }
 
+// waitFor polls until cond holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // waitQueued polls until the scheduler holds n queued tasks.
 func waitQueued(t *testing.T, s *Server, n int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.sched.Queued() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never reached %d (at %d)", n, s.sched.Queued())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("%d queued tasks", n), func() bool { return s.sched.Queued() >= n })
 }
 
 // TestServerSchedBatchingBitIdentical pre-queues a pile of small GEMMs
@@ -79,8 +94,7 @@ func TestServerSchedBatchingBitIdentical(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: n + 4, BatchMax: n})
 	release, entered := blockOn(s, "blocker")
 
-	blocker := randReq(8, 8, 8, 1)
-	blocker.ID = "blocker"
+	blocker := blockerReq()
 	blockerCh := postAsync(t, s, blocker)
 	<-entered
 
@@ -191,8 +205,7 @@ func TestServerSchedPriorityOrder(t *testing.T) {
 func TestServerSchedDeadlineWhileQueued(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 8})
 	release, entered := blockOn(s, "blocker")
-	blocker := randReq(8, 8, 8, 1)
-	blocker.ID = "blocker"
+	blocker := blockerReq()
 	blockerCh := postAsync(t, s, blocker)
 	<-entered
 
@@ -222,8 +235,7 @@ func TestServerSchedDeadlineWhileQueued(t *testing.T) {
 func TestServerSchedOverflow429(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 2})
 	release, entered := blockOn(s, "blocker")
-	blocker := randReq(8, 8, 8, 1)
-	blocker.ID = "blocker"
+	blocker := blockerReq()
 	blockerCh := postAsync(t, s, blocker)
 	<-entered
 
@@ -265,10 +277,9 @@ func TestServerSchedOverflow429(t *testing.T) {
 	}
 }
 
-// TestServerSchedChaosCrashRequeue: a rank panic mid-batch (injected via
-// the batch hook, recovered by the team's rank watchdog) fails the
-// dispatch; the batch's unfinished tasks are requeued and every request
-// still completes correctly.
+// TestServerSchedChaosCrashRequeue: an executor panic mid-batch (injected
+// via the batch hook, recovered by the executor) fails the dispatch; the
+// task it held is requeued and every request still completes correctly.
 func TestServerSchedChaosCrashRequeue(t *testing.T) {
 	const n = 8
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: n + 4, BatchMax: n})
@@ -289,8 +300,7 @@ func TestServerSchedChaosCrashRequeue(t *testing.T) {
 		}
 	})
 
-	blocker := randReq(8, 8, 8, 1)
-	blocker.ID = "blocker"
+	blocker := blockerReq()
 	blockerCh := postAsync(t, s, blocker)
 	<-entered
 
@@ -325,7 +335,7 @@ func TestServerSchedChaosCrashRequeue(t *testing.T) {
 	if m.Completed != n+1 {
 		t.Fatalf("completed_total = %d, want %d", m.Completed, n+1)
 	}
-	// A panic unwinds every rank, so no team was wedged and replaced here;
+	// A small batch runs on no team, so none was wedged and replaced here;
 	// when the scheduler does replace one (pool_replaced), /metrics must
 	// report it as teams_replaced_total.
 	if m.TeamsReplaced != 0 {

@@ -103,7 +103,7 @@ type Config struct {
 	// from Teams toward it under backlog and shrinks back when teams idle
 	// (default: Teams, i.e. a fixed pool).
 	MaxTeams int
-	// BatchMax caps how many queued small GEMMs coalesce into one team job
+	// BatchMax caps how many queued small GEMMs coalesce into one dispatch
 	// (default 32).
 	BatchMax int
 	// StarveAfter bounds cross-class starvation: a request waiting this
@@ -858,6 +858,10 @@ func (s *Server) writeOK(w http.ResponseWriter, env *reqEnv, resp *MultiplyRespo
 		setIf("X-Srumma-Digest", resp.Digest)
 		if env.gzipOut {
 			h.Set("Content-Encoding", "gzip")
+		} else {
+			// The size is known before the first byte: say so, and the body
+			// goes out as it is instead of chunk by chunk.
+			h.Set("Content-Length", strconv.Itoa(binRespHeaderLen+8*len(resp.C)))
 		}
 		w.WriteHeader(http.StatusOK)
 		if env.gzipOut {
@@ -915,9 +919,10 @@ func (env *reqEnv) stampDigests(resp *MultiplyResponse, result digest) {
 }
 
 // storeResult content-addresses a fresh result, stamps the response's
-// digest chain, and retains the result in the cache. out is always a
-// freshly allocated matrix (mat.New or engine Gather output) — never
-// pooled request storage — so the cache can own its backing array.
+// digest chain, and retains the result in the cache. With the cache on, out
+// is always a freshly allocated matrix (mat.New in gemmLocal or the engine's
+// in-place result) — never pooled storage — so the cache can own its
+// backing array.
 func (s *Server) storeResult(env *reqEnv, out *mat.Matrix, resp *MultiplyResponse) {
 	if s.cache == nil || out == nil {
 		return
@@ -1039,12 +1044,17 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 			inFlight = true
 		}
 
+		// A small request on an idle pool was computed inside Submit, on this
+		// goroutine, and is already done; anything else is waited for.
 		select {
 		case <-task.Done():
 		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
 			// Deadline while queued or executing: the scheduler drops a queued
 			// task when it surfaces; an executing one finishes into the void —
-			// possibly still reading the operands, so wr.noPool stays set.
+			// possibly still reading the operands, so wr.noPool stays set. A
+			// run that finished past the deadline is late all the same.
 			s.met.finish(route, cls.String(), "cancelled", 0, 0)
 			s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "deadline exceeded: " + ctx.Err().Error()})
 			return
@@ -1077,6 +1087,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 
 	switch {
 	case err == nil:
+		env.wr.result = job.outBuf // recycled with the operands, after the response
 		s.recordBreaker(route, http.StatusOK)
 		total := time.Since(admitted)
 		s.met.finish(route, cls.String(), "ok", total, flops)

@@ -71,7 +71,7 @@ type MultiplyResponse struct {
 	Class string `json:"class,omitempty"`
 	// Batch is the size of the dispatch that served this request: 1 for a
 	// solo run, >1 when the scheduler coalesced it with other small GEMMs
-	// into one team job.
+	// that were queued.
 	Batch int `json:"batch,omitempty"`
 
 	// Digest chain (present when the server runs with the result cache
