@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build noasm test race cover bench benchmark benchmark-compare bench-kernel serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke bench-hier multihost-smoke verify repro chaos chaos-serve fuzz clean
+.PHONY: all build noasm test race cover bench benchmark benchmark-compare serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke multihost-smoke verify repro chaos chaos-serve fuzz clean
 
 all: build test
 
@@ -10,12 +10,12 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# The micro-kernel and FMA-probe fallbacks for architectures without our
-# assembly (microkernel_noasm.go, peak_noasm.go) run on no CI machine, so at
-# least compile and vet them.
+# The micro-kernel fallback for architectures without our assembly
+# (microkernel_noasm.go) runs on no CI machine, so at least compile and vet
+# it.
 noasm:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/bench
+	GOARCH=arm64 $(GO) vet ./internal/mat
 
 test:
 	$(GO) test ./...
@@ -42,14 +42,6 @@ benchmark:
 
 benchmark-compare:
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
-
-# Local dgemm kernel sweep on real hardware: seed vs packed vs parallel
-# kernels at whole-tile and ragged sizes in all four transpose cases, each
-# as a share of the FMA-probe peak, plus an end-to-end real-engine
-# multiply. Rewrites BENCH_kernel.json (environment block included),
-# carrying its "before" rows over.
-bench-kernel:
-	$(GO) run ./cmd/srumma-bench -kernel -kernel-out BENCH_kernel.json
 
 # End-to-end smoke of the GEMM service: start srumma-serve (workload
 # scheduler mode, elastic pool, result cache on), drive a class-tagged
@@ -86,9 +78,8 @@ serve-smoke:
 # Trace both engines end to end: a traced multiply on the virtual-time
 # model and on the real engine, Chrome trace-event JSON exported from
 # each and validated, overlap ratio recorded in the run summaries. The
-# real-engine run is held to the overlap floor recorded in
-# BENCH_trace.json (0.5 against a measured 1.0): the run fails if the
-# comm/compute overlap the paper claims regresses below it.
+# real-engine run is held to an overlap floor of 0.5 (it measures 1.0): the
+# run fails if the comm/compute overlap the paper claims regresses below it.
 trace-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/srumma-trace ./cmd/srumma-trace; \
@@ -107,11 +98,12 @@ trace-smoke:
 # localhost, every rank an OS process (mmap segments inside a node,
 # unix-socket RMA between nodes). All four transpose cases must be
 # bit-identical to the in-process armci engine running the same job on
-# the same topology; the coordinator and every worker run under -race.
-# A traced ipc run then has to report a measured overlap ratio.
+# the same topology, over the unix and the tcp transport; the coordinator
+# and every worker run under -race (the workers re-execute the instrumented
+# test binary). A traced ipc run then has to report a measured overlap ratio.
 ipc-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) run -race ./cmd/srumma-bench -engine ipc -np 4 -ppn 2 -quick; \
+	$(GO) test -race -count=1 -run 'TestIPCBitIdentical|TestTCPBitIdentical' ./internal/ipcrt; \
 	$(GO) run ./cmd/srumma-trace -engine ipc -n 192 -procs 4 -ppn 2 -width 60 \
 	    -out $$tmp/ipc_run.json > /dev/null; \
 	grep -q '"overlap_ratio"' $$tmp/ipc_run.json; \
@@ -133,28 +125,20 @@ cluster-smoke:
 # engines — staged regions read in place and copied out, member fetches,
 # the pooled (poisoned) band, cancel/resume, ABFT and transfer faults on
 # band views — the sim test pins measured remote volume == the analytic
-# per-level prediction for both paths, the serving tests cover the hier
-# route end to end including the kill-one-group chaos resume and the
-# staged/member-fetched counters, and the flat-vs-hier volume sweep must
-# still find its crossover.
+# per-level prediction for both paths across P with the volume crossover
+# at exactly P = 16 and modeled hier time below flat from there on, and the
+# serving tests cover the hier route end to end including the
+# kill-one-group chaos resume and the staged/member-fetched counters.
 hier-smoke:
 	$(GO) test -race -count=1 ./internal/hier
 	$(GO) test -race -count=1 -run 'TestExecutorMultipliesHeldRegionsInPlace' ./internal/core
 	$(GO) test -race -count=1 -run 'TestHierIPC' ./internal/ipcrt
 	$(GO) test -race -count=1 -run 'TestHierServe' ./internal/server
-	$(GO) run ./cmd/srumma-bench -hier -quick | grep -q 'crossover: hierarchical volume strictly beats flat'
-	@echo "hier-smoke: PASS (two-level bit-identical to flat on armci+ipc under -race, volume crossover reproduced)"
-
-# Flat-vs-hierarchical P sweep on the virtual-time engine, recorded to
-# BENCH_hier.json (measured remote bytes exactly equal the analytic
-# per-level volumes, or the sweep fails).
-bench-hier:
-	$(GO) run ./cmd/srumma-bench -hier -hier-out BENCH_hier.json
+	@echo "hier-smoke: PASS (two-level bit-identical to flat on armci+ipc under -race, volume crossover at P=16)"
 
 # Two-host deployment recipe: coordinator + external srumma-worker -join
 # ranks over TCP on localhost (the same wiring split across real
-# containers), cross-host overlap ratio merged into BENCH_trace.json
-# under the "multihost" key.
+# containers); the run summary must carry the cross-host overlap ratio.
 multihost-smoke:
 	sh scripts/multihost-trace.sh
 
@@ -167,12 +151,13 @@ verify:
 repro:
 	$(GO) run ./cmd/srumma-bench -all
 
-# Fault-injection sweep on the real engine: every fault class, three
-# seeds, recovery layer active (see DESIGN.md "Fault model"), plus the
+# Fault injection on the real engine: every fault class, three seeds,
+# recovery layer active (see DESIGN.md "Fault model") — a wrong product, a
+# hang or a recovery counter that stayed idle fails the run — plus the
 # serving-layer case of a team crash mid-batch requeueing the batch's
 # unfinished tasks onto a replacement team.
 chaos:
-	$(GO) run ./cmd/srumma-bench -chaos
+	$(GO) test -count=1 -run 'TestChaos' ./internal/faults
 	$(GO) test -count=1 -run TestServerSchedChaosCrashRequeue ./internal/server
 
 # End-to-end recovery gate, race-enabled: a real server under a seeded

@@ -10,14 +10,12 @@
 //	srumma-bench -iso               # isoefficiency demonstration
 //	srumma-bench -ablations         # SRUMMA design ablations
 //	srumma-bench -all               # everything
-//	srumma-bench -chaos -seed 7     # fault-injection sweep, real engine
-//	srumma-bench -kernel            # local dgemm kernel sweep, real hardware
 //	srumma-bench -fig 10 -quick     # reduced sweep (CI-sized)
 //	srumma-bench -all -json         # machine-readable results on stdout
 //
-// The chaos and kernel sweeps run on the real (goroutine) engine / real
-// hardware with wall-clock timing, so they are not part of -all; invoke
-// them explicitly.
+// Nothing here touches real hardware or wall-clock time, so the output is
+// the same bytes on every machine. Measurements of this machine come from
+// the benchmark (benchmark/, BENCHMARK.json).
 package main
 
 import (
@@ -28,36 +26,27 @@ import (
 	"os"
 
 	"srumma/internal/bench"
-	"srumma/internal/ipcrt"
 	"srumma/internal/machine"
 )
 
+// The flags live at package level so the drift test can walk flag.CommandLine.
+var (
+	fig       = flag.Int("fig", 0, "figure number to regenerate (5..10)")
+	table     = flag.Int("table", 0, "table number to regenerate (1)")
+	model     = flag.Bool("model", false, "run the efficiency-model comparison")
+	iso       = flag.Bool("iso", false, "run the isoefficiency demonstration")
+	ablations = flag.Bool("ablations", false, "run the SRUMMA design ablations")
+	memory    = flag.Bool("memory", false, "run the scratch-memory comparison")
+	klapi     = flag.Bool("klapi", false, "run the SP LAPI-vs-KLAPI zero-copy projection")
+	blocksize = flag.Bool("blocksize", false, "run the task-granularity (block size) sweep")
+	all       = flag.Bool("all", false, "run everything")
+	quick     = flag.Bool("quick", false, "reduced sweeps (smaller N and P)")
+	jsonOut   = flag.Bool("json", false, "emit one JSON document instead of tables")
+)
+
 func main() {
-	ipcrt.MaybeWorker() // -engine ipc workers re-execute this binary
 	log.SetFlags(0)
 	log.SetPrefix("srumma-bench: ")
-	fig := flag.Int("fig", 0, "figure number to regenerate (5..10)")
-	table := flag.Int("table", 0, "table number to regenerate (1)")
-	model := flag.Bool("model", false, "run the efficiency-model comparison")
-	iso := flag.Bool("iso", false, "run the isoefficiency demonstration")
-	ablations := flag.Bool("ablations", false, "run the SRUMMA design ablations")
-	memory := flag.Bool("memory", false, "run the scratch-memory comparison")
-	klapi := flag.Bool("klapi", false, "run the SP LAPI-vs-KLAPI zero-copy projection")
-	blocksize := flag.Bool("blocksize", false, "run the task-granularity (block size) sweep")
-	chaos := flag.Bool("chaos", false, "run the fault-injection chaos sweep on the real engine")
-	kernel := flag.Bool("kernel", false, "run the local dgemm kernel sweep (seed vs packed vs parallel) on real hardware")
-	kernelThreads := flag.Int("kernel-threads", 4, "worker count asked of the parallel kernel rows (capped at GOMAXPROCS)")
-	kernelOut := flag.String("kernel-out", "", "also write the -kernel sweep document (BENCH_kernel.json schema) to this file, keeping its \"before\" rows")
-	seed := flag.Uint64("seed", 1, "base seed for the chaos sweep (runs seed, seed+1, seed+2)")
-	all := flag.Bool("all", false, "run everything")
-	quick := flag.Bool("quick", false, "reduced sweeps (smaller N and P)")
-	jsonOut := flag.Bool("json", false, "emit one JSON document instead of tables")
-	hierSweep := flag.Bool("hier", false, "run the flat-vs-hierarchical P sweep on the virtual-time engine")
-	hierOut := flag.String("hier-out", "", "also write the -hier sweep document (BENCH_hier.json schema) to this file")
-	engine := flag.String("engine", "", `"ipc": run the multi-process engine bit-identity benchmark`)
-	np := flag.Int("np", 4, "worker process count (with -engine ipc)")
-	ppn := flag.Int("ppn", 2, "worker processes per emulated node (with -engine ipc)")
-	ipcN := flag.Int("n", 0, "matrix size for -engine ipc (0: default)")
 	flag.Parse()
 
 	results := map[string]any{}
@@ -75,15 +64,6 @@ func main() {
 			return
 		}
 		fmt.Print(table)
-	}
-
-	switch *engine {
-	case "":
-	case "ipc":
-		ran = true
-		ipcBenchMain(*np, *ppn, *ipcN, *quick, emit)
-	default:
-		log.Fatalf("unknown engine %q (only ipc runs through srumma-bench)", *engine)
 	}
 
 	if *all || *fig == 5 {
@@ -261,73 +241,6 @@ func main() {
 				return err
 			}
 			emit("blocksize", rows, bench.FormatBlockSize(prof, n, procs, rows))
-			return nil
-		})
-	}
-	if *chaos {
-		run("chaos", func() error {
-			n, procs, ppn := 96, 6, 2
-			if *quick {
-				n, procs, ppn = 48, 4, 2
-			}
-			seeds := []uint64{*seed, *seed + 1, *seed + 2}
-			if *quick {
-				seeds = seeds[:1]
-			}
-			rows, err := bench.Chaos(n, procs, ppn, seeds)
-			if err != nil {
-				return err
-			}
-			emit("chaos", rows, bench.FormatChaos(n, procs, rows))
-			return nil
-		})
-	}
-	if *hierSweep {
-		run("hier", func() error {
-			n, procsList := 512, []int{4, 16, 36, 64}
-			if *quick {
-				n, procsList = 256, []int{4, 16}
-			}
-			doc, err := bench.HierSweep(machine.LinuxMyrinet(), n, procsList)
-			if err != nil {
-				return err
-			}
-			emit("hier", doc, bench.FormatHier(doc))
-			if *hierOut != "" {
-				buf, err := json.MarshalIndent(map[string]any{"env": bench.CurrentEnv(), "hier_sweep": doc}, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*hierOut, append(buf, '\n'), 0o644); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if *kernel {
-		run("kernel", func() error {
-			// Whole-tile sizes and, beside each, a ragged (prime-ish) one.
-			ns := []int{256, 511, 512, 1021, 1024}
-			if *quick {
-				ns = []int{255, 256}
-			}
-			doc := bench.KernelDoc{Env: bench.CurrentEnv(), Peak: bench.KernelPeaks(nil)}
-			rows, err := bench.KernelSweep(ns, *kernelThreads)
-			if err != nil {
-				return err
-			}
-			e2e, err := bench.KernelEndToEnd(ns[len(ns)-1:])
-			if err != nil {
-				return err
-			}
-			doc.Kernel = append(rows, e2e...)
-			doc.Peak = bench.KernelPeaks(doc.Peak)
-			bench.PeakShares(doc.Kernel, doc.Peak)
-			emit("kernel", doc, bench.FormatKernel(doc))
-			if *kernelOut != "" {
-				return bench.WriteKernelDoc(*kernelOut, doc)
-			}
 			return nil
 		})
 	}

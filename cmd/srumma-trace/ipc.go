@@ -1,28 +1,21 @@
 package main
 
-// The multi-process engine trace path and the measured-vs-modeled overlap
-// sweep. Both reuse the event model everything else in the repo speaks:
-// each worker process records wall-clock spans into its own recorder, ships
-// them home in its RankResult, and MergeEvents aligns the lanes on the
-// coordinator's clock.
+// The multi-process engine trace path. It reuses the event model
+// everything else in the repo speaks: each worker process records
+// wall-clock spans into its own recorder, ships them home in its
+// RankResult, and MergeEvents aligns the lanes on the coordinator's clock.
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"srumma/internal/armci"
 	"srumma/internal/core"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
-	"srumma/internal/machine"
 	"srumma/internal/obs"
-	"srumma/internal/rt"
-	"srumma/internal/simrt"
 )
 
 // ipcOpts carries the multi-host knobs from the flag surface: transport
@@ -123,156 +116,4 @@ func runIPC(g *grid.Grid, d core.Dims, procs, ppn, width int, blocking, noshift 
 		fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", chrome)
 	}
 	return events, wall
-}
-
-// sweepRow is one (block size, ppn) cell: the overlap ratio the hardware
-// delivered against what the virtual-time model of -platform predicts for
-// the same shape.
-type sweepRow struct {
-	N               int     `json:"n"`
-	Block           int     `json:"block"` // per-rank block edge, n / grid dim
-	PPN             int     `json:"ppn"`
-	MeasuredOverlap float64 `json:"measured_overlap"`
-	ModelOverlap    float64 `json:"model_overlap"`
-	WallSeconds     float64 `json:"wall_s"`
-	GFlops          float64 `json:"gflops"`
-}
-
-// sweepDoc is the BENCH_trace.json schema for -sweep runs.
-type sweepDoc struct {
-	Engine   string     `json:"engine"`
-	Platform string     `json:"platform"`
-	Procs    int        `json:"procs"`
-	Rows     []sweepRow `json:"sweep"`
-}
-
-func parseIntList(s, what string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			log.Fatalf("bad %s value %q", what, part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		log.Fatalf("empty %s list", what)
-	}
-	return out
-}
-
-// runSweep measures the overlap ratio across block sizes and ppn on a real
-// engine (armci goroutines or ipc processes) and sets each cell against the
-// virtual-time model's prediction for a platform with the same ranks-per-
-// node, recording the grid into -out.
-func runSweep(engine, platform string, procs int, nsList, ppnList, out string) {
-	g, err := grid.Square(procs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prof, err := machine.ByName(platform)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ns := parseIntList(nsList, "-sweep-n")
-	ppns := parseIntList(ppnList, "-sweep-ppn")
-
-	doc := sweepDoc{Engine: engine, Platform: platform, Procs: procs}
-	fmt.Printf("overlap sweep on %s engine, %d procs (%dx%d grid), model: %s\n\n",
-		engine, procs, g.P, g.Q, prof.Name)
-	fmt.Printf("%6s %6s %4s %10s %10s %10s %9s\n", "n", "block", "ppn", "measured", "model", "wall ms", "GFLOP/s")
-	for _, n := range ns {
-		for _, ppn := range ppns {
-			if ppn > procs {
-				continue
-			}
-			d := core.Dims{M: n, N: n, K: n}
-			flops := 2 * float64(n) * float64(n) * float64(n)
-
-			var events []obs.Event
-			var wall float64
-			switch engine {
-			case "real":
-				events, wall = sweepReal(g, d, procs, ppn)
-			case "ipc":
-				events, wall = sweepIPC(d, procs, ppn)
-			default:
-				log.Fatalf("-sweep needs a measuring engine (real or ipc), not %q", engine)
-			}
-			_, _, measured := obs.OverlapRatio(events)
-			_, _, modeled := modelOverlap(prof, g, d, procs, ppn)
-
-			row := sweepRow{
-				N: n, Block: (n + g.P - 1) / g.P, PPN: ppn,
-				MeasuredOverlap: measured, ModelOverlap: modeled,
-				WallSeconds: wall, GFlops: flops / wall / 1e9,
-			}
-			doc.Rows = append(doc.Rows, row)
-			fmt.Printf("%6d %6d %4d %10.3f %10.3f %10.3f %9.1f\n",
-				row.N, row.Block, row.PPN, row.MeasuredOverlap, row.ModelOverlap,
-				row.WallSeconds*1e3, row.GFlops)
-		}
-	}
-	if out != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote sweep to %s\n", out)
-	}
-}
-
-// sweepReal measures one cell on the in-process armci engine.
-func sweepReal(g *grid.Grid, d core.Dims, procs, ppn int) ([]obs.Event, float64) {
-	topo := rt.Topology{NProcs: procs, ProcsPerNode: ppn, DomainSpansMachine: ppn >= procs}
-	rec := obs.NewRecorder(procs, 0)
-	var t0, t1 float64
-	body := algBody(g, d, "srumma", nil, false, false, &t0, &t1)
-	w0 := time.Now()
-	if _, err := armci.RunTraced(topo, rec, body); err != nil {
-		log.Fatal(err)
-	}
-	return rec.Events(), time.Since(w0).Seconds()
-}
-
-// sweepIPC measures one cell on the multi-process engine (a fresh worker
-// fleet per cell: segment registration is part of what's being measured).
-func sweepIPC(d core.Dims, procs, ppn int) ([]obs.Event, float64) {
-	cl, err := ipcrt.Launch(ipcrt.Config{NP: procs, PPN: ppn})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cl.Close()
-	spec := ipcrt.DefaultSpec(d.M, d.N, d.K)
-	spec.Trace = true
-	epoch := time.Now()
-	results, err := cl.RunJob(spec, 10*time.Minute)
-	wall := time.Since(epoch).Seconds()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return ipcrt.MergeEvents(results, epoch), wall
-}
-
-// modelOverlap predicts the cell with the virtual-time engine, on the
-// chosen platform profile re-shaped to the sweep's ranks-per-node.
-func modelOverlap(prof machine.Profile, g *grid.Grid, d core.Dims, procs, ppn int) (float64, float64, float64) {
-	prof.ProcsPerNode = ppn
-	if ppn < procs {
-		prof.DomainSpansMachine = false
-	}
-	tr := &simrt.Tracer{}
-	var t0, t1 float64
-	body := algBody(g, d, "srumma", &prof, false, false, &t0, &t1)
-	if _, err := simrt.RunTraced(prof, procs, tr, body); err != nil {
-		log.Fatal(err)
-	}
-	return obs.OverlapRatio(tr.Events())
 }

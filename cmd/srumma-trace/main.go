@@ -22,10 +22,9 @@
 //	srumma-trace -n 1000 -procs 8 -chaos -seed 7
 //	srumma-trace -validate trace.json
 //
-// Every run appends a machine-readable summary (overlap ratio, per-kind
-// busy time) to the file named by -out (default BENCH_trace.json; empty
-// disables). -validate checks that a previously exported file is
-// well-formed Chrome trace-event JSON and exits.
+// -out FILE also writes a machine-readable summary of the run (overlap
+// ratio, per-kind busy time). -validate checks that a previously exported
+// file is well-formed Chrome trace-event JSON and exits.
 //
 // With -chaos (sim engine only) the seeded fault plan (internal/faults)
 // perturbs the simulated fabric — dropped and delayed transfers, one
@@ -59,8 +58,8 @@ import (
 	"srumma/internal/summa"
 )
 
-// traceDoc is the BENCH_trace.json schema: one traced run's headline
-// numbers, with the paper's overlap ratio computed from the recorded spans.
+// traceDoc is the -out summary: one traced run's headline numbers, with the
+// paper's overlap ratio computed from the recorded spans.
 type traceDoc struct {
 	Engine   string `json:"engine"`
 	Alg      string `json:"alg"`
@@ -80,9 +79,7 @@ type traceDoc struct {
 	ComputeSeconds float64 `json:"compute_s"`
 
 	// OverlapFloor records the -min-overlap gate the run was held to
-	// (omitted when the gate was off). A recorded floor turns this file
-	// into a regression baseline: CI re-runs the same configuration and
-	// fails if the measured ratio drops below it.
+	// (omitted when the gate was off).
 	OverlapFloor float64 `json:"overlap_floor,omitempty"`
 
 	// BusySeconds is per-kind busy time summed over ranks.
@@ -100,33 +97,33 @@ type traceDoc struct {
 	ExternalWorkers int    `json:"external_workers,omitempty"`
 }
 
+// The flags live at package level so the drift test can walk flag.CommandLine.
+var (
+	engine     = flag.String("engine", "sim", `engine: "sim" (virtual-time model), "real" (wall-clock armci run) or "ipc" (multi-process workers)`)
+	platform   = flag.String("platform", "linux-myrinet", "modeled platform (sim engine)")
+	alg        = flag.String("alg", "srumma", "algorithm: srumma, pdgemm, summa, cannon, fox")
+	n          = flag.Int("n", 1000, "matrix size (N x N x N)")
+	procs      = flag.Int("procs", 8, "process count")
+	ppn        = flag.Int("ppn", 0, "ranks per shared-memory domain (real engine; 0: all on one node)")
+	width      = flag.Int("width", 100, "timeline width in characters")
+	blocking   = flag.Bool("blocking", false, "single-buffer blocking gets")
+	noshift    = flag.Bool("noshift", false, "disable the diagonal-shift ordering")
+	chrome     = flag.String("chrome", "", "also write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
+	out        = flag.String("out", "", "also write a machine-readable run summary to this file")
+	validate   = flag.String("validate", "", "validate a Chrome trace-event JSON file and exit")
+	chaos      = flag.Bool("chaos", false, "inject deterministic faults into the simulated fabric (drops, delays, one straggler)")
+	seed       = flag.Uint64("seed", 1, "fault-injection seed (with -chaos)")
+	minOverlap = flag.Float64("min-overlap", 0, "fail unless the measured overlap ratio reaches this floor (0: no gate)")
+	transport  = flag.String("transport", "", `ipc engine RMA transport: "unix" (default) or "tcp" (required for multi-host)`)
+	listen     = flag.String("listen", "", `bind the ipc coordinator's TCP control listener at "host:port" (implies -transport tcp); with -no-spawn this is the address srumma-worker -join dials`)
+	noSpawn    = flag.Bool("no-spawn", false, "do not spawn workers: wait for -procs external srumma-worker -join processes (multi-host mode; needs -listen and -dir)")
+	runDir     = flag.String("dir", "", "shared run directory for ipc segment files and RMA sockets (default: a fresh temp dir; -no-spawn workers must pass the same -dir)")
+)
+
 func main() {
 	ipcrt.MaybeWorker() // ipc engine workers re-execute this binary
 	log.SetFlags(0)
 	log.SetPrefix("srumma-trace: ")
-	engine := flag.String("engine", "sim", `engine: "sim" (virtual-time model), "real" (wall-clock armci run) or "ipc" (multi-process workers)`)
-	platform := flag.String("platform", "linux-myrinet", "modeled platform (sim engine)")
-	alg := flag.String("alg", "srumma", "algorithm: srumma, pdgemm, summa, cannon, fox")
-	n := flag.Int("n", 1000, "matrix size (N x N x N)")
-	procs := flag.Int("procs", 8, "process count")
-	ppn := flag.Int("ppn", 0, "ranks per shared-memory domain (real engine; 0: all on one node)")
-	width := flag.Int("width", 100, "timeline width in characters")
-	blocking := flag.Bool("blocking", false, "single-buffer blocking gets")
-	noshift := flag.Bool("noshift", false, "disable the diagonal-shift ordering")
-	chrome := flag.String("chrome", "", "also write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
-	out := flag.String("out", "BENCH_trace.json", "write a machine-readable run summary here (empty: skip)")
-	outKey := flag.String("key", "", `merge the run summary into -out under this top-level key instead of overwriting the file (e.g. -key multihost keeps the committed sweep alongside)`)
-	validate := flag.String("validate", "", "validate a Chrome trace-event JSON file and exit")
-	chaos := flag.Bool("chaos", false, "inject deterministic faults into the simulated fabric (drops, delays, one straggler)")
-	seed := flag.Uint64("seed", 1, "fault-injection seed (with -chaos)")
-	minOverlap := flag.Float64("min-overlap", 0, "fail unless the measured overlap ratio reaches this floor (0: no gate)")
-	transport := flag.String("transport", "", `ipc engine RMA transport: "unix" (default) or "tcp" (required for multi-host)`)
-	listen := flag.String("listen", "", `bind the ipc coordinator's TCP control listener at "host:port" (implies -transport tcp); with -no-spawn this is the address srumma-worker -join dials`)
-	noSpawn := flag.Bool("no-spawn", false, "do not spawn workers: wait for -procs external srumma-worker -join processes (multi-host mode; needs -listen and -dir)")
-	runDir := flag.String("dir", "", "shared run directory for ipc segment files and RMA sockets (default: a fresh temp dir; -no-spawn workers must pass the same -dir)")
-	sweep := flag.Bool("sweep", false, "run the measured-vs-modeled overlap sweep (block sizes x ppn) instead of one trace")
-	sweepNs := flag.String("sweep-n", "192,320,448", "comma-separated matrix sizes for -sweep (block size = n / grid dim)")
-	sweepPPNs := flag.String("sweep-ppn", "1,2,4", "comma-separated ranks-per-node values for -sweep")
 	flag.Parse()
 
 	if *validate != "" {
@@ -145,11 +142,6 @@ func main() {
 	g, err := grid.Square(*procs)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *sweep {
-		runSweep(*engine, *platform, *procs, *sweepNs, *sweepPPNs, *out)
-		return
 	}
 
 	d := core.Dims{M: *n, N: *n, K: *n}
@@ -171,7 +163,7 @@ func main() {
 		}
 	case "real":
 		if *chaos {
-			log.Fatal("-chaos models the simulated fabric; use -engine sim (the real engine's fault injection lives in srumma-load)")
+			log.Fatal("-chaos models the simulated fabric; use -engine sim (the real engine's fault injection is exercised by internal/faults' tests: make chaos)")
 		}
 		events, wall = runReal(g, d, *alg, *procs, *ppn, *width, *blocking, *noshift, *chrome, flops)
 		doc.PPN = *ppn
@@ -212,25 +204,7 @@ func main() {
 	doc.OverlapFloor = *minOverlap
 	doc.BusySeconds = obs.Summary(events)
 	if *out != "" {
-		var payload any = doc
-		if *outKey != "" {
-			// Keyed write: fold this run into the existing document (the
-			// committed BENCH_trace.json keeps its sweep while a multihost
-			// run lands beside it).
-			merged := map[string]json.RawMessage{}
-			if data, err := os.ReadFile(*out); err == nil {
-				if err := json.Unmarshal(data, &merged); err != nil {
-					log.Fatalf("-key %s: %s is not a JSON object: %v", *outKey, *out, err)
-				}
-			}
-			raw, err := json.Marshal(doc)
-			if err != nil {
-				log.Fatal(err)
-			}
-			merged[*outKey] = raw
-			payload = merged
-		}
-		buf, err := json.MarshalIndent(payload, "", "  ")
+		buf, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,3 +42,34 @@ func TestDocsNameLiveMakeTargets(t *testing.T) {
 		}
 	}
 }
+
+var benchFile = regexp.MustCompile(`BENCH\w*\.json`)
+
+// TestDocsNameLiveDataFiles is the same for committed result files: every
+// BENCH*.json the living documents, the Makefile, CI and the scripts name
+// must exist. EXPERIMENTS.md's dated records, CHANGES.md and ROADMAP.md are
+// history and are not read.
+func TestDocsNameLiveDataFiles(t *testing.T) {
+	docs := []string{
+		"README.md", "DESIGN.md", "Makefile",
+		".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
+	}
+	scripts, err := os.ReadDir("scripts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range scripts {
+		docs = append(docs, "scripts/"+e.Name())
+	}
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range benchFile.FindAllString(string(text), -1) {
+			if _, err := os.Stat(name); err != nil {
+				t.Errorf("%s names %s, which is not in the repository", doc, name)
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"srumma/internal/driver"
 	"srumma/internal/fox"
 	"srumma/internal/grid"
-	"srumma/internal/hier"
 	"srumma/internal/machine"
 	"srumma/internal/pdgemm"
 	"srumma/internal/rt"
@@ -23,7 +22,6 @@ import (
 // Algorithm names accepted by MatmulConfig.
 const (
 	AlgSRUMMA = "srumma"
-	AlgHier   = "hier"
 	AlgPdgemm = "pdgemm"
 	AlgSUMMA  = "summa"
 	AlgCannon = "cannon"
@@ -87,7 +85,7 @@ func RunMatmul(cfg MatmulConfig) (MatmulResult, error) {
 
 	body := func(c rt.Ctx) {
 		switch cfg.Alg {
-		case AlgSRUMMA, AlgHier:
+		case AlgSRUMMA:
 			opts := core.Options{
 				Case:            cfg.Case,
 				Flavor:          flavorFor(cfg.Platform),
@@ -104,12 +102,7 @@ func RunMatmul(cfg MatmulConfig) (MatmulResult, error) {
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
 			t0 := c.Now()
-			if cfg.Alg == AlgHier {
-				ht := hier.From(c.Topo(), g)
-				if err := hier.Multiply(c, ht, cfg.Dims, hier.Options{Options: opts}, ga, gb, gc); err != nil {
-					panic(err)
-				}
-			} else if err := core.Multiply(c, g, cfg.Dims, opts, ga, gb, gc); err != nil {
+			if err := core.Multiply(c, g, cfg.Dims, opts, ga, gb, gc); err != nil {
 				panic(err)
 			}
 			durations[c.Rank()] = c.Now() - t0

@@ -109,9 +109,15 @@ func chaosReference(t *testing.T) *mat.Matrix {
 	return want
 }
 
-func classConfig(t *testing.T, class string, seed uint64) faults.Config {
+// classConfig is the one table of chaos classes: the fault plan and the
+// recovery settings each runs under. Rates are deliberately aggressive — a
+// run with zero injected faults proves nothing. straggle-tight puts two
+// stragglers well over a tight latency threshold so the executor's re-plan
+// around them shows; crash-early lands the death within the first ops.
+func classConfig(t *testing.T, class string, seed uint64) (faults.Config, faults.RecoveryConfig) {
 	t.Helper()
 	cfg := faults.Config{Seed: seed}
+	var recov faults.RecoveryConfig
 	switch class {
 	case "drop":
 		cfg.DropRate = 0.15
@@ -123,27 +129,51 @@ func classConfig(t *testing.T, class string, seed uint64) faults.Config {
 	case "straggle":
 		cfg.Stragglers = 2
 		cfg.StragglerDelay = 2 * time.Millisecond
+	case "straggle-tight":
+		cfg.Stragglers = 2
+		cfg.StragglerDelay = 4 * time.Millisecond
+		recov.StragglerLatency = 500 * time.Microsecond
 	case "crash":
 		cfg.Crash = true
 		cfg.CrashOpSpan = 4
+	case "crash-early":
+		cfg.Crash = true
+		cfg.CrashOpSpan = 2
 	default:
 		t.Fatalf("unknown class %q", class)
 	}
-	return cfg
+	return cfg, recov
 }
 
 // TestChaosRecoverableClasses: every recoverable fault class, three seeds
 // each, must recover to the serial-dgemm result with faults actually
-// injected — never a hang (watchdog-bounded), never a silently wrong C.
+// injected and the recovery path the class exists to exercise actually
+// taken — never a hang (watchdog-bounded), never a silently wrong C, never
+// an idle counter.
 func TestChaosRecoverableClasses(t *testing.T) {
 	want := chaosReference(t)
 	tol := 1e-10 * float64(chaosN)
-	for _, class := range []string{"drop", "delay", "corrupt", "straggle"} {
-		t.Run(class, func(t *testing.T) {
-			var injected int64
+	refetches := func(s rt.Stats) int64 { return s.FaultRefetches }
+	steals := func(s rt.Stats) int64 { return s.StragglerSteals }
+	for _, tc := range []struct {
+		class   string
+		counter string // the recovery counter the class must move ("" = none)
+		read    func(rt.Stats) int64
+	}{
+		// A dropped transfer "completes" having moved nothing: it is the
+		// checksum that catches it, so drop moves the refetch counter too
+		// (FaultRetries counts timeouts; TestChaosGracefulDegradation's).
+		{"drop", "FaultRefetches", refetches},
+		{"delay", "", nil},
+		{"corrupt", "FaultRefetches", refetches},
+		{"straggle", "", nil},
+		{"straggle-tight", "StragglerSteals", steals},
+	} {
+		t.Run(tc.class, func(t *testing.T) {
+			var injected, moved int64
 			for _, seed := range []uint64{1, 2, 3} {
-				cfg := classConfig(t, class, seed)
-				got, sum, err := chaosRun(t, &cfg, faults.RecoveryConfig{}, nil)
+				cfg, recov := classConfig(t, tc.class, seed)
+				got, sum, err := chaosRun(t, &cfg, recov, nil)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -151,9 +181,15 @@ func TestChaosRecoverableClasses(t *testing.T) {
 					t.Errorf("seed %d: max diff %g vs serial dgemm", seed, diff)
 				}
 				injected += sum.FaultsInjected
+				if tc.read != nil {
+					moved += tc.read(sum)
+				}
 			}
 			if injected == 0 {
 				t.Error("no faults injected across three seeds: the class was not exercised")
+			}
+			if tc.read != nil && moved == 0 {
+				t.Errorf("%s stayed 0 across three seeds: the recovery path was not exercised", tc.counter)
 			}
 		})
 	}
@@ -162,24 +198,26 @@ func TestChaosRecoverableClasses(t *testing.T) {
 // TestChaosCrash: an injected rank death must fail loudly, naming the
 // crashed rank and op — and must not hang the run.
 func TestChaosCrash(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		cfg := classConfig(t, "crash", seed)
-		plan, err := faults.NewPlan(cfg, chaosProcs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRank, wantOp := plan.CrashPoint()
-		_, _, err = chaosRun(t, &cfg, faults.RecoveryConfig{}, nil)
-		if err == nil {
-			t.Fatalf("seed %d: crash planned at rank %d op %d but run succeeded", seed, wantRank, wantOp)
-		}
-		var we *armci.WatchdogError
-		if errors.As(err, &we) {
-			t.Fatalf("seed %d: crash hung the run instead of failing loudly: %v", seed, err)
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, "rank") || !strings.Contains(msg, "crash") {
-			t.Errorf("seed %d: error lacks rank/crash context: %q", seed, msg)
+	for _, class := range []string{"crash", "crash-early"} {
+		for _, seed := range []uint64{1, 2, 3} {
+			cfg, recov := classConfig(t, class, seed)
+			plan, err := faults.NewPlan(cfg, chaosProcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRank, wantOp := plan.CrashPoint()
+			_, _, err = chaosRun(t, &cfg, recov, nil)
+			if err == nil {
+				t.Fatalf("%s seed %d: crash planned at rank %d op %d but run succeeded", class, seed, wantRank, wantOp)
+			}
+			var we *armci.WatchdogError
+			if errors.As(err, &we) {
+				t.Fatalf("%s seed %d: crash hung the run instead of failing loudly: %v", class, seed, err)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "rank") || !strings.Contains(msg, "crash") {
+				t.Errorf("%s seed %d: error lacks rank/crash context: %q", class, seed, msg)
+			}
 		}
 	}
 }
@@ -304,8 +342,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 // threshold, the executor must re-plan around the slow ranks.
 func TestChaosStragglerStealing(t *testing.T) {
 	want := chaosReference(t)
-	cfg := faults.Config{Seed: 6, Stragglers: 2, StragglerDelay: 4 * time.Millisecond}
-	recov := faults.RecoveryConfig{StragglerLatency: 500 * time.Microsecond}
+	cfg, recov := classConfig(t, "straggle-tight", 6)
 	got, sum, err := chaosRun(t, &cfg, recov, nil)
 	if err != nil {
 		t.Fatal(err)

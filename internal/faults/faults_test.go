@@ -245,3 +245,40 @@ func TestGetRecovery(t *testing.T) {
 		t.Errorf("recovery not exercised: %d faults, %d refetches", sum.FaultsInjected, sum.FaultRefetches)
 	}
 }
+
+// TestWrappersKeepCapabilitiesDiscoverable: rt.Find is the one walk down a
+// wrapper chain, and the chaos stack — recovery layer over injector over
+// engine — must not hide what the layers provide: the engine's source
+// checksums (the recovery layer's own end-to-end check), in-place operand
+// adoption and buffer recycling, and the recovery layer's health verdicts.
+func TestWrappersKeepCapabilitiesDiscoverable(t *testing.T) {
+	plan, err := faults.NewPlan(faults.Config{Seed: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = armci.Run(rt.Topology{NProcs: 2, ProcsPerNode: 2}, func(raw rt.Ctx) {
+		if raw.Rank() != 0 {
+			return
+		}
+		c := faults.Resilient(faults.Inject(raw, plan, nil), faults.RecoveryConfig{})
+		for _, tc := range []struct {
+			capability string
+			found      bool
+		}{
+			{"faults.SourceChecksummer", rt.Find[faults.SourceChecksummer](c) != nil},
+			{"rt.Adopter", rt.Find[rt.Adopter](c) != nil},
+			{"rt.Health", rt.Find[rt.Health](c) != nil},
+			{"rt.BufferReleaser", rt.Find[rt.BufferReleaser](c) != nil},
+		} {
+			if !tc.found {
+				t.Errorf("%s not found through Resilient(Inject(engine))", tc.capability)
+			}
+		}
+		if rt.Find[rt.Health](raw) != nil {
+			t.Error("the bare engine reports rank health: the verdicts are the recovery layer's")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -20,25 +20,6 @@ type SourceChecksummer interface {
 	ChecksumRegion(g rt.Global, rank, off, ld, rows, cols int) uint64
 }
 
-// unwrapper lets layered ctx wrappers expose the engine underneath.
-type unwrapper interface{ Unwrap() rt.Ctx }
-
-// checksummerOf walks a wrapper chain down to the first layer that can
-// checksum source regions, or nil.
-func checksummerOf(ctx rt.Ctx) SourceChecksummer {
-	for c := ctx; c != nil; {
-		if s, ok := c.(SourceChecksummer); ok {
-			return s
-		}
-		u, ok := c.(unwrapper)
-		if !ok {
-			return nil
-		}
-		c = u.Unwrap()
-	}
-	return nil
-}
-
 // CrashError is the panic payload of an injected rank death. The armci
 // runtime recovers it into the run error, so a crashed run fails loudly
 // with rank and op context instead of hanging.

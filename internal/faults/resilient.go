@@ -64,7 +64,7 @@ func Resilient(inner rt.Ctx, cfg RecoveryConfig) rt.Ctx {
 	return &resCtx{
 		Ctx:  inner,
 		cfg:  cfg.withDefaults(),
-		sum:  checksummerOf(inner),
+		sum:  rt.Find[SourceChecksummer](inner),
 		ewma: make([]float64, inner.Size()),
 	}
 }

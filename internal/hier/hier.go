@@ -21,8 +21,8 @@
 // into the executor's fetch buffer. Task lists, their order and every Gemm
 // operand value are exactly the flat plan's, so the result is bit-identical
 // to flat SRUMMA; what changes is volume — a staged region crosses the
-// interconnect once instead of once per fetch (swept by srumma-bench -hier,
-// BENCH_hier.json; srumma-plan -hier shows a shape's split).
+// interconnect once instead of once per fetch (TestSimVolumesMatchPrediction
+// pins the sweep over P; srumma-plan -hier shows a shape's split).
 //
 // Where the engine adopts caller memory (rt.Adopter) the band lives across
 // calls: members publish pooled, UNZEROED slices. A member reads the band

@@ -3,6 +3,7 @@ package hier
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"srumma/internal/armci"
@@ -218,35 +219,42 @@ func TestPredictVolumesHierWins(t *testing.T) {
 			t.Errorf("np=%d: hier outer remote %d exceeds flat %d", np, v.OuterRemote, v.FlatRemote)
 		}
 		// At np=8 (2x4 grid, ppn=2) a node IS one grid column: no two
-		// node-mates share a fetch region and the volumes tie — that tie is
-		// the crossover point BENCH_hier.json reports. From np=16 on,
-		// node-mates are column segments and the dedup win is strict.
+		// node-mates share a fetch region and the volumes tie; from np=16
+		// on (the crossover TestSimVolumesMatchPrediction pins), node-mates
+		// are column segments and the dedup win is strict.
 		if np >= 16 && v.OuterRemote >= v.FlatRemote {
 			t.Errorf("np=%d: expected strict hier win, got outer %d vs flat %d", np, v.OuterRemote, v.FlatRemote)
 		}
 	}
 }
 
-// TestSimVolumesMatchPrediction runs both paths on the virtual-time engine
-// and checks the measured inter-node bytes agree with the analytic
-// prediction: hier stages strictly fewer remote bytes than flat fetches.
+// TestSimVolumesMatchPrediction runs flat SRUMMA and the two-level multiply
+// across process counts on the virtual-time engine (linux-myrinet, N = 512,
+// two ranks per node). Both paths run the same inner task list, so the
+// comparison isolates data movement, and the sim engine charges every
+// remote byte: the measured counts are pinned exactly, must equal
+// 8 x PredictVolumes on both paths (a mismatch means the staging plan and
+// the executor disagreed about some fetch), and the volume crossover — the
+// smallest P where hier strictly beats flat — sits at exactly P = 16. Below
+// it each node coincides with one grid column, no two node-mates want the
+// same remote region, nothing is staged and the volumes tie. From the
+// crossover on the modeled hier time must be below flat as well.
 func TestSimVolumesMatchPrediction(t *testing.T) {
 	prof := machine.LinuxMyrinet()
 	prof.ProcsPerNode = 2
-	np := 16
-	g, err := grid.Square(np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.Dims{M: 128, N: 128, K: 128}
+	d := core.Dims{M: 512, N: 512, K: 512}
 	opts := Options{}
 
-	remote := func(hier bool) int64 {
+	// run returns the remote bytes summed over ranks and the slowest rank's
+	// modeled time through Multiply.
+	run := func(np int, g *grid.Grid, hier bool) (int64, float64) {
+		durations := make([]float64, np)
 		res, err := simrt.Run(prof, np, func(c rt.Ctx) {
 			da, db, dc := core.Dists(g, d, opts.Case)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
+			t0 := c.Now()
 			var err error
 			if hier {
 				err = Multiply(c, From(c.Topo(), g), d, opts, ga, gb, gc)
@@ -256,6 +264,7 @@ func TestSimVolumesMatchPrediction(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
+			durations[c.Rank()] = c.Now() - t0
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -264,20 +273,45 @@ func TestSimVolumesMatchPrediction(t *testing.T) {
 		for _, s := range res.Stats {
 			total += s.BytesRemote
 		}
-		return total
+		return total, slices.Max(durations)
 	}
 
-	flatB, hierB := remote(false), remote(true)
-	if hierB >= flatB {
-		t.Fatalf("sim remote bytes: hier %d not below flat %d", hierB, flatB)
+	crossover := 0
+	for _, tc := range []struct {
+		np         int
+		flat, hier int64 // remote bytes
+	}{
+		{4, 2097152, 2097152},
+		{16, 10485760, 8388608},
+		{36, 18874368, 14680064},
+		{64, 27262976, 20971520},
+	} {
+		g, err := grid.Square(tc.np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flatB, flatS := run(tc.np, g, false)
+		hierB, hierS := run(tc.np, g, true)
+		if flatB != tc.flat || hierB != tc.hier {
+			t.Errorf("P=%d: remote bytes flat %d hier %d, want %d and %d", tc.np, flatB, hierB, tc.flat, tc.hier)
+		}
+		topo := rt.Topology{NProcs: tc.np, ProcsPerNode: prof.ProcsPerNode}
+		v := PredictVolumes(From(topo, g), d, opts)
+		if want := v.FlatRemote * 8; flatB != want {
+			t.Errorf("P=%d: flat measured remote bytes %d, predicted %d", tc.np, flatB, want)
+		}
+		if want := v.OuterRemote * 8; hierB != want {
+			t.Errorf("P=%d: hier measured remote bytes %d, predicted %d", tc.np, hierB, want)
+		}
+		if crossover == 0 && hierB < flatB {
+			crossover = tc.np
+		}
+		if tc.np >= 16 && hierS >= flatS {
+			t.Errorf("P=%d: modeled hier time %g s not below flat %g s", tc.np, hierS, flatS)
+		}
 	}
-	topo := rt.Topology{NProcs: np, ProcsPerNode: prof.ProcsPerNode}
-	v := PredictVolumes(From(topo, g), d, opts)
-	if want := v.OuterRemote * 8; hierB != want {
-		t.Errorf("hier measured remote bytes %d, predicted %d", hierB, want)
-	}
-	if want := v.FlatRemote * 8; flatB != want {
-		t.Errorf("flat measured remote bytes %d, predicted %d", flatB, want)
+	if crossover != 16 {
+		t.Errorf("hierarchical volume first strictly beats flat at P=%d, want 16", crossover)
 	}
 }
 

@@ -143,7 +143,7 @@ type Adopter interface {
 
 // FindAdopter walks c's Unwrap chain and returns the first layer that can
 // adopt caller memory, or nil.
-func FindAdopter(c Ctx) Adopter { return find[Adopter](c) }
+func FindAdopter(c Ctx) Adopter { return Find[Adopter](c) }
 
 // Runner abstracts "execute one SPMD body and return per-rank stats" — the
 // engine lifecycle, as opposed to Ctx, which is the in-body API. Two
@@ -163,9 +163,10 @@ type Unwrapper interface {
 	Unwrap() Ctx
 }
 
-// find walks c's Unwrap chain and returns the first layer that provides
-// capability T, or T's zero value (a nil interface) when none does.
-func find[T any](c Ctx) T {
+// Find walks c's Unwrap chain and returns the first layer that provides
+// capability T, or T's zero value (a nil interface) when none does. It is
+// the only such walk: every capability lookup goes through it.
+func Find[T any](c Ctx) T {
 	for c != nil {
 		if t, ok := c.(T); ok {
 			return t
@@ -182,11 +183,11 @@ func find[T any](c Ctx) T {
 
 // FindKernelTuner walks c's Unwrap chain and returns the first layer that
 // can tune kernel threads, or nil.
-func FindKernelTuner(c Ctx) KernelTuner { return find[KernelTuner](c) }
+func FindKernelTuner(c Ctx) KernelTuner { return Find[KernelTuner](c) }
 
 // FindBufferReleaser walks c's Unwrap chain and returns the first layer
 // that can recycle scratch buffers, or nil.
-func FindBufferReleaser(c Ctx) BufferReleaser { return find[BufferReleaser](c) }
+func FindBufferReleaser(c Ctx) BufferReleaser { return Find[BufferReleaser](c) }
 
 // Health is the capability a fault-tolerant runtime layer (the
 // internal/faults resilient wrapper) exposes to the SRUMMA executor, which
@@ -199,7 +200,7 @@ type Health interface {
 
 // FindHealth walks c's Unwrap chain and returns the first layer that
 // reports rank health, or nil.
-func FindHealth(c Ctx) Health { return find[Health](c) }
+func FindHealth(c Ctx) Health { return Find[Health](c) }
 
 // Recorded is an optional capability of a Ctx: exposing the obs.Recorder
 // this process's spans land in. Algorithm layers that want to emit their
@@ -215,7 +216,7 @@ type Recorded interface {
 // FindRecorder walks c's Unwrap chain and returns the attached recorder, or
 // nil when no layer records (a valid, zero-cost recorder per obs).
 func FindRecorder(c Ctx) *obs.Recorder {
-	if r := find[Recorded](c); r != nil {
+	if r := Find[Recorded](c); r != nil {
 		return r.ObsRecorder()
 	}
 	return nil

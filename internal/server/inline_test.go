@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	goruntime "runtime"
 	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -94,6 +95,41 @@ func TestSmallRequestDeadlineDuringOwnRun(t *testing.T) {
 		t.Fatalf("next request: status %d, want 200", code)
 	}
 	checkResult(t, resp, wantGemm(t, req), 0)
+}
+
+// TestSmallRequestIsInFlightWhileItsHandlerRuns: server.in_flight counts a
+// request from before Submit, so one being computed by its own handler —
+// parked here in the batch hook — reads 1, and 0 again once answered.
+func TestSmallRequestIsInFlightWhileItsHandlerRuns(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 8})
+	req := randReq(16, 16, 16, 3)
+	req.ID = "parked"
+	release, entered := blockOn(s, req.ID)
+	inFlight := func() string {
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+		for _, line := range strings.Split(rr.Body.String(), "\n") {
+			if strings.HasPrefix(line, "server_in_flight ") {
+				return line
+			}
+		}
+		return "no server_in_flight line"
+	}
+	ch := postAsync(t, s, req)
+	<-entered
+	if sc := s.Metrics().Sched; sc.InlineDispatches != 1 {
+		t.Fatalf("%d caller-run dispatches, want the parked request's", sc.InlineDispatches)
+	}
+	if got := inFlight(); got != "server_in_flight 1" {
+		t.Errorf("while the handler computes: %q, want server_in_flight 1", got)
+	}
+	release()
+	if res := <-ch; res.code != http.StatusOK {
+		t.Fatalf("status %d", res.code)
+	}
+	if got := inFlight(); got != "server_in_flight 0" {
+		t.Errorf("after the answer: %q, want server_in_flight 0", got)
+	}
 }
 
 // discardWriter is a ResponseWriter that keeps nothing, so a measurement of

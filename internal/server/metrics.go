@@ -294,6 +294,9 @@ func (m *metrics) noteABFT(detected, recomputed int64) {
 	}
 }
 
+// admit counts a request that is admitted and in flight in one step (a
+// cache hit). runScheduled moves the two apart: in flight from before
+// Submit, admitted once Submit has accepted.
 func (m *metrics) admit() {
 	m.admitted.Inc()
 	m.inFlight.Add(1)

@@ -1019,12 +1019,19 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 			Cancel:    ctx.Done(),
 			Payload:   job,
 		}
+		// In flight from before Submit: a small request on an idle pool is
+		// computed inside it, by this goroutine. admitted_total is monotonic,
+		// so it waits until Submit has accepted.
+		if !inFlight {
+			s.met.inFlight.Add(1)
+		}
 		if serr := s.sched.Submit(task); serr != nil {
 			if inFlight {
 				// A retry that cannot even queue: surface the run error the
 				// retry was trying to fix, not the admission refusal.
 				break
 			}
+			s.met.inFlight.Add(-1)
 			if errors.Is(serr, sched.ErrClosed) {
 				s.writeErr(w, env, http.StatusServiceUnavailable, ErrorResponse{ID: req.ID, Error: "server draining"})
 				return
@@ -1040,7 +1047,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 		env.wr.noPool = true
 		lastTask = task
 		if !inFlight {
-			s.met.admit()
+			s.met.admitted.Inc()
 			inFlight = true
 		}
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # multihost-trace.sh — two-host (two-container) deployment recipe for the
 # multi-process engine, ending in a cross-host traced multiply whose
-# overlap ratio is recorded into BENCH_trace.json.
+# overlap ratio is printed and written to a run summary.
 #
 # Topology: NP ranks split into NP/PPN shared-memory domains. The
 # coordinator (srumma-trace -engine ipc -no-spawn) binds a TCP control
@@ -18,7 +18,7 @@
 #
 #   hostA$ srumma-trace -engine ipc -no-spawn -procs 4 -ppn 2 -n 512 \
 #            -listen 0.0.0.0:7411 -dir /tmp/srumma-mh \
-#            -out BENCH_trace.json -key multihost &
+#            -out /tmp/multihost_run.json &
 #   hostA$ for r in 0 1; do
 #            srumma-worker -join tcp:hostA:7411 -rank $r -np 4 -ppn 2 \
 #              -dir /tmp/srumma-mh -transport tcp &
@@ -38,8 +38,8 @@ NP=${NP:-4}
 PPN=${PPN:-2}
 N=${N:-384}
 PORT=${PORT:-7411}
-OUT=${OUT:-BENCH_trace.json}
 BIN=${BIN:-$(mktemp -d)}
+OUT=${OUT:-$BIN/multihost_run.json}
 DIR=${DIR:-$(mktemp -d /tmp/srumma-mh.XXXXXX)}
 
 echo "multihost-trace: building srumma-trace and srumma-worker into $BIN"
@@ -48,7 +48,7 @@ go build -o "$BIN/srumma-worker" ./cmd/srumma-worker
 
 echo "multihost-trace: starting coordinator (listen 127.0.0.1:$PORT, dir $DIR)"
 "$BIN/srumma-trace" -engine ipc -no-spawn -procs "$NP" -ppn "$PPN" -n "$N" \
-  -listen "127.0.0.1:$PORT" -dir "$DIR" -out "$OUT" -key multihost &
+  -listen "127.0.0.1:$PORT" -dir "$DIR" -out "$OUT" &
 COORD=$!
 
 # Give the listener a moment to bind, then join the workers. Each domain's
@@ -67,7 +67,6 @@ if ! wait $COORD; then
 fi
 wait
 
-grep -q '"multihost"' "$OUT"
 grep -q '"overlap_ratio"' "$OUT"
 grep -q '"external_workers"' "$OUT"
-echo "multihost-trace: PASS (cross-host overlap ratio recorded in $OUT)"
+echo "multihost-trace: PASS (cross-host overlap ratio in the run summary, $OUT)"
