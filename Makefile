@@ -100,15 +100,19 @@ trace-smoke:
 # bit-identical to the in-process armci engine running the same job on
 # the same topology, over the unix and the tcp transport; the coordinator
 # and every worker run under -race (the workers re-execute the instrumented
-# test binary). A traced ipc run then has to report a measured overlap ratio.
+# test binary). A traced ipc run then has to report a measured overlap ratio,
+# and the two SRI1 wire fuzzers (frame codec, live TCP RMA server) each get
+# ten seconds at whatever the wire currently is.
 ipc-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) test -race -count=1 -run 'TestIPCBitIdentical|TestTCPBitIdentical' ./internal/ipcrt; \
+	$(GO) test -run '^$$' -fuzz=FuzzIPCWire -fuzztime=10s ./internal/ipcrt; \
+	$(GO) test -run '^$$' -fuzz=FuzzTCPWire -fuzztime=10s ./internal/ipcrt; \
 	$(GO) run ./cmd/srumma-trace -engine ipc -n 192 -procs 4 -ppn 2 -width 60 \
 	    -out $$tmp/ipc_run.json > /dev/null; \
 	grep -q '"overlap_ratio"' $$tmp/ipc_run.json; \
 	grep -q '"ppn": 2' $$tmp/ipc_run.json; \
-	echo "ipc-smoke: PASS (4 processes bit-identical to armci under -race, traced overlap recorded)"
+	echo "ipc-smoke: PASS (4 processes bit-identical to armci under -race, traced overlap recorded, wire fuzzed 2x10s)"
 
 # Cluster serving gate, race-enabled: /v1/multiply sharded across 2
 # emulated worker nodes x 2 OS-process ranks each, all four transpose

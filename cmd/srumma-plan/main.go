@@ -22,19 +22,23 @@ import (
 	"srumma/internal/rt"
 )
 
+// The flags live at package level so the drift test can walk flag.CommandLine.
+var (
+	n             = flag.Int("n", 600, "matrix size (N x N x N)")
+	procs         = flag.Int("procs", 16, "process count")
+	ppn           = flag.Int("ppn", 4, "processes per shared-memory node")
+	rank          = flag.Int("rank", 0, "rank whose plan to print")
+	shared        = flag.Bool("shared-machine", false, "one machine-wide shared-memory domain")
+	caseName      = flag.String("case", "NN", "transpose case: NN, TN, NT, TT")
+	noshift       = flag.Bool("noshift", false, "disable the diagonal-shift ordering")
+	nosharedfirst = flag.Bool("nosharedfirst", false, "disable shared-memory-first ordering")
+	maxK          = flag.Int("maxk", 0, "task-granularity cap along k (0 = whole blocks)")
+	hierOn        = flag.Bool("hier", false, "also print the two-level (hierarchical) topology and outer panel schedule")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("srumma-plan: ")
-	n := flag.Int("n", 600, "matrix size (N x N x N)")
-	procs := flag.Int("procs", 16, "process count")
-	ppn := flag.Int("ppn", 4, "processes per shared-memory node")
-	rank := flag.Int("rank", 0, "rank whose plan to print")
-	shared := flag.Bool("shared-machine", false, "one machine-wide shared-memory domain")
-	caseName := flag.String("case", "NN", "transpose case: NN, TN, NT, TT")
-	noshift := flag.Bool("noshift", false, "disable the diagonal-shift ordering")
-	nosharedfirst := flag.Bool("nosharedfirst", false, "disable shared-memory-first ordering")
-	maxK := flag.Int("maxk", 0, "task-granularity cap along k (0 = whole blocks)")
-	hierOn := flag.Bool("hier", false, "also print the two-level (hierarchical) topology and outer panel schedule")
 	flag.Parse()
 
 	var cs core.Case

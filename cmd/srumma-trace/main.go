@@ -245,8 +245,7 @@ func algBody(g *grid.Grid, d core.Dims, alg string, prof *machine.Profile, block
 				panic(err)
 			}
 		case "pdgemm":
-			pd := pdgemm.Dims(d)
-			da, db, dc, err := pdgemm.Dists(g, pd, pdgemm.NN, 0)
+			da, db, dc, err := pdgemm.Dists(g, d, core.NN, 0)
 			if err != nil {
 				panic(err)
 			}
@@ -256,43 +255,40 @@ func algBody(g *grid.Grid, d core.Dims, alg string, prof *machine.Profile, block
 			if c.Rank() == 0 {
 				*t0 = c.Now()
 			}
-			if err := pdgemm.Multiply(c, g, pd, pdgemm.Options{}, ga, gb, gc); err != nil {
+			if err := pdgemm.Multiply(c, g, d, pdgemm.Options{}, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		case "summa":
-			sd := summa.Dims(d)
-			da, db, dc := summa.Dists(g, sd, summa.NN)
+			da, db, dc := summa.Dists(g, d, core.NN)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
 			if c.Rank() == 0 {
 				*t0 = c.Now()
 			}
-			if err := summa.Multiply(c, g, sd, summa.Options{}, ga, gb, gc); err != nil {
+			if err := summa.Multiply(c, g, d, summa.Options{}, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		case "cannon":
-			cd := cannon.Dims(d)
-			da, db, dc := cannon.Dists(g, cd)
+			da, db, dc := cannon.Dists(g, d)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
 			if c.Rank() == 0 {
 				*t0 = c.Now()
 			}
-			if err := cannon.Multiply(c, g, cd, ga, gb, gc); err != nil {
+			if err := cannon.Multiply(c, g, d, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		case "fox":
-			fd := fox.Dims(d)
-			da, db, dc := fox.Dists(g, fd)
+			da, db, dc := fox.Dists(g, d)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
 			if c.Rank() == 0 {
 				*t0 = c.Now()
 			}
-			if err := fox.Multiply(c, g, fd, ga, gb, gc); err != nil {
+			if err := fox.Multiply(c, g, d, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		default:
@@ -431,7 +427,7 @@ func runReal(g *grid.Grid, d core.Dims, alg string, procs, ppn, width int, block
 	fmt.Printf("timeline (g=gemm w=wait t=get u=put c=copy p=pack b=barrier i=issue j=job):\n")
 	fmt.Print(obs.Timeline(events, procs, width, horizon))
 	// Job spans envelope a rank's whole run and issue spans envelope the
-	// NbGet calls they bracket — everything inside both is also recorded —
+	// NbGetSub calls they bracket — everything inside both is also recorded —
 	// so they'd double-count in a busy/idle breakdown; report leaf spans.
 	busy := make([]obs.Event, 0, len(events))
 	for _, e := range events {

@@ -1,8 +1,8 @@
 // Package armci is the correctness engine: an ARMCI-like runtime in which
 // every "process" is a goroutine in one address space. Collective memory
-// allocation (ARMCI_Malloc), one-sided Get/Put/NbGet, direct shared-memory
-// access, and a two-sided eager message layer are all implemented with real
-// data movement, so algorithms running on it produce real numerical results
+// allocation (ARMCI_Malloc), the one-sided strided get and put, direct
+// shared-memory access, and a two-sided eager message layer are all
+// implemented with real data movement, so algorithms running on it produce real numerical results
 // that tests compare against serial dgemm.
 //
 // It mirrors the paper's portable implementation layer: ARMCI_Malloc returns
@@ -13,11 +13,9 @@ package armci
 
 import (
 	"fmt"
-	goruntime "runtime" // the package's own engine type is named runtime
 	"sync"
 	"time"
 
-	"srumma/internal/mat"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
@@ -113,56 +111,6 @@ func (r *runtime) dropSlot(seq int) {
 	delete(r.slots, seq)
 }
 
-// defaultKernelThreads is the oversubscription guard: with nprocs SPMD
-// goroutines already competing for GOMAXPROCS cores, each rank's local
-// dgemm gets an equal share of the remaining parallelism (at least one
-// worker). A multiply on 4 ranks of a 16-core machine thus defaults to 4
-// kernel workers per rank — 16 busy goroutines total, not 64.
-func defaultKernelThreads(nprocs int) int {
-	return max(1, goruntime.GOMAXPROCS(0)/nprocs)
-}
-
-// DefaultKernelThreads reports the engine's oversubscription guard for an
-// nprocs-rank run on this machine: the per-rank local-dgemm worker count a
-// rank gets when nothing overrides it. Exposed so operator tooling
-// (srumma-info) can show how a deployment will slice the machine.
-func DefaultKernelThreads(nprocs int) int {
-	return defaultKernelThreads(max(1, nprocs))
-}
-
-// buffer is a real float64 buffer. scratch marks buffers handed out by
-// LocalBuf (the only ones ReleaseBuf accepts); released marks a scratch
-// buffer currently surrendered to the pools. Together they make pooled
-// scratch misuse — double release, or releasing a Global segment / mailbox
-// payload — fail loudly instead of aliasing a recycled buffer into a later
-// request and silently breaking LocalBuf's zeroed-buffer guarantee.
-type buffer struct {
-	data     []float64
-	scratch  bool
-	released bool
-}
-
-func (b *buffer) Len() int { return len(b.data) }
-
-// Scratch-buffer recycling. LocalBuf rounds requests up to power-of-two
-// size classes and serves them from per-class pools of *buffer, so the
-// SRUMMA executor's per-multiply communication buffers (released through
-// ReleaseBuf) stop hitting the allocator once warm. Both the backing array
-// and the buffer header are recycled; reused memory is cleared so LocalBuf
-// keeps its zeroed-buffer guarantee.
-const scratchClasses = 28 // largest pooled class: 2^27 elements = 1 GiB
-
-var scratchPools [scratchClasses]sync.Pool
-
-// sizeClass returns the smallest c with 1<<c >= n (n >= 1).
-func sizeClass(n int) int {
-	c := 0
-	for 1<<c < n {
-		c++
-	}
-	return c
-}
-
 // global is a collectively allocated (Malloc) or adopted (Adopt) set of
 // per-rank segments; ld is the row stride of the matrix adopted segments
 // are windows of, 0 for allocated ones. accMu serializes accumulate
@@ -197,35 +145,14 @@ func (h *chanHandle) Done() bool {
 }
 
 type ctx struct {
+	LocalOps
 	rt      *runtime
-	rank    int
-	stats   *rt.Stats
 	collSeq int
-	// kernelThreads is the local-dgemm worker count (rt.KernelTuner);
-	// only this rank's goroutine touches it.
-	kernelThreads int
-	// rec receives wall-clock spans when tracing is on (nil otherwise —
-	// the default, in which case every span helper is a pointer compare).
-	rec *obs.Recorder
 }
 
-// ObsRecorder implements rt.Recorded: algorithm layers (the executor's
-// fetch-issue spans) discover this rank's recorder through the Ctx.
-func (c *ctx) ObsRecorder() *obs.Recorder { return c.rec }
-
-// spanStart returns time.Now when tracing is on, the zero time otherwise.
-// Ops that do not already read the clock for stats use it so the disabled
-// path never touches the clock.
-func (c *ctx) spanStart() time.Time { return c.rec.SpanStart() }
-
-// span records one wall-clock interval ending now on this rank's lane.
-func (c *ctx) span(k obs.Kind, t0 time.Time) { c.rec.SpanEnd(c.rank, k, t0) }
-
-func (c *ctx) Rank() int         { return c.rank }
 func (c *ctx) Size() int         { return c.rt.topo.NProcs }
 func (c *ctx) Topo() rt.Topology { return c.rt.topo }
 func (c *ctx) Now() float64      { return time.Since(c.rt.start).Seconds() }
-func (c *ctx) Stats() *rt.Stats  { return c.stats }
 
 // Malloc allocates (and so first-touches) this rank's own zeroed segment on
 // its own goroutine, in parallel with every other rank's, and publishes it.
@@ -269,68 +196,6 @@ func (c *ctx) Free(g rt.Global) {
 	c.Barrier()
 }
 
-func (c *ctx) LocalBuf(elems int) rt.Buffer {
-	c.stats.ScratchBytes += int64(elems) * 8
-	if elems <= 0 {
-		return &buffer{scratch: true}
-	}
-	cls := sizeClass(elems)
-	if cls >= scratchClasses {
-		return &buffer{data: make([]float64, elems), scratch: true}
-	}
-	if v := scratchPools[cls].Get(); v != nil {
-		b := v.(*buffer)
-		b.data = b.data[:elems]
-		clear(b.data)
-		b.scratch, b.released = true, false
-		return b
-	}
-	b := &buffer{data: make([]float64, 1<<cls), scratch: true}
-	b.data = b.data[:elems]
-	return b
-}
-
-// ReleaseBuf returns a LocalBuf scratch buffer to the size-class pools
-// (rt.BufferReleaser). Only buffers LocalBuf itself handed out are
-// accepted, exactly once: releasing a foreign buffer (a Global segment, a
-// mailbox payload, another engine's type) or the same buffer twice panics,
-// because pooling either would alias live or recycled memory into a later
-// LocalBuf and corrupt its zeroed-buffer guarantee. Oversized buffers
-// (beyond the largest pooled class) are accepted and fall through to the
-// garbage collector.
-func (c *ctx) ReleaseBuf(buf rt.Buffer) {
-	b, ok := buf.(*buffer)
-	if !ok {
-		panic(fmt.Sprintf("armci: ReleaseBuf of foreign buffer type %T", buf))
-	}
-	if !b.scratch {
-		panic("armci: ReleaseBuf of a buffer LocalBuf did not produce (Global segment or mailbox payload?)")
-	}
-	if b.released {
-		panic("armci: double ReleaseBuf of the same scratch buffer")
-	}
-	b.released = true
-	cp := cap(b.data)
-	if cp == 0 || cp&(cp-1) != 0 {
-		return
-	}
-	cls := sizeClass(cp)
-	if cls >= scratchClasses {
-		return
-	}
-	b.data = b.data[:cp]
-	scratchPools[cls].Put(b)
-}
-
-// SetKernelThreads implements rt.KernelTuner: it sets how many goroutines
-// this rank's Gemm calls may use (n <= 0 restores the engine default).
-func (c *ctx) SetKernelThreads(n int) {
-	if n <= 0 {
-		n = defaultKernelThreads(c.rt.topo.NProcs)
-	}
-	c.kernelThreads = n
-}
-
 func (c *ctx) Local(g rt.Global) rt.Buffer {
 	return g.(*global).segs[c.rank]
 }
@@ -346,121 +211,21 @@ func (c *ctx) Direct(g rt.Global, rank int) rt.Buffer {
 	return g.(*global).segs[rank]
 }
 
-func (c *ctx) get(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) {
-	t0 := c.spanStart()
-	src := g.(*global).segs[rank].data
-	d := dst.(*buffer).data
-	if off < 0 || off+n > len(src) || dstOff < 0 || dstOff+n > len(d) {
-		panic(fmt.Sprintf("armci: Get range [%d,%d) of %d -> [%d,%d) of %d",
-			off, off+n, len(src), dstOff, dstOff+n, len(d)))
-	}
-	copy(d[dstOff:dstOff+n], src[off:off+n])
-	c.span(obs.KindGet, t0)
-	if c.rt.topo.SameDomain(c.rank, rank) {
-		c.stats.BytesShared += int64(n) * 8
-		c.stats.GetsShared++
-	} else {
-		c.stats.BytesRemote += int64(n) * 8
-		c.stats.GetsRemote++
-	}
-}
-
-func (c *ctx) Get(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) {
-	c.get(g, rank, off, n, dst, dstOff)
-}
-
-func (c *ctx) NbGet(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) rt.Handle {
-	// In a single address space the copy is the whole operation; completing
-	// it eagerly satisfies the nonblocking contract (Wait is a no-op).
-	c.get(g, rank, off, n, dst, dstOff)
-	return doneHandle{}
-}
-
+// NbGetSub and NbPutSub: in a single address space the copy is the whole
+// operation; completing it eagerly satisfies the nonblocking contract (Wait
+// is a no-op).
 func (c *ctx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
-	t0 := c.spanStart()
-	src := g.(*global).segs[rank].data
-	d := dst.(*buffer).data
-	if rows < 0 || cols < 0 || ld < cols || off < 0 {
-		panic(fmt.Sprintf("armci: NbGetSub malformed region %dx%d ld=%d off=%d", rows, cols, ld, off))
-	}
-	if rows > 0 && cols > 0 {
-		if last := off + (rows-1)*ld + cols; last > len(src) {
-			panic(fmt.Sprintf("armci: NbGetSub region ends at %d of %d", last, len(src)))
-		}
-	}
-	if dstOff < 0 || dstOff+rows*cols > len(d) {
-		panic(fmt.Sprintf("armci: NbGetSub dst [%d,%d) of %d", dstOff, dstOff+rows*cols, len(d)))
-	}
-	for r := 0; r < rows; r++ {
-		copy(d[dstOff+r*cols:dstOff+(r+1)*cols], src[off+r*ld:off+r*ld+cols])
-	}
-	n := int64(rows*cols) * 8
-	if c.rt.topo.SameDomain(c.rank, rank) {
-		c.stats.BytesShared += n
-		c.stats.GetsShared++
-	} else {
-		c.stats.BytesRemote += n
-		c.stats.GetsRemote++
-	}
-	c.span(obs.KindGet, t0)
-	return doneHandle{}
-}
-
-func (c *ctx) Put(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
-	t0 := c.spanStart()
-	s := src.(*buffer).data
-	d := g.(*global).segs[rank].data
-	if srcOff < 0 || srcOff+n > len(s) || off < 0 || off+n > len(d) {
-		panic(fmt.Sprintf("armci: Put range [%d,%d) of %d -> [%d,%d) of %d",
-			srcOff, srcOff+n, len(s), off, off+n, len(d)))
-	}
-	copy(d[off:off+n], s[srcOff:srcOff+n])
-	c.stats.Puts++
-	if c.rt.topo.SameDomain(c.rank, rank) {
-		c.stats.BytesShared += int64(n) * 8
-	} else {
-		c.stats.BytesRemote += int64(n) * 8
-	}
-	c.span(obs.KindPut, t0)
-}
-
-func (c *ctx) NbPut(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) rt.Handle {
-	// Single address space: the copy completes eagerly, like NbGet.
-	c.Put(src, srcOff, n, g, rank, off)
+	c.GetRegion(g.(*global).segs[rank].data, c.CanDirect(rank), off, ld, rows, cols, dst, dstOff)
 	return doneHandle{}
 }
 
 func (c *ctx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	t0 := c.spanStart()
-	s := src.(*buffer).data
-	d := g.(*global).segs[rank].data
-	if rows < 0 || cols < 0 || ld < cols || off < 0 {
-		panic(fmt.Sprintf("armci: NbPutSub malformed region %dx%d ld=%d off=%d", rows, cols, ld, off))
-	}
-	if rows > 0 && cols > 0 {
-		if last := off + (rows-1)*ld + cols; last > len(d) {
-			panic(fmt.Sprintf("armci: NbPutSub region ends at %d of %d", last, len(d)))
-		}
-	}
-	if srcOff < 0 || srcOff+rows*cols > len(s) {
-		panic(fmt.Sprintf("armci: NbPutSub src [%d,%d) of %d", srcOff, srcOff+rows*cols, len(s)))
-	}
-	for r := 0; r < rows; r++ {
-		copy(d[off+r*ld:off+r*ld+cols], s[srcOff+r*cols:srcOff+(r+1)*cols])
-	}
-	bytes := int64(rows*cols) * 8
-	c.stats.Puts++
-	if c.rt.topo.SameDomain(c.rank, rank) {
-		c.stats.BytesShared += bytes
-	} else {
-		c.stats.BytesRemote += bytes
-	}
-	c.span(obs.KindPut, t0)
+	c.PutRegion(src, srcOff, g.(*global).segs[rank].data, c.CanDirect(rank), off, ld, rows, cols)
 	return doneHandle{}
 }
 
 func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
-	t0 := c.spanStart()
+	t0 := c.SpanStart()
 	gg := g.(*global)
 	s := src.(*buffer).data
 	d := gg.segs[rank].data
@@ -479,7 +244,7 @@ func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank
 	} else {
 		c.stats.BytesRemote += int64(n) * 8
 	}
-	c.span(obs.KindPut, t0)
+	c.Span(obs.KindPut, t0)
 }
 
 func (c *ctx) FetchAdd(g rt.Global, rank, off int, delta float64) float64 {
@@ -508,7 +273,7 @@ func (c *ctx) Wait(h rt.Handle) {
 		t0 := time.Now()
 		<-v.ch
 		c.stats.WaitTime += time.Since(t0).Seconds()
-		c.span(obs.KindWait, t0)
+		c.Span(obs.KindWait, t0)
 	default:
 		panic(fmt.Sprintf("armci: Wait on foreign handle %T", h))
 	}
@@ -521,9 +286,9 @@ func (c *ctx) Send(to, tag int, src rt.Buffer, off, n int) {
 	}
 	c.stats.Msgs++
 	c.stats.MsgBytes += int64(n) * 8
-	t0 := c.spanStart()
+	t0 := c.SpanStart()
 	c.rt.mbox.send(msgKey{c.rank, to, tag}, s[off:off+n])
-	c.span(obs.KindCopy, t0)
+	c.Span(obs.KindCopy, t0)
 }
 
 func (c *ctx) Isend(to, tag int, src rt.Buffer, off, n int) rt.Handle {
@@ -548,81 +313,7 @@ func (c *ctx) Barrier() {
 	t0 := time.Now()
 	c.rt.barrier.await()
 	c.stats.BarrierTime += time.Since(t0).Seconds()
-	c.span(obs.KindBarrier, t0)
-}
-
-func (c *ctx) matView(m rt.Mat) *mat.Matrix {
-	if err := m.Valid(); err != nil {
-		panic(err)
-	}
-	b := m.Buf.(*buffer)
-	end := m.Off
-	if m.Rows > 0 && m.Cols > 0 {
-		end = m.Off + (m.Rows-1)*m.LD + m.Cols
-	}
-	return &mat.Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.LD, Data: b.data[m.Off:end]}
-}
-
-func (c *ctx) Gemm(alpha float64, a, b rt.Mat, beta float64, cm rt.Mat) {
-	t0 := time.Now()
-	am, bm, cmm := c.matView(a), c.matView(b), c.matView(cm)
-	var err error
-	if c.kernelThreads > 1 {
-		err = mat.GemmParallel(c.kernelThreads, a.Trans, b.Trans, alpha, am, bm, beta, cmm)
-	} else {
-		err = mat.Gemm(a.Trans, b.Trans, alpha, am, bm, beta, cmm)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("armci: Gemm: %v", err))
-	}
-	m, _ := a.OpShape()
-	_, n := b.OpShape()
-	k := a.Cols
-	if a.Trans {
-		k = a.Rows
-	}
-	c.stats.Flops += 2 * float64(m) * float64(n) * float64(k)
-	c.stats.ComputeTime += time.Since(t0).Seconds()
-	c.span(obs.KindGemm, t0)
-}
-
-func (c *ctx) Pack(src rt.Mat, dst rt.Buffer, dstOff int) {
-	t0 := time.Now()
-	sm := c.matView(src)
-	d := dst.(*buffer).data
-	need := src.Rows * src.Cols
-	if dstOff < 0 || dstOff+need > len(d) {
-		panic(fmt.Sprintf("armci: Pack needs [%d,%d) of %d", dstOff, dstOff+need, len(d)))
-	}
-	mat.PackInto(d[dstOff:dstOff+need], sm, 0, 0, src.Rows, src.Cols)
-	c.stats.PackTime += time.Since(t0).Seconds()
-	c.span(obs.KindPack, t0)
-}
-
-func (c *ctx) Unpack(src rt.Buffer, srcOff int, dst rt.Mat) {
-	t0 := time.Now()
-	dm := c.matView(dst)
-	s := src.(*buffer).data
-	need := dst.Rows * dst.Cols
-	if srcOff < 0 || srcOff+need > len(s) {
-		panic(fmt.Sprintf("armci: Unpack needs [%d,%d) of %d", srcOff, srcOff+need, len(s)))
-	}
-	mat.UnpackFrom(dm, s[srcOff:srcOff+need], 0, 0, dst.Rows, dst.Cols)
-	c.stats.PackTime += time.Since(t0).Seconds()
-	c.span(obs.KindPack, t0)
-}
-
-func (c *ctx) UnpackTranspose(src rt.Buffer, srcOff int, dst rt.Mat) {
-	t0 := time.Now()
-	dm := c.matView(dst)
-	s := src.(*buffer).data
-	need := dst.Rows * dst.Cols
-	if srcOff < 0 || srcOff+need > len(s) {
-		panic(fmt.Sprintf("armci: UnpackTranspose needs [%d,%d) of %d", srcOff, srcOff+need, len(s)))
-	}
-	mat.UnpackTransposeFrom(dm, s[srcOff:srcOff+need], 0, 0, dst.Rows, dst.Cols)
-	c.stats.PackTime += time.Since(t0).Seconds()
-	c.span(obs.KindPack, t0)
+	c.Span(obs.KindBarrier, t0)
 }
 
 // ChecksumRegion checksums the rows x cols region at element off of rank's
@@ -633,39 +324,8 @@ func (c *ctx) UnpackTranspose(src rt.Buffer, srcOff int, dst rt.Mat) {
 // perturbs the landed copy, so the source checksum stays authoritative.
 func (c *ctx) ChecksumRegion(g rt.Global, rank, off, ld, rows, cols int) uint64 {
 	src := g.(*global).segs[rank].data
-	if rows < 0 || cols < 0 || ld < cols || off < 0 {
-		panic(fmt.Sprintf("armci: ChecksumRegion malformed region %dx%d ld=%d off=%d", rows, cols, ld, off))
-	}
-	if rows > 0 && cols > 0 {
-		if last := off + (rows-1)*ld + cols; last > len(src) {
-			panic(fmt.Sprintf("armci: ChecksumRegion region ends at %d of %d", last, len(src)))
-		}
-	}
-	h := rt.ChecksumSeed()
-	for r := 0; r < rows; r++ {
-		for _, v := range src[off+r*ld : off+r*ld+cols] {
-			h = rt.ChecksumAdd(h, v)
-		}
-	}
-	return h
-}
-
-func (c *ctx) WriteBuf(dst rt.Buffer, off int, vals []float64) {
-	d := dst.(*buffer).data
-	if off < 0 || off+len(vals) > len(d) {
-		panic(fmt.Sprintf("armci: WriteBuf range [%d,%d) of %d", off, off+len(vals), len(d)))
-	}
-	copy(d[off:], vals)
-}
-
-func (c *ctx) ReadBuf(src rt.Buffer, off, n int) []float64 {
-	s := src.(*buffer).data
-	if off < 0 || off+n > len(s) {
-		panic(fmt.Sprintf("armci: ReadBuf range [%d,%d) of %d", off, off+n, len(s)))
-	}
-	out := make([]float64, n)
-	copy(out, s[off:off+n])
-	return out
+	rt.MustRegion(len(src), off, ld, rows, cols)
+	return SumRegion(src, off, ld, rows, cols)
 }
 
 var (

@@ -49,7 +49,7 @@ func TestMallocGetPut(t *testing.T) {
 		// Every rank reads rank (r+1)%4's segment.
 		src := (c.Rank() + 1) % 4
 		dst := c.LocalBuf(8)
-		c.Get(g, src, 0, 8, dst, 0)
+		rt.Get(c, g, src, 0, 8, dst, 0)
 		for i, v := range dst.(*buffer).data {
 			if v != float64(src*100+i) {
 				t.Errorf("rank %d got %v at %d, want %d", c.Rank(), v, i, src*100+i)
@@ -60,7 +60,7 @@ func TestMallocGetPut(t *testing.T) {
 		if c.Rank() == 0 {
 			b := c.LocalBuf(2).(*buffer)
 			b.data[0], b.data[1] = -1, -2
-			c.Put(b, 0, 2, g, 3, 6)
+			rt.Put(c, b, 0, 2, g, 3, 6)
 		}
 		c.Barrier()
 		if c.Rank() == 3 {
@@ -95,9 +95,9 @@ func TestNbGetCompletesBeforeWait(t *testing.T) {
 		c.Local(g).(*buffer).data[0] = float64(c.Rank() + 1)
 		c.Barrier()
 		dst := c.LocalBuf(4)
-		h := c.NbGet(g, 1-c.Rank(), 0, 1, dst, 0)
+		h := rt.NbGet(c, g, 1-c.Rank(), 0, 1, dst, 0)
 		if !h.Done() {
-			t.Error("real-engine NbGet should complete eagerly")
+			t.Error("real-engine get should complete eagerly")
 		}
 		c.Wait(h)
 		if dst.(*buffer).data[0] != float64(2-c.Rank()) {
@@ -306,8 +306,8 @@ func TestStatsClassifySharedVsRemote(t *testing.T) {
 		c.Barrier()
 		dst := c.LocalBuf(4)
 		if c.Rank() == 0 {
-			c.Get(g, 1, 0, 4, dst, 0) // same node (ppn=2)
-			c.Get(g, 2, 0, 4, dst, 0) // other node
+			rt.Get(c, g, 1, 0, 4, dst, 0) // same node (ppn=2)
+			rt.Get(c, g, 2, 0, 4, dst, 0) // other node
 		}
 		c.Barrier()
 	})
@@ -340,9 +340,9 @@ func TestGetRangeChecked(t *testing.T) {
 		g := c.Malloc(4)
 		c.Barrier()
 		dst := c.LocalBuf(4)
-		c.Get(g, 0, 2, 4, dst, 0) // overruns the 4-element segment
+		rt.Get(c, g, 0, 2, 4, dst, 0) // overruns the 4-element segment
 	})
-	if err == nil || !strings.Contains(err.Error(), "Get range") {
+	if err == nil || !strings.Contains(err.Error(), "region ends at 6 of 4") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -378,7 +378,7 @@ func TestWatchdogQuietOnSuccess(t *testing.T) {
 	_, err := RunWithTimeout(topo(4, 2, false), 5*time.Second, func(c rt.Ctx) {
 		g := c.Malloc(16)
 		c.Barrier()
-		c.Get(g, (c.Rank()+1)%4, 0, 16, c.LocalBuf(16), 0)
+		rt.Get(c, g, (c.Rank()+1)%4, 0, 16, c.LocalBuf(16), 0)
 		c.Barrier()
 	})
 	if err != nil {

@@ -8,66 +8,6 @@ import (
 	"srumma/internal/rt"
 )
 
-func TestNbGetSubStrided(t *testing.T) {
-	_, err := Run(topo(2, 1, false), func(c rt.Ctx) {
-		g := c.Malloc(20) // a 4x5 block at the owner
-		if c.Rank() == 1 {
-			vals := make([]float64, 20)
-			for i := range vals {
-				vals[i] = float64(i)
-			}
-			c.WriteBuf(c.Local(g), 0, vals)
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			// Fetch the 2x3 sub-block at (1,1): elements 6,7,8,11,12,13.
-			dst := c.LocalBuf(6)
-			c.Wait(c.NbGetSub(g, 1, 1*5+1, 5, 2, 3, dst, 0))
-			got := c.ReadBuf(dst, 0, 6)
-			want := []float64{6, 7, 8, 11, 12, 13}
-			for i, w := range want {
-				if got[i] != w {
-					t.Errorf("sub[%d] = %v, want %v", i, got[i], w)
-				}
-			}
-		}
-		c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNbPutAndNbPutSub(t *testing.T) {
-	_, err := Run(topo(2, 1, false), func(c rt.Ctx) {
-		g := c.Malloc(20)
-		c.Barrier()
-		if c.Rank() == 0 {
-			src := c.LocalBuf(4)
-			c.WriteBuf(src, 0, []float64{9, 8, 7, 6})
-			c.Wait(c.NbPut(src, 0, 4, g, 1, 2))
-			// Strided put: scatter a 2x2 block at (2,3) of the 4x5 layout.
-			blk := c.LocalBuf(4)
-			c.WriteBuf(blk, 0, []float64{1, 2, 3, 4})
-			c.Wait(c.NbPutSub(blk, 0, g, 1, 2*5+3, 5, 2, 2))
-		}
-		c.Barrier()
-		if c.Rank() == 1 {
-			got := c.ReadBuf(c.Local(g), 0, 20)
-			if got[2] != 9 || got[5] != 6 {
-				t.Errorf("contiguous put wrong: %v", got[:6])
-			}
-			if got[13] != 1 || got[14] != 2 || got[18] != 3 || got[19] != 4 {
-				t.Errorf("strided put wrong: %v", got[13:])
-			}
-		}
-		c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAccAccumulates(t *testing.T) {
 	_, err := Run(topo(3, 1, false), func(c rt.Ctx) {
 		g := c.Malloc(4)
@@ -155,14 +95,6 @@ func TestMiscAccessors(t *testing.T) {
 
 func TestOpsRangeErrors(t *testing.T) {
 	for name, body := range map[string]func(c rt.Ctx){
-		"NbGetSub-overrun": func(c rt.Ctx) {
-			g := c.Malloc(10)
-			c.NbGetSub(g, 0, 5, 5, 2, 3, c.LocalBuf(6), 0)
-		},
-		"NbPutSub-overrun": func(c rt.Ctx) {
-			g := c.Malloc(10)
-			c.NbPutSub(c.LocalBuf(6), 0, g, 0, 5, 5, 2, 3)
-		},
 		"Acc-overrun": func(c rt.Ctx) {
 			g := c.Malloc(4)
 			c.Acc(1, c.LocalBuf(8), 0, 8, g, 0, 0)

@@ -11,7 +11,9 @@ import (
 func testCtx() *ctx {
 	topo := rt.Topology{NProcs: 1, ProcsPerNode: 1}
 	r := &runtime{topo: topo, barrier: newBarrier(1), mbox: newMailbox(), slots: make(map[int]*global)}
-	return &ctx{rt: r, stats: &rt.Stats{}, kernelThreads: 1}
+	c := &ctx{rt: r}
+	c.Init(0, 1)
+	return c
 }
 
 func TestLocalBufZeroedAfterReuse(t *testing.T) {

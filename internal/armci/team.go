@@ -84,7 +84,8 @@ func NewTeam(topo rt.Topology) (*Team, error) {
 		// path can then observe the rank as leaked instead of hanging Run.
 		t.jobs[rank] = make(chan *teamJob, 1)
 		t.exited[rank] = make(chan struct{})
-		t.ctxs[rank] = &ctx{rank: rank, kernelThreads: defaultKernelThreads(n)}
+		t.ctxs[rank] = &ctx{}
+		t.ctxs[rank].Init(rank, n)
 		go t.rankLoop(rank)
 	}
 	return t, nil
@@ -143,8 +144,8 @@ func runRank(job *teamJob, c *ctx) {
 	// is read at unwind, not at defer registration). Against the recorder's
 	// shared epoch, successive jobs on a persistent team line up on one
 	// serving timeline.
-	jt0 := c.spanStart()
-	defer func() { c.span(obs.KindJob, jt0) }()
+	jt0 := c.SpanStart()
+	defer func() { c.Span(obs.KindJob, jt0) }()
 	job.body(c)
 }
 
@@ -158,7 +159,7 @@ func (t *Team) SetRecorder(r *obs.Recorder) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, c := range t.ctxs {
-		c.rec = r
+		c.SetRecorder(r)
 	}
 }
 
@@ -201,9 +202,8 @@ func (t *Team) RunWithTimeout(timeout time.Duration, body func(rt.Ctx)) ([]*rt.S
 		// job-channel send below publishes these writes to the rank
 		// goroutine; wg.Wait publishes the rank's writes back to us.
 		c.rt = job.r
-		c.stats = &rt.Stats{}
 		c.collSeq = 0
-		stats[rank] = c.stats
+		stats[rank] = c.ResetStats()
 	}
 	for rank := range t.jobs {
 		t.jobs[rank] <- job

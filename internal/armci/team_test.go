@@ -32,7 +32,7 @@ func TestTeamSequentialJobs(t *testing.T) {
 				total := 0.0
 				for r := 0; r < c.Size(); r++ {
 					buf := c.LocalBuf(1)
-					c.Get(g, r, 0, 1, buf, 0)
+					rt.Get(c, g, r, 0, 1, buf, 0)
 					total += c.ReadBuf(buf, 0, 1)[0]
 					if rel, ok := rt.Ctx(c).(rt.BufferReleaser); ok {
 						rel.ReleaseBuf(buf)

@@ -104,7 +104,7 @@ func TestUntracedOneSidedOpsZeroAlloc(t *testing.T) {
 			c.Wait(h)
 		})
 		putAllocs = testing.AllocsPerRun(100, func() {
-			c.Put(dst, 0, 64*64, g, 0, 0)
+			rt.Put(c, dst, 0, 64*64, g, 0, 0)
 		})
 		c.Free(g)
 	}); err != nil {

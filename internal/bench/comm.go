@@ -49,7 +49,7 @@ func BandwidthGet(prof machine.Profile, sizes []int) ([]BandwidthPoint, error) {
 				dst := c.LocalBuf(elems)
 				t0 := c.Now()
 				for r := 0; r < commReps; r++ {
-					c.Get(g, peer, 0, elems, dst, 0)
+					rt.Get(c, g, peer, 0, elems, dst, 0)
 				}
 				per = (c.Now() - t0) / commReps
 			}
@@ -86,7 +86,7 @@ func BandwidthMemcpy(prof machine.Profile, sizes []int) ([]BandwidthPoint, error
 				dst := c.LocalBuf(elems)
 				t0 := c.Now()
 				for r := 0; r < commReps; r++ {
-					c.Get(g, peer, 0, elems, dst, 0)
+					rt.Get(c, g, peer, 0, elems, dst, 0)
 				}
 				per = (c.Now() - t0) / commReps
 			}
@@ -186,7 +186,7 @@ func OverlapGet(prof machine.Profile, sizes []int) ([]OverlapPoint, error) {
 				dst := c.LocalBuf(elems)
 				// Communication-only time.
 				t0 := c.Now()
-				c.Get(g, peer, 0, elems, dst, 0)
+				rt.Get(c, g, peer, 0, elems, dst, 0)
 				tComm = c.Now() - t0
 				// Computation sized to the communication time.
 				d := gemmDimsForSeconds(prof, tComm)
@@ -199,7 +199,7 @@ func OverlapGet(prof machine.Profile, sizes []int) ([]OverlapPoint, error) {
 				tComp = c.Now() - t0
 				// Overlapped run.
 				t0 = c.Now()
-				h := c.NbGet(g, peer, 0, elems, dst, 0)
+				h := rt.NbGet(c, g, peer, 0, elems, dst, 0)
 				c.Gemm(1, mm, mm, 0, cm)
 				c.Wait(h)
 				tTotal = c.Now() - t0

@@ -67,25 +67,23 @@ func TestEnginesAgreeOnCommunication(t *testing.T) {
 			}
 		}},
 		{"summa", func(c rt.Ctx) {
-			sd := summa.Dims(d)
-			da, db, dc := summa.Dists(g, sd, summa.NN)
+			da, db, dc := summa.Dists(g, d, core.NN)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
-			if err := summa.Multiply(c, g, sd, summa.Options{NB: 8}, ga, gb, gc); err != nil {
+			if err := summa.Multiply(c, g, d, summa.Options{NB: 8}, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		}},
 		{"pdgemm", func(c rt.Ctx) {
-			pd := pdgemm.Dims(d)
-			da, db, dc, err := pdgemm.Dists(g, pd, pdgemm.NT, 8)
+			da, db, dc, err := pdgemm.Dists(g, d, core.NT, 8)
 			if err != nil {
 				panic(err)
 			}
 			ga := driver.AllocCyclic(c, da)
 			gb := driver.AllocCyclic(c, db)
 			gc := driver.AllocCyclic(c, dc)
-			if err := pdgemm.Multiply(c, g, pd, pdgemm.Options{Case: pdgemm.NT, NB: 8}, ga, gb, gc); err != nil {
+			if err := pdgemm.Multiply(c, g, d, pdgemm.Options{Case: core.NT, NB: 8}, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		}},
@@ -96,22 +94,20 @@ func TestEnginesAgreeOnCommunication(t *testing.T) {
 	dSq := core.Dims{M: 20, N: 20, K: 20}
 	algosSq := []algo{
 		{"cannon", func(c rt.Ctx) {
-			cd := cannon.Dims(dSq)
-			da, db, dc := cannon.Dists(gSq, cd)
+			da, db, dc := cannon.Dists(gSq, dSq)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
-			if err := cannon.Multiply(c, gSq, cd, ga, gb, gc); err != nil {
+			if err := cannon.Multiply(c, gSq, dSq, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		}},
 		{"fox", func(c rt.Ctx) {
-			fd := fox.Dims(dSq)
-			da, db, dc := fox.Dists(gSq, fd)
+			da, db, dc := fox.Dists(gSq, dSq)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
-			if err := fox.Multiply(c, gSq, fd, ga, gb, gc); err != nil {
+			if err := fox.Multiply(c, gSq, dSq, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		}},

@@ -107,9 +107,8 @@ func RunMatmul(cfg MatmulConfig) (MatmulResult, error) {
 			}
 			durations[c.Rank()] = c.Now() - t0
 		case AlgPdgemm:
-			opts := pdgemm.Options{Case: pdgemm.Case(cfg.Case), NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
-			d := pdgemm.Dims(cfg.Dims)
-			da, db, dc, err := pdgemm.Dists(g, d, opts.Case, opts.NB)
+			opts := pdgemm.Options{Case: cfg.Case, NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
+			da, db, dc, err := pdgemm.Dists(g, cfg.Dims, opts.Case, opts.NB)
 			if err != nil {
 				panic(err)
 			}
@@ -117,41 +116,38 @@ func RunMatmul(cfg MatmulConfig) (MatmulResult, error) {
 			gb := driver.AllocCyclic(c, db)
 			gc := driver.AllocCyclic(c, dc)
 			t0 := c.Now()
-			if err := pdgemm.Multiply(c, g, d, opts, ga, gb, gc); err != nil {
+			if err := pdgemm.Multiply(c, g, cfg.Dims, opts, ga, gb, gc); err != nil {
 				panic(err)
 			}
 			durations[c.Rank()] = c.Now() - t0
 		case AlgSUMMA:
-			opts := summa.Options{Case: summa.Case(cfg.Case), NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
-			d := summa.Dims(cfg.Dims)
-			da, db, dc := summa.Dists(g, d, opts.Case)
+			opts := summa.Options{Case: cfg.Case, NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
+			da, db, dc := summa.Dists(g, cfg.Dims, opts.Case)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
 			t0 := c.Now()
-			if err := summa.Multiply(c, g, d, opts, ga, gb, gc); err != nil {
+			if err := summa.Multiply(c, g, cfg.Dims, opts, ga, gb, gc); err != nil {
 				panic(err)
 			}
 			durations[c.Rank()] = c.Now() - t0
 		case AlgCannon:
-			d := cannon.Dims(cfg.Dims)
-			da, db, dc := cannon.Dists(g, d)
+			da, db, dc := cannon.Dists(g, cfg.Dims)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
 			t0 := c.Now()
-			if err := cannon.Multiply(c, g, d, ga, gb, gc); err != nil {
+			if err := cannon.Multiply(c, g, cfg.Dims, ga, gb, gc); err != nil {
 				panic(err)
 			}
 			durations[c.Rank()] = c.Now() - t0
 		case AlgFox:
-			d := fox.Dims(cfg.Dims)
-			da, db, dc := fox.Dists(g, d)
+			da, db, dc := fox.Dists(g, cfg.Dims)
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
 			t0 := c.Now()
-			if err := fox.Multiply(c, g, d, ga, gb, gc); err != nil {
+			if err := fox.Multiply(c, g, cfg.Dims, ga, gb, gc); err != nil {
 				panic(err)
 			}
 			durations[c.Rank()] = c.Now() - t0

@@ -10,17 +10,15 @@ package cannon
 import (
 	"fmt"
 
+	"srumma/internal/core"
 	"srumma/internal/grid"
 	"srumma/internal/mp"
 	"srumma/internal/rt"
 )
 
-// Dims are the operation sizes (C is M x N, contraction K).
-type Dims struct{ M, N, K int }
-
 // Dists returns the block distributions of A (M x K), B (K x N) and
 // C (M x N) on the square grid.
-func Dists(g *grid.Grid, d Dims) (da, db, dc *grid.BlockDist) {
+func Dists(g *grid.Grid, d core.Dims) (da, db, dc *grid.BlockDist) {
 	return grid.NewBlockDist(g, d.M, d.K), grid.NewBlockDist(g, d.K, d.N), grid.NewBlockDist(g, d.M, d.N)
 }
 
@@ -33,7 +31,7 @@ const (
 
 // Multiply runs Cannon's algorithm collectively: C = A B (NN only) on a
 // square p x p grid. C is overwritten.
-func Multiply(c rt.Ctx, g *grid.Grid, d Dims, ga, gb, gc rt.Global) error {
+func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, ga, gb, gc rt.Global) error {
 	if g.P != g.Q {
 		return fmt.Errorf("cannon: requires a square grid, got %dx%d", g.P, g.Q)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"srumma/internal/armci"
+	"srumma/internal/core"
 	"srumma/internal/driver"
 	"srumma/internal/grid"
 	"srumma/internal/machine"
@@ -13,7 +14,7 @@ import (
 	"srumma/internal/simrt"
 )
 
-func runReal(t *testing.T, p int, d Dims, seedA, seedB uint64) *mat.Matrix {
+func runReal(t *testing.T, p int, d core.Dims, seedA, seedB uint64) *mat.Matrix {
 	t.Helper()
 	g, err := grid.New(p, p)
 	if err != nil {
@@ -45,7 +46,7 @@ func runReal(t *testing.T, p int, d Dims, seedA, seedB uint64) *mat.Matrix {
 	return got
 }
 
-func check(t *testing.T, p int, d Dims) {
+func check(t *testing.T, p int, d core.Dims) {
 	t.Helper()
 	got := runReal(t, p, d, 41, 42)
 	a := mat.Random(d.M, d.K, 41)
@@ -60,21 +61,21 @@ func check(t *testing.T, p int, d Dims) {
 }
 
 func TestCannonSquare(t *testing.T) {
-	check(t, 1, Dims{M: 8, N: 8, K: 8})
-	check(t, 2, Dims{M: 16, N: 16, K: 16})
-	check(t, 3, Dims{M: 18, N: 18, K: 18})
-	check(t, 4, Dims{M: 32, N: 32, K: 32})
+	check(t, 1, core.Dims{M: 8, N: 8, K: 8})
+	check(t, 2, core.Dims{M: 16, N: 16, K: 16})
+	check(t, 3, core.Dims{M: 18, N: 18, K: 18})
+	check(t, 4, core.Dims{M: 32, N: 32, K: 32})
 }
 
 func TestCannonUnevenBlocks(t *testing.T) {
-	check(t, 3, Dims{M: 17, N: 19, K: 23})
-	check(t, 2, Dims{M: 5, N: 9, K: 7})
-	check(t, 4, Dims{M: 10, N: 13, K: 6}) // some narrow k chunks
+	check(t, 3, core.Dims{M: 17, N: 19, K: 23})
+	check(t, 2, core.Dims{M: 5, N: 9, K: 7})
+	check(t, 4, core.Dims{M: 10, N: 13, K: 6}) // some narrow k chunks
 }
 
 func TestCannonRectangular(t *testing.T) {
-	check(t, 2, Dims{M: 24, N: 8, K: 16})
-	check(t, 3, Dims{M: 9, N: 27, K: 12})
+	check(t, 2, core.Dims{M: 24, N: 8, K: 16})
+	check(t, 3, core.Dims{M: 9, N: 27, K: 12})
 }
 
 func TestCannonRejectsNonSquareGrid(t *testing.T) {
@@ -82,7 +83,7 @@ func TestCannonRejectsNonSquareGrid(t *testing.T) {
 	topo := rt.Topology{NProcs: 6, ProcsPerNode: 2}
 	_, err := armci.Run(topo, func(c rt.Ctx) {
 		gg := c.Malloc(1)
-		if err := Multiply(c, g, Dims{M: 6, N: 6, K: 6}, gg, gg, gg); err == nil {
+		if err := Multiply(c, g, core.Dims{M: 6, N: 6, K: 6}, gg, gg, gg); err == nil {
 			panic("want non-square error")
 		}
 	})
@@ -94,7 +95,7 @@ func TestCannonRejectsNonSquareGrid(t *testing.T) {
 func TestCannonQuick(t *testing.T) {
 	f := func(mm, nn, kk, pp uint8) bool {
 		p := 1 + int(pp%3) // 1..3
-		d := Dims{M: 1 + int(mm%20), N: 1 + int(nn%20), K: 1 + int(kk%20)}
+		d := core.Dims{M: 1 + int(mm%20), N: 1 + int(nn%20), K: 1 + int(kk%20)}
 		g, _ := grid.New(p, p)
 		da, db, dc := Dists(g, d)
 		seed := uint64(mm) + uint64(nn)*7
@@ -134,7 +135,7 @@ func TestCannonQuick(t *testing.T) {
 func TestCannonOnSimEngine(t *testing.T) {
 	prof := machine.LinuxMyrinet()
 	g, _ := grid.New(3, 3)
-	d := Dims{M: 300, N: 300, K: 300}
+	d := core.Dims{M: 300, N: 300, K: 300}
 	da, db, dc := Dists(g, d)
 	res, err := simrt.Run(prof, 9, func(c rt.Ctx) {
 		r, cc := da.LocalShape(c.Rank())
@@ -158,8 +159,8 @@ func TestCannonOnSimEngine(t *testing.T) {
 // TestCannonSingleRankGrid pins the 1x1-grid path: the skew degenerates to
 // an identity Pack copy, and the whole multiply is one local gemm.
 func TestCannonSingleRankGrid(t *testing.T) {
-	check(t, 1, Dims{M: 1, N: 1, K: 1})
-	check(t, 1, Dims{M: 7, N: 3, K: 5})
+	check(t, 1, core.Dims{M: 1, N: 1, K: 1})
+	check(t, 1, core.Dims{M: 7, N: 3, K: 5})
 }
 
 // TestCannonEmptyChunks pins the empty-k-chunk edge the removed defensive
@@ -167,9 +168,9 @@ func TestCannonSingleRankGrid(t *testing.T) {
 // every rank still meets a non-empty chunk within its p steps, so C is
 // written (with beta=0 first) exactly once per tile.
 func TestCannonEmptyChunks(t *testing.T) {
-	check(t, 2, Dims{M: 8, N: 8, K: 1})  // chunks 1,0
-	check(t, 3, Dims{M: 9, N: 9, K: 2})  // chunks 1,1,0
-	check(t, 4, Dims{M: 8, N: 8, K: 3})  // chunks 1,1,1,0
-	check(t, 2, Dims{M: 1, N: 1, K: 1})  // every dimension below the grid
-	check(t, 3, Dims{M: 2, N: 2, K: 1})  // ranks with empty C tiles too
+	check(t, 2, core.Dims{M: 8, N: 8, K: 1}) // chunks 1,0
+	check(t, 3, core.Dims{M: 9, N: 9, K: 2}) // chunks 1,1,0
+	check(t, 4, core.Dims{M: 8, N: 8, K: 3}) // chunks 1,1,1,0
+	check(t, 2, core.Dims{M: 1, N: 1, K: 1}) // every dimension below the grid
+	check(t, 3, core.Dims{M: 2, N: 2, K: 1}) // ranks with empty C tiles too
 }

@@ -371,7 +371,7 @@ func TestChaosWatchdogWithoutRecovery(t *testing.T) {
 		c.Barrier()
 		if c.Rank() == 0 {
 			dst := c.LocalBuf(8)
-			c.Get(g, 1, 0, 8, dst, 0) // forever-delayed: wedges rank 0
+			rt.Get(c, g, 1, 0, 8, dst, 0) // forever-delayed: wedges rank 0
 		}
 		c.Barrier()
 	})

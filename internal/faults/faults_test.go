@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,7 +170,7 @@ func TestPutRecovery(t *testing.T) {
 					vals[i] = float64(round*n + i)
 				}
 				c.WriteBuf(src, 0, vals)
-				c.Put(src, 0, n, g, 1, 0)
+				rt.Put(c, src, 0, n, g, 1, 0)
 				copy(got[round][:], c.ReadBuf(c.Direct(g, 1), 0, n))
 			}
 		}
@@ -221,7 +222,7 @@ func TestGetRecovery(t *testing.T) {
 		if c.Rank() == 0 {
 			dst := c.LocalBuf(n)
 			for round := 0; round < rounds; round++ {
-				c.Get(g, 1, 0, n, dst, 0)
+				rt.Get(c, g, 1, 0, n, dst, 0)
 				for i, v := range c.ReadBuf(dst, 0, n) {
 					if v != float64(1000+i) {
 						bad++
@@ -243,6 +244,43 @@ func TestGetRecovery(t *testing.T) {
 	}
 	if sum.FaultsInjected == 0 || sum.FaultRefetches == 0 {
 		t.Errorf("recovery not exercised: %d faults, %d refetches", sum.FaultsInjected, sum.FaultRefetches)
+	}
+}
+
+// TestInjectorSeesContiguousTransfers: the injector overrides the strided
+// pair and Wait, and rt.Get / rt.Put are built on the pair — so a planned
+// drop takes a contiguous transfer like any other: the get lands nothing,
+// the put writes nothing, and both count as injected.
+func TestInjectorSeesContiguousTransfers(t *testing.T) {
+	const n = 8
+	plan, err := faults.NewPlan(faults.Config{Seed: 3, DropRate: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := armci.Run(rt.Topology{NProcs: 2, ProcsPerNode: 1}, func(raw rt.Ctx) {
+		c := faults.Inject(raw, plan, nil)
+		g := c.Malloc(n)
+		ones := []float64{1, 1, 1, 1, 1, 1, 1, 1}
+		c.WriteBuf(c.Local(g), 0, ones)
+		c.Barrier()
+		if c.Rank() == 0 {
+			buf := c.LocalBuf(n) // zeroed
+			rt.Get(c, g, 1, 0, n, buf, 0)
+			if got := c.ReadBuf(buf, 0, n); !slices.Equal(got, make([]float64, n)) {
+				t.Errorf("a dropped get landed %v", got)
+			}
+			rt.Put(c, buf, 0, n, g, 1, 0)
+		}
+		c.Barrier()
+		if got := c.ReadBuf(c.Local(g), 0, n); !slices.Equal(got, ones) {
+			t.Errorf("rank %d's segment after a dropped put: %v", c.Rank(), got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].FaultsInjected != 2 {
+		t.Errorf("%d faults injected on two contiguous transfers, want 2", stats[0].FaultsInjected)
 	}
 }
 

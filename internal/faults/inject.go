@@ -65,12 +65,13 @@ func (r *Recorder) Total() int {
 	return n
 }
 
-// Inject wraps a real-engine ctx so every faultable one-sided operation
-// (Get/NbGet/NbGetSub, Put/NbPut/NbPutSub) consults the plan and suffers
-// the planned fault: drops move no data, delays hide completion behind a
-// wall-clock deadline (or forever), corruptions flip one payload bit after
-// the data lands, ops targeting straggler ranks stall for the service
-// delay, and the planned crash panics with CrashError. rec may be nil.
+// Inject wraps a real-engine ctx so every one-sided transfer — NbGetSub
+// and NbPutSub, which is all of them: rt.Get, rt.NbGet and rt.Put are built
+// on the pair — consults the plan and suffers the planned fault: drops move
+// no data, delays hide completion behind a wall-clock deadline (or
+// forever), corruptions flip one payload bit after the data lands, ops
+// targeting straggler ranks stall for the service delay, and the planned
+// crash panics with CrashError. rec may be nil.
 //
 // The wrapper is for the real engine only: delays are wall-clock. The
 // virtual-time engine consumes the same plan through NetHook instead.
@@ -192,22 +193,6 @@ func (c *injCtx) wrapHandle(f, s Fault, h rt.Handle) rt.Handle {
 	return &delayedHandle{inner: h, ready: time.Now().Add(d)}
 }
 
-func (c *injCtx) NbGet(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) rt.Handle {
-	f, s := c.next(rank)
-	if f.Class == Drop {
-		return doneFault{}
-	}
-	h := c.Ctx.NbGet(g, rank, off, n, dst, dstOff)
-	if f.Class == Corrupt {
-		c.corruptBuf(f, dst, dstOff, n)
-	}
-	return c.wrapHandle(f, s, h)
-}
-
-func (c *injCtx) Get(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) {
-	c.Wait(c.NbGet(g, rank, off, n, dst, dstOff))
-}
-
 func (c *injCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
 	f, s := c.next(rank)
 	if f.Class == Drop {
@@ -220,28 +205,6 @@ func (c *injCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buf
 	return c.wrapHandle(f, s, h)
 }
 
-func (c *injCtx) NbPut(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) rt.Handle {
-	f, s := c.next(rank)
-	switch f.Class {
-	case Drop:
-		return doneFault{}
-	case Corrupt:
-		// The payload is corrupted in flight: put a bit-flipped copy so
-		// the caller's source buffer stays intact.
-		if n > 0 {
-			scratch := c.Ctx.LocalBuf(n)
-			c.Ctx.WriteBuf(scratch, 0, c.Ctx.ReadBuf(src, srcOff, n))
-			c.corruptBuf(f, scratch, 0, n)
-			return c.wrapHandle(f, s, c.Ctx.NbPut(scratch, 0, n, g, rank, off))
-		}
-	}
-	return c.wrapHandle(f, s, c.Ctx.NbPut(src, srcOff, n, g, rank, off))
-}
-
-func (c *injCtx) Put(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
-	c.Wait(c.NbPut(src, srcOff, n, g, rank, off))
-}
-
 func (c *injCtx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
 	f, s := c.next(rank)
 	n := rows * cols
@@ -249,6 +212,8 @@ func (c *injCtx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld,
 	case Drop:
 		return doneFault{}
 	case Corrupt:
+		// The payload is corrupted in flight: put a bit-flipped copy so
+		// the caller's source buffer stays intact.
 		if n > 0 {
 			scratch := c.Ctx.LocalBuf(n)
 			c.Ctx.WriteBuf(scratch, 0, c.Ctx.ReadBuf(src, srcOff, n))

@@ -125,8 +125,7 @@ func pollUntil(h rt.Handle, limit time.Duration) bool {
 }
 
 // retryGet is a nonblocking get with enough captured state to be
-// re-issued. rows/cols/ld describe the strided region; contiguous gets use
-// rows=1, ld=cols=n.
+// re-issued.
 type retryGet struct {
 	c                         *resCtx
 	g                         rt.Global
@@ -158,7 +157,7 @@ type retryPut struct {
 
 func (r *retryPut) Done() bool { return r.h.Done() }
 
-func (c *resCtx) newGet(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) *retryGet {
+func (c *resCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
 	r := &retryGet{c: c, g: g, rank: rank, off: off, ld: ld, rows: rows, cols: cols, dst: dst, dstOff: dstOff}
 	if c.sum != nil && !c.cfg.NoChecksum {
 		r.want = c.sum.ChecksumRegion(g, rank, off, ld, rows, cols)
@@ -170,11 +169,7 @@ func (c *resCtx) newGet(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffe
 }
 
 func (r *retryGet) issue() {
-	if r.rows == 1 {
-		r.h = r.c.Ctx.NbGet(r.g, r.rank, r.off, r.cols, r.dst, r.dstOff)
-	} else {
-		r.h = r.c.Ctx.NbGetSub(r.g, r.rank, r.off, r.ld, r.rows, r.cols, r.dst, r.dstOff)
-	}
+	r.h = r.c.Ctx.NbGetSub(r.g, r.rank, r.off, r.ld, r.rows, r.cols, r.dst, r.dstOff)
 }
 
 // verify reports whether the landed payload matches the source checksum.
@@ -185,31 +180,7 @@ func (r *retryGet) verify() bool {
 	return rt.Checksum(r.c.Ctx.ReadBuf(r.dst, r.dstOff, r.rows*r.cols)) == r.want
 }
 
-func (c *resCtx) NbGet(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) rt.Handle {
-	return c.newGet(g, rank, off, n, 1, n, dst, dstOff)
-}
-
-func (c *resCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
-	return c.newGet(g, rank, off, ld, rows, cols, dst, dstOff)
-}
-
-func (c *resCtx) Get(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) {
-	c.Wait(c.NbGet(g, rank, off, n, dst, dstOff))
-}
-
-func (c *resCtx) NbPut(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) rt.Handle {
-	return c.newPut(src, srcOff, g, rank, off, n, 1, n)
-}
-
 func (c *resCtx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	return c.newPut(src, srcOff, g, rank, off, ld, rows, cols)
-}
-
-func (c *resCtx) Put(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
-	c.Wait(c.NbPut(src, srcOff, n, g, rank, off))
-}
-
-func (c *resCtx) newPut(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) *retryPut {
 	r := &retryPut{c: c, src: src, srcOff: srcOff, g: g, rank: rank, off: off, ld: ld, rows: rows, cols: cols}
 	if c.sum != nil && !c.cfg.NoChecksum {
 		r.want = rt.Checksum(c.Ctx.ReadBuf(src, srcOff, rows*cols))
@@ -221,11 +192,7 @@ func (c *resCtx) newPut(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, r
 }
 
 func (r *retryPut) issue() {
-	if r.rows == 1 {
-		r.h = r.c.Ctx.NbPut(r.src, r.srcOff, r.cols, r.g, r.rank, r.off)
-	} else {
-		r.h = r.c.Ctx.NbPutSub(r.src, r.srcOff, r.g, r.rank, r.off, r.ld, r.rows, r.cols)
-	}
+	r.h = r.c.Ctx.NbPutSub(r.src, r.srcOff, r.g, r.rank, r.off, r.ld, r.rows, r.cols)
 }
 
 func (r *retryPut) verify() bool {

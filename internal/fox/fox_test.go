@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"srumma/internal/armci"
+	"srumma/internal/core"
 	"srumma/internal/driver"
 	"srumma/internal/grid"
 	"srumma/internal/machine"
@@ -13,7 +14,7 @@ import (
 	"srumma/internal/simrt"
 )
 
-func check(t *testing.T, p int, d Dims) {
+func check(t *testing.T, p int, d core.Dims) {
 	t.Helper()
 	g, err := grid.New(p, p)
 	if err != nil {
@@ -52,16 +53,16 @@ func check(t *testing.T, p int, d Dims) {
 }
 
 func TestFoxSquare(t *testing.T) {
-	check(t, 1, Dims{M: 8, N: 8, K: 8})
-	check(t, 2, Dims{M: 16, N: 16, K: 16})
-	check(t, 3, Dims{M: 18, N: 18, K: 18})
-	check(t, 4, Dims{M: 32, N: 32, K: 32})
+	check(t, 1, core.Dims{M: 8, N: 8, K: 8})
+	check(t, 2, core.Dims{M: 16, N: 16, K: 16})
+	check(t, 3, core.Dims{M: 18, N: 18, K: 18})
+	check(t, 4, core.Dims{M: 32, N: 32, K: 32})
 }
 
 func TestFoxUnevenAndRectangular(t *testing.T) {
-	check(t, 3, Dims{M: 17, N: 19, K: 23})
-	check(t, 2, Dims{M: 24, N: 8, K: 16})
-	check(t, 4, Dims{M: 10, N: 13, K: 6})
+	check(t, 3, core.Dims{M: 17, N: 19, K: 23})
+	check(t, 2, core.Dims{M: 24, N: 8, K: 16})
+	check(t, 4, core.Dims{M: 10, N: 13, K: 6})
 }
 
 func TestFoxRejectsNonSquareGrid(t *testing.T) {
@@ -69,7 +70,7 @@ func TestFoxRejectsNonSquareGrid(t *testing.T) {
 	topo := rt.Topology{NProcs: 6, ProcsPerNode: 2}
 	_, err := armci.Run(topo, func(c rt.Ctx) {
 		gg := c.Malloc(1)
-		if err := Multiply(c, g, Dims{M: 6, N: 6, K: 6}, gg, gg, gg); err == nil {
+		if err := Multiply(c, g, core.Dims{M: 6, N: 6, K: 6}, gg, gg, gg); err == nil {
 			panic("want non-square error")
 		}
 	})
@@ -81,7 +82,7 @@ func TestFoxRejectsNonSquareGrid(t *testing.T) {
 func TestFoxQuick(t *testing.T) {
 	f := func(mm, nn, kk, pp uint8) bool {
 		p := 1 + int(pp%3)
-		d := Dims{M: 1 + int(mm%20), N: 1 + int(nn%20), K: 1 + int(kk%20)}
+		d := core.Dims{M: 1 + int(mm%20), N: 1 + int(nn%20), K: 1 + int(kk%20)}
 		g, _ := grid.New(p, p)
 		da, db, dc := Dists(g, d)
 		seed := uint64(mm)*3 + uint64(kk)
@@ -120,7 +121,7 @@ func TestFoxQuick(t *testing.T) {
 
 func TestFoxOnSimEngine(t *testing.T) {
 	g, _ := grid.New(3, 3)
-	d := Dims{M: 300, N: 300, K: 300}
+	d := core.Dims{M: 300, N: 300, K: 300}
 	da, db, dc := Dists(g, d)
 	res, err := simrt.Run(machine.LinuxMyrinet(), 9, func(c rt.Ctx) {
 		ga := driver.AllocBlock(c, da)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -423,6 +424,59 @@ func TestTransferFaultsUnderStagedCtx(t *testing.T) {
 			t.Fatalf("flavour %d: %d faults injected, %d retried, %d refetched — nothing was exercised", fl, st[1].FaultsInjected, st[1].FaultRetries, st[1].FaultRefetches)
 		}
 		bitsEqual(t, flat, two, fmt.Sprintf("transfer faults flavour %d", fl))
+	}
+}
+
+// TestStagedCtxInterceptsAllGets: the band wrapper overrides NbGetSub and
+// Wait and nothing else, and that is every get there is — a contiguous one
+// (rt.Get) asking for a staged region is served from the band and moves no
+// remote byte, where an engine's own contiguous Get used to answer it past
+// the wrapper. And the wrapper hides nothing beneath it: the chaos stack's
+// and the engine's capabilities stay discoverable through it.
+func TestStagedCtxInterceptsAllGets(t *testing.T) {
+	const n = 16
+	plan, err := faults.NewPlan(faults.Config{Seed: 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = armci.Run(rt.Topology{NProcs: 4, ProcsPerNode: 2}, func(raw rt.Ctx) {
+		c := faults.Resilient(faults.Inject(raw, plan, nil), faults.RecoveryConfig{})
+		g, band := c.Malloc(2*n), c.Malloc(n)
+		c.WriteBuf(c.Local(g), n, mat.Random(1, n, uint64(c.Rank())).Data)
+		c.Barrier()
+		if c.Rank() != 0 {
+			return
+		}
+		// Stage the second half of rank 2's segment (another node) into
+		// this rank's band, the way the outer level does.
+		c.Wait(c.NbGetSub(g, 2, n, n, 1, n, c.Local(band), 0))
+		s := &stagedCtx{Ctx: c, band: band, loc: map[bandKey]bandLoc{{g, 2, n, n, 1, n}: {member: 0}}}
+		before := c.Stats().BytesRemote
+		dst := c.LocalBuf(n)
+		rt.Get(s, g, 2, n, n, dst, 0)
+		if moved := c.Stats().BytesRemote - before; moved != 0 {
+			t.Errorf("a contiguous get of a staged region moved %d remote bytes round the band", moved)
+		}
+		if want := mat.Random(1, n, 2).Data; !slices.Equal(c.ReadBuf(dst, 0, n), want) {
+			t.Errorf("the band served %v, want %v", c.ReadBuf(dst, 0, n), want)
+		}
+		rt.Get(s, g, 2, 0, n, dst, 0) // not staged: the engine's
+		if moved := c.Stats().BytesRemote - before; moved != 8*n {
+			t.Errorf("a get of an unstaged region moved %d remote bytes, want %d", moved, 8*n)
+		}
+		for capability, found := range map[string]bool{
+			"faults.SourceChecksummer": rt.Find[faults.SourceChecksummer](s) != nil,
+			"rt.Adopter":               rt.FindAdopter(s) != nil,
+			"rt.Health":                rt.FindHealth(s) != nil,
+			"rt.BufferReleaser":        rt.FindBufferReleaser(s) != nil,
+		} {
+			if !found {
+				t.Errorf("%s not found through stagedCtx(Resilient(Inject(engine)))", capability)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

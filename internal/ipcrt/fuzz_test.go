@@ -12,9 +12,9 @@ import (
 func FuzzIPCWire(f *testing.F) {
 	seed := []frame{
 		{Op: opHello, P: [5]int64{2}},
-		{Op: opGet, Seq: 7, P: [5]int64{1, 64, 32}},
+		{Op: opGetSub, Seq: 7, P: [5]int64{1, 64, 32, 1, 32}},
 		{Op: opGetSub, Seq: 8, P: [5]int64{1, 0, 16, 4, 8}},
-		{Op: opPut, Seq: 9, P: [5]int64{0, 8}, Body: floatBytes([]float64{1, 2, 3})},
+		{Op: opPutSub, Seq: 9, P: [5]int64{0, 8, 3, 1, 3}, Body: floatBytes([]float64{1, 2, 3})},
 		{Op: opMallocAck, P: [5]int64{3}, Body: putInt64s([]int64{8, 8})},
 		{Op: opErr, Seq: 5, Body: []byte("nope")},
 	}

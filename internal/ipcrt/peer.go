@@ -6,7 +6,7 @@ package ipcrt
 //
 //   - The requesting rank goroutine writes request frames tagged with a
 //     per-connection sequence number and registers a pending completion.
-//     NbGet therefore really is nonblocking — the call returns once the
+//     NbGetSub therefore really is nonblocking — the call returns once the
 //     64-byte request header is on the wire.
 //   - A per-connection reader goroutine matches responses to pending ops
 //     by sequence number, lands the payload in the destination buffer and
@@ -27,6 +27,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"srumma/internal/armci"
+	"srumma/internal/rt"
 )
 
 // Addresses are scheme-prefixed ("unix:/path", "tcp:host:port"); a rank's
@@ -282,58 +285,29 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 	off := int(f.P[1])
 	t0 := time.Now()
 
+	var ld, rows, cols int
 	switch f.Op {
-	case opGet:
-		n := int(f.P[2])
-		if off+n > len(own) {
-			return fail("get [%d,%d) of %d", off, off+n, len(own))
+	case opGetSub, opPutSub, opChecksum:
+		ld, rows, cols = int(f.P[2]), int(f.P[3]), int(f.P[4])
+		if err := rt.CheckRegion(len(own), off, ld, rows, cols); err != nil {
+			return fail("%v: %v", f.Op, err)
 		}
-		out := make([]float64, n)
-		c.hbMu.Lock()
-		copy(out, own[off:off+n])
-		c.hbMu.Unlock()
-		c.serveSpan(t0)
-		return &frame{Op: opAck, Body: floatBytes(out)}, false
-
+	}
+	switch f.Op {
 	case opGetSub:
-		ld, rows, cols := int(f.P[2]), int(f.P[3]), int(f.P[4])
-		if rows > 0 && cols > 0 {
-			if last := off + (rows-1)*ld + cols; last > len(own) {
-				return fail("get-sub region ends at %d of %d", last, len(own))
-			}
-		}
 		out := make([]float64, rows*cols)
 		c.hbMu.Lock()
-		for r := 0; r < rows; r++ {
-			copy(out[r*cols:(r+1)*cols], own[off+r*ld:off+r*ld+cols])
-		}
+		armci.PackRegion(out, own, off, ld, rows, cols)
 		c.hbMu.Unlock()
 		c.serveSpan(t0)
 		return &frame{Op: opAck, Body: floatBytes(out)}, false
 
-	case opPut:
-		n := len(f.Body) / 8
-		if off+n > len(own) {
-			return fail("put [%d,%d) of %d", off, off+n, len(own))
-		}
-		c.hbMu.Lock()
-		copyFloats(own[off:off+n], f.Body)
-		c.hbMu.Unlock()
-		c.serveSpan(t0)
-		return &frame{Op: opAck}, false
-
 	case opPutSub:
-		ld, rows, cols := int(f.P[2]), int(f.P[3]), int(f.P[4])
 		if len(f.Body) != rows*cols*8 {
 			return fail("put-sub body %d bytes for %dx%d region", len(f.Body), rows, cols)
 		}
-		if rows > 0 && cols > 0 {
-			if last := off + (rows-1)*ld + cols; last > len(own) {
-				return fail("put-sub region ends at %d of %d", last, len(own))
-			}
-		}
 		c.hbMu.Lock()
-		for r := 0; r < rows; r++ {
+		for r := 0; r < rows && cols > 0; r++ { // no columns: no row starts to trust
 			copyFloats(own[off+r*ld:off+r*ld+cols], f.Body[r*cols*8:(r+1)*cols*8])
 		}
 		c.hbMu.Unlock()
@@ -368,14 +342,8 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 		return &frame{Op: opAck, P: [5]int64{float64bits(old)}}, false
 
 	case opChecksum:
-		ld, rows, cols := int(f.P[2]), int(f.P[3]), int(f.P[4])
-		if rows > 0 && cols > 0 {
-			if last := off + (rows-1)*ld + cols; last > len(own) {
-				return fail("checksum region ends at %d of %d", last, len(own))
-			}
-		}
 		c.hbMu.Lock()
-		sum := checksumRegion(own, off, ld, rows, cols)
+		sum := armci.SumRegion(own, off, ld, rows, cols)
 		c.hbMu.Unlock()
 		return &frame{Op: opAck, P: [5]int64{int64(sum)}}, false
 	}
@@ -385,7 +353,7 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 // serveSpan records owner CPU spent servicing a remote op (the paper's
 // "data server" cost) when tracing is on.
 func (c *ipcCtx) serveSpan(t0 time.Time) {
-	if rec := c.rec.Load(); rec != nil {
-		rec.RecordWall(c.rank, kindSteal, t0, time.Now())
+	if rec := c.ObsRecorder(); rec != nil {
+		rec.RecordWall(c.Rank(), kindSteal, t0, time.Now())
 	}
 }

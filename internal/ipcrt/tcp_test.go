@@ -99,7 +99,7 @@ func expectServerAlive(t *testing.T, addr string) {
 		t.Fatalf("redial after malformed frame: %v", err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, &frame{Op: opGet, Seq: 1, P: [5]int64{1, 0, 4}}); err != nil {
+	if err := writeFrame(conn, &frame{Op: opGetSub, Seq: 1, P: [5]int64{1, 0, 4, 1, 4}}); err != nil {
 		t.Fatalf("valid get after malformed frame: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -118,11 +118,14 @@ func expectServerAlive(t *testing.T, addr string) {
 // body (the oversized cases would OOM otherwise).
 func TestTCPMalformed(t *testing.T) {
 	addr := rawTCPServer(t)
-	get := frame{Op: opGet, Seq: 1, P: [5]int64{1, 0, 8}}
+	get := frame{Op: opGetSub, Seq: 1, P: [5]int64{1, 0, 8, 1, 8}}
 	tests := []struct {
 		name string
 		raw  []byte
 	}{
+		{"version 1 header", corrupt(t, get, func(h []byte) { h[4] = 1 })},
+		{"retired contiguous get", corrupt(t, get, func(h []byte) { h[5] = 11 })},
+		{"retired contiguous put", corrupt(t, get, func(h []byte) { h[5] = 13 })},
 		{"bad magic", corrupt(t, get, func(h []byte) {
 			binary.LittleEndian.PutUint32(h[0:4], 0xdeadbeef)
 		})},
@@ -143,13 +146,13 @@ func TestTCPMalformed(t *testing.T) {
 			binary.LittleEndian.PutUint64(h[16:24], uint64(maxSegID)+1)
 		})},
 		{"huge get count", corrupt(t, get, func(h []byte) {
-			binary.LittleEndian.PutUint64(h[32:40], uint64(maxElems)+1)
+			binary.LittleEndian.PutUint64(h[40:48], uint64(maxElems)+1) // rows
 		})},
 		{"get-sub ld < cols", corrupt(t, frame{Op: opGetSub, P: [5]int64{1, 0, 4, 2, 8}},
 			func(h []byte) {})},
 		{"get-sub product overflow", corrupt(t, frame{Op: opGetSub,
 			P: [5]int64{1, 0, maxElems, maxElems, maxElems}}, func(h []byte) {})},
-		{"put body not float-aligned", corrupt(t, frame{Op: opPut, P: [5]int64{1, 0}, Body: make([]byte, 12)},
+		{"put body not float-aligned", corrupt(t, frame{Op: opPutSub, P: [5]int64{1, 0, 2, 1, 2}, Body: make([]byte, 12)},
 			func(h []byte) {})},
 		{"control op on RMA conn", corrupt(t, frame{Op: opShutdown}, func(h []byte) {})},
 	}
@@ -187,7 +190,7 @@ func TestTCPMalformed(t *testing.T) {
 func TestTCPTruncated(t *testing.T) {
 	addr := rawTCPServer(t)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{Op: opPut, Seq: 3, P: [5]int64{1, 0}, Body: floatBytes(make([]float64, 8))}); err != nil {
+	if err := writeFrame(&buf, &frame{Op: opPutSub, Seq: 3, P: [5]int64{1, 0, 8, 1, 8}, Body: floatBytes(make([]float64, 8))}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -229,11 +232,14 @@ var (
 // of the fuzz loop is the assertion.
 func FuzzTCPWire(f *testing.F) {
 	seed := []frame{
-		{Op: opGet, Seq: 7, P: [5]int64{1, 0, 8}},
+		{Op: opGetSub, Seq: 7, P: [5]int64{1, 0, 8, 1, 8}},
 		{Op: opGetSub, Seq: 8, P: [5]int64{1, 0, 16, 4, 8}},
-		{Op: opPut, Seq: 9, P: [5]int64{1, 8}, Body: floatBytes([]float64{1, 2, 3})},
+		{Op: opPutSub, Seq: 9, P: [5]int64{1, 8, 3, 1, 3}, Body: floatBytes([]float64{1, 2, 3})},
 		{Op: opFetchAdd, Seq: 10, P: [5]int64{1, 3, float64bits(1)}},
 		{Op: opMsg, P: [5]int64{0, 17}, Body: floatBytes([]float64{9})},
+		// No columns, row starts past the 16-element segment: what the fuzzer
+		// killed the version-1 server with.
+		{Op: opGetSub, Seq: 11, P: [5]int64{1, 0, 16, 4, 0}},
 	}
 	for _, fr := range seed {
 		var buf bytes.Buffer

@@ -6,9 +6,10 @@
 //   - Ranks on the same emulated node map each other's Globals as
 //     mmap(MAP_SHARED) segments, so CanDirect/Direct are true load/store
 //     and the shared-memory-first task order pays only cache traffic.
-//   - Ranks on different nodes speak a one-sided RMA protocol
-//     (Get/NbGet/Put/Acc/FetchAdd, plus the mailbox behind internal/mp)
-//     over unix-domain sockets, paying genuine serialization + copy costs.
+//   - Ranks on different nodes speak a one-sided RMA protocol (strided
+//     get, strided put, Acc, FetchAdd, source checksum, plus the mailbox
+//     behind internal/mp) over unix-domain or TCP sockets, paying genuine
+//     serialization + copy costs.
 //   - A coordinator process (the CLI, a test) launches the workers, runs
 //     the collectives (Barrier, Malloc/Free segment registration),
 //     dispatches jobs, and converts worker death into a typed error
@@ -26,6 +27,8 @@ import (
 	"io"
 	"math"
 	"unsafe"
+
+	"srumma/internal/rt"
 )
 
 // Frame header layout, little-endian, 64 bytes:
@@ -46,9 +49,7 @@ import (
 //	opFree       p0=segID                        ack: opFreeAck
 //	opFin        body=JSON RankResult
 //	opJob        body=JSON JobSpec
-//	opGet        p0=segID p1=off p2=n            ack: body=floats
 //	opGetSub     p0=segID p1=off p2=ld p3=rows p4=cols   ack: body=floats (packed)
-//	opPut        p0=segID p1=off, body=floats    ack: empty
 //	opPutSub     p0=segID p1=off p2=ld p3=rows p4=cols, body=floats   ack: empty
 //	opAcc        p0=segID p1=off p2=alphaBits, body=floats            ack: empty
 //	opFetchAdd   p0=segID p1=off p2=deltaBits    ack: p0=oldBits
@@ -59,9 +60,14 @@ import (
 //	opAddrs      body=JSON []string per-rank RMA addresses (coordinator -> worker)
 //	opPing       p0=ping seq (coordinator -> worker)     reply: opPong
 //	opPong       p0=echoed ping seq (worker -> coordinator)
+//
+// Version 2 retired the contiguous get and put (op values 11 and 13): a
+// contiguous transfer is the one-row region of the strided pair. The values
+// stay unassigned and a frame carrying one is refused as an unknown op, as
+// is any peer still speaking version 1.
 const (
 	wireMagic   = uint32(0x31495253) // "SRI1" read little-endian
-	wireVersion = 1
+	wireVersion = 2
 	headerLen   = 64
 )
 
@@ -91,9 +97,9 @@ const (
 	opFreeAck
 	opShutdown
 	// One-sided RMA, requester -> owning worker.
-	opGet
+	_ // 11, retired with wire version 1
 	opGetSub
-	opPut
+	_ // 13, retired with wire version 1
 	opPutSub
 	opAcc
 	opFetchAdd
@@ -111,15 +117,17 @@ const (
 	opCount // sentinel, not a valid op
 )
 
+// opNames names the assigned op values; "" marks one that is not (zero, and
+// the two retired ones), which parseHeader refuses.
 var opNames = [opCount]string{
-	"invalid", "hello", "barrier", "malloc", "free", "fin",
+	"", "hello", "barrier", "malloc", "free", "fin",
 	"job", "barrier-ack", "malloc-ack", "free-ack", "shutdown",
-	"get", "get-sub", "put", "put-sub", "acc", "fetch-add", "msg", "checksum",
+	"", "get-sub", "", "put-sub", "acc", "fetch-add", "msg", "checksum",
 	"ack", "err", "addrs", "ping", "pong",
 }
 
 func (o op) String() string {
-	if int(o) < len(opNames) {
+	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
@@ -163,7 +171,7 @@ func parseHeader(h []byte) (frame, int64, error) {
 		return f, 0, fmt.Errorf("ipcrt: unsupported wire version %d", h[4])
 	}
 	f.Op = op(h[5])
-	if f.Op == opInvalid || f.Op >= opCount {
+	if f.Op >= opCount || opNames[f.Op] == "" {
 		return f, 0, fmt.Errorf("ipcrt: unknown op %d", h[5])
 	}
 	if h[6] != 0 || h[7] != 0 {
@@ -188,30 +196,26 @@ func parseHeader(h []byte) (frame, int64, error) {
 // handler never sees a frame it must range-check again.
 func validateFrame(f *frame, bodyLen int64) error {
 	switch f.Op {
-	case opGet, opGetSub, opPut, opPutSub, opAcc, opFetchAdd, opChecksum:
+	case opGetSub, opPutSub, opAcc, opFetchAdd, opChecksum:
 		if f.P[0] < 0 || f.P[0] > maxSegID {
 			return fmt.Errorf("ipcrt: %v: segment id %d out of range", f.Op, f.P[0])
 		}
 		// Offsets are bounded like element counts so owner-side arithmetic
-		// (off + n, off + (rows-1)*ld + cols) cannot overflow int.
+		// (off + n) cannot overflow int.
 		if f.P[1] < 0 || f.P[1] > maxElems {
 			return fmt.Errorf("ipcrt: %v: offset %d out of range", f.Op, f.P[1])
 		}
 	}
 	switch f.Op {
-	case opGet:
-		if f.P[2] < 0 || f.P[2] > maxElems {
-			return fmt.Errorf("ipcrt: get: element count %d out of range", f.P[2])
-		}
 	case opGetSub, opPutSub, opChecksum:
+		// The region must fit the largest segment the wire allows; which
+		// segment it really names is the owner's check, by the same rule.
 		ld, rows, cols := f.P[2], f.P[3], f.P[4]
-		if rows < 0 || cols < 0 || ld < cols || ld > maxElems {
-			return fmt.Errorf("ipcrt: %v: malformed region %dx%d ld=%d", f.Op, rows, cols, ld)
+		if ld > maxElems || rows > maxElems || cols > maxElems {
+			return fmt.Errorf("ipcrt: %v: region %dx%d ld=%d too large", f.Op, rows, cols, ld)
 		}
-		// Overflow-safe product bound: rows*cols would wrap for hostile
-		// 2^32-scale dimensions before a plain product check ran.
-		if rows > maxElems || cols > maxElems || (rows > 0 && cols > maxElems/rows) {
-			return fmt.Errorf("ipcrt: %v: region %dx%d too large", f.Op, rows, cols)
+		if err := rt.CheckRegion(int(maxElems), int(f.P[1]), int(ld), int(rows), int(cols)); err != nil {
+			return fmt.Errorf("ipcrt: %v: %w", f.Op, err)
 		}
 	case opMalloc:
 		if f.P[0] < 0 || f.P[0] > maxElems {
@@ -234,7 +238,7 @@ func validateFrame(f *frame, bodyLen int64) error {
 		}
 	}
 	switch f.Op {
-	case opPut, opPutSub, opAcc, opMsg:
+	case opPutSub, opAcc, opMsg:
 		if bodyLen%8 != 0 {
 			return fmt.Errorf("ipcrt: %v: body %d bytes is not whole float64s", f.Op, bodyLen)
 		}

@@ -15,9 +15,9 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: opBarrier, Seq: 9},
 		{Op: opMalloc, P: [5]int64{4096}},
 		{Op: opMallocAck, P: [5]int64{7}, Body: putInt64s([]int64{16, 32, 0, 64})},
-		{Op: opGet, Seq: 42, P: [5]int64{1, 128, 256}},
+		{Op: opGetSub, Seq: 42, P: [5]int64{1, 128, 256, 1, 256}},
 		{Op: opGetSub, Seq: 43, P: [5]int64{1, 10, 64, 8, 16}},
-		{Op: opPut, Seq: 44, P: [5]int64{2, 0}, Body: floatBytes([]float64{1.5, -2.25, math.Pi})},
+		{Op: opPutSub, Seq: 44, P: [5]int64{2, 0, 3, 1, 3}, Body: floatBytes([]float64{1.5, -2.25, math.Pi})},
 		{Op: opAcc, Seq: 45, P: [5]int64{2, 8, float64bits(0.5)}, Body: floatBytes([]float64{4, 8})},
 		{Op: opFetchAdd, Seq: 46, P: [5]int64{0, 3, float64bits(1)}},
 		{Op: opMsg, P: [5]int64{2, 17}, Body: floatBytes([]float64{9})},
@@ -40,7 +40,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// corrupt returns the encoding of a valid opGet frame with mut applied.
+// corrupt returns the encoding of f with mut applied to its header.
 func corrupt(t *testing.T, f frame, mut func(h []byte)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -53,12 +53,15 @@ func corrupt(t *testing.T, f frame, mut func(h []byte)) []byte {
 }
 
 func TestWireMalformed(t *testing.T) {
-	get := frame{Op: opGet, Seq: 1, P: [5]int64{1, 0, 8}}
+	get := frame{Op: opGetSub, Seq: 1, P: [5]int64{1, 0, 8, 1, 8}}
 	tests := []struct {
 		name string
 		raw  []byte
 		want string
 	}{
+		{"version 1 header", corrupt(t, get, func(h []byte) { h[4] = 1 }), "wire version"},
+		{"retired contiguous get", corrupt(t, get, func(h []byte) { h[5] = 11 }), "unknown op"},
+		{"retired contiguous put", corrupt(t, get, func(h []byte) { h[5] = 13 }), "unknown op"},
 		{"bad magic", corrupt(t, get, func(h []byte) {
 			binary.LittleEndian.PutUint32(h[0:4], 0xdeadbeef)
 		}), "bad magic"},
@@ -85,17 +88,17 @@ func TestWireMalformed(t *testing.T) {
 			binary.LittleEndian.PutUint64(h[24:32], uint64(maxElems)+1)
 		}), "offset"},
 		{"huge get count", corrupt(t, get, func(h []byte) {
-			binary.LittleEndian.PutUint64(h[32:40], uint64(maxElems)+1)
-		}), "element count"},
+			binary.LittleEndian.PutUint64(h[40:48], uint64(maxElems)+1) // rows
+		}), "too large"},
 		{"get-sub ld < cols", corrupt(t, frame{Op: opGetSub, P: [5]int64{1, 0, 4, 2, 8}},
 			func(h []byte) {}), "malformed region"},
 		{"get-sub negative rows", corrupt(t, frame{Op: opGetSub, P: [5]int64{1, 0, 8, -1, 8}},
 			func(h []byte) {}), "malformed region"},
 		{"get-sub huge ld", corrupt(t, frame{Op: opGetSub, P: [5]int64{1, 0, maxElems + 1, 1, 1}},
-			func(h []byte) {}), "malformed region"},
+			func(h []byte) {}), "too large"},
 		{"get-sub product overflow", corrupt(t, frame{Op: opGetSub,
-			P: [5]int64{1, 0, maxElems, maxElems, maxElems}}, func(h []byte) {}), "too large"},
-		{"put body not float-aligned", corrupt(t, frame{Op: opPut, P: [5]int64{1, 0}, Body: make([]byte, 12)},
+			P: [5]int64{1, 0, maxElems, maxElems, maxElems}}, func(h []byte) {}), "region ends at"},
+		{"put body not float-aligned", corrupt(t, frame{Op: opPutSub, P: [5]int64{1, 0, 2, 1, 2}, Body: make([]byte, 12)},
 			func(h []byte) {}), "not whole float64s"},
 		{"msg body not float-aligned", corrupt(t, frame{Op: opMsg, P: [5]int64{0, 1}, Body: make([]byte, 7)},
 			func(h []byte) {}), "not whole float64s"},
@@ -123,7 +126,7 @@ func TestWireMalformed(t *testing.T) {
 
 func TestWireTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{Op: opPut, P: [5]int64{1, 0}, Body: floatBytes(make([]float64, 16))}); err != nil {
+	if err := writeFrame(&buf, &frame{Op: opPutSub, P: [5]int64{1, 0, 16, 1, 16}, Body: floatBytes(make([]float64, 16))}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -179,23 +179,23 @@ func RunWorker(p WorkerParams) int {
 // panics into the result like a team rank does.
 func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 	// Failure-path test hooks.
-	if spec.ExitRank == c.rank {
+	if spec.ExitRank == c.Rank() {
 		os.Exit(spec.ExitCode)
 	}
-	if spec.HangRank == c.rank {
+	if spec.HangRank == c.Rank() {
 		select {}
 	}
 
-	res := &RankResult{Rank: c.rank}
-	c.stats = &rt.Stats{}
+	res := &RankResult{Rank: c.Rank()}
+	c.ResetStats()
 	c.directMaps = 0
 	var rec *obs.Recorder
 	if spec.Trace {
 		rec = obs.NewRecorder(c.topo.NProcs, 0)
 		res.EpochUnixNano = rec.Epoch().UnixNano()
 	}
-	c.rec.Store(rec)
-	defer c.rec.Store(nil)
+	c.SetRecorder(rec)
+	defer c.SetRecorder(nil)
 
 	t0 := time.Now()
 	func() {
@@ -227,10 +227,10 @@ func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 		c.freeJobSegments()
 	}()
 	if rec != nil {
-		rec.RecordWall(c.rank, obs.KindJob, t0, time.Now())
+		rec.RecordWall(c.Rank(), obs.KindJob, t0, time.Now())
 		res.Events = rec.Events()
 	}
-	res.Stats = c.stats
+	res.Stats = c.Stats()
 	res.DirectMaps = c.directMaps
 	res.MmapMallocs = c.mmapMallocs
 	res.TCPPeers = c.tcpPeers

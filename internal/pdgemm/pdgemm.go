@@ -11,6 +11,7 @@ package pdgemm
 import (
 	"fmt"
 
+	"srumma/internal/core"
 	"srumma/internal/grid"
 	"srumma/internal/mp"
 	"srumma/internal/redist"
@@ -21,29 +22,9 @@ import (
 // is zero.
 const DefaultNB = 64
 
-// Case mirrors the dgemm transpose cases.
-type Case int
-
-// The four transpose cases.
-const (
-	NN Case = iota
-	TN
-	NT
-	TT
-)
-
-// TransA reports whether A is transposed.
-func (cs Case) TransA() bool { return cs == TN || cs == TT }
-
-// TransB reports whether B is transposed.
-func (cs Case) TransB() bool { return cs == NT || cs == TT }
-
-// Dims are the operation sizes (C is M x N, contraction K).
-type Dims struct{ M, N, K int }
-
 // Options configure the pdgemm baseline.
 type Options struct {
-	Case Case
+	Case core.Case
 	NB   int // tile/panel width; DefaultNB when zero
 	// BinomialBcast uses a binomial tree instead of the pipelined ring.
 	BinomialBcast bool
@@ -52,7 +33,7 @@ type Options struct {
 }
 
 // Dists returns the block-cyclic distributions of the stored operands.
-func Dists(g *grid.Grid, d Dims, cs Case, nb int) (da, db, dc *grid.CyclicDist, err error) {
+func Dists(g *grid.Grid, d core.Dims, cs core.Case, nb int) (da, db, dc *grid.CyclicDist, err error) {
 	if nb <= 0 {
 		nb = DefaultNB
 	}
@@ -81,7 +62,7 @@ const (
 
 // Multiply runs pdgemm collectively: C = op(A) op(B) with block-cyclic
 // operands per Dists. C is overwritten.
-func Multiply(c rt.Ctx, g *grid.Grid, d Dims, opts Options, ga, gb, gc rt.Global) error {
+func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.Global) error {
 	if d.M <= 0 || d.N <= 0 || d.K <= 0 {
 		return fmt.Errorf("pdgemm: dimensions %+v must be positive", d)
 	}

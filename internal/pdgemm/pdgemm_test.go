@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"srumma/internal/armci"
+	"srumma/internal/core"
 	"srumma/internal/driver"
 	"srumma/internal/grid"
 	"srumma/internal/machine"
@@ -13,7 +14,7 @@ import (
 	"srumma/internal/simrt"
 )
 
-func runReal(t *testing.T, p, q int, d Dims, opts Options, seedA, seedB uint64) *mat.Matrix {
+func runReal(t *testing.T, p, q int, d core.Dims, opts Options, seedA, seedB uint64) *mat.Matrix {
 	t.Helper()
 	g, err := grid.New(p, q)
 	if err != nil {
@@ -48,7 +49,7 @@ func runReal(t *testing.T, p, q int, d Dims, opts Options, seedA, seedB uint64) 
 	return got
 }
 
-func check(t *testing.T, p, q int, d Dims, opts Options) {
+func check(t *testing.T, p, q int, d core.Dims, opts Options) {
 	t.Helper()
 	got := runReal(t, p, q, d, opts, 51, 52)
 	ar, ac := d.M, d.K
@@ -72,32 +73,32 @@ func check(t *testing.T, p, q int, d Dims, opts Options) {
 
 func TestPdgemmNN(t *testing.T) {
 	for _, pq := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {3, 2}} {
-		check(t, pq[0], pq[1], Dims{M: 20, N: 24, K: 28}, Options{NB: 4})
+		check(t, pq[0], pq[1], core.Dims{M: 20, N: 24, K: 28}, Options{NB: 4})
 	}
 }
 
 func TestPdgemmAllCases(t *testing.T) {
-	for _, cs := range []Case{NN, TN, NT, TT} {
-		check(t, 2, 3, Dims{M: 18, N: 22, K: 26}, Options{Case: cs, NB: 4})
-		check(t, 2, 2, Dims{M: 15, N: 13, K: 17}, Options{Case: cs, NB: 3})
+	for _, cs := range []core.Case{core.NN, core.TN, core.NT, core.TT} {
+		check(t, 2, 3, core.Dims{M: 18, N: 22, K: 26}, Options{Case: cs, NB: 4})
+		check(t, 2, 2, core.Dims{M: 15, N: 13, K: 17}, Options{Case: cs, NB: 3})
 	}
 }
 
 func TestPdgemmTileWidths(t *testing.T) {
 	for _, nb := range []int{1, 2, 5, 16, 100} {
-		check(t, 2, 2, Dims{M: 16, N: 16, K: 16}, Options{NB: nb})
+		check(t, 2, 2, core.Dims{M: 16, N: 16, K: 16}, Options{NB: nb})
 	}
 }
 
 func TestPdgemmBcastVariants(t *testing.T) {
-	check(t, 2, 3, Dims{M: 20, N: 20, K: 20}, Options{NB: 4, BinomialBcast: true})
-	check(t, 2, 3, Dims{M: 20, N: 20, K: 20}, Options{NB: 4, Segment: 11})
+	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 4, BinomialBcast: true})
+	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 4, Segment: 11})
 }
 
 func TestPdgemmQuick(t *testing.T) {
 	f := func(mm, nn, kk, cc8, nb8 uint8) bool {
-		d := Dims{M: 1 + int(mm%20), N: 1 + int(nn%20), K: 1 + int(kk%20)}
-		opts := Options{Case: Case(cc8 % 4), NB: 1 + int(nb8%6)}
+		d := core.Dims{M: 1 + int(mm%20), N: 1 + int(nn%20), K: 1 + int(kk%20)}
+		opts := Options{Case: core.Case(cc8 % 4), NB: 1 + int(nb8%6)}
 		g, _ := grid.New(2, 2)
 		da, db, dc, err := Dists(g, d, opts.Case, opts.NB)
 		if err != nil {
@@ -142,8 +143,8 @@ func TestPdgemmOnSimEngineAllPlatforms(t *testing.T) {
 		prof := prof
 		t.Run(name, func(t *testing.T) {
 			g, _ := grid.New(2, 4)
-			d := Dims{M: 256, N: 256, K: 256}
-			da, db, dc, _ := Dists(g, d, NN, 64)
+			d := core.Dims{M: 256, N: 256, K: 256}
+			da, db, dc, _ := Dists(g, d, core.NN, 64)
 			res, err := simrt.Run(prof, 8, func(c rt.Ctx) {
 				ga := driver.AllocCyclic(c, da)
 				gb := driver.AllocCyclic(c, db)

@@ -2,9 +2,12 @@
 // this repository is written against. An algorithm is an SPMD body running
 // once per process against a Ctx, which exposes:
 //
-//   - ARMCI-style one-sided communication (collective Malloc, Get/Put,
-//     nonblocking NbGet/NbPut with Wait, locality queries, direct
-//     shared-memory access) — what SRUMMA uses;
+//   - ARMCI-style one-sided communication (collective Malloc, one strided
+//     nonblocking get and one strided nonblocking put completed by Wait,
+//     locality queries, direct shared-memory access) — what SRUMMA uses.
+//     A contiguous or blocking transfer is a free function over that pair
+//     (Get, NbGet, Put below), so a wrapper that overrides NbGetSub,
+//     NbPutSub and Wait has intercepted all data movement;
 //   - MPI-style two-sided communication (Send/Recv, Isend/Irecv) — what the
 //     SUMMA/pdgemm/Cannon baselines use;
 //   - a compute interface (Gemm, Pack) so the engine decides whether work is
@@ -365,25 +368,19 @@ type Ctx interface {
 	// !CanDirect(rank).
 	Direct(g Global, rank int) Buffer
 
-	// One-sided operations (ARMCI model). Get copies n elements from
-	// rank's segment of g at offset off into dst at dstOff, blocking. NbGet
-	// is its nonblocking form completed by Wait. Put is the symmetric
-	// blocking write.
-	Get(g Global, rank, off, n int, dst Buffer, dstOff int)
-	NbGet(g Global, rank, off, n int, dst Buffer, dstOff int) Handle
-	// NbGetSub is the strided form (ARMCI_NbGetS): fetch the rows x cols
-	// sub-block starting at element off of rank's segment, whose rows are
-	// ld elements apart, packing it tight row-major into dst at dstOff.
-	// SRUMMA fetches exactly the sub-blocks its tasks multiply, so on
-	// misaligned (transposed / p != q) layouts it moves no excess data.
+	// One-sided operations (ARMCI model): one get, one put, both strided
+	// and nonblocking, completed by Wait. The region they name must pass
+	// CheckRegion against rank's segment.
+	//
+	// NbGetSub (ARMCI_NbGetS) fetches the rows x cols sub-block starting at
+	// element off of rank's segment, whose rows are ld elements apart,
+	// packing it tight row-major into dst at dstOff. SRUMMA fetches exactly
+	// the sub-blocks its tasks multiply, so on misaligned (transposed /
+	// p != q) layouts it moves no excess data.
 	NbGetSub(g Global, rank, off, ld, rows, cols int, dst Buffer, dstOff int) Handle
-	Put(src Buffer, srcOff, n int, g Global, rank, off int)
-	// NbPut is the nonblocking put completed by Wait. The source buffer
-	// must not be reused until completion.
-	NbPut(src Buffer, srcOff, n int, g Global, rank, off int) Handle
-	// NbPutSub is the strided put (ARMCI_NbPutS): scatter a tight
-	// row-major rows x cols block from src at srcOff into rank's segment
-	// at element off with row stride ld.
+	// NbPutSub (ARMCI_NbPutS) scatters a tight row-major rows x cols block
+	// from src at srcOff into rank's segment at element off with row stride
+	// ld. The source buffer must not be reused until completion.
 	NbPutSub(src Buffer, srcOff int, g Global, rank, off, ld, rows, cols int) Handle
 	// Acc atomically accumulates (ARMCI_Acc): rank's segment[off+i] +=
 	// alpha * src[srcOff+i] for i in [0, n). Blocking; concurrent Accs to
@@ -428,4 +425,50 @@ type Ctx interface {
 	// validates ranges (ReadBuf returns nil there).
 	WriteBuf(dst Buffer, off int, vals []float64)
 	ReadBuf(src Buffer, off, n int) []float64
+}
+
+// NbGet is the contiguous get: n elements at off of rank's segment of g,
+// as the one-row region of NbGetSub.
+func NbGet(c Ctx, g Global, rank, off, n int, dst Buffer, dstOff int) Handle {
+	return c.NbGetSub(g, rank, off, n, 1, n, dst, dstOff)
+}
+
+// Get is the blocking contiguous get.
+func Get(c Ctx, g Global, rank, off, n int, dst Buffer, dstOff int) {
+	c.Wait(NbGet(c, g, rank, off, n, dst, dstOff))
+}
+
+// Put is the blocking contiguous put: n elements of src at srcOff land at
+// off of rank's segment of g.
+func Put(c Ctx, src Buffer, srcOff, n int, g Global, rank, off int) {
+	c.Wait(c.NbPutSub(src, srcOff, g, rank, off, n, 1, n))
+}
+
+// CheckRegion is the one region check behind every engine's get, put and
+// checksum and behind the multi-process engine's RMA server: a rows x cols
+// region whose rows are ld elements apart, starting at element off, must lie
+// inside a segment of segLen elements. An empty region (no rows or no
+// columns) only needs well-formed geometry. The arithmetic cannot overflow,
+// whatever a hostile frame carries.
+func CheckRegion(segLen, off, ld, rows, cols int) error {
+	if rows < 0 || cols < 0 || ld < cols || off < 0 {
+		return fmt.Errorf("rt: malformed region %dx%d ld=%d off=%d", rows, cols, ld, off)
+	}
+	if rows == 0 || cols == 0 {
+		return nil
+	}
+	// last = off + (rows-1)*ld + cols <= segLen, rearranged so nothing grows.
+	if off > segLen || cols > segLen-off || rows-1 > (segLen-off-cols)/ld {
+		last := float64(off) + float64(rows-1)*float64(ld) + float64(cols)
+		return fmt.Errorf("rt: region ends at %.0f of %d", last, segLen)
+	}
+	return nil
+}
+
+// MustRegion panics with CheckRegion's error: the in-process form, where a
+// bad region is a bug in the calling algorithm.
+func MustRegion(segLen, off, ld, rows, cols int) {
+	if err := CheckRegion(segLen, off, ld, rows, cols); err != nil {
+		panic(err)
+	}
 }

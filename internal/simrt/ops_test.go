@@ -7,64 +7,6 @@ import (
 	"srumma/internal/rt"
 )
 
-func TestSimNbGetSubCostsLikeContiguous(t *testing.T) {
-	prof := testProfile()
-	elems := 1 << 14
-	timeOf := func(body func(c rt.Ctx, g rt.Global)) float64 {
-		res, err := Run(prof, 4, func(c rt.Ctx) {
-			g := c.Malloc(elems * 2) // collective: every rank allocates
-			if c.Rank() == 0 {
-				body(c, g)
-			}
-			c.Barrier()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Time
-	}
-	tSub := timeOf(func(c rt.Ctx, g rt.Global) {
-		dst := c.LocalBuf(elems)
-		c.Wait(c.NbGetSub(g, 2, 0, elems*2/128, 128, elems/128, dst, 0))
-	})
-	tFlat := timeOf(func(c rt.Ctx, g rt.Global) {
-		dst := c.LocalBuf(elems)
-		c.Wait(c.NbGet(g, 2, 0, elems, dst, 0))
-	})
-	if d := tSub - tFlat; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("strided get should cost like contiguous: %g vs %g", tSub, tFlat)
-	}
-}
-
-func TestSimPutsAndPutSub(t *testing.T) {
-	prof := testProfile()
-	res, err := Run(prof, 4, func(c rt.Ctx) {
-		g := c.Malloc(1 << 12)
-		if c.Rank() == 0 {
-			src := c.LocalBuf(1 << 12)
-			c.Put(src, 0, 1<<12, g, 2, 0)                  // blocking remote put
-			c.Wait(c.NbPut(src, 0, 1<<12, g, 2, 0))        // nonblocking remote
-			c.Wait(c.NbPut(src, 0, 256, g, 1, 0))          // same-node (sync)
-			c.Wait(c.NbPutSub(src, 0, g, 2, 0, 64, 8, 32)) // strided remote
-			c.Wait(c.NbPutSub(src, 0, g, 1, 0, 64, 8, 32)) // strided local-domain
-		}
-		c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Stats[0]
-	if s.Puts != 5 {
-		t.Fatalf("puts = %d", s.Puts)
-	}
-	if s.BytesRemote == 0 || s.BytesShared == 0 {
-		t.Fatalf("byte classes not charged: %+v", s)
-	}
-	if res.Time <= 0 {
-		t.Fatal("puts cost nothing")
-	}
-}
-
 func TestSimAccChargesOwnerSteal(t *testing.T) {
 	prof := testProfile()
 	prof.CopyBW = 1e9

@@ -9,9 +9,9 @@
 //
 // Protocol model summary:
 //
-//   - Same-domain Get/Put: a memory copy executed by the calling CPU
+//   - Same-domain get/put: a memory copy executed by the calling CPU
 //     (ARMCI implements intra-SMP get as memcpy), so it cannot overlap.
-//   - Cross-domain NbGet: an RMA request (RMALatency) followed by a wire
+//   - Cross-domain get: an RMA request (RMALatency) followed by a wire
 //     transfer progressed by the NIC; the initiator is free — full overlap.
 //     Without zero-copy, the wire rate is capped by the staging-copy
 //     bandwidth and the *owner's* CPU loses the staging time (charged at
@@ -253,11 +253,13 @@ func (c *ctx) checkRange(what string, bufLen, off, n int) {
 	}
 }
 
-func (c *ctx) NbGet(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) rt.Handle {
-	gg := g.(*global)
-	c.checkRange("Get src", gg.segs[rank], off, n)
-	c.checkRange("Get dst", dst.Len(), dstOff, n)
-	bytes := int64(n) * 8
+func (c *ctx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
+	rt.MustRegion(g.(*global).segs[rank], off, ld, rows, cols)
+	c.checkRange("NbGetSub dst", dst.Len(), dstOff, rows*cols)
+	// Cost model: a get of rows*cols elements, whatever their stride —
+	// ARMCI's strided protocol streams the region without per-row
+	// handshakes.
+	bytes := int64(rows*cols) * 8
 	srcNode := c.w.topo.NodeOf(rank)
 	myNode := c.w.topo.NodeOf(c.Rank())
 	if c.w.topo.SameDomain(c.Rank(), rank) {
@@ -286,58 +288,6 @@ func (c *ctx) NbGet(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) rt
 	return &handle{h: done}
 }
 
-func (c *ctx) Get(g rt.Global, rank, off, n int, dst rt.Buffer, dstOff int) {
-	c.Wait(c.NbGet(g, rank, off, n, dst, dstOff))
-}
-
-func (c *ctx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
-	gg := g.(*global)
-	if rows < 0 || cols < 0 || ld < cols || off < 0 {
-		panic(fmt.Sprintf("simrt: NbGetSub malformed region %dx%d ld=%d off=%d", rows, cols, ld, off))
-	}
-	if rows > 0 && cols > 0 {
-		if last := off + (rows-1)*ld + cols; last > gg.segs[rank] {
-			panic(fmt.Sprintf("simrt: NbGetSub region ends at %d of %d", last, gg.segs[rank]))
-		}
-	}
-	c.checkRange("NbGetSub dst", dst.Len(), dstOff, rows*cols)
-	// Cost model: identical to a contiguous get of rows*cols elements —
-	// ARMCI's strided protocol streams the region without per-row
-	// handshakes.
-	bytes := int64(rows*cols) * 8
-	srcNode := c.w.topo.NodeOf(rank)
-	myNode := c.w.topo.NodeOf(c.Rank())
-	if c.w.topo.SameDomain(c.Rank(), rank) {
-		c.stats.BytesShared += bytes
-		c.stats.GetsShared++
-		done := c.w.net.Transfer(srcNode, myNode, bytes, 0, c.w.prof.CopyBW)
-		t0 := c.p.Now()
-		c.p.Wait(done)
-		c.stats.WaitTime += (c.p.Now() - t0).Seconds()
-		c.trace(obs.KindCopy, t0)
-		return &handle{h: done}
-	}
-	c.stats.BytesRemote += bytes
-	c.stats.GetsRemote++
-	var cap float64
-	if !c.w.prof.ZeroCopy {
-		cap = c.w.prof.HostCopyBW
-		c.w.steal[rank] += vtime.FromSeconds(float64(bytes) / c.w.prof.HostCopyBW)
-	}
-	done := c.w.net.Transfer(srcNode, myNode, bytes, vtime.FromSeconds(c.w.prof.RMALatency), cap)
-	return &handle{h: done}
-}
-
-func (c *ctx) Put(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
-	gg := g.(*global)
-	c.checkRange("Put src", src.Len(), srcOff, n)
-	c.checkRange("Put dst", gg.segs[rank], off, n)
-	done := c.putFlow(int64(n)*8, rank)
-	t0 := c.p.Now()
-	c.p.Wait(done)
-	c.stats.WaitTime += (c.p.Now() - t0).Seconds()
-}
-
 // putFlow starts the wire movement for a put-like operation of `bytes`
 // toward rank and returns its completion handle, charging stats and
 // (without zero-copy) the victim's staging steal.
@@ -361,40 +311,17 @@ func (c *ctx) putFlow(bytes int64, rank int) *vtime.Handle {
 	return c.w.net.Transfer(myNode, dstNode, bytes, lat, cap)
 }
 
-func (c *ctx) NbPut(src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) rt.Handle {
-	gg := g.(*global)
-	c.checkRange("Put src", src.Len(), srcOff, n)
-	c.checkRange("Put dst", gg.segs[rank], off, n)
-	if c.w.topo.SameDomain(c.Rank(), rank) {
-		// Intra-domain put is a memcpy by the calling CPU, like Get.
-		done := c.putFlow(int64(n)*8, rank)
-		t0 := c.p.Now()
-		c.p.Wait(done)
-		c.stats.WaitTime += (c.p.Now() - t0).Seconds()
-		return &handle{h: done}
-	}
-	return &handle{h: c.putFlow(int64(n)*8, rank)}
-}
-
 func (c *ctx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	gg := g.(*global)
-	if rows < 0 || cols < 0 || ld < cols || off < 0 {
-		panic(fmt.Sprintf("simrt: NbPutSub malformed region %dx%d ld=%d off=%d", rows, cols, ld, off))
-	}
-	if rows > 0 && cols > 0 {
-		if last := off + (rows-1)*ld + cols; last > gg.segs[rank] {
-			panic(fmt.Sprintf("simrt: NbPutSub region ends at %d of %d", last, gg.segs[rank]))
-		}
-	}
+	rt.MustRegion(g.(*global).segs[rank], off, ld, rows, cols)
 	c.checkRange("NbPutSub src", src.Len(), srcOff, rows*cols)
+	done := c.putFlow(int64(rows*cols)*8, rank)
 	if c.w.topo.SameDomain(c.Rank(), rank) {
-		done := c.putFlow(int64(rows*cols)*8, rank)
+		// Intra-domain put is a memcpy by the calling CPU, like a get.
 		t0 := c.p.Now()
 		c.p.Wait(done)
 		c.stats.WaitTime += (c.p.Now() - t0).Seconds()
-		return &handle{h: done}
 	}
-	return &handle{h: c.putFlow(int64(rows*cols)*8, rank)}
+	return &handle{h: done}
 }
 
 func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {

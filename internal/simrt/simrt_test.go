@@ -74,7 +74,7 @@ func TestRemoteGetIsNonblocking(t *testing.T) {
 		g := c.Malloc(1 << 17) // 1 MB segments
 		if c.Rank() == 0 {
 			dst := c.LocalBuf(1 << 17)
-			h := c.NbGet(g, 2, 0, 1<<17, dst, 0)
+			h := rt.NbGet(c, g, 2, 0, 1<<17, dst, 0)
 			// 2 ms of compute: 1e6 elements at 1 GFLOP/s = 2*1e6... use
 			// explicit square: 100x100x100 gemm = 2e6 flops = 2 ms.
 			b := c.LocalBuf(100 * 100)
@@ -106,9 +106,9 @@ func TestSameDomainGetBlocksButIsFast(t *testing.T) {
 		if c.Rank() == 0 {
 			dst := c.LocalBuf(1 << 17)
 			t0 := c.Now()
-			h := c.NbGet(g, 1, 0, 1<<17, dst, 0) // same node: memcpy
+			h := rt.NbGet(c, g, 1, 0, 1<<17, dst, 0) // same node: memcpy
 			if !h.Done() {
-				t.Error("same-domain NbGet should complete synchronously")
+				t.Error("same-domain get should complete synchronously")
 			}
 			total = c.Now() - t0
 			wait = c.Stats().WaitTime
@@ -130,8 +130,8 @@ func TestStatsClassifyDomains(t *testing.T) {
 		g := c.Malloc(64)
 		if c.Rank() == 0 {
 			dst := c.LocalBuf(64)
-			c.Get(g, 1, 0, 64, dst, 0) // same node
-			c.Get(g, 3, 0, 64, dst, 0) // remote node
+			rt.Get(c, g, 1, 0, 64, dst, 0) // same node
+			rt.Get(c, g, 3, 0, 64, dst, 0) // remote node
 		}
 		c.Barrier()
 	})
@@ -153,7 +153,7 @@ func TestNonZeroCopyStealsOwnerCPU(t *testing.T) {
 		c.Barrier()
 		if c.Rank() == 0 {
 			dst := c.LocalBuf(1 << 17)
-			c.Get(g, 2, 0, 1<<17, dst, 0)
+			rt.Get(c, g, 2, 0, 1<<17, dst, 0)
 		}
 		c.Barrier()
 		if c.Rank() == 2 {
@@ -181,7 +181,7 @@ func TestZeroCopyNoSteal(t *testing.T) {
 		c.Barrier()
 		if c.Rank() == 0 {
 			dst := c.LocalBuf(1 << 17)
-			c.Get(g, 2, 0, 1<<17, dst, 0)
+			rt.Get(c, g, 2, 0, 1<<17, dst, 0)
 		}
 		c.Barrier()
 	})
@@ -350,7 +350,7 @@ func TestDeterministicRuns(t *testing.T) {
 		res, err := Run(prof, 8, func(c rt.Ctx) {
 			g := c.Malloc(4096)
 			dst := c.LocalBuf(4096)
-			h := c.NbGet(g, (c.Rank()+3)%8, 0, 4096, dst, 0)
+			h := rt.NbGet(c, g, (c.Rank()+3)%8, 0, 4096, dst, 0)
 			b := c.LocalBuf(50 * 50)
 			cb := c.LocalBuf(50 * 50)
 			m := rt.Mat{Buf: b, LD: 50, Rows: 50, Cols: 50}
@@ -378,9 +378,9 @@ func TestGetRangeChecked(t *testing.T) {
 	_, err := Run(testProfile(), 2, func(c rt.Ctx) {
 		g := c.Malloc(4)
 		dst := c.LocalBuf(4)
-		c.Get(g, 1, 2, 4, dst, 0)
+		rt.Get(c, g, 1, 2, 4, dst, 0)
 	})
-	if err == nil || !strings.Contains(err.Error(), "Get src range") {
+	if err == nil || !strings.Contains(err.Error(), "region ends at 6 of 4") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -393,7 +393,7 @@ func TestContentionSharedEgress(t *testing.T) {
 		res, err := Run(prof, 4, func(c rt.Ctx) {
 			g := c.Malloc(1 << 17)
 			if c.Rank() == 2 {
-				c.Get(g, 0, 0, 1<<17, c.LocalBuf(1<<17), 0)
+				rt.Get(c, g, 0, 0, 1<<17, c.LocalBuf(1<<17), 0)
 			}
 			c.Barrier()
 		})
@@ -406,7 +406,7 @@ func TestContentionSharedEgress(t *testing.T) {
 		res, err := Run(prof, 4, func(c rt.Ctx) {
 			g := c.Malloc(1 << 17)
 			if c.Rank() >= 2 {
-				c.Get(g, 0, 0, 1<<17, c.LocalBuf(1<<17), 0)
+				rt.Get(c, g, 0, 0, 1<<17, c.LocalBuf(1<<17), 0)
 			}
 			c.Barrier()
 		})

@@ -16,7 +16,7 @@ func TestTracerCollectsEvents(t *testing.T) {
 	res, err := RunTraced(prof, 4, tr, func(c rt.Ctx) {
 		g := c.Malloc(1 << 14)
 		dst := c.LocalBuf(1 << 14)
-		h := c.NbGet(g, (c.Rank()+2)%4, 0, 1<<14, dst, 0)
+		h := rt.NbGet(c, g, (c.Rank()+2)%4, 0, 1<<14, dst, 0)
 		b := c.LocalBuf(64 * 64)
 		cb := c.LocalBuf(64 * 64)
 		m := rt.Mat{Buf: b, LD: 64, Rows: 64, Cols: 64}

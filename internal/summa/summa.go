@@ -11,6 +11,7 @@ package summa
 import (
 	"fmt"
 
+	"srumma/internal/core"
 	"srumma/internal/grid"
 	"srumma/internal/mp"
 	"srumma/internal/redist"
@@ -24,7 +25,7 @@ const DefaultNB = 64
 type Options struct {
 	// Case selects the transpose variant; non-NN cases pay a distributed
 	// transpose up front.
-	Case Case
+	Case core.Case
 	// NB is the panel width (DefaultNB when zero).
 	NB int
 	// BinomialBcast replaces the pipelined ring broadcast with a binomial
@@ -40,29 +41,8 @@ type Options struct {
 	DIMMA bool
 }
 
-// Case mirrors core.Case so callers don't need to import core for the
-// baseline. Values are identical.
-type Case int
-
-// The four transpose cases.
-const (
-	NN Case = iota
-	TN
-	NT
-	TT
-)
-
-// TransA reports whether A is transposed.
-func (cs Case) TransA() bool { return cs == TN || cs == TT }
-
-// TransB reports whether B is transposed.
-func (cs Case) TransB() bool { return cs == NT || cs == TT }
-
-// Dims are the operation sizes (C is M x N, contraction K).
-type Dims struct{ M, N, K int }
-
 // Dists returns the block distributions of the stored operands A, B, C.
-func Dists(g *grid.Grid, d Dims, cs Case) (da, db, dc *grid.BlockDist) {
+func Dists(g *grid.Grid, d core.Dims, cs core.Case) (da, db, dc *grid.BlockDist) {
 	ar, ac := d.M, d.K
 	if cs.TransA() {
 		ar, ac = d.K, d.M
@@ -120,7 +100,7 @@ func ScheduleOrder(n int, root func(step int) int, nRoots, rot int, dimma bool) 
 
 // Multiply runs SUMMA collectively: C = op(A) op(B) with the operands
 // block-distributed per Dists. C is overwritten.
-func Multiply(c rt.Ctx, g *grid.Grid, d Dims, opts Options, ga, gb, gc rt.Global) error {
+func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.Global) error {
 	if d.M <= 0 || d.N <= 0 || d.K <= 0 {
 		return fmt.Errorf("summa: dimensions %+v must be positive", d)
 	}

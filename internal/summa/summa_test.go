@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"srumma/internal/armci"
+	"srumma/internal/core"
 	"srumma/internal/driver"
 	"srumma/internal/grid"
 	"srumma/internal/machine"
@@ -12,7 +13,7 @@ import (
 	"srumma/internal/simrt"
 )
 
-func runReal(t *testing.T, p, q int, d Dims, opts Options, seedA, seedB uint64) *mat.Matrix {
+func runReal(t *testing.T, p, q int, d core.Dims, opts Options, seedA, seedB uint64) *mat.Matrix {
 	t.Helper()
 	g, err := grid.New(p, q)
 	if err != nil {
@@ -44,7 +45,7 @@ func runReal(t *testing.T, p, q int, d Dims, opts Options, seedA, seedB uint64) 
 	return got
 }
 
-func check(t *testing.T, p, q int, d Dims, opts Options) {
+func check(t *testing.T, p, q int, d core.Dims, opts Options) {
 	t.Helper()
 	got := runReal(t, p, q, d, opts, 31, 32)
 	ar, ac := d.M, d.K
@@ -68,31 +69,31 @@ func check(t *testing.T, p, q int, d Dims, opts Options) {
 
 func TestSummaNNVariousGrids(t *testing.T) {
 	for _, pq := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {3, 2}, {1, 4}} {
-		check(t, pq[0], pq[1], Dims{M: 20, N: 24, K: 28}, Options{NB: 5})
+		check(t, pq[0], pq[1], core.Dims{M: 20, N: 24, K: 28}, Options{NB: 5})
 	}
 }
 
 func TestSummaAllCases(t *testing.T) {
-	for _, cs := range []Case{NN, TN, NT, TT} {
-		check(t, 2, 3, Dims{M: 18, N: 22, K: 26}, Options{Case: cs, NB: 4})
+	for _, cs := range []core.Case{core.NN, core.TN, core.NT, core.TT} {
+		check(t, 2, 3, core.Dims{M: 18, N: 22, K: 26}, Options{Case: cs, NB: 4})
 	}
 }
 
 func TestSummaPanelWidths(t *testing.T) {
 	for _, nb := range []int{1, 3, 7, 64, 1000} {
-		check(t, 2, 2, Dims{M: 16, N: 16, K: 16}, Options{NB: nb})
+		check(t, 2, 2, core.Dims{M: 16, N: 16, K: 16}, Options{NB: nb})
 	}
 }
 
 func TestSummaBinomialAndSegments(t *testing.T) {
-	check(t, 2, 3, Dims{M: 20, N: 20, K: 20}, Options{NB: 6, BinomialBcast: true})
-	check(t, 2, 3, Dims{M: 20, N: 20, K: 20}, Options{NB: 6, Segment: 13})
+	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 6, BinomialBcast: true})
+	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 6, Segment: 13})
 }
 
 func TestSummaUnevenAndSkinny(t *testing.T) {
-	check(t, 3, 3, Dims{M: 17, N: 19, K: 23}, Options{NB: 4})
-	check(t, 2, 2, Dims{M: 40, N: 40, K: 3}, Options{NB: 8})
-	check(t, 4, 2, Dims{M: 5, N: 33, K: 19}, Options{NB: 4})
+	check(t, 3, 3, core.Dims{M: 17, N: 19, K: 23}, Options{NB: 4})
+	check(t, 2, 2, core.Dims{M: 40, N: 40, K: 3}, Options{NB: 8})
+	check(t, 4, 2, core.Dims{M: 5, N: 33, K: 19}, Options{NB: 4})
 }
 
 func TestSummaRejectsBadInput(t *testing.T) {
@@ -100,7 +101,7 @@ func TestSummaRejectsBadInput(t *testing.T) {
 	topo := rt.Topology{NProcs: 4, ProcsPerNode: 2}
 	_, err := armci.Run(topo, func(c rt.Ctx) {
 		gg := c.Malloc(1)
-		if err := Multiply(c, g, Dims{M: -1, N: 4, K: 4}, Options{}, gg, gg, gg); err == nil {
+		if err := Multiply(c, g, core.Dims{M: -1, N: 4, K: 4}, Options{}, gg, gg, gg); err == nil {
 			panic("want dims error")
 		}
 	})
@@ -112,8 +113,8 @@ func TestSummaRejectsBadInput(t *testing.T) {
 func TestSummaOnSimEngine(t *testing.T) {
 	prof := machine.SGIAltix()
 	g, _ := grid.New(2, 4)
-	d := Dims{M: 256, N: 256, K: 256}
-	da, db, dc := Dists(g, d, NN)
+	d := core.Dims{M: 256, N: 256, K: 256}
+	da, db, dc := Dists(g, d, core.NN)
 	run := func() float64 {
 		res, err := simrt.Run(prof, 8, func(c rt.Ctx) {
 			r, cc := da.LocalShape(c.Rank())
@@ -139,10 +140,10 @@ func TestSummaOnSimEngine(t *testing.T) {
 
 func TestSummaDIMMA(t *testing.T) {
 	// DIMMA reorders the panel schedule; results must be unchanged.
-	check(t, 2, 3, Dims{M: 20, N: 24, K: 28}, Options{NB: 5, DIMMA: true})
-	check(t, 3, 3, Dims{M: 17, N: 19, K: 23}, Options{NB: 4, DIMMA: true})
-	for _, cs := range []Case{TN, NT, TT} {
-		check(t, 2, 2, Dims{M: 16, N: 16, K: 16}, Options{Case: cs, NB: 4, DIMMA: true})
+	check(t, 2, 3, core.Dims{M: 20, N: 24, K: 28}, Options{NB: 5, DIMMA: true})
+	check(t, 3, 3, core.Dims{M: 17, N: 19, K: 23}, Options{NB: 4, DIMMA: true})
+	for _, cs := range []core.Case{core.TN, core.NT, core.TT} {
+		check(t, 2, 2, core.Dims{M: 16, N: 16, K: 16}, Options{Case: cs, NB: 4, DIMMA: true})
 	}
 }
 
@@ -151,8 +152,8 @@ func TestSummaDIMMAOnSimEngine(t *testing.T) {
 	// on a latency-heavy platform at small panels.
 	prof := machine.IBMSP()
 	g, _ := grid.New(2, 4)
-	d := Dims{M: 512, N: 512, K: 512}
-	da, db, dc := Dists(g, d, NN)
+	d := core.Dims{M: 512, N: 512, K: 512}
+	da, db, dc := Dists(g, d, core.NN)
 	timeOf := func(dimma bool) float64 {
 		res, err := simrt.Run(prof, 8, func(c rt.Ctx) {
 			r, cc := da.LocalShape(c.Rank())

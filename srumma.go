@@ -285,16 +285,14 @@ func (cl *Cluster) algorithm(a, b *Matrix, d core.Dims, opts MultiplyOptions) (*
 			out:      out,
 		}, nil
 	case AlgSUMMA:
-		sOpts := summa.Options{Case: summa.Case(opts.Case), NB: opts.NB}
-		sd := summa.Dims(d)
-		da, db, dc := summa.Dists(g, sd, sOpts.Case)
+		sOpts := summa.Options{Case: opts.Case, NB: opts.NB}
+		da, db, dc := summa.Dists(g, d, sOpts.Case)
 		return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
-			return summa.Multiply(c, g, sd, sOpts, ga, gb, gc)
+			return summa.Multiply(c, g, d, sOpts, ga, gb, gc)
 		}), nil
 	case AlgPdgemm:
-		pOpts := pdgemm.Options{Case: pdgemm.Case(opts.Case), NB: opts.NB}
-		pd := pdgemm.Dims(d)
-		da, db, dc, err := pdgemm.Dists(g, pd, pOpts.Case, pOpts.NB)
+		pOpts := pdgemm.Options{Case: opts.Case, NB: opts.NB}
+		da, db, dc, err := pdgemm.Dists(g, d, pOpts.Case, pOpts.NB)
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +303,7 @@ func (cl *Cluster) algorithm(a, b *Matrix, d core.Dims, opts MultiplyOptions) (*
 				driver.LoadCyclic(c, db, gb, b)
 				return ga, gb, gc
 			},
-			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return pdgemm.Multiply(c, g, pd, pOpts, ga, gb, gc) },
+			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return pdgemm.Multiply(c, g, d, pOpts, ga, gb, gc) },
 			collect:  func(c rt.Ctx, gc rt.Global) *Matrix { return driver.StoreCyclic(c, dc, gc) },
 			gather:   dc.Gather,
 		}, nil
@@ -314,16 +312,14 @@ func (cl *Cluster) algorithm(a, b *Matrix, d core.Dims, opts MultiplyOptions) (*
 			return nil, fmt.Errorf("srumma: %s supports C=AB only", opts.Algorithm)
 		}
 		if opts.Algorithm == AlgFox {
-			fd := fox.Dims(d)
-			da, db, dc := fox.Dists(g, fd)
+			da, db, dc := fox.Dists(g, d)
 			return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
-				return fox.Multiply(c, g, fd, ga, gb, gc)
+				return fox.Multiply(c, g, d, ga, gb, gc)
 			}), nil
 		}
-		cd := cannon.Dims(d)
-		da, db, dc := cannon.Dists(g, cd)
+		da, db, dc := cannon.Dists(g, d)
 		return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
-			return cannon.Multiply(c, g, cd, ga, gb, gc)
+			return cannon.Multiply(c, g, d, ga, gb, gc)
 		}), nil
 	}
 	return nil, fmt.Errorf("srumma: unknown algorithm %q", opts.Algorithm)
