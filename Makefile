@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build noasm test race cover bench benchmark benchmark-compare serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke multihost-smoke verify repro chaos chaos-serve fuzz clean
+.PHONY: all build noasm test race cover bench benchmark benchmark-compare serve-smoke trace-smoke ipc-smoke cluster-smoke hier-smoke multihost-smoke repro chaos chaos-serve fuzz clean
 
 all: build test
 
@@ -145,10 +145,6 @@ hier-smoke:
 # containers); the run summary must carry the cross-host overlap ratio.
 multihost-smoke:
 	sh scripts/multihost-trace.sh
-
-# Cross-algorithm numerical correctness sweep on the real engine.
-verify:
-	$(GO) run ./cmd/srumma-verify
 
 # Regenerate the paper's full evaluation (figures 5-10, Table 1, model,
 # isoefficiency, ablations, memory, block-size sweep, KLAPI projection).

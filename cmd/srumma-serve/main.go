@@ -59,7 +59,6 @@ var (
 	traceSample      = flag.Int("trace-sample", 0, "record spans for one in every N requests (0 or 1: every request; needs -trace-events)")
 	abft             = flag.Bool("abft", false, "verify every SRUMMA task's C block with Huang-Abraham checksums; corrupted blocks are restored and recomputed")
 	abftTol          = flag.Float64("abft-tol", 0, "relative ABFT tolerance (0: engine default 1e-6)")
-	noResume         = flag.Bool("no-resume", false, "disable ledger-based resume: retried jobs restart from their inputs")
 	maxTaskK         = flag.Int("max-task-k", 0, "SRUMMA task contraction cap; finer tasks mean finer recovery units (0: one task per K block)")
 	retryBudget      = flag.Int("retry-budget", 0, "retries for recoverably-failed SRUMMA jobs (0: 2; negative: no retries)")
 	retryBackoff     = flag.Duration("retry-backoff", 0, "base pre-retry backoff, doubling per attempt (0: 10ms)")
@@ -113,7 +112,6 @@ func main() {
 		TraceSample:      *traceSample,
 		ABFT:             *abft,
 		ABFTTol:          *abftTol,
-		NoResume:         *noResume,
 		MaxTaskK:         *maxTaskK,
 		RetryBudget:      *retryBudget,
 		RetryBackoff:     *retryBackoff,

@@ -7,8 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -31,30 +31,27 @@ type ipcOpts struct {
 // runIPC runs one traced multiply on the multi-process engine: every rank
 // is an OS process, intra-node operands ride mmap segments, cross-node
 // operands the socket RMA protocol (unix default, tcp for multi-host).
-func runIPC(g *grid.Grid, d core.Dims, procs, ppn, width int, blocking, noshift bool, chrome string, flops float64, io ipcOpts) ([]obs.Event, float64) {
+func runIPC(g *grid.Grid, d core.Dims, procs, ppn, width int, blocking, noshift bool, chrome string, flops float64, ipo ipcOpts) ([]obs.Event, float64) {
 	if ppn <= 0 {
 		ppn = procs
 	}
 	if !ipcrt.Available() {
 		log.Fatal("the ipc engine is unavailable on this platform (no mmap shared segments)")
 	}
-	if io.Listen != "" && io.Transport == "" {
-		io.Transport = "tcp"
-	}
-	if io.NoSpawn {
-		if io.Listen == "" || io.Dir == "" {
+	if ipo.NoSpawn {
+		if ipo.Listen == "" || ipo.Dir == "" {
 			log.Fatal("-no-spawn needs -listen and -dir (external workers dial the listener and share the run directory)")
 		}
 		fmt.Printf("waiting for %d external workers; on each host run (ranks r=0..%d):\n", procs, procs-1)
 		fmt.Printf("  srumma-worker -join tcp:%s -rank $r -np %d -ppn %d -dir %s -transport %s\n\n",
-			io.Listen, procs, ppn, io.Dir, io.Transport)
+			ipo.Listen, procs, ppn, ipo.Dir, ipo.Transport)
 	}
 	cl, err := ipcrt.Launch(ipcrt.Config{
 		NP: procs, PPN: ppn,
-		Transport:  io.Transport,
-		ListenAddr: strings.TrimPrefix(io.Listen, "tcp:"),
-		NoSpawn:    io.NoSpawn,
-		Dir:        io.Dir,
+		Transport:  ipo.Transport,
+		ListenAddr: strings.TrimPrefix(ipo.Listen, "tcp:"),
+		NoSpawn:    ipo.NoSpawn,
+		Dir:        ipo.Dir,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -102,18 +99,6 @@ func runIPC(g *grid.Grid, d core.Dims, procs, ppn, width int, blocking, noshift 
 	}
 	printActivity(busy, procs, horizon)
 
-	if chrome != "" {
-		f, err := os.Create(chrome)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteChromeTrace(f, events, procs, "srumma ipc run"); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", chrome)
-	}
+	writeChrome(chrome, func(w io.Writer) error { return obs.WriteChromeTrace(w, events, procs, "srumma ipc run") })
 	return events, wall
 }

@@ -36,26 +36,24 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
+	"srumma/internal/algs"
 	"srumma/internal/armci"
-	"srumma/internal/cannon"
 	"srumma/internal/core"
-	"srumma/internal/driver"
 	"srumma/internal/faults"
-	"srumma/internal/fox"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
 	"srumma/internal/machine"
 	"srumma/internal/obs"
-	"srumma/internal/pdgemm"
 	"srumma/internal/rt"
 	"srumma/internal/simnet"
 	"srumma/internal/simrt"
-	"srumma/internal/summa"
 )
 
 // traceDoc is the -out summary: one traced run's headline numbers, with the
@@ -101,7 +99,7 @@ type traceDoc struct {
 var (
 	engine     = flag.String("engine", "sim", `engine: "sim" (virtual-time model), "real" (wall-clock armci run) or "ipc" (multi-process workers)`)
 	platform   = flag.String("platform", "linux-myrinet", "modeled platform (sim engine)")
-	alg        = flag.String("alg", "srumma", "algorithm: srumma, pdgemm, summa, cannon, fox")
+	alg        = flag.String("alg", algs.SRUMMA, "algorithm: "+strings.Join(algs.Names, ", "))
 	n          = flag.Int("n", 1000, "matrix size (N x N x N)")
 	procs      = flag.Int("procs", 8, "process count")
 	ppn        = flag.Int("ppn", 0, "ranks per shared-memory domain (real engine; 0: all on one node)")
@@ -171,16 +169,16 @@ func main() {
 		if *chaos {
 			log.Fatal("-chaos models the simulated fabric; use -engine sim")
 		}
-		if *alg != "srumma" {
+		if *alg != algs.SRUMMA {
 			log.Fatalf("-engine ipc runs the srumma algorithm only (got %q)", *alg)
 		}
-		io := ipcOpts{Transport: *transport, Listen: *listen, NoSpawn: *noSpawn, Dir: *runDir}
-		if io.Listen != "" && io.Transport == "" {
-			io.Transport = "tcp"
+		ipo := ipcOpts{Transport: *transport, Listen: *listen, NoSpawn: *noSpawn, Dir: *runDir}
+		if ipo.Listen != "" && ipo.Transport == "" {
+			ipo.Transport = "tcp"
 		}
-		events, wall = runIPC(g, d, *procs, *ppn, *width, *blocking, *noshift, *chrome, flops, io)
+		events, wall = runIPC(g, d, *procs, *ppn, *width, *blocking, *noshift, *chrome, flops, ipo)
 		doc.PPN = *ppn
-		doc.Transport = io.Transport
+		doc.Transport = ipo.Transport
 		if *noSpawn {
 			doc.ExternalWorkers = *procs
 		}
@@ -220,79 +218,29 @@ func main() {
 	}
 }
 
-// algBody builds the per-rank job for the chosen algorithm. t0/t1 receive
+// tracedRun resolves the chosen algorithm's row and returns the per-rank
+// job: operands allocated, nothing loaded, then the multiply. t0/t1 receive
 // rank 0's multiply span on the engine's clock. prof is nil on the real
-// engine (the flavor heuristic is a property of the modeled platform).
-func algBody(g *grid.Grid, d core.Dims, alg string, prof *machine.Profile, blocking, noshift bool, t0, t1 *float64) func(rt.Ctx) {
+// engine, whose shared memory is cacheable (the flavor rule is a property
+// of the modeled platform).
+func tracedRun(g *grid.Grid, d core.Dims, alg string, prof *machine.Profile, blocking, noshift bool, t0, t1 *float64) func(rt.Ctx) {
+	o := algs.Options{}
+	o.SingleBuffer, o.NoDiagonalShift = blocking, noshift
+	if prof != nil {
+		o.Flavor = algs.FlavorFor(*prof)
+	}
+	row, err := algs.Resolve(alg, g, d, o)
+	if err != nil {
+		log.Fatal(err)
+	}
 	return func(c rt.Ctx) {
+		ga, gb, gc := row.Alloc(c)
 		if c.Rank() == 0 {
+			*t0 = c.Now()
 			defer func() { *t1 = c.Now() }()
 		}
-		switch alg {
-		case "srumma":
-			opts := core.Options{SingleBuffer: blocking, NoDiagonalShift: noshift}
-			if prof != nil && prof.DomainSpansMachine && !prof.RemoteCacheable {
-				opts.Flavor = core.FlavorCopy
-			}
-			da, db, dc := core.Dists(g, d, opts.Case)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if c.Rank() == 0 {
-				*t0 = c.Now()
-			}
-			if err := core.Multiply(c, g, d, opts, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		case "pdgemm":
-			da, db, dc, err := pdgemm.Dists(g, d, core.NN, 0)
-			if err != nil {
-				panic(err)
-			}
-			ga := driver.AllocCyclic(c, da)
-			gb := driver.AllocCyclic(c, db)
-			gc := driver.AllocCyclic(c, dc)
-			if c.Rank() == 0 {
-				*t0 = c.Now()
-			}
-			if err := pdgemm.Multiply(c, g, d, pdgemm.Options{}, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		case "summa":
-			da, db, dc := summa.Dists(g, d, core.NN)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if c.Rank() == 0 {
-				*t0 = c.Now()
-			}
-			if err := summa.Multiply(c, g, d, summa.Options{}, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		case "cannon":
-			da, db, dc := cannon.Dists(g, d)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if c.Rank() == 0 {
-				*t0 = c.Now()
-			}
-			if err := cannon.Multiply(c, g, d, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		case "fox":
-			da, db, dc := fox.Dists(g, d)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if c.Rank() == 0 {
-				*t0 = c.Now()
-			}
-			if err := fox.Multiply(c, g, d, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		default:
-			panic(fmt.Sprintf("unknown algorithm %q", alg))
+		if err := row.Multiply(c, ga, gb, gc); err != nil {
+			panic(err)
 		}
 	}
 }
@@ -321,6 +269,25 @@ func printActivity(events []obs.Event, procs int, horizon float64) {
 		100*busy/(float64(procs)*horizon))
 }
 
+// writeChrome writes a Chrome trace-event file with write, unless path is
+// empty.
+func writeChrome(path string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", path)
+}
+
 // runSim runs the virtual-time engine. Its stdout report (through the
 // parallel-efficiency line) predates the obs refactor and is preserved
 // byte-for-byte; the simrt golden test pins the rendering underneath it.
@@ -331,7 +298,7 @@ func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, b
 	}
 	tr := &simrt.Tracer{}
 	var t0, t1 float64
-	body := algBody(g, d, alg, &prof, blocking, noshift, &t0, &t1)
+	body := tracedRun(g, d, alg, &prof, blocking, noshift, &t0, &t1)
 
 	var res *simrt.Result
 	injected := 0
@@ -373,19 +340,7 @@ func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, b
 	fmt.Print(tr.Timeline(procs, width, res.Time))
 	printActivity(tr.Events(), procs, res.Time)
 
-	if chrome != "" {
-		f, err := os.Create(chrome)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tr.WriteChromeTrace(f, procs); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", chrome)
-	}
+	writeChrome(chrome, func(w io.Writer) error { return tr.WriteChromeTrace(w, procs) })
 	return tr.Events(), res.Time
 }
 
@@ -402,7 +357,7 @@ func runReal(g *grid.Grid, d core.Dims, alg string, procs, ppn, width int, block
 	}
 	rec := obs.NewRecorder(procs, 0)
 	var t0, t1 float64
-	body := algBody(g, d, alg, nil, blocking, noshift, &t0, &t1)
+	body := tracedRun(g, d, alg, nil, blocking, noshift, &t0, &t1)
 	w0 := time.Now()
 	if _, err := armci.RunTraced(topo, rec, body); err != nil {
 		log.Fatal(err)
@@ -437,18 +392,6 @@ func runReal(g *grid.Grid, d core.Dims, alg string, procs, ppn, width int, block
 	}
 	printActivity(busy, procs, horizon)
 
-	if chrome != "" {
-		f, err := os.Create(chrome)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteChromeTrace(f, events, procs, "srumma real run"); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", chrome)
-	}
+	writeChrome(chrome, func(w io.Writer) error { return obs.WriteChromeTrace(w, events, procs, "srumma real run") })
 	return events, wall
 }

@@ -8,6 +8,7 @@ package bench
 import (
 	"testing"
 
+	"srumma/internal/algs"
 	"srumma/internal/core"
 	"srumma/internal/machine"
 )
@@ -29,11 +30,11 @@ func TestSRUMMABeatsPdgemmEverywhere(t *testing.T) {
 	}
 	for _, pt := range points {
 		d := core.Dims{M: pt.n, N: pt.n, K: pt.n}
-		sr, err := RunMatmul(MatmulConfig{Platform: pt.prof, Procs: pt.procs, Dims: d, Alg: AlgSRUMMA})
+		sr, err := RunMatmul(MatmulConfig{Platform: pt.prof, Procs: pt.procs, Dims: d, Alg: algs.SRUMMA})
 		if err != nil {
 			t.Fatalf("%s: %v", pt.prof.Name, err)
 		}
-		pd, err := RunMatmul(MatmulConfig{Platform: pt.prof, Procs: pt.procs, Dims: d, Alg: AlgPdgemm})
+		pd, err := RunMatmul(MatmulConfig{Platform: pt.prof, Procs: pt.procs, Dims: d, Alg: algs.Pdgemm})
 		if err != nil {
 			t.Fatalf("%s: %v", pt.prof.Name, err)
 		}
@@ -51,11 +52,11 @@ func TestSharedMemoryGapGrowsWithProcs(t *testing.T) {
 	prof := machine.SGIAltix()
 	d := core.Dims{M: 1000, N: 1000, K: 1000}
 	ratio := func(p int) float64 {
-		sr, err := RunMatmul(MatmulConfig{Platform: prof, Procs: p, Dims: d, Alg: AlgSRUMMA})
+		sr, err := RunMatmul(MatmulConfig{Platform: prof, Procs: p, Dims: d, Alg: algs.SRUMMA})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pd, err := RunMatmul(MatmulConfig{Platform: prof, Procs: p, Dims: d, Alg: AlgPdgemm})
+		pd, err := RunMatmul(MatmulConfig{Platform: prof, Procs: p, Dims: d, Alg: algs.Pdgemm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,18 +289,18 @@ func TestCannonComparableToSRUMMA(t *testing.T) {
 	// §2.1: SRUMMA's efficiency matches Cannon's class. On a cluster they
 	// should land within 2x of each other.
 	d := core.Dims{M: 1600, N: 1600, K: 1600}
-	sr, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: AlgSRUMMA})
+	sr, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: algs.SRUMMA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: AlgCannon})
+	ca, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: algs.Cannon})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.GFLOPS < ca.GFLOPS/2 || sr.GFLOPS > ca.GFLOPS*4 {
 		t.Errorf("SRUMMA %.1f vs Cannon %.1f outside comparable band", sr.GFLOPS, ca.GFLOPS)
 	}
-	fx, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: AlgFox})
+	fx, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: algs.Fox})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +313,11 @@ func TestSummaTracksPdgemm(t *testing.T) {
 	// SUMMA-on-block and pdgemm (SUMMA-on-cyclic) are the same algorithm on
 	// different layouts; times should be within 2x.
 	d := core.Dims{M: 1600, N: 1600, K: 1600}
-	su, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: AlgSUMMA})
+	su, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: algs.SUMMA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: AlgPdgemm})
+	pd, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 16, Dims: d, Alg: algs.Pdgemm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestSummaTracksPdgemm(t *testing.T) {
 }
 
 func TestRunMatmulValidation(t *testing.T) {
-	if _, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 0, Dims: core.Dims{M: 8, N: 8, K: 8}, Alg: AlgSRUMMA}); err == nil {
+	if _, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 0, Dims: core.Dims{M: 8, N: 8, K: 8}, Alg: algs.SRUMMA}); err == nil {
 		t.Error("expected error for 0 procs")
 	}
 	if _, err := RunMatmul(MatmulConfig{Platform: machine.LinuxMyrinet(), Procs: 4, Dims: core.Dims{M: 64, N: 64, K: 64}, Alg: "nosuch"}); err == nil {
@@ -335,7 +336,7 @@ func TestRunMatmulValidation(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	cfg := MatmulConfig{Platform: machine.IBMSP(), Procs: 32, Dims: core.Dims{M: 800, N: 800, K: 800}, Alg: AlgSRUMMA}
+	cfg := MatmulConfig{Platform: machine.IBMSP(), Procs: 32, Dims: core.Dims{M: 800, N: 800, K: 800}, Alg: algs.SRUMMA}
 	a, err := RunMatmul(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -354,11 +355,11 @@ func TestModernClusterOrderingHolds(t *testing.T) {
 	// must still beat pdgemm, by a smaller factor than on the 2003 systems.
 	prof := machine.ModernCluster()
 	d := core.Dims{M: 8000, N: 8000, K: 8000}
-	sr, err := RunMatmul(MatmulConfig{Platform: prof, Procs: 256, Dims: d, Alg: AlgSRUMMA})
+	sr, err := RunMatmul(MatmulConfig{Platform: prof, Procs: 256, Dims: d, Alg: algs.SRUMMA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := RunMatmul(MatmulConfig{Platform: prof, Procs: 256, Dims: d, Alg: AlgPdgemm})
+	pd, err := RunMatmul(MatmulConfig{Platform: prof, Procs: 256, Dims: d, Alg: algs.Pdgemm})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"srumma/internal/algs"
 	"srumma/internal/core"
 	"srumma/internal/machine"
 )
@@ -16,7 +17,7 @@ func TestExperimentsClaimAltixDirectWinsAtScale(t *testing.T) {
 		res, err := RunMatmul(MatmulConfig{
 			Platform: machine.SGIAltix(), Procs: 64,
 			Dims: core.Dims{M: 2000, N: 2000, K: 2000},
-			Alg:  AlgSRUMMA, ForceFlavor: &fl2,
+			Alg:  algs.SRUMMA, ForceFlavor: &fl2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +38,7 @@ func TestExperimentsClaimDiagonalShiftContention(t *testing.T) {
 		res, err := RunMatmul(MatmulConfig{
 			Platform: machine.LinuxMyrinet(), Procs: 128,
 			Dims: core.Dims{M: 4000, N: 4000, K: 1000},
-			Alg:  AlgSRUMMA, NoDiagonalShift: off,
+			Alg:  algs.SRUMMA, NoDiagonalShift: off,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +62,7 @@ func TestAltixDirectGapGrowsWithProcs(t *testing.T) {
 			res, err := RunMatmul(MatmulConfig{
 				Platform: machine.SGIAltix(), Procs: procs,
 				Dims: core.Dims{M: 2000, N: 2000, K: 2000},
-				Alg:  AlgSRUMMA, ForceFlavor: &fl2,
+				Alg:  algs.SRUMMA, ForceFlavor: &fl2,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -1,8 +1,9 @@
 package bench
 
 // Cross-engine consistency: the real (armci) and virtual-time (simrt)
-// engines run the SAME algorithm code, so the communication an algorithm
-// performs — bytes moved by protocol class, get/put/message counts — must
+// engines run the SAME algorithm code: each row of the one algorithm table
+// (internal/algs), placed the same way. So the communication an algorithm
+// performs (bytes moved by protocol class, get/put/message counts) must
 // be IDENTICAL on both engines for identical topologies. Only the clock
 // differs. This pins the two engines together: a protocol-accounting bug in
 // either one breaks the equality.
@@ -10,17 +11,13 @@ package bench
 import (
 	"testing"
 
+	"srumma/internal/algs"
 	"srumma/internal/armci"
-	"srumma/internal/cannon"
 	"srumma/internal/core"
-	"srumma/internal/driver"
-	"srumma/internal/fox"
 	"srumma/internal/grid"
 	"srumma/internal/machine"
-	"srumma/internal/pdgemm"
 	"srumma/internal/rt"
 	"srumma/internal/simrt"
-	"srumma/internal/summa"
 )
 
 // commSignature is the engine-independent communication footprint.
@@ -46,74 +43,43 @@ func signature(stats []*rt.Stats) commSignature {
 	}
 }
 
+// engineRun is one table row run with nothing loaded — the placement every
+// caller without operands uses.
+func engineRun(t *testing.T, name string, g *grid.Grid, d core.Dims, o algs.Options) func(rt.Ctx) {
+	t.Helper()
+	row, err := algs.Resolve(name, g, d, o)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return func(c rt.Ctx) {
+		ga, gb, gc := row.Alloc(c)
+		if err := row.Multiply(c, ga, gb, gc); err != nil {
+			panic(err)
+		}
+	}
+}
+
 func TestEnginesAgreeOnCommunication(t *testing.T) {
 	prof := machine.LinuxMyrinet() // ppn=2, cluster domains
 	topo := rt.Topology{NProcs: 8, ProcsPerNode: prof.ProcsPerNode, DomainSpansMachine: prof.DomainSpansMachine}
 	g, _ := grid.Square(8)
 	d := core.Dims{M: 48, N: 40, K: 56}
-
-	type algo struct {
-		name string
-		body func(c rt.Ctx)
-	}
-	algos := []algo{
-		{"srumma", func(c rt.Ctx) {
-			da, db, dc := core.Dists(g, d, core.TN)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if err := core.Multiply(c, g, d, core.Options{Case: core.TN}, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		}},
-		{"summa", func(c rt.Ctx) {
-			da, db, dc := summa.Dists(g, d, core.NN)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if err := summa.Multiply(c, g, d, summa.Options{NB: 8}, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		}},
-		{"pdgemm", func(c rt.Ctx) {
-			da, db, dc, err := pdgemm.Dists(g, d, core.NT, 8)
-			if err != nil {
-				panic(err)
-			}
-			ga := driver.AllocCyclic(c, da)
-			gb := driver.AllocCyclic(c, db)
-			gc := driver.AllocCyclic(c, dc)
-			if err := pdgemm.Multiply(c, g, d, pdgemm.Options{Case: core.NT, NB: 8}, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		}},
-	}
 	// Square-grid algorithms need a square process count.
 	gSq, _ := grid.New(2, 2)
 	topoSq := rt.Topology{NProcs: 4, ProcsPerNode: 2}
 	dSq := core.Dims{M: 20, N: 20, K: 20}
-	algosSq := []algo{
-		{"cannon", func(c rt.Ctx) {
-			da, db, dc := cannon.Dists(gSq, dSq)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if err := cannon.Multiply(c, gSq, dSq, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		}},
-		{"fox", func(c rt.Ctx) {
-			da, db, dc := fox.Dists(gSq, dSq)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			if err := fox.Multiply(c, gSq, dSq, ga, gb, gc); err != nil {
-				panic(err)
-			}
-		}},
-	}
 
-	check := func(name string, topo rt.Topology, body func(rt.Ctx)) {
+	for _, name := range algs.Names {
+		topo, g, d, o := topo, g, d, algs.Options{NB: 8}
+		switch name {
+		case algs.SRUMMA:
+			o.Case = core.TN
+		case algs.Pdgemm:
+			o.Case = core.NT
+		case algs.Cannon, algs.Fox:
+			topo, g, d = topoSq, gSq, dSq
+		}
+		body := engineRun(t, name, g, d, o)
 		realStats, err := armci.Run(topo, body)
 		if err != nil {
 			t.Fatalf("%s real: %v", name, err)
@@ -125,12 +91,6 @@ func TestEnginesAgreeOnCommunication(t *testing.T) {
 		if rs, ss := signature(realStats), signature(simRes.Stats); rs != ss {
 			t.Errorf("%s: engines disagree:\n real %+v\n sim  %+v", name, rs, ss)
 		}
-	}
-	for _, a := range algos {
-		check(a.name, topo, a.body)
-	}
-	for _, a := range algosSq {
-		check(a.name, topoSq, a.body)
 	}
 }
 
@@ -145,15 +105,7 @@ func TestEnginesAgreePerRank(t *testing.T) {
 	topo := rt.Topology{NProcs: 8, ProcsPerNode: prof.ProcsPerNode, DomainSpansMachine: prof.DomainSpansMachine}
 	g, _ := grid.Square(8)
 	d := core.Dims{M: 40, N: 48, K: 32}
-	body := func(c rt.Ctx) {
-		da, db, dc := core.Dists(g, d, core.NN)
-		ga := driver.AllocBlock(c, da)
-		gb := driver.AllocBlock(c, db)
-		gc := driver.AllocBlock(c, dc)
-		if err := core.Multiply(c, g, d, core.Options{}, ga, gb, gc); err != nil {
-			panic(err)
-		}
-	}
+	body := engineRun(t, algs.SRUMMA, g, d, algs.Options{})
 	realStats, err := armci.Run(topo, body)
 	if err != nil {
 		t.Fatalf("real: %v", err)

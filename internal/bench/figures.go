@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"srumma/internal/algs"
 	"srumma/internal/core"
 	"srumma/internal/machine"
 )
@@ -37,7 +38,7 @@ func Fig5(n, procs int) ([]Fig5Row, error) {
 					Procs:       procs,
 					Dims:        core.Dims{M: n, N: n, K: n},
 					Case:        cs,
-					Alg:         AlgSRUMMA,
+					Alg:         algs.SRUMMA,
 					ForceFlavor: &fl,
 				})
 				if err != nil {
@@ -146,7 +147,7 @@ func Fig9(ns []int, procs int) ([]Fig9Row, error) {
 					Platform:        machine.LinuxMyrinet(),
 					Procs:           procs,
 					Dims:            core.Dims{M: n, N: n, K: n},
-					Alg:             AlgSRUMMA,
+					Alg:             algs.SRUMMA,
 					SingleBuffer:    !nb,
 					DisableZeroCopy: !zc,
 				})
@@ -230,11 +231,11 @@ func Fig10(sweeps []Fig10Sweep) ([]Fig10Row, error) {
 					continue
 				}
 				d := core.Dims{M: n, N: n, K: n}
-				sr, err := RunMatmul(MatmulConfig{Platform: sw.Profile, Procs: p, Dims: d, Alg: AlgSRUMMA})
+				sr, err := RunMatmul(MatmulConfig{Platform: sw.Profile, Procs: p, Dims: d, Alg: algs.SRUMMA})
 				if err != nil {
 					return nil, err
 				}
-				pd, err := RunMatmul(MatmulConfig{Platform: sw.Profile, Procs: p, Dims: d, Alg: AlgPdgemm})
+				pd, err := RunMatmul(MatmulConfig{Platform: sw.Profile, Procs: p, Dims: d, Alg: algs.Pdgemm})
 				if err != nil {
 					return nil, err
 				}
@@ -319,11 +320,11 @@ func Table1() ([]Table1Row, error) {
 	rows := Table1Rows()
 	for i := range rows {
 		r := &rows[i]
-		sr, err := RunMatmul(MatmulConfig{Platform: r.Platform, Procs: r.Procs, Dims: r.Dims, Case: r.Case, Alg: AlgSRUMMA})
+		sr, err := RunMatmul(MatmulConfig{Platform: r.Platform, Procs: r.Procs, Dims: r.Dims, Case: r.Case, Alg: algs.SRUMMA})
 		if err != nil {
 			return nil, fmt.Errorf("%s srumma: %w", r.Label, err)
 		}
-		pd, err := RunMatmul(MatmulConfig{Platform: r.Platform, Procs: r.Procs, Dims: r.Dims, Case: r.Case, Alg: AlgPdgemm})
+		pd, err := RunMatmul(MatmulConfig{Platform: r.Platform, Procs: r.Procs, Dims: r.Dims, Case: r.Case, Alg: algs.Pdgemm})
 		if err != nil {
 			return nil, fmt.Errorf("%s pdgemm: %w", r.Label, err)
 		}
@@ -358,11 +359,11 @@ func KLAPI(ns []int, procs int) ([]KLAPIRow, error) {
 	var rows []KLAPIRow
 	for _, n := range ns {
 		d := core.Dims{M: n, N: n, K: n}
-		lapi, err := RunMatmul(MatmulConfig{Platform: machine.IBMSP(), Procs: procs, Dims: d, Alg: AlgSRUMMA})
+		lapi, err := RunMatmul(MatmulConfig{Platform: machine.IBMSP(), Procs: procs, Dims: d, Alg: algs.SRUMMA})
 		if err != nil {
 			return nil, err
 		}
-		klapi, err := RunMatmul(MatmulConfig{Platform: machine.IBMSPKLAPI(), Procs: procs, Dims: d, Alg: AlgSRUMMA})
+		klapi, err := RunMatmul(MatmulConfig{Platform: machine.IBMSPKLAPI(), Procs: procs, Dims: d, Alg: algs.SRUMMA})
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +398,7 @@ type AblationRow struct {
 // the IBM SP profile (16-way nodes make locality ordering matter most, as
 // the paper notes for the diagonal shift).
 func Ablations(n, procs int) ([]AblationRow, error) {
-	base := MatmulConfig{Platform: machine.IBMSP(), Procs: procs, Dims: core.Dims{M: n, N: n, K: n}, Alg: AlgSRUMMA}
+	base := MatmulConfig{Platform: machine.IBMSP(), Procs: procs, Dims: core.Dims{M: n, N: n, K: n}, Alg: algs.SRUMMA}
 	full, err := RunMatmul(base)
 	if err != nil {
 		return nil, err

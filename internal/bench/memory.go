@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 
+	"srumma/internal/algs"
 	"srumma/internal/core"
 	"srumma/internal/machine"
 )
@@ -31,8 +32,8 @@ func MemoryTable(n, procs int) ([]MemoryRow, error) {
 	operand := int64(3*n*n/procs) * 8
 	var rows []MemoryRow
 	for _, cs := range []core.Case{core.NN, core.TT} {
-		for _, alg := range []string{AlgSRUMMA, AlgSUMMA, AlgPdgemm, AlgCannon} {
-			if alg == AlgCannon && cs != core.NN {
+		for _, alg := range []string{algs.SRUMMA, algs.SUMMA, algs.Pdgemm, algs.Cannon} {
+			if alg == algs.Cannon && cs != core.NN {
 				continue
 			}
 			res, err := RunMatmul(MatmulConfig{
@@ -87,7 +88,7 @@ func BlockSizeSweep(prof machine.Profile, n, procs int, caps []int) ([]BlockSize
 			Platform: prof,
 			Procs:    procs,
 			Dims:     core.Dims{M: n, N: n, K: n},
-			Alg:      AlgSRUMMA,
+			Alg:      algs.SRUMMA,
 			MaxTaskK: k,
 		})
 		if err != nil {

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"srumma/internal/algs"
 	"srumma/internal/core"
 	"srumma/internal/machine"
 )
@@ -25,16 +26,16 @@ func TestMemoryTableShape(t *testing.T) {
 	}
 	// SRUMMA's footprint must not grow on transposed cases — its planner
 	// absorbs the transpose.
-	if nn, tt := get(AlgSRUMMA, core.NN), get(AlgSRUMMA, core.TT); tt > nn*11/10 {
+	if nn, tt := get(algs.SRUMMA, core.NN), get(algs.SRUMMA, core.TT); tt > nn*11/10 {
 		t.Errorf("SRUMMA scratch grows on TT: %d -> %d", nn, tt)
 	}
 	// The pdgemm baseline pays a redistributed copy of both transposed
 	// operands: TT must cost it far more scratch than NN.
-	if nn, tt := get(AlgPdgemm, core.NN), get(AlgPdgemm, core.TT); tt < nn*3 {
+	if nn, tt := get(algs.Pdgemm, core.NN), get(algs.Pdgemm, core.TT); tt < nn*3 {
 		t.Errorf("pdgemm TT scratch %d should dwarf NN %d (transpose staging)", tt, nn)
 	}
 	// On TT, SRUMMA must be no hungrier than the baselines.
-	if sr, pd := get(AlgSRUMMA, core.TT), get(AlgPdgemm, core.TT); sr > pd {
+	if sr, pd := get(algs.SRUMMA, core.TT), get(algs.Pdgemm, core.TT); sr > pd {
 		t.Errorf("SRUMMA TT scratch %d exceeds pdgemm %d", sr, pd)
 	}
 	// Everyone's scratch stays bounded by a small multiple of the operands.

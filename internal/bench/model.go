@@ -15,6 +15,7 @@ import (
 	"math"
 	"strings"
 
+	"srumma/internal/algs"
 	"srumma/internal/core"
 	"srumma/internal/machine"
 )
@@ -55,7 +56,7 @@ func ModelCompare(prof machine.Profile, ns, ps []int) ([]ModelRow, error) {
 				Platform: prof,
 				Procs:    p,
 				Dims:     core.Dims{M: n, N: n, K: n},
-				Alg:      AlgSRUMMA,
+				Alg:      algs.SRUMMA,
 			})
 			if err != nil {
 				return nil, err
@@ -104,7 +105,7 @@ func Isoefficiency(prof machine.Profile, baseN int, ps []int) ([]IsoRow, error) 
 			Platform: prof,
 			Procs:    p,
 			Dims:     core.Dims{M: n, N: n, K: n},
-			Alg:      AlgSRUMMA,
+			Alg:      algs.SRUMMA,
 		})
 		if err != nil {
 			return nil, err

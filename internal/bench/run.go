@@ -5,27 +5,12 @@
 package bench
 
 import (
-	"fmt"
-
-	"srumma/internal/cannon"
+	"srumma/internal/algs"
 	"srumma/internal/core"
-	"srumma/internal/driver"
-	"srumma/internal/fox"
 	"srumma/internal/grid"
 	"srumma/internal/machine"
-	"srumma/internal/pdgemm"
 	"srumma/internal/rt"
 	"srumma/internal/simrt"
-	"srumma/internal/summa"
-)
-
-// Algorithm names accepted by MatmulConfig.
-const (
-	AlgSRUMMA = "srumma"
-	AlgPdgemm = "pdgemm"
-	AlgSUMMA  = "summa"
-	AlgCannon = "cannon"
-	AlgFox    = "fox"
 )
 
 // MatmulConfig describes one simulated matrix-multiplication run.
@@ -58,16 +43,6 @@ type MatmulResult struct {
 	Stats   rt.Stats // summed over ranks
 }
 
-// flavorFor picks the shared-memory flavor the paper prescribes per
-// platform: direct access where remote memory is cacheable, copy-based
-// where it is not (§3.2).
-func flavorFor(p machine.Profile) core.Flavor {
-	if p.DomainSpansMachine && !p.RemoteCacheable {
-		return core.FlavorCopy
-	}
-	return core.FlavorDirect
-}
-
 // RunMatmul simulates one configuration and reports time/GFLOP/s.
 func RunMatmul(cfg MatmulConfig) (MatmulResult, error) {
 	prof := cfg.Platform
@@ -81,79 +56,30 @@ func RunMatmul(cfg MatmulConfig) (MatmulResult, error) {
 	if err != nil {
 		return MatmulResult{}, err
 	}
+	o := algs.Options{NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
+	o.Options = core.Options{
+		Case:            cfg.Case,
+		Flavor:          algs.FlavorFor(cfg.Platform),
+		SingleBuffer:    cfg.SingleBuffer,
+		NoDiagonalShift: cfg.NoDiagonalShift,
+		NoSharedFirst:   cfg.NoSharedFirst,
+		MaxTaskK:        cfg.MaxTaskK,
+	}
+	if cfg.ForceFlavor != nil {
+		o.Flavor = *cfg.ForceFlavor
+	}
+	row, err := algs.Resolve(cfg.Alg, g, cfg.Dims, o)
+	if err != nil {
+		return MatmulResult{}, err
+	}
 	durations := make([]float64, cfg.Procs)
-
 	body := func(c rt.Ctx) {
-		switch cfg.Alg {
-		case AlgSRUMMA:
-			opts := core.Options{
-				Case:            cfg.Case,
-				Flavor:          flavorFor(cfg.Platform),
-				SingleBuffer:    cfg.SingleBuffer,
-				NoDiagonalShift: cfg.NoDiagonalShift,
-				NoSharedFirst:   cfg.NoSharedFirst,
-				MaxTaskK:        cfg.MaxTaskK,
-			}
-			if cfg.ForceFlavor != nil {
-				opts.Flavor = *cfg.ForceFlavor
-			}
-			da, db, dc := core.Dists(g, cfg.Dims, cfg.Case)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			t0 := c.Now()
-			if err := core.Multiply(c, g, cfg.Dims, opts, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-		case AlgPdgemm:
-			opts := pdgemm.Options{Case: cfg.Case, NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
-			da, db, dc, err := pdgemm.Dists(g, cfg.Dims, opts.Case, opts.NB)
-			if err != nil {
-				panic(err)
-			}
-			ga := driver.AllocCyclic(c, da)
-			gb := driver.AllocCyclic(c, db)
-			gc := driver.AllocCyclic(c, dc)
-			t0 := c.Now()
-			if err := pdgemm.Multiply(c, g, cfg.Dims, opts, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-		case AlgSUMMA:
-			opts := summa.Options{Case: cfg.Case, NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
-			da, db, dc := summa.Dists(g, cfg.Dims, opts.Case)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			t0 := c.Now()
-			if err := summa.Multiply(c, g, cfg.Dims, opts, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-		case AlgCannon:
-			da, db, dc := cannon.Dists(g, cfg.Dims)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			t0 := c.Now()
-			if err := cannon.Multiply(c, g, cfg.Dims, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-		case AlgFox:
-			da, db, dc := fox.Dists(g, cfg.Dims)
-			ga := driver.AllocBlock(c, da)
-			gb := driver.AllocBlock(c, db)
-			gc := driver.AllocBlock(c, dc)
-			t0 := c.Now()
-			if err := fox.Multiply(c, g, cfg.Dims, ga, gb, gc); err != nil {
-				panic(err)
-			}
-			durations[c.Rank()] = c.Now() - t0
-		default:
-			panic(fmt.Sprintf("bench: unknown algorithm %q", cfg.Alg))
+		ga, gb, gc := row.Alloc(c)
+		t0 := c.Now()
+		if err := row.Multiply(c, ga, gb, gc); err != nil {
+			panic(err)
 		}
+		durations[c.Rank()] = c.Now() - t0
 	}
 
 	res, err := simrt.Run(prof, cfg.Procs, body)

@@ -58,13 +58,11 @@ func (s *Server) jobSpec(job *schedJob) *ipcrt.JobSpec {
 		Trace:         job.traced && s.rec != nil,
 		ExitRank:      -1,
 		HangRank:      -1,
+		UseLedger:     true,
+		Prior:         rec.take(),
 	}
 	if req.beta() != 0 {
 		spec.CIn = req.C
-	}
-	if rec.resume {
-		spec.UseLedger = true
-		spec.Prior = rec.take()
 	}
 	if rec.abft {
 		spec.ABFT = true

@@ -29,23 +29,18 @@ import (
 // jobRecovery is one distributed request's recovery state, shared by every
 // attempt.
 type jobRecovery struct {
-	resume bool // ledger-based resume enabled (!NoResume)
-	abft   bool // this request verifies blocks (may be shed by brownout)
+	abft bool // this request verifies blocks (may be shed by brownout)
 
 	mu    sync.Mutex
 	ranks map[int]ipcrt.RankPrior
 }
 
 func (s *Server) newJobRecovery(abft bool) *jobRecovery {
-	return &jobRecovery{resume: !s.cfg.NoResume, abft: abft}
+	return &jobRecovery{abft: abft}
 }
 
-// store replaces the salvage with what a failed attempt's results carry
-// (nothing when resume is disabled: retries then restart).
+// store replaces the salvage with what a failed attempt's results carry.
 func (jr *jobRecovery) store(results []*ipcrt.RankResult) {
-	if !jr.resume {
-		return
-	}
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	jr.ranks = nil

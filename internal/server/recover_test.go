@@ -249,7 +249,7 @@ func TestRetryableRunError(t *testing.T) {
 // can never be paired with marks newer than itself — and a later failure's
 // salvage replaces, never merges with, an earlier one.
 func TestJobRecoverySalvage(t *testing.T) {
-	jr := &jobRecovery{resume: true}
+	jr := &jobRecovery{}
 	// Rank 0 panicked with tasks 0 and 2 of 4 done; rank 1 exited cleanly
 	// (a result, but no salvage); rank 2's worker died (no result at all).
 	jr.store([]*ipcrt.RankResult{
@@ -275,13 +275,6 @@ func TestJobRecoverySalvage(t *testing.T) {
 	}
 	if prior := jr.take(); len(prior) != 1 || prior[3].Tasks != 2 {
 		t.Fatalf("second failure: take = %+v, want only rank 3", prior)
-	}
-
-	// Resume disabled: nothing is kept, retries restart.
-	none := &jobRecovery{}
-	none.store([]*ipcrt.RankResult{{Rank: 0, Salvaged: true, C: []float64{1}, LedgerBits: []uint64{1}, LedgerTasks: 1}})
-	if none.resumedTasks() != 0 || none.take() != nil {
-		t.Fatal("no-resume recovery kept salvage")
 	}
 }
 

@@ -131,9 +131,6 @@ type Config struct {
 	// (0 = core default 1e-6).
 	ABFT    bool
 	ABFTTol float64
-	// NoResume disables ledger-based resume: retried jobs restart from the
-	// request inputs instead of salvaging completed blocks.
-	NoResume bool
 	// RetryBudget is how many times a recoverably-failed SRUMMA job (rank
 	// panic, leaked-rank watchdog, exhausted ABFT recompute) is retried
 	// with exponential backoff before its error surfaces (default 2;

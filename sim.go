@@ -36,7 +36,8 @@ type SimOptions struct {
 	Procs    int
 	Dims     Dims
 	Case     Case
-	// Algorithm is AlgSRUMMA (default), AlgPdgemm, AlgSUMMA or AlgCannon.
+	// Algorithm is AlgSRUMMA (default), AlgPdgemm, AlgSUMMA, AlgCannon or
+	// AlgFox (Cannon and Fox require a square process grid and Case NN).
 	Algorithm string
 
 	// Protocol/ablation knobs (paper Figures 5 and 9).
@@ -72,16 +73,12 @@ func Simulate(o SimOptions) (SimReport, error) {
 	if err != nil {
 		return SimReport{}, err
 	}
-	alg := o.Algorithm
-	if alg == "" {
-		alg = AlgSRUMMA
-	}
 	cfg := bench.MatmulConfig{
 		Platform:        prof,
 		Procs:           o.Procs,
 		Dims:            o.Dims,
 		Case:            o.Case,
-		Alg:             alg,
+		Alg:             o.Algorithm,
 		SingleBuffer:    o.Blocking,
 		NoDiagonalShift: o.NoDiagonalShift,
 		NoSharedFirst:   o.NoSharedFirst,

@@ -17,8 +17,8 @@
 //     EXPERIMENTS.md for the paper-vs-model comparison.
 //
 // The message-passing baselines the paper compares against (ScaLAPACK-style
-// pdgemm, SUMMA, Cannon's algorithm) are implemented too and selectable via
-// the Algorithm option.
+// pdgemm, SUMMA, Cannon's and Fox's algorithms) are implemented too and
+// selectable via the Algorithm option.
 package srumma
 
 import (
@@ -27,17 +27,13 @@ import (
 	"slices"
 	"time"
 
+	"srumma/internal/algs"
 	"srumma/internal/armci"
-	"srumma/internal/cannon"
 	"srumma/internal/core"
-	"srumma/internal/driver"
 	"srumma/internal/faults"
-	"srumma/internal/fox"
 	"srumma/internal/grid"
 	"srumma/internal/mat"
-	"srumma/internal/pdgemm"
 	"srumma/internal/rt"
-	"srumma/internal/summa"
 )
 
 // Matrix is a dense row-major matrix (see its methods for element access,
@@ -64,11 +60,11 @@ const (
 
 // Algorithm names.
 const (
-	AlgSRUMMA = "srumma"
-	AlgPdgemm = "pdgemm"
-	AlgSUMMA  = "summa"
-	AlgCannon = "cannon"
-	AlgFox    = "fox"
+	AlgSRUMMA = algs.SRUMMA
+	AlgPdgemm = algs.Pdgemm
+	AlgSUMMA  = algs.SUMMA
+	AlgCannon = algs.Cannon
+	AlgFox    = algs.Fox
 )
 
 // MultiplyOptions configure Cluster.Multiply. The zero value runs SRUMMA on
@@ -222,109 +218,6 @@ func (cl *Cluster) Procs() int { return cl.topo.NProcs }
 // GridShape returns the process grid dimensions.
 func (cl *Cluster) GridShape() (p, q int) { return cl.g.P, cl.g.Q }
 
-// algorithm is one row of Multiply's table: how an algorithm places its
-// operands, what it runs, and how its result comes back.
-type algorithm struct {
-	// place produces the three distributed operands (collective).
-	place    func(c rt.Ctx) (ga, gb, gc rt.Global)
-	multiply multiplyFn
-	// out is the result when place bound it and the ranks computed it in
-	// place; otherwise collect reads each rank's block back and gather
-	// assembles them.
-	out     *Matrix
-	collect func(c rt.Ctx, gc rt.Global) *Matrix
-	gather  func(blocks []*Matrix) (*Matrix, error)
-}
-
-// multiplyFn is an algorithm's collective multiply over placed operands.
-type multiplyFn = func(c rt.Ctx, ga, gb, gc rt.Global) error
-
-// loaded is the placement of the message-passing baselines, whose
-// segment-length checks demand tight blocks: allocate, copy each block in,
-// read each result block back, gather.
-func loaded(a, b *Matrix, da, db, dc *grid.BlockDist, multiply multiplyFn) *algorithm {
-	return &algorithm{
-		place: func(c rt.Ctx) (ga, gb, gc rt.Global) {
-			ga, gb, gc = driver.AllocBlock(c, da), driver.AllocBlock(c, db), driver.AllocBlock(c, dc)
-			driver.LoadBlock(c, da, ga, a)
-			driver.LoadBlock(c, db, gb, b)
-			return ga, gb, gc
-		},
-		multiply: multiply,
-		collect:  func(c rt.Ctx, gc rt.Global) *Matrix { return driver.StoreBlock(c, dc, gc) },
-		gather:   dc.Gather,
-	}
-}
-
-// algorithm resolves opts into its table row.
-func (cl *Cluster) algorithm(a, b *Matrix, d core.Dims, opts MultiplyOptions) (*algorithm, error) {
-	g := cl.g
-	switch opts.Algorithm {
-	case "", AlgSRUMMA:
-		cOpts := core.Options{
-			Case:            opts.Case,
-			Flavor:          core.FlavorDirect, // real shared memory is cacheable
-			NoDiagonalShift: opts.NoDiagonalShift,
-			NoSharedFirst:   opts.NoSharedFirst,
-			SingleBuffer:    opts.SingleBuffer,
-			KernelThreads:   opts.KernelThreads,
-		}
-		if opts.Context != nil {
-			cOpts.Cancel = opts.Context.Done()
-		}
-		// The ranks share this address space, so A and B are used where
-		// they lie and C is computed in place: nothing moves but the
-		// blocks the algorithm itself fetches.
-		da, db, dc := core.Dists(g, d, opts.Case)
-		out := NewMatrix(d.M, d.N)
-		return &algorithm{
-			place: func(c rt.Ctx) (ga, gb, gc rt.Global) {
-				return driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
-			},
-			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return core.Multiply(c, g, d, cOpts, ga, gb, gc) },
-			out:      out,
-		}, nil
-	case AlgSUMMA:
-		sOpts := summa.Options{Case: opts.Case, NB: opts.NB}
-		da, db, dc := summa.Dists(g, d, sOpts.Case)
-		return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
-			return summa.Multiply(c, g, d, sOpts, ga, gb, gc)
-		}), nil
-	case AlgPdgemm:
-		pOpts := pdgemm.Options{Case: opts.Case, NB: opts.NB}
-		da, db, dc, err := pdgemm.Dists(g, d, pOpts.Case, pOpts.NB)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithm{
-			place: func(c rt.Ctx) (ga, gb, gc rt.Global) {
-				ga, gb, gc = driver.AllocCyclic(c, da), driver.AllocCyclic(c, db), driver.AllocCyclic(c, dc)
-				driver.LoadCyclic(c, da, ga, a)
-				driver.LoadCyclic(c, db, gb, b)
-				return ga, gb, gc
-			},
-			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return pdgemm.Multiply(c, g, d, pOpts, ga, gb, gc) },
-			collect:  func(c rt.Ctx, gc rt.Global) *Matrix { return driver.StoreCyclic(c, dc, gc) },
-			gather:   dc.Gather,
-		}, nil
-	case AlgCannon, AlgFox:
-		if opts.Case != NN {
-			return nil, fmt.Errorf("srumma: %s supports C=AB only", opts.Algorithm)
-		}
-		if opts.Algorithm == AlgFox {
-			da, db, dc := fox.Dists(g, d)
-			return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
-				return fox.Multiply(c, g, d, ga, gb, gc)
-			}), nil
-		}
-		da, db, dc := cannon.Dists(g, d)
-		return loaded(a, b, da, db, dc, func(c rt.Ctx, ga, gb, gc rt.Global) error {
-			return cannon.Multiply(c, g, d, ga, gb, gc)
-		}), nil
-	}
-	return nil, fmt.Errorf("srumma: unknown algorithm %q", opts.Algorithm)
-}
-
 // Multiply computes C = op(A) op(B) in parallel and returns C with a
 // performance report. A and B are the STORED operands: for Case TN pass A
 // as the k x m matrix that will be used transposed, and so on. SRUMMA reads
@@ -335,9 +228,28 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 	if err != nil {
 		return nil, nil, err
 	}
-	alg, err := cl.algorithm(a, b, d, opts)
+	ao := algs.Options{NB: opts.NB}
+	ao.Options = core.Options{
+		Case:            opts.Case,
+		Flavor:          core.FlavorDirect, // real shared memory is cacheable
+		NoDiagonalShift: opts.NoDiagonalShift,
+		NoSharedFirst:   opts.NoSharedFirst,
+		SingleBuffer:    opts.SingleBuffer,
+		KernelThreads:   opts.KernelThreads,
+	}
+	if opts.Context != nil {
+		ao.Cancel = opts.Context.Done()
+	}
+	row, err := algs.Resolve(opts.Algorithm, cl.g, d, ao)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The ranks share this address space, so SRUMMA uses A and B where they
+	// lie and computes C in place: nothing moves but the blocks the
+	// algorithm itself fetches.
+	var out *Matrix
+	if row.InPlace() {
+		out = NewMatrix(d.M, d.N)
 	}
 	n := cl.topo.NProcs
 	blocks := make([]*Matrix, n)
@@ -345,13 +257,11 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 	durations := make([]float64, n)
 	body := func(c rt.Ctx) {
 		me := c.Rank()
-		ga, gb, gc := alg.place(c)
+		ga, gb, gc := row.Place(c, a, b, out)
 		t0 := c.Now()
-		rankErrs[me] = alg.multiply(c, ga, gb, gc)
+		rankErrs[me] = row.Multiply(c, ga, gb, gc)
 		durations[me] = c.Now() - t0
-		if alg.collect != nil {
-			blocks[me] = alg.collect(c, gc)
-		}
+		blocks[me] = row.ReadBack(c, gc)
 	}
 	sum, err := cl.run(body, opts.Chaos)
 	if err != nil {
@@ -362,11 +272,9 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 			return nil, nil, rerr
 		}
 	}
-	cMat := alg.out
-	if alg.gather != nil {
-		if cMat, err = alg.gather(blocks); err != nil {
-			return nil, nil, err
-		}
+	cMat, err := row.Gather(out, blocks)
+	if err != nil {
+		return nil, nil, err
 	}
 	rep := &Report{
 		Seconds:     slices.Max(durations),

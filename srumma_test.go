@@ -1,6 +1,7 @@
 package srumma
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -31,57 +32,72 @@ func TestClusterMultiplyMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestClusterMultiplyTransposeCases(t *testing.T) {
-	cl, err := NewCluster(6, 2, false)
-	if err != nil {
-		t.Fatal(err)
+// TestAlgorithmTable multiplies through every row of the algorithm table on
+// the real engine and checks each product against the serial reference,
+// within 1e-10·K: SRUMMA in every transpose case on square, rectangular and
+// machine-wide shared-memory grids, its three ablations, the four
+// baselines, and skinny shapes.
+func TestAlgorithmTable(t *testing.T) {
+	type row struct {
+		name       string
+		procs, ppn int
+		shared     bool
+		m, n, k    int
+		opts       MultiplyOptions
 	}
-	// Stored shapes so that op(A) is 18x22, op(B) is 22x14.
-	for _, cs := range []Case{NN, TN, NT, TT} {
-		ar, ac := 18, 22
-		if cs.TransA() {
-			ar, ac = 22, 18
-		}
-		br, bc := 22, 14
-		if cs.TransB() {
-			br, bc = 14, 22
-		}
-		a := RandomMatrix(ar, ac, 3)
-		b := RandomMatrix(br, bc, 4)
-		got, _, err := cl.Multiply(a, b, MultiplyOptions{Case: cs})
-		if err != nil {
-			t.Fatalf("%v: %v", cs, err)
-		}
-		want := NewMatrix(18, 14)
-		if err := mat.GemmNaive(cs.TransA(), cs.TransB(), 1, a, b, 0, want); err != nil {
-			t.Fatal(err)
-		}
-		if d := mat.MaxAbsDiff(got, want); d > 1e-10 {
-			t.Fatalf("%v diff %g", cs, d)
-		}
+	const max = 28
+	var rows []row
+	for i, cs := range []Case{NN, TN, NT, TT} {
+		rows = append(rows,
+			row{fmt.Sprintf("srumma/%v/2x2", cs), 4, 2, false, max, max, max, MultiplyOptions{Case: cs}},
+			row{fmt.Sprintf("srumma/%v/2x3", cs), 6, 2, false, max - 3, max - 1, max + 5, MultiplyOptions{Case: cs}},
+			row{fmt.Sprintf("srumma/%v/2x3-small", cs), 6, 2, false, 18, 14, 22, MultiplyOptions{Case: cs}},
+			row{fmt.Sprintf("srumma/%v/shared-machine", cs), 4, 2, true, max - i, max, max - 2, MultiplyOptions{Case: cs}},
+			row{fmt.Sprintf("summa/%v", cs), 6, 2, false, max, max - 2, max + 3, MultiplyOptions{Case: cs, Algorithm: AlgSUMMA, NB: 5}},
+			row{fmt.Sprintf("pdgemm/%v", cs), 6, 2, false, max - 1, max, max + 1, MultiplyOptions{Case: cs, Algorithm: AlgPdgemm, NB: 4}},
+		)
 	}
-}
-
-func TestAllAlgorithmsAgree(t *testing.T) {
-	cl, err := NewCluster(4, 2, false) // square grid so Cannon runs too
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := RandomMatrix(24, 24, 7)
-	b := RandomMatrix(24, 24, 8)
-	var ref *Matrix
+	rows = append(rows,
+		row{"srumma/no-diagonal-shift", 6, 3, false, max, max, max, MultiplyOptions{NoDiagonalShift: true}},
+		row{"srumma/no-shared-first", 6, 3, false, max, max, max, MultiplyOptions{NoSharedFirst: true}},
+		row{"srumma/single-buffer", 6, 3, false, max, max, max, MultiplyOptions{SingleBuffer: true}},
+		row{"cannon/3x3", 9, 3, false, max, max, max, MultiplyOptions{Algorithm: AlgCannon}},
+		row{"fox/3x3", 9, 3, false, max + 2, max - 2, max, MultiplyOptions{Algorithm: AlgFox}},
+		row{"rectangular/mk", 4, 2, false, 2 * max, max / 2, max, MultiplyOptions{}},
+		row{"rectangular/k-heavy", 4, 2, false, max / 2, max / 2, 3 * max, MultiplyOptions{}},
+	)
+	// Every algorithm on one 2x2 grid, so Cannon and Fox run beside the rest.
 	for _, alg := range []string{AlgSRUMMA, AlgSUMMA, AlgPdgemm, AlgCannon, AlgFox} {
-		got, _, err := cl.Multiply(a, b, MultiplyOptions{Algorithm: alg, NB: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		if d := mat.MaxAbsDiff(got, ref); d > 1e-9 {
-			t.Fatalf("%s diverges from SRUMMA by %g", alg, d)
-		}
+		rows = append(rows, row{alg + "/2x2", 4, 2, false, 24, 24, 24, MultiplyOptions{Algorithm: alg, NB: 5}})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			cl, err := NewCluster(r.procs, r.ppn, r.shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := r.opts.Case
+			ar, ac := r.m, r.k
+			if cs.TransA() {
+				ar, ac = r.k, r.m
+			}
+			br, bc := r.k, r.n
+			if cs.TransB() {
+				br, bc = r.n, r.k
+			}
+			a, b := RandomMatrix(ar, ac, 1), RandomMatrix(br, bc, 2)
+			got, _, err := cl.Multiply(a, b, r.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := NewMatrix(r.m, r.n)
+			if err := mat.GemmNaive(cs.TransA(), cs.TransB(), 1, a, b, 0, want); err != nil {
+				t.Fatal(err)
+			}
+			if d := mat.MaxAbsDiff(got, want); d > 1e-10*float64(r.k) {
+				t.Fatalf("%dx%dx%d on %d procs: max abs diff %g", r.m, r.n, r.k, r.procs, d)
+			}
+		})
 	}
 }
 
@@ -314,6 +330,29 @@ func TestSimulateVariantsAndErrors(t *testing.T) {
 	// Unknown algorithm surfaces as an error, not a hang.
 	if _, err := Simulate(SimOptions{Platform: "sgi-altix", Procs: 4, Dims: d, Algorithm: "nope"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+	// Cannon and Fox are refused on a transposed case or a non-square grid
+	// before any rank runs, with the error Cluster.Multiply returns.
+	for _, tc := range []struct {
+		alg   string
+		procs int
+		cs    Case
+		want  string
+	}{
+		{AlgCannon, 4, TN, "srumma: cannon supports C=AB only"},
+		{AlgFox, 4, TN, "srumma: fox supports C=AB only"},
+		{AlgCannon, 6, NN, "cannon: requires a square grid, got 2x3"},
+		{AlgFox, 6, NN, "fox: requires a square grid, got 2x3"},
+	} {
+		_, err := Simulate(SimOptions{Platform: "linux-myrinet", Procs: tc.procs, Dims: Dims{M: 200, N: 100, K: 300}, Algorithm: tc.alg, Case: tc.cs})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Simulate %s %v on %d procs: error %v, want %q", tc.alg, tc.cs, tc.procs, err, tc.want)
+		}
+		cl, _ := NewCluster(tc.procs, 2, false)
+		_, _, err = cl.Multiply(RandomMatrix(12, 12, 1), RandomMatrix(12, 12, 2), MultiplyOptions{Algorithm: tc.alg, Case: tc.cs})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Cluster.Multiply %s %v on %d procs: error %v, want %q", tc.alg, tc.cs, tc.procs, err, tc.want)
+		}
 	}
 	// Bandwidth/overlap default size sweeps and bad platforms.
 	if _, err := MeasureBandwidth("nope", ProtoGet, nil); err == nil {
