@@ -15,6 +15,7 @@ import (
 	"srumma/internal/core"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
+	_ "srumma/internal/job" // the GEMM body the worker processes run
 	"srumma/internal/obs"
 )
 

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"srumma/internal/ipcrt"
+	_ "srumma/internal/job" // the GEMM body this rank runs
 )
 
 func main() {

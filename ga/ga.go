@@ -15,6 +15,7 @@ package ga
 import (
 	"fmt"
 
+	"srumma/internal/algs"
 	"srumma/internal/armci"
 	"srumma/internal/core"
 	"srumma/internal/grid"
@@ -264,7 +265,14 @@ func (c *Array) MatMul(transA, transB bool, alpha float64, a, b *Array, beta flo
 	default:
 		cs = core.TT
 	}
-	opts := core.Options{Case: cs, Flavor: core.FlavorDirect}
-	d := core.Dims{M: m, N: n, K: k}
-	return core.MultiplyEx(c.e.ctx, c.e.g, d, opts, alpha, beta, a.glob, b.glob, c.glob)
+	// The arrays' block distributions are the SRUMMA row's, so the row runs
+	// on them as they are.
+	row, err := algs.Resolve(algs.SRUMMA, c.e.g, core.Dims{M: m, N: n, K: k}, algs.Options{
+		Options: core.Options{Case: cs, Flavor: core.FlavorDirect},
+		Scale:   &algs.Scale{Alpha: alpha, Beta: beta},
+	})
+	if err != nil {
+		return err
+	}
+	return row.Multiply(c.e.ctx, a.glob, b.glob, c.glob)
 }

@@ -4,8 +4,9 @@
 // operands, which options reach it, and how its result comes back. Every
 // front end resolves its row here — the library's Cluster.Multiply on the
 // real engine, the simulator behind every figure (bench.RunMatmul,
-// srumma.Simulate) and srumma-trace on either engine — so the real and
-// virtual-time engines place and run exactly the same code.
+// srumma.Simulate), srumma-trace on either engine, ga's MatMul and the
+// serving job body (internal/job) — so every engine places and runs exactly
+// the same code.
 //
 // It sits beside internal/driver, whose placement helpers it calls, rather
 // than inside it: the algorithm packages' own tests place operands through
@@ -20,6 +21,7 @@ import (
 	"srumma/internal/driver"
 	"srumma/internal/fox"
 	"srumma/internal/grid"
+	"srumma/internal/hier"
 	"srumma/internal/machine"
 	"srumma/internal/mat"
 	"srumma/internal/pdgemm"
@@ -41,12 +43,23 @@ var Names = []string{SRUMMA, Pdgemm, SUMMA, Cannon, Fox}
 
 // Options are every knob a row forwards: SRUMMA's core.Options (its Case
 // reaches every algorithm), plus the panel width and broadcast tree of the
-// SUMMA and pdgemm baselines. A row ignores the fields that are not its own.
+// SUMMA and pdgemm baselines. A row ignores the fields that are not its own,
+// except Scale, which the baselines refuse.
 type Options struct {
 	core.Options
 	NB            int
 	BinomialBcast bool
+	// Scale, when set, makes the product the full dgemm form
+	// C = Alpha·op(A)·op(B) + Beta·C; nil is the plain product.
+	Scale *Scale
+	// Hier runs SRUMMA as its two-level variant (internal/hier) in groups of
+	// HierGroup ranks; HierGroup 0 is one group per shared-memory domain.
+	Hier      bool
+	HierGroup int
 }
+
+// Scale holds the dgemm scalars alpha and beta.
+type Scale struct{ Alpha, Beta float64 }
 
 // FlavorFor picks the shared-memory flavor the paper prescribes for a
 // modeled platform: direct access where remote memory is cacheable,
@@ -68,19 +81,18 @@ type Row struct {
 	multiply func(c rt.Ctx, ga, gb, gc rt.Global) error
 }
 
-// Resolve returns the row of the named algorithm ("" is SRUMMA). Cannon
-// and Fox are refused here on a transposed case or a non-square grid,
-// before any rank runs.
+// Resolve returns the row of the named algorithm ("" is SRUMMA). The
+// baselines are refused here on a Scale other than the plain product, and
+// Cannon and Fox on a transposed case or a non-square grid, before any rank
+// runs.
 func Resolve(name string, g *grid.Grid, d core.Dims, o Options) (*Row, error) {
+	if name == "" || name == SRUMMA {
+		return srumma(g, d, o), nil
+	}
+	if o.Scale != nil && *o.Scale != (Scale{Alpha: 1}) {
+		return nil, fmt.Errorf("srumma: %s supports alpha 1, beta 0 only", name)
+	}
 	switch name {
-	case "", SRUMMA:
-		da, db, dc := core.Dists(g, d, o.Case)
-		return &Row{a: block{da}, b: block{db}, c: block{dc},
-			bind: func(c rt.Ctx, a, b, out *mat.Matrix) (ga, gb, gc rt.Global) {
-				return driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
-			},
-			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return core.Multiply(c, g, d, o.Options, ga, gb, gc) },
-		}, nil
 	case SUMMA:
 		so := summa.Options{Case: o.Case, NB: o.NB, BinomialBcast: o.BinomialBcast}
 		da, db, dc := summa.Dists(g, d, o.Case)
@@ -115,6 +127,34 @@ func Resolve(name string, g *grid.Grid, d core.Dims, o Options) (*Row, error) {
 	return nil, fmt.Errorf("srumma: unknown algorithm %q", name)
 }
 
+// srumma is the SRUMMA row, flat or two-level: both run the same task lists
+// over the same distributions, and the two-level variant only changes how
+// the outer panels move.
+func srumma(g *grid.Grid, d core.Dims, o Options) *Row {
+	sc := Scale{Alpha: 1}
+	if o.Scale != nil {
+		sc = *o.Scale
+	}
+	da, db, dc := core.Dists(g, d, o.Case)
+	return &Row{a: block{da}, b: block{db}, c: block{dc},
+		bind: func(c rt.Ctx, a, b, out *mat.Matrix) (ga, gb, gc rt.Global) {
+			ga, gb = driver.Bind(c, da, a), driver.Bind(c, db, b)
+			if out == nil {
+				return ga, gb, driver.AllocBlock(c, dc)
+			}
+			return ga, gb, driver.Bind(c, dc, out)
+		},
+		multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error {
+			if !o.Hier {
+				return core.MultiplyEx(c, g, d, o.Options, sc.Alpha, sc.Beta, ga, gb, gc)
+			}
+			topo := c.Topo()
+			topo.GroupSize = o.HierGroup
+			return hier.MultiplyEx(c, hier.From(topo, g), d, hier.Options{Options: o.Options}, sc.Alpha, sc.Beta, ga, gb, gc)
+		},
+	}
+}
+
 // Alloc allocates the three operands in A, B, C order and loads nothing:
 // the placement of callers without operands (the simulator, srumma-trace),
 // whose virtual time and byte counts are those of exactly this sequence.
@@ -128,9 +168,9 @@ func (r *Row) Alloc(c rt.Ctx) (ga, gb, gc rt.Global) {
 func (r *Row) InPlace() bool { return r.bind != nil }
 
 // Place makes the stored operands a and b and the result out distributed.
-// SRUMMA binds all three where they lie (driver.Bind); the baselines, whose
-// segment-length checks demand tight blocks, allocate and load A and B and
-// ignore out. Collective.
+// SRUMMA binds all three where they lie (driver.Bind), or allocates the
+// result when out is nil; the baselines, whose segment-length checks demand
+// tight blocks, allocate and load A and B and ignore out. Collective.
 func (r *Row) Place(c rt.Ctx, a, b, out *mat.Matrix) (ga, gb, gc rt.Global) {
 	if r.bind != nil {
 		return r.bind(c, a, b, out)
@@ -141,22 +181,30 @@ func (r *Row) Place(c rt.Ctx, a, b, out *mat.Matrix) (ga, gb, gc rt.Global) {
 	return ga, gb, gc
 }
 
+// LoadC writes this rank's part of m, the whole initial C a nonzero beta
+// scales, into the placed result.
+func (r *Row) LoadC(c rt.Ctx, gc rt.Global, m *mat.Matrix) { r.c.load(c, gc, m) }
+
+// RestoreC writes data, this rank's block of the result as ReadBack returned
+// it, back into the placed result: the partial block of an attempt that is
+// resumed.
+func (r *Row) RestoreC(c rt.Ctx, gc rt.Global, data []float64) {
+	rows, cols := r.c.shape(c.Rank())
+	driver.WriteBlock(c, gc, mat.FromData(rows, cols, data))
+}
+
 // Multiply runs the algorithm over placed operands. Collective.
 func (r *Row) Multiply(c rt.Ctx, ga, gb, gc rt.Global) error { return r.multiply(c, ga, gb, gc) }
 
-// ReadBack returns this rank's block of the result, or nil when Place bound
-// the result and the ranks computed it in place.
-func (r *Row) ReadBack(c rt.Ctx, gc rt.Global) *mat.Matrix {
-	if r.bind != nil {
-		return nil
-	}
-	return r.c.store(c, gc)
-}
+// ReadBack returns this rank's block of the result, tight. A caller whose
+// result Place bound has it where it lies already.
+func (r *Row) ReadBack(c rt.Ctx, gc rt.Global) *mat.Matrix { return r.c.store(c, gc) }
 
-// Gather assembles the result from the ranks' ReadBack blocks, or returns
-// out when the ranks computed it in place.
+// Gather returns out when Place bound it (the ranks computed the result in
+// place), and otherwise assembles the result from the ranks' ReadBack
+// blocks.
 func (r *Row) Gather(out *mat.Matrix, blocks []*mat.Matrix) (*mat.Matrix, error) {
-	if r.bind != nil {
+	if out != nil && r.bind != nil {
 		return out, nil
 	}
 	return r.c.Gather(blocks)
@@ -168,6 +216,7 @@ type layout interface {
 	alloc(c rt.Ctx) rt.Global
 	load(c rt.Ctx, g rt.Global, m *mat.Matrix)
 	store(c rt.Ctx, g rt.Global) *mat.Matrix
+	shape(rank int) (rows, cols int)
 	Gather(blocks []*mat.Matrix) (*mat.Matrix, error)
 }
 
@@ -176,11 +225,13 @@ type block struct{ *grid.BlockDist }
 func (l block) alloc(c rt.Ctx) rt.Global                  { return driver.AllocBlock(c, l.BlockDist) }
 func (l block) load(c rt.Ctx, g rt.Global, m *mat.Matrix) { driver.LoadBlock(c, l.BlockDist, g, m) }
 func (l block) store(c rt.Ctx, g rt.Global) *mat.Matrix   { return driver.StoreBlock(c, l.BlockDist, g) }
+func (l block) shape(rank int) (rows, cols int)           { return l.LocalShape(rank) }
 
 type cyclic struct{ *grid.CyclicDist }
 
 func (l cyclic) alloc(c rt.Ctx) rt.Global                  { return driver.AllocCyclic(c, l.CyclicDist) }
 func (l cyclic) load(c rt.Ctx, g rt.Global, m *mat.Matrix) { driver.LoadCyclic(c, l.CyclicDist, g, m) }
+func (l cyclic) shape(rank int) (rows, cols int)           { return l.LocalShape(rank) }
 func (l cyclic) store(c rt.Ctx, g rt.Global) *mat.Matrix {
 	return driver.StoreCyclic(c, l.CyclicDist, g)
 }

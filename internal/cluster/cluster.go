@@ -28,6 +28,7 @@ import (
 
 	"srumma/internal/faults"
 	"srumma/internal/ipcrt"
+	_ "srumma/internal/job" // the GEMM body Run validates and the workers run
 	"srumma/internal/obs"
 )
 
@@ -68,15 +69,6 @@ type Config struct {
 	// SegPoolCap forwards to each node's persistent segment pool
 	// (0 = ipcrt default, negative disables).
 	SegPoolCap int
-	// Hier runs every job placed on the pool through the hierarchical
-	// two-level multiply: outer SUMMA panels across rank groups, inner
-	// SRUMMA within each group. Groups map onto the node's emulated
-	// shared-memory domains — with HierGroup 0 that is one group per
-	// worker node's domain carving (NP/PPN), so the group boundary and
-	// the OS-process boundary coincide. HierGroup overrides the group
-	// size explicitly (must nest inside the domains).
-	Hier      bool
-	HierGroup int
 	// Metrics, when set, receives pool counters (cluster.jobs,
 	// cluster.worker_deaths, cluster.node_replaced, cluster.heartbeats).
 	Metrics *obs.Registry
@@ -276,14 +268,6 @@ func (p *Pool) Run(spec *ipcrt.JobSpec, key PlaceKey) ([]*ipcrt.RankResult, erro
 		return nil, err
 	}
 	p.applyInjections(spec)
-	if p.cfg.Hier && !spec.Hier {
-		// Pool-level hierarchical mode decorates every job unless the
-		// caller already chose: the groups the workers carve are the
-		// node's domains, so the mapping is decided here, where the node
-		// shape (NP/PPN) is known.
-		spec.Hier = true
-		spec.HierGroup = p.cfg.HierGroup
-	}
 	nd := p.acquire(key)
 	defer nd.mu.Unlock()
 

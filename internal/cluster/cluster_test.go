@@ -10,6 +10,7 @@ import (
 
 	"srumma/internal/armci"
 	"srumma/internal/ipcrt"
+	"srumma/internal/job"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
@@ -84,13 +85,15 @@ func armciWant(t *testing.T, np, ppn int, spec *ipcrt.JobSpec) [][]float64 {
 	var mu sync.Mutex
 	var firstErr error
 	_, err := armci.Run(topo, func(c rt.Ctx) {
-		out, _, _, err := ipcrt.RunBody(c, spec)
+		out, err := job.Run(c, spec, nil)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		blocks[c.Rank()] = out
+		if out != nil {
+			blocks[c.Rank()] = out.Data
+		}
 	})
 	if err != nil {
 		t.Fatalf("armci run: %v", err)

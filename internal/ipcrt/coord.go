@@ -319,10 +319,9 @@ func Launch(cfg Config) (*Cluster, error) {
 			}
 			need--
 		case d := <-cl.deaths:
-			err := &RankExitError{Rank: d.rank, ExitCode: d.code, Signal: d.sig}
 			cl.killAll()
 			cl.cleanup()
-			return nil, fmt.Errorf("ipcrt: worker died during launch: %w", err)
+			return nil, fmt.Errorf("ipcrt: worker died during launch: %w", d.err())
 		case err := <-acceptErr:
 			cl.killAll()
 			cl.cleanup()
@@ -514,13 +513,32 @@ func sizesEqual(a, b []int64) bool {
 	return true
 }
 
-func (cl *Cluster) poison(err error) {
+// poison marks the cluster unusable for good after its first failure, and
+// returns err.
+func (cl *Cluster) poison(err error) error {
 	cl.mu.Lock()
 	if cl.poisoned == nil {
 		cl.poisoned = err
 	}
 	cl.mu.Unlock()
+	return err
 }
+
+// usable refuses op on a closed or poisoned cluster.
+func (cl *Cluster) usable(op string) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if cl.closed {
+		return fmt.Errorf("ipcrt: %s on closed cluster", op)
+	}
+	if cl.poisoned != nil {
+		return fmt.Errorf("ipcrt: cluster poisoned by earlier failure: %w", cl.poisoned)
+	}
+	return nil
+}
+
+// err is the typed failure of one observed worker exit.
+func (d death) err() error { return &RankExitError{Rank: d.rank, ExitCode: d.code, Signal: d.sig} }
 
 // RunJob dispatches one spec to every rank and collects all results.
 // timeout == 0 disables the watchdog. On worker death it returns
@@ -533,24 +551,13 @@ func (cl *Cluster) RunJob(spec *JobSpec, timeout time.Duration) ([]*RankResult, 
 	if err := spec.Validate(cl.topo.NProcs); err != nil {
 		return nil, err
 	}
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return nil, fmt.Errorf("ipcrt: RunJob on closed cluster")
+	if err := cl.usable("RunJob"); err != nil {
+		return nil, err
 	}
-	if cl.poisoned != nil {
-		err := cl.poisoned
-		cl.mu.Unlock()
-		return nil, fmt.Errorf("ipcrt: cluster poisoned by earlier failure: %w", err)
-	}
-	cl.mu.Unlock()
-
 	// Drain deaths that occurred between jobs.
 	select {
 	case d := <-cl.deaths:
-		err := &RankExitError{Rank: d.rank, ExitCode: d.code, Signal: d.sig}
-		cl.poison(err)
-		return nil, err
+		return nil, cl.poison(d.err())
 	default:
 	}
 
@@ -584,16 +591,12 @@ func (cl *Cluster) RunJob(spec *JobSpec, timeout time.Duration) ([]*RankResult, 
 				grace = g.C
 			}
 		case d := <-cl.deaths:
-			err := &RankExitError{Rank: d.rank, ExitCode: d.code, Signal: d.sig}
-			cl.poison(err)
-			return results, err
+			return results, cl.poison(d.err())
 		case <-grace:
-			cl.poison(jobErr)
-			return results, jobErr
+			return results, cl.poison(jobErr)
 		case <-watchdog:
 			if jobErr != nil {
-				cl.poison(jobErr)
-				return results, jobErr
+				return results, cl.poison(jobErr)
 			}
 			var pending []int
 			for rank, r := range results {
@@ -601,14 +604,11 @@ func (cl *Cluster) RunJob(spec *JobSpec, timeout time.Duration) ([]*RankResult, 
 					pending = append(pending, rank)
 				}
 			}
-			err := &DeadlockError{Timeout: timeout, Pending: pending}
-			cl.poison(err)
-			return results, err
+			return results, cl.poison(&DeadlockError{Timeout: timeout, Pending: pending})
 		}
 	}
 	if jobErr != nil {
-		cl.poison(jobErr)
-		return results, jobErr
+		return results, cl.poison(jobErr)
 	}
 	return results, nil
 }
@@ -618,18 +618,9 @@ func (cl *Cluster) RunJob(spec *JobSpec, timeout time.Duration) ([]*RankResult, 
 // death poisons the cluster exactly like a failed job: a rank that cannot
 // answer a ping cannot be trusted to count collectives either.
 func (cl *Cluster) Ping(timeout time.Duration) error {
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return fmt.Errorf("ipcrt: Ping on closed cluster")
+	if err := cl.usable("Ping"); err != nil {
+		return err
 	}
-	if cl.poisoned != nil {
-		err := cl.poisoned
-		cl.mu.Unlock()
-		return fmt.Errorf("ipcrt: cluster poisoned by earlier failure: %w", err)
-	}
-	cl.mu.Unlock()
-
 	seq := cl.pingSeq.Add(1)
 	cl.broadcast(&frame{Op: opPing, P: [5]int64{seq}})
 	t := time.NewTimer(timeout)
@@ -643,9 +634,7 @@ func (cl *Cluster) Ping(timeout time.Duration) error {
 				need--
 			}
 		case d := <-cl.deaths:
-			err := &RankExitError{Rank: d.rank, ExitCode: d.code, Signal: d.sig}
-			cl.poison(err)
-			return err
+			return cl.poison(d.err())
 		case <-t.C:
 			var pending []int
 			for rank, ok := range seen {
@@ -653,9 +642,7 @@ func (cl *Cluster) Ping(timeout time.Duration) error {
 					pending = append(pending, rank)
 				}
 			}
-			err := &DeadlockError{Timeout: timeout, Pending: pending}
-			cl.poison(err)
-			return err
+			return cl.poison(&DeadlockError{Timeout: timeout, Pending: pending})
 		}
 	}
 	return nil

@@ -1,4 +1,4 @@
-package ipcrt
+package ipcrt_test
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 	"srumma/internal/core"
 	"srumma/internal/grid"
 	"srumma/internal/hier"
+	"srumma/internal/ipcrt"
 	"srumma/internal/rt"
 )
 
@@ -26,7 +27,7 @@ func TestHierIPCBitIdentical(t *testing.T) {
 
 	for _, cs := range []core.Case{core.NN, core.TN, core.NT, core.TT} {
 		t.Run(cs.String(), func(t *testing.T) {
-			spec := DefaultSpec(72, 60, 84)
+			spec := ipcrt.DefaultSpec(72, 60, 84)
 			spec.Case = int(cs)
 			spec.Beta = -0.25
 			spec.MaxTaskK = 17
@@ -77,7 +78,7 @@ func TestHierIPCSharedBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cs := range []core.Case{core.NN, core.TN, core.NT, core.TT} {
-		spec := DefaultSpec(72, 60, 84)
+		spec := ipcrt.DefaultSpec(72, 60, 84)
 		spec.Case = int(cs)
 		spec.Beta = -0.25
 		spec.MaxTaskK = 17

@@ -1,4 +1,4 @@
-package ipcrt
+package ipcrt_test
 
 import (
 	"encoding/json"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"srumma/internal/core"
+	"srumma/internal/ipcrt"
 	"srumma/internal/rt"
 )
 
@@ -25,12 +26,12 @@ func maybeJoinWorker() {
 	if spec == "" {
 		return
 	}
-	var p WorkerParams
+	var p ipcrt.WorkerParams
 	if err := json.Unmarshal([]byte(spec), &p); err != nil {
 		fmt.Fprintf(os.Stderr, "ipcrt join worker: bad %s: %v\n", envTestJoin, err)
 		os.Exit(2)
 	}
-	os.Exit(RunWorker(p))
+	os.Exit(ipcrt.RunWorker(p))
 }
 
 // TestExternalWorkerJoin is the -join path end to end: a NoSpawn
@@ -42,7 +43,7 @@ func TestExternalWorkerJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process run in -short mode")
 	}
-	if !Available() {
+	if !ipcrt.Available() {
 		t.Skip("multi-process engine unavailable on this platform")
 	}
 
@@ -63,12 +64,12 @@ func TestExternalWorkerJoin(t *testing.T) {
 
 	topo := rt.Topology{NProcs: 2, ProcsPerNode: 1}
 	type launched struct {
-		cl  *Cluster
+		cl  *ipcrt.Cluster
 		err error
 	}
 	ch := make(chan launched, 1)
 	go func() {
-		cl, err := Launch(Config{
+		cl, err := ipcrt.Launch(ipcrt.Config{
 			NP:         topo.NProcs,
 			PPN:        topo.ProcsPerNode,
 			Dir:        dir,
@@ -100,7 +101,7 @@ func TestExternalWorkerJoin(t *testing.T) {
 	}
 	cmds := make([]*exec.Cmd, topo.NProcs)
 	for rank := 0; rank < topo.NProcs; rank++ {
-		params, err := json.Marshal(WorkerParams{
+		params, err := json.Marshal(ipcrt.WorkerParams{
 			Rank:      rank,
 			NP:        topo.NProcs,
 			PPN:       topo.ProcsPerNode,
@@ -120,7 +121,7 @@ func TestExternalWorkerJoin(t *testing.T) {
 		cmds[rank] = cmd
 	}
 
-	var cl *Cluster
+	var cl *ipcrt.Cluster
 	select {
 	case l := <-ch:
 		if l.err != nil {
@@ -135,7 +136,7 @@ func TestExternalWorkerJoin(t *testing.T) {
 		t.Fatalf("Addr() = %q, want %q", got, "tcp:"+bind)
 	}
 
-	spec := DefaultSpec(64, 48, 56)
+	spec := ipcrt.DefaultSpec(64, 48, 56)
 	spec.Case = int(core.NT)
 	spec.ReturnC = true
 	spec.KernelThreads = 1

@@ -302,10 +302,7 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 		c.serveSpan(t0)
 		return &frame{Op: opAck, Body: floatBytes(out)}, false
 
-	case opPutSub:
-		if len(f.Body) != rows*cols*8 {
-			return fail("put-sub body %d bytes for %dx%d region", len(f.Body), rows, cols)
-		}
+	case opPutSub: // validateFrame held the body to exactly the region
 		c.hbMu.Lock()
 		for r := 0; r < rows && cols > 0; r++ { // no columns: no row starts to trust
 			copyFloats(own[off+r*ld:off+r*ld+cols], f.Body[r*cols*8:(r+1)*cols*8])

@@ -78,6 +78,10 @@ const (
 	maxBodyLen = int64(1) << 31 // 2 GiB
 	maxSegID   = int64(1) << 20
 	maxElems   = maxBodyLen / 8
+	maxRanks   = int64(1) << 16 // rows of the malloc-size and address tables
+	maxAddrLen = int64(512)     // bytes of one rank's address-table entry
+	maxErrLen  = int64(1) << 16
+	bodyChunk  = 64 << 10 // a body's first allocation; see readBody
 )
 
 type op uint8
@@ -192,8 +196,9 @@ func parseHeader(h []byte) (frame, int64, error) {
 }
 
 // validateFrame applies per-op parameter checks — segment ids bounded,
-// geometry non-negative, float bodies a whole number of elements — so a
-// handler never sees a frame it must range-check again.
+// geometry non-negative, float bodies a whole number of elements, every body
+// within what its op carries — so a handler never sees a frame it must
+// range-check again.
 func validateFrame(f *frame, bodyLen int64) error {
 	switch f.Op {
 	case opGetSub, opPutSub, opAcc, opFetchAdd, opChecksum:
@@ -243,8 +248,20 @@ func validateFrame(f *frame, bodyLen int64) error {
 			return fmt.Errorf("ipcrt: %v: body %d bytes is not whole float64s", f.Op, bodyLen)
 		}
 	}
+	if f.Op == opPutSub && bodyLen != 8*f.P[3]*f.P[4] {
+		return fmt.Errorf("ipcrt: put-sub: body %d bytes for a %dx%d region", bodyLen, f.P[3], f.P[4])
+	}
+	if bodyLen > bodyLimit[f.Op] {
+		return fmt.Errorf("ipcrt: %v: body %d bytes exceeds the op's limit %d", f.Op, bodyLen, bodyLimit[f.Op])
+	}
 	return nil
 }
+
+// bodyLimit bounds each op's body by what the op can carry: a table its
+// ranks, an error its text, a request or control frame nothing. A put is
+// held to exactly its region's bytes besides.
+var bodyLimit = [opCount]int64{opPutSub: maxBodyLen, opAcc: maxBodyLen, opMsg: maxBodyLen, opAck: maxBodyLen,
+	opJob: maxBodyLen, opFin: maxBodyLen, opMallocAck: 8 * maxRanks, opAddrs: maxAddrLen * maxRanks, opErr: maxErrLen}
 
 // writeFrame writes one frame. Callers serialize per connection.
 func writeFrame(w io.Writer, f *frame) error {
@@ -262,7 +279,7 @@ func writeFrame(w io.Writer, f *frame) error {
 }
 
 // readFrame reads and validates one frame, allocating the body only after
-// the header passed validation.
+// the header passed validation and only as its bytes arrive.
 func readFrame(r io.Reader) (frame, error) {
 	var h [headerLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -273,12 +290,24 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, err
 	}
 	if bodyLen > 0 {
-		f.Body = make([]byte, bodyLen)
-		if _, err := io.ReadFull(r, f.Body); err != nil {
+		if f.Body, err = readBody(r, int(bodyLen)); err != nil {
 			return frame{}, fmt.Errorf("ipcrt: short body for %v: %w", f.Op, err)
 		}
 	}
 	return f, nil
+}
+
+// readBody reads an n-byte body, doubling its buffer from bodyChunk as the
+// bytes arrive rather than allocating what the header declared up front.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, bodyChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, b[got:])
+		if got += k; err != nil || got == n {
+			return b, err
+		}
+		b = append(b, make([]byte, min(got, n-got))...)
+	}
 }
 
 // hostLittleEndian reports whether float64 slices can be reinterpreted as

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestWireRoundTrip(t *testing.T) {
@@ -110,10 +112,22 @@ func TestWireMalformed(t *testing.T) {
 		{"msg negative source", corrupt(t, frame{Op: opMsg}, func(h []byte) {
 			binary.LittleEndian.PutUint64(h[16:24], math.MaxUint64)
 		}), "negative source"},
+		{"put body shorter than its region", corrupt(t, frame{Op: opPutSub, P: [5]int64{1, 0, 4, 1, 4}, Body: make([]byte, 16)},
+			func(h []byte) {}), "for a 1x4 region"},
+		{"get-sub request with a body", corrupt(t, frame{Op: opGetSub, P: [5]int64{1, 0, 4, 1, 4}, Body: make([]byte, 8)},
+			func(h []byte) {}), "limit 0"},
+		{"barrier with a body", corrupt(t, frame{Op: opBarrier, Body: make([]byte, 8)}, func(h []byte) {}), "limit 0"},
+		{"error text past its limit", corrupt(t, frame{Op: opErr}, func(h []byte) {
+			binary.LittleEndian.PutUint64(h[56:64], uint64(maxErrLen)+1)
+		}), "exceeds the op's limit"},
+		{"hostile header: 256 MiB declared, EOF", hostileHeader(), "short body"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := readFrame(bytes.NewReader(tc.raw))
+			var err error
+			if n := allocated(func() { _, err = readFrame(bytes.NewReader(tc.raw)) }); n >= 1<<20 {
+				t.Errorf("refusing the frame allocated %d bytes, want < 1 MiB", n)
+			}
 			if err == nil {
 				t.Fatalf("malformed frame accepted")
 			}
@@ -121,6 +135,45 @@ func TestWireMalformed(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// hostileHeader is a valid put-sub header whose declared body — its 1 x 2^25
+// region, 256 MiB — never follows.
+func hostileHeader() []byte {
+	h := make([]byte, headerLen)
+	putHeader(h, &frame{Op: opPutSub, Seq: 1, P: [5]int64{1, 0, 1 << 25, 1, 1 << 25}})
+	binary.LittleEndian.PutUint64(h[56:64], 8<<25)
+	return h
+}
+
+// allocated returns the bytes the process allocated while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWireBodyGrowsWithBytes: a body larger than the first chunk still
+// arrives whole, through the doubling reads.
+func TestWireBodyGrowsWithBytes(t *testing.T) {
+	vals := make([]float64, 3*bodyChunk/8+5)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	var buf bytes.Buffer
+	want := frame{Op: opPutSub, Seq: 2, P: [5]int64{1, 0, int64(len(vals)), 1, int64(len(vals))}, Body: floatBytes(vals)}
+	if err := writeFrame(&buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(iotest.OneByteReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("body of %d bytes came back as %d different bytes", len(want.Body), len(got.Body))
 	}
 }
 

@@ -175,8 +175,8 @@ func RunWorker(p WorkerParams) int {
 	}
 }
 
-// runJob executes one spec with fresh per-job accounting, recovering
-// panics into the result like a team rank does.
+// runJob executes one spec's registered body with fresh per-job accounting,
+// recovering panics into the result like a team rank does.
 func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 	// Failure-path test hooks.
 	if spec.ExitRank == c.Rank() {
@@ -204,25 +204,22 @@ func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 				res.Err = fmt.Sprintf("panic: %v", p)
 			}
 		}()
-		// Every worker rejects a malformed spec the same way, before any of
-		// them enters a collective.
-		if err := spec.Validate(c.topo.NProcs); err != nil {
-			res.Err = err.Error()
-			return
-		}
-		body, err := WrapChaos(c, spec, c.topo.NProcs)
+		// Every worker rejects a malformed spec — or a body this process
+		// does not have — the same way, before any of them enters a
+		// collective.
+		body, err := spec.body(c.topo.NProcs)
 		if err != nil {
 			res.Err = err.Error()
 			return
 		}
 		// A panicking body deposits its salvage straight into res.
-		out, rows, cols, err := RunBodyEx(body, spec, res)
+		out, err := body.Run(c, spec, res)
 		if err != nil {
 			res.Err = err.Error()
 			return
 		}
-		if spec.ReturnC {
-			res.C, res.CRows, res.CCols = out, rows, cols
+		if spec.ReturnC && out != nil {
+			res.C, res.CRows, res.CCols = out.Data, out.Rows, out.Cols
 		}
 		c.freeJobSegments()
 	}()

@@ -5,11 +5,12 @@ package server
 // serialisable statement of the job — and that spec runs on one of two
 // runners, both returning per-rank results in the same shape:
 //
-//   - a persistent in-process team (armci.Team), each rank running the
-//     shared body ipcrt.RunBodyEx (route "srumma");
+//   - a persistent in-process team (armci.Team), each rank running the one
+//     job body, job.Run (route "srumma");
 //   - the cluster node pool (cluster.Pool.Run), whose worker processes run
-//     the same body (route "cluster"), placed by a locality key so a
-//     node's persistent segment pool stays warm for repeated shapes.
+//     the same body through ipcrt's registration of it (route "cluster"),
+//     placed by a locality key so a node's persistent segment pool stays
+//     warm for repeated shapes.
 //
 // Everything after the run — ABFT counters, trace merge, salvage banking
 // for the retry — happens once, on that result, without knowing which
@@ -20,6 +21,7 @@ package server
 // the ranks salvaged.
 
 import (
+	"cmp"
 	"fmt"
 
 	"srumma/internal/armci"
@@ -27,6 +29,7 @@ import (
 	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
+	"srumma/internal/job"
 	"srumma/internal/mat"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
@@ -60,21 +63,16 @@ func (s *Server) jobSpec(job *schedJob) *ipcrt.JobSpec {
 		HangRank:      -1,
 		UseLedger:     true,
 		Prior:         rec.take(),
+		ABFT:          rec.abft,
+		ABFTTol:       s.cfg.ABFTTol,
+		// Hierarchical routing mode: same grid, task lists and ledger/salvage
+		// semantics, only the data movement changes. HierGroup 0 keeps one
+		// group per shared-memory domain (per worker node on the cluster).
+		Hier:      s.cfg.Hier,
+		HierGroup: s.cfg.HierGroup,
 	}
 	if req.beta() != 0 {
 		spec.CIn = req.C
-	}
-	if rec.abft {
-		spec.ABFT = true
-		spec.ABFTTol = s.cfg.ABFTTol
-	}
-	if s.cfg.Hier {
-		// Hierarchical routing mode: same grid, same task lists, same
-		// ledger/salvage semantics — only the data movement changes, so the
-		// retry/resume policy needs no adjustment. HierGroup 0 keeps one
-		// group per shared-memory domain (per worker node on the cluster).
-		spec.Hier = true
-		spec.HierGroup = s.cfg.HierGroup
 	}
 	return spec
 }
@@ -175,20 +173,12 @@ func (s *Server) runOnTeam(tm *armci.Team, spec *ipcrt.JobSpec) ([]*ipcrt.RankRe
 		}
 		res := &ipcrt.RankResult{Rank: c.Rank()}
 		results[res.Rank] = res
-		res.C, res.CRows, res.CCols, errs[res.Rank] = ipcrt.RunBodyEx(c, spec, res)
+		_, errs[res.Rank] = job.Run(c, spec, res)
 	})
 	for rank, st := range stats {
 		if results[rank] != nil {
 			results[rank].Stats = st
 		}
 	}
-	if err != nil {
-		return results, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return results, e
-		}
-	}
-	return results, nil
+	return results, cmp.Or(append([]error{err}, errs...)...) // the run's error, else the first rank's
 }

@@ -26,6 +26,7 @@ import (
 	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
+	"srumma/internal/job"
 	"srumma/internal/mat"
 	"srumma/internal/rt"
 )
@@ -198,7 +199,7 @@ func TestKernelThreadsStatedEveryJob(t *testing.T) {
 			req.KernelThreads = threads
 			spec := s.jobSpec(runnerJob(t, s, &req))
 			if _, err := tm.Run(func(c rt.Ctx) {
-				if _, _, _, err := ipcrt.RunBodyEx(tunerSpy{c, &seen[c.Rank()]}, spec, nil); err != nil {
+				if _, err := job.Run(tunerSpy{c, &seen[c.Rank()]}, spec, nil); err != nil {
 					panic(err)
 				}
 			}); err != nil {

@@ -9,8 +9,8 @@ package server
 // which reloads the block, restores the ledger and re-executes only the
 // tasks absent from it — bit-identical to an uninterrupted run. Ranks with
 // no salvage (they exited the body cleanly before a peer's failure aborted
-// the run, or returned an error — see ipcrt.RunBodyEx for why errors never
-// salvage) restart from the request inputs with an empty ledger.
+// the run, or returned an error — see job.Run for why errors never salvage)
+// restart from the request inputs with an empty ledger.
 
 import (
 	"context"

@@ -419,8 +419,6 @@ func New(cfg Config) (*Server, error) {
 			JobTimeout:     cfg.MaxTimeout,
 			HeartbeatEvery: cfg.ClusterHeartbeat,
 			Metrics:        s.met.reg,
-			Hier:           cfg.Hier,
-			HierGroup:      cfg.HierGroup,
 		})
 		if err != nil {
 			return nil, err

@@ -261,7 +261,9 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 		t0 := c.Now()
 		rankErrs[me] = row.Multiply(c, ga, gb, gc)
 		durations[me] = c.Now() - t0
-		blocks[me] = row.ReadBack(c, gc)
+		if out == nil {
+			blocks[me] = row.ReadBack(c, gc)
+		}
 	}
 	sum, err := cl.run(body, opts.Chaos)
 	if err != nil {
