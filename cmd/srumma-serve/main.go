@@ -1,7 +1,7 @@
 // Command srumma-serve runs the GEMM service: persistent SRUMMA engine
 // teams behind an admission-controlled HTTP front end.
 //
-//	srumma-serve -addr :8711 -nprocs 4 -teams 1
+//	srumma-serve -addr :8711 -nprocs 4 -teams 2
 //
 // Endpoints: POST /v1/multiply, GET /metrics, GET /healthz, GET /v1/info,
 // and — with -trace-events — GET /debug/trace (Chrome trace-event JSON of
@@ -44,8 +44,8 @@ var (
 	addr             = flag.String("addr", ":8711", "listen address")
 	nprocs           = flag.Int("nprocs", 4, "SPMD ranks per engine team (perfect square)")
 	ppn              = flag.Int("procs-per-node", 0, "ranks per shared-memory domain (0: all)")
-	teams            = flag.Int("teams", 1, "persistent engine teams (max concurrent SRUMMA jobs)")
-	queueCap         = flag.Int("queue-cap", 0, "admitted-request bound; overflow gets 429 (0: 4*teams)")
+	teams            = flag.Int("teams", 0, "persistent engine teams, i.e. max concurrent SRUMMA jobs (0: 2)")
+	queueCap         = flag.Int("queue-cap", 0, "admitted-request bound; overflow gets 429 (0: 4 per team at full pool size, 8 by default)")
 	smallMNK         = flag.Int("small-mnk", 0, "route products with M*N*K <= this to the local kernel (0: 128^3)")
 	maxDim           = flag.Int("max-dim", 0, "reject matrix dimensions beyond this (0: 4096)")
 	timeout          = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
@@ -140,7 +140,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("listening on %s: %d ranks/team, %d team(s), kernel %s, GOMAXPROCS %d",
-		l.Addr(), *nprocs, *teams, mat.KernelName(), goruntime.GOMAXPROCS(0))
+		l.Addr(), *nprocs, s.Metrics().Sched.Workers, mat.KernelName(), goruntime.GOMAXPROCS(0))
 	if *clusterOn {
 		transport := *clusterTransport
 		if transport == "" && *clusterListen != "" {

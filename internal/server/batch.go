@@ -127,9 +127,11 @@ func (s *Server) schedExec(w sched.Worker, tasks []*sched.Task) sched.Outcome {
 // into the scheduler's resilience protocol: a leaked-rank watchdog report
 // poisons the team (ReplaceWorker) and, if the task itself never completed,
 // requeues it. On the cluster route the team hosting the dispatch only
-// serializes cluster jobs with the rest of the workload — the pool's worker
-// processes do the arithmetic, and a node failure is repaired inside the
-// pool, so it never poisons the team.
+// bounds how many cluster jobs are in flight — one per team, so with the
+// default two teams two interactive jobs can hold both nodes at once (the
+// pool's router takes any free node for them). The pool's worker processes
+// do the arithmetic, and a node failure is repaired inside the pool, so it
+// never poisons the team.
 func (s *Server) execDistributedTask(tm *armci.Team, t *sched.Task) sched.Outcome {
 	job := t.Payload.(*schedJob)
 	if hook := s.batchHook(); hook != nil {

@@ -21,8 +21,9 @@ import (
 )
 
 // blockOn installs a batch hook that parks any dispatch whose request ID
-// matches id until the returned release func is called. It pins the single
-// scheduler worker so tests can build a backlog deterministically.
+// matches id until the returned release func is called. It pins one
+// scheduler worker — the only one on a Teams: 1 pool — so tests can build a
+// backlog deterministically.
 func blockOn(s *Server, id string) (release func(), entered <-chan struct{}) {
 	rel := make(chan struct{})
 	ent := make(chan struct{})
@@ -38,9 +39,9 @@ func blockOn(s *Server, id string) (release func(), entered <-chan struct{}) {
 	return func() { onceRel.Do(func() { close(rel) }) }, ent
 }
 
-// blockerReq is the request tests park in the batch hook to pin the pool's
-// single worker: just too large for the small route, so the scheduler queues
-// it for the worker's team. (A small one would be computed — and parked —
+// blockerReq is the request tests park in the batch hook to pin a pool
+// worker: just too large for the small route, so the scheduler queues it for
+// the worker's team. (A small one would be computed — and parked —
 // by its own handler, leaving the worker free.)
 func blockerReq() MultiplyRequest {
 	r := randReq(129, 129, 129, 1)
@@ -396,6 +397,43 @@ func TestServerSchedElasticPool(t *testing.T) {
 	if m.Sched.PoolGrown == 0 || m.Sched.PoolShrunk == 0 {
 		t.Fatalf("elasticity counters not moving: %+v", m.Sched)
 	}
+}
+
+// TestDefaultTeamsRunTwoJobsAtOnce: with the default pool, a distributed
+// job admitted while another is held inside its dispatch starts on the
+// second team and completes, correct, before the first is released. On a
+// one-team pool it would queue behind the first, so the wait is bounded.
+func TestDefaultTeamsRunTwoJobsAtOnce(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2})
+	release, entered := blockOn(s, "blocker")
+	defer release()
+	blockerCh := postAsync(t, s, blockerReq())
+	<-entered
+
+	req := randReq(130, 129, 131, 7)
+	select {
+	case res := <-postAsync(t, s, req):
+		if res.code != http.StatusOK {
+			t.Fatalf("second job: status %d", res.code)
+		}
+		if res.resp.Route != routeSRUMMA {
+			t.Fatalf("second job routed %q, want %q", res.resp.Route, routeSRUMMA)
+		}
+		checkResult(t, res.resp, wantGemm(t, req), 1e-9)
+	case <-time.After(10 * time.Second):
+		t.Fatal("second distributed job did not complete while the first held its team")
+	}
+	select {
+	case <-blockerCh:
+		t.Fatal("the held job finished before it was released")
+	default:
+	}
+	release()
+	res := <-blockerCh
+	if res.code != http.StatusOK {
+		t.Fatalf("held job: status %d", res.code)
+	}
+	checkResult(t, res.resp, wantGemm(t, blockerReq()), 1e-9)
 }
 
 // TestServerSchedShutdownDrains: graceful shutdown — the

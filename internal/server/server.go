@@ -72,10 +72,16 @@ type Config struct {
 	// NProcs, one machine-wide domain).
 	ProcsPerNode int
 	// Teams is the number of persistent engine teams, i.e. the maximum
-	// concurrently executing SRUMMA requests (default 1).
+	// concurrently executing SRUMMA requests (default 2). One job leaves
+	// the cores idle in its serial phases — team dispatch, operand
+	// placement, the entry and exit barriers, the last ranks' tail and the
+	// response write — so a second team lets the next admitted job compute
+	// in those gaps instead of waiting in the queue: the paper's double
+	// buffering, one layer up.
 	Teams int
 	// QueueCap bounds ADMITTED requests — executing plus waiting. Requests
-	// beyond it are refused with 429 (default 4 * Teams).
+	// beyond it are refused with 429 (default 4 * MaxTeams, i.e. 8 with the
+	// default pool).
 	QueueCap int
 	// SmallMNK routes products with M*N*K at or below it to the direct
 	// local kernel instead of the distributed engine (default 2^21,
@@ -222,7 +228,7 @@ func (c Config) fill() Config {
 		c.ProcsPerNode = c.NProcs
 	}
 	if c.Teams <= 0 {
-		c.Teams = 1
+		c.Teams = 2
 	}
 	if c.MaxTeams < c.Teams {
 		c.MaxTeams = c.Teams

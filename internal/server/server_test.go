@@ -229,7 +229,7 @@ func TestServerInfoAndHealth(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.NProcs != 4 || info.QueueCap != 4 || info.Kernel == "" {
+	if info.NProcs != 4 || info.Teams != 2 || info.QueueCap != 8 || info.Kernel == "" {
 		t.Fatalf("implausible info: %+v", info)
 	}
 }

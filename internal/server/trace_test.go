@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"srumma/internal/obs"
+	"srumma/internal/sched"
 )
 
 // TestDebugTraceDisabledByDefault: with TraceEvents unset the endpoint says
@@ -81,6 +84,65 @@ func TestDebugTraceExportsSpans(t *testing.T) {
 				t.Errorf("%s span on lane %d, want %d", e.Kind, e.Rank, s.cfg.NProcs+1)
 			}
 		}
+	}
+}
+
+// TestDebugTraceConcurrentJobs: two distributed jobs held until both teams
+// have dispatched, then run at once with tracing on. Both products are
+// right, every rank of each team recorded its job span onto the shared rank
+// lanes, and the export still validates.
+func TestDebugTraceConcurrentJobs(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, TraceEvents: 256})
+	entered := make(chan struct{}, 2)
+	rel := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(rel) }) }
+	defer release()
+	s.setBatchHook(func(*sched.Task) {
+		entered <- struct{}{}
+		<-rel
+	})
+
+	reqs := []MultiplyRequest{randReq(136, 140, 132, 11), randReq(144, 130, 138, 13)}
+	var chans []<-chan struct {
+		code int
+		resp MultiplyResponse
+	}
+	for _, req := range reqs {
+		chans = append(chans, postAsync(t, s, req))
+	}
+	for range reqs {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the two distributed jobs never held a team each at once")
+		}
+	}
+	release()
+	for i, ch := range chans {
+		res := <-ch
+		if res.code != http.StatusOK {
+			t.Fatalf("job %d: status %d", i, res.code)
+		}
+		checkResult(t, res.resp, wantGemm(t, reqs[i]), 1e-9)
+	}
+
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/trace", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("trace status %d, want 200", w.Code)
+	}
+	if _, err := obs.ValidateChromeTrace(w.Body.Bytes()); err != nil {
+		t.Fatalf("exported trace invalid: %v", err)
+	}
+	jobs := 0
+	for _, e := range s.rec.Events() {
+		if e.Kind == obs.KindJob {
+			jobs++
+		}
+	}
+	if want := len(reqs) * s.cfg.NProcs; jobs != want {
+		t.Fatalf("%d job spans, want %d (one per rank per job)", jobs, want)
 	}
 }
 

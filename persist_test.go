@@ -125,8 +125,8 @@ func TestNewServerPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m ServerMetrics = s.Metrics()
-	if m.QueueCap != 4 {
-		t.Fatalf("queue_cap = %d, want default 4", m.QueueCap)
+	if m.QueueCap != 8 {
+		t.Fatalf("queue_cap = %d, want default 8", m.QueueCap)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -20,7 +20,7 @@ import (
 type Server = server.Server
 
 // ServerConfig sizes a Server; the zero value gets serviceable defaults
-// (4 ranks per team, 1 team, queue capacity 4, scheduler dispatch).
+// (4 ranks per team, 2 teams, queue capacity 8, scheduler dispatch).
 type ServerConfig = server.Config
 
 // ServerMetrics is the snapshot served by GET /metrics.
