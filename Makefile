@@ -43,8 +43,8 @@ benchmark:
 benchmark-compare:
 	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
-# End-to-end smoke of the GEMM service: start srumma-serve (workload
-# scheduler mode, elastic pool, result cache on), drive a class-tagged
+# End-to-end smoke of the GEMM service: start srumma-serve (one team, a
+# two-request queue, result cache on), drive a class-tagged
 # deadline-hinted mix of distinct operands (so the cache serves none of it)
 # through srumma-load — small shapes are computed by
 # their handlers while the pool is idle (sched.inline_dispatches in the
@@ -59,7 +59,7 @@ serve-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/srumma-serve ./cmd/srumma-serve; \
 	$(GO) build -o $$tmp/srumma-load ./cmd/srumma-load; \
-	$$tmp/srumma-serve -addr 127.0.0.1:18711 -nprocs 4 -teams 1 -max-teams 2 \
+	$$tmp/srumma-serve -addr 127.0.0.1:18711 -nprocs 4 -teams 1 \
 	    -queue-cap 2 -batch-max 8 -cache-entries 64 & pid=$$!; \
 	set +e; \
 	$$tmp/srumma-load -addr http://127.0.0.1:18711 -concurrency 6 -requests 24 \
@@ -156,11 +156,11 @@ repro:
 # Fault injection on the real engine: every fault class, three seeds,
 # recovery layer active (see DESIGN.md "Fault model") — a wrong product, a
 # hang or a recovery counter that stayed idle fails the run — plus the
-# serving-layer case of a team crash mid-batch requeueing the batch's
-# unfinished tasks onto a replacement team.
+# serving-layer case of an executor crash mid-batch: the rest of the batch
+# completes, and the crashed request's handler retries it.
 chaos:
 	$(GO) test -count=1 -run 'TestChaos' ./internal/faults
-	$(GO) test -count=1 -run TestServerSchedChaosCrashRequeue ./internal/server
+	$(GO) test -count=1 -run TestServerSchedChaosCrashRetried ./internal/server
 
 # End-to-end recovery gate, race-enabled: a real server under a seeded
 # fault plan (mid-compute rank crash + silent block corruption) must

@@ -45,27 +45,24 @@ var (
 	nprocs           = flag.Int("nprocs", 4, "SPMD ranks per engine team (perfect square)")
 	ppn              = flag.Int("procs-per-node", 0, "ranks per shared-memory domain (0: all)")
 	teams            = flag.Int("teams", 0, "persistent engine teams, i.e. max concurrent SRUMMA jobs (0: 2)")
-	queueCap         = flag.Int("queue-cap", 0, "admitted-request bound; overflow gets 429 (0: 4 per team at full pool size, 8 by default)")
+	queueCap         = flag.Int("queue-cap", 0, "admitted-request bound; overflow gets 429 (0: 4 per team, 8 by default)")
 	smallMNK         = flag.Int("small-mnk", 0, "route products with M*N*K <= this to the local kernel (0: 128^3)")
 	maxDim           = flag.Int("max-dim", 0, "reject matrix dimensions beyond this (0: 4096)")
 	timeout          = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	kernelThreads    = flag.Int("kernel-threads", 0, "local-dgemm workers per rank (0: engine default)")
 	drainGrace       = flag.Duration("drain-grace", 30*time.Second, "max time to drain in-flight work on shutdown")
-	maxTeams         = flag.Int("max-teams", 0, "elastic pool ceiling; the pool grows from -teams toward it under backlog (0: fixed pool)")
 	batchMax         = flag.Int("batch-max", 0, "max queued small GEMMs coalesced into one dispatch (0: 32)")
-	starveAfter      = flag.Duration("starve-after", 0, "promote any request waiting this long regardless of class weights (0: 2s)")
-	teamIdle         = flag.Duration("team-idle", 0, "retire elastic teams idle this long (0: 30s)")
 	traceEvents      = flag.Int("trace-events", 0, "per-lane span ring size for GET /debug/trace (0: tracing off)")
 	traceSample      = flag.Int("trace-sample", 0, "record spans for one in every N requests (0 or 1: every request; needs -trace-events)")
 	abft             = flag.Bool("abft", false, "verify every SRUMMA task's C block with Huang-Abraham checksums; corrupted blocks are restored and recomputed")
 	abftTol          = flag.Float64("abft-tol", 0, "relative ABFT tolerance (0: engine default 1e-6)")
 	maxTaskK         = flag.Int("max-task-k", 0, "SRUMMA task contraction cap; finer tasks mean finer recovery units (0: one task per K block)")
-	retryBudget      = flag.Int("retry-budget", 0, "retries for recoverably-failed SRUMMA jobs (0: 2; negative: no retries)")
+	retryBudget      = flag.Int("retry-budget", 0, "retries for recoverably-failed jobs, distributed (resumed) or small (restarted) (0: 2; negative: no retries)")
 	retryBackoff     = flag.Duration("retry-backoff", 0, "base pre-retry backoff, doubling per attempt (0: 10ms)")
 	breakerThreshold = flag.Float64("breaker-threshold", 0, "per-route circuit breaker failure fraction (0: breaker off)")
 	breakerWindow    = flag.Int("breaker-window", 0, "breaker decision window in outcomes (0: 20)")
 	breakerCooldown  = flag.Duration("breaker-cooldown", 0, "breaker open-state cooldown before a probe (0: 2s)")
-	brownoutAt       = flag.Float64("brownout-at", 0, "queue-depth fraction that sheds ABFT and batching (0: 0.9; negative: off)")
+	brownoutAt       = flag.Float64("brownout-at", 0, "queue-depth fraction that sheds ABFT verification (0: 0.9; negative: off)")
 	cacheEntries     = flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables keyed 128-bit operand digests, result caching and operand interning (0: off)")
 	cacheBytes       = flag.Int64("cache-bytes", 0, "result cache capacity in bytes (0: 256 MiB when the cache is on)")
 	cacheTTL         = flag.Duration("cache-ttl", 0, "expire cached results this long after insertion (0: LRU eviction only)")
@@ -104,10 +101,7 @@ func main() {
 		MaxDim:           *maxDim,
 		DefaultTimeout:   *timeout,
 		KernelThreads:    *kernelThreads,
-		MaxTeams:         *maxTeams,
 		BatchMax:         *batchMax,
-		StarveAfter:      *starveAfter,
-		TeamIdleAfter:    *teamIdle,
 		TraceEvents:      *traceEvents,
 		TraceSample:      *traceSample,
 		ABFT:             *abft,

@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -46,7 +47,6 @@ func (h *harness) parkCallers(n int) (release func()) {
 // GOMAXPROCS caller-run dispatches are in flight.
 func TestWhoRunsADispatch(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	secondWorker := make(chan struct{}) // holds the pool's second worker in its factory
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -60,19 +60,19 @@ func TestWhoRunsADispatch(t *testing.T) {
 	}{
 		{
 			name:       "idle pool",
-			cfg:        Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8},
+			cfg:        Config{MinWorkers: 1, QueueCap: 8},
 			arrange:    func(*harness) func() { return func() {} },
 			batchable:  true,
 			wantCaller: true,
 		},
 		{
 			name:    "non-batchable task on an idle pool",
-			cfg:     Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8},
+			cfg:     Config{MinWorkers: 1, QueueCap: 8},
 			arrange: func(*harness) func() { return func() {} },
 		},
 		{
 			name: "worker pinned",
-			cfg:  Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8},
+			cfg:  Config{MinWorkers: 1, QueueCap: 8},
 			arrange: func(h *harness) func() {
 				g := h.submitGate()
 				return func() { close(g.release) }
@@ -82,48 +82,40 @@ func TestWhoRunsADispatch(t *testing.T) {
 		},
 		{
 			name:      "GOMAXPROCS caller-run dispatches in flight",
-			cfg:       Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: procs + 8},
+			cfg:       Config{MinWorkers: 1, QueueCap: procs + 8},
 			arrange:   func(h *harness) func() { return h.parkCallers(procs) },
 			batchable: true,
 			ahead:     procs,
 		},
 		{
-			// One worker pinned, a second still in its factory: the pool has a
-			// worker outside Exec, but two tasks wait — the probe queues behind
-			// them and is dispatched after them.
+			// A task queued without a wakeup: the worker is idle, but a task
+			// waits — the probe queues behind it, and the wakeup its own
+			// Submit sends dispatches both, the probe second.
 			name: "something already queued",
-			cfg: Config{MinWorkers: 1, MaxWorkers: 2, GrowAt: 1, QueueCap: 8,
-				NewWorker: func() (Worker, error) {
-					<-secondWorker
-					return &fakeWorker{}, nil
-				}},
+			cfg:  Config{MinWorkers: 1, QueueCap: 8},
 			arrange: func(h *harness) func() {
-				g := h.submitGate()
-				mustSubmit(h.t, h.s, &Task{Batchable: true})
-				mustSubmit(h.t, h.s, &Task{Batchable: true})
-				if h.s.Workers() != 2 || h.s.Queued() != 2 {
-					h.t.Fatalf("arranged %d workers and %d queued, want 2 and 2", h.s.Workers(), h.s.Queued())
-				}
-				return func() { close(g.release); close(secondWorker) }
+				h.s.mu.Lock()
+				h.s.inflight.Add(1)
+				h.s.q.push(&Task{Batchable: true, s: h.s, done: make(chan struct{})}, h.s.now())
+				h.s.mu.Unlock()
+				return func() {}
 			},
 			batchable: true,
-			ahead:     3,
+			ahead:     1,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// Arrange once the worker has made its first, empty pop: from then
+			// on it dispatches only when a Submit wakes it.
 			cfg := tc.cfg
-			if cfg.NewWorker != nil {
-				// Only workers past the first wait for the test.
-				first, factory := true, cfg.NewWorker
-				cfg.NewWorker = func() (Worker, error) {
-					if first {
-						first = false
-						return &fakeWorker{}, nil
-					}
-					return factory()
-				}
+			idle := make(chan struct{})
+			var once sync.Once
+			cfg.Now = func() time.Time {
+				once.Do(func() { close(idle) })
+				return time.Now()
 			}
 			h := newHarness(t, cfg, gateExec)
+			<-idle
 			release := tc.arrange(h)
 			probe := Task{Batchable: tc.batchable}
 			mustSubmit(t, h.s, &probe)
@@ -166,29 +158,25 @@ func TestWhoRunsADispatch(t *testing.T) {
 			if got := h.s.Snapshot().InlineDispatches; got != uint64(callers) {
 				t.Errorf("inline_dispatches = %d, Exec saw %d nil workers", got, callers)
 			}
-			if probe.Attempts() != 1 {
-				t.Errorf("probe attempts = %d, want 1", probe.Attempts())
-			}
 		})
 	}
 }
 
-// TestCallerRunFailureGoesToAWorker: a caller-run dispatch that panics or
-// hands its task back is settled like any other — the task is requeued and
-// a worker finishes it; Submit returns without it having finished.
-func TestCallerRunFailureGoesToAWorker(t *testing.T) {
+// TestCallerRunFailureFinishesTheTask: a caller-run dispatch that panics or
+// returns without finishing its task finishes it with an error before
+// Submit returns — no worker ever sees it.
+func TestCallerRunFailureFinishesTheTask(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		fail func(tasks []*Task) Outcome
+		want string
 	}{
-		{"panic", func([]*Task) Outcome { panic("boom") }},
-		{"unfinished", func(tasks []*Task) Outcome {
-			return Outcome{Unfinished: tasks, Err: errors.New("boom")}
-		}},
+		{"panic", func([]*Task) Outcome { panic("boom") }, "sched: caller-run dispatch panicked: boom"},
+		{"unfinished", func([]*Task) Outcome { return Outcome{} }, errNotFinished.Error()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8}, func(w Worker, tasks []*Task) Outcome {
-				if w == nil {
+			h := newHarness(t, Config{MinWorkers: 1, QueueCap: 8}, func(w Worker, tasks []*Task) Outcome {
+				if w == nil && tasks[0].Payload == nil {
 					return tc.fail(tasks)
 				}
 				for _, tk := range tasks {
@@ -198,25 +186,26 @@ func TestCallerRunFailureGoesToAWorker(t *testing.T) {
 			})
 			tk := &Task{Batchable: true}
 			mustSubmit(t, h.s, tk)
-			waitDone(t, tk)
-			if err := tk.Err(); err != nil {
-				t.Fatalf("task: %v", err)
+			select {
+			case <-tk.Done():
+			default:
+				t.Fatal("Submit returned with its failed caller-run task unfinished")
 			}
-			if tk.Attempts() != 2 {
-				t.Fatalf("attempts = %d, want 2 (caller, then worker)", tk.Attempts())
+			if err := tk.Err(); err == nil || err.Error() != tc.want {
+				t.Fatalf("task err %v, want %q", err, tc.want)
 			}
 			h.mu.Lock()
 			byCaller := append([]bool(nil), h.byCaller...)
 			h.mu.Unlock()
-			if len(byCaller) != 2 || !byCaller[0] || byCaller[1] {
-				t.Fatalf("dispatches by caller = %v, want [true false]", byCaller)
+			if len(byCaller) != 1 || !byCaller[0] {
+				t.Fatalf("dispatches by caller = %v, want [true]", byCaller)
 			}
 			snap := h.s.Snapshot()
-			if snap.Requeued != 1 || snap.InlineDispatches != 1 || snap.Dispatches != 2 || snap.Completed != 1 {
+			if snap.InlineDispatches != 1 || snap.Dispatches != 1 || snap.Failed != 1 || snap.InFlight != 0 {
 				t.Fatalf("snapshot: %+v", snap)
 			}
 			// The slot the failed dispatch held is free again.
-			again := &Task{Batchable: true}
+			again := &Task{Batchable: true, Payload: "again"}
 			mustSubmit(t, h.s, again)
 			if h.s.Snapshot().InlineDispatches != 2 {
 				t.Fatal("the caller-run slot of a failed dispatch was not returned")
@@ -229,7 +218,7 @@ func TestCallerRunFailureGoesToAWorker(t *testing.T) {
 // TestCallerRunCountsAgainstQueueCap: a task being run by its submitter is
 // admitted work like any other.
 func TestCallerRunCountsAgainstQueueCap(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 1}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 1}, gateExec)
 	release := h.parkCallers(1)
 	if err := h.s.Submit(&Task{Batchable: true}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Submit with a caller-run task in flight: %v, want ErrQueueFull", err)
@@ -242,7 +231,7 @@ func TestCallerRunCountsAgainstQueueCap(t *testing.T) {
 
 // TestCloseWaitsForCallerRun: the drain covers dispatches no worker holds.
 func TestCloseWaitsForCallerRun(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 8}, gateExec)
 	release := h.parkCallers(1)
 	closed := make(chan error, 1)
 	go func() {

@@ -1,238 +1,83 @@
 package sched
 
 import (
-	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// pollWorkers waits until the pool reaches want workers or times out.
-func pollWorkers(t *testing.T, s *Scheduler, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.Workers() == want {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("pool stuck at %d workers, want %d", s.Workers(), want)
-}
-
-// TestPoolGrowsUnderBacklog: queue depth beyond GrowAt*workers grows the
-// pool, and the pool NEVER exceeds MaxWorkers even under a deep backlog.
-func TestPoolGrowsUnderBacklog(t *testing.T) {
-	var peak atomic.Int64
-	block := make(chan struct{})
-	exec := func(w Worker, tasks []*Task) Outcome {
-		<-block
-		for _, tk := range tasks {
-			tk.Finish(nil)
-		}
-		return Outcome{}
-	}
-	h := newHarness(t, Config{
-		MinWorkers: 1, MaxWorkers: 3, GrowAt: 1, QueueCap: 64,
-	}, exec)
-	track := func() {
-		if n := int64(h.s.Workers()); n > peak.Load() {
-			peak.Store(n)
-		}
-	}
-	tasks := make([]*Task, 32)
-	for i := range tasks {
-		tasks[i] = &Task{}
-		mustSubmit(t, h.s, tasks[i])
-		track()
-	}
-	pollWorkers(t, h.s, 3)
-	for i := 0; i < 50; i++ {
-		track()
-		time.Sleep(time.Millisecond)
-	}
-	close(block)
-	waitDone(t, tasks...)
-	if peak.Load() > 3 {
-		t.Fatalf("pool exceeded MaxWorkers: peak %d", peak.Load())
-	}
-	if snap := h.s.Snapshot(); snap.PoolGrown == 0 {
-		t.Fatalf("PoolGrown not counted: %+v", snap)
-	}
-}
-
-// TestPoolShrinksWhenIdle: after the backlog drains, idle workers above
-// MinWorkers retire, and the pool never drops below MinWorkers.
-func TestPoolShrinksWhenIdle(t *testing.T) {
-	exec := func(w Worker, tasks []*Task) Outcome {
-		time.Sleep(50 * time.Microsecond) // slow enough that a backlog forms
-		for _, tk := range tasks {
-			tk.Finish(nil)
-		}
-		return Outcome{}
-	}
-	h := newHarness(t, Config{
-		MinWorkers: 1, MaxWorkers: 4, GrowAt: 1, QueueCap: 64,
-		IdleAfter: 10 * time.Millisecond,
-	}, exec)
-	// Drive enough work to grow the pool.
-	for round := 0; round < 4; round++ {
-		tasks := make([]*Task, 32)
-		for i := range tasks {
-			tasks[i] = &Task{}
-			mustSubmit(t, h.s, tasks[i])
-		}
-		waitDone(t, tasks...)
-	}
-	pollWorkers(t, h.s, 1)
-	// Stays at the floor: never observed below MinWorkers.
-	for i := 0; i < 30; i++ {
-		if n := h.s.Workers(); n < 1 {
-			t.Fatalf("pool dropped below MinWorkers: %d", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	snap := h.s.Snapshot()
-	if snap.PoolShrunk == 0 {
-		t.Fatalf("PoolShrunk not counted: %+v", snap)
-	}
-	// A shrunk pool still serves new work.
-	tk := &Task{}
-	mustSubmit(t, h.s, tk)
-	waitDone(t, tk)
-}
-
-// TestPoolFixedByDefault: with MaxWorkers unset the pool is pinned at
-// MinWorkers — elasticity is opt-in.
+// TestPoolFixedByDefault: the zero Config builds one worker.
 func TestPoolFixedByDefault(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 2, QueueCap: 64}, gateExec)
+	h := newHarness(t, Config{QueueCap: 64}, gateExec)
 	tasks := make([]*Task, 16)
 	for i := range tasks {
 		tasks[i] = &Task{}
 		mustSubmit(t, h.s, tasks[i])
 	}
-	if n := h.s.Workers(); n != 2 {
-		t.Fatalf("fixed pool at %d workers, want 2", n)
-	}
 	waitDone(t, tasks...)
+	if n := h.s.Snapshot().Workers; n != 1 {
+		t.Fatalf("default pool at %d workers, want 1", n)
+	}
+	if made := h.workersMade(); made != 1 {
+		t.Fatalf("workers created = %d, want 1", made)
+	}
 }
 
-// TestPoolReplacesPoisonedWorker: ReplaceWorker closes the old engine and
-// installs a fresh one; the batch's unfinished tasks complete on it.
-func TestPoolReplacesPoisonedWorker(t *testing.T) {
-	var poisoned atomic.Bool
-	poisoned.Store(true)
-	exec := func(w Worker, tasks []*Task) Outcome {
-		if g, ok := tasks[0].Payload.(*gate); ok {
-			close(g.entered)
-			<-g.release
-			tasks[0].Finish(nil)
-			return Outcome{}
-		}
-		if len(tasks) > 1 && poisoned.CompareAndSwap(true, false) {
-			tasks[0].Finish(nil)
-			return Outcome{
-				Unfinished:    tasks[1:],
-				ReplaceWorker: true,
-				Err:           errors.New("team leaked ranks"),
-			}
-		}
+// TestPoolIsFixedAndNeverRetries: a deep backlog behind a pinned pool builds
+// no worker beyond the MinWorkers New built, and a task its dispatch leaves
+// unfinished is finished with an error — Exec never sees it again.
+func TestPoolIsFixedAndNeverRetries(t *testing.T) {
+	const dropped = "dropped"
+	h := newHarness(t, Config{MinWorkers: 2, QueueCap: 64, BatchMax: 4}, func(w Worker, tasks []*Task) Outcome {
 		for _, tk := range tasks {
+			if tk.Payload == dropped {
+				continue
+			}
+			if g, ok := tk.Payload.(*gate); ok {
+				close(g.entered)
+				<-g.release
+			}
 			tk.Finish(nil)
 		}
 		return Outcome{}
-	}
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 32, BatchMax: 8}, exec)
-	g := h.submitGate()
-	tasks := make([]*Task, 5)
+	})
+	g1, g2 := h.submitGate(), h.submitGate()
+	tasks := make([]*Task, 48)
 	for i := range tasks {
 		tasks[i] = &Task{Batchable: true, Payload: i}
+		if i == 17 {
+			tasks[i].Payload = dropped
+		}
 		mustSubmit(t, h.s, tasks[i])
 	}
-	close(g.release)
+	if q := h.s.Queued(); q != len(tasks) {
+		t.Fatalf("%d queued behind the pinned pool, want %d", q, len(tasks))
+	}
+	close(g1.release)
+	close(g2.release)
 	waitDone(t, tasks...)
-	for i, tk := range tasks {
-		if err := tk.Err(); err != nil {
-			t.Fatalf("task %d: %v", i, err)
-		}
-	}
-	snap := h.s.Snapshot()
-	if snap.PoolReplaced != 1 {
-		t.Fatalf("PoolReplaced = %d, want 1", snap.PoolReplaced)
-	}
-	if snap.Requeued == 0 {
-		t.Fatalf("unfinished tasks not requeued after crash")
-	}
+
 	if made := h.workersMade(); made != 2 {
-		t.Fatalf("workers created = %d, want 2 (original + replacement)", made)
+		t.Fatalf("NewWorker called %d times across the backlog, want 2", made)
 	}
-	if h.s.Workers() != 1 {
-		t.Fatalf("pool size %d after replacement, want 1", h.s.Workers())
-	}
-}
-
-// TestPoolRepairsAfterFactoryFailure: when a replacement factory call
-// fails, the pool shrinks, and the next Submit repairs it to MinWorkers.
-func TestPoolRepairsAfterFactoryFailure(t *testing.T) {
-	var factoryCalls atomic.Int64
-	var factoryFail atomic.Bool
-	var poisonOnce atomic.Bool
-	poisonOnce.Store(true)
-	exec := func(w Worker, tasks []*Task) Outcome {
-		if poisonOnce.CompareAndSwap(true, false) {
-			for _, tk := range tasks {
-				tk.Finish(nil)
-			}
-			return Outcome{ReplaceWorker: true, Err: errors.New("poisoned")}
+	for i, tk := range tasks {
+		if err := tk.Err(); (i == 17) != (err != nil) {
+			t.Fatalf("task %d: err %v", i, err)
 		}
-		for _, tk := range tasks {
-			tk.Finish(nil)
+	}
+	if err := tasks[17].Err(); !errors.Is(err, errNotFinished) {
+		t.Fatalf("unfinished task: err %v, want %v", err, errNotFinished)
+	}
+	seen := 0
+	for _, tk := range h.dispatchOrder() {
+		if tk == tasks[17] {
+			seen++
 		}
-		return Outcome{}
 	}
-	cfg := Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8}
-	cfg.Exec = exec
-	cfg.NewWorker = func() (Worker, error) {
-		if factoryFail.Load() {
-			return nil, errors.New("factory down")
-		}
-		factoryCalls.Add(1)
-		return &fakeWorker{}, nil
+	if seen != 1 {
+		t.Fatalf("Exec saw the unfinished task %d times, want 1", seen)
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Close(ctx)
-	}()
-
-	// Poison the worker while the factory is down: the pool drops to 0.
-	factoryFail.Store(true)
-	tk := &Task{}
-	mustSubmit(t, s, tk)
-	waitDone(t, tk)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Workers() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := s.Workers(); n != 0 {
-		t.Fatalf("pool at %d after failed replacement, want 0", n)
-	}
-
-	// Factory recovers: the next Submit repairs the pool and the task runs.
-	factoryFail.Store(false)
-	tk2 := &Task{}
-	mustSubmit(t, s, tk2)
-	waitDone(t, tk2)
-	if s.Workers() != 1 {
-		t.Fatalf("pool not repaired: %d workers", s.Workers())
-	}
-	if snap := s.Snapshot(); snap.PoolGrowFailed == 0 {
-		t.Fatalf("PoolGrowFailed not counted")
+	if snap := h.s.Snapshot(); snap.Failed != 1 || snap.Workers != 2 {
+		t.Fatalf("snapshot: %+v", snap)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sched is the workload scheduler between request admission and
-// the engine pool: it decides WHAT runs next, on HOW MANY engines and on
-// WHOSE goroutine, while staying agnostic about what an engine is (Worker)
-// and how work executes on it (Config.Exec).
+// a fixed pool of engines: it decides WHAT runs next and on WHOSE
+// goroutine, while staying agnostic about what an engine is (Worker) and
+// how work executes on it (Config.Exec).
 //
 // Who runs a dispatch: a batchable task submitted while nothing is queued,
 // a pool worker is idle and fewer than GOMAXPROCS such dispatches are in
@@ -9,7 +9,7 @@
 // needs no engine (Exec gets a nil Worker), so handing it to a worker
 // goroutine would buy two goroutine switches and a place in single file
 // behind whatever that worker runs next, and nothing else. Everything else
-// is queued for the pool, where three policies compose — they exist for
+// is queued for the pool, where two policies compose — they exist for
 // contention, and apply exactly when there is some:
 //
 //   - batched execution: queued batchable tasks of one class are coalesced
@@ -18,16 +18,16 @@
 //   - priority + deadline dispatch: per-class index-heap run queues with
 //     EDF order within a class, weighted fair queueing across classes, and
 //     starvation aging (a head task waiting past StarveAfter is served
-//     regardless of weights);
-//   - elastic pooling: the worker pool grows toward MaxWorkers when the
-//     queue backs up, shrinks toward MinWorkers when workers sit idle, and
-//     replaces workers the executor reports as poisoned. A dispatch that
-//     dies mid-batch returns its unfinished tasks, which are requeued up
-//     to MaxAttempts.
+//     regardless of weights).
 //
-// The scheduler guarantees every accepted task is finished exactly once:
-// by its executor, by queue-drop (cancelled before dispatch), by retry
-// exhaustion, or by Close.
+// The pool is the MinWorkers workers New builds; it never grows, shrinks
+// or replaces one. A task is dispatched at most once: the scheduler does
+// not retry. Retrying is the caller's business — it knows what a failed
+// attempt left behind — so a task its dispatch did not finish (Exec
+// returned without it, or a caller-run Exec panicked) is finished with an
+// error instead. Every accepted task is finished exactly once: by its
+// executor, by that fallback, by queue-drop (cancelled before dispatch),
+// or by Close.
 package sched
 
 import (
@@ -52,9 +52,10 @@ var (
 	// ErrCancelled finishes tasks whose Cancel channel fired before
 	// dispatch.
 	ErrCancelled = errors.New("sched: task cancelled before dispatch")
-	// ErrRetriesExhausted finishes tasks requeued MaxAttempts times by
-	// failing dispatches.
-	ErrRetriesExhausted = errors.New("sched: dispatch retries exhausted")
+
+	// errNotFinished finishes a task its dispatch's Exec returned without
+	// finishing.
+	errNotFinished = errors.New("sched: dispatch returned without finishing the task")
 )
 
 // Worker is one engine owned by the pool — for the GEMM service a
@@ -64,30 +65,20 @@ type Worker interface {
 	Close() error
 }
 
-// Outcome reports one dispatch back to the scheduler. The zero value means
-// "all tasks finished, worker healthy".
-type Outcome struct {
-	// Unfinished are the batch's tasks the executor did not Finish (a crash
-	// mid-batch): the scheduler requeues them, dropping any that exceed
-	// MaxAttempts with ErrRetriesExhausted.
-	Unfinished []*Task
-	// ReplaceWorker marks the worker poisoned (e.g. leaked ranks): the
-	// scheduler closes it and creates a fresh one in its place.
-	ReplaceWorker bool
-	// Err is the dispatch failure cause, attached to tasks dropped for
-	// retry exhaustion.
-	Err error
-}
+// Outcome is what Exec returns for one dispatch. It carries nothing: a
+// dispatch reports through the tasks it finishes. It is kept so executors
+// written against it, the benchmark's layer probe among them, still build.
+type Outcome struct{}
 
 // Config sizes the scheduler. NewWorker and Exec are required; everything
 // else has serviceable defaults from fill().
 type Config struct {
-	// MinWorkers..MaxWorkers bound the elastic pool (defaults 1..MinWorkers,
-	// i.e. a fixed pool unless MaxWorkers is raised).
+	// MinWorkers is the pool size: New builds this many workers and they
+	// serve until Close (default 1). The name dates from an elastic pool;
+	// it stays because benchmark/probe_sched.go sets it.
 	MinWorkers int
-	MaxWorkers int
 	// QueueCap bounds admitted tasks — queued plus executing (default
-	// 4*MaxWorkers).
+	// 4*MinWorkers).
 	QueueCap int
 	// BatchMax caps tasks coalesced into one dispatch (default 32).
 	BatchMax int
@@ -97,33 +88,16 @@ type Config struct {
 	// StarveAfter bounds cross-class starvation: a class head waiting this
 	// long is dispatched regardless of weights (default 2s; <0 disables).
 	StarveAfter time.Duration
-	// IdleAfter is how long a worker above MinWorkers may sit idle before
-	// the pool shrinks it away (default 30s).
-	IdleAfter time.Duration
-	// GrowAt is the queue depth per worker that triggers pool growth
-	// (default 2: grow when queued > 2*workers).
-	GrowAt int
-	// MaxAttempts bounds dispatches per task before it is failed with
-	// ErrRetriesExhausted (default 3).
-	MaxAttempts int
-	// GroupsPerWorker declares how many rank groups each worker engine
-	// hosts (hierarchical mode: an engine's ranks are carved into SUMMA
-	// groups, see internal/hier). The scheduler does not change its
-	// dispatch decisions on it — a worker is still the dispatch unit —
-	// but the elastic pool doubles as the group manager: growing or
-	// shrinking by one worker adds or retires GroupsPerWorker groups,
-	// and the live group count is exported as the "sched.groups" gauge
-	// and Scheduler.Groups(). 0 means flat mode (one implicit group per
-	// worker is NOT assumed; the gauge stays 0).
-	GroupsPerWorker int
 	// NewWorker creates a pool worker (required).
 	NewWorker func() (Worker, error)
 	// Exec runs one dispatch — a locality-sorted batch of one class, or a
-	// single non-batchable task — on a worker (required). It must Finish
-	// every task it completes and return the rest in Outcome.Unfinished.
-	// w is nil for a dispatch run by Submit's caller (one batchable task,
-	// see the package comment): batchable work must not need the engine.
-	// Exec may then be running on several goroutines at once.
+	// single non-batchable task — on a worker (required). It should Finish
+	// every task, with an error for one that failed: a task still
+	// unfinished when Exec returns is finished with an error for it, and
+	// is never dispatched again. w is nil for a dispatch run by Submit's
+	// caller (one batchable task, see the package comment): batchable
+	// work must not need the engine. Exec may then be running on several
+	// goroutines at once.
 	Exec func(w Worker, tasks []*Task) Outcome
 	// Now is the clock used for deadlines and aging (default time.Now;
 	// injectable for tests).
@@ -143,11 +117,8 @@ func (c Config) fill() Config {
 	if c.MinWorkers <= 0 {
 		c.MinWorkers = 1
 	}
-	if c.MaxWorkers < c.MinWorkers {
-		c.MaxWorkers = c.MinWorkers
-	}
 	if c.QueueCap <= 0 {
-		c.QueueCap = 4 * c.MaxWorkers
+		c.QueueCap = 4 * c.MinWorkers
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 32
@@ -161,30 +132,20 @@ func (c Config) fill() Config {
 	if c.StarveAfter == 0 {
 		c.StarveAfter = 2 * time.Second
 	}
-	if c.IdleAfter <= 0 {
-		c.IdleAfter = 30 * time.Second
-	}
-	if c.GrowAt <= 0 {
-		c.GrowAt = 2
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	return c
 }
 
-// Scheduler owns the run queue and the elastic worker pool. Create with
-// New, feed with Submit, stop with Close.
+// Scheduler owns the run queue and the worker pool. Create with New, feed
+// with Submit, stop with Close.
 type Scheduler struct {
 	cfg Config
 
 	mu       sync.Mutex
 	q        runQueue
-	workers  int
-	busy     int // workers holding a dispatch (popped, not yet settled)
+	busy     int // workers holding a dispatch (popped, not yet returned)
 	callers  int // caller-run dispatches in flight, at most maxCallers
 	draining bool
 	stopped  bool
@@ -203,7 +164,6 @@ type Scheduler struct {
 	// take the registry lock.
 	reg      *obs.Registry
 	inflight *obs.Gauge // admitted and not yet finished
-	groups   *obs.Gauge // live rank groups (workers * GroupsPerWorker)
 
 	submitted       *obs.Counter
 	rejected        *obs.Counter
@@ -214,21 +174,15 @@ type Scheduler struct {
 	dispatchedTasks *obs.Counter
 	inline          *obs.Counter // dispatches run by Submit's caller
 	maxBatch        *obs.Counter // running maximum via RaiseTo
-	requeued        *obs.Counter
-	retriesDropped  *obs.Counter
 	expired         *obs.Counter
 	misses          *obs.Counter
 	starved         *obs.Counter
-	grown           *obs.Counter
-	shrunk          *obs.Counter
-	replaced        *obs.Counter
-	growFailed      *obs.Counter
 	served          [NumClasses]*obs.Counter
 	qwait           [NumClasses]*obs.Histogram // admission-to-dispatch wait
 }
 
-// New builds a scheduler and spins up MinWorkers workers synchronously (a
-// factory failure fails New).
+// New builds a scheduler and its MinWorkers workers synchronously (a
+// factory failure closes the ones already built and fails New).
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.NewWorker == nil || cfg.Exec == nil {
 		return nil, errors.New("sched: Config.NewWorker and Config.Exec are required")
@@ -245,7 +199,6 @@ func New(cfg Config) (*Scheduler, error) {
 		maxCallers:      runtime.GOMAXPROCS(0),
 		reg:             reg,
 		inflight:        reg.Gauge("sched.in_flight"),
-		groups:          reg.Gauge("sched.groups"),
 		submitted:       reg.Counter("sched.submitted"),
 		rejected:        reg.Counter("sched.rejected"),
 		completed:       reg.Counter("sched.completed"),
@@ -255,15 +208,9 @@ func New(cfg Config) (*Scheduler, error) {
 		dispatchedTasks: reg.Counter("sched.dispatched_tasks"),
 		inline:          reg.Counter("sched.inline_dispatches"),
 		maxBatch:        reg.Counter("sched.max_batch"),
-		requeued:        reg.Counter("sched.requeued"),
-		retriesDropped:  reg.Counter("sched.retries_exhausted"),
 		expired:         reg.Counter("sched.expired_before_run"),
 		misses:          reg.Counter("sched.deadline_misses"),
 		starved:         reg.Counter("sched.starvation_promotions"),
-		grown:           reg.Counter("sched.pool_grown"),
-		shrunk:          reg.Counter("sched.pool_shrunk"),
-		replaced:        reg.Counter("sched.pool_replaced"),
-		growFailed:      reg.Counter("sched.pool_grow_failed"),
 	}
 	for c := 0; c < NumClasses; c++ {
 		s.served[c] = reg.Counter("sched.served." + Class(c).String())
@@ -280,8 +227,6 @@ func New(cfg Config) (*Scheduler, error) {
 		}
 		initial = append(initial, w)
 	}
-	s.workers = len(initial)
-	s.syncGroupsLocked()
 	for _, w := range initial {
 		s.wg.Add(1)
 		go s.runWorker(w)
@@ -293,19 +238,6 @@ func New(cfg Config) (*Scheduler, error) {
 // counters — cfg.Metrics when one was provided, a private registry
 // otherwise.
 func (s *Scheduler) Registry() *obs.Registry { return s.reg }
-
-// Workers returns the current pool size.
-func (s *Scheduler) Workers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workers
-}
-
-// Groups returns the live rank-group count under group management
-// (Workers() * GroupsPerWorker; 0 in flat mode).
-func (s *Scheduler) Groups() int {
-	return int(s.groups.Load())
-}
 
 // Queued returns the number of admitted tasks waiting for dispatch.
 func (s *Scheduler) Queued() int {
@@ -319,8 +251,7 @@ func (s *Scheduler) now() time.Time { return s.cfg.Now() }
 // Submit admits t or refuses with ErrQueueFull/ErrClosed. On admission the
 // task WILL be finished eventually; wait on t.Done(). A batchable task may
 // be dispatched on the calling goroutine (package comment): Submit then
-// returns after Exec did, normally with t finished — but a dispatch that
-// failed leaves t requeued for a worker, so callers wait on Done either way.
+// returns with t finished, and Done is already closed.
 func (s *Scheduler) Submit(t *Task) error {
 	if t.Class >= NumClasses {
 		return fmt.Errorf("sched: invalid class %d", t.Class)
@@ -339,14 +270,13 @@ func (s *Scheduler) Submit(t *Task) error {
 	t.s = s
 	t.done = make(chan struct{})
 	now := s.now()
-	callerRun := t.Batchable && s.q.len() == 0 && s.busy < s.workers && s.callers < s.maxCallers
+	callerRun := t.Batchable && s.q.len() == 0 && s.busy < s.cfg.MinWorkers && s.callers < s.maxCallers
 	if callerRun {
 		s.callers++
 		t.enq = now
 		s.q.vtime[t.Class] += s.issueLocked(t, now) / s.cfg.Weights[t.Class]
 	} else {
 		s.q.push(t, now)
-		s.resizeLocked()
 	}
 	s.mu.Unlock()
 	s.submitted.Add(1)
@@ -360,23 +290,19 @@ func (s *Scheduler) Submit(t *Task) error {
 }
 
 // runCaller is a caller-run dispatch: one task, no worker, the same books
-// and the same settle as a worker's. A panic out of Exec must not unwind
-// into Submit's caller with the task admitted and never finished, so it is
-// turned into a failed dispatch: the task is requeued and a worker tries it.
+// as a worker's. A panic out of Exec must not unwind into Submit's caller
+// with the task admitted and never finished, so it finishes the task with
+// the panic as its error.
 func (s *Scheduler) runCaller(t *Task) {
-	batch := []*Task{t}
-	out := func() (out Outcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				out = Outcome{Unfinished: batch, Err: fmt.Errorf("sched: caller-run dispatch panicked: %v", r)}
-			}
-		}()
-		return s.dispatch(nil, batch)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Finish(fmt.Errorf("sched: caller-run dispatch panicked: %v", r))
+		}
+		s.mu.Lock()
+		s.callers--
+		s.mu.Unlock()
 	}()
-	s.settle(out)
-	s.mu.Lock()
-	s.callers--
-	s.mu.Unlock()
+	s.dispatch(nil, []*Task{t})
 }
 
 // wake nudges one worker. The channel is sized to QueueCap, so a full
@@ -386,34 +312,6 @@ func (s *Scheduler) wake() {
 	select {
 	case s.ready <- struct{}{}:
 	default:
-	}
-}
-
-// resizeLocked grows the pool toward the queue-depth target and repairs it
-// back up to MinWorkers after factory failures.
-func (s *Scheduler) resizeLocked() {
-	for s.workers < s.cfg.MinWorkers {
-		s.spawnLocked()
-	}
-	if queued := s.q.len(); s.workers < s.cfg.MaxWorkers && queued > s.cfg.GrowAt*s.workers {
-		s.grown.Add(1)
-		s.spawnLocked()
-	}
-}
-
-func (s *Scheduler) spawnLocked() {
-	s.workers++
-	s.syncGroupsLocked()
-	s.wg.Add(1)
-	go s.runWorker(nil)
-}
-
-// syncGroupsLocked keeps the group-manager gauge in step with the pool:
-// every worker hosts GroupsPerWorker rank groups, so pool elasticity IS
-// group elasticity.
-func (s *Scheduler) syncGroupsLocked() {
-	if s.cfg.GroupsPerWorker > 0 {
-		s.groups.Set(int64(s.workers * s.cfg.GroupsPerWorker))
 	}
 }
 
@@ -471,9 +369,8 @@ func (s *Scheduler) pickClassLocked(now time.Time) (Class, bool) {
 }
 
 // issueLocked books t's passage from admitted to dispatched at now — the
-// attempt, the queue-wait sample and span — and returns its fairness cost.
+// queue-wait sample and span — and returns its fairness cost.
 func (s *Scheduler) issueLocked(t *Task, now time.Time) float64 {
-	t.attempts.Add(1)
 	// Queue-wait lands in the per-class histogram so /metrics separates
 	// wait p99 from service p99 — the queueing-delay half of latency.
 	s.qwait[t.Class].Observe(now.Sub(t.enq).Seconds())
@@ -533,25 +430,11 @@ func (s *Scheduler) popBatch(buf []*Task) []*Task {
 	return buf
 }
 
-// runWorker is one pool worker: create the engine if needed, then loop
-// pop → exec → requeue/replace until shut down or shrunk away.
+// runWorker is one pool worker: loop pop → exec until shut down, then
+// close the engine.
 func (s *Scheduler) runWorker(w Worker) {
 	defer s.wg.Done()
-	if w == nil {
-		var err error
-		w, err = s.cfg.NewWorker()
-		if err != nil {
-			s.growFailed.Add(1)
-			s.mu.Lock()
-			s.workers--
-			s.mu.Unlock()
-			return
-		}
-	}
 	defer func() {
-		if w == nil {
-			return
-		}
 		if err := w.Close(); err != nil {
 			s.mu.Lock()
 			if s.closeErr == nil {
@@ -561,62 +444,28 @@ func (s *Scheduler) runWorker(w Worker) {
 		}
 	}()
 	batch := make([]*Task, 0, s.cfg.BatchMax)
-	idle := time.NewTimer(s.cfg.IdleAfter)
-	defer idle.Stop()
 	for {
 		batch = s.popBatch(batch[:0])
 		if len(batch) == 0 {
 			select {
 			case <-s.stop:
 				return
-			default:
-			}
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(s.cfg.IdleAfter)
-			select {
-			case <-s.stop:
-				return
 			case <-s.ready:
-				continue
-			case <-idle.C:
-				if s.tryShrink() {
-					return
-				}
 				continue
 			}
 		}
-		out := s.dispatch(w, batch)
-		s.settle(out)
+		s.dispatch(w, batch)
 		s.mu.Lock()
 		s.busy--
 		s.mu.Unlock()
-		if out.ReplaceWorker {
-			w.Close()
-			w = nil
-			s.replaced.Add(1)
-			nw, err := s.cfg.NewWorker()
-			if err != nil {
-				// Could not replace: shrink rather than pool a corpse; the
-				// next Submit repairs the pool back up to MinWorkers.
-				s.growFailed.Add(1)
-				s.mu.Lock()
-				s.workers--
-				s.mu.Unlock()
-				return
-			}
-			w = nw
-		}
 	}
 }
 
 // dispatch counts and runs one dispatch, on worker w or (w nil) on the
-// goroutine that submitted its only task.
-func (s *Scheduler) dispatch(w Worker, batch []*Task) Outcome {
+// goroutine that submitted its only task, and fails whatever Exec left
+// unfinished. A Task is single-use for this reason: the scheduler reads it
+// until Exec returns, which may be after its Done closed.
+func (s *Scheduler) dispatch(w Worker, batch []*Task) {
 	// Count the dispatch when it is issued, not when Exec returns:
 	// tasks Finish() inside Exec, so an observer woken by a completion
 	// must already see the dispatch that produced it in the counters.
@@ -627,49 +476,13 @@ func (s *Scheduler) dispatch(w Worker, batch []*Task) Outcome {
 	if s.cfg.Trace != nil {
 		t0 = s.now()
 	}
-	out := s.cfg.Exec(w, batch)
+	s.cfg.Exec(w, batch)
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindBatch, t0, s.now())
 	}
-	return out
-}
-
-// settle requeues a failed dispatch's unfinished tasks, dropping those out
-// of attempts.
-func (s *Scheduler) settle(out Outcome) {
-	for _, t := range out.Unfinished {
-		if t == nil || t.Finished() {
-			continue
-		}
-		if int(t.attempts.Load()) >= s.cfg.MaxAttempts {
-			cause := out.Err
-			if cause == nil {
-				cause = errors.New("dispatch failed")
-			}
-			s.retriesDropped.Add(1)
-			t.Finish(fmt.Errorf("%w (%d attempts): %v", ErrRetriesExhausted, t.Attempts(), cause))
-			continue
-		}
-		s.mu.Lock()
-		s.q.push(t, t.enq) // keep the original admission time: aging still sees it
-		s.mu.Unlock()
-		s.requeued.Add(1)
-		s.wake()
+	for _, t := range batch {
+		t.Finish(errNotFinished) // a no-op for every task Exec finished
 	}
-}
-
-// tryShrink retires this worker if the pool is above MinWorkers and there
-// is genuinely nothing to do.
-func (s *Scheduler) tryShrink() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || s.workers <= s.cfg.MinWorkers || s.q.len() > 0 {
-		return false
-	}
-	s.workers--
-	s.syncGroupsLocked()
-	s.shrunk.Add(1)
-	return true
 }
 
 // Close drains and stops the scheduler: Submit starts refusing, admitted

@@ -185,7 +185,7 @@ func TestSchedulerRunsTasks(t *testing.T) {
 // TestSchedulerEDFWithinClass: with a single pinned worker, queued tasks of
 // one class dispatch earliest-deadline-first regardless of arrival order.
 func TestSchedulerEDFWithinClass(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 16}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 16}, gateExec)
 	g := h.submitGate()
 
 	base := time.Now().Add(time.Hour)
@@ -209,7 +209,7 @@ func TestSchedulerEDFWithinClass(t *testing.T) {
 // TestSchedulerBatchCoalescing: queued batchable tasks of one class
 // dispatch as a single locality-sorted batch.
 func TestSchedulerBatchCoalescing(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 32, BatchMax: 16}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 32, BatchMax: 16}, gateExec)
 	g := h.submitGate()
 
 	keys := []uint64{5, 1, 9, 1, 3, 7, 2, 8}
@@ -251,7 +251,7 @@ func TestSchedulerBatchCoalescing(t *testing.T) {
 // TestSchedulerBatchMaxRespected: a backlog larger than BatchMax splits
 // into dispatches of at most BatchMax tasks.
 func TestSchedulerBatchMaxRespected(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 64, BatchMax: 4}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 64, BatchMax: 4}, gateExec)
 	g := h.submitGate()
 	tasks := make([]*Task, 10)
 	for i := range tasks {
@@ -272,7 +272,7 @@ func TestSchedulerBatchMaxRespected(t *testing.T) {
 // TestSchedulerNonBatchableSingleton: a non-batchable task never rides in a
 // multi-task dispatch.
 func TestSchedulerNonBatchableSingleton(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 32}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 32}, gateExec)
 	g := h.submitGate()
 	var tasks []*Task
 	for i := 0; i < 6; i++ {
@@ -298,7 +298,7 @@ func TestSchedulerNonBatchableSingleton(t *testing.T) {
 // TestSchedulerWeightedFairness: with both classes backlogged, the 4:1
 // default weights serve roughly four interactive tasks per batch task.
 func TestSchedulerWeightedFairness(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 64, StarveAfter: -1}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 64, StarveAfter: -1}, gateExec)
 	g := h.submitGate()
 	var tasks []*Task
 	for i := 0; i < 20; i++ {
@@ -341,7 +341,7 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 func TestSchedulerStarvationAging(t *testing.T) {
 	clk := newFakeClock(time.Unix(1000, 0))
 	h := newHarness(t, Config{
-		MinWorkers: 1, MaxWorkers: 1, QueueCap: 32,
+		MinWorkers: 1, QueueCap: 32,
 		StarveAfter: 2 * time.Second, Now: clk.now,
 	}, gateExec)
 	// Pin the worker with a batch-class gate so both classes carry equal
@@ -385,7 +385,7 @@ func TestSchedulerNoStarvationUnderLoad(t *testing.T) {
 		return Outcome{}
 	}
 	h := newHarness(t, Config{
-		MinWorkers: 1, MaxWorkers: 1, QueueCap: 8,
+		MinWorkers: 1, QueueCap: 8,
 		StarveAfter: 20 * time.Millisecond,
 		Weights:     [NumClasses]float64{1000, 0.001},
 	}, exec)
@@ -413,7 +413,7 @@ func TestSchedulerNoStarvationUnderLoad(t *testing.T) {
 // TestSchedulerDropsCancelledAtHead: a task whose Cancel fires while queued
 // is finished with ErrCancelled without reaching the executor.
 func TestSchedulerDropsCancelledAtHead(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 16}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 16}, gateExec)
 	g := h.submitGate()
 
 	cancel := make(chan struct{})
@@ -441,83 +441,10 @@ func TestSchedulerDropsCancelledAtHead(t *testing.T) {
 	}
 }
 
-// TestSchedulerRequeueUnfinished: tasks an executor returns as Unfinished
-// are requeued and complete on a later dispatch.
-func TestSchedulerRequeueUnfinished(t *testing.T) {
-	var fail atomic.Bool
-	fail.Store(true)
-	exec := func(w Worker, tasks []*Task) Outcome {
-		if g, ok := tasks[0].Payload.(*gate); ok {
-			close(g.entered)
-			<-g.release
-			tasks[0].Finish(nil)
-			return Outcome{}
-		}
-		if len(tasks) > 1 && fail.CompareAndSwap(true, false) {
-			// Crash mid-batch: finish the first task only.
-			tasks[0].Finish(nil)
-			return Outcome{Unfinished: tasks[1:], Err: errors.New("boom")}
-		}
-		for _, tk := range tasks {
-			tk.Finish(nil)
-		}
-		return Outcome{}
-	}
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 32, BatchMax: 8}, exec)
-	g := h.submitGate() // pin the worker so a real multi-task batch forms
-	tasks := make([]*Task, 6)
-	for i := range tasks {
-		tasks[i] = &Task{Batchable: true, Payload: i}
-	}
-	for _, tk := range tasks {
-		mustSubmit(t, h.s, tk)
-	}
-	close(g.release)
-	waitDone(t, tasks...)
-	for i, tk := range tasks {
-		if err := tk.Err(); err != nil {
-			t.Fatalf("task %d: %v", i, err)
-		}
-	}
-	snap := h.s.Snapshot()
-	if snap.Requeued == 0 {
-		t.Fatalf("no tasks requeued: %+v", snap)
-	}
-	if snap.Completed != uint64(len(tasks))+1 { // +1 for the gate task
-		t.Fatalf("completed %d, want %d", snap.Completed, len(tasks)+1)
-	}
-}
-
-// TestSchedulerRetriesExhausted: a dispatch that always fails finishes its
-// tasks with ErrRetriesExhausted after MaxAttempts.
-func TestSchedulerRetriesExhausted(t *testing.T) {
-	var calls atomic.Int64
-	exec := func(w Worker, tasks []*Task) Outcome {
-		calls.Add(1)
-		return Outcome{Unfinished: tasks, Err: errors.New("always broken")}
-	}
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8, MaxAttempts: 3}, exec)
-	tk := &Task{Payload: "cursed"}
-	mustSubmit(t, h.s, tk)
-	waitDone(t, tk)
-	if !errors.Is(tk.Err(), ErrRetriesExhausted) {
-		t.Fatalf("Err = %v, want ErrRetriesExhausted", tk.Err())
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("executor called %d times, want 3", got)
-	}
-	if tk.Attempts() != 3 {
-		t.Fatalf("Attempts = %d, want 3", tk.Attempts())
-	}
-	if snap := h.s.Snapshot(); snap.RetriesExhausted != 1 || snap.Failed != 1 {
-		t.Fatalf("snapshot: %+v", snap)
-	}
-}
-
 // TestSchedulerQueueFull: Submit refuses with ErrQueueFull once QueueCap
 // tasks are admitted (queued + executing).
 func TestSchedulerQueueFull(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 3}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 3}, gateExec)
 	g := h.submitGate() // occupies 1 admission slot while executing
 	a, b := &Task{}, &Task{}
 	mustSubmit(t, h.s, a)
@@ -552,7 +479,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 		}
 		return Outcome{}
 	}
-	cfg := Config{MinWorkers: 2, MaxWorkers: 2, QueueCap: 32}
+	cfg := Config{MinWorkers: 2, QueueCap: 32}
 	h := newHarness(t, cfg, exec)
 	tasks := make([]*Task, 16)
 	for i := range tasks {
@@ -575,7 +502,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 // TestSchedulerCloseInterrupted: an expired drain context flushes queued
 // tasks with ErrClosed rather than hanging.
 func TestSchedulerCloseInterrupted(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8}, gateExec)
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 8}, gateExec)
 	g := h.submitGate()
 	stuck := &Task{Payload: "stuck"}
 	mustSubmit(t, h.s, stuck)
@@ -607,15 +534,21 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		{"caller", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, Config{MinWorkers: 1, MaxWorkers: 1, QueueCap: 8}, nil)
+			h := newHarness(t, Config{MinWorkers: 1, QueueCap: 8}, nil)
 			// Warm up so pool slices reach steady capacity.
 			for i := 0; i < 64; i++ {
 				tk := &Task{Batchable: tc.batchable}
 				mustSubmit(t, h.s, tk)
 				waitDone(t, tk)
 			}
-			tk := &Task{}
-			avg := testing.AllocsPerRun(200, func() {
+			// A Task is single-use (the worker reads it until Exec returns), so
+			// every run gets its own, allocated up front.
+			const runs = 200
+			tasks := make([]Task, runs+1) // AllocsPerRun adds a warm-up run
+			next := 0
+			avg := testing.AllocsPerRun(runs, func() {
+				tk := &tasks[next]
+				next++
 				*tk = Task{Batchable: tc.batchable}
 				mustSubmit(t, h.s, tk)
 				<-tk.Done()

@@ -37,16 +37,6 @@ type Snapshot struct {
 	DeadlineMisses       uint64 `json:"deadline_misses"`
 	ExpiredBeforeRun     uint64 `json:"expired_before_run"`
 	StarvationPromotions uint64 `json:"starvation_promotions"`
-
-	// Resilience.
-	Requeued         uint64 `json:"requeued"`
-	RetriesExhausted uint64 `json:"retries_exhausted"`
-
-	// Pool elasticity.
-	PoolGrown      uint64 `json:"pool_grown"`
-	PoolShrunk     uint64 `json:"pool_shrunk"`
-	PoolReplaced   uint64 `json:"pool_replaced"`
-	PoolGrowFailed uint64 `json:"pool_grow_failed"`
 }
 
 // WaitStats summarizes one class's queue-wait distribution.
@@ -60,7 +50,6 @@ type WaitStats struct {
 // Snapshot captures the scheduler's current state.
 func (s *Scheduler) Snapshot() Snapshot {
 	s.mu.Lock()
-	workers := s.workers
 	queued := s.q.len()
 	byClass := make(map[string]int, NumClasses)
 	for c := 0; c < NumClasses; c++ {
@@ -81,7 +70,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 		}
 	}
 	snap := Snapshot{
-		Workers:              workers,
+		Workers:              s.cfg.MinWorkers,
 		Queued:               queued,
 		InFlight:             s.inflight.Load(),
 		QueuedByClass:        byClass,
@@ -99,12 +88,6 @@ func (s *Scheduler) Snapshot() Snapshot {
 		DeadlineMisses:       uint64(s.misses.Load()),
 		ExpiredBeforeRun:     uint64(s.expired.Load()),
 		StarvationPromotions: uint64(s.starved.Load()),
-		Requeued:             uint64(s.requeued.Load()),
-		RetriesExhausted:     uint64(s.retriesDropped.Load()),
-		PoolGrown:            uint64(s.grown.Load()),
-		PoolShrunk:           uint64(s.shrunk.Load()),
-		PoolReplaced:         uint64(s.replaced.Load()),
-		PoolGrowFailed:       uint64(s.growFailed.Load()),
 	}
 	if snap.Dispatches > 0 {
 		snap.BatchOccupancy = float64(snap.DispatchedTasks) / float64(snap.Dispatches)

@@ -8,7 +8,8 @@ import (
 // Task is one schedulable unit of work. The caller fills the public
 // fields, Submit-s it, and waits on Done; the executor completes it with
 // Finish. A Task is engine-agnostic: the scheduler never looks inside
-// Payload, it only orders, groups and dispatches.
+// Payload, it only orders, groups and dispatches. A Task is submitted
+// once; a retry is a new Task.
 type Task struct {
 	// Class selects the run queue (weighted fairness across classes).
 	Class Class
@@ -34,14 +35,13 @@ type Task struct {
 	// Payload is the executor's work description (opaque to the scheduler).
 	Payload any
 
-	s        *Scheduler
-	seq      uint64
-	enq      time.Time
-	index    int // heap position; -1 when not queued
-	attempts atomic.Int32
-	state    atomic.Int32 // 0 pending, 1 finished
-	err      error
-	done     chan struct{}
+	s     *Scheduler
+	seq   uint64
+	enq   time.Time
+	index int          // heap position; -1 when not queued
+	state atomic.Int32 // 0 pending, 1 finished
+	err   error
+	done  chan struct{}
 }
 
 // Done returns a channel closed when the task has finished (successfully,
@@ -59,12 +59,6 @@ func (t *Task) Err() error {
 	}
 }
 
-// Finished reports whether Finish has been called.
-func (t *Task) Finished() bool { return t.state.Load() == 1 }
-
-// Attempts returns how many times the task has been dispatched.
-func (t *Task) Attempts() int { return int(t.attempts.Load()) }
-
 // Cancelled polls the Cancel channel without blocking.
 func (t *Task) Cancelled() bool {
 	if t.Cancel == nil {
@@ -81,7 +75,7 @@ func (t *Task) Cancelled() bool {
 // Finish settles the task exactly once (extra calls are no-ops), records
 // it with the scheduler and releases everyone waiting on Done. Executors
 // call it for every task they complete; the scheduler calls it for tasks
-// dropped in the queue or out of retries.
+// dropped in the queue or left unfinished by their dispatch.
 func (t *Task) Finish(err error) {
 	if !t.state.CompareAndSwap(0, 1) {
 		return

@@ -31,7 +31,6 @@ import (
 
 	"srumma/internal/armci"
 	"srumma/internal/core"
-	"srumma/internal/hier"
 	"srumma/internal/mat"
 	"srumma/internal/sched"
 )
@@ -74,33 +73,20 @@ func locKey(cs core.Case, d core.Dims) uint64 {
 	return uint64(d.M)<<42 | uint64(d.N)<<22 | uint64(d.K)<<2 | uint64(cs)&3
 }
 
-// newScheduler builds the workload scheduler over a pool of persistent
-// teams. In hierarchical mode each team's ranks are carved into SUMMA
-// groups, so the elastic pool doubles as the group manager: its
-// GroupsPerWorker tells the scheduler how many groups one team hosts.
+// newScheduler builds the workload scheduler over a fixed pool of Teams
+// persistent teams, with the scheduler's default class weights and
+// starvation bound.
 func (s *Server) newScheduler() (*sched.Scheduler, error) {
-	groupsPerWorker := 0
-	if s.cfg.Hier {
-		groupsPerWorker = hier.From(s.topo, s.g).NumGroups()
-	}
 	return sched.New(sched.Config{
-		MinWorkers:  s.cfg.Teams,
-		MaxWorkers:  s.cfg.MaxTeams,
-		QueueCap:    s.cfg.QueueCap,
-		BatchMax:    s.cfg.BatchMax,
-		StarveAfter: s.cfg.StarveAfter,
-		IdleAfter:   s.cfg.TeamIdleAfter,
-		Weights: [sched.NumClasses]float64{
-			sched.ClassInteractive: s.cfg.InteractiveWeight,
-			sched.ClassBatch:       s.cfg.BatchWeight,
-		},
+		MinWorkers: s.cfg.Teams,
+		QueueCap:   s.cfg.QueueCap,
+		BatchMax:   s.cfg.BatchMax,
 		// One registry backs the whole service: the scheduler's "sched.*"
 		// instruments live next to the serving layer's "server.*" ones, and
 		// its queue-wait/batch spans land on the recorder's sched lane.
-		Metrics:         s.met.reg,
-		Trace:           s.rec,
-		TraceLane:       s.cfg.NProcs + 1,
-		GroupsPerWorker: groupsPerWorker,
+		Metrics:   s.met.reg,
+		Trace:     s.rec,
+		TraceLane: s.cfg.NProcs + 1,
 		NewWorker: func() (sched.Worker, error) {
 			tm, err := armci.NewTeam(s.topo)
 			if err != nil {
@@ -113,9 +99,10 @@ func (s *Server) newScheduler() (*sched.Scheduler, error) {
 }
 
 // schedExec runs one dispatch: a singleton distributed job on the worker's
-// team, or small GEMMs (one that the scheduler had its submitter run, w nil;
-// a locality-sorted backlog; one alone when brownout shed the coalescing) on
-// the goroutine that holds them. Only distributed jobs carry recovery state.
+// team, or small GEMMs (one that the scheduler had its submitter run, w nil,
+// or a locality-sorted backlog) on the goroutine that holds them. Only
+// distributed jobs carry recovery state. Every task is finished here, with
+// its error if it failed; retrying is runScheduled's.
 func (s *Server) schedExec(w sched.Worker, tasks []*sched.Task) sched.Outcome {
 	if tasks[0].Payload.(*schedJob).rec != nil {
 		return s.execDistributedTask(w.(*teamWorker).tm, tasks[0])
@@ -123,15 +110,12 @@ func (s *Server) schedExec(w sched.Worker, tasks []*sched.Task) sched.Outcome {
 	return s.execGemmBatch(tasks)
 }
 
-// execDistributedTask runs one large multiply, translating the run outcome
-// into the scheduler's resilience protocol: a leaked-rank watchdog report
-// poisons the team (ReplaceWorker) and, if the task itself never completed,
-// requeues it. On the cluster route the team hosting the dispatch only
+// execDistributedTask runs one large multiply and finishes its task with
+// the run's error. On the cluster route the team hosting the dispatch only
 // bounds how many cluster jobs are in flight — one per team, so with the
 // default two teams two interactive jobs can hold both nodes at once (the
 // pool's router takes any free node for them). The pool's worker processes
-// do the arithmetic, and a node failure is repaired inside the pool, so it
-// never poisons the team.
+// do the arithmetic, and a node failure is repaired inside the pool.
 func (s *Server) execDistributedTask(tm *armci.Team, t *sched.Task) sched.Outcome {
 	job := t.Payload.(*schedJob)
 	if hook := s.batchHook(); hook != nil {
@@ -141,27 +125,18 @@ func (s *Server) execDistributedTask(tm *armci.Team, t *sched.Task) sched.Outcom
 		t.Finish(sched.ErrCancelled)
 		return sched.Outcome{}
 	}
-	if t.Attempts() > 1 {
-		// The scheduler requeued this task (watchdog-leaked team). The failed
-		// dispatch already banked its salvage, so the replacement team
-		// resumes rather than double-accumulates; only the books are due.
-		s.met.noteRetry(job.rec.resumedTasks())
-	}
 	job.started = time.Now()
 	job.batch = 1
 	out, err := s.runDistributed(tm, job)
 	job.out = out
 	job.finished = time.Now()
-
-	var werr *armci.WatchdogError
-	if errors.As(err, &werr) && len(werr.Leaked) > 0 {
-		// The team is wedged: report, replace it, and let the scheduler
-		// retry the job on the replacement (it produced no result).
-		return sched.Outcome{Unfinished: []*sched.Task{t}, ReplaceWorker: true, Err: err}
-	}
 	t.Finish(err)
 	return sched.Outcome{}
 }
+
+// errSmallPanic finishes a small product whose executor panicked; the
+// handler retries it (retryableRunError) as a restarted job.
+var errSmallPanic = errors.New("server: small-route executor panicked")
 
 // gemmBatch is one dispatch of small GEMMs while it is being computed.
 type gemmBatch struct {
@@ -170,16 +145,12 @@ type gemmBatch struct {
 	next    atomic.Int64 // the shared counter every executor pulls from
 	threads int
 	hook    func(*sched.Task)
-
 	helpers sync.WaitGroup
-	mu      sync.Mutex
-	err     error // the first executor failure
 }
 
 // execGemmBatch computes a dispatch of small GEMMs on the goroutine that was
 // handed it, joined for more than one task by helpers — executors never
-// outnumber processors or tasks — that pull from the same counter. A task an
-// executor died on comes back unfinished, for the scheduler to requeue.
+// outnumber processors or tasks — that pull from the same counter.
 func (s *Server) execGemmBatch(tasks []*sched.Task) sched.Outcome {
 	b := &gemmBatch{s: s, tasks: tasks, threads: s.batchKernelThreads(), hook: s.batchHook()}
 	for i := min(len(tasks), goruntime.GOMAXPROCS(0)) - 1; i > 0; i-- {
@@ -191,56 +162,44 @@ func (s *Server) execGemmBatch(tasks []*sched.Task) sched.Outcome {
 	}
 	b.drain()
 	b.helpers.Wait()
-	if b.err == nil {
-		// drain finishes every task it reaches, so a clean run means a clean
-		// batch.
-		return sched.Outcome{}
-	}
-	out := sched.Outcome{Err: b.err}
-	for _, t := range tasks {
-		if !t.Finished() {
-			out.Unfinished = append(out.Unfinished, t)
-		}
-	}
-	return out
+	return sched.Outcome{}
 }
 
 // drain is one executor: it computes tasks off the shared counter until
-// none are left. A panic — the kernel's, or the test hook's — ends the
-// executor and is recorded as the batch's error; the others carry on, so
-// only the task it was holding is left unfinished.
+// none are left.
 func (b *gemmBatch) drain() {
-	defer func() {
-		if r := recover(); r != nil {
-			b.mu.Lock()
-			if b.err == nil {
-				b.err = fmt.Errorf("server: small-route executor panicked: %v", r)
-			}
-			b.mu.Unlock()
-		}
-	}()
-	n := len(b.tasks)
 	for {
 		i := int(b.next.Add(1)) - 1
-		if i >= n {
+		if i >= len(b.tasks) {
 			return
 		}
-		t := b.tasks[i]
-		if b.hook != nil {
-			b.hook(t)
-		}
-		if t.Cancelled() {
-			t.Finish(sched.ErrCancelled)
-			continue
-		}
-		job := t.Payload.(*schedJob)
-		job.started = time.Now()
-		job.batch = n
-		out, buf, err := b.s.gemmLocal(job.req, job.cs, job.d, b.threads)
-		job.out, job.outBuf = out, buf
-		job.finished = time.Now()
-		t.Finish(err)
+		b.run(b.tasks[i])
 	}
+}
+
+// run computes one small product and finishes its task. A panic — the
+// kernel's, or the test hook's — finishes the task with errSmallPanic, and
+// the executor goes on to the next.
+func (b *gemmBatch) run(t *sched.Task) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Finish(fmt.Errorf("%w: %v", errSmallPanic, r))
+		}
+	}()
+	if b.hook != nil {
+		b.hook(t)
+	}
+	if t.Cancelled() {
+		t.Finish(sched.ErrCancelled)
+		return
+	}
+	job := t.Payload.(*schedJob)
+	job.started = time.Now()
+	job.batch = len(b.tasks)
+	out, buf, err := b.s.gemmLocal(job.req, job.cs, job.d, b.threads)
+	job.out, job.outBuf = out, buf
+	job.finished = time.Now()
+	t.Finish(err)
 }
 
 // batchKernelThreads is the local-kernel width of one small GEMM: the

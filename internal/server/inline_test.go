@@ -64,8 +64,8 @@ func TestSmallRequestsRunOnTheirHandlers(t *testing.T) {
 			t.Errorf("request %d: result differs from mat.Gemm by %g, want bit-identical", i, diff)
 		}
 	}
-	if sc := s.Metrics().Sched; sc.Requeued != 0 || sc.BatchOccupancy != 1 {
-		t.Errorf("requeued %d, batch occupancy %g; want 0 and 1", sc.Requeued, sc.BatchOccupancy)
+	if sc := s.Metrics().Sched; sc.Failed != 0 || sc.BatchOccupancy != 1 {
+		t.Errorf("failed %d, batch occupancy %g; want 0 and 1", sc.Failed, sc.BatchOccupancy)
 	}
 }
 

@@ -34,9 +34,6 @@ type MetricsSnapshot struct {
 	Rejected  uint64 `json:"rejected_429_total"`
 	Errors    uint64 `json:"error_total"`
 	Cancelled uint64 `json:"cancelled_total"`
-	// TeamsReplaced counts pooled engine teams retired after leaking ranks
-	// (the scheduler's pool_replaced).
-	TeamsReplaced uint64 `json:"teams_replaced_total"`
 
 	QueueDepth int `json:"queue_depth"`
 	Executing  int `json:"executing"`
@@ -73,8 +70,8 @@ type MetricsSnapshot struct {
 	// cache is disabled).
 	Cache *CacheStats `json:"cache,omitempty"`
 
-	// Sched is the workload scheduler's view: per-class queue depth, batch
-	// occupancy, deadline misses, pool elasticity.
+	// Sched is the workload scheduler's view: pool size, per-class queue
+	// depth and wait, batch occupancy, deadline misses.
 	Sched *sched.Snapshot `json:"sched,omitempty"`
 
 	// Recovery is the block-level job recovery view: handler retries,
@@ -167,9 +164,9 @@ type metrics struct {
 	// arrived on (responses usually mirror it; Accept can diverge).
 	wires map[string]*wireInstruments
 
-	// schedSnap sources the queue/executing gauges, the replaced-team count
-	// and the Sched section from the workload scheduler, where the run queue
-	// and the team pool live. New installs it before the server serves.
+	// schedSnap sources the queue/executing gauges and the Sched section
+	// from the workload scheduler, where the run queue and the team pool
+	// live. New installs it before the server serves.
 	schedSnap func() sched.Snapshot
 }
 
@@ -272,13 +269,14 @@ func (m *metrics) wireSnapshot() map[string]WireStats {
 	return out
 }
 
-// noteRetry records one handler-level retry of a failed SRUMMA job:
-// resumed when the ledger salvaged completed work, restarted otherwise.
-func (m *metrics) noteRetry(resumedTasks int) {
+// noteRetry records one handler-level retry of a failed job: resumed when
+// the ledger salvaged completed work, restarted otherwise — always for a
+// small product, whose rec is nil.
+func (m *metrics) noteRetry(rec *jobRecovery) {
 	m.retries.Inc()
-	if resumedTasks > 0 {
+	if n := rec.resumedTasks(); n > 0 {
 		m.resumedJobs.Inc()
-		m.resumedTasks.Add(int64(resumedTasks))
+		m.resumedTasks.Add(int64(n))
 	} else {
 		m.restartedJobs.Inc()
 	}
@@ -359,7 +357,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		Rejected:      uint64(m.rejected.Load()),
 		Errors:        uint64(m.errors.Load()),
 		Cancelled:     uint64(m.cancelled.Load()),
-		TeamsReplaced: ss.PoolReplaced,
 		QueueDepth:    ss.Queued,
 		Executing:     max(0, int(ss.InFlight)-ss.Queued),
 		QueueCap:      m.queueCap,

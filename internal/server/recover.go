@@ -56,8 +56,12 @@ func (jr *jobRecovery) store(results []*ipcrt.RankResult) {
 }
 
 // resumedTasks counts the completed tasks the next attempt will skip — the
-// resumed-work figure the recovery metrics report.
+// resumed-work figure the recovery metrics report; 0 for the nil recovery
+// state of a small product.
 func (jr *jobRecovery) resumedTasks() int {
+	if jr == nil {
+		return 0
+	}
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	n := 0
@@ -82,11 +86,11 @@ func (jr *jobRecovery) take() map[int]ipcrt.RankPrior {
 	return ranks
 }
 
-// retryableRunError classifies a failed SRUMMA run: rank panics (injected
-// crashes included), leaked-rank watchdog reports, exhausted ABFT
-// recomputes, and — on the cluster route — worker-process death or
-// deadlock (rt.ErrRankExited / rt.ErrRankDeadlocked, surfaced after the
-// pool replaced the node) and worker-side job-body failures are
+// retryableRunError classifies a failed run: rank panics (injected crashes
+// included), a small product's executor panic, exhausted ABFT recomputes,
+// rank death or deadlock (rt.ErrRankExited / rt.ErrRankDeadlocked — on the
+// cluster route surfaced after the pool replaced the node; a leaked-rank
+// watchdog report is the latter) and worker-side job-body failures are
 // transient-with-recovery; cancellations, deadlines and drain are final.
 func retryableRunError(err error) bool {
 	if err == nil {
@@ -94,16 +98,12 @@ func retryableRunError(err error) bool {
 	}
 	if errors.Is(err, core.ErrCancelled) || errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, sched.ErrCancelled) ||
-		errors.Is(err, sched.ErrClosed) || errors.Is(err, sched.ErrRetriesExhausted) {
-		// ErrRetriesExhausted means the scheduler's own requeue budget is
-		// already spent; stacking the handler budget on top would square
-		// the retry count.
+		errors.Is(err, sched.ErrClosed) {
 		return false
 	}
 	var rpe *armci.RankPanicError
-	var werr *armci.WatchdogError
 	var rje *ipcrt.RankJobError
-	return errors.As(err, &rpe) || errors.As(err, &werr) || errors.Is(err, core.ErrABFT) ||
+	return errors.As(err, &rpe) || errors.Is(err, errSmallPanic) || errors.Is(err, core.ErrABFT) ||
 		errors.Is(err, rt.ErrRankExited) || errors.Is(err, rt.ErrRankDeadlocked) ||
 		errors.As(err, &rje)
 }

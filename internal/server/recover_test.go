@@ -216,8 +216,7 @@ func TestBreakerServes503(t *testing.T) {
 }
 
 // TestRetryableRunError pins the retry classification: recoverable engine
-// failures retry; cancellations, drain and exhausted scheduler budgets are
-// final.
+// and executor failures retry; cancellations and drain are final.
 func TestRetryableRunError(t *testing.T) {
 	cases := []struct {
 		name string
@@ -230,10 +229,10 @@ func TestRetryableRunError(t *testing.T) {
 		{"deadline", context.DeadlineExceeded, false},
 		{"sched-cancel", sched.ErrCancelled, false},
 		{"drain", sched.ErrClosed, false},
-		{"sched-budget-spent", fmt.Errorf("%w (3 attempts): boom", sched.ErrRetriesExhausted), false},
 		{"rank-panic", &armci.RankPanicError{Rank: 2, Cause: "boom"}, true},
 		{"wrapped-rank-panic", fmt.Errorf("run: %w", &armci.RankPanicError{Rank: 0, Cause: "x"}), true},
 		{"watchdog", &armci.WatchdogError{Leaked: []int{1}}, true},
+		{"small-panic", fmt.Errorf("%w: boom", errSmallPanic), true},
 		{"abft", fmt.Errorf("rank 3: %w", core.ErrABFT), true},
 		{"plain", errors.New("some bug"), false},
 	}
@@ -280,7 +279,8 @@ func TestJobRecoverySalvage(t *testing.T) {
 
 // TestBrownoutShedsOptionalWork builds a backlog past the brownout
 // threshold and verifies newly admitted requests are counted as browned
-// out (served without ABFT or batching) while still succeeding.
+// out (served without ABFT) while still succeeding — and still batched: the
+// four queued small requests go out in one dispatch.
 func TestBrownoutShedsOptionalWork(t *testing.T) {
 	s := newTestServer(t, Config{
 		NProcs:     2,
@@ -314,7 +314,11 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 	if out := <-blockerCh; out.code != http.StatusOK {
 		t.Fatalf("blocker status %d", out.code)
 	}
-	if got := s.Metrics().Recovery.BrownoutRequests; got == 0 {
+	m := s.Metrics()
+	if got := m.Recovery.BrownoutRequests; got == 0 {
 		t.Fatal("no requests counted as browned out despite a backlog past the threshold")
+	}
+	if m.Sched.MaxBatch != 4 {
+		t.Fatalf("largest dispatch %d, want the whole backlog of 4 in one", m.Sched.MaxBatch)
 	}
 }

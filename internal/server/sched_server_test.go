@@ -1,8 +1,9 @@
 package server
 
 // Scheduler serving tests: batching bit-identity, priority dispatch,
-// deadline handling, overflow, elastic pooling, drain, and the chaos case
-// where an executor crash mid-batch requeues the batch's unfinished tasks.
+// deadline handling, overflow, two jobs on two teams, drain, and the chaos
+// case where an executor crash mid-batch fails one task and its handler
+// retries it.
 
 import (
 	"context"
@@ -278,17 +279,18 @@ func TestServerSchedOverflow429(t *testing.T) {
 	}
 }
 
-// TestServerSchedChaosCrashRequeue: an executor panic mid-batch (injected
-// via the batch hook, recovered by the executor) fails the dispatch; the
-// task it held is requeued and every request still completes correctly.
-func TestServerSchedChaosCrashRequeue(t *testing.T) {
+// TestServerSchedChaosCrashRetried: an executor panic mid-batch (injected
+// via the batch hook, recovered by the executor) fails only the task it
+// held — the other seven complete in that first dispatch — and its handler
+// retries it as a restarted job: every request still completes correctly.
+func TestServerSchedChaosCrashRetried(t *testing.T) {
 	const n = 8
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: n + 4, BatchMax: n})
 
 	rel := make(chan struct{})
 	entered := make(chan struct{})
 	var onceEnter sync.Once
-	var crashed atomic.Bool
+	var crashed atomic.Pointer[string]
 	s.setBatchHook(func(tk *sched.Task) {
 		job := tk.Payload.(*schedJob)
 		if job.req.ID == "blocker" {
@@ -296,7 +298,7 @@ func TestServerSchedChaosCrashRequeue(t *testing.T) {
 			<-rel
 			return
 		}
-		if crashed.CompareAndSwap(false, true) {
+		if crashed.CompareAndSwap(nil, &job.req.ID) {
 			panic("chaos: injected rank crash mid-batch")
 		}
 	})
@@ -312,6 +314,7 @@ func TestServerSchedChaosCrashRequeue(t *testing.T) {
 	}, n)
 	for i := range reqs {
 		reqs[i] = randReq(16, 16, 16, uint64(2000+i))
+		reqs[i].ID = fmt.Sprintf("r%d", i)
 		chans[i] = postAsync(t, s, reqs[i])
 	}
 	waitQueued(t, s, n)
@@ -326,76 +329,27 @@ func TestServerSchedChaosCrashRequeue(t *testing.T) {
 		want := wantGemm(t, reqs[i])
 		got := &mat.Matrix{Rows: res.resp.Rows, Cols: res.resp.Cols, Stride: res.resp.Cols, Data: res.resp.C}
 		if diff := mat.MaxAbsDiff(got, want); diff != 0 {
-			t.Fatalf("request %d: result differs by %g after requeue", i, diff)
+			t.Fatalf("request %d: result differs by %g after the retry", i, diff)
+		}
+		// The crashed request is retried alone; the rest rode the first
+		// dispatch.
+		wantBatch := n
+		if reqs[i].ID == *crashed.Load() {
+			wantBatch = 1
+		}
+		if res.resp.Batch != wantBatch {
+			t.Errorf("request %s: served by a dispatch of %d, want %d", reqs[i].ID, res.resp.Batch, wantBatch)
 		}
 	}
 	m := s.Metrics()
-	if m.Sched == nil || m.Sched.Requeued == 0 {
-		t.Fatalf("crash did not requeue any tasks: %+v", m.Sched)
+	if m.Recovery.Retries != 1 || m.Recovery.RestartedJobs != 1 {
+		t.Fatalf("recovery %+v, want one restarted retry", m.Recovery)
 	}
-	if m.Completed != n+1 {
-		t.Fatalf("completed_total = %d, want %d", m.Completed, n+1)
+	if m.Completed != n+1 || m.Errors != 0 {
+		t.Fatalf("completed_total = %d, error_total = %d; want %d and 0", m.Completed, m.Errors, n+1)
 	}
-	// A small batch runs on no team, so none was wedged and replaced here;
-	// when the scheduler does replace one (pool_replaced), /metrics must
-	// report it as teams_replaced_total.
-	if m.TeamsReplaced != 0 {
-		t.Fatalf("teams_replaced_total = %d after a clean unwind, want 0", m.TeamsReplaced)
-	}
-	s.met.reg.Counter("sched.pool_replaced").Add(1)
-	if got := s.Metrics().TeamsReplaced; got != 1 {
-		t.Fatalf("teams_replaced_total = %d with sched.pool_replaced = 1, want 1", got)
-	}
-}
-
-// TestServerSchedElasticPool: the team pool grows under backlog up to
-// MaxTeams and shrinks back to Teams when idle.
-func TestServerSchedElasticPool(t *testing.T) {
-	// BatchMax 1 keeps every dispatch a singleton, so the blocked workers
-	// cannot swallow the whole backlog into one batch — the queue stays
-	// deep and growth is observable.
-	s := newTestServer(t, Config{
-		NProcs: 2, Teams: 1, MaxTeams: 3, QueueCap: 64, BatchMax: 1,
-		TeamIdleAfter: 20 * time.Millisecond,
-	})
-	rel := make(chan struct{})
-	s.setBatchHook(func(tk *sched.Task) { <-rel })
-
-	const n = 24
-	chans := make([]<-chan struct {
-		code int
-		resp MultiplyResponse
-	}, n)
-	for i := range chans {
-		chans[i] = postAsync(t, s, randReq(16, 16, 16, uint64(3000+i)))
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().Sched.Workers < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never grew to MaxTeams (at %d)", s.Metrics().Sched.Workers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if w := s.Metrics().Sched.Workers; w > 3 {
-		t.Fatalf("pool exceeded MaxTeams: %d", w)
-	}
-	close(rel)
-	for i, ch := range chans {
-		if res := <-ch; res.code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, res.code)
-		}
-	}
-	// Idle: the pool shrinks back to the floor and no further.
-	deadline = time.Now().Add(10 * time.Second)
-	for s.Metrics().Sched.Workers != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never shrank to Teams (at %d)", s.Metrics().Sched.Workers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	m := s.Metrics()
-	if m.Sched.PoolGrown == 0 || m.Sched.PoolShrunk == 0 {
-		t.Fatalf("elasticity counters not moving: %+v", m.Sched)
+	if m.Sched.Failed != 1 || m.Sched.MaxBatch != n {
+		t.Fatalf("sched failed %d, max batch %d; want 1 and %d", m.Sched.Failed, m.Sched.MaxBatch, n)
 	}
 }
 

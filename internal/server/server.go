@@ -80,7 +80,7 @@ type Config struct {
 	// buffering, one layer up.
 	Teams int
 	// QueueCap bounds ADMITTED requests — executing plus waiting. Requests
-	// beyond it are refused with 429 (default 4 * MaxTeams, i.e. 8 with the
+	// beyond it are refused with 429 (default 4 * Teams, i.e. 8 with the
 	// default pool).
 	QueueCap int
 	// SmallMNK routes products with M*N*K at or below it to the direct
@@ -105,23 +105,9 @@ type Config struct {
 	// allocates nothing.
 	TraceEvents int
 
-	// MaxTeams is the elastic pool ceiling: the pool grows
-	// from Teams toward it under backlog and shrinks back when teams idle
-	// (default: Teams, i.e. a fixed pool).
-	MaxTeams int
 	// BatchMax caps how many queued small GEMMs coalesce into one dispatch
 	// (default 32).
 	BatchMax int
-	// StarveAfter bounds cross-class starvation: a request waiting this
-	// long dispatches regardless of class weights (default 2s).
-	StarveAfter time.Duration
-	// TeamIdleAfter is how long a team above Teams may idle before the
-	// elastic pool retires it (default 30s).
-	TeamIdleAfter time.Duration
-	// InteractiveWeight and BatchWeight are the fair-share weights of the
-	// workload classes (defaults 4 and 1).
-	InteractiveWeight float64
-	BatchWeight       float64
 
 	// MaxTaskK caps the contraction length of one SRUMMA task on the
 	// distributed route (core.Options.MaxTaskK). Finer tasks mean smaller
@@ -137,10 +123,10 @@ type Config struct {
 	// (0 = core default 1e-6).
 	ABFT    bool
 	ABFTTol float64
-	// RetryBudget is how many times a recoverably-failed SRUMMA job (rank
-	// panic, leaked-rank watchdog, exhausted ABFT recompute) is retried
-	// with exponential backoff before its error surfaces (default 2;
-	// negative disables retries).
+	// RetryBudget is how many times a recoverably-failed job (rank or
+	// small-route executor panic, rank death, exhausted ABFT recompute) is
+	// retried with exponential backoff before its error surfaces (default
+	// 2; negative disables retries).
 	RetryBudget int
 	// RetryBackoff is the base pre-retry backoff, doubling per attempt
 	// (default 10ms).
@@ -155,8 +141,7 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// BrownoutAt sheds optional work before refusing traffic: when queue
 	// depth reaches this fraction of QueueCap, newly admitted requests run
-	// without ABFT verification or batching (default 0.9; negative
-	// disables brownout).
+	// without ABFT verification (default 0.9; negative disables brownout).
 	BrownoutAt float64
 	// TraceSample head-samples request tracing when > 1: one in every
 	// TraceSample requests records handler and engine spans (requires
@@ -230,26 +215,11 @@ func (c Config) fill() Config {
 	if c.Teams <= 0 {
 		c.Teams = 2
 	}
-	if c.MaxTeams < c.Teams {
-		c.MaxTeams = c.Teams
-	}
 	if c.QueueCap <= 0 {
-		c.QueueCap = 4 * c.MaxTeams
+		c.QueueCap = 4 * c.Teams
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 32
-	}
-	if c.StarveAfter == 0 {
-		c.StarveAfter = 2 * time.Second
-	}
-	if c.TeamIdleAfter <= 0 {
-		c.TeamIdleAfter = 30 * time.Second
-	}
-	if c.InteractiveWeight <= 0 {
-		c.InteractiveWeight = 4
-	}
-	if c.BatchWeight <= 0 {
-		c.BatchWeight = 1
 	}
 	if c.SmallMNK <= 0 {
 		c.SmallMNK = 128 * 128 * 128
@@ -312,7 +282,7 @@ type Server struct {
 	g    *grid.Grid
 
 	// sched is the workload scheduler: it owns admission, ordering,
-	// batching and the elastic pool of persistent engine teams.
+	// batching and the fixed pool of persistent engine teams.
 	sched *sched.Scheduler
 
 	// cpool is the cluster node pool (nil unless Config.Cluster): the
@@ -596,7 +566,6 @@ type InfoResponse struct {
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	KernelThreads int    `json:"default_kernel_threads"`
 	// Scheduler deployment parameters.
-	MaxTeams int `json:"max_teams"`
 	BatchMax int `json:"batch_max"`
 	// Wire and cache deployment parameters: whether the dense binary wire
 	// is negotiable, and the content-addressed result cache bounds (zero
@@ -647,7 +616,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Kernel:        mat.KernelName(),
 		GOMAXPROCS:    goruntime.GOMAXPROCS(0),
 		KernelThreads: kt,
-		MaxTeams:      s.cfg.MaxTeams,
 		BatchMax:      s.cfg.BatchMax,
 
 		BinaryWire:      !s.cfg.JSONOnly,
@@ -963,10 +931,13 @@ func (s *Server) recordBreaker(route string, status int) {
 // runScheduled runs one validated, routed request through the workload
 // scheduler: build a task, submit (backpressure on a full run queue —
 // overflow is refused with 429, never buffered), wait for the executor —
-// or the deadline — and translate the outcome. A distributed job that
-// fails recoverably (rank panic, worker death, exhausted ABFT recompute)
-// is resubmitted with exponential backoff up to RetryBudget times,
-// resuming from what its ranks salvaged.
+// or the deadline — and translate the outcome. This loop is the one retry
+// path, for every route: a job that fails recoverably (retryableRunError:
+// rank or executor panic, worker death, exhausted ABFT recompute) is
+// resubmitted as a new task with exponential backoff up to RetryBudget
+// times — a distributed one resuming from what its ranks salvaged, a small
+// one restarted. A job wedged inside its dispatch is not detected here: it
+// holds its team, and the request answers 504 at its deadline.
 func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEnv) {
 	req, cs, d := &env.wr.req, env.cs, env.d
 	cls, timeout, route, traced := env.cls, env.timeout, env.route, env.traced
@@ -984,8 +955,9 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 	flops := 2 * float64(d.M) * float64(d.N) * float64(d.K)
 
 	// Brownout: at BrownoutAt of queue capacity, shed the optional work —
-	// verification and batching — before the admission control starts
-	// refusing traffic outright.
+	// verification — before the admission control starts refusing traffic
+	// outright. Batching is not optional work: it is what serves a small
+	// backlog with one hand-off instead of one per request.
 	brownout := false
 	if s.cfg.BrownoutAt > 0 {
 		brownout = float64(s.sched.Queued()) >= s.cfg.BrownoutAt*float64(s.cfg.QueueCap)
@@ -1007,15 +979,13 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 	defer s.jobs.Done()
 
 	var err error
-	var lastTask *sched.Task
-	sawWatchdog := false
 	inFlight := false
 	for attempt := 0; ; attempt++ {
 		task := &sched.Task{
 			Class:     cls,
 			Deadline:  deadline,
 			Cost:      flops,
-			Batchable: route == routeSmall && !brownout,
+			Batchable: route == routeSmall,
 			LocKey:    locKey(cs, d),
 			Cancel:    ctx.Done(),
 			Payload:   job,
@@ -1046,7 +1016,6 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 		// From here the scheduler (and soon an engine) can read the operand
 		// buffers; they may be recycled only after a provably-joined run.
 		env.wr.noPool = true
-		lastTask = task
 		if !inFlight {
 			s.met.admitted.Inc()
 			inFlight = true
@@ -1069,15 +1038,11 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 		}
 
 		err = task.Err()
-		var werr *armci.WatchdogError
-		if errors.As(err, &werr) {
-			sawWatchdog = true
-		}
-		if err == nil || job.rec == nil || attempt >= s.cfg.RetryBudget || !retryableRunError(err) {
+		if err == nil || attempt >= s.cfg.RetryBudget || !retryableRunError(err) {
 			break
 		}
 		t0 := time.Now()
-		s.met.noteRetry(job.rec.resumedTasks())
+		s.met.noteRetry(job.rec)
 		if s.rec != nil {
 			s.rec.RecordWall(s.cfg.NProcs, obs.KindRecover, t0, time.Now())
 		}
@@ -1087,11 +1052,10 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 			return
 		}
 	}
-	// Every dispatch joined its ranks (no watchdog leak at the handler or
-	// scheduler level): pooled operand buffers are safe to recycle.
-	if !sawWatchdog && lastTask != nil && lastTask.Attempts() <= 1 {
-		env.wr.noPool = false
-	}
+	// Every task submitted above has finished, and an executor finishes a
+	// task only once nothing of it reads the operands any more (a team run
+	// joins its ranks): pooled operand buffers are safe to recycle.
+	env.wr.noPool = false
 
 	switch {
 	case err == nil:

@@ -11,12 +11,16 @@ import (
 )
 
 // Server is an HTTP GEMM service: a workload scheduler (batched small
-// GEMMs, priority/deadline-aware dispatch, elastic team pooling) in front
-// of a pool of persistent SRUMMA engine teams, with admission backpressure
+// GEMMs, priority/deadline-aware dispatch) in front of a fixed pool of
+// persistent SRUMMA engine teams, with admission backpressure
 // (429 + Retry-After priced from the observed service rate), size-based
 // routing between the direct local kernel and the distributed engine,
-// per-request deadlines enforced as cooperative cancellation, /metrics and
-// /healthz, and graceful draining shutdown.
+// per-request deadlines enforced as cooperative cancellation, retries of
+// recoverably-failed jobs in the request handler (a distributed job
+// resumes from what its ranks salvaged), /metrics and /healthz, and
+// graceful draining shutdown. A job wedged inside an in-process team is
+// not detected: it holds its team until shutdown, and its request answers
+// 504 at its deadline.
 type Server = server.Server
 
 // ServerConfig sizes a Server; the zero value gets serviceable defaults
@@ -27,8 +31,8 @@ type ServerConfig = server.Config
 type ServerMetrics = server.MetricsSnapshot
 
 // SchedSnapshot is the workload scheduler's section of a ServerMetrics
-// snapshot: per-class queue depths, batch occupancy, deadline misses and
-// pool elasticity counters.
+// snapshot: pool size, per-class queue depths and waits, batch occupancy,
+// caller-run dispatches and deadline misses.
 type SchedSnapshot = sched.Snapshot
 
 // NewServer builds a GEMM service and spins up its persistent engine teams.
