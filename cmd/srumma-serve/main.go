@@ -63,13 +63,11 @@ var (
 	breakerWindow    = flag.Int("breaker-window", 0, "breaker decision window in outcomes (0: 20)")
 	breakerCooldown  = flag.Duration("breaker-cooldown", 0, "breaker open-state cooldown before a probe (0: 2s)")
 	brownoutAt       = flag.Float64("brownout-at", 0, "queue-depth fraction that sheds ABFT verification (0: 0.9; negative: off)")
-	cacheEntries     = flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables keyed 128-bit operand digests, result caching and operand interning (0: off)")
+	cacheEntries     = flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables keyed 128-bit operand digests and result caching (0: off)")
 	cacheBytes       = flag.Int64("cache-bytes", 0, "result cache capacity in bytes (0: 256 MiB when the cache is on)")
-	cacheTTL         = flag.Duration("cache-ttl", 0, "expire cached results this long after insertion (0: LRU eviction only)")
 	jsonOnly         = flag.Bool("json-only", false, "disable the binary wire: binary requests get 415, responses are always JSON")
 	clusterOn        = flag.Bool("cluster", false, "shard the distributed route across OS-process worker nodes instead of in-process teams")
 	nodes            = flag.Int("nodes", 0, "cluster worker nodes (0: 2; needs -cluster)")
-	clusterPPN       = flag.Int("ppn", 0, "ranks per emulated shared-memory domain on each node (0: -procs-per-node)")
 	clusterTransport = flag.String("cluster-transport", "", `node RMA transport: "unix" (default) or "tcp"`)
 	clusterListen    = flag.String("listen", "", `fixed "host:port" for the node coordinators' TCP control listeners (node i binds port+i; the addresses srumma-worker -join dials; implies -cluster-transport tcp)`)
 	clusterHeartbeat = flag.Duration("cluster-heartbeat", 0, "idle-node health-check period (0: 2s; negative: off)")
@@ -87,14 +85,9 @@ func main() {
 
 	flag.Parse()
 
-	ppnEff := *ppn
-	if *clusterOn && *clusterPPN > 0 {
-		ppnEff = *clusterPPN
-	}
-
 	s, err := server.New(server.Config{
 		NProcs:           *nprocs,
-		ProcsPerNode:     ppnEff,
+		ProcsPerNode:     *ppn,
 		Teams:            *teams,
 		QueueCap:         *queueCap,
 		SmallMNK:         *smallMNK,
@@ -115,7 +108,6 @@ func main() {
 		BrownoutAt:       *brownoutAt,
 		CacheEntries:     *cacheEntries,
 		CacheBytes:       *cacheBytes,
-		CacheTTL:         *cacheTTL,
 		JSONOnly:         *jsonOnly,
 		Cluster:          *clusterOn,
 		ClusterNodes:     *nodes,
@@ -142,7 +134,7 @@ func main() {
 		}
 		info := s.Metrics()
 		log.Printf("cluster: %d worker nodes x %d ranks (ppn %d), transport %s",
-			len(info.Cluster), *nprocs, ppnEff, transportName(transport))
+			len(info.Cluster), *nprocs, *ppn, transportName(transport))
 		if transport == "tcp" {
 			for _, nd := range info.Cluster {
 				log.Printf("cluster: node %d control listener %s (srumma-worker -join target)", nd.ID, nd.CoordAddr)

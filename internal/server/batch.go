@@ -10,15 +10,9 @@ package server
 // sched's package comment), or the pool worker that popped a coalesced
 // backlog, with helpers up to the processor count pulling from the same
 // counter. Results are bit identical however a product was reached because
-// mat.GemmParallel's stripe split is thread-count-invariant.
-//
-// With the content-addressed cache on, batched jobs that share an operand
-// (the LocKey sort puts equal shapes — and therefore repeated operands —
-// adjacent) reference ONE interned canonical buffer: the block table
-// dedups at decode, so the shared matrix is resident once and each
-// gemmLocal in the batch reads the same backing array instead of its own
-// copy ("pack/ship it once"; server.cache.block_dedup counts the
-// duplicates avoided).
+// mat.GemmParallel's stripe split is thread-count-invariant. The LocKey sort
+// puts equal shapes back to back, so a batch runs against warm scratch; every
+// gemmLocal still packs its own operands' panels.
 
 import (
 	"context"
@@ -227,7 +221,7 @@ func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, thre
 	var buf *alignedBuf
 	var c *mat.Matrix
 	if s.cache == nil {
-		buf = s.pool.get(d.M * d.N)
+		buf = operandBufs.get(d.M * d.N)
 		c = &mat.Matrix{Rows: d.M, Cols: d.N, Stride: d.N, Data: buf.data}
 	} else {
 		c = mat.New(d.M, d.N)
@@ -242,7 +236,7 @@ func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, thre
 		threads = 1
 	}
 	if err := mat.GemmParallel(threads, cs.TransA(), cs.TransB(), req.alpha(), a, b, req.beta(), c); err != nil {
-		s.pool.put(buf)
+		operandBufs.put(buf)
 		return nil, nil, err
 	}
 	return c, buf, nil

@@ -220,26 +220,23 @@ func badWire(format string, args ...any) *wireError {
 // wireRequest is one decoded /v1/multiply request plus the wire state the
 // handler needs to respond and to release pooled storage afterwards: which
 // wire it arrived on, how many wire bytes it occupied, the pooled operand
-// buffers (binary wire), the operand digests and — once the cache layer has
-// run — the block-table registrations.
+// buffers (binary wire) and the operand digests.
 type wireRequest struct {
 	req     MultiplyRequest
 	wire    string // wireJSON or wireBinary
 	gzipped bool   // request body arrived gzip-encoded
 	bytesIn int64  // wire bytes of the request body (compressed size if gzipped)
 
-	// bufs holds pooled operand storage in A, B, C order; entries are nil
-	// on the JSON wire or once ownership moved into the block table.
+	// bufs holds pooled operand storage in A, B, C order (nil entries on the
+	// JSON wire). The request that decoded them is their one owner.
 	bufs [3]*alignedBuf
 	// result is the pooled storage of a small-route result the response
 	// encodes out of (nil otherwise); it goes back with the operands.
 	result *alignedBuf
 
 	// Content addressing, in A, B, C order (filled by admit when the cache
-	// is enabled). The first interned of them are registered in the block
-	// table (computeDigests), to be released when the request finishes.
+	// is enabled); resultKey builds the cache key from them.
 	dig              [3]digest
-	interned         int
 	validate, digest time.Duration // spent in admit's two passes
 
 	// scratch is header/probe space for the binary decoder: reading into a
@@ -249,38 +246,25 @@ type wireRequest struct {
 	scratch [binReqHeaderLen]byte
 
 	// noPool marks a request whose engine run may have left rank
-	// goroutines behind (watchdog leak) or was abandoned mid-execution:
+	// goroutines behind (watchdog leak) or was answered at its deadline
+	// while still queued or executing:
 	// its operand buffers are dropped for the GC instead of recycled, so
 	// a zombie reader can never observe another request's decode landing
 	// in them.
 	noPool bool
 }
 
-// release returns the request's pooled and interned storage. Must
-// run after the response is written: the engine and the encoder read the
-// operand slices in place.
-func (wr *wireRequest) release(s *Server) {
-	for _, dig := range wr.dig[:wr.interned] {
-		if wr.noPool {
-			s.blocks.abandon(dig)
-		} else {
-			s.blocks.release(dig)
-		}
-	}
-	wr.interned = 0
-	for i, b := range wr.bufs {
-		if b == nil {
-			continue
-		}
-		if !wr.noPool {
-			s.pool.put(b)
-		}
-		wr.bufs[i] = nil
-	}
+// release returns the request's pooled storage to operandBufs, unless
+// noPool withholds it. Must run after the response is written: the engine
+// and the encoder read the operand slices in place.
+func (wr *wireRequest) release() {
 	if !wr.noPool {
-		s.pool.put(wr.result)
+		for _, b := range wr.bufs {
+			operandBufs.put(b)
+		}
+		operandBufs.put(wr.result)
 	}
-	wr.result = nil
+	wr.bufs, wr.result = [3]*alignedBuf{}, nil
 }
 
 // countingReader counts wire bytes as they are read.
@@ -537,7 +521,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireReq
 	t0 := time.Now()
 	wr := &wireRequest{wire: wireJSON, gzipped: r.Header.Get("Content-Encoding") == "gzip"}
 	if werr := s.decodeBody(w, r, wr); werr != nil {
-		wr.release(s)
+		wr.release()
 		var mbe *http.MaxBytesError
 		if errors.As(werr, &mbe) {
 			werr.status = http.StatusRequestEntityTooLarge
@@ -585,7 +569,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, wr *wireRequ
 	if wr.wire == wireJSON {
 		return decodeJSONRequest(body, s.dg, wr)
 	}
-	if werr := decodeBinaryRequest(body, contentLength, s.cfg.MaxDim, s.pool, s.dg, wr); werr != nil {
+	if werr := decodeBinaryRequest(body, contentLength, s.cfg.MaxDim, &operandBufs, s.dg, wr); werr != nil {
 		return werr
 	}
 	// Scalars that have no binary field ride as headers.

@@ -3,23 +3,14 @@ package server
 // Content addressing for the serving layer. Every operand is identified
 // by a keyed 128-bit digest of its shape and native float64 image (see
 // digester) — wire-independent, so the same matrix sent over JSON and over
-// the binary wire digests identically. On top of the digests sit two
-// structures:
-//
-//   - resultCache: a bounded LRU keyed by the full multiply identity
-//     (digest_A, digest_B, case, alpha, beta, digest_C). A hit returns
-//     the cached result matrix and skips admission queueing, the
-//     scheduler, and the engine entirely. Hits are bit-identical to a
-//     fresh compute because the engine itself is: GemmParallel partitions
-//     deterministically and is pinned thread-count-invariant, so the
-//     same operand bytes always produce the same result bytes.
-//
-//   - blockTable: a refcounted digest → operand-bytes intern table. When
-//     concurrent or batched requests share an operand (the shared-weight
-//     serving shape), every request after the first adopts the interned
-//     slice, its own pooled decode buffer is returned immediately, and
-//     the scheduler's LocKey coalescing packs the one canonical buffer
-//     once per dispatch instead of once per request.
+// the binary wire digests identically. The digests key one structure,
+// resultCache: a bounded LRU keyed by the full multiply identity
+// (digest_A, digest_B, case, alpha, beta, digest_C). A hit returns the
+// cached result matrix and skips admission queueing, the scheduler, and the
+// engine entirely. Hits are bit-identical to a fresh compute because the
+// engine itself is: GemmParallel partitions deterministically and is pinned
+// thread-count-invariant, so the same operand bytes always produce the same
+// result bytes — an entry never goes stale, and leaves only by LRU eviction.
 //
 // Cached results are always freshly-allocated matrices (mat.New or
 // engine Gather output) — never pooled request storage — so retaining
@@ -34,7 +25,6 @@ import (
 	"encoding/hex"
 	"math"
 	"sync"
-	"time"
 
 	"srumma/internal/core"
 	"srumma/internal/mat"
@@ -51,7 +41,7 @@ type digest = [16]byte
 // GHASH is almost-XOR-universal, not collision resistant against someone who
 // sees its output, so the GCM tag never leaves sum: seen only through the
 // second key, collisions can neither be searched for offline nor solved for
-// from echoed digests — what a shared cache and intern table need.
+// from echoed digests — what a cache shared between clients needs.
 type digester struct {
 	mac cipher.AEAD  // GCM under k1
 	prp cipher.Block // AES under k2
@@ -105,24 +95,21 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	key     cacheKey
-	out     mat.Matrix
-	dig     digest // result digest, echoed on every hit
-	bytes   int64
-	expires time.Time
-	elem    *list.Element
+	key   cacheKey
+	out   mat.Matrix
+	dig   digest // result digest, echoed on every hit
+	bytes int64
+	elem  *list.Element
 }
 
 // CacheStats is the result-cache slice of a metrics snapshot.
 type CacheStats struct {
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	Evictions  int64   `json:"evictions"`
-	Expired    int64   `json:"expired"`
-	Entries    int64   `json:"entries"`
-	Bytes      int64   `json:"bytes"`
-	BlockDedup int64   `json:"block_dedup"`
-	HitRate    float64 `json:"hit_rate"`
+	Hits      int64   `json:"hits"`
+	Misses    int64   `json:"misses"`
+	Evictions int64   `json:"evictions"`
+	Entries   int64   `json:"entries"`
+	Bytes     int64   `json:"bytes"`
+	HitRate   float64 `json:"hit_rate"`
 }
 
 // resultCache is the bounded LRU result store. All methods are
@@ -135,44 +122,32 @@ type resultCache struct {
 	lru        *list.List // front = most recent
 	maxEntries int
 	maxBytes   int64
-	ttl        time.Duration
 	bytes      int64
-	now        func() time.Time // injectable for TTL tests
 
-	hits, misses, evictions, expired *obs.Counter
-	gEntries, gBytes                 *obs.Gauge
+	hits, misses, evictions *obs.Counter
+	gEntries, gBytes        *obs.Gauge
 }
 
-func newResultCache(maxEntries int, maxBytes int64, ttl time.Duration, reg *obs.Registry) *resultCache {
+func newResultCache(maxEntries int, maxBytes int64, reg *obs.Registry) *resultCache {
 	return &resultCache{
 		entries:    make(map[cacheKey]*cacheEntry),
 		lru:        list.New(),
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		ttl:        ttl,
-		now:        time.Now,
 		hits:       reg.Counter("server.cache.hits"),
 		misses:     reg.Counter("server.cache.misses"),
 		evictions:  reg.Counter("server.cache.evictions"),
-		expired:    reg.Counter("server.cache.expired"),
 		gEntries:   reg.Gauge("server.cache.entries"),
 		gBytes:     reg.Gauge("server.cache.bytes"),
 	}
 }
 
-// get returns the cached result for key, refreshing its LRU position. A
-// TTL-expired entry is removed and reported as a miss.
+// get returns the cached result for key, refreshing its LRU position.
 func (c *resultCache) get(key cacheKey) (mat.Matrix, digest, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		c.misses.Inc()
-		return mat.Matrix{}, digest{}, false
-	}
-	if c.ttl > 0 && c.now().After(e.expires) {
-		c.remove(e)
-		c.expired.Inc()
 		c.misses.Inc()
 		return mat.Matrix{}, digest{}, false
 	}
@@ -193,15 +168,9 @@ func (c *resultCache) put(key cacheKey, out mat.Matrix, dig digest) {
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
-		if c.ttl > 0 {
-			e.expires = c.now().Add(c.ttl)
-		}
 		return
 	}
 	e := &cacheEntry{key: key, out: out, dig: dig, bytes: size}
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-	}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.bytes += size
@@ -223,15 +192,6 @@ func (c *resultCache) remove(e *cacheEntry) {
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
 	c.bytes -= e.bytes
-	c.gEntries.Set(int64(len(c.entries)))
-	c.gBytes.Set(c.bytes)
-}
-
-// len reports the live entry count (tests).
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // stats snapshots the cache counters.
@@ -240,7 +200,6 @@ func (c *resultCache) stats() CacheStats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Expired:   c.expired.Load(),
 		Entries:   c.gEntries.Load(),
 		Bytes:     c.gBytes.Load(),
 	}
@@ -250,112 +209,10 @@ func (c *resultCache) stats() CacheStats {
 	return s
 }
 
-// ---------------------------------------------------------------------------
-// Operand interning.
-
-type blockRef struct {
-	data []float64
-	buf  *alignedBuf // pooled storage to return at refcount zero; nil for JSON-wire operands
-	refs int
-}
-
-// blockTable interns operand buffers by content digest so requests that
-// ship the same matrix share one canonical copy for their lifetime.
-type blockTable struct {
-	mu     sync.Mutex
-	blocks map[digest]*blockRef
-	pool   *bufPool
-	dedup  *obs.Counter // interned adoptions (a duplicate buffer avoided)
-}
-
-func newBlockTable(pool *bufPool, reg *obs.Registry) *blockTable {
-	return &blockTable{
-		blocks: make(map[digest]*blockRef),
-		pool:   pool,
-		dedup:  reg.Counter("server.cache.block_dedup"),
-	}
-}
-
-// intern registers (dig, data) and returns the canonical slice for that
-// content. If the digest is already live, the caller's own buffer is
-// returned to the pool and the existing copy adopted. buf is the pooled
-// storage backing data (nil when data is not pooled, e.g. JSON-decoded).
-// Every successful intern must be paired with one release(dig).
-func (t *blockTable) intern(dig digest, data []float64, buf *alignedBuf) []float64 {
-	t.mu.Lock()
-	ref, ok := t.blocks[dig]
-	if ok {
-		ref.refs++
-		t.mu.Unlock()
-		t.dedup.Inc()
-		if buf != nil {
-			t.pool.put(buf)
-		}
-		return ref.data
-	}
-	t.blocks[dig] = &blockRef{data: data, buf: buf, refs: 1}
-	t.mu.Unlock()
-	return data
-}
-
-// release drops one reference to dig, returning the canonical buffer to
-// the pool when the last holder leaves.
-func (t *blockTable) release(dig digest) {
-	t.mu.Lock()
-	ref, ok := t.blocks[dig]
-	if !ok {
-		t.mu.Unlock()
-		return
-	}
-	ref.refs--
-	if ref.refs > 0 {
-		t.mu.Unlock()
-		return
-	}
-	delete(t.blocks, dig)
-	t.mu.Unlock()
-	if ref.buf != nil {
-		t.pool.put(ref.buf)
-	}
-}
-
-// abandon is release for a request whose engine run may have leaked rank
-// goroutines still reading the canonical buffer (watchdog errors,
-// deadline-abandoned dispatches): the reference is dropped but the buffer
-// is permanently withheld from the pool — for every current holder — so a
-// zombie reader can never observe a recycled decode landing in it.
-func (t *blockTable) abandon(dig digest) {
-	t.mu.Lock()
-	if ref, ok := t.blocks[dig]; ok {
-		ref.buf = nil // GC reclaims it once the last reader drops the slice
-	}
-	t.mu.Unlock()
-	t.release(dig)
-}
-
-// live reports the number of interned blocks (tests).
-func (t *blockTable) live() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.blocks)
-}
-
-// dedupCount reports how many duplicate operand shipments interning
-// avoided.
-func (t *blockTable) dedupCount() int64 { return t.dedup.Load() }
-
-// ---------------------------------------------------------------------------
-// Server-side digest plumbing.
-
-// computeDigests interns wr's operands under the digests admit computed and
-// builds the request's cache key. dims must already have validated the
-// request. Called only when the cache is enabled.
-func (s *Server) computeDigests(wr *wireRequest, cs core.Case) cacheKey {
-	wr.req.A = s.blocks.intern(wr.dig[0], wr.req.A, wr.bufs[0])
-	wr.req.B = s.blocks.intern(wr.dig[1], wr.req.B, wr.bufs[1])
-	wr.bufs[0], wr.bufs[1] = nil, nil // ownership moved to the block table
-	wr.interned = 2
-
+// resultKey builds the key wr's result is cached under from the digests
+// admit computed. dims must already have validated the request. Called only
+// when the cache is enabled.
+func (wr *wireRequest) resultKey(cs core.Case) cacheKey {
 	key := cacheKey{
 		a:         wr.dig[0],
 		b:         wr.dig[1],

@@ -9,11 +9,14 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime/debug"
+	"sync"
 	"testing"
-	"time"
 
+	"srumma/internal/core"
 	"srumma/internal/mat"
 	"srumma/internal/obs"
+	"srumma/internal/sched"
 )
 
 // bitsEqual compares float slices by IEEE bit pattern — the cache's
@@ -155,8 +158,8 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-func newTestCache(entries int, bytes int64, ttl time.Duration) *resultCache {
-	return newResultCache(entries, bytes, ttl, obs.NewRegistry())
+func newTestCache(entries int, bytes int64) *resultCache {
+	return newResultCache(entries, bytes, obs.NewRegistry())
 }
 
 func matOf(vals ...float64) mat.Matrix {
@@ -164,7 +167,7 @@ func matOf(vals ...float64) mat.Matrix {
 }
 
 func TestResultCacheLRU(t *testing.T) {
-	c := newTestCache(2, 0, 0)
+	c := newTestCache(2, 0)
 	k := func(i byte) cacheKey { return cacheKey{a: digest{i}} }
 	c.put(k(1), matOf(1), digest{1})
 	c.put(k(2), matOf(2), digest{2})
@@ -178,16 +181,13 @@ func TestResultCacheLRU(t *testing.T) {
 	if _, _, ok := c.get(k(1)); !ok {
 		t.Fatal("recently-used entry 1 evicted")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len %d, want 2", c.len())
-	}
-	if st := c.stats(); st.Evictions != 1 {
-		t.Fatalf("evictions %d, want 1", st.Evictions)
+	if st := c.stats(); st.Entries != 2 || st.Evictions != 1 {
+		t.Fatalf("entries %d, evictions %d; want 2 and 1", st.Entries, st.Evictions)
 	}
 }
 
 func TestResultCacheByteBound(t *testing.T) {
-	c := newTestCache(0, 100, 0) // 100 bytes = 12 floats max resident
+	c := newTestCache(0, 100) // 100 bytes = 12 floats max resident
 	k := func(i byte) cacheKey { return cacheKey{a: digest{i}} }
 	c.put(k(1), matOf(make([]float64, 8)...), digest{1}) // 64 bytes
 	c.put(k(2), matOf(make([]float64, 8)...), digest{2}) // 128 total: evicts 1
@@ -204,79 +204,44 @@ func TestResultCacheByteBound(t *testing.T) {
 	}
 }
 
-func TestResultCacheTTL(t *testing.T) {
-	c := newTestCache(8, 0, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	k := cacheKey{a: digest{9}}
-	c.put(k, matOf(1, 2), digest{9})
-	if _, _, ok := c.get(k); !ok {
-		t.Fatal("entry missing before TTL")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, _, ok := c.get(k); ok {
-		t.Fatal("entry survived past TTL")
-	}
-	if st := c.stats(); st.Expired != 1 || st.Entries != 0 {
-		t.Fatalf("stats after expiry: %+v", st)
-	}
-}
-
-func TestBlockTableInterning(t *testing.T) {
-	pool := &bufPool{}
-	tbl := newBlockTable(pool, obs.NewRegistry())
-	d := digest{42}
-
-	b1 := pool.get(4)
-	copy(b1.data, []float64{1, 2, 3, 4})
-	canon := tbl.intern(d, b1.data, b1)
-
-	b2 := pool.get(4)
-	copy(b2.data, []float64{1, 2, 3, 4})
-	got := tbl.intern(d, b2.data, b2) // duplicate: adopts canon, pools b2
-	if &got[0] != &canon[0] {
-		t.Fatal("duplicate intern did not adopt the canonical buffer")
-	}
-	if tbl.dedupCount() != 1 {
-		t.Fatalf("dedup count %d, want 1", tbl.dedupCount())
-	}
-	if tbl.live() != 1 {
-		t.Fatalf("live blocks %d, want 1", tbl.live())
-	}
-	tbl.release(d)
-	if tbl.live() != 1 {
-		t.Fatal("block released while a holder remains")
-	}
-	tbl.release(d)
-	if tbl.live() != 0 {
-		t.Fatal("block not released at refcount zero")
-	}
-}
-
-func TestBlockTableAbandonWithholdsBuffer(t *testing.T) {
+// TestAbandonedRequestWithholdsItsBuffers: a request answered 504 while its
+// dispatch is still held never returns its operand buffers to operandBufs —
+// the dispatch may yet read them — with the cache off and on.
+func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pool recycling assertions are meaningless under the race detector")
 	}
-	pool := &bufPool{}
-	tbl := newBlockTable(pool, obs.NewRegistry())
-	d := digest{7}
-	b := pool.get(4)
-	addr := uintptrOf(b.data)
-	tbl.intern(d, b.data, b)
-	tbl.abandon(d)
-	if tbl.live() != 0 {
-		t.Fatal("abandon did not drop the reference")
-	}
-	// The abandoned buffer must NOT come back from the pool.
-	if got := pool.get(4); uintptrOf(got.data) == addr {
-		t.Fatal("abandoned buffer was recycled into the pool")
+	// A collection empties sync.Pools, and a recycled buffer with it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, entries := range []int{0, 4} {
+		s := newTestServer(t, Config{NProcs: 4, Teams: 1, CacheEntries: entries})
+		held := make(chan [2]uintptr, 1)
+		rel := make(chan struct{})
+		var once sync.Once
+		t.Cleanup(func() { once.Do(func() { close(rel) }) }) // before the server's shutdown
+		s.setBatchHook(func(tk *sched.Task) {
+			job := tk.Payload.(*schedJob)
+			held <- [2]uintptr{uintptrOf(job.req.A), uintptrOf(job.req.B)}
+			<-rel
+		})
+		req := blockerReq()
+		req.TimeoutMillis = 50
+		if w := binPost(t, s, req, false, ""); w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("cache entries %d: status %d, want 504", entries, w.Code)
+		}
+		ops := <-held
+		for i := 0; i < 4; i++ {
+			if got := uintptrOf(operandBufs.get(req.ARows * req.ACols).data); got == ops[0] || got == ops[1] {
+				t.Fatalf("cache entries %d: an abandoned request's operand buffer came back from the pool", entries)
+			}
+		}
+		once.Do(func() { close(rel) })
 	}
 }
 
-// TestInternSharesRepeatedOperandInOneRequest: a request whose A and B are
-// the same matrix interns one canonical buffer (dedup 1), visible in the
-// metrics snapshot.
-func TestInternSharesRepeatedOperandInOneRequest(t *testing.T) {
+// TestIdenticalOperandsDigestEqually: a request whose A and B are the same
+// matrix echoes one digest for both, on either wire.
+func TestIdenticalOperandsDigestEqually(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, CacheEntries: 4})
 	sq := mat.Random(16, 16, 77)
 	req := MultiplyRequest{
@@ -287,15 +252,45 @@ func TestInternSharesRepeatedOperandInOneRequest(t *testing.T) {
 	if code, _ := post(t, s, req, &resp); code != http.StatusOK {
 		t.Fatal("request failed")
 	}
-	if resp.DigestA != resp.DigestB {
-		t.Fatal("identical operands digested differently")
+	if resp.DigestA == "" || resp.DigestA != resp.DigestB {
+		t.Fatalf("identical operands digested differently: %q vs %q", resp.DigestA, resp.DigestB)
 	}
-	m := s.Metrics()
-	if m.Cache == nil || m.Cache.BlockDedup < 1 {
-		t.Fatalf("block dedup not counted: %+v", m.Cache)
+	w := binPost(t, s, req, false, "")
+	if a, b := w.Header().Get("X-Srumma-Digest-A"), w.Header().Get("X-Srumma-Digest-B"); a != resp.DigestA || b != a {
+		t.Fatalf("binary wire digests %q, %q; want both %q", a, b, resp.DigestA)
 	}
-	if s.blocks.live() != 0 {
-		t.Fatalf("interned blocks leaked: %d live after request", s.blocks.live())
+}
+
+// TestResultKeyAllocatesOnlyDigests: decoding a binary request with content
+// addressing on and building its cache key allocate nothing beyond the two
+// digests' nonce+tag scratch — the operands stay where they were decoded.
+func TestResultKeyAllocatesOnlyDigests(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	req := randReq(32, 32, 32, 801)
+	body, err := EncodeBinaryRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	var wr wireRequest
+	run := func() {
+		rd.Reset(body)
+		wr = wireRequest{}
+		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, &operandBufs, processDigester, &wr); werr != nil {
+			t.Fatal(werr)
+		}
+		if key := wr.resultKey(core.NN); key.a != wr.dig[0] || key.b != wr.dig[1] {
+			t.Fatal("key does not carry the operand digests")
+		}
+		wr.release()
+	}
+	for i := 0; i < 3; i++ {
+		run() // warm the pool's size class
+	}
+	if avg := testing.AllocsPerRun(100, run); avg > 2 {
+		t.Fatalf("decode + cache key allocates %.1f objects/op, want <= 2 (one per digest)", avg)
 	}
 }
 
@@ -308,7 +303,7 @@ func TestDigestCacheLookupAllocs(t *testing.T) {
 	}
 	a := mat.Random(64, 64, 5)
 	b := mat.Random(64, 64, 6)
-	c := newTestCache(8, 0, 0)
+	c := newTestCache(8, 0)
 	key := cacheKey{a: processDigester.sum(64, 64, a.Data), b: processDigester.sum(64, 64, b.Data)}
 	c.put(key, matOf(1, 2, 3), digest{1})
 	avg := testing.AllocsPerRun(100, func() {
@@ -368,7 +363,7 @@ func flipBit(v []float64, pos int, bit uint) []float64 {
 	return out
 }
 
-// TestDigestProperties pins what the cache and the intern table rely on:
+// TestDigestProperties pins what the cache relies on:
 // equal content digests equally, and shape, every element position and the
 // sign of zero are all bound.
 func TestDigestProperties(t *testing.T) {

@@ -114,7 +114,7 @@ func retryBackoff(base time.Duration, attempt int) time.Duration {
 	return base << uint(attempt)
 }
 
-// sleepCtx sleeps d unless ctx expires first; reports whether the full
+// sleepCtx sleeps d unless ctx is done first; reports whether the full
 // sleep happened.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {

@@ -278,9 +278,10 @@ func TestJobRecoverySalvage(t *testing.T) {
 }
 
 // TestBrownoutShedsOptionalWork builds a backlog past the brownout
-// threshold and verifies newly admitted requests are counted as browned
-// out (served without ABFT) while still succeeding — and still batched: the
-// four queued small requests go out in one dispatch.
+// threshold. Queued small requests have no verification to shed, so none is
+// counted as browned out, and they stay batched: the four go out in one
+// dispatch. Distributed requests admitted behind them are counted (served
+// without ABFT) and still succeed.
 func TestBrownoutShedsOptionalWork(t *testing.T) {
 	s := newTestServer(t, Config{
 		NProcs:     2,
@@ -305,6 +306,16 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 		chans = append(chans, postAsync(t, s, req))
 		waitQueued(t, s, i+1)
 	}
+	if got := s.Metrics().Recovery.BrownoutRequests; got != 0 {
+		t.Fatalf("%d small requests counted as browned out; they have no verification to shed", got)
+	}
+	const dist = 2
+	for i := 0; i < dist; i++ {
+		req := randReq(129, 129, 129, uint64(20+i))
+		req.ID = fmt.Sprintf("dist-%d", i)
+		chans = append(chans, postAsync(t, s, req))
+		waitQueued(t, s, 5+i)
+	}
 	release()
 	for i, ch := range chans {
 		if out := <-ch; out.code != http.StatusOK {
@@ -315,8 +326,8 @@ func TestBrownoutShedsOptionalWork(t *testing.T) {
 		t.Fatalf("blocker status %d", out.code)
 	}
 	m := s.Metrics()
-	if got := m.Recovery.BrownoutRequests; got == 0 {
-		t.Fatal("no requests counted as browned out despite a backlog past the threshold")
+	if got := m.Recovery.BrownoutRequests; got != dist {
+		t.Fatalf("%d requests counted as browned out, want the %d distributed ones admitted past the threshold", got, dist)
 	}
 	if m.Sched.MaxBatch != 4 {
 		t.Fatalf("largest dispatch %d, want the whole backlog of 4 in one", m.Sched.MaxBatch)

@@ -140,8 +140,9 @@ type Config struct {
 	BreakerWindow    int
 	BreakerCooldown  time.Duration
 	// BrownoutAt sheds optional work before refusing traffic: when queue
-	// depth reaches this fraction of QueueCap, newly admitted requests run
-	// without ABFT verification (default 0.9; negative disables brownout).
+	// depth reaches this fraction of QueueCap, newly admitted distributed
+	// requests run without ABFT verification (default 0.9; negative disables
+	// brownout). Without ABFT there is nothing to shed.
 	BrownoutAt float64
 	// TraceSample head-samples request tracing when > 1: one in every
 	// TraceSample requests records handler and engine spans (requires
@@ -183,18 +184,14 @@ type Config struct {
 	ClusterHeartbeat time.Duration
 
 	// CacheEntries enables the content-addressed result cache when > 0:
-	// operands get a keyed 128-bit digest at decode, identical requests are
-	// served bit-identical results from a bounded LRU without touching
-	// the scheduler or engine, and repeated operands are interned so
-	// concurrent requests share one canonical buffer. 0 (the default)
-	// disables content addressing entirely.
+	// operands get a keyed 128-bit digest at decode, and identical requests
+	// are served bit-identical results from a bounded LRU without touching
+	// the scheduler or engine. 0 (the default) disables content addressing
+	// entirely.
 	CacheEntries int
 	// CacheBytes bounds the cache's resident result bytes (default 256
 	// MiB when the cache is enabled).
 	CacheBytes int64
-	// CacheTTL expires entries this long after insertion; 0 keeps entries
-	// until LRU eviction.
-	CacheTTL time.Duration
 	// JSONOnly disables the binary wire: binary-typed requests get 415
 	// and responses are always JSON (goldens, debugging).
 	JSONOnly bool
@@ -293,13 +290,10 @@ type Server struct {
 	draining atomic.Bool
 	jobs     sync.WaitGroup // in-flight multiply handlers
 
-	// pool recycles the 64-byte-aligned operand buffers the binary wire
-	// decodes into; dg content-addresses operands, blocks interns them and
-	// cache is the bounded LRU result store (all nil unless CacheEntries > 0).
-	pool   *bufPool
-	dg     *digester
-	cache  *resultCache
-	blocks *blockTable
+	// dg content-addresses operands and cache is the bounded LRU result
+	// store they key (both nil unless CacheEntries > 0).
+	dg    *digester
+	cache *resultCache
 
 	// chaos is the process-wide fault injector state (nil unless
 	// Config.FaultPlan is set); breakers is the per-route circuit breaker
@@ -348,12 +342,10 @@ func New(cfg Config) (*Server, error) {
 		topo: topo,
 		g:    g,
 		met:  newMetrics(cfg.QueueCap),
-		pool: &operandBufs,
 	}
 	if cfg.CacheEntries > 0 {
 		s.dg = processDigester
-		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, s.met.reg)
-		s.blocks = newBlockTable(s.pool, s.met.reg)
+		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes, s.met.reg)
 	}
 	if cfg.FaultPlan != nil {
 		s.chaos = faults.NewShared(cfg.FaultPlan)
@@ -437,7 +429,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	}
 	if s.cache != nil {
 		cs := s.cache.stats()
-		cs.BlockDedup = s.blocks.dedupCount()
 		snap.Cache = &cs
 	}
 	if s.cfg.Hier {
@@ -466,7 +457,7 @@ func (s *Server) Serve(l net.Listener) error {
 // multiplies get 503), in-flight requests run to completion (or their
 // deadlines), the listener closes, and the engine teams are closed with
 // leaked-rank detection — a team that fails to drain surfaces as a
-// *WatchdogError. When ctx expires before the in-flight requests finish,
+// *WatchdogError. When ctx runs out before the in-flight requests finish,
 // Shutdown stops waiting and returns "drain interrupted" — but still tears
 // the scheduler and the cluster pool down, so no worker process, socket or
 // segment file outlives the server.
@@ -570,10 +561,9 @@ type InfoResponse struct {
 	// Wire and cache deployment parameters: whether the dense binary wire
 	// is negotiable, and the content-addressed result cache bounds (zero
 	// entries = content addressing off).
-	BinaryWire      bool    `json:"binary_wire"`
-	CacheEntries    int     `json:"cache_entries"`
-	CacheBytes      int64   `json:"cache_bytes,omitempty"`
-	CacheTTLSeconds float64 `json:"cache_ttl_s,omitempty"`
+	BinaryWire   bool  `json:"binary_wire"`
+	CacheEntries int   `json:"cache_entries"`
+	CacheBytes   int64 `json:"cache_bytes,omitempty"`
 	// Cluster deployment parameters: node count and inter-domain RMA
 	// transport of the sharded distributed tier (zero nodes = in-process).
 	ClusterNodes     int    `json:"cluster_nodes,omitempty"`
@@ -618,10 +608,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		KernelThreads: kt,
 		BatchMax:      s.cfg.BatchMax,
 
-		BinaryWire:      !s.cfg.JSONOnly,
-		CacheEntries:    s.cfg.CacheEntries,
-		CacheBytes:      s.cfg.CacheBytes,
-		CacheTTLSeconds: s.cfg.CacheTTL.Seconds(),
+		BinaryWire:   !s.cfg.JSONOnly,
+		CacheEntries: s.cfg.CacheEntries,
+		CacheBytes:   s.cfg.CacheBytes,
 
 		ClusterNodes:     clusterNodes,
 		ClusterTransport: clusterTransport,
@@ -692,11 +681,10 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, werr.status, ErrorResponse{Error: werr.Error()})
 		return
 	}
-	// Pooled and interned operand storage is recycled when the handler
-	// leaves — after the response (which may encode straight out of it)
-	// is written. release honors wr.noPool for runs that may have leaked
-	// engine readers.
-	defer wr.release(s)
+	// Pooled operand storage is recycled when the handler leaves — after the
+	// response (which may encode straight out of it) is written. release
+	// honors wr.noPool for runs that may have leaked engine readers.
+	defer wr.release()
 	req := &wr.req
 
 	cs, err := parseCase(req.Case)
@@ -725,12 +713,12 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	env := &reqEnv{wr: wr, cs: cs, d: d, cls: cls, timeout: timeout, traced: traced}
 	env.respWire, env.gzipOut = s.negotiateRespWire(r, wr)
 
-	// Content addressing: intern the operands under their decode-time
-	// digests (repeats collapse onto one canonical buffer) and probe the
-	// result cache. A hit is served straight from memory — bit-identical to
-	// a fresh compute — without touching admission, scheduler, or engine.
+	// Content addressing: key the request by its decode-time digests and
+	// probe the result cache. A hit is served straight from memory —
+	// bit-identical to a fresh compute — without touching admission,
+	// scheduler, or engine.
 	if s.cache != nil {
-		env.key = s.computeDigests(wr, cs)
+		env.key = wr.resultKey(cs)
 		if out, dig, ok := s.cache.get(env.key); ok {
 			s.serveCacheHit(w, env, t0, out, dig)
 			return
@@ -913,6 +901,23 @@ func (s *Server) sampleTrace() bool {
 	return s.traceSeq.Add(1)%uint64(s.cfg.TraceSample) == 1
 }
 
+// brownout reports whether queue depth has reached BrownoutAt of QueueCap,
+// where the server sheds the optional work — ABFT verification — before the
+// admission control starts refusing traffic outright, and counts the request
+// it sheds it for. Batching is not optional work: it is what serves a small
+// backlog with one hand-off instead of one per request.
+func (s *Server) brownout() bool {
+	if s.cfg.BrownoutAt <= 0 {
+		return false
+	}
+	on := float64(s.sched.Queued()) >= s.cfg.BrownoutAt*float64(s.cfg.QueueCap)
+	if on {
+		s.met.brownoutReqs.Inc()
+	}
+	s.met.brownoutG.Set(boolToInt64(on))
+	return on
+}
+
 // recordBreaker settles one allowed request with the route's breaker:
 // 200 is a success, 500 a failure; cancellations and shedding are neither.
 func (s *Server) recordBreaker(route string, status int) {
@@ -954,22 +959,11 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 	}
 	flops := 2 * float64(d.M) * float64(d.N) * float64(d.K)
 
-	// Brownout: at BrownoutAt of queue capacity, shed the optional work —
-	// verification — before the admission control starts refusing traffic
-	// outright. Batching is not optional work: it is what serves a small
-	// backlog with one hand-off instead of one per request.
-	brownout := false
-	if s.cfg.BrownoutAt > 0 {
-		brownout = float64(s.sched.Queued()) >= s.cfg.BrownoutAt*float64(s.cfg.QueueCap)
-		if brownout {
-			s.met.brownoutReqs.Inc()
-		}
-		s.met.brownoutG.Set(boolToInt64(brownout))
-	}
-
 	job := &schedJob{req: req, cs: cs, d: d, ctx: ctx, traced: traced}
 	if route != routeSmall {
-		job.rec = s.newJobRecovery(s.cfg.ABFT && !brownout)
+		// Only a distributed request on an ABFT server has verification to
+		// shed, so only such a request asks whether the server browns out.
+		job.rec = s.newJobRecovery(s.cfg.ABFT && !s.brownout())
 	}
 
 	// Register the job BEFORE Submit: once submitted, the task can dispatch
