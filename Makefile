@@ -19,7 +19,7 @@ noasm:
 
 test:
 	$(GO) test ./...
-	$(GO) test -run=NONE -bench=BenchmarkGemm/512 -benchtime=1x ./internal/mat
+	$(GO) test -run '^$$' -bench=BenchmarkGemm/512 -benchtime=1x ./internal/mat
 	$(MAKE) serve-smoke
 
 race:
@@ -129,10 +129,10 @@ cluster-smoke:
 # run on the sim and ipc engines. The property tests pin hier-vs-flat
 # BIT-identity across all four transpose cases on the armci and ipc
 # engines — staged regions read in place and copied out, member fetches,
-# the pooled (poisoned) band, cancel/resume, ABFT and transfer faults on
-# band views — the sim test pins measured remote volume == the analytic
-# per-level prediction for both paths across P with the volume crossover
-# at exactly P = 16 and modeled hier time below flat from there on, and the
+# the pooled (poisoned) band, cancel/resume, ABFT on band views — the sim
+# test pins measured remote volume == the analytic per-level prediction
+# for both paths across P with the volume crossover at exactly P = 16 and
+# modeled hier time below flat from there on, and the
 # serving tests cover the hier route end to end including the
 # kill-one-group chaos resume and the staged/member-fetched counters.
 hier-smoke:
@@ -153,13 +153,15 @@ multihost-smoke:
 repro:
 	$(GO) run ./cmd/srumma-bench -all
 
-# Fault injection on the real engine: every fault class, three seeds,
-# recovery layer active (see DESIGN.md "Fault model") — a wrong product, a
-# hang or a recovery counter that stayed idle fails the run — plus the
-# serving-layer case of an executor crash mid-batch: the rest of the batch
-# completes, and the crashed request's handler retries it.
+# Fault injection on the real engine, the three classes a deployment can
+# have (see DESIGN.md "Fault model"): a planted rank death — at a one-sided
+# op or mid-gemm — fails loudly under the watchdog instead of hanging, and
+# its retry resumes from the ledger to the fault-free bits; planted bad
+# blocks are caught and recomputed by ABFT. Plus the serving-layer case of
+# an executor crash mid-batch: the rest of the batch completes, and the
+# crashed request's handler retries it.
 chaos:
-	$(GO) test -count=1 -run 'TestChaos' ./internal/faults
+	$(GO) test -count=1 -run 'TestChaos|TestBadBlock|TestComputeCrash' ./internal/faults
 	$(GO) test -count=1 -run TestServerSchedChaosCrashRetried ./internal/server
 
 # End-to-end recovery gate, race-enabled: a real server under a seeded

@@ -25,7 +25,7 @@ var (
 // sweep, no keyed merge), and every srumma-trace invocation README and DESIGN
 // show — command line or prose — uses registered flags only.
 func TestFlagsMatchREADME(t *testing.T) {
-	want := strings.Fields("alg blocking chaos chrome dir engine listen min-overlap n no-spawn noshift out platform ppn procs seed transport validate width")
+	want := strings.Fields("alg blocking chrome dir engine listen min-overlap n no-spawn noshift out platform ppn procs transport validate width")
 	var registered []string
 	flag.VisitAll(func(f *flag.Flag) {
 		if !strings.HasPrefix(f.Name, "test.") {

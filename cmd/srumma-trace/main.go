@@ -19,17 +19,11 @@
 //	srumma-trace -alg pdgemm -n 1000 -procs 8
 //	srumma-trace -engine real -n 600 -procs 4 -chrome trace.json
 //	srumma-trace -n 600 -procs 16 -chrome trace.json
-//	srumma-trace -n 1000 -procs 8 -chaos -seed 7
 //	srumma-trace -validate trace.json
 //
 // -out FILE also writes a machine-readable summary of the run (overlap
 // ratio, per-kind busy time). -validate checks that a previously exported
 // file is well-formed Chrome trace-event JSON and exits.
-//
-// With -chaos (sim engine only) the seeded fault plan (internal/faults)
-// perturbs the simulated fabric — dropped and delayed transfers, one
-// straggler node — and the timeline shows where the pipeline absorbs the
-// injected latency.
 package main
 
 import (
@@ -46,13 +40,11 @@ import (
 	"srumma/internal/algs"
 	"srumma/internal/armci"
 	"srumma/internal/core"
-	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
 	"srumma/internal/machine"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
-	"srumma/internal/simnet"
 	"srumma/internal/simrt"
 )
 
@@ -83,9 +75,6 @@ type traceDoc struct {
 	// BusySeconds is per-kind busy time summed over ranks.
 	BusySeconds map[string]float64 `json:"busy_s"`
 
-	Chaos bool   `json:"chaos,omitempty"`
-	Seed  uint64 `json:"seed,omitempty"`
-
 	// Transport and ExternalWorkers record a multi-host ipc run: the RMA
 	// transport in use and how many ranks joined as EXTERNAL workers
 	// (srumma-worker -join from another container/host) rather than being
@@ -109,8 +98,6 @@ var (
 	chrome     = flag.String("chrome", "", "also write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
 	out        = flag.String("out", "", "also write a machine-readable run summary to this file")
 	validate   = flag.String("validate", "", "validate a Chrome trace-event JSON file and exit")
-	chaos      = flag.Bool("chaos", false, "inject deterministic faults into the simulated fabric (drops, delays, one straggler)")
-	seed       = flag.Uint64("seed", 1, "fault-injection seed (with -chaos)")
 	minOverlap = flag.Float64("min-overlap", 0, "fail unless the measured overlap ratio reaches this floor (0: no gate)")
 	transport  = flag.String("transport", "", `ipc engine RMA transport: "unix" (default) or "tcp" (required for multi-host)`)
 	listen     = flag.String("listen", "", `bind the ipc coordinator's TCP control listener at "host:port" (implies -transport tcp); with -no-spawn this is the address srumma-worker -join dials`)
@@ -153,22 +140,12 @@ func main() {
 
 	switch *engine {
 	case "sim":
-		events, wall = runSim(g, d, *platform, *alg, *procs, *width, *blocking, *noshift, *chaos, *seed, *chrome, flops)
+		events, wall = runSim(g, d, *platform, *alg, *procs, *width, *blocking, *noshift, *chrome, flops)
 		doc.Platform = *platform
-		doc.Chaos = *chaos
-		if *chaos {
-			doc.Seed = *seed
-		}
 	case "real":
-		if *chaos {
-			log.Fatal("-chaos models the simulated fabric; use -engine sim (the real engine's fault injection is exercised by internal/faults' tests: make chaos)")
-		}
 		events, wall = runReal(g, d, *alg, *procs, *ppn, *width, *blocking, *noshift, *chrome, flops)
 		doc.PPN = *ppn
 	case "ipc":
-		if *chaos {
-			log.Fatal("-chaos models the simulated fabric; use -engine sim")
-		}
 		if *alg != algs.SRUMMA {
 			log.Fatalf("-engine ipc runs the srumma algorithm only (got %q)", *alg)
 		}
@@ -291,7 +268,7 @@ func writeChrome(path string, write func(io.Writer) error) {
 // runSim runs the virtual-time engine. Its stdout report (through the
 // parallel-efficiency line) predates the obs refactor and is preserved
 // byte-for-byte; the simrt golden test pins the rendering underneath it.
-func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, blocking, noshift, chaos bool, seed uint64, chrome string, flops float64) ([]obs.Event, float64) {
+func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, blocking, noshift bool, chrome string, flops float64) ([]obs.Event, float64) {
 	prof, err := machine.ByName(platform)
 	if err != nil {
 		log.Fatal(err)
@@ -300,30 +277,7 @@ func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, b
 	var t0, t1 float64
 	body := tracedRun(g, d, alg, &prof, blocking, noshift, &t0, &t1)
 
-	var res *simrt.Result
-	injected := 0
-	if chaos {
-		// The same deterministic fault plan the real engine uses, consumed
-		// as latency/loss events on the simulated fabric: the timeline shows
-		// where the pipeline absorbs (or stalls on) the faults.
-		plan, perr := faults.NewPlan(faults.Config{
-			Seed: seed, DropRate: 0.05, DelayRate: 0.1, Stragglers: 1,
-		}, procs)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		inner := plan.NetHook()
-		hook := func(src, dst int, bytes int64) simnet.Fault {
-			f := inner(src, dst, bytes)
-			if f.Lost || f.ExtraLatency > 0 {
-				injected++
-			}
-			return f
-		}
-		res, err = simrt.RunTracedFaults(prof, procs, tr, hook, body)
-	} else {
-		res, err = simrt.RunTraced(prof, procs, tr, body)
-	}
+	res, err := simrt.RunTraced(prof, procs, tr, body)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -331,9 +285,6 @@ func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, b
 	fmt.Printf("%s %dx%dx%d on %s, %d procs (%dx%d grid): %.3f ms, %.1f GFLOP/s\n",
 		alg, d.M, d.N, d.K, prof.Name, procs, g.P, g.Q, res.Time*1e3, flops/res.Time/1e9)
 	fmt.Printf("multiply span on rank 0: %.3f ms\n", (t1-t0)*1e3)
-	if chaos {
-		fmt.Printf("chaos: seed %d, %d transfers perturbed (lost or delayed on the fabric)\n", seed, injected)
-	}
 	fmt.Println()
 
 	fmt.Printf("timeline (g=gemm w=wait c=copy p=pack b=barrier s=steal):\n")

@@ -316,18 +316,6 @@ func (c *ctx) Barrier() {
 	c.Span(obs.KindBarrier, t0)
 }
 
-// ChecksumRegion checksums the rows x cols region at element off of rank's
-// segment of g (rows ld apart) in packed row-major order, directly from
-// the authoritative source data. This is the engine capability behind the
-// fault-tolerance layer's end-to-end payload verification (the "sender
-// side" checksum of internal/faults): an injected drop or bit flip only
-// perturbs the landed copy, so the source checksum stays authoritative.
-func (c *ctx) ChecksumRegion(g rt.Global, rank, off, ld, rows, cols int) uint64 {
-	src := g.(*global).segs[rank].data
-	rt.MustRegion(len(src), off, ld, rows, cols)
-	return SumRegion(src, off, ld, rows, cols)
-}
-
 var (
 	_ rt.Ctx            = (*ctx)(nil)
 	_ rt.KernelTuner    = (*ctx)(nil)

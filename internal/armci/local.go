@@ -214,18 +214,6 @@ func PackRegion(dst, seg []float64, off, ld, rows, cols int) {
 	}
 }
 
-// SumRegion folds the region, in the packed row-major order its payload
-// lands in, with the rt checksum.
-func SumRegion(seg []float64, off, ld, rows, cols int) uint64 {
-	h := rt.ChecksumSeed()
-	for r := 0; r < rows && cols > 0; r++ {
-		for _, v := range seg[off+r*ld : off+r*ld+cols] {
-			h = rt.ChecksumAdd(h, v)
-		}
-	}
-	return h
-}
-
 // GetRegion is a strided get whose source segment this rank can address:
 // seg is the owner's segment, shared whether it counts as shared-memory or
 // remote traffic. In one address space the copy is the whole operation, so

@@ -116,14 +116,10 @@ func TestOneSidedConformance(t *testing.T) {
 		run  func(func(rt.Ctx)) ([]*rt.Stats, error)
 	}{
 		{"armci", true, real(bare)},
-		{"armci under Resilient(Inject)", true, real(func(c rt.Ctx) rt.Ctx {
-			return faults.Resilient(faults.Inject(c, plan, nil), faults.RecoveryConfig{})
-		})},
+		{"armci under Inject", true, real(func(c rt.Ctx) rt.Ctx { return faults.Inject(c, plan, nil) })},
 		{"simrt", false, sim(bare)},
-		// The recovery layer polls Done against the wall clock (it is for the
-		// real engine only): virtual time would never reach a remote
-		// completion under it. The injector, with nothing to inject, passes
-		// the engine's handles through and can sit on either.
+		// The injector, with nothing to inject, passes the engine's handles
+		// through and can sit on either engine.
 		{"simrt under Inject", false, sim(func(c rt.Ctx) rt.Ctx { return faults.Inject(c, plan, nil) })},
 	}
 	good, bad := conformanceOps()

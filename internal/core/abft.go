@@ -4,9 +4,8 @@ package core
 // Huang & Abraham: a block product's element sum is predicted from operand
 // row/column sums — ones^T (op(A) op(B)) ones = colsums(op(A)) · rowsums(op(B))
 // — so each produced C view can be verified in O(operand + view) extra work
-// against an O(m·n·k) multiply. Transport checksums (internal/faults)
-// cannot see a block the KERNEL corrupted: the payload that landed was
-// correct, the output is not. ABFT closes exactly that hole: a failed check
+// against an O(m·n·k) multiply. It catches a block the KERNEL corrupted:
+// the operands that landed were correct, the output is not. A failed check
 // marks the task dirty in the ledger, restores the saved C view and
 // recomputes, turning silent corruption into a counted, recovered event.
 //

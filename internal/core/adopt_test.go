@@ -4,8 +4,8 @@ package core
 // (rt.Adopter): the leading dimension is the operand's, the plan is not
 // touched, and C — computed in place — is bit-identical to the result over
 // tight segments. The whole shape x grid x option matrix lives with
-// driver.Bind (internal/driver/adopt_test.go); here are the executor, with
-// and without a health report, and the verified-gemm step on a strided C.
+// driver.Bind (internal/driver/adopt_test.go); here are the executor and
+// the verified-gemm step on a strided C.
 
 import (
 	"fmt"
@@ -18,12 +18,6 @@ import (
 	"srumma/internal/mat"
 	"srumma/internal/rt"
 )
-
-// unwrappingHealth is fakeHealth that still exposes the engine beneath, as
-// the real resilience layer does.
-type unwrappingHealth struct{ fakeHealth }
-
-func (u *unwrappingHealth) Unwrap() rt.Ctx { return u.Ctx }
 
 // adoptedRun multiplies views of wider matrices in place on a p x q grid,
 // every rank's ctx passed through wrap, and returns the result, the summed
@@ -81,21 +75,14 @@ func adoptedRun(t *testing.T, p, q int, d Dims, opts Options, wrap, ref func(rt.
 
 func TestExecutorsOnAdoptedOperands(t *testing.T) {
 	d := Dims{M: 37, N: 29, K: 41}
-	executors := map[string]func(rt.Ctx) rt.Ctx{
-		"plain": func(c rt.Ctx) rt.Ctx { return c },
-		"slow-owner": func(c rt.Ctx) rt.Ctx {
-			return &unwrappingHealth{fakeHealth{Ctx: c, slow: map[int]bool{1: true}}}
-		},
-	}
-	for name, wrap := range executors {
-		for _, cs := range Cases {
-			for _, maxK := range []int{0, 5} {
-				for _, single := range []bool{false, true} {
-					opts := Options{Case: cs, MaxTaskK: maxK, SingleBuffer: single}
-					adopted, tight, _ := adoptedRun(t, 2, 3, d, opts, wrap, wrap)
-					if !mat.Equal(adopted, tight) {
-						t.Errorf("%s ctx, %v maxK=%d single=%v: in-place result differs from tight segments", name, cs, maxK, single)
-					}
+	plain := func(c rt.Ctx) rt.Ctx { return c }
+	for _, cs := range Cases {
+		for _, maxK := range []int{0, 5} {
+			for _, single := range []bool{false, true} {
+				opts := Options{Case: cs, MaxTaskK: maxK, SingleBuffer: single}
+				adopted, tight, _ := adoptedRun(t, 2, 3, d, opts, plain, plain)
+				if !mat.Equal(adopted, tight) {
+					t.Errorf("%v maxK=%d single=%v: in-place result differs from tight segments", cs, maxK, single)
 				}
 			}
 		}

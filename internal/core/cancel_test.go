@@ -9,7 +9,6 @@ import (
 
 	"srumma/internal/armci"
 	"srumma/internal/driver"
-	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/mat"
 	"srumma/internal/rt"
@@ -175,35 +174,5 @@ func cancelMidFlight(t *testing.T, adopt bool) {
 	}
 	if diff := mat.MaxAbsDiff(got, want); diff > 1e-9 {
 		t.Fatalf("post-cancel multiply wrong: max diff %g", diff)
-	}
-}
-
-func TestMultiplyCancelledResilientExecutor(t *testing.T) {
-	// Cancel is honored under the resilience layer too: wrap the engine ctx
-	// in it (no injected faults) so the executor plans around rank health,
-	// then cancel before the task loop starts.
-	h := newCancelHarness(t, 4, Dims{M: 96, N: 96, K: 96})
-	done := make(chan struct{})
-	close(done)
-	n := h.g.Size()
-	errs := make([]error, n)
-	_, err := h.team.Run(func(c rt.Ctx) {
-		rc := faults.Resilient(c, faults.RecoveryConfig{})
-		ga := driver.AllocBlock(rc, h.da)
-		gb := driver.AllocBlock(rc, h.db)
-		gc := driver.AllocBlock(rc, h.dc)
-		driver.LoadBlock(rc, h.da, ga, h.aGlob)
-		driver.LoadBlock(rc, h.db, gb, h.bGlob)
-		errs[c.Rank()] = Multiply(rc, h.g, h.d, Options{Cancel: done}, ga, gb, gc)
-		co := driver.StoreBlock(rc, h.dc, gc)
-		_ = co
-	})
-	if err != nil {
-		t.Fatalf("team run: %v", err)
-	}
-	for rank, e := range errs {
-		if !errors.Is(e, ErrCancelled) {
-			t.Fatalf("rank %d: err = %v, want ErrCancelled", rank, e)
-		}
 	}
 }

@@ -228,79 +228,16 @@ func inPlace(s inPlacer, g rt.Global, reg fetchItem) (rt.Mat, bool) {
 	return s.InPlace(g, reg.owner, reg.off, reg.ld, reg.rows, reg.cols)
 }
 
-// watch is the health verdict one plan was made under, kept so the task
-// loop can tell when it moved under a task still pending.
-type watch struct {
-	rt.Health
-	slow []bool // per owner, as planned
-}
-
-// late reports whether task ti waits on a fetch from an owner planned slow.
-func (w *watch) late(sa, sb *schedule, ti int) bool {
-	fa, fb := sa.ofTask[ti], sb.ofTask[ti]
-	return fa >= 0 && w.slow[sa.items[fa].owner] || fb >= 0 && w.slow[sb.items[fb].owner]
-}
-
-// deferSlow is a plan's ordering under health: a stable partition of the
-// pending list (orig nil = its indexes are the original ones) that puts the
-// late tasks behind the others — the rank steals forward work from its own
-// list instead of blocking behind the straggler. It returns its inputs and 0
-// when that moves nothing, else fresh lists and how many tasks were overtaken.
-func (w *watch) deferSlow(pending []Task, orig []int, sa, sb *schedule) ([]Task, []int, int) {
-	nLate, overtaken := 0, 0
-	for ti := range pending {
-		if w.late(sa, sb, ti) {
-			nLate++
-		} else {
-			overtaken = nLate
-		}
-	}
-	if overtaken == 0 {
-		return pending, orig, 0
-	}
-	tasks, at := make([]Task, 0, len(pending)), make([]int, 0, len(pending))
-	for _, late := range [...]bool{false, true} {
-		for ti := range pending {
-			if w.late(sa, sb, ti) != late {
-				continue
-			}
-			tasks = append(tasks, pending[ti])
-			if orig != nil {
-				ti = orig[ti]
-			}
-			at = append(at, ti)
-		}
-	}
-	return tasks, at, overtaken
-}
-
-// moved reports whether the verdict differs from the one planned under in
-// a way the rest of the plan would see: the owner of a fetch still to be
-// waited for became slow or recovered, or the buffering changed. A list that
-// merely got shorter is the same plan.
-func (w *watch) moved(single bool, pa, pb *pipe) bool {
-	if (single || w.Degraded()) != (pa.nbuf == 1) {
-		return true
-	}
-	for _, p := range [...]*pipe{pa, pb} {
-		for _, it := range p.s.items[p.waited+1:] {
-			if w.IsSlow(it.owner) != w.slow[it.owner] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // execTasks runs the ordered task list; ldc is the leading dimension of
-// this rank's own block of C. It is the one task loop: plan what the ledger
-// does not hold yet, run the double-buffered pipeline over that, and — when
-// the ctx reports rank health (rt.Health) and the verdict moves under a task
-// still pending — plan again from what is now done. A retried job and a
-// re-plan inside one job are the same step. With no health on the ctx, or a
-// silent one, that is a single pass over the planner's list in the planner's
-// order.
+// this rank's own block of C. It is the one task loop: one pass of the
+// double-buffered pipeline over what the ledger does not hold yet, in the
+// planner's order. A retried job resumes here from the ledger its failed
+// attempt left.
 func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, ldc int, lg *Ledger) error {
+	pending, orig, touched := unfinished(tasks, lg)
+	if len(pending) == 0 {
+		return nil
+	}
 	transA, transB := opts.Case.TransA(), opts.Case.TransB()
 	var ab *abftState
 	if opts.ABFT {
@@ -310,101 +247,59 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 	if opts.Flavor == FlavorDirect {
 		staged, _ = c.(inPlacer)
 	}
-	var w *watch
-	if h := rt.FindHealth(c); h != nil {
-		w = &watch{Health: h, slow: make([]bool, c.Size())}
-		if lg == nil {
-			lg = newLedger(len(tasks)) // what a re-plan resumes from
-		}
-	}
 	rec := rt.FindRecorder(c)
 	cBuf := c.Local(gc)
 
-	for {
-		pending, orig, touched := unfinished(tasks, lg)
-		if len(pending) == 0 {
-			return nil
-		}
-		// Blocking fetches: the caller asked for them, or the rank degraded.
-		single := opts.SingleBuffer || w != nil && w.Degraded()
-		nbuf, sa, sb := fetchSchedules(pending, single, ga, gb, staged)
-		if w != nil {
-			for o := range w.slow {
-				w.slow[o] = w.IsSlow(o)
-			}
-			var overtaken int
-			if pending, orig, overtaken = w.deferSlow(pending, orig, &sa, &sb); overtaken > 0 {
-				c.Stats().StragglerSteals += int64(overtaken)
-				// Out of list order the planner's First marks no longer say
-				// which task reaches a C region first.
-				if touched == nil {
-					touched = make(map[cRegion]bool)
-				}
-				_, sa, sb = fetchSchedules(pending, single, ga, gb, staged)
-			}
-		}
-		pa := newPipe(c, rec, ga, nbuf, sa)
-		pb := newPipe(c, rec, gb, nbuf, sb)
-		// Warm the pipeline: with double buffering both buffers may be filled
-		// before any compute, so the first remote transfers hide behind the
-		// shared-memory tasks at the head of the list (paper §3.1 step 2).
-		if nbuf > 1 {
-			pa.issue(min(1, len(pa.s.items)-1))
-			pb.issue(min(1, len(pb.s.items)-1))
-		}
+	nbuf, sa, sb := fetchSchedules(pending, opts.SingleBuffer, ga, gb, staged)
+	pa := newPipe(c, rec, ga, nbuf, sa)
+	pb := newPipe(c, rec, gb, nbuf, sb)
+	// Warm the pipeline: with double buffering both buffers may be filled
+	// before any compute, so the first remote transfers hide behind the
+	// shared-memory tasks at the head of the list (paper §3.1 step 2).
+	if nbuf > 1 {
+		pa.issue(min(1, len(pa.s.items)-1))
+		pb.issue(min(1, len(pb.s.items)-1))
+	}
 
-		// stale: the verdict moved. The loop stops looking ahead, lets the
-		// tasks whose fetches are in flight consume them, and plans again once
-		// nothing issued is un-waited: an engine may complete a get after issue
-		// returns (ipcrt's socket path), so no scratch is handed out again with
-		// a get still aimed at it — and no transfer is paid for twice.
-		stale := false
-		for ti := range pending {
-			if stale && pa.waited == pa.issued && pb.waited == pb.issued {
-				break
-			}
-			if cancelled(opts.Cancel) {
-				// Outstanding nonblocking gets are simply never waited on — the
-				// real engine completes them eagerly, and their targets are the
-				// scratch buffers being surrendered right here anyway.
-				releaseScratch(c, pa.bufs, pb.bufs)
-				return ErrCancelled
-			}
-			t := &pending[ti]
-			lookahead := nbuf > 1 && !stale && ti+1 < len(pending)
-			pa.issue(pa.target(ti, lookahead))
-			pb.issue(pb.target(ti, lookahead))
-			aMat := operandView(c, ga, staged, aRegion(t, ga), pa.ready(ti), transA)
-			bMat := operandView(c, gb, staged, bRegion(t, gb), pb.ready(ti), transB)
+	for ti := range pending {
+		if cancelled(opts.Cancel) {
+			// Outstanding nonblocking gets are simply never waited on — the
+			// real engine completes them eagerly, and their targets are the
+			// scratch buffers being surrendered right here anyway.
+			releaseScratch(c, pa.bufs, pb.bufs)
+			return ErrCancelled
+		}
+		t := &pending[ti]
+		lookahead := nbuf > 1 && ti+1 < len(pending)
+		pa.issue(pa.target(ti, lookahead))
+		pb.issue(pb.target(ti, lookahead))
+		aMat := operandView(c, ga, staged, aRegion(t, ga), pa.ready(ti), transA)
+		bMat := operandView(c, gb, staged, bRegion(t, gb), pb.ready(ti), transB)
 
-			cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
-			taskBeta := 1.0
-			if touched == nil {
-				if t.First {
-					taskBeta = beta
-				}
-			} else if reg := (cRegion{t.CI, t.CJ, t.CR, t.CC}); !touched[reg] {
-				touched[reg] = true
+		cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
+		taskBeta := 1.0
+		if touched == nil {
+			if t.First {
 				taskBeta = beta
 			}
-			if err := gemmVerified(c, ab, alpha, aMat, bMat, taskBeta, cMat); err != nil {
-				releaseScratch(c, pa.bufs, pb.bufs)
-				return err
-			}
-			if lg != nil {
-				if orig != nil {
-					lg.Mark(orig[ti])
-				} else {
-					lg.Mark(ti)
-				}
-			}
-			stale = stale || w != nil && ti+1 < len(pending) && w.moved(opts.SingleBuffer, pa, pb)
+		} else if reg := (cRegion{t.CI, t.CJ, t.CR, t.CC}); !touched[reg] {
+			touched[reg] = true
+			taskBeta = beta
 		}
-		releaseScratch(c, pa.bufs, pb.bufs)
-		if !stale {
-			return nil
+		if err := gemmVerified(c, ab, alpha, aMat, bMat, taskBeta, cMat); err != nil {
+			releaseScratch(c, pa.bufs, pb.bufs)
+			return err
+		}
+		if lg != nil {
+			if orig != nil {
+				lg.Mark(orig[ti])
+			} else {
+				lg.Mark(ti)
+			}
 		}
 	}
+	releaseScratch(c, pa.bufs, pb.bufs)
+	return nil
 }
 
 // pipe is one operand's half of the pipeline: its fetch schedule, the
@@ -471,8 +366,7 @@ func (p *pipe) ready(ti int) rt.Buffer {
 		return nil
 	}
 	// Items are first used, so waited for, in order. A task reusing a region
-	// that already landed does not wait again: under a recovery layer that
-	// would re-verify the payload and read as a prompt transfer from its owner.
+	// that already landed does not wait again.
 	if fi > p.waited {
 		p.waited = fi
 		p.c.Wait(p.s.items[fi].h)

@@ -104,7 +104,7 @@ func (j *JobLedger) Rank(rank, ntasks int) *Ledger {
 		l = newLedger(ntasks)
 		j.ranks[rank] = l
 	} else if l.n != ntasks {
-		panic(fmt.Sprintf("core: ledger for rank %d sized for %d tasks, replan has %d", rank, l.n, ntasks))
+		panic(fmt.Sprintf("core: ledger for rank %d sized for %d tasks, this attempt has %d", rank, l.n, ntasks))
 	}
 	return l
 }
@@ -181,7 +181,7 @@ func (j *JobLedger) Total() int {
 
 // cRegion identifies one C view a task accumulates into — the key for
 // beta-application tracking once the planner's First marks no longer apply
-// (a resumed list, or one planned out of order around a slow rank).
+// (a resumed list).
 type cRegion struct{ i, j, r, c int }
 
 // unfinished is the executor's resume prologue: the tasks lg does not hold

@@ -88,8 +88,7 @@ type Options struct {
 	NoSharedFirst bool
 	// SingleBuffer uses one communication buffer per matrix instead of two,
 	// turning the nonblocking pipeline into blocking gets (the "blocking"
-	// configuration of paper Figure 9); a rank whose runtime reports itself
-	// Degraded (rt.Health) is planned the same way without being asked.
+	// configuration of paper Figure 9).
 	SingleBuffer bool
 	// KernelThreads, when positive, sets how many goroutines each rank's
 	// local dgemm may use (forwarded to the engine via rt.KernelTuner).

@@ -84,23 +84,14 @@ func TestExecutorReleasesScratch(t *testing.T) {
 	}
 }
 
-// TestCancelAroundReplanReleasesScratch: Cancel firing in the window where
-// the health verdict has moved and the executor is on its way to a new plan
-// — before the in-flight fetches are consumed, after, or once the new
-// plan's warm-up is issued, depending on the cut — returns ErrCancelled
-// with every scratch buffer of every plan back in the pool.
-func TestCancelAroundReplanReleasesScratch(t *testing.T) {
+// TestCancelAtEveryCutReleasesScratch: Cancel firing after any of a
+// rank's first eight tasks — double-buffered, with the look-ahead still in
+// flight, or blocking, with nothing outstanding — returns ErrCancelled with
+// every scratch buffer back in the pool.
+func TestCancelAtEveryCutReleasesScratch(t *testing.T) {
 	const p, q = 2, 3
 	d := Dims{M: 60, N: 50, K: 70}
-	g, err := grid.New(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := rt.Topology{NProcs: p * q, ProcsPerNode: 1}
 	for _, cs := range Cases {
-		// Blocking fetches leave nothing in flight after a task, so there the
-		// new plan is already made when the signal is seen; double-buffered,
-		// the look-ahead is still out.
 		granted := 0
 		for cut := 0; cut < 16; cut++ {
 			single, after := cut >= 8, cut%8+1
@@ -108,18 +99,14 @@ func TestCancelAroundReplanReleasesScratch(t *testing.T) {
 			var once sync.Once
 			opts := Options{Case: cs, MaxTaskK: 5, Cancel: stop, SingleBuffer: single}
 			spies := make([]*releaseSpy, p*q)
-			_, _, errs := healthRun(t, p, q, 1, d, cs, 1, 0, nil, func(raw rt.Ctx) (rt.Ctx, Options) {
+			_, _, errs := execRun(t, p, q, 1, d, cs, 1, 0, nil, func(raw rt.Ctx) (rt.Ctx, Options) {
 				spy := &releaseSpy{Ctx: raw}
 				spies[raw.Rank()] = spy
-				list := Plan(topo, raw.Rank(), g, d, opts)
-				return &scriptedHealth{Ctx: spy,
-					script: []verdict{{}, {after: after, slow: slowAhead(list, after+1), degraded: after%2 == 0}},
-					onMove: func() { once.Do(func() { close(stop) }) },
-				}, opts
+				return &execSpy{Ctx: spy, after: after, stop: func() { once.Do(func() { close(stop) }) }}, opts
 			})
 			for rank, err := range errs {
 				// Every list here is longer than the cut, so every rank is
-				// interrupted: by its own verdict or by a neighbour's.
+				// interrupted: at its own cut or at a neighbour's.
 				if !errors.Is(err, ErrCancelled) {
 					t.Errorf("%v single=%v after %d, rank %d: err = %v, want ErrCancelled", cs, single, after, rank, err)
 				}

@@ -1,41 +1,31 @@
-// Package faults is the deterministic fault-injection and recovery layer
-// of the SRUMMA reproduction. The paper's performance story rests on
-// one-sided RMA progress (nonblocking get pipelines, direct shared-memory
-// access); this package supplies the robustness story for the same
-// machinery: the networks the paper targets (Myrinet GM, IBM SP LAPI) drop,
-// delay and corrupt transfers, and nodes stall or die mid-run.
+// Package faults is the deterministic fault injector of the SRUMMA
+// reproduction. It plants only faults a deployment can have, so the
+// recovery that answers each of them can be gated without waiting for one:
 //
-// The package has three parts:
+//   - a rank dies at a one-sided op or mid-gemm (Crash) — answered by the
+//     task ledger's salvage and resume (internal/core, internal/server);
+//   - a local gemm's C block lands silently corrupted (BadBlock) — answered
+//     by ABFT verification (internal/core).
+//
+// The third real class, a hang, needs no injector: the armci watchdog turns
+// it into a DeadlockError naming the stuck ranks, and the cluster route
+// replaces the node. A transfer that is lost, late or corrupted in flight is
+// not planted: on armci a get is a memcpy, and on ipcrt a broken stream
+// surfaces as a dead or wedged peer — the classes above.
+//
+// The package has two parts:
 //
 //   - Plan: a seedable, pure planner that decides — from (seed, rank,
-//     op-index) alone — whether a one-sided operation is dropped, delayed,
-//     corrupted, or issued by a crashing rank, and which ranks are
-//     stragglers. The schedule is a pure function, so the same seed and
-//     topology replay the identical fault sequence on every engine and
-//     every run.
+//     op-index) alone — where a rank dies and which gemms corrupt their
+//     output. The schedule is a pure function, so the same seed and
+//     topology replay the identical fault sequence on every run.
 //
-//   - Inject: an rt.Ctx wrapper for the real (armci) engine that plants the
-//     planned faults into the actual data movement. The virtual-time engine
-//     consumes the same Plan through a simnet fault hook (see NetHook),
-//     where faults appear as injected latency and loss events.
-//
-//   - Resilient: an rt.Ctx wrapper that survives what Inject plants:
-//     per-op timeouts with capped exponential backoff and retry, end-to-end
-//     payload checksums with refetch on mismatch, per-owner latency
-//     tracking that flags stragglers for the SRUMMA task scheduler, and
-//     graceful degradation from the nonblocking double-buffered pipeline to
-//     blocking transfers when handles repeatedly fail.
-//
-// Accumulate-style operations (Acc, FetchAdd) are never faulted: they are
-// not idempotent, so retrying them safely needs sequence numbers the ARMCI
-// model does not have. The fault model covers the read/write RMA path —
-// exactly what SRUMMA's pipeline is built from.
+//   - Inject: an rt.Ctx wrapper for the real engines that plants the
+//     planned faults into the actual run (Shared keeps its counters at
+//     process scope for a serving layer).
 package faults
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Class is a fault category.
 type Class uint8
@@ -43,10 +33,6 @@ type Class uint8
 // The injected fault classes.
 const (
 	None     Class = iota
-	Drop           // the transfer silently moves no data
-	Delay          // the transfer completes late (or never, see Forever)
-	Corrupt        // the payload lands with a flipped bit
-	Straggle       // the op targets a straggler rank: service is slow
 	Crash          // the issuing rank dies at this op
 	BadBlock       // the local gemm's produced C block lands silently corrupted
 )
@@ -55,14 +41,6 @@ func (c Class) String() string {
 	switch c {
 	case None:
 		return "none"
-	case Drop:
-		return "drop"
-	case Delay:
-		return "delay"
-	case Corrupt:
-		return "corrupt"
-	case Straggle:
-		return "straggle"
 	case Crash:
 		return "crash"
 	case BadBlock:
@@ -71,43 +49,18 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
-// Forever marks a delayed transfer that never completes: only a recovery
-// timeout can get past it.
-const Forever time.Duration = -1
-
-// Fault is one planned perturbation of a one-sided operation.
+// Fault is one planned fault.
 type Fault struct {
 	Class Class
-	// Dur is the injected latency for Delay (Forever = never completes)
-	// and Straggle faults.
-	Dur time.Duration
-	// Elem and Bit locate the flipped bit for Corrupt faults: bit Bit of
-	// payload element Elem%n.
+	// Elem and Bit locate the flipped bit of a BadBlock fault: bit Bit of
+	// element Elem%n of the produced C view.
 	Elem int
 	Bit  uint
 }
 
-// Config parameterizes a fault plan. Rates are per-op probabilities; their
-// sum must not exceed 1. The zero value plans no faults.
+// Config parameterizes a fault plan. The zero value plans no faults.
 type Config struct {
 	Seed uint64
-
-	DropRate    float64 // transfer moves no data
-	DelayRate   float64 // transfer completes late
-	CorruptRate float64 // payload lands with a flipped bit
-
-	// DelayUnit scales injected delays: a delayed op completes after
-	// 1..7 units (deterministic per op). Default 2ms.
-	DelayUnit time.Duration
-	// DelayForever makes every delayed transfer hang instead: it can only
-	// be recovered by a timeout-and-retry.
-	DelayForever bool
-
-	// Stragglers picks that many distinct ranks (deterministically from
-	// the seed) whose RMA service is slow: every op TARGETING a straggler
-	// is delayed by StragglerDelay (default 4ms).
-	Stragglers     int
-	StragglerDelay time.Duration
 
 	// Crash plants one rank death: a deterministically chosen rank panics
 	// (with rank and op context) at a deterministically chosen op index in
@@ -117,9 +70,8 @@ type Config struct {
 
 	// BadBlockRate plants silent COMPUTE corruption: each local gemm's
 	// produced C view has this probability of landing with one flipped
-	// high-order bit. Transport checksums cannot see these (the payloads
-	// that moved were correct); only ABFT verification (internal/core)
-	// can. The gemm fault stream is independent of the one-sided stream.
+	// high-order bit. The operands that moved were correct; only ABFT
+	// verification (internal/core) can see it.
 	BadBlockRate float64
 
 	// ComputeCrash plants one rank death INSIDE the task loop: a
@@ -131,12 +83,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DelayUnit <= 0 {
-		c.DelayUnit = 2 * time.Millisecond
-	}
-	if c.StragglerDelay <= 0 {
-		c.StragglerDelay = 4 * time.Millisecond
-	}
 	if c.CrashOpSpan <= 0 {
 		c.CrashOpSpan = 32
 	}
@@ -146,22 +92,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate rejects malformed rate configurations.
+// Validate rejects a malformed configuration.
 func (c Config) Validate() error {
-	rates := []float64{c.DropRate, c.DelayRate, c.CorruptRate}
-	sum := 0.0
-	for _, r := range rates {
-		if r < 0 || r > 1 {
-			return fmt.Errorf("faults: rate %g outside [0,1]", r)
-		}
-		sum += r
-	}
-	if sum > 1 {
-		return fmt.Errorf("faults: rates sum to %g > 1", sum)
-	}
-	if c.Stragglers < 0 {
-		return fmt.Errorf("faults: %d stragglers", c.Stragglers)
-	}
 	if c.BadBlockRate < 0 || c.BadBlockRate > 1 {
 		return fmt.Errorf("faults: bad-block rate %g outside [0,1]", c.BadBlockRate)
 	}
@@ -173,7 +105,6 @@ func (c Config) Validate() error {
 type Plan struct {
 	cfg        Config
 	nprocs     int
-	straggler  []bool
 	crashRank  int
 	crashOp    int
 	gcrashRank int // compute-crash rank (-1 when not planned)
@@ -189,23 +120,7 @@ func NewPlan(cfg Config, nprocs int) (*Plan, error) {
 		return nil, fmt.Errorf("faults: %d ranks", nprocs)
 	}
 	cfg = cfg.withDefaults()
-	p := &Plan{cfg: cfg, nprocs: nprocs, straggler: make([]bool, nprocs), crashRank: -1, crashOp: -1, gcrashRank: -1, gcrashOp: -1}
-	// Straggler set: a seeded partial Fisher-Yates pick of distinct ranks.
-	ns := cfg.Stragglers
-	if ns > nprocs {
-		ns = nprocs
-	}
-	perm := make([]int, nprocs)
-	for i := range perm {
-		perm[i] = i
-	}
-	h := splitmix(cfg.Seed ^ 0x5354524147474c45) // "STRAGGLE"
-	for i := 0; i < ns; i++ {
-		h = splitmix(h)
-		j := i + int(h%uint64(nprocs-i))
-		perm[i], perm[j] = perm[j], perm[i]
-		p.straggler[perm[i]] = true
-	}
+	p := &Plan{cfg: cfg, nprocs: nprocs, crashRank: -1, crashOp: -1, gcrashRank: -1, gcrashOp: -1}
 	if cfg.Crash {
 		h := splitmix(cfg.Seed ^ 0x4352415348) // "CRASH"
 		p.crashRank = int(h % uint64(nprocs))
@@ -227,39 +142,15 @@ func (p *Plan) Config() Config { return p.cfg }
 // NProcs returns the topology size the plan was built for.
 func (p *Plan) NProcs() int { return p.nprocs }
 
-// Straggler reports whether rank's RMA service is planned slow.
-func (p *Plan) Straggler(rank int) bool {
-	return rank >= 0 && rank < p.nprocs && p.straggler[rank]
-}
-
 // CrashPoint returns the planned (rank, op) of the injected crash, or
 // (-1, -1) when no crash is planned.
 func (p *Plan) CrashPoint() (rank, op int) { return p.crashRank, p.crashOp }
 
-// At returns the fault planted into the op-index'th faultable one-sided
-// operation issued by rank. It is a pure function of (seed, rank, op):
-// replaying the same schedule needs nothing but the same Config and
-// topology. Straggle faults are keyed by the TARGET of an op, not its
-// issuer, so they are reported by TargetedBy instead.
+// At returns the fault planted into the op-index'th one-sided operation
+// issued by rank: the planned crash, or none.
 func (p *Plan) At(rank, op int) Fault {
 	if rank == p.crashRank && op == p.crashOp {
 		return Fault{Class: Crash}
-	}
-	h := splitmix(splitmix(p.cfg.Seed^uint64(rank)*0x9e3779b97f4a7c15) ^ uint64(op)*0xbf58476d1ce4e5b9)
-	u := float64(h>>11) / float64(1<<53)
-	switch {
-	case u < p.cfg.DropRate:
-		return Fault{Class: Drop}
-	case u < p.cfg.DropRate+p.cfg.DelayRate:
-		h = splitmix(h)
-		f := Fault{Class: Delay, Dur: time.Duration(1+h%7) * p.cfg.DelayUnit}
-		if p.cfg.DelayForever {
-			f.Dur = Forever
-		}
-		return f
-	case u < p.cfg.DropRate+p.cfg.DelayRate+p.cfg.CorruptRate:
-		h = splitmix(h)
-		return Fault{Class: Corrupt, Elem: int(h % (1 << 30)), Bit: uint((h >> 32) % 63)}
 	}
 	return Fault{}
 }
@@ -269,10 +160,10 @@ func (p *Plan) At(rank, op int) Fault {
 func (p *Plan) ComputeCrashPoint() (rank, op int) { return p.gcrashRank, p.gcrashOp }
 
 // AtGemm returns the fault planted into the op-index'th local gemm
-// executed by rank — a stream independent of the one-sided schedule, so
-// adding compute faults never perturbs a transport replay. BadBlock
-// faults flip an EXPONENT bit (52..62, never the sign) of one element of
-// the produced C view: the element at least doubles or halves. That clears
+// executed by rank — a stream independent of the one-sided one, a pure
+// function of (seed, rank, op). BadBlock faults flip an EXPONENT bit
+// (52..62, never the sign) of one element of the produced C view: the
+// element at least doubles or halves. That clears
 // ABFT's block-sum tolerance unless the element is tiny against the view's
 // accumulated magnitude — an element near zero in a view of signed values
 // can move by less than the tolerance and go unseen. A mantissa flip would
@@ -291,28 +182,6 @@ func (p *Plan) AtGemm(rank, op int) Fault {
 		return Fault{Class: BadBlock, Elem: int(h % (1 << 30)), Bit: 52 + uint((h>>32)%11)}
 	}
 	return Fault{}
-}
-
-// TargetedBy returns the service-side fault of an op from `rank` targeting
-// `target`: the straggler delay, if the target is a planned straggler.
-func (p *Plan) TargetedBy(rank, target int) Fault {
-	if p.Straggler(target) {
-		return Fault{Class: Straggle, Dur: p.cfg.StragglerDelay}
-	}
-	return Fault{}
-}
-
-// Schedule materializes the first opsPerRank entries of every rank's
-// schedule — the replayable object the determinism and fuzz tests compare.
-func (p *Plan) Schedule(opsPerRank int) [][]Fault {
-	out := make([][]Fault, p.nprocs)
-	for r := range out {
-		out[r] = make([]Fault, opsPerRank)
-		for op := 0; op < opsPerRank; op++ {
-			out[r][op] = p.At(r, op)
-		}
-	}
-	return out
 }
 
 // splitmix is the splitmix64 finalizer: the repo-standard way to turn a

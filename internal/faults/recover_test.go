@@ -20,14 +20,6 @@ import (
 	"srumma/internal/rt"
 )
 
-// timingBlind is the recovery layer with the straggler threshold out of
-// reach. A replay that must be bit-identical cannot also plan by the wall
-// clock: a rank descheduled for a millisecond (under -race, routinely) reads
-// as slow at the default threshold, the executor plans its tasks behind the
-// others, and NN — one C region per rank, so every reordering reorders its
-// sum — accumulates in a different order.
-var timingBlind = faults.RecoveryConfig{StragglerLatency: time.Hour}
-
 // abftRun executes one SRUMMA multiply with ABFT verification on the real
 // engine under a gemm fault plan, returning the gathered C and summed stats.
 func abftRun(t *testing.T, cfg faults.Config) (*mat.Matrix, rt.Stats, error) {
@@ -48,7 +40,7 @@ func abftRun(t *testing.T, cfg faults.Config) (*mat.Matrix, rt.Stats, error) {
 		t.Fatal(err)
 	}
 	stats, err := armci.RunWithTimeout(topo, chaosTimout, func(c rt.Ctx) {
-		cc := faults.Resilient(faults.Inject(c, plan, nil), timingBlind)
+		cc := faults.Inject(c, plan, nil)
 		ga := driver.AllocBlock(cc, da)
 		gb := driver.AllocBlock(cc, db)
 		gc := driver.AllocBlock(cc, dc)
@@ -172,7 +164,7 @@ func TestComputeCrashPanicsWithContext(t *testing.T) {
 	wantRank, _ := plan.ComputeCrashPoint()
 	start := time.Now()
 	_, err = armci.RunWithTimeout(rt.Topology{NProcs: chaosProcs, ProcsPerNode: chaosPPN}, chaosTimout, func(c rt.Ctx) {
-		cc := faults.Resilient(faults.Inject(c, plan, nil), timingBlind)
+		cc := faults.Inject(c, plan, nil)
 		ga := driver.AllocBlock(cc, da)
 		gb := driver.AllocBlock(cc, db)
 		gc := driver.AllocBlock(cc, dc)
@@ -222,7 +214,7 @@ func resumeAttempt(t *testing.T, opts core.Options, sh *faults.Shared, a, b, out
 	topo := rt.Topology{NProcs: resumeProcs, ProcsPerNode: chaosPPN}
 	stats, err := armci.RunWithTimeout(topo, chaosTimout, func(c rt.Ctx) {
 		if sh != nil {
-			c = faults.Resilient(sh.Wrap(c), timingBlind)
+			c = sh.Wrap(c)
 		}
 		ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
 		errs[c.Rank()] = core.MultiplyEx(c, g, d, opts, 1, 0, ga, gb, gc)

@@ -177,10 +177,8 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 // executor asks InPlace and multiplies them where they lie; under
 // FlavorCopy it fetches as ever and NbGetSub serves the staged ones from
 // the band. Everything else — member fetches, direct operands, scratch,
-// Gemm, barriers, chaos injection in a wrapped engine — flows to the
-// underlying ctx unchanged. That includes rank health: the executor finds a
-// resilience layer beneath through Unwrap like any engine capability, and
-// plans member fetches around its verdict exactly as flat SRUMMA does.
+// Gemm, barriers, fault injection in a wrapped engine — flows to the
+// underlying ctx unchanged.
 type stagedCtx struct {
 	rt.Ctx
 	band rt.Global

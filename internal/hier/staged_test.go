@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"srumma/internal/armci"
 	"srumma/internal/core"
@@ -399,40 +398,12 @@ func TestABFTOnBandViews(t *testing.T) {
 	}
 }
 
-// TestTransferFaultsUnderStagedCtx: dropped, corrupted and delayed one-sided
-// transfers hit the staging burst and the member fetches alike (both run on
-// the real ctx beneath the band wrapper); the resilience layer's retries put
-// both right. The executor sees that layer's health through the band
-// wrapper, so the straggler threshold is put out of reach: a product held to
-// flat's bits cannot also be planned by the wall clock.
-func TestTransferFaultsUnderStagedCtx(t *testing.T) {
-	tp := rt.Topology{NProcs: 8, ProcsPerNode: 4}
-	r := newRig(t, tp)
-	plan, err := faults.NewPlan(faults.Config{Seed: 5, DropRate: 0.15, CorruptRate: 0.15, DelayRate: 0.1}, tp.NProcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
-		v := run{
-			d: core.Dims{M: 72, N: 60, K: 84}, opts: core.Options{Case: core.TN, Flavor: fl, MaxTaskK: 16}, adopted: true,
-			wrap: func(c rt.Ctx) rt.Ctx {
-				return faults.Resilient(faults.Inject(c, plan, nil), faults.RecoveryConfig{StragglerLatency: time.Hour})
-			},
-		}
-		flat, two, st := r.both(t, v)
-		if st[1].FaultsInjected == 0 || st[1].FaultRetries+st[1].FaultRefetches == 0 {
-			t.Fatalf("flavour %d: %d faults injected, %d retried, %d refetched — nothing was exercised", fl, st[1].FaultsInjected, st[1].FaultRetries, st[1].FaultRefetches)
-		}
-		bitsEqual(t, flat, two, fmt.Sprintf("transfer faults flavour %d", fl))
-	}
-}
-
 // TestStagedCtxInterceptsAllGets: the band wrapper overrides NbGetSub and
 // Wait and nothing else, and that is every get there is — a contiguous one
 // (rt.Get) asking for a staged region is served from the band and moves no
 // remote byte, where an engine's own contiguous Get used to answer it past
-// the wrapper. And the wrapper hides nothing beneath it: the chaos stack's
-// and the engine's capabilities stay discoverable through it.
+// the wrapper. And the wrapper hides nothing beneath it: the engine's
+// capabilities stay discoverable through it and the fault injector.
 func TestStagedCtxInterceptsAllGets(t *testing.T) {
 	const n = 16
 	plan, err := faults.NewPlan(faults.Config{Seed: 1}, 4)
@@ -440,7 +411,7 @@ func TestStagedCtxInterceptsAllGets(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = armci.Run(rt.Topology{NProcs: 4, ProcsPerNode: 2}, func(raw rt.Ctx) {
-		c := faults.Resilient(faults.Inject(raw, plan, nil), faults.RecoveryConfig{})
+		c := faults.Inject(raw, plan, nil)
 		g, band := c.Malloc(2*n), c.Malloc(n)
 		c.WriteBuf(c.Local(g), n, mat.Random(1, n, uint64(c.Rank())).Data)
 		c.Barrier()
@@ -465,65 +436,16 @@ func TestStagedCtxInterceptsAllGets(t *testing.T) {
 			t.Errorf("a get of an unstaged region moved %d remote bytes, want %d", moved, 8*n)
 		}
 		for capability, found := range map[string]bool{
-			"faults.SourceChecksummer": rt.Find[faults.SourceChecksummer](s) != nil,
-			"rt.Adopter":               rt.FindAdopter(s) != nil,
-			"rt.Health":                rt.FindHealth(s) != nil,
-			"rt.BufferReleaser":        rt.FindBufferReleaser(s) != nil,
+			"rt.Adopter":        rt.FindAdopter(s) != nil,
+			"rt.BufferReleaser": rt.FindBufferReleaser(s) != nil,
 		} {
 			if !found {
-				t.Errorf("%s not found through stagedCtx(Resilient(Inject(engine)))", capability)
+				t.Errorf("%s not found through stagedCtx(Inject(engine))", capability)
 			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// sickCtx reports a fixed health verdict (rt.Health) from beneath the band
-// wrapper, where the resilience layer sits.
-type sickCtx struct {
-	rt.Ctx
-	slow     map[int]bool
-	degraded bool
-}
-
-func (s *sickCtx) Unwrap() rt.Ctx       { return s.Ctx }
-func (s *sickCtx) IsSlow(rank int) bool { return s.slow[rank] }
-func (s *sickCtx) Degraded() bool       { return s.degraded }
-
-// TestHealthUnderStagedCtx: the executor finds rank health through the band
-// wrapper, so a sharing topology with a slow owner behaves like flat SRUMMA
-// with one — member fetches from it are planned behind the rest, a degraded
-// rank fetches blocking — while what the band holds is still read from the
-// band: same product within the accumulation-order bound, same bytes staged.
-func TestHealthUnderStagedCtx(t *testing.T) {
-	// Four ranks a node on a 4x4 grid: with B transposed a group both shares
-	// remote blocks (staged) and has blocks only one member wants (fetched by
-	// it) — the executor plans the second kind around what it reads in place.
-	tp := rt.Topology{NProcs: 16, ProcsPerNode: 4}
-	r := newRig(t, tp)
-	for _, cs := range []core.Case{core.NT, core.TT} {
-		for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
-			for _, degraded := range []bool{false, true} {
-				v := run{d: core.Dims{M: 72, N: 60, K: 84}, opts: core.Options{Case: cs, Flavor: fl, MaxTaskK: 16}, adopted: true}
-				_, _, healthy := r.both(t, v)
-				v.wrap = func(c rt.Ctx) rt.Ctx {
-					return &sickCtx{Ctx: c, slow: map[int]bool{1: true, 6: true}, degraded: degraded}
-				}
-				flat, two, st := r.both(t, v)
-				name := fmt.Sprintf("%v flavour %d degraded=%v", cs, fl, degraded)
-				if diff := mat.MaxAbsDiff(flat, two); diff > 1e-10*float64(v.d.K) {
-					t.Errorf("%s: two-level product off flat's by %g", name, diff)
-				}
-				if st[1].HierStagedBytes == 0 || st[1].HierStagedBytes != healthy[1].HierStagedBytes {
-					t.Errorf("%s: %d bytes staged, %d without the verdict", name, st[1].HierStagedBytes, healthy[1].HierStagedBytes)
-				}
-				if st[1].StragglerSteals == 0 {
-					t.Errorf("%s: no member fetch was planned behind the others", name)
-				}
-			}
-		}
 	}
 }
 

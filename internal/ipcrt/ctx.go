@@ -506,31 +506,6 @@ func (c *ipcCtx) Barrier() {
 	c.Span(obs.KindBarrier, t0)
 }
 
-// ChecksumRegion implements faults.SourceChecksummer: same-domain regions
-// are checksummed straight off the mmap segment, cross-node regions are
-// checksummed BY THE OWNER (opChecksum) so the source stays authoritative
-// even when the transport corrupts payloads.
-func (c *ipcCtx) ChecksumRegion(g rt.Global, rank, off, ld, rows, cols int) uint64 {
-	gg := g.(*ipcGlobal)
-	if c.CanDirect(rank) {
-		src := c.mapping(gg.id, rank).data
-		rt.MustRegion(len(src), off, ld, rows, cols)
-		return armci.SumRegion(src, off, ld, rows, cols)
-	}
-	rt.MustRegion(gg.sizes[rank], off, ld, rows, cols)
-	h := newOpHandle()
-	var sum uint64
-	c.peer(rank).issue(
-		&frame{Op: opChecksum, P: [5]int64{gg.id, int64(off), int64(ld), int64(rows), int64(cols)}},
-		&pendingOp{h: h, complete: func(f *frame) error {
-			sum = uint64(f.P[0])
-			return nil
-		}},
-	)
-	c.waitHandle(h)
-	return sum
-}
-
 // closePeers tears down the RMA client connections (worker shutdown).
 func (c *ipcCtx) closePeers() {
 	c.peerMu.Lock()

@@ -451,7 +451,7 @@ func TestIPCJobError(t *testing.T) {
 	}
 	cl := launchCluster(t, 2, 2)
 	spec := ipcrt.DefaultSpec(8, 8, 8)
-	spec.Chaos = &faults.Config{DropRate: 2} // no such fault plan: every rank's body fails cleanly
+	spec.Chaos = &faults.Config{BadBlockRate: 2} // no such fault plan: every rank's body fails cleanly
 
 	results, err := cl.RunJob(spec, time.Minute)
 	if err == nil {

@@ -287,7 +287,7 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 
 	var ld, rows, cols int
 	switch f.Op {
-	case opGetSub, opPutSub, opChecksum:
+	case opGetSub, opPutSub:
 		ld, rows, cols = int(f.P[2]), int(f.P[3]), int(f.P[4])
 		if err := rt.CheckRegion(len(own), off, ld, rows, cols); err != nil {
 			return fail("%v: %v", f.Op, err)
@@ -337,12 +337,6 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 		own[off] = old + delta
 		c.hbMu.Unlock()
 		return &frame{Op: opAck, P: [5]int64{float64bits(old)}}, false
-
-	case opChecksum:
-		c.hbMu.Lock()
-		sum := armci.SumRegion(own, off, ld, rows, cols)
-		c.hbMu.Unlock()
-		return &frame{Op: opAck, P: [5]int64{int64(sum)}}, false
 	}
 	return fail("op %v is not a peer RMA request", f.Op)
 }

@@ -64,6 +64,8 @@ func TestTCPMalformed(t *testing.T) {
 		{"version 1 header", corrupt(t, get, func(h []byte) { h[4] = 1 })},
 		{"retired contiguous get", corrupt(t, get, func(h []byte) { h[5] = 11 })},
 		{"retired contiguous put", corrupt(t, get, func(h []byte) { h[5] = 13 })},
+		{"version 2 header", corrupt(t, get, func(h []byte) { h[4] = 2 })},
+		{"retired source checksum", corrupt(t, get, func(h []byte) { h[5] = 18 })},
 		{"bad magic", corrupt(t, get, func(h []byte) {
 			binary.LittleEndian.PutUint32(h[0:4], 0xdeadbeef)
 		})},

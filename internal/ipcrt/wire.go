@@ -7,7 +7,7 @@
 //     mmap(MAP_SHARED) segments, so CanDirect/Direct are true load/store
 //     and the shared-memory-first task order pays only cache traffic.
 //   - Ranks on different nodes speak a one-sided RMA protocol (strided
-//     get, strided put, Acc, FetchAdd, source checksum, plus the mailbox
+//     get, strided put, Acc, FetchAdd, plus the mailbox
 //     behind internal/mp) over unix-domain or TCP sockets, paying genuine
 //     serialization + copy costs.
 //   - A coordinator process (the CLI, a test) launches the workers, runs
@@ -54,7 +54,6 @@ import (
 //	opAcc        p0=segID p1=off p2=alphaBits, body=floats            ack: empty
 //	opFetchAdd   p0=segID p1=off p2=deltaBits    ack: p0=oldBits
 //	opMsg        p0=srcRank p1=tag, body=floats  (one-way, no ack)
-//	opChecksum   p0=segID p1=off p2=ld p3=rows p4=cols   ack: p0=checksum bits
 //	opAck        response frame; seq echoes the request
 //	opErr        response frame; body=error text
 //	opAddrs      body=JSON []string per-rank RMA addresses (coordinator -> worker)
@@ -62,12 +61,14 @@ import (
 //	opPong       p0=echoed ping seq (worker -> coordinator)
 //
 // Version 2 retired the contiguous get and put (op values 11 and 13): a
-// contiguous transfer is the one-row region of the strided pair. The values
-// stay unassigned and a frame carrying one is refused as an unknown op, as
-// is any peer still speaking version 1.
+// contiguous transfer is the one-row region of the strided pair. Version 3
+// retired the source checksum (op value 18), which only a transfer-retry
+// layer over injected faults ever asked for. The values stay unassigned and
+// a frame carrying one is refused as an unknown op, as is any peer still
+// speaking an earlier version.
 const (
 	wireMagic   = uint32(0x31495253) // "SRI1" read little-endian
-	wireVersion = 2
+	wireVersion = 3
 	headerLen   = 64
 )
 
@@ -108,7 +109,7 @@ const (
 	opAcc
 	opFetchAdd
 	opMsg
-	opChecksum
+	_ // 18, retired with wire version 2
 	// RMA responses, owning worker -> requester.
 	opAck
 	opErr
@@ -122,11 +123,11 @@ const (
 )
 
 // opNames names the assigned op values; "" marks one that is not (zero, and
-// the two retired ones), which parseHeader refuses.
+// the three retired ones), which parseHeader refuses.
 var opNames = [opCount]string{
 	"", "hello", "barrier", "malloc", "free", "fin",
 	"job", "barrier-ack", "malloc-ack", "free-ack", "shutdown",
-	"", "get-sub", "", "put-sub", "acc", "fetch-add", "msg", "checksum",
+	"", "get-sub", "", "put-sub", "acc", "fetch-add", "msg", "",
 	"ack", "err", "addrs", "ping", "pong",
 }
 
@@ -201,7 +202,7 @@ func parseHeader(h []byte) (frame, int64, error) {
 // range-check again.
 func validateFrame(f *frame, bodyLen int64) error {
 	switch f.Op {
-	case opGetSub, opPutSub, opAcc, opFetchAdd, opChecksum:
+	case opGetSub, opPutSub, opAcc, opFetchAdd:
 		if f.P[0] < 0 || f.P[0] > maxSegID {
 			return fmt.Errorf("ipcrt: %v: segment id %d out of range", f.Op, f.P[0])
 		}
@@ -212,7 +213,7 @@ func validateFrame(f *frame, bodyLen int64) error {
 		}
 	}
 	switch f.Op {
-	case opGetSub, opPutSub, opChecksum:
+	case opGetSub, opPutSub:
 		// The region must fit the largest segment the wire allows; which
 		// segment it really names is the owner's check, by the same rule.
 		ld, rows, cols := f.P[2], f.P[3], f.P[4]

@@ -64,6 +64,8 @@ func TestWireMalformed(t *testing.T) {
 		{"version 1 header", corrupt(t, get, func(h []byte) { h[4] = 1 }), "wire version"},
 		{"retired contiguous get", corrupt(t, get, func(h []byte) { h[5] = 11 }), "unknown op"},
 		{"retired contiguous put", corrupt(t, get, func(h []byte) { h[5] = 13 }), "unknown op"},
+		{"version 2 header", corrupt(t, get, func(h []byte) { h[4] = 2 }), "wire version"},
+		{"retired source checksum", corrupt(t, get, func(h []byte) { h[5] = 18 }), "unknown op"},
 		{"bad magic", corrupt(t, get, func(h []byte) {
 			binary.LittleEndian.PutUint32(h[0:4], 0xdeadbeef)
 		}), "bad magic"},

@@ -159,7 +159,7 @@ type Runner interface {
 	Run(body func(Ctx)) ([]*Stats, error)
 }
 
-// Unwrapper is implemented by Ctx middleware (fault injection, resilience)
+// Unwrapper is implemented by Ctx middleware (fault injection, the staging band)
 // so capability interfaces provided by the underlying engine stay
 // discoverable through the wrapper chain.
 type Unwrapper interface {
@@ -191,19 +191,6 @@ func FindKernelTuner(c Ctx) KernelTuner { return Find[KernelTuner](c) }
 // FindBufferReleaser walks c's Unwrap chain and returns the first layer
 // that can recycle scratch buffers, or nil.
 func FindBufferReleaser(c Ctx) BufferReleaser { return Find[BufferReleaser](c) }
-
-// Health is the capability a fault-tolerant runtime layer (the
-// internal/faults resilient wrapper) exposes to the SRUMMA executor, which
-// plans around the verdict: tasks waiting on an owner that IsSlow run after
-// the others, and a Degraded rank fetches blocking, one buffer per operand.
-type Health interface {
-	IsSlow(rank int) bool
-	Degraded() bool
-}
-
-// FindHealth walks c's Unwrap chain and returns the first layer that
-// reports rank health, or nil.
-func FindHealth(c Ctx) Health { return Find[Health](c) }
 
 // Recorded is an optional capability of a Ctx: exposing the obs.Recorder
 // this process's spans land in. Algorithm layers that want to emit their

@@ -26,7 +26,6 @@ import (
 
 	"srumma/internal/armci"
 	"srumma/internal/cluster"
-	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
 	"srumma/internal/job"
@@ -155,12 +154,9 @@ func (s *Server) runOnTeam(tm *armci.Team, spec *ipcrt.JobSpec) ([]*ipcrt.RankRe
 	stats, err := tm.Run(func(rawC rt.Ctx) {
 		c := rawC
 		if s.chaos != nil {
-			// Chaos layering: the injector draws from process-wide op counters
-			// (so fault schedules advance across jobs) and the resilience layer
-			// sits on top because transport drops/corruption are invisible to
-			// ABFT — a corrupted OPERAND yields a consistent-but-wrong
-			// prediction, so it must be caught by transfer checksums, not sums.
-			c = faults.Resilient(s.chaos.Wrap(rawC), faults.RecoveryConfig{})
+			// The injector draws from process-wide op counters, so fault
+			// schedules advance across jobs and a planted crash fires once.
+			c = s.chaos.Wrap(rawC)
 		}
 		res := &ipcrt.RankResult{Rank: c.Rank()}
 		results[res.Rank] = res

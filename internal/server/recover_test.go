@@ -22,7 +22,7 @@ import (
 
 // TestChaosServe is the end-to-end chaos gate: a server with the fault
 // injector planted under every engine job — one mid-compute rank crash,
-// silent C-block corruption, transport drops — must return a bit-correct
+// silent C-block corruption — must return a bit-correct
 // product for every accepted request, and the recovery counters must show
 // the machinery actually fired (handler retries, ABFT detections that were
 // recomputed). A fault-free twin provides the bit-exact reference.
@@ -36,7 +36,6 @@ func TestChaosServe(t *testing.T) {
 		ComputeCrash:       true,
 		ComputeCrashOpSpan: 6,
 		BadBlockRate:       0.05,
-		DropRate:           0.02,
 	}, 4)
 	if err != nil {
 		t.Fatal(err)

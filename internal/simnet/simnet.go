@@ -30,31 +30,13 @@ type Config struct {
 	BisectionBW float64
 }
 
-// Fault describes a perturbation of one transfer, injected by a FaultHook:
-// extra latency (slow links, stragglers) and loss. A lost transfer is
-// modeled as a retransmission — the payload still arrives, but only after
-// the retry timeout has elapsed on top of the base latency, which is how a
-// reliable transport over a lossy fabric behaves.
-type Fault struct {
-	ExtraLatency vtime.Time
-	Lost         bool
-	RetryAfter   vtime.Time // retransmit timeout charged when Lost
-}
-
-// FaultHook inspects every transfer before it starts and may perturb it.
-// It runs in kernel context, so it must be deterministic and must not
-// block; internal/faults provides a seeded implementation.
-type FaultHook func(srcNode, dstNode int, bytes int64) Fault
-
 // Net is a simulated interconnect. All methods must be called from kernel
 // context or while holding a process turn (the usual vtime discipline).
 type Net struct {
-	k        *vtime.Kernel
-	cfg      Config
-	nodes    []*node
-	fabric   *port // nil unless BisectionBW > 0
-	hook     FaultHook
-	injected int64
+	k      *vtime.Kernel
+	cfg    Config
+	nodes  []*node
+	fabric *port // nil unless BisectionBW > 0
 }
 
 type node struct {
@@ -123,14 +105,6 @@ func New(k *vtime.Kernel, cfg Config) *Net {
 // Config returns the model parameters.
 func (n *Net) Config() Config { return n.cfg }
 
-// SetFaultHook installs a fault injector consulted by every Transfer.
-// Injected perturbations appear as latency/loss events on the virtual
-// clock, so a faulty run stays fully deterministic.
-func (n *Net) SetFaultHook(h FaultHook) { n.hook = h }
-
-// InjectedFaults returns how many transfers the hook has perturbed.
-func (n *Net) InjectedFaults() int64 { return n.injected }
-
 // Transfer starts moving `bytes` from node src to node dst and returns a
 // handle that fires when the last byte lands. extraLatency is added to the
 // model's base latency (use it for protocol overheads such as an RMA
@@ -148,17 +122,6 @@ func (n *Net) Transfer(src, dst int, bytes int64, extraLatency vtime.Time, rateC
 		panic(fmt.Sprintf("simnet: negative transfer size %d", bytes))
 	}
 	done := n.k.NewHandle()
-	var inj vtime.Time
-	if n.hook != nil {
-		f := n.hook(src, dst, bytes)
-		if f.ExtraLatency > 0 || f.Lost {
-			n.injected++
-		}
-		inj += f.ExtraLatency
-		if f.Lost {
-			inj += f.RetryAfter
-		}
-	}
 	var lat vtime.Time
 	var ports []*port
 	if src == dst {
@@ -171,7 +134,6 @@ func (n *Net) Transfer(src, dst int, bytes int64, extraLatency vtime.Time, rateC
 			ports = append(ports, n.fabric)
 		}
 	}
-	lat += inj
 	n.nodes[src].bytesOut += bytes
 	n.nodes[dst].bytesIn += bytes
 	if bytes == 0 {

@@ -48,18 +48,10 @@ type Result struct {
 // Run executes body once per rank on the modeled platform and returns the
 // virtual-time result.
 func Run(prof machine.Profile, nprocs int, body func(rt.Ctx)) (*Result, error) {
-	return run(prof, nprocs, nil, nil, body)
+	return run(prof, nprocs, nil, body)
 }
 
-// RunWithFaults is Run with a simnet fault hook installed: the hook
-// perturbs every fabric transfer with deterministic injected latency/loss
-// events (see internal/faults.NetHook), which is how chaos experiments run
-// on the virtual-time engine.
-func RunWithFaults(prof machine.Profile, nprocs int, hook simnet.FaultHook, body func(rt.Ctx)) (*Result, error) {
-	return run(prof, nprocs, nil, hook, body)
-}
-
-func run(prof machine.Profile, nprocs int, tr *Tracer, hook simnet.FaultHook, body func(rt.Ctx)) (*Result, error) {
+func run(prof machine.Profile, nprocs int, tr *Tracer, body func(rt.Ctx)) (*Result, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
@@ -80,9 +72,6 @@ func run(prof machine.Profile, nprocs int, tr *Tracer, hook simnet.FaultHook, bo
 		MemLatency:  vtime.FromSeconds(prof.MemLatency),
 		BisectionBW: prof.BisectionPerNode * float64(topo.NumNodes()),
 	})
-	if hook != nil {
-		net.SetFaultHook(hook)
-	}
 	tr.ensure(nprocs)
 	w := &world{
 		tr:        tr,

@@ -16,7 +16,6 @@ import (
 	"srumma/internal/machine"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
-	"srumma/internal/simnet"
 )
 
 // Event is one traced activity interval on one rank, in virtual seconds.
@@ -81,11 +80,5 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer, nprocs int) error {
 
 // RunTraced is Run with an event collector attached.
 func RunTraced(prof machine.Profile, nprocs int, tr *Tracer, body func(rt.Ctx)) (*Result, error) {
-	return run(prof, nprocs, tr, nil, body)
-}
-
-// RunTracedFaults is RunTraced with a simnet fault hook installed, making
-// injected latency/loss events visible in the per-rank timelines.
-func RunTracedFaults(prof machine.Profile, nprocs int, tr *Tracer, hook simnet.FaultHook, body func(rt.Ctx)) (*Result, error) {
-	return run(prof, nprocs, tr, hook, body)
+	return run(prof, nprocs, tr, body)
 }

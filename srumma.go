@@ -25,12 +25,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"srumma/internal/algs"
 	"srumma/internal/armci"
 	"srumma/internal/core"
-	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/mat"
 	"srumma/internal/rt"
@@ -88,9 +86,6 @@ type MultiplyOptions struct {
 	// GOMAXPROCS / nprocs workers per rank, at least one, so nprocs ranks
 	// multiplying at once do not oversubscribe the machine.
 	KernelThreads int
-	// Chaos, when non-nil, runs the multiply under deterministic fault
-	// injection with the recovery layer active (see ChaosOptions).
-	Chaos *ChaosOptions
 	// Context, when non-nil, bounds the multiply (SRUMMA only): if it is
 	// cancelled or its deadline passes, every process stops between tasks,
 	// releases its pooled scratch, and Multiply returns ErrCancelled with C
@@ -102,26 +97,6 @@ type MultiplyOptions struct {
 // cancelled mid-flight.
 var ErrCancelled = core.ErrCancelled
 
-// FaultConfig parameterizes the deterministic fault injector.
-type FaultConfig = faults.Config
-
-// RecoveryConfig tunes the resilience layer (timeouts, retry budget,
-// checksums, straggler threshold, degradation point).
-type RecoveryConfig = faults.RecoveryConfig
-
-// ChaosOptions run a Multiply under deterministic fault injection: every
-// one-sided transfer may be dropped, delayed, corrupted or slowed per the
-// seeded fault plan, while the resilience layer retries, refetches and
-// routes around stragglers. The run executes under a watchdog, so an
-// unrecoverable fault surfaces as an error naming the faulty rank and op —
-// never a hang, never a silently wrong C.
-type ChaosOptions struct {
-	Faults   FaultConfig
-	Recovery RecoveryConfig
-	// Timeout bounds the whole run (default 60s).
-	Timeout time.Duration
-}
-
 // Report summarizes one Multiply run.
 type Report struct {
 	Seconds float64 // wall time of the slowest process through the multiply
@@ -131,14 +106,6 @@ type Report struct {
 	BytesShared int64 // one-sided traffic within shared-memory domains
 	BytesRemote int64 // one-sided traffic between domains
 	Messages    int64 // two-sided messages (baselines)
-
-	// Resilience accounting, summed over processes (chaos runs only).
-	Faults          int64 // injected faults
-	Retries         int64 // ops re-issued after a timeout
-	Refetches       int64 // ops re-issued after a checksum mismatch
-	ChecksumErrors  int64 // corrupted payloads detected
-	StragglerSteals int64 // tasks planned behind later ones because they wait on a slow rank
-	DegradedRanks   int64 // ranks that fell back to blocking transfers
 }
 
 // Cluster is a real execution engine: nprocs SPMD goroutine processes
@@ -182,8 +149,7 @@ func newCluster(nprocs, procsPerNode int, sharedMachine bool, shape func(nprocs 
 // size-class buffer pools and kernel-thread configuration warm. Results are
 // bit-identical to the default one-shot mode; what changes is per-call
 // overhead (no spawn/teardown, zero steady-state allocations in the
-// buffer-pool cycle). Call Close when done. Chaos runs always use a
-// dedicated one-shot engine, persistent or not.
+// buffer-pool cycle). Call Close when done.
 func (cl *Cluster) Persist() error {
 	if cl.team != nil {
 		return nil
@@ -265,7 +231,7 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 			blocks[me] = row.ReadBack(c, gc)
 		}
 	}
-	sum, err := cl.run(body, opts.Chaos)
+	sum, err := cl.run(body)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -281,8 +247,6 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 	rep := &Report{
 		Seconds:     slices.Max(durations),
 		BytesShared: sum.BytesShared, BytesRemote: sum.BytesRemote, Messages: sum.Msgs,
-		Faults: sum.FaultsInjected, Retries: sum.FaultRetries, Refetches: sum.FaultRefetches,
-		ChecksumErrors: sum.ChecksumErrors, StragglerSteals: sum.StragglerSteals, DegradedRanks: sum.DegradedMode,
 	}
 	if rep.Seconds > 0 {
 		rep.GFLOPS = 2 * float64(d.M) * float64(d.N) * float64(d.K) / rep.Seconds / 1e9
@@ -290,23 +254,11 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 	return cMat, rep, nil
 }
 
-// run executes body on the chaos, persistent or one-shot engine and returns
-// the ranks' accounting, summed.
-func (cl *Cluster) run(body func(rt.Ctx), chaos *ChaosOptions) (sum rt.Stats, err error) {
+// run executes body on the persistent or one-shot engine and returns the
+// ranks' accounting, summed.
+func (cl *Cluster) run(body func(rt.Ctx)) (sum rt.Stats, err error) {
 	var stats []*rt.Stats
-	if chaos != nil {
-		plan, perr := faults.NewPlan(chaos.Faults, cl.topo.NProcs)
-		if perr != nil {
-			return sum, perr
-		}
-		timeout := chaos.Timeout
-		if timeout <= 0 {
-			timeout = 60 * time.Second
-		}
-		stats, err = armci.RunWithTimeout(cl.topo, timeout, func(c rt.Ctx) {
-			body(faults.Resilient(faults.Inject(c, plan, nil), chaos.Recovery))
-		})
-	} else if cl.team != nil {
+	if cl.team != nil {
 		stats, err = cl.team.Run(body)
 	} else {
 		stats, err = armci.Run(cl.topo, body)
