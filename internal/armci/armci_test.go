@@ -289,6 +289,7 @@ func TestPackUnpackThroughCtx(t *testing.T) {
 			}
 		}
 		dst := c.LocalBuf(20)
+		clear(dst.(*buffer).data) // scratch arrives unspecified
 		dv := rt.Mat{Buf: dst, Off: 1*5 + 1, LD: 5, Rows: 2, Cols: 3}
 		c.Unpack(packed, 0, dv)
 		if dst.(*buffer).data[6] != 6 || dst.(*buffer).data[13] != 13 || dst.(*buffer).data[0] != 0 {

@@ -99,7 +99,7 @@ func (l *LocalOps) SetKernelThreads(n int) {
 // buffer currently surrendered to the pools. Together they make pooled
 // scratch misuse — double release, or releasing a Global segment / mailbox
 // payload — fail loudly instead of aliasing a recycled buffer into a later
-// request and silently breaking LocalBuf's zeroed-buffer guarantee.
+// request, where a live segment and a scratch buffer would share memory.
 type buffer struct {
 	data     []float64
 	scratch  bool
@@ -134,8 +134,12 @@ func Window(what string, b rt.Buffer, off, n int) []float64 {
 // size classes and serves them from per-class pools of *buffer, so the
 // SRUMMA executor's per-multiply communication buffers (released through
 // ReleaseBuf) stop hitting the allocator once warm. Both the backing array
-// and the buffer header are recycled; reused memory is cleared so LocalBuf
-// keeps its zeroed-buffer guarantee.
+// and the buffer header are recycled, and reused memory is handed out as
+// the last user left it: a LocalBuf's contents are unspecified, so its
+// caller writes before it reads. Every caller does — the executor's pipe
+// buffers and the baselines' panels are filled by the get, broadcast or
+// pack that precedes each read of exactly that region, and ga, mp and
+// redist stage what they send or receive into them first.
 const scratchClasses = 28 // largest pooled class: 2^27 elements = 1 GiB
 
 var scratchPools [scratchClasses]sync.Pool
@@ -161,7 +165,6 @@ func (l *LocalOps) LocalBuf(elems int) rt.Buffer {
 	if v := scratchPools[cls].Get(); v != nil {
 		b := v.(*buffer)
 		b.data = b.data[:elems]
-		clear(b.data)
 		b.scratch, b.released = true, false
 		return b
 	}
@@ -175,9 +178,8 @@ func (l *LocalOps) LocalBuf(elems int) rt.Buffer {
 // accepted, exactly once: releasing a foreign buffer (a Global segment, a
 // mailbox payload, another engine's type) or the same buffer twice panics,
 // because pooling either would alias live or recycled memory into a later
-// LocalBuf and corrupt its zeroed-buffer guarantee. Oversized buffers
-// (beyond the largest pooled class) are accepted and fall through to the
-// garbage collector.
+// LocalBuf. Oversized buffers (beyond the largest pooled class) are
+// accepted and fall through to the garbage collector.
 func (l *LocalOps) ReleaseBuf(buf rt.Buffer) {
 	b, ok := buf.(*buffer)
 	if !ok {

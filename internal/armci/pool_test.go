@@ -1,8 +1,13 @@
 package armci
 
 import (
+	"math"
 	"testing"
 
+	"srumma/internal/core"
+	"srumma/internal/driver"
+	"srumma/internal/grid"
+	"srumma/internal/mat"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
@@ -16,22 +21,81 @@ func testCtx() *ctx {
 	return c
 }
 
-func TestLocalBufZeroedAfterReuse(t *testing.T) {
-	c := testCtx()
-	b := c.LocalBuf(100).(*buffer)
-	for i := range b.data {
-		b.data[i] = 7
+// poisonScratch empties every scratch class a multiply of elements up to
+// 1<<maxCls can use, then refills each with perClass NaN-filled buffers, so
+// the next LocalBufs of those sizes come back poisoned. With clean it only
+// empties them: the next LocalBufs are fresh, zeroed memory.
+func poisonScratch(maxCls, perClass int, clean bool) {
+	for cls := 0; cls <= maxCls; cls++ {
+		for scratchPools[cls].Get() != nil {
+		}
+		for i := 0; i < perClass && !clean; i++ {
+			b := &buffer{data: make([]float64, 1<<cls), scratch: true}
+			for j := range b.data {
+				b.data[j] = math.NaN()
+			}
+			scratchPools[cls].Put(b)
+		}
 	}
-	c.ReleaseBuf(b)
-	// The recycled buffer must come back zeroed (LocalBuf's contract) even
-	// at a different length in the same size class.
-	b2 := c.LocalBuf(120).(*buffer)
-	if len(b2.data) != 120 {
-		t.Fatalf("got %d elements, want 120", len(b2.data))
+}
+
+// TestPoisonedScratchNeverRead: LocalBuf hands recycled scratch out as it
+// was left, so no multiply may read a scratch element it has not written.
+// With every size class a multiply takes its pipe buffers from refilled
+// with NaN before each run, one unwritten element read anywhere would turn
+// C into NaN; bit-identity to a run on fresh scratch proves none is. Every
+// transpose case runs at ragged shapes, twice on one persistent team, on a
+// topology where every block is fetched.
+func TestPoisonedScratchNeverRead(t *testing.T) {
+	const procs = 4
+	g, err := grid.Square(procs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range b2.data {
-		if v != 0 {
-			t.Fatalf("reused buffer dirty at %d: %g", i, v)
+	topo := rt.Topology{NProcs: procs, ProcsPerNode: 1}
+	tm, err := NewTeam(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tm.Close()
+	shapes := []core.Dims{{M: 37, N: 29, K: 41}, {M: 61, N: 7, K: 83}, {M: 5, N: 53, K: 300}}
+	for i, d := range shapes {
+		for _, cs := range core.Cases {
+			opts := core.Options{Case: cs, MaxTaskK: 16 * (i % 2)}
+			da, db, dc := core.Dists(g, d, cs)
+			a, b := mat.Random(da.Rows, da.Cols, 5), mat.Random(db.Rows, db.Cols, 6)
+			run := func() (*mat.Matrix, int64) {
+				out := mat.New(d.M, d.N)
+				stats, err := tm.Run(func(c rt.Ctx) {
+					ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
+					if err := core.Multiply(c, g, d, opts, ga, gb, gc); err != nil {
+						panic(err)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var scratch int64
+				for _, st := range stats {
+					scratch += st.ScratchBytes
+				}
+				return out, scratch
+			}
+			maxCls := sizeClass(d.M*d.K + d.K*d.N)
+			poisonScratch(maxCls, 0, true)
+			clean, scratch := run()
+			if scratch == 0 {
+				t.Fatalf("%+v %v: no scratch was taken, the poison was never at risk", d, cs)
+			}
+			for rep := 0; rep < 2; rep++ {
+				poisonScratch(maxCls, 4*procs, false)
+				got, _ := run()
+				for j := range clean.Data {
+					if math.Float64bits(got.Data[j]) != math.Float64bits(clean.Data[j]) {
+						t.Fatalf("%+v %v run %d: C[%d] = %v over poisoned scratch, %v over fresh", d, cs, rep, j, got.Data[j], clean.Data[j])
+					}
+				}
+			}
 		}
 	}
 }

@@ -38,7 +38,9 @@ var ErrABFT = fmt.Errorf("core: abft verification failed after recompute")
 
 // abftState is one executor run's verification scratch: the saved C view
 // (for restore-and-recompute) and the k-length operand sum vectors. One
-// instance per rank per multiply, reused across tasks.
+// instance per rank per multiply, reused across tasks. A task with beta 0
+// never reads its C view, so it neither saves nor prices it: whatever the
+// view held (a recycled segment's NaN or Inf included) is overwritten.
 type abftState struct {
 	c    rt.Ctx
 	tol  float64
@@ -146,7 +148,7 @@ func (a *abftState) predict(aMat, bMat rt.Mat) (pred, absPred float64) {
 }
 
 // ok verifies the post-gemm C view sum against the prediction within the
-// relative tolerance.
+// relative tolerance. The saved view enters only when taskBeta scales it.
 func (a *abftState) ok(alpha, taskBeta, pred, absPred float64, cMat rt.Mat) bool {
 	var s1 float64
 	for i := 0; i < cMat.Rows; i++ {
@@ -155,8 +157,11 @@ func (a *abftState) ok(alpha, taskBeta, pred, absPred float64, cMat rt.Mat) bool
 			s1 += v
 		}
 	}
-	want := alpha*pred + taskBeta*a.s0
-	scale := abs(alpha)*absPred + abs(taskBeta)*a.abs0
+	want, scale := alpha*pred, abs(alpha)*absPred
+	if taskBeta != 0 {
+		want += taskBeta * a.s0
+		scale += abs(taskBeta) * a.abs0
+	}
 	if scale < 1 {
 		scale = 1
 	}
@@ -181,14 +186,17 @@ func abs(v float64) float64 {
 // gemmVerified is the executor's verified-gemm step: plain
 // gemm when verification is off (ab == nil — no extra work, no
 // allocations), otherwise snapshot → predict → gemm → verify, with
-// restore-and-recompute on mismatch. Detections and recomputes land in the
-// rank's Stats meters.
+// restore-and-recompute on mismatch. With beta 0 there is nothing to
+// snapshot or restore: the recompute overwrites the view. Detections and
+// recomputes land in the rank's Stats meters.
 func gemmVerified(c rt.Ctx, ab *abftState, alpha float64, aMat, bMat rt.Mat, taskBeta float64, cMat rt.Mat) error {
 	if ab == nil {
 		c.Gemm(alpha, aMat, bMat, taskBeta, cMat)
 		return nil
 	}
-	ab.begin(cMat)
+	if taskBeta != 0 {
+		ab.begin(cMat)
+	}
 	pred, absPred := ab.predict(aMat, bMat)
 	c.Gemm(alpha, aMat, bMat, taskBeta, cMat)
 	for try := 0; !ab.ok(alpha, taskBeta, pred, absPred, cMat); try++ {
@@ -196,7 +204,9 @@ func gemmVerified(c rt.Ctx, ab *abftState, alpha float64, aMat, bMat rt.Mat, tas
 		if try == abftMaxRedo {
 			return fmt.Errorf("%w: rank %d C view (%d,%d) %dx%d", ErrABFT, c.Rank(), cMat.Off, cMat.LD, cMat.Rows, cMat.Cols)
 		}
-		ab.restore(cMat)
+		if taskBeta != 0 {
+			ab.restore(cMat)
+		}
 		c.Gemm(alpha, aMat, bMat, taskBeta, cMat)
 		c.Stats().ABFTRecomputed++
 	}

@@ -6,6 +6,7 @@ package core
 // and the ABFT-on bit-identity of a clean run.
 
 import (
+	"math"
 	"testing"
 
 	"srumma/internal/armci"
@@ -210,6 +211,61 @@ func TestABFTCleanRunBitIdentical(t *testing.T) {
 	for i := range off.Data {
 		if off.Data[i] != on.Data[i] {
 			t.Fatalf("C[%d]: ABFT-on %v != ABFT-off %v (must be bit-identical)", i, on.Data[i], off.Data[i])
+		}
+	}
+}
+
+// TestABFTBetaZeroIgnoresOldC: with beta 0 the old C is never read, by the
+// kernel or by the check. A C segment that arrives holding +Inf — a
+// recycled segment whose last product overflowed — verifies clean and ends
+// bit-equal to a run into a zeroed C.
+func TestABFTBetaZeroIgnoresOldC(t *testing.T) {
+	const procs = 4
+	g, err := grid.Square(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Dims{M: 30, N: 26, K: 28}
+	topo := rt.Topology{NProcs: procs, ProcsPerNode: 2}
+	opts := Options{Case: NN, MaxTaskK: 7, ABFT: true}
+	da, db, dc := Dists(g, d, opts.Case)
+	aGlob := mat.Random(da.Rows, da.Cols, 41)
+	bGlob := mat.Random(db.Rows, db.Cols, 42)
+	run := func(c0 float64) *mat.Matrix {
+		t.Helper()
+		cIn := mat.New(dc.Rows, dc.Cols)
+		cIn.Fill(c0)
+		co := driver.NewCollect(procs)
+		stats, err := armci.Run(topo, func(c rt.Ctx) {
+			ga := driver.AllocBlock(c, da)
+			gb := driver.AllocBlock(c, db)
+			gc := driver.AllocBlock(c, dc)
+			driver.LoadBlock(c, da, ga, aGlob)
+			driver.LoadBlock(c, db, gb, bGlob)
+			driver.LoadBlock(c, dc, gc, cIn)
+			if err := MultiplyEx(c, g, d, opts, 1, 0, ga, gb, gc); err != nil {
+				panic(err)
+			}
+			co.Deposit(c, driver.StoreBlock(c, dc, gc))
+		})
+		if err != nil {
+			t.Fatalf("C filled with %v: %v", c0, err)
+		}
+		for rank, st := range stats {
+			if st != nil && st.ABFTDetected != 0 {
+				t.Fatalf("C filled with %v: rank %d detected %d corrupted blocks", c0, rank, st.ABFTDetected)
+			}
+		}
+		got, err := dc.Gather(co.Blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	clean, dirty := run(0), run(math.Inf(1))
+	for i := range clean.Data {
+		if math.Float64bits(clean.Data[i]) != math.Float64bits(dirty.Data[i]) {
+			t.Fatalf("C[%d]: %v over an Inf C, %v over a zeroed one", i, dirty.Data[i], clean.Data[i])
 		}
 	}
 }

@@ -1,9 +1,14 @@
 package mat
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzGemmMatchesNaive cross-checks the packed kernel against the naive
-// triple loop for fuzzer-chosen shapes, transposes and scalars. Run with
+// triple loop for fuzzer-chosen shapes, transposes and scalars. k reaches
+// up to three kc panels past the first 80, so the adds that follow a
+// beta-0 store are covered; with beta 0, C starts as NaN. Run with
 // `go test -fuzz=FuzzGemmMatchesNaive ./internal/mat` to explore; the seed
 // corpus executes on every normal `go test`.
 func FuzzGemmMatchesNaive(f *testing.F) {
@@ -19,10 +24,14 @@ func FuzzGemmMatchesNaive(f *testing.F) {
 	f.Add(uint8(32), uint8(30), uint8(9), uint8(3), int16(24), int16(-16), uint16(8)) // 33 x 31
 	f.Add(uint8(2), uint8(6), uint8(2), uint8(3), int16(16), int16(16), uint16(9))    // 3 x 7
 	f.Add(uint8(4), uint8(8), uint8(4), uint8(0), int16(16), int16(0), uint16(10))    // 5 x 9
+	// k across kc panels (k = 1 + kk%80 + (kk/80)*kcBlock), beta 0 and not.
+	f.Add(uint8(6), uint8(16), uint8(85), uint8(1), int16(16), int16(0), uint16(11))   // 7 x 17, k 262
+	f.Add(uint8(32), uint8(30), uint8(250), uint8(2), int16(-8), int16(0), uint16(12)) // 33 x 31, k 779
+	f.Add(uint8(8), uint8(14), uint8(170), uint8(3), int16(24), int16(8), uint16(13))  // 9 x 15, k 523
 	f.Fuzz(func(t *testing.T, mm, nn, kk, cs uint8, alphaMil, betaMil int16, seed uint16) {
 		m := 1 + int(mm%80)
 		n := 1 + int(nn%80)
-		k := 1 + int(kk%80)
+		k := 1 + int(kk%80) + int(kk/80)*kcBlock
 		transA := cs&1 != 0
 		transB := cs&2 != 0
 		alpha := float64(alphaMil) / 16
@@ -39,6 +48,9 @@ func FuzzGemmMatchesNaive(f *testing.F) {
 		b := Random(br, bc, uint64(seed)+1)
 		c1 := Random(m, n, uint64(seed)+2)
 		c2 := c1.Clone()
+		if beta == 0 {
+			c1.Fill(math.NaN()) // never read
+		}
 		if err := Gemm(transA, transB, alpha, a, b, beta, c1); err != nil {
 			t.Fatal(err)
 		}

@@ -41,26 +41,38 @@ func gemmShape(transA, transB bool, a, b, c *Matrix) (m, n, k int, err error) {
 // Gemm computes C = alpha*op(A)*op(B) + beta*C where op is controlled by
 // transA and transB. Shapes after op must satisfy op(A): m x k,
 // op(B): k x n, C: m x n; otherwise ErrShape is returned and C is not
-// touched.
+// touched. With beta 0, C is never read (BLAS's rule): NaN or Inf there
+// does not reach the result.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) error {
 	m, n, k, err := gemmShape(transA, transB, a, b, c)
 	if err != nil {
 		return err
 	}
-	scaleC(beta, c)
+	store := stores(alpha, beta, m, n, k)
+	if !store {
+		scaleC(beta, c)
+	}
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return nil
 	}
-	gemmPacked(transA, transB, alpha, a, b, c, 0, m, 0, n, k)
+	gemmPacked(transA, transB, alpha, a, b, c, 0, m, 0, n, k, store)
 	return nil
+}
+
+// stores reports whether a product's first k-panel stores into C instead
+// of adding into a C that scaleC cleared: beta is 0 and there is a product
+// to store. The degenerate cases clear C through scaleC.
+func stores(alpha, beta float64, m, n, k int) bool {
+	return beta == 0 && alpha != 0 && m > 0 && n > 0 && k > 0
 }
 
 // gemmPacked runs the packed macro loops over the C sub-range
 // [i0, i0+m) x [j0, j0+n) with full contraction length k. beta has already
-// been applied; alpha is folded into the A panels. The range form is what
+// been applied, or, with store, the pc == 0 panel stores and C is never
+// read; alpha is folded into the A panels. The range form is what
 // GemmParallel partitions across workers — disjoint C ranges share nothing
 // but the read-only operands.
-func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, n, k int) {
+func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, n, k int, store bool) {
 	kern := active
 	mr, nr := kern.mr, kern.nr
 	aPool, bPool := packPools(m, n, k)
@@ -80,7 +92,7 @@ func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, 
 					for p := 0; p*mr < mcEff; p++ {
 						rows := min(mr, mcEff-p*mr)
 						cOff := (i0+ic+p*mr)*c.Stride + j0 + jc + q*nr
-						kern.tile(kcEff, ap[p*mr*kcEff:], bPanel, c.Data[cOff:], c.Stride, rows, cols)
+						kern.tile(kcEff, ap[p*mr*kcEff:], bPanel, c.Data[cOff:], c.Stride, rows, cols, store && pc == 0)
 					}
 				}
 			}

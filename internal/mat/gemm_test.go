@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -69,22 +71,58 @@ func TestGemmShapeErrors(t *testing.T) {
 	}
 }
 
+// TestGemmBetaZeroOverwritesNaN: beta = 0 never reads C (BLAS's rule), and
+// the kernel's store of the first k-panel keeps the bits of adding into a
+// cleared C. On every kernel, serial and parallel, in all four transpose
+// cases, at shapes one off the tile edges and with k across two kc panels,
+// beta 0 into a C of NaN or -Inf bit-equals beta 1 into a C of +0. A panel
+// whose sum underflows to -0 lands as +0.
 func TestGemmBetaZeroOverwritesNaN(t *testing.T) {
-	// beta=0 must overwrite C even if it holds garbage (NaN), matching BLAS.
-	a := Random(4, 4, 1)
-	b := Random(4, 4, 2)
-	c := New(4, 4)
-	nan := 0.0
-	nan = nan / nan
-	c.Fill(nan)
-	if err := Gemm(false, false, 1, a, b, 0, c); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range c.Data {
-		if v != v {
-			t.Fatal("beta=0 left NaN in C")
+	shapes := []struct{ m, n, k int }{{7, 15, 3}, {9, 17, 600}, {33, 31, 600}, {33, 31, 2*kcBlock + 1}}
+	forEachKernel(t, func(t *testing.T, _ *kernel) {
+		for _, threads := range []int{1, 2} {
+			for _, tc := range gemmCases {
+				for _, sh := range shapes {
+					ar, ac := opShape(tc.transA, sh.m, sh.k)
+					br, bc := opShape(tc.transB, sh.k, sh.n)
+					a, b := Random(ar, ac, 11), Random(br, bc, 12)
+					what := fmt.Sprintf("threads %d %s %dx%dx%d", threads, tc.name, sh.m, sh.n, sh.k)
+					gemm := func(alpha, beta float64, c *Matrix) {
+						var err error
+						if threads == 1 {
+							err = Gemm(tc.transA, tc.transB, alpha, a, b, beta, c)
+						} else {
+							err = GemmParallel(threads, tc.transA, tc.transB, alpha, a, b, beta, c)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					// check computes beta 0 into poison and beta 1 into +0.
+					check := func(alpha, poison float64) *Matrix {
+						got, want := New(sh.m, sh.n), New(sh.m, sh.n)
+						got.Fill(poison)
+						gemm(alpha, 0, got)
+						gemm(alpha, 1, want)
+						if !bitsEqual(got, want) {
+							t.Fatalf("%s: beta 0 into %v differs from beta 1 into +0", what, poison)
+						}
+						return got
+					}
+					check(1.5, math.NaN())
+					check(1.5, math.Inf(-1))
+					// Every product underflows to -0; the store must give +0.
+					a.Fill(-1e-200)
+					b.Fill(1e-200)
+					for i, v := range check(1, math.NaN()).Data {
+						if math.Float64bits(v) != 0 {
+							t.Fatalf("%s underflow: C[%d] = %v, want +0", what, i, v)
+						}
+					}
+				}
+			}
 		}
-	}
+	})
 }
 
 func TestGemmAlphaZeroScalesOnly(t *testing.T) {

@@ -4,17 +4,22 @@ package mat
 // length-kc sequence of rank-1 updates read from packed panels (pack.go).
 // Per k step a kernel loads mr + nr values and performs mr*nr multiply-adds,
 // versus one load-add-store per multiply-add in an axpy-style inner loop —
-// the arithmetic-to-memory ratio is what buys the speedup. C itself is read
-// and written exactly once per (tile, k-panel) pair.
+// the arithmetic-to-memory ratio is what buys the speedup. C itself is
+// written exactly once per (tile, k-panel) pair, and read only when the
+// panel adds into it.
 //
 // Every kernel obeys one rule: ONE accumulator per C element, started at
-// zero, updated in increasing l across the kc panel, then added into C
-// once. The vector kernels do each update as a fused multiply-add, so the
-// AVX2 and AVX-512 kernels compute every C element with the identical
-// sequence of roundings — their results are bitwise equal whatever their
-// tile shapes, and a run that mixes hosts of both ISAs stays bit-identical
-// to the serial kernel on either. (The scalar kernel multiplies and adds
-// separately where the compiler does not fuse, so it agrees within k·u.)
+// zero, updated in increasing l across the kc panel, then written back
+// once. The write-back either adds the accumulator into C or — for the
+// first panel of a product whose beta is 0 — stores it without reading C.
+// The store is acc + (+0), so an accumulator that rounded to -0 lands as
+// +0, bit for bit what adding it into a cleared C gave. The vector kernels
+// do each update as a fused multiply-add, so the AVX2 and AVX-512 kernels
+// compute every C element with the identical sequence of roundings —
+// their results are bitwise equal whatever their tile shapes, and a run
+// that mixes hosts of both ISAs stays bit-identical to the serial kernel
+// on either. (The scalar kernel multiplies and adds separately where the
+// compiler does not fuse, so it agrees within k·u.)
 
 // kernel is one entry of the micro-kernel table: a register tile shape and
 // the code (selected by isa in the per-architecture run method) that
@@ -45,26 +50,28 @@ var (
 	active  = &kernels[len(kernels)-1]
 )
 
-// tile accumulates the product of two packed micro-panels into the rows x
-// cols live part of the mr x nr tile at c (leading dimension ldc):
+// tile writes the product of two packed micro-panels into the rows x cols
+// live part of the mr x nr tile at c (leading dimension ldc):
 //
 //	C[r, j] += sum_l ap[l*mr+r] * bp[l*nr+j]   r < rows, j < cols
 //
-// alpha is already folded into ap and padded lanes are zero. A full tile
-// runs the kernel straight on C. An edge tile runs the same kernel on a
-// stack scratch tile holding the live part of C, so there is no separate
-// edge arithmetic: C[i,j] does not depend on where tile boundaries fall.
-func (k *kernel) tile(kc int, ap, bp, c []float64, ldc, rows, cols int) {
+// or, with store, C[r, j] = sum_l ... + 0, never reading C. alpha is
+// already folded into ap and padded lanes are zero. A full tile runs the
+// kernel straight on C. An edge tile runs the same kernel on a stack
+// scratch tile holding the live part of C — or nothing, when it stores —
+// so there is no separate edge arithmetic: C[i,j] does not depend on where
+// tile boundaries fall.
+func (k *kernel) tile(kc int, ap, bp, c []float64, ldc, rows, cols int, store bool) {
 	if rows == k.mr && cols == k.nr {
-		k.run(kc, ap, bp, c, ldc)
+		k.run(kc, ap, bp, c, ldc, store)
 		return
 	}
 	var scratch [maxTile]float64
 	nr := k.nr
-	for r := 0; r < rows; r++ {
+	for r := 0; r < rows && !store; r++ {
 		copy(scratch[r*nr:r*nr+cols], c[r*ldc:])
 	}
-	k.run(kc, ap, bp, scratch[:], nr)
+	k.run(kc, ap, bp, scratch[:], nr, store)
 	for r := 0; r < rows; r++ {
 		copy(c[r*ldc:r*ldc+cols], scratch[r*nr:])
 	}
@@ -73,14 +80,14 @@ func (k *kernel) tile(kc int, ap, bp, c []float64, ldc, rows, cols int) {
 // scalarKernel4x8 is the portable full-tile kernel. It works the 4x8 tile
 // as two 4x4 halves so its sixteen accumulators have a chance of staying in
 // registers.
-func scalarKernel4x8(kc int, ap, bp, c []float64, ldc int) {
-	scalarKernel4x4(kc, ap, bp, c, ldc)
-	scalarKernel4x4(kc, ap, bp[4:], c[4:], ldc)
+func scalarKernel4x8(kc int, ap, bp, c []float64, ldc int, store bool) {
+	scalarKernel4x4(kc, ap, bp, c, ldc, store)
+	scalarKernel4x4(kc, ap, bp[4:], c[4:], ldc, store)
 }
 
 // scalarKernel4x4 is one 4x4 half of the scalar tile: sixteen accumulators
 // over the packed panels, reading four columns of each 8-wide packed B row.
-func scalarKernel4x4(kc int, ap, bp, c []float64, ldc int) {
+func scalarKernel4x4(kc int, ap, bp, c []float64, ldc int, store bool) {
 	var (
 		c00, c01, c02, c03 float64
 		c10, c11, c12, c13 float64
@@ -114,24 +121,32 @@ func scalarKernel4x4(kc int, ap, bp, c []float64, ldc int) {
 		ap = ap[4:]
 		bp = bp[8:]
 	}
-	r0 := c[0*ldc : 0*ldc+4]
-	r0[0] += c00
-	r0[1] += c01
-	r0[2] += c02
-	r0[3] += c03
-	r1 := c[1*ldc : 1*ldc+4]
-	r1[0] += c10
-	r1[1] += c11
-	r1[2] += c12
-	r1[3] += c13
-	r2 := c[2*ldc : 2*ldc+4]
-	r2[0] += c20
-	r2[1] += c21
-	r2[2] += c22
-	r2[3] += c23
-	r3 := c[3*ldc : 3*ldc+4]
-	r3[0] += c30
-	r3[1] += c31
-	r3[2] += c32
-	r3[3] += c33
+	if store {
+		storeRow(c[0*ldc:0*ldc+4], c00, c01, c02, c03)
+		storeRow(c[1*ldc:1*ldc+4], c10, c11, c12, c13)
+		storeRow(c[2*ldc:2*ldc+4], c20, c21, c22, c23)
+		storeRow(c[3*ldc:3*ldc+4], c30, c31, c32, c33)
+		return
+	}
+	addRow(c[0*ldc:0*ldc+4], c00, c01, c02, c03)
+	addRow(c[1*ldc:1*ldc+4], c10, c11, c12, c13)
+	addRow(c[2*ldc:2*ldc+4], c20, c21, c22, c23)
+	addRow(c[3*ldc:3*ldc+4], c30, c31, c32, c33)
+}
+
+// addRow adds four accumulators into a C row.
+func addRow(r []float64, v0, v1, v2, v3 float64) {
+	r[0] += v0
+	r[1] += v1
+	r[2] += v2
+	r[3] += v3
+}
+
+// storeRow stores four accumulators into a C row as v + (+0): the bits
+// addRow gives on a cleared row, -0 included.
+func storeRow(r []float64, v0, v1, v2, v3 float64) {
+	r[0] = v0 + 0
+	r[1] = v1 + 0
+	r[2] = v2 + 0
+	r[3] = v3 + 0
 }

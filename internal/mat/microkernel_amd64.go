@@ -2,14 +2,15 @@ package mat
 
 // The asm kernels of microkernel_amd64.s. kc must be >= 1 and the pointers
 // must address packed panels of at least kc*mr (ap) and kc*nr (bp) elements
-// and a full mr x nr C tile. noescape is what keeps the edge scratch tile
-// on the caller's stack.
+// and a full mr x nr C tile; with store they write the tile without
+// reading it. noescape is what keeps the edge scratch tile on the caller's
+// stack.
 
 //go:noescape
-func fmaKernel4x8(kc int, ap, bp, c *float64, ldc int)
+func fmaKernel4x8(kc int, ap, bp, c *float64, ldc int, store bool)
 
 //go:noescape
-func zmmKernel8x16(kc int, ap, bp, c *float64, ldc int)
+func zmmKernel8x16(kc int, ap, bp, c *float64, ldc int, store bool)
 
 // packRowsAVX2 and packTransAVX2 are the vector kernels' panel packing:
 // d[l*w+i] = scale*s[l*ld+i] over all w columns, and d[l*w+i] =
@@ -37,16 +38,17 @@ func supportedKernels() []kernel {
 	return ks
 }
 
-// run updates one full mr x nr tile at c with k's code.
-func (k *kernel) run(kc int, ap, bp, c []float64, ldc int) {
+// run adds into (or, with store, stores) one full mr x nr tile at c with
+// k's code.
+func (k *kernel) run(kc int, ap, bp, c []float64, ldc int, store bool) {
 	_ = c[(k.mr-1)*ldc+k.nr-1] // the asm does not bounds-check
 	switch k.isa {
 	case isaAVX512:
-		zmmKernel8x16(kc, &ap[0], &bp[0], &c[0], ldc)
+		zmmKernel8x16(kc, &ap[0], &bp[0], &c[0], ldc, store)
 	case isaAVX2:
-		fmaKernel4x8(kc, &ap[0], &bp[0], &c[0], ldc)
+		fmaKernel4x8(kc, &ap[0], &bp[0], &c[0], ldc, store)
 	default:
-		scalarKernel4x8(kc, ap, bp, c, ldc)
+		scalarKernel4x8(kc, ap, bp, c, ldc, store)
 	}
 }
 

@@ -2,9 +2,11 @@
 // Each holds one mr x nr tile of C in accumulator registers — one
 // accumulator lane per C element — while the k loop streams the packed
 // panels: per k step, nr/lanes vector loads of B and mr broadcasts of A
-// feed mr*nr/lanes fused multiply-adds; then the tile is added into C.
-// The k loop is unrolled without splitting accumulators, so both kernels
-// round every C element identically (see the rule in microkernel.go).
+// feed mr*nr/lanes fused multiply-adds; then the tile is added into C, or
+// with store (the first k-panel of a beta-0 product) stored as acc + (+0)
+// without reading C. The k loop is unrolled without splitting
+// accumulators, so both kernels round every C element identically (see
+// the rule in microkernel.go).
 //
 //	fmaKernel4x8    AVX2+FMA, 8 YMM accumulators (4 rows of 2)
 //	zmmKernel8x16   AVX-512F, 16 ZMM accumulators (8 rows of 2)
@@ -15,10 +17,11 @@
 
 #include "textflag.h"
 
-// func fmaKernel4x8(kc int, ap, bp, c *float64, ldc int)
+// func fmaKernel4x8(kc int, ap, bp, c *float64, ldc int, store bool)
 //
-// C[r*ldc+j] += sum_l ap[l*4+r] * bp[l*8+j]  for r < 4, j < 8.
-TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-40
+// C[r*ldc+j] += sum_l ap[l*4+r] * bp[l*8+j]  for r < 4, j < 8; with store,
+// C[r*ldc+j] = sum_l ap[l*4+r] * bp[l*8+j] + 0.
+TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-41
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), BX
@@ -96,6 +99,8 @@ tail:
 	VFMADD231PD Y9, Y11, Y7
 
 writeback:
+	CMPB store+40(FP), $0
+	JNE  storeback
 	VADDPD (DI), Y0, Y0
 	VADDPD 32(DI), Y1, Y1
 	VMOVUPD Y0, (DI)
@@ -113,6 +118,31 @@ writeback:
 	ADDQ DX, DI
 	VADDPD (DI), Y6, Y6
 	VADDPD 32(DI), Y7, Y7
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+	// acc + (+0) in the operand order of the adds above.
+storeback:
+	VXORPD Y8, Y8, Y8
+	VADDPD Y8, Y0, Y0
+	VADDPD Y8, Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ DX, DI
+	VADDPD Y8, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ DX, DI
+	VADDPD Y8, Y4, Y4
+	VADDPD Y8, Y5, Y5
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	ADDQ DX, DI
+	VADDPD Y8, Y6, Y6
+	VADDPD Y8, Y7, Y7
 	VMOVUPD Y6, (DI)
 	VMOVUPD Y7, 32(DI)
 	VZEROUPPER
@@ -155,16 +185,26 @@ writeback:
 	VMOVUPD hi, 64(DI); \
 	ADDQ DX, DI
 
+// Store one accumulator row plus the +0 in Z16 to the C row at DI and step
+// DI to the next.
+#define STOREROW8x16(lo, hi) \
+	VADDPD Z16, lo, lo; \
+	VADDPD Z16, hi, hi; \
+	VMOVUPD lo, (DI); \
+	VMOVUPD hi, 64(DI); \
+	ADDQ DX, DI
+
 // Pull the C row at R8 towards L1 while the k loop runs; step R8.
 #define PREFETCHROW8x16 \
 	PREFETCHT0 (R8); \
 	PREFETCHT0 120(R8); \
 	ADDQ DX, R8
 
-// func zmmKernel8x16(kc int, ap, bp, c *float64, ldc int)
+// func zmmKernel8x16(kc int, ap, bp, c *float64, ldc int, store bool)
 //
-// C[r*ldc+j] += sum_l ap[l*8+r] * bp[l*16+j]  for r < 8, j < 16.
-TEXT ·zmmKernel8x16(SB), NOSPLIT, $0-40
+// C[r*ldc+j] += sum_l ap[l*8+r] * bp[l*16+j]  for r < 8, j < 16; with store,
+// C[r*ldc+j] = sum_l ap[l*8+r] * bp[l*16+j] + 0.
+TEXT ·zmmKernel8x16(SB), NOSPLIT, $0-41
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), BX
@@ -218,6 +258,8 @@ tail512:
 	KSTEP8x16(0, 0)
 
 writeback512:
+	CMPB store+40(FP), $0
+	JNE  storeback512
 	ADDROW8x16(Z0, Z1)
 	ADDROW8x16(Z2, Z3)
 	ADDROW8x16(Z4, Z5)
@@ -226,6 +268,19 @@ writeback512:
 	ADDROW8x16(Z10, Z11)
 	ADDROW8x16(Z12, Z13)
 	ADDROW8x16(Z14, Z15)
+	VZEROUPPER
+	RET
+
+storeback512:
+	VPXORQ Z16, Z16, Z16
+	STOREROW8x16(Z0, Z1)
+	STOREROW8x16(Z2, Z3)
+	STOREROW8x16(Z4, Z5)
+	STOREROW8x16(Z6, Z7)
+	STOREROW8x16(Z8, Z9)
+	STOREROW8x16(Z10, Z11)
+	STOREROW8x16(Z12, Z13)
+	STOREROW8x16(Z14, Z15)
 	VZEROUPPER
 	RET
 

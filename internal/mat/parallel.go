@@ -28,7 +28,10 @@ func GemmParallel(threads int, transA, transB bool, alpha float64, a, b *Matrix,
 	if err != nil {
 		return err
 	}
-	scaleC(beta, c)
+	store := stores(alpha, beta, m, n, k)
+	if !store {
+		scaleC(beta, c)
+	}
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return nil
 	}
@@ -40,7 +43,7 @@ func GemmParallel(threads int, transA, transB bool, alpha float64, a, b *Matrix,
 		threads = min(threads, (n+nr-1)/nr)
 	}
 	if threads <= 1 || m*n*k < parallelMinWork {
-		gemmPacked(transA, transB, alpha, a, b, c, 0, m, 0, n, k)
+		gemmPacked(transA, transB, alpha, a, b, c, 0, m, 0, n, k, store)
 		return nil
 	}
 
@@ -58,7 +61,7 @@ func GemmParallel(threads int, transA, transB bool, alpha float64, a, b *Matrix,
 			wg.Add(1)
 			go func(lo, rows int) {
 				defer wg.Done()
-				gemmPacked(transA, transB, alpha, a, b, c, lo, rows, 0, n, k)
+				gemmPacked(transA, transB, alpha, a, b, c, lo, rows, 0, n, k, store)
 			}(lo, rows)
 		}
 	} else {
@@ -73,7 +76,7 @@ func GemmParallel(threads int, transA, transB bool, alpha float64, a, b *Matrix,
 			wg.Add(1)
 			go func(lo, cols int) {
 				defer wg.Done()
-				gemmPacked(transA, transB, alpha, a, b, c, 0, m, lo, cols, k)
+				gemmPacked(transA, transB, alpha, a, b, c, 0, m, lo, cols, k, store)
 			}(lo, cols)
 		}
 	}

@@ -94,6 +94,7 @@ func TestBcastWithOffset(t *testing.T) {
 	group := []int{0, 1, 2}
 	_, err := armci.Run(topo, func(c rt.Ctx) {
 		buf := c.LocalBuf(20)
+		c.WriteBuf(buf, 0, make([]float64, 20)) // scratch arrives unspecified
 		if c.Rank() == 1 {
 			c.WriteBuf(buf, 5, pattern(1, 10))
 		}
@@ -250,6 +251,7 @@ func TestAllreduceWithOffsetAndZero(t *testing.T) {
 	group := []int{0, 1, 2, 3}
 	_, err := armci.Run(topo, func(c rt.Ctx) {
 		buf := c.LocalBuf(10)
+		c.WriteBuf(buf, 0, make([]float64, 10)) // scratch arrives unspecified
 		c.WriteBuf(buf, 3, []float64{1, 2})
 		Allreduce(c, group, buf, 3, 2, 71)
 		got := c.ReadBuf(buf, 0, 10)

@@ -343,7 +343,9 @@ type Ctx interface {
 	// collectively.
 	Malloc(elems int) Global
 	Free(g Global)
-	// LocalBuf allocates process-local scratch.
+	// LocalBuf allocates process-local scratch. Its contents are
+	// unspecified (an engine may recycle released buffers as they were
+	// left): write a region before reading it.
 	LocalBuf(elems int) Buffer
 	// Local returns this rank's own segment of g for in-place use.
 	Local(g Global) Buffer

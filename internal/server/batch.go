@@ -42,9 +42,9 @@ type schedJob struct {
 	rec *jobRecovery
 
 	out *mat.Matrix
-	// outBuf is the pooled storage behind a small-route out (nil when the
-	// result cache is on, or on the distributed routes): the handler gives it
-	// back once the response is written.
+	// outBuf is the pooled storage behind out (nil when the result cache is
+	// on, or on the cluster route): the handler gives it back once the
+	// response is written.
 	outBuf   *alignedBuf
 	batch    int // dispatch size that served this job
 	started  time.Time
@@ -208,26 +208,28 @@ func (s *Server) batchKernelThreads() int {
 	return armci.DefaultKernelThreads(s.cfg.NProcs)
 }
 
+// resultMatrix returns the m x n matrix a product is computed into: storage
+// from the operand pool, returned beside it for the handler to give back —
+// unless the result cache is on: a cached result outlives its request, so
+// it gets an allocation of its own that the cache can keep. A pooled buffer
+// arrives dirty; with beta == 0 the kernel never reads it, and any other
+// beta overwrites it with the request's C first.
+func (s *Server) resultMatrix(m, n int) (*mat.Matrix, *alignedBuf) {
+	if s.cache != nil {
+		return mat.New(m, n), nil
+	}
+	buf := operandBufs.get(m * n)
+	return &mat.Matrix{Rows: m, Cols: n, Stride: n, Data: buf.data}, buf
+}
+
 // gemmLocal runs one product on the local packed parallel kernel. The
 // result is bit-identical for every threads value (GemmParallel's
 // guarantee), which is what makes batched and unbatched execution
-// indistinguishable to the caller. The result is written into a buffer from
-// the operand pool, returned beside it for the handler to give back — unless
-// the result cache is on: a cached result outlives its request, so it gets
-// an allocation of its own that the cache can keep. A pooled buffer arrives
-// dirty; beta == 0 makes the kernel clear it, any other beta overwrites it
-// with the request's C first.
+// indistinguishable to the caller.
 func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, threads int) (*mat.Matrix, *alignedBuf, error) {
 	a := &mat.Matrix{Rows: req.ARows, Cols: req.ACols, Stride: req.ACols, Data: req.A}
 	b := &mat.Matrix{Rows: req.BRows, Cols: req.BCols, Stride: req.BCols, Data: req.B}
-	var buf *alignedBuf
-	var c *mat.Matrix
-	if s.cache == nil {
-		buf = operandBufs.get(d.M * d.N)
-		c = &mat.Matrix{Rows: d.M, Cols: d.N, Stride: d.N, Data: buf.data}
-	} else {
-		c = mat.New(d.M, d.N)
-	}
+	c, buf := s.resultMatrix(d.M, d.N)
 	if req.beta() != 0 {
 		copy(c.Data, req.C)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
@@ -206,7 +207,9 @@ func TestResultCacheByteBound(t *testing.T) {
 
 // TestAbandonedRequestWithholdsItsBuffers: a request answered 504 while its
 // dispatch is still held never returns its operand buffers to operandBufs —
-// the dispatch may yet read them — with the cache off and on.
+// the dispatch may yet read them — with the cache off and on. Nor does the
+// result buffer the dispatch computes into after the answer: with the cache
+// off it is pooled storage, and no handler is left to give it back.
 func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pool recycling assertions are meaningless under the race detector")
@@ -216,6 +219,7 @@ func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 	for _, entries := range []int{0, 4} {
 		s := newTestServer(t, Config{NProcs: 4, Teams: 1, CacheEntries: entries})
 		held := make(chan [2]uintptr, 1)
+		ran := make(chan *sched.Task, 1)
 		rel := make(chan struct{})
 		var once sync.Once
 		t.Cleanup(func() { once.Do(func() { close(rel) }) }) // before the server's shutdown
@@ -223,6 +227,10 @@ func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 			job := tk.Payload.(*schedJob)
 			held <- [2]uintptr{uintptrOf(job.req.A), uintptrOf(job.req.B)}
 			<-rel
+			// Run on as if the deadline had fired after the run's last
+			// cancellation poll: the product completes with no one to answer.
+			job.ctx, tk.Cancel = context.WithoutCancel(job.ctx), nil
+			ran <- tk
 		})
 		req := blockerReq()
 		req.TimeoutMillis = 50
@@ -236,6 +244,20 @@ func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 			}
 		}
 		once.Do(func() { close(rel) })
+		tk := <-ran
+		<-tk.Done()
+		job := tk.Payload.(*schedJob)
+		if err := tk.Err(); err != nil {
+			t.Fatalf("cache entries %d: the abandoned dispatch failed: %v", entries, err)
+		}
+		if (job.outBuf == nil) != (entries > 0) {
+			t.Fatalf("cache entries %d: result pooled = %v, want %v", entries, job.outBuf != nil, entries == 0)
+		}
+		for i := 0; i < 4 && job.outBuf != nil; i++ {
+			if uintptrOf(operandBufs.get(req.ARows*req.BCols).data) == uintptrOf(job.outBuf.data) {
+				t.Fatalf("cache entries %d: an abandoned request's result buffer came back from the pool", entries)
+			}
+		}
 	}
 }
 

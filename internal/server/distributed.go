@@ -96,7 +96,17 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 		}
 		results, err = s.cpool.Run(spec, cluster.PlaceKey{Class: class, M: spec.M, N: spec.N, K: spec.K, Case: spec.Case})
 	} else {
+		var buf *alignedBuf
+		spec.Out, buf = s.resultMatrix(spec.M, spec.N)
 		results, err = s.runOnTeam(tm, spec)
+		if err == nil {
+			job.outBuf = buf
+		} else {
+			// The team ran without a watchdog, so every rank has joined and
+			// nothing reads the failed attempt's C any more; the retry takes
+			// a buffer of its own and its salvage is a copy.
+			operandBufs.put(buf)
+		}
 	}
 
 	// Worker processes ship their trace events back in the results; they
@@ -139,7 +149,8 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 // runOnTeam is the in-process runner: every rank of a persistent team runs
 // the shared body, reporting in the shape the cluster pool reports — except
 // that the ranks share this address space, so they read the request's A and
-// B where they lie and compute C in place in spec.Out. A rank that panics
+// B where they lie and compute C in place in spec.Out, which the caller
+// provides (with beta 0 its old contents are never read). A rank that panics
 // leaves its salvage in its result on the way out (the team turns the panic
 // into the run error); a rank that returns an error keeps the error's type,
 // so cancellation and ABFT exhaustion stay recognisable.
@@ -147,7 +158,6 @@ func (s *Server) runOnTeam(tm *armci.Team, spec *ipcrt.JobSpec) ([]*ipcrt.RankRe
 	if err := spec.Validate(s.topo.NProcs); err != nil {
 		return nil, err
 	}
-	spec.Out = mat.New(spec.M, spec.N)
 	n := s.topo.NProcs
 	results := make([]*ipcrt.RankResult, n)
 	errs := make([]error, n)

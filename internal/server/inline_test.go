@@ -191,6 +191,50 @@ func TestSmallResultComesFromThePool(t *testing.T) {
 	}
 }
 
+// TestDistributedResultComesFromThePool: with the cache off a warm request
+// on the in-process distributed route allocates no result matrix either —
+// its C is pooled storage the ranks compute into in place — so the bytes it
+// allocates stay well below the size of its result.
+func TestDistributedResultComesFromThePool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	const n = 256
+	s := newTestServer(t, Config{NProcs: 4})
+	req := randReq(n, n, n, 901)
+	body, err := EncodeBinaryRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		r := httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(body))
+		r.Header.Set("Content-Type", ContentTypeBinary)
+		w := &discardWriter{h: http.Header{}}
+		s.Handler().ServeHTTP(w, r)
+		if want := binRespHeaderLen + 8*n*n; w.code != http.StatusOK || w.n != want {
+			t.Fatalf("status %d with %d body bytes, want 200 with %d", w.code, w.n, want)
+		}
+		if route := w.h.Get("X-Srumma-Route"); route != routeSRUMMA {
+			t.Fatalf("route %q, want %q", route, routeSRUMMA)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 8; i++ {
+		serve() // warm the pools: operands, result, pipe scratch, pack panels
+	}
+	const runs = 20
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	goruntime.ReadMemStats(&m1)
+	perReq := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	if result := uint64(8 * n * n); perReq >= result/2 {
+		t.Fatalf("a distributed request allocates %d bytes; its result is %d, which must come from the pool", perReq, result)
+	}
+}
+
 // TestCachedResultSurvivesPoolReuse: a result the cache holds is never
 // storage the next requests compute into.
 func TestCachedResultSurvivesPoolReuse(t *testing.T) {

@@ -304,6 +304,7 @@ func TestRunnersRefuseMalformedSpec(t *testing.T) {
 	key := cluster.PlaceKey{Class: "interactive", M: 24, N: 20, K: 28}
 	runners := map[string]func(*ipcrt.JobSpec) (*mat.Matrix, error){
 		"team": func(spec *ipcrt.JobSpec) (*mat.Matrix, error) {
+			spec.Out = mat.New(spec.M, spec.N)
 			_, err := teamSrv.runOnTeam(tm, spec)
 			return spec.Out, err
 		},
