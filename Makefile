@@ -173,12 +173,14 @@ chaos:
 chaos-serve:
 	$(GO) test -race -count=1 -run 'TestChaosServe|TestABFTHoldsUnderBacklog' ./internal/server
 
-# Short fuzzing session over the numeric kernels, index math, the fault
-# planner, the binary wire decoder (crash-free on arbitrary bytes,
-# encode/decode round-trip bit-identical, nothing non-finite admitted) and
-# the block finite scan against its per-element reference.
+# Short fuzzing session over the numeric kernels, the buffer pool's size
+# classes (slack, alignment, recycling), index math, the fault planner, the
+# binary wire decoder (crash-free on arbitrary bytes, encode/decode
+# round-trip bit-identical, nothing non-finite admitted) and the block
+# finite scan against its per-element reference.
 fuzz:
 	$(GO) test -fuzz=FuzzGemmMatchesNaive -fuzztime=30s ./internal/mat
+	$(GO) test -fuzz=FuzzBufClass -fuzztime=15s ./internal/mat
 	$(GO) test -fuzz=FuzzIntersect -fuzztime=15s ./internal/grid
 	$(GO) test -fuzz=FuzzCyclicMapping -fuzztime=15s ./internal/grid
 	$(GO) test -fuzz=FuzzPlan -fuzztime=15s ./internal/faults

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"srumma/internal/mat"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
@@ -99,7 +100,7 @@ func (r *runtime) slot(seq int) *global {
 	defer r.mu.Unlock()
 	g, ok := r.slots[seq]
 	if !ok {
-		g = &global{id: seq, segs: make([]*buffer, r.topo.NProcs)}
+		g = &global{id: seq, segs: make([]*mat.Buf, r.topo.NProcs)}
 		r.slots[seq] = g
 	}
 	return g
@@ -118,11 +119,11 @@ func (r *runtime) dropSlot(seq int) {
 type global struct {
 	id    int
 	ld    int
-	segs  []*buffer
+	segs  []*mat.Buf
 	accMu sync.Mutex
 }
 
-func (g *global) LenAt(rank int) int { return len(g.segs[rank].data) }
+func (g *global) LenAt(rank int) int { return len(g.segs[rank].Data) }
 func (g *global) LD() int            { return g.ld }
 
 // doneHandle is an already-completed nonblocking operation.
@@ -175,7 +176,7 @@ func (c *ctx) publish(seg []float64, ld int) rt.Global {
 	seq := c.collSeq
 	c.collSeq++
 	g := c.rt.slot(seq)
-	g.segs[c.rank] = &buffer{data: seg}
+	g.segs[c.rank] = &mat.Buf{Data: seg}
 	if c.rank == 0 {
 		g.ld = ld
 	}
@@ -215,20 +216,20 @@ func (c *ctx) Direct(g rt.Global, rank int) rt.Buffer {
 // operation; completing it eagerly satisfies the nonblocking contract (Wait
 // is a no-op).
 func (c *ctx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
-	c.GetRegion(g.(*global).segs[rank].data, c.CanDirect(rank), off, ld, rows, cols, dst, dstOff)
+	c.GetRegion(g.(*global).segs[rank].Data, c.CanDirect(rank), off, ld, rows, cols, dst, dstOff)
 	return doneHandle{}
 }
 
 func (c *ctx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	c.PutRegion(src, srcOff, g.(*global).segs[rank].data, c.CanDirect(rank), off, ld, rows, cols)
+	c.PutRegion(src, srcOff, g.(*global).segs[rank].Data, c.CanDirect(rank), off, ld, rows, cols)
 	return doneHandle{}
 }
 
 func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
 	t0 := c.SpanStart()
 	gg := g.(*global)
-	s := src.(*buffer).data
-	d := gg.segs[rank].data
+	s := src.(*mat.Buf).Data
+	d := gg.segs[rank].Data
 	if srcOff < 0 || srcOff+n > len(s) || off < 0 || off+n > len(d) {
 		panic(fmt.Sprintf("armci: Acc range [%d,%d) of %d -> [%d,%d) of %d",
 			srcOff, srcOff+n, len(s), off, off+n, len(d)))
@@ -249,7 +250,7 @@ func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank
 
 func (c *ctx) FetchAdd(g rt.Global, rank, off int, delta float64) float64 {
 	gg := g.(*global)
-	d := gg.segs[rank].data
+	d := gg.segs[rank].Data
 	if off < 0 || off >= len(d) {
 		panic(fmt.Sprintf("armci: FetchAdd offset %d of %d", off, len(d)))
 	}
@@ -280,7 +281,7 @@ func (c *ctx) Wait(h rt.Handle) {
 }
 
 func (c *ctx) Send(to, tag int, src rt.Buffer, off, n int) {
-	s := src.(*buffer).data
+	s := src.(*mat.Buf).Data
 	if off < 0 || off+n > len(s) {
 		panic(fmt.Sprintf("armci: Send range [%d,%d) of %d", off, off+n, len(s)))
 	}
@@ -298,7 +299,7 @@ func (c *ctx) Isend(to, tag int, src rt.Buffer, off, n int) rt.Handle {
 }
 
 func (c *ctx) Irecv(from, tag int, dst rt.Buffer, off, n int) rt.Handle {
-	d := dst.(*buffer).data
+	d := dst.(*mat.Buf).Data
 	if off < 0 || off+n > len(d) {
 		panic(fmt.Sprintf("armci: Irecv range [%d,%d) of %d", off, off+n, len(d)))
 	}

@@ -41,16 +41,16 @@ func TestRankAndSize(t *testing.T) {
 func TestMallocGetPut(t *testing.T) {
 	_, err := Run(topo(4, 2, false), func(c rt.Ctx) {
 		g := c.Malloc(8)
-		local := c.Local(g).(*buffer)
-		for i := range local.data {
-			local.data[i] = float64(c.Rank()*100 + i)
+		local := c.Local(g).(*mat.Buf)
+		for i := range local.Data {
+			local.Data[i] = float64(c.Rank()*100 + i)
 		}
 		c.Barrier()
 		// Every rank reads rank (r+1)%4's segment.
 		src := (c.Rank() + 1) % 4
 		dst := c.LocalBuf(8)
 		rt.Get(c, g, src, 0, 8, dst, 0)
-		for i, v := range dst.(*buffer).data {
+		for i, v := range dst.(*mat.Buf).Data {
 			if v != float64(src*100+i) {
 				t.Errorf("rank %d got %v at %d, want %d", c.Rank(), v, i, src*100+i)
 			}
@@ -58,14 +58,14 @@ func TestMallocGetPut(t *testing.T) {
 		c.Barrier()
 		// Rank 0 puts into rank 3's segment tail.
 		if c.Rank() == 0 {
-			b := c.LocalBuf(2).(*buffer)
-			b.data[0], b.data[1] = -1, -2
+			b := c.LocalBuf(2).(*mat.Buf)
+			b.Data[0], b.Data[1] = -1, -2
 			rt.Put(c, b, 0, 2, g, 3, 6)
 		}
 		c.Barrier()
 		if c.Rank() == 3 {
-			if local.data[6] != -1 || local.data[7] != -2 {
-				t.Errorf("put did not land: %v", local.data[6:])
+			if local.Data[6] != -1 || local.Data[7] != -2 {
+				t.Errorf("put did not land: %v", local.Data[6:])
 			}
 		}
 	})
@@ -92,7 +92,7 @@ func TestMallocDifferentSizes(t *testing.T) {
 func TestNbGetCompletesBeforeWait(t *testing.T) {
 	_, err := Run(topo(2, 1, false), func(c rt.Ctx) {
 		g := c.Malloc(4)
-		c.Local(g).(*buffer).data[0] = float64(c.Rank() + 1)
+		c.Local(g).(*mat.Buf).Data[0] = float64(c.Rank() + 1)
 		c.Barrier()
 		dst := c.LocalBuf(4)
 		h := rt.NbGet(c, g, 1-c.Rank(), 0, 1, dst, 0)
@@ -100,8 +100,8 @@ func TestNbGetCompletesBeforeWait(t *testing.T) {
 			t.Error("real-engine get should complete eagerly")
 		}
 		c.Wait(h)
-		if dst.(*buffer).data[0] != float64(2-c.Rank()) {
-			t.Errorf("rank %d read %v", c.Rank(), dst.(*buffer).data[0])
+		if dst.(*mat.Buf).Data[0] != float64(2-c.Rank()) {
+			t.Errorf("rank %d read %v", c.Rank(), dst.(*mat.Buf).Data[0])
 		}
 	})
 	if err != nil {
@@ -112,13 +112,13 @@ func TestNbGetCompletesBeforeWait(t *testing.T) {
 func TestDirectAccessSameDomain(t *testing.T) {
 	_, err := Run(topo(4, 2, false), func(c rt.Ctx) {
 		g := c.Malloc(1)
-		c.Local(g).(*buffer).data[0] = float64(c.Rank())
+		c.Local(g).(*mat.Buf).Data[0] = float64(c.Rank())
 		c.Barrier()
 		buddy := c.Rank() ^ 1 // same node under ppn=2
 		if !c.CanDirect(buddy) {
 			t.Errorf("rank %d cannot direct-access node buddy %d", c.Rank(), buddy)
 		}
-		if v := c.Direct(g, buddy).(*buffer).data[0]; v != float64(buddy) {
+		if v := c.Direct(g, buddy).(*mat.Buf).Data[0]; v != float64(buddy) {
 			t.Errorf("direct read %v, want %d", v, buddy)
 		}
 		other := (c.Rank() + 2) % 4 // other node
@@ -159,14 +159,14 @@ func TestDomainSpansMachine(t *testing.T) {
 
 func TestSendRecv(t *testing.T) {
 	_, err := Run(topo(2, 1, false), func(c rt.Ctx) {
-		b := c.LocalBuf(3).(*buffer)
+		b := c.LocalBuf(3).(*mat.Buf)
 		if c.Rank() == 0 {
-			b.data[0], b.data[1], b.data[2] = 1, 2, 3
+			b.Data[0], b.Data[1], b.Data[2] = 1, 2, 3
 			c.Send(1, 7, b, 0, 3)
 		} else {
 			c.Recv(0, 7, b, 0, 3)
-			if b.data[0] != 1 || b.data[2] != 3 {
-				t.Errorf("recv got %v", b.data)
+			if b.Data[0] != 1 || b.Data[2] != 3 {
+				t.Errorf("recv got %v", b.Data)
 			}
 		}
 	})
@@ -177,17 +177,17 @@ func TestSendRecv(t *testing.T) {
 
 func TestMessagesNonOvertaking(t *testing.T) {
 	_, err := Run(topo(2, 1, false), func(c rt.Ctx) {
-		b := c.LocalBuf(1).(*buffer)
+		b := c.LocalBuf(1).(*mat.Buf)
 		if c.Rank() == 0 {
 			for i := 0; i < 10; i++ {
-				b.data[0] = float64(i)
+				b.Data[0] = float64(i)
 				c.Send(1, 0, b, 0, 1)
 			}
 		} else {
 			for i := 0; i < 10; i++ {
 				c.Recv(0, 0, b, 0, 1)
-				if b.data[0] != float64(i) {
-					t.Errorf("message %d arrived as %v", i, b.data[0])
+				if b.Data[0] != float64(i) {
+					t.Errorf("message %d arrived as %v", i, b.Data[0])
 				}
 			}
 		}
@@ -199,21 +199,21 @@ func TestMessagesNonOvertaking(t *testing.T) {
 
 func TestTagsSeparateStreams(t *testing.T) {
 	_, err := Run(topo(2, 1, false), func(c rt.Ctx) {
-		b := c.LocalBuf(1).(*buffer)
+		b := c.LocalBuf(1).(*mat.Buf)
 		if c.Rank() == 0 {
-			b.data[0] = 10
+			b.Data[0] = 10
 			c.Send(1, 1, b, 0, 1)
-			b.data[0] = 20
+			b.Data[0] = 20
 			c.Send(1, 2, b, 0, 1)
 		} else {
 			// Receive tag 2 first even though tag 1 was sent first.
 			c.Recv(0, 2, b, 0, 1)
-			if b.data[0] != 20 {
-				t.Errorf("tag 2 got %v", b.data[0])
+			if b.Data[0] != 20 {
+				t.Errorf("tag 2 got %v", b.Data[0])
 			}
 			c.Recv(0, 1, b, 0, 1)
-			if b.data[0] != 10 {
-				t.Errorf("tag 1 got %v", b.data[0])
+			if b.Data[0] != 10 {
+				t.Errorf("tag 1 got %v", b.Data[0])
 			}
 		}
 	})
@@ -224,15 +224,15 @@ func TestTagsSeparateStreams(t *testing.T) {
 
 func TestIsendIrecv(t *testing.T) {
 	_, err := Run(topo(2, 1, false), func(c rt.Ctx) {
-		b := c.LocalBuf(1).(*buffer)
+		b := c.LocalBuf(1).(*mat.Buf)
 		if c.Rank() == 0 {
-			b.data[0] = 42
+			b.Data[0] = 42
 			c.Wait(c.Isend(1, 0, b, 0, 1))
 		} else {
 			h := c.Irecv(0, 0, b, 0, 1)
 			c.Wait(h)
-			if !h.Done() || b.data[0] != 42 {
-				t.Errorf("irecv got %v done=%v", b.data[0], h.Done())
+			if !h.Done() || b.Data[0] != 42 {
+				t.Errorf("irecv got %v done=%v", b.Data[0], h.Done())
 			}
 		}
 	})
@@ -249,17 +249,17 @@ func TestGemmExecutesForReal(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := Run(topo(1, 1, false), func(c rt.Ctx) {
-		ab := c.LocalBuf(30).(*buffer)
-		bb := c.LocalBuf(35).(*buffer)
-		cb := c.LocalBuf(42).(*buffer)
-		copy(ab.data, a.Data)
-		copy(bb.data, bm.Data)
+		ab := c.LocalBuf(30).(*mat.Buf)
+		bb := c.LocalBuf(35).(*mat.Buf)
+		cb := c.LocalBuf(42).(*mat.Buf)
+		copy(ab.Data, a.Data)
+		copy(bb.Data, bm.Data)
 		c.Gemm(2,
 			rt.Mat{Buf: ab, LD: 5, Rows: 6, Cols: 5},
 			rt.Mat{Buf: bb, LD: 7, Rows: 5, Cols: 7},
 			0,
 			rt.Mat{Buf: cb, LD: 7, Rows: 6, Cols: 7})
-		got := mat.FromData(6, 7, cb.data)
+		got := mat.FromData(6, 7, cb.Data)
 		if d := mat.MaxAbsDiff(got, want); d > 1e-12 {
 			t.Errorf("gemm diff %g", d)
 		}
@@ -274,9 +274,9 @@ func TestGemmExecutesForReal(t *testing.T) {
 
 func TestPackUnpackThroughCtx(t *testing.T) {
 	_, err := Run(topo(1, 1, false), func(c rt.Ctx) {
-		src := c.LocalBuf(20).(*buffer)
-		for i := range src.data {
-			src.data[i] = float64(i)
+		src := c.LocalBuf(20).(*mat.Buf)
+		for i := range src.Data {
+			src.Data[i] = float64(i)
 		}
 		// View rows 1..2, cols 1..3 of a 4x5 layout.
 		v := rt.Mat{Buf: src, Off: 1*5 + 1, LD: 5, Rows: 2, Cols: 3}
@@ -284,16 +284,16 @@ func TestPackUnpackThroughCtx(t *testing.T) {
 		c.Pack(v, packed, 0)
 		want := []float64{6, 7, 8, 11, 12, 13}
 		for i, w := range want {
-			if packed.(*buffer).data[i] != w {
-				t.Fatalf("packed[%d] = %v, want %v", i, packed.(*buffer).data[i], w)
+			if packed.(*mat.Buf).Data[i] != w {
+				t.Fatalf("packed[%d] = %v, want %v", i, packed.(*mat.Buf).Data[i], w)
 			}
 		}
 		dst := c.LocalBuf(20)
-		clear(dst.(*buffer).data) // scratch arrives unspecified
+		clear(dst.(*mat.Buf).Data) // scratch arrives unspecified
 		dv := rt.Mat{Buf: dst, Off: 1*5 + 1, LD: 5, Rows: 2, Cols: 3}
 		c.Unpack(packed, 0, dv)
-		if dst.(*buffer).data[6] != 6 || dst.(*buffer).data[13] != 13 || dst.(*buffer).data[0] != 0 {
-			t.Fatalf("unpack wrong: %v", dst.(*buffer).data)
+		if dst.(*mat.Buf).Data[6] != 6 || dst.(*mat.Buf).Data[13] != 13 || dst.(*mat.Buf).Data[0] != 0 {
+			t.Fatalf("unpack wrong: %v", dst.(*mat.Buf).Data)
 		}
 	})
 	if err != nil {

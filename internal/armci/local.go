@@ -3,7 +3,6 @@ package armci
 import (
 	"fmt"
 	goruntime "runtime" // the package's own engine type is named runtime
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 
 // LocalOps is the real engines' local half: everything a rank does to
 // memory in its own address space, with its accounting and spans — the
-// buffer type and its pooled scratch, the local dgemm and its thread count,
+// buffers and their pooled scratch, the local dgemm and its thread count,
 // pack / unpack, the strided row copy behind a get or put whose other end
 // is directly addressable, the harness accessors. Both engines that move
 // real data embed it: this package's goroutine ranks, and internal/ipcrt's
@@ -94,31 +93,19 @@ func (l *LocalOps) SetKernelThreads(n int) {
 	l.kernelThreads = n
 }
 
-// buffer is a real float64 buffer. scratch marks buffers handed out by
-// LocalBuf (the only ones ReleaseBuf accepts); released marks a scratch
-// buffer currently surrendered to the pools. Together they make pooled
-// scratch misuse — double release, or releasing a Global segment / mailbox
-// payload — fail loudly instead of aliasing a recycled buffer into a later
-// request, where a live segment and a scratch buffer would share memory.
-type buffer struct {
-	data     []float64
-	scratch  bool
-	released bool
-}
-
-func (b *buffer) Len() int { return len(b.data) }
-
-// Segment wraps memory an engine already owns (a mapped Global segment) as
-// a Buffer LocalOps can compute on. It is not scratch: ReleaseBuf refuses it.
-func Segment(data []float64) rt.Buffer { return &buffer{data: data} }
+// Segment wraps memory an engine already owns (a Global segment) as a
+// Buffer LocalOps can compute on. The real engines' buffers are mat.Bufs;
+// this one is built by hand, so the pool refuses it and ReleaseBuf panics
+// instead of aliasing live memory into a later LocalBuf.
+func Segment(data []float64) rt.Buffer { return &mat.Buf{Data: data} }
 
 // Floats returns the elements behind a Buffer of the real engines.
 func Floats(b rt.Buffer) []float64 {
-	rb, ok := b.(*buffer)
+	rb, ok := b.(*mat.Buf)
 	if !ok {
 		panic(fmt.Sprintf("armci: foreign buffer type %T", b))
 	}
-	return rb.data
+	return rb.Data
 }
 
 // Window returns [off, off+n) of b, or panics naming the op.
@@ -130,78 +117,29 @@ func Window(what string, b rt.Buffer, off, n int) []float64 {
 	return d[off : off+n]
 }
 
-// Scratch-buffer recycling. LocalBuf rounds requests up to power-of-two
-// size classes and serves them from per-class pools of *buffer, so the
-// SRUMMA executor's per-multiply communication buffers (released through
-// ReleaseBuf) stop hitting the allocator once warm. Both the backing array
-// and the buffer header are recycled, and reused memory is handed out as
-// the last user left it: a LocalBuf's contents are unspecified, so its
-// caller writes before it reads. Every caller does — the executor's pipe
-// buffers and the baselines' panels are filled by the get, broadcast or
-// pack that precedes each read of exactly that region, and ga, mp and
-// redist stage what they send or receive into them first.
-const scratchClasses = 28 // largest pooled class: 2^27 elements = 1 GiB
-
-var scratchPools [scratchClasses]sync.Pool
-
-// sizeClass returns the smallest c with 1<<c >= n (n >= 1).
-func sizeClass(n int) int {
-	c := 0
-	for 1<<c < n {
-		c++
-	}
-	return c
-}
-
+// LocalBuf draws scratch from the buffer pool (mat.GetBuf), so the SRUMMA
+// executor's per-multiply communication buffers (released through
+// ReleaseBuf) stop hitting the allocator once warm. A LocalBuf's contents
+// are unspecified, so its caller writes before it reads. Every caller does
+// — the executor's pipe buffers and the baselines' panels are filled by the
+// get, broadcast or pack that precedes each read of exactly that region,
+// and ga, mp and redist stage what they send or receive into them first.
 func (l *LocalOps) LocalBuf(elems int) rt.Buffer {
 	l.stats.ScratchBytes += int64(elems) * 8
-	if elems <= 0 {
-		return &buffer{scratch: true}
-	}
-	cls := sizeClass(elems)
-	if cls >= scratchClasses {
-		return &buffer{data: make([]float64, elems), scratch: true}
-	}
-	if v := scratchPools[cls].Get(); v != nil {
-		b := v.(*buffer)
-		b.data = b.data[:elems]
-		b.scratch, b.released = true, false
-		return b
-	}
-	b := &buffer{data: make([]float64, 1<<cls), scratch: true}
-	b.data = b.data[:elems]
-	return b
+	return mat.GetBuf(elems)
 }
 
-// ReleaseBuf returns a LocalBuf scratch buffer to the size-class pools
+// ReleaseBuf gives a LocalBuf scratch buffer back to the pool
 // (rt.BufferReleaser). Only buffers LocalBuf itself handed out are
-// accepted, exactly once: releasing a foreign buffer (a Global segment, a
-// mailbox payload, another engine's type) or the same buffer twice panics,
-// because pooling either would alias live or recycled memory into a later
-// LocalBuf. Oversized buffers (beyond the largest pooled class) are
-// accepted and fall through to the garbage collector.
+// accepted, exactly once: releasing a foreign buffer (a Global segment,
+// another engine's type) or the same buffer twice panics, because pooling
+// either would alias live or recycled memory into a later LocalBuf.
 func (l *LocalOps) ReleaseBuf(buf rt.Buffer) {
-	b, ok := buf.(*buffer)
+	b, ok := buf.(*mat.Buf)
 	if !ok {
 		panic(fmt.Sprintf("armci: ReleaseBuf of foreign buffer type %T", buf))
 	}
-	if !b.scratch {
-		panic("armci: ReleaseBuf of a buffer LocalBuf did not produce (Global segment or mailbox payload?)")
-	}
-	if b.released {
-		panic("armci: double ReleaseBuf of the same scratch buffer")
-	}
-	b.released = true
-	cp := cap(b.data)
-	if cp == 0 || cp&(cp-1) != 0 {
-		return
-	}
-	cls := sizeClass(cp)
-	if cls >= scratchClasses {
-		return
-	}
-	b.data = b.data[:cp]
-	scratchPools[cls].Put(b)
+	mat.PutBuf(b)
 }
 
 // The row walks below are over a region rt.CheckRegion has passed. A region

@@ -137,22 +137,22 @@ func TestAdoptWindows(t *testing.T) {
 		// A strided get of the diagonal neighbour's whole block.
 		nb := 3 - me
 		nr, nc := rowN[nb/2], colN[nb%2]
-		dst := c.LocalBuf(nr * nc).(*buffer)
+		dst := c.LocalBuf(nr * nc).(*mat.Buf)
 		c.Wait(c.NbGetSub(g, nb, 0, stride, nr, nc, dst, 0))
 		for i := 0; i < nr; i++ {
 			for j := 0; j < nc; j++ {
-				if got, want := dst.data[i*nc+j], m.At(rowLo[nb/2]+i, colLo[nb%2]+j); got != want {
+				if got, want := dst.Data[i*nc+j], m.At(rowLo[nb/2]+i, colLo[nb%2]+j); got != want {
 					t.Errorf("rank %d: get of rank %d (%d,%d) = %g, want %g", me, nb, i, j, got, want)
 				}
 			}
 		}
 		// The node-mate's block, in place.
 		mate := me ^ 1
-		if got, want := c.Direct(g, mate).(*buffer).data[0], m.At(rowLo[mate/2], colLo[mate%2]); got != want {
+		if got, want := c.Direct(g, mate).(*mat.Buf).Data[0], m.At(rowLo[mate/2], colLo[mate%2]); got != want {
 			t.Errorf("rank %d: direct view of rank %d starts at %g, want %g", me, mate, got, want)
 		}
 		c.Barrier()
-		c.Local(g).(*buffer).data[0] = float64(100 + me)
+		c.Local(g).(*mat.Buf).Data[0] = float64(100 + me)
 	})
 	if err != nil {
 		t.Fatal(err)

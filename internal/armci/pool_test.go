@@ -2,6 +2,8 @@ package armci
 
 import (
 	"math"
+	goruntime "runtime"
+	"runtime/debug"
 	"testing"
 
 	"srumma/internal/core"
@@ -21,32 +23,40 @@ func testCtx() *ctx {
 	return c
 }
 
-// poisonScratch empties every scratch class a multiply of elements up to
-// 1<<maxCls can use, then refills each with perClass NaN-filled buffers, so
-// the next LocalBufs of those sizes come back poisoned. With clean it only
-// empties them: the next LocalBufs are fresh, zeroed memory.
-func poisonScratch(maxCls, perClass int, clean bool) {
-	for cls := 0; cls <= maxCls; cls++ {
-		for scratchPools[cls].Get() != nil {
-		}
-		for i := 0; i < perClass && !clean; i++ {
-			b := &buffer{data: make([]float64, 1<<cls), scratch: true}
-			for j := range b.data {
-				b.data[j] = math.NaN()
+// poisonScratch empties the buffer pool and refills every class a request
+// of 1 to maxElems elements can draw from with perClass NaN-filled buffers,
+// so the next LocalBufs of those sizes come back NaN.
+func poisonScratch(maxElems, perClass int) {
+	// Two collections empty every sync.Pool (the first moves what it holds
+	// to the victim cache, the second drops that), so nothing unpoisoned
+	// is left to be drawn.
+	goruntime.GC()
+	goruntime.GC()
+	bufs := make([]*mat.Buf, perClass)
+	for n := 1; n <= maxElems; n = cap(bufs[0].Data) + 1 {
+		for i := range bufs {
+			bufs[i] = mat.GetBuf(n)
+			all := bufs[i].Data[:cap(bufs[i].Data)]
+			for j := range all {
+				all[j] = math.NaN()
 			}
-			scratchPools[cls].Put(b)
+		}
+		for _, b := range bufs {
+			mat.PutBuf(b)
 		}
 	}
 }
 
 // TestPoisonedScratchNeverRead: LocalBuf hands recycled scratch out as it
 // was left, so no multiply may read a scratch element it has not written.
-// With every size class a multiply takes its pipe buffers from refilled
+// With every pool class a multiply takes its pipe buffers from refilled
 // with NaN before each run, one unwritten element read anywhere would turn
-// C into NaN; bit-identity to a run on fresh scratch proves none is. Every
-// transpose case runs at ragged shapes, twice on one persistent team, on a
-// topology where every block is fetched.
+// C into NaN; a NaN-free C bit-identical to an unpoisoned run proves none
+// is. Every transpose case runs at ragged shapes, twice on one persistent
+// team, on a topology where every block is fetched.
 func TestPoisonedScratchNeverRead(t *testing.T) {
+	// A collection empties the pool, and the poison with it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const procs = 4
 	g, err := grid.Square(procs)
 	if err != nil {
@@ -81,18 +91,22 @@ func TestPoisonedScratchNeverRead(t *testing.T) {
 				}
 				return out, scratch
 			}
-			maxCls := sizeClass(d.M*d.K + d.K*d.N)
-			poisonScratch(maxCls, 0, true)
 			clean, scratch := run()
 			if scratch == 0 {
 				t.Fatalf("%+v %v: no scratch was taken, the poison was never at risk", d, cs)
 			}
+			for j, v := range clean.Data {
+				if math.IsNaN(v) {
+					t.Fatalf("%+v %v: C[%d] is NaN: an unwritten scratch element was read", d, cs, j)
+				}
+			}
 			for rep := 0; rep < 2; rep++ {
-				poisonScratch(maxCls, 4*procs, false)
+				// A pipe buffer holds one fetched block of A or of B.
+				poisonScratch(max(d.M, d.N)*d.K, 4*procs)
 				got, _ := run()
 				for j := range clean.Data {
 					if math.Float64bits(got.Data[j]) != math.Float64bits(clean.Data[j]) {
-						t.Fatalf("%+v %v run %d: C[%d] = %v over poisoned scratch, %v over fresh", d, cs, rep, j, got.Data[j], clean.Data[j])
+						t.Fatalf("%+v %v run %d: C[%d] = %v over poisoned scratch, %v over unpoisoned", d, cs, rep, j, got.Data[j], clean.Data[j])
 					}
 				}
 			}
@@ -130,7 +144,7 @@ func TestReleaseBufForeignBufferPanics(t *testing.T) {
 	// capacity — must be rejected loudly: pooling it would hand aliased
 	// memory to a later LocalBuf.
 	mustPanic(t, "ReleaseBuf(hand-built buffer)", func() {
-		c.ReleaseBuf(&buffer{data: make([]float64, 128)})
+		c.ReleaseBuf(&mat.Buf{Data: make([]float64, 128)})
 	})
 }
 
@@ -286,7 +300,7 @@ func TestMallocOwnSegmentOneExchange(t *testing.T) {
 		if g.LD() != 0 {
 			t.Errorf("allocated Global reports leading dimension %d", g.LD())
 		}
-		for i, v := range c.Local(g).(*buffer).data {
+		for i, v := range c.Local(g).(*mat.Buf).Data {
 			if v != 0 {
 				t.Errorf("rank %d: fresh segment dirty at %d", me, i)
 				break

@@ -3,6 +3,7 @@ package armci
 import (
 	"sync"
 
+	"srumma/internal/mat"
 	"srumma/internal/rt"
 )
 
@@ -76,54 +77,20 @@ type pendingRecv struct {
 // order per (src, dst, tag) triple. Sends buffer their payload, so a send
 // never blocks — which is the behaviour of the eager protocol real MPIs use
 // for the message sizes the real engine is exercised at. Buffered payloads
-// live in pooled size-class buffers (the scratchPools machinery of
-// armci.go) and queue pops shift in place, so steady-state traffic touches
-// the allocator only when a queue grows past its high-water mark.
+// live in buffers from the pool (mat.GetBuf) and queue pops shift in place,
+// so steady-state traffic touches the allocator only when a queue grows
+// past its high-water mark.
 type mailbox struct {
 	mu      sync.Mutex
-	sends   map[msgKey][]*buffer
+	sends   map[msgKey][]*mat.Buf
 	recvs   map[msgKey][]*pendingRecv
 	aborted bool
 }
 
 func newMailbox() *mailbox {
 	return &mailbox{
-		sends: make(map[msgKey][]*buffer),
+		sends: make(map[msgKey][]*mat.Buf),
 		recvs: make(map[msgKey][]*pendingRecv),
-	}
-}
-
-// getPayloadBuf returns a pooled buffer resized to n elements. The caller
-// overwrites every element, so reused memory is not cleared.
-func getPayloadBuf(n int) *buffer {
-	if n <= 0 {
-		return &buffer{}
-	}
-	cls := sizeClass(n)
-	if cls >= scratchClasses {
-		return &buffer{data: make([]float64, n)}
-	}
-	if v := scratchPools[cls].Get(); v != nil {
-		b := v.(*buffer)
-		b.data = b.data[:n]
-		// Mailbox payloads are internal: clear the scratch mark so a payload
-		// that somehow reaches ReleaseBuf fails loudly as foreign.
-		b.scratch, b.released = false, false
-		return b
-	}
-	b := &buffer{data: make([]float64, 1<<cls)}
-	b.data = b.data[:n]
-	return b
-}
-
-func putPayloadBuf(b *buffer) {
-	cp := cap(b.data)
-	if cp == 0 || cp&(cp-1) != 0 {
-		return
-	}
-	if cls := sizeClass(cp); cls < scratchClasses {
-		b.data = b.data[:cp]
-		scratchPools[cls].Put(b)
 	}
 }
 
@@ -145,8 +112,8 @@ func (m *mailbox) send(k msgKey, payload []float64) {
 		close(r.done)
 		return
 	}
-	b := getPayloadBuf(len(payload))
-	copy(b.data, payload)
+	b := mat.GetBuf(len(payload))
+	copy(b.Data, payload)
 	m.sends[k] = append(m.sends[k], b)
 }
 
@@ -161,11 +128,11 @@ func (m *mailbox) recv(k msgKey, dst []float64) rt.Handle {
 		copy(q, q[1:])
 		q[len(q)-1] = nil
 		m.sends[k] = q[:len(q)-1]
-		if len(dst) != len(b.data) {
+		if len(dst) != len(b.Data) {
 			panic("armci: send/recv length mismatch")
 		}
-		copy(dst, b.data)
-		putPayloadBuf(b)
+		copy(dst, b.Data)
+		mat.PutBuf(b)
 		return doneHandle{}
 	}
 	h := &chanHandle{ch: make(chan struct{})}

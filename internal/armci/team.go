@@ -6,7 +6,7 @@ package armci
 // rank goroutines parked between jobs: successive Run calls dispatch new
 // SPMD bodies onto the SAME goroutines, so per-rank kernel-thread
 // configuration (SetKernelThreads) stays warm across jobs and the process
-// keeps its size-class scratch pools hot without re-paying goroutine and
+// keeps its buffer pool (mat.GetBuf) hot without re-paying goroutine and
 // scheduler setup per multiply.
 //
 // Lifecycle and failure model:

@@ -25,7 +25,8 @@
 // pins the sweep over P; srumma-plan -hier shows a shape's split).
 //
 // Where the engine adopts caller memory (rt.Adopter) the band lives across
-// calls: members publish pooled, UNZEROED slices. A member reads the band
+// calls: members publish UNZEROED buffers from the process's buffer pool
+// (mat.GetBuf), each sized to its member's share. A member reads the band
 // only where the plan put a staged region, and all of that is overwritten by
 // its staging get before the publishing barrier. Other engines allocate it.
 //

@@ -10,9 +10,9 @@ package hier
 
 import (
 	"fmt"
-	"sync"
 
 	"srumma/internal/core"
+	"srumma/internal/mat"
 	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
@@ -29,17 +29,6 @@ type bandKey struct {
 type bandLoc struct {
 	member int
 	off    int
-}
-
-// bandPool keeps band segments across calls on engines that adopt caller
-// memory; slices come back unzeroed (see the package doc for why that holds).
-var bandPool sync.Pool
-
-func getBand(n int) []float64 {
-	if p, _ := bandPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
 }
 
 // Multiply runs the hierarchical multiply collectively: C = op(A) op(B)
@@ -124,15 +113,7 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 	// The band is collective across ALL groups — even a group with nothing to
 	// stage (or no direct access) contributes a token element so the global
 	// call sequence stays aligned: one allocate, one free, on every engine.
-	myBand := max(bandElems[me-lo], 1)
-	var band rt.Global
-	var seg []float64
-	if ad := rt.FindAdopter(c); ad != nil {
-		seg = getBand(myBand)
-		band = ad.Adopt(seg, 0)
-	} else {
-		band = c.Malloc(myBand)
-	}
+	band, seg := allocBand(c, max(bandElems[me-lo], 1))
 
 	// Stage my share: one NbGetSub per assigned region, issued as one burst,
 	// then drained, on the REAL ctx — chaos layers and engine accounting see
@@ -165,11 +146,28 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 	err := core.MultiplyEx(inner, t.Grid, d, opts.Options, alpha, beta, ga, gb, gc)
 	// core.MultiplyEx exits through a barrier on every path (including
 	// cancellation): the band is quiescent, Free stays aligned, seg can go back.
-	c.Free(band)
-	if seg != nil {
-		bandPool.Put(&seg)
-	}
+	freeBand(c, band, seg)
 	return err
+}
+
+// allocBand collectively allocates a member's band segment of n elements.
+// On an engine that adopts caller memory it is a buffer from the pool,
+// unzeroed (see the package doc for why that holds), which freeBand gives
+// back; other engines Malloc it, and the buffer is nil.
+func allocBand(c rt.Ctx, n int) (rt.Global, *mat.Buf) {
+	ad := rt.FindAdopter(c)
+	if ad == nil {
+		return c.Malloc(n), nil
+	}
+	seg := mat.GetBuf(n)
+	return ad.Adopt(seg.Data, 0), seg
+}
+
+// freeBand collectively frees what allocBand allocated and gives its pool
+// buffer back.
+func freeBand(c rt.Ctx, band rt.Global, seg *mat.Buf) {
+	c.Free(band)
+	mat.PutBuf(seg)
 }
 
 // stagedCtx is the inner team's runtime: a pass-through rt.Ctx that knows

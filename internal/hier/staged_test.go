@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -188,48 +189,55 @@ func TestStagedPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// drainBands empties the band pool and returns what was in it.
-func drainBands() (segs []*[]float64) {
-	for {
-		p, _ := bandPool.Get().(*[]float64)
-		if p == nil {
-			return segs
+// poisonBands empties the buffer pool and refills every class a band of 1
+// to maxElems elements can draw from with one NaN-filled buffer per member,
+// so members that draw their bands next all draw NaN.
+func poisonBands(members, maxElems int) {
+	// Two collections empty every sync.Pool (the first moves what it holds
+	// to the victim cache, the second drops that), so nothing unpoisoned
+	// is left to be drawn.
+	runtime.GC()
+	runtime.GC()
+	bufs := make([]*mat.Buf, members)
+	for n := 1; n <= maxElems; n = cap(bufs[0].Data) + 1 {
+		for i := range bufs {
+			bufs[i] = mat.GetBuf(n)
+			all := bufs[i].Data[:cap(bufs[i].Data)]
+			for j := range all {
+				all[j] = math.NaN()
+			}
 		}
-		segs = append(segs, p)
-	}
-}
-
-// poisonBands fills every pooled band segment to capacity with NaN and adds
-// enough NaN segments of minCap elements that the next multiply's members
-// all draw poisoned memory.
-func poisonBands(members, minCap int) {
-	segs := drainBands()
-	for len(segs) < 2*members {
-		s := make([]float64, minCap)
-		segs = append(segs, &s)
-	}
-	for _, p := range segs {
-		s := (*p)[:cap(*p)]
-		for i := range s {
-			s[i] = math.NaN()
+		for _, b := range bufs {
+			mat.PutBuf(b)
 		}
-		bandPool.Put(p)
 	}
 }
 
 // TestPoisonedBandNeverRead: the band is handed out unzeroed, so whatever a
 // previous call (of another shape) left in it must never reach a Gemm. With
-// every pooled segment NaN before each call, one unstaged element read
-// anywhere would turn C into NaN; bit-identity to flat proves none is.
+// every pool class a band can draw from NaN before each two-level call, one
+// unstaged element read anywhere would turn C into NaN; bit-identity to flat
+// proves none is.
 func TestPoisonedBandNeverRead(t *testing.T) {
+	// A collection empties the pool, and the poison with it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	shapes := []core.Dims{{M: 96, N: 80, K: 112}, {M: 33, N: 47, K: 70}, {M: 7, N: 5, K: 3}, {M: 128, N: 128, K: 128}, {M: 40, N: 2, K: 9}}
 	for _, tp := range []rt.Topology{{NProcs: 16, ProcsPerNode: 8}, {NProcs: 8, ProcsPerNode: 4}, {NProcs: 16, ProcsPerNode: 2}} {
 		r := newRig(t, tp)
 		for i, d := range shapes {
 			for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
 				cs := core.Cases[i%len(core.Cases)]
-				poisonBands(tp.NProcs, 1<<14)
-				v := run{d: d, opts: core.Options{Case: cs, Flavor: fl, MaxTaskK: 16 * (i % 2)}, adopted: true}
+				// Poison after the flat multiply, which draws from the same
+				// pool, and before any member draws its band: a member's
+				// share holds at most all of A and B.
+				poison := func(c rt.Ctx) rt.Ctx {
+					if c.Rank() == 0 {
+						poisonBands(tp.NProcs, d.M*d.K+d.K*d.N)
+					}
+					c.Barrier()
+					return c
+				}
+				v := run{d: d, opts: core.Options{Case: cs, Flavor: fl, MaxTaskK: 16 * (i % 2)}, adopted: true, wrap: poison}
 				flat, two, st := r.both(t, v)
 				bitsEqual(t, flat, two, fmt.Sprintf("%s %+v %v flavour %d", topoName(tp), d, cs, fl))
 				if d.M >= 33 && d.N >= 33 && st[1].HierStagedBytes == 0 {
@@ -468,13 +476,10 @@ func (c *cancelAfter) Gemm(alpha float64, a, b rt.Mat, beta float64, cm rt.Mat) 
 }
 
 // TestCancelThenResumeOnBand: a cancellation between tasks of a two-level
-// multiply returns core.ErrCancelled, gives the band back to the pool and
-// leaves the team reusable; resuming on the same ledger and the same C then
-// finishes the job to flat's bits.
+// multiply returns core.ErrCancelled, gives the band (and the scratch) back
+// to the pool and leaves the team reusable; resuming on the same ledger and
+// the same C then finishes the job to flat's bits.
 func TestCancelThenResumeOnBand(t *testing.T) {
-	// One P, so that no pooled segment hides in another P's private slot
-	// when the pool is counted.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tp := rt.Topology{NProcs: 8, ProcsPerNode: 4}
 	r := newRig(t, tp)
 	d := core.Dims{M: 64, N: 64, K: 96}
@@ -504,7 +509,7 @@ func TestCancelThenResumeOnBand(t *testing.T) {
 		}
 	}
 
-	drainBands()
+	held := mat.BufHeld()
 	got := c0.Clone()
 	cancel, once := make(chan struct{}), new(sync.Once)
 	opts.Ledger, opts.Cancel = core.NewJobLedger(tp.NProcs), cancel
@@ -521,8 +526,8 @@ func TestCancelThenResumeOnBand(t *testing.T) {
 	if cancelled == 0 || done == 0 || done == total {
 		t.Fatalf("%d ranks cancelled with %d of %d tasks done: the cancel did not land mid-multiply", cancelled, done, total)
 	}
-	if n := len(drainBands()); !raceEnabled && n != tp.NProcs {
-		t.Fatalf("%d band segments in the pool after a cancelled multiply, want %d", n, tp.NProcs)
+	if out := mat.BufHeld() - held; out != 0 {
+		t.Fatalf("%d B of pooled storage still out after a cancelled multiply", out)
 	}
 
 	opts.Cancel = nil

@@ -19,7 +19,8 @@ package mat
 //
 // Packing resolves all four transpose variants into one contiguous layout
 // (pack.go), so there is no strided inner loop anywhere. The pack buffers
-// come from sync.Pools, so steady-state calls allocate nothing.
+// come from the buffer pool (pool.go), so steady-state calls allocate
+// nothing.
 
 // gemmShape derives (m, n, k) from the stored operand shapes and checks
 // conformance against C.
@@ -75,9 +76,9 @@ func stores(alpha, beta float64, m, n, k int) bool {
 func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, n, k int, store bool) {
 	kern := active
 	mr, nr := kern.mr, kern.nr
-	aPool, bPool := packPools(m, n, k)
-	apBuf, bpBuf := aPool.Get().(*[]float64), bPool.Get().(*[]float64)
-	ap, bp := *apBuf, *bpBuf
+	aElems, bElems := packSizes(kern, m, n, k)
+	apBuf, bpBuf := GetBuf(aElems), GetBuf(bElems)
+	ap, bp := apBuf.Data, bpBuf.Data
 	for jc := 0; jc < n; jc += ncBlock {
 		ncEff := min(ncBlock, n-jc)
 		for pc := 0; pc < k; pc += kcBlock {
@@ -98,8 +99,8 @@ func gemmPacked(transA, transB bool, alpha float64, a, b, c *Matrix, i0, m, j0, 
 			}
 		}
 	}
-	aPool.Put(apBuf)
-	bPool.Put(bpBuf)
+	PutBuf(apBuf)
+	PutBuf(bpBuf)
 }
 
 func scaleC(beta float64, c *Matrix) {

@@ -243,26 +243,33 @@ func raggedShapeKeepsRate(t *testing.T) {
 	}
 }
 
-// TestSmallPackBuffersChangeNothing: a product with every extent at most
-// smallDim packs into smallDim² buffers, a larger one into full panels. At
-// the boundary the choice must not show: the top-left window of a product
-// one past smallDim (full panels), recomputed on its own at smallDim and
-// just below (small buffers), is the same bit for bit.
+// TestSmallPackBuffersChangeNothing: a product packs into buffers sized to
+// it — one slab of op(A) and of op(B), never more than the blocks and never
+// more than the product's own operands padded to the tile — and comes back
+// with them. The size must not show in the result: the top-left window of a
+// product one past 128 in every extent, recomputed on its own at 128 and
+// just below (smaller pack buffers), is the same bit for bit.
 func TestSmallPackBuffersChangeNothing(t *testing.T) {
-	if a, b := packPools(smallDim, smallDim, smallDim); a != &smallPanelPool || b != &smallPanelPool {
-		t.Fatal("a smallDim³ product does not use the small pack buffers")
-	}
-	for _, ext := range [][3]int{{smallDim + 1, 1, 1}, {1, smallDim + 1, 1}, {1, 1, smallDim + 1}} {
-		if a, b := packPools(ext[0], ext[1], ext[2]); a != &aPanelPool || b != &bPanelPool {
-			t.Fatalf("a %v product does not use full panels", ext)
-		}
-	}
+	const edge = 128
 	forEachKernel(t, func(t *testing.T, kern *kernel) {
-		if smallDim%kern.mr != 0 || smallDim%kern.nr != 0 {
-			t.Fatalf("smallDim %d is not a multiple of the %dx%d tile", smallDim, kern.mr, kern.nr)
+		for _, ext := range [][3]int{{1, 1, 1}, {7, 33, 5}, {64, 64, 64}, {edge, edge, edge}, {edge + 1, 600, 300}} {
+			m, n, k := ext[0], ext[1], ext[2]
+			a, b := packSizes(kern, m, n, k)
+			pm, pn := roundUp(m, kern.mr), roundUp(n, kern.nr)
+			if a > min(pm, mcBlock)*min(k, kcBlock) || b > min(pn, ncBlock)*min(k, kcBlock) {
+				t.Errorf("%v: pack buffers of %d and %d elements outgrow the product's slabs", ext, a, b)
+			}
+			held := BufHeld()
+			c := New(m, n)
+			if err := Gemm(false, false, 1, Random(m, k, 1), Random(k, n, 2), 0, c); err != nil {
+				t.Fatal(err)
+			}
+			if got := BufHeld(); got != held {
+				t.Errorf("%v: Gemm kept %d B of pack buffers", ext, got-held)
+			}
 		}
-		big := smallDim + 1
-		for _, k := range []int{smallDim - 1, smallDim} {
+		big := edge + 1
+		for _, k := range []int{edge - 1, edge} {
 			for _, tc := range gemmCases {
 				ar, ac := opShape(tc.transA, big, k)
 				br, bc := opShape(tc.transB, k, big)
@@ -271,7 +278,7 @@ func TestSmallPackBuffersChangeNothing(t *testing.T) {
 				if err := Gemm(tc.transA, tc.transB, 1.5, a, b, 0.5, whole); err != nil {
 					t.Fatal(err)
 				}
-				for _, mn := range [][2]int{{smallDim, smallDim}, {smallDim - 1, smallDim}, {smallDim, smallDim - 3}} {
+				for _, mn := range [][2]int{{edge, edge}, {edge - 1, edge}, {edge, edge - 3}} {
 					m, n := mn[0], mn[1]
 					ar, ac := opShape(tc.transA, m, k)
 					br, bc := opShape(tc.transB, k, n)

@@ -4,17 +4,19 @@ package mat
 // the register tile and gemm.go for the macro loops). The kernel never
 // touches the operands in their stored layout: before any flops run, the
 // current mc x kc slab of op(A) and kc x nc slab of op(B) are copied into
-// contiguous pooled buffers arranged exactly in the order the micro-kernel
+// contiguous buffers arranged exactly in the order the micro-kernel
 // consumes them. Packing is where the four transpose variants are resolved
 // — every variant has a contiguous direction to read along — and where
 // alpha is folded into A, so the micro-kernel does pure multiply-accumulate.
+//
+// The pack buffers come from the buffer pool (pool.go) and are sized to the
+// product, not to the blocks: a 64³ product packs into two 64x64 buffers,
+// not a 128x256 and a 256x512 panel.
 //
 // Both operands pack through one routine. A slab of op(B) is kc x nc cut
 // into micro-panels of nr columns; a slab of op(A) is mc x kc cut into
 // micro-panels of mr rows, which is the same layout applied to op(A)ᵀ. So
 // packing A is packing "B = Aᵀ" with width mr and scale alpha.
-
-import "sync"
 
 // Macro-tile blocking. An A panel is mc x kc, a B panel is kc x nc (streamed
 // through once per A panel); the register tile is the active kernel's
@@ -26,35 +28,17 @@ const (
 	mcBlock = 128
 	kcBlock = 256
 	ncBlock = 512
-
-	aPanelElems = mcBlock * kcBlock
-	bPanelElems = kcBlock * ncBlock
 )
 
-// Pack buffers are uniform per pool, so a sync.Pool per capacity keeps
-// steady-state Gemm calls allocation-free. A product with m, n and k all at
-// most smallDim packs both its slabs into smallDim² buffers instead of full
-// panels — neither slab outgrows one, smallDim being a multiple of every
-// kernel's mr and nr, so micro-panel padding stays inside. A server
-// computing many such products at once, one per processor, then keeps
-// 256 KB of pack space warm per product in flight, not the 1.25 MB a
-// 512-column slab needs.
-const smallDim = 128
-
-var (
-	aPanelPool     = sync.Pool{New: func() any { b := make([]float64, aPanelElems); return &b }}
-	bPanelPool     = sync.Pool{New: func() any { b := make([]float64, bPanelElems); return &b }}
-	smallPanelPool = sync.Pool{New: func() any { b := make([]float64, smallDim*smallDim); return &b }}
-)
-
-// packPools returns the pools a product of the given extent takes its A and
-// B pack buffers from.
-func packPools(m, n, k int) (a, b *sync.Pool) {
-	if max(m, n, k) <= smallDim {
-		return &smallPanelPool, &smallPanelPool
-	}
-	return &aPanelPool, &bPanelPool
+// packSizes returns the elements of the A and B pack buffers an m x n x k
+// product needs: its largest slab of each, the last micro-panel padded to
+// the tile.
+func packSizes(kern *kernel, m, n, k int) (a, b int) {
+	kc := min(k, kcBlock)
+	return roundUp(min(m, mcBlock), kern.mr) * kc, roundUp(min(n, ncBlock), kern.nr) * kc
 }
+
+func roundUp(x, to int) int { return (x + to - 1) / to * to }
 
 // packPanels copies the kc x n slab X[l, j] (l < kc, j < n) of an operand,
 // scaled, into dst as micro-panels of w columns in row order:

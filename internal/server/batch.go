@@ -45,7 +45,7 @@ type schedJob struct {
 	// outBuf is the pooled storage behind out (nil when the result cache is
 	// on, or on the cluster route): the handler gives it back once the
 	// response is written.
-	outBuf   *alignedBuf
+	outBuf   *mat.Buf
 	batch    int // dispatch size that served this job
 	started  time.Time
 	finished time.Time
@@ -209,24 +209,24 @@ func (s *Server) batchKernelThreads() int {
 }
 
 // resultMatrix returns the m x n matrix a product is computed into: storage
-// from the operand pool, returned beside it for the handler to give back —
+// from the buffer pool, returned beside it for the handler to give back —
 // unless the result cache is on: a cached result outlives its request, so
 // it gets an allocation of its own that the cache can keep. A pooled buffer
 // arrives dirty; with beta == 0 the kernel never reads it, and any other
 // beta overwrites it with the request's C first.
-func (s *Server) resultMatrix(m, n int) (*mat.Matrix, *alignedBuf) {
+func (s *Server) resultMatrix(m, n int) (*mat.Matrix, *mat.Buf) {
 	if s.cache != nil {
 		return mat.New(m, n), nil
 	}
-	buf := operandBufs.get(m * n)
-	return &mat.Matrix{Rows: m, Cols: n, Stride: n, Data: buf.data}, buf
+	buf := mat.GetBuf(m * n)
+	return &mat.Matrix{Rows: m, Cols: n, Stride: n, Data: buf.Data}, buf
 }
 
 // gemmLocal runs one product on the local packed parallel kernel. The
 // result is bit-identical for every threads value (GemmParallel's
 // guarantee), which is what makes batched and unbatched execution
 // indistinguishable to the caller.
-func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, threads int) (*mat.Matrix, *alignedBuf, error) {
+func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, threads int) (*mat.Matrix, *mat.Buf, error) {
 	a := &mat.Matrix{Rows: req.ARows, Cols: req.ACols, Stride: req.ACols, Data: req.A}
 	b := &mat.Matrix{Rows: req.BRows, Cols: req.BCols, Stride: req.BCols, Data: req.B}
 	c, buf := s.resultMatrix(d.M, d.N)
@@ -240,7 +240,7 @@ func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, thre
 		threads = 1
 	}
 	if err := mat.GemmParallel(threads, cs.TransA(), cs.TransB(), req.alpha(), a, b, req.beta(), c); err != nil {
-		operandBufs.put(buf)
+		mat.PutBuf(buf)
 		return nil, nil, err
 	}
 	return c, buf, nil

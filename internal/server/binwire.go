@@ -9,8 +9,9 @@ package server
 // scheduling metadata, not bulk data — ride as X-Srumma-* HTTP headers.
 //
 // The decoder is zero-copy on little-endian hosts: the body is read with
-// io.ReadFull directly into the float64 backing store of a pooled,
-// 64-byte-aligned buffer (reinterpreted as bytes via unsafe.Slice), and
+// io.ReadFull directly into the float64 backing store of a buffer from the
+// process's buffer pool (mat.GetBuf: 64-byte aligned, at most an eighth
+// larger than the operand), reinterpreted as bytes via unsafe.Slice, and
 // that buffer flows into the engine as the operand — no intermediate
 // []byte staging and no per-element conversion. On a big-endian host the
 // same path runs with an in-place byte swap after the read, so the wire
@@ -20,7 +21,9 @@ package server
 // validated against the server's MaxDim bound, and (for identity-encoded
 // bodies) the Content-Length must equal the header-derived body size
 // exactly, so a hostile or truncated request is refused without ever
-// sizing a buffer from attacker-controlled lengths. Optional gzip is
+// sizing a buffer from attacker-controlled lengths. A body that stops
+// arriving is cut off at the server's MaxTimeout, so a silent client cannot
+// pin the buffers its header drew. Optional gzip is
 // negotiated with the standard Content-Encoding/Accept-Encoding headers.
 
 import (
@@ -32,13 +35,14 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unsafe"
 
 	"srumma/internal/core"
+	"srumma/internal/mat"
 )
 
 // Content types negotiated on POST /v1/multiply. JSON stays the default
@@ -135,72 +139,6 @@ func writeFloats(w io.Writer, src []float64) error {
 }
 
 // ---------------------------------------------------------------------------
-// Pooled 64-byte-aligned operand buffers.
-
-// bufAlign is the alignment of pooled operand buffers: one cache line, so
-// the packed kernel's streaming loads start line-aligned no matter which
-// request produced the operand.
-const bufAlign = 64
-
-// alignedBuf is one pooled operand buffer: raw is the allocation, data the
-// 64-byte-aligned window the decoder fills and the engine reads.
-type alignedBuf struct {
-	raw  []float64
-	data []float64
-	cls  int
-}
-
-// bufPool pools aligned operand buffers by power-of-two size class (the
-// armci scratch-pool shape), keeping steady-state binary decodes
-// allocation-free.
-type bufPool struct {
-	classes [40]sync.Pool
-}
-
-// operandBufs is the pool every Server decodes into. It is process-wide
-// because a sync.Pool's contents outlive their owner anyway (the runtime
-// keeps them reachable for two GC cycles): a pool per Server only made a
-// closed server's warm buffers useless to the next one while they still
-// counted against the heap.
-var operandBufs bufPool
-
-// bufSizeClass returns the smallest c with 1<<c >= n (n >= 1).
-func bufSizeClass(n int) int {
-	c := 0
-	for 1<<c < n {
-		c++
-	}
-	return c
-}
-
-// get returns an aligned buffer with len(data) == n.
-func (p *bufPool) get(n int) *alignedBuf {
-	// A class holds 1<<cls floats plus the slack an aligned window may need,
-	// so a power-of-two operand (64², 128²) fits the class of its own size
-	// instead of spilling into the next, twice as large.
-	const pad = bufAlign / 8
-	cls := bufSizeClass(n)
-	b, _ := p.classes[cls].Get().(*alignedBuf)
-	if b == nil {
-		raw := make([]float64, 1<<cls+pad)
-		b = &alignedBuf{raw: raw, cls: cls}
-	}
-	addr := uintptr(unsafe.Pointer(&b.raw[0]))
-	off := int((bufAlign-addr%bufAlign)%bufAlign) / 8
-	b.data = b.raw[off : off+n]
-	return b
-}
-
-// put returns b to its size-class pool.
-func (p *bufPool) put(b *alignedBuf) {
-	if b == nil {
-		return
-	}
-	b.data = nil
-	p.classes[b.cls].Put(b)
-}
-
-// ---------------------------------------------------------------------------
 // Request decode.
 
 // wireError is a decode failure with its HTTP status: 400 for malformed
@@ -229,10 +167,10 @@ type wireRequest struct {
 
 	// bufs holds pooled operand storage in A, B, C order (nil entries on the
 	// JSON wire). The request that decoded them is their one owner.
-	bufs [3]*alignedBuf
-	// result is the pooled storage of a small-route result the response
-	// encodes out of (nil otherwise); it goes back with the operands.
-	result *alignedBuf
+	bufs [3]*mat.Buf
+	// result is the pooled storage of a result the response encodes out of
+	// (nil otherwise); it goes back with the operands.
+	result *mat.Buf
 
 	// Content addressing, in A, B, C order (filled by admit when the cache
 	// is enabled); resultKey builds the cache key from them.
@@ -254,17 +192,17 @@ type wireRequest struct {
 	noPool bool
 }
 
-// release returns the request's pooled storage to operandBufs, unless
-// noPool withholds it. Must run after the response is written: the engine
-// and the encoder read the operand slices in place.
+// release gives the request's pooled storage back to the buffer pool,
+// unless noPool withholds it. Must run after the response is written: the
+// engine and the encoder read the operand slices in place.
 func (wr *wireRequest) release() {
 	if !wr.noPool {
 		for _, b := range wr.bufs {
-			operandBufs.put(b)
+			mat.PutBuf(b)
 		}
-		operandBufs.put(wr.result)
+		mat.PutBuf(wr.result)
 	}
-	wr.bufs, wr.result = [3]*alignedBuf{}, nil
+	wr.bufs, wr.result = [3]*mat.Buf{}, nil
 }
 
 // countingReader counts wire bytes as they are read.
@@ -348,11 +286,12 @@ func (sh binShape) bodyLen() int64 {
 }
 
 // decodeBinaryRequest reads one binary request from r into wr, drawing
-// operand storage from pool and admitting each operand as it lands.
+// operand storage from the buffer pool and admitting each operand as it
+// lands.
 // contentLength is the transport's claimed body size (-1 when unknown or
 // gzip-compressed); when known it must match the header-derived size
 // exactly — checked before allocation. On error wr owns the buffers drawn.
-func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, pool *bufPool, dg *digester, wr *wireRequest) *wireError {
+func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, dg *digester, wr *wireRequest) *wireError {
 	if _, err := io.ReadFull(r, wr.scratch[:]); err != nil {
 		return badWire("truncated binary header: %w", err)
 	}
@@ -372,11 +311,11 @@ func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, pool *buf
 		if shp[0] == 0 {
 			continue
 		}
-		wr.bufs[i] = pool.get(shp[0] * shp[1])
-		if err := readFloats(r, wr.bufs[i].data); err != nil {
+		wr.bufs[i] = mat.GetBuf(shp[0] * shp[1])
+		if err := readFloats(r, wr.bufs[i].Data); err != nil {
 			return badWire("truncated operand %c: %w", 'a'+i, err)
 		}
-		if werr := wr.admit(i, shp, wr.bufs[i].data, dg); werr != nil {
+		if werr := wr.admit(i, shp, wr.bufs[i].Data, dg); werr != nil {
 			return werr
 		}
 	}
@@ -388,11 +327,11 @@ func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, pool *buf
 
 	wr.req = MultiplyRequest{
 		Case:  binCaseNames[sh.cs],
-		ARows: sh.aRows, ACols: sh.aCols, A: wr.bufs[0].data,
-		BRows: sh.bRows, BCols: sh.bCols, B: wr.bufs[1].data,
+		ARows: sh.aRows, ACols: sh.aCols, A: wr.bufs[0].Data,
+		BRows: sh.bRows, BCols: sh.bCols, B: wr.bufs[1].Data,
 	}
 	if sh.hasC {
-		wr.req.C = wr.bufs[2].data
+		wr.req.C = wr.bufs[2].Data
 	}
 	if sh.alpha != 1 {
 		a := sh.alpha
@@ -516,15 +455,25 @@ func binBodyLimit(maxDim int) int64 {
 }
 
 // decodeRequest decodes one /v1/multiply body. A failure any byte limit
-// caused — either wire, compressed or inflated — is a 413.
+// caused — either wire, compressed or inflated — is a 413; a body that
+// stopped arriving before the read deadline is a 408.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireRequest, *wireError) {
 	t0 := time.Now()
+	// A body that stops arriving must not hold the buffers its header drew:
+	// the read fails at the deadline and the request is answered. Recorders
+	// without a connection cannot arm one, and have nothing to stall.
+	rc := http.NewResponseController(w)
+	if rc.SetReadDeadline(time.Now().Add(s.cfg.MaxTimeout)) == nil {
+		defer rc.SetReadDeadline(time.Time{})
+	}
 	wr := &wireRequest{wire: wireJSON, gzipped: r.Header.Get("Content-Encoding") == "gzip"}
 	if werr := s.decodeBody(w, r, wr); werr != nil {
 		wr.release()
 		var mbe *http.MaxBytesError
 		if errors.As(werr, &mbe) {
 			werr.status = http.StatusRequestEntityTooLarge
+		} else if errors.Is(werr, os.ErrDeadlineExceeded) {
+			werr.status = http.StatusRequestTimeout
 		}
 		return nil, werr
 	}
@@ -566,7 +515,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, wr *wireRequ
 	if wr.wire == wireJSON {
 		return decodeJSONRequest(body, s.dg, wr)
 	}
-	if werr := decodeBinaryRequest(body, contentLength, s.cfg.MaxDim, &operandBufs, s.dg, wr); werr != nil {
+	if werr := decodeBinaryRequest(body, contentLength, s.cfg.MaxDim, s.dg, wr); werr != nil {
 		return werr
 	}
 	// Scalars that have no binary field ride as headers.

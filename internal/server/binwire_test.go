@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"srumma/internal/mat"
 )
 
 func uintptrOf(f []float64) uintptr {
@@ -352,46 +354,70 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := &bufPool{}
 	rd := bytes.NewReader(body)
 	var wr wireRequest
+	decode := func() {
+		rd.Reset(body)
+		wr = wireRequest{}
+		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, nil, &wr); werr != nil {
+			t.Fatal(werr)
+		}
+		wr.release()
+	}
 	// Warm the pool's size classes.
 	for i := 0; i < 3; i++ {
-		rd.Reset(body)
-		wr = wireRequest{}
-		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, pool, nil, &wr); werr != nil {
-			t.Fatal(werr)
-		}
-		for _, b := range wr.bufs {
-			pool.put(b)
-		}
+		decode()
 	}
-	avg := testing.AllocsPerRun(100, func() {
-		rd.Reset(body)
-		wr = wireRequest{}
-		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, pool, nil, &wr); werr != nil {
-			t.Fatal(werr)
-		}
-		for _, b := range wr.bufs {
-			pool.put(b)
-		}
-	})
+	avg := testing.AllocsPerRun(100, decode)
 	if avg > 0 {
 		t.Fatalf("steady-state binary decode allocates %.1f objects/op, want 0", avg)
 	}
 }
 
+// TestDecodeHoldsWhatItCarries: the pooled storage one 768x768 binary
+// request holds — its two operands and the result the response encodes out
+// of — is within an eighth of what they carry. Rounding each up to a power
+// of two held 1.78 times as much.
+func TestDecodeHoldsWhatItCarries(t *testing.T) {
+	const n = 768
+	s := newTestServer(t, Config{NProcs: 4})
+	req := randReq(n, n, n, 830)
+	body, err := EncodeBinaryRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := mat.BufHeld()
+	var wr wireRequest
+	if werr := decodeBinaryRequest(bytes.NewReader(body), int64(len(body)), 4096, nil, &wr); werr != nil {
+		t.Fatal(werr)
+	}
+	_, wr.result = s.resultMatrix(n, n)
+	got, carried := mat.BufHeld()-held, int64(3*n*n*8)
+	wr.release()
+	if got > carried*9/8 {
+		t.Fatalf("a %dx%d request holds %d B of pooled storage for %d B of operands and result (%.2fx)", n, n, got, carried, float64(got)/float64(carried))
+	}
+}
+
+// TestAlignedPoolAlignment: every decoded operand starts on a cache line,
+// whatever its size, so the kernel streams it line-aligned.
 func TestAlignedPoolAlignment(t *testing.T) {
-	pool := &bufPool{}
-	for _, n := range []int{1, 7, 64, 1000, 65536} {
-		b := pool.get(n)
-		if len(b.data) != n {
-			t.Fatalf("get(%d): len %d", n, len(b.data))
+	for _, shape := range [][2]int{{1, 1}, {1, 7}, {8, 8}, {25, 40}, {256, 256}} {
+		req := randReq(shape[0], shape[1], 1, 810)
+		body, err := EncodeBinaryRequest(&req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if addr := uintptrOf(b.data); addr%bufAlign != 0 {
-			t.Fatalf("get(%d): data not %d-byte aligned (addr %#x)", n, bufAlign, addr)
+		var wr wireRequest
+		if werr := decodeBinaryRequest(bytes.NewReader(body), int64(len(body)), 4096, nil, &wr); werr != nil {
+			t.Fatal(werr)
 		}
-		pool.put(b)
+		for i, op := range [][]float64{wr.req.A, wr.req.B} {
+			if addr := uintptrOf(op); addr%64 != 0 {
+				t.Fatalf("%v: operand %c at %#x is not 64-byte aligned", shape, 'a'+i, addr)
+			}
+		}
+		wr.release()
 	}
 }
 
@@ -414,9 +440,9 @@ func FuzzBinWire(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pool := &bufPool{}
 		var wr wireRequest
-		werr := decodeBinaryRequest(bytes.NewReader(data), int64(len(data)), 128, pool, nil, &wr)
+		defer wr.release()
+		werr := decodeBinaryRequest(bytes.NewReader(data), int64(len(data)), 128, nil, &wr)
 		if werr != nil {
 			return
 		}
@@ -433,7 +459,8 @@ func FuzzBinWire(f *testing.F) {
 			t.Fatalf("decoded request does not re-encode: %v", err)
 		}
 		var wr2 wireRequest
-		if werr := decodeBinaryRequest(bytes.NewReader(out), int64(len(out)), 128, pool, nil, &wr2); werr != nil {
+		defer wr2.release()
+		if werr := decodeBinaryRequest(bytes.NewReader(out), int64(len(out)), 128, nil, &wr2); werr != nil {
 			t.Fatalf("re-encoded body does not decode: %v", werr)
 		}
 		if wr2.req.ARows != wr.req.ARows || wr2.req.ACols != wr.req.ACols ||
@@ -653,7 +680,7 @@ func TestBodyLimitCauseIs413(t *testing.T) {
 	}
 	jsonBody, _ := json.Marshal(randReq(2, 2, 2, 1))
 	for name, werr := range map[string]*wireError{
-		"binary": decodeBinaryRequest(limited(valid, binReqHeaderLen+20), -1, 8, &bufPool{}, nil, &wireRequest{}),
+		"binary": decodeBinaryRequest(limited(valid, binReqHeaderLen+20), -1, 8, nil, &wireRequest{}),
 		"json":   decodeJSONRequest(limited(jsonBody, 30), nil, &wireRequest{}),
 	} {
 		var mbe *http.MaxBytesError
@@ -666,7 +693,7 @@ func TestBodyLimitCauseIs413(t *testing.T) {
 	}
 	// And an ordinary truncation is not a 413.
 	var mbe *http.MaxBytesError
-	if werr := decodeBinaryRequest(bytes.NewReader(valid[:60]), -1, 8, &bufPool{}, nil, &wireRequest{}); werr == nil || errors.As(werr, &mbe) {
+	if werr := decodeBinaryRequest(bytes.NewReader(valid[:60]), -1, 8, nil, &wireRequest{}); werr == nil || errors.As(werr, &mbe) {
 		t.Fatalf("plain truncation: %v", werr)
 	}
 }

@@ -206,7 +206,7 @@ func TestResultCacheByteBound(t *testing.T) {
 }
 
 // TestAbandonedRequestWithholdsItsBuffers: a request answered 504 while its
-// dispatch is still held never returns its operand buffers to operandBufs —
+// dispatch is still held never gives its operand buffers back to the pool —
 // the dispatch may yet read them — with the cache off and on. Nor does the
 // result buffer the dispatch computes into after the answer: with the cache
 // off it is pooled storage, and no handler is left to give it back.
@@ -239,7 +239,7 @@ func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 		}
 		ops := <-held
 		for i := 0; i < 4; i++ {
-			if got := uintptrOf(operandBufs.get(req.ARows * req.ACols).data); got == ops[0] || got == ops[1] {
+			if got := uintptrOf(mat.GetBuf(req.ARows * req.ACols).Data); got == ops[0] || got == ops[1] {
 				t.Fatalf("cache entries %d: an abandoned request's operand buffer came back from the pool", entries)
 			}
 		}
@@ -254,7 +254,7 @@ func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 			t.Fatalf("cache entries %d: result pooled = %v, want %v", entries, job.outBuf != nil, entries == 0)
 		}
 		for i := 0; i < 4 && job.outBuf != nil; i++ {
-			if uintptrOf(operandBufs.get(req.ARows*req.BCols).data) == uintptrOf(job.outBuf.data) {
+			if uintptrOf(mat.GetBuf(req.ARows*req.BCols).Data) == uintptrOf(job.outBuf.Data) {
 				t.Fatalf("cache entries %d: an abandoned request's result buffer came back from the pool", entries)
 			}
 		}
@@ -300,7 +300,7 @@ func TestResultKeyAllocatesOnlyDigests(t *testing.T) {
 	run := func() {
 		rd.Reset(body)
 		wr = wireRequest{}
-		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, &operandBufs, processDigester, &wr); werr != nil {
+		if werr := decodeBinaryRequest(rd, int64(len(body)), 4096, processDigester, &wr); werr != nil {
 			t.Fatal(werr)
 		}
 		if key := wr.resultKey(core.NN); key.a != wr.dig[0] || key.b != wr.dig[1] {

@@ -96,7 +96,7 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 		}
 		results, err = s.cpool.Run(spec, cluster.PlaceKey{Class: class, M: spec.M, N: spec.N, K: spec.K, Case: spec.Case})
 	} else {
-		var buf *alignedBuf
+		var buf *mat.Buf
 		spec.Out, buf = s.resultMatrix(spec.M, spec.N)
 		results, err = s.runOnTeam(tm, spec)
 		if err == nil {
@@ -105,7 +105,7 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 			// The team ran without a watchdog, so every rank has joined and
 			// nothing reads the failed attempt's C any more; the retry takes
 			// a buffer of its own and its salvage is a copy.
-			operandBufs.put(buf)
+			mat.PutBuf(buf)
 		}
 	}
 

@@ -169,8 +169,8 @@ func TestSmallResultComesFromThePool(t *testing.T) {
 			t.Fatalf("status %d with %d body bytes, want 200 with %d", w.code, w.n, want)
 		}
 	}
-	// A collection empties sync.Pools — this one, and the kernel's 2.5 MB of
-	// pack buffers — and the refills would be charged to the requests.
+	// A collection empties the buffer pool — operands, result and pack
+	// buffers alike — and the refills would be charged to the requests.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < 8; i++ {
 		serve() // warm the pool's size classes

@@ -90,7 +90,8 @@ type Config struct {
 	// MaxDim rejects any matrix dimension beyond it (default 4096).
 	MaxDim int
 	// DefaultTimeout bounds requests that do not set timeout_ms (default
-	// 30s); MaxTimeout caps what a request may ask for (default 2m).
+	// 30s); MaxTimeout caps what a request may ask for (default 2m), and
+	// is as long as the server waits for a request's header or its body.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// KernelThreads is the per-rank local-dgemm worker count used when a
@@ -395,7 +396,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 // Serve accepts connections on l until Shutdown.
 func (s *Server) Serve(l net.Listener) error {
-	hs := &http.Server{Handler: s.mux}
+	hs := &http.Server{Handler: s.mux, ReadHeaderTimeout: s.cfg.MaxTimeout}
 	s.hsMu.Lock()
 	s.hs = hs
 	s.hsMu.Unlock()

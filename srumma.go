@@ -146,7 +146,7 @@ func newCluster(nprocs, procsPerNode int, sharedMachine bool, shape func(nprocs 
 
 // Persist switches the cluster to a persistent engine team: its SPMD rank
 // goroutines are spawned once and parked between Multiply calls, keeping
-// size-class buffer pools and kernel-thread configuration warm. Results are
+// the buffer pool and kernel-thread configuration warm. Results are
 // bit-identical to the default one-shot mode; what changes is per-call
 // overhead (no spawn/teardown, zero steady-state allocations in the
 // buffer-pool cycle). Call Close when done.
