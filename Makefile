@@ -10,12 +10,13 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# The micro-kernel fallback for architectures without our assembly
-# (microkernel_noasm.go) runs on no CI machine, so at least compile and vet
-# it.
+# The fallbacks for architectures without our assembly — mat's scalar
+# micro-kernel (microkernel_noasm.go) and the server's portable admission
+# pass (scan_other.go) — run on no CI machine, so at least compile and vet
+# them.
 noasm:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/mat
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/server
 
 test:
 	$(GO) test ./...
@@ -176,8 +177,9 @@ chaos-serve:
 # Short fuzzing session over the numeric kernels, the buffer pool's size
 # classes (slack, alignment, recycling), index math, the fault planner, the
 # binary wire decoder (crash-free on arbitrary bytes, encode/decode
-# round-trip bit-identical, nothing non-finite admitted) and the block
-# finite scan against its per-element reference.
+# round-trip bit-identical, nothing non-finite admitted), the block
+# finite scan against its per-element reference, and the vector admission
+# pass against allFinite and the standard library's GCM.
 fuzz:
 	$(GO) test -fuzz=FuzzGemmMatchesNaive -fuzztime=30s ./internal/mat
 	$(GO) test -fuzz=FuzzBufClass -fuzztime=15s ./internal/mat
@@ -186,6 +188,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPlan -fuzztime=15s ./internal/faults
 	$(GO) test -fuzz=FuzzBinWire -fuzztime=15s ./internal/server
 	$(GO) test -fuzz=FuzzFiniteScan -fuzztime=15s ./internal/server
+	$(GO) test -fuzz=FuzzScanDigest -fuzztime=15s ./internal/server
 	$(GO) test -fuzz=FuzzIPCWire -fuzztime=15s ./internal/ipcrt
 	$(GO) test -fuzz=FuzzTCPWire -fuzztime=15s ./internal/ipcrt
 

@@ -240,12 +240,29 @@ func (c *ipcCtx) serveRMA(ln net.Listener) {
 	}
 }
 
+// bodyStall bounds how long a requester may go silent in the middle of a
+// frame. Waiting for the next header is unbounded — an idle connection
+// between ops is how peers keep their links — but once a header has been
+// accepted its body must keep arriving: a peer that stops mid-body is
+// dropped, with the goroutine and the body buffer it held.
+const bodyStall = 5 * time.Second
+
+// stallReader reads a frame body from conn, each read bounded by bodyStall.
+type stallReader struct{ conn net.Conn }
+
+func (s *stallReader) Read(p []byte) (int, error) {
+	s.conn.SetReadDeadline(time.Now().Add(bodyStall))
+	return s.conn.Read(p)
+}
+
 // serveRMAConn serves one requester sequentially. Responses carry the
 // request's sequence number; opMsg is one-way.
 func (c *ipcCtx) serveRMAConn(conn net.Conn) {
 	defer conn.Close()
+	body := &stallReader{conn}
 	for {
-		f, err := readFrame(conn)
+		conn.SetReadDeadline(time.Time{})
+		f, err := readSplitFrame(conn, body)
 		if err != nil {
 			return
 		}

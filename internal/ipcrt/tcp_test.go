@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -167,6 +168,45 @@ func TestTCPTruncated(t *testing.T) {
 			expectServerAlive(t, addr)
 		})
 	}
+}
+
+// rmaConnServers counts the goroutines serving an RMA connection.
+func rmaConnServers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte(").serveRMAConn("))
+}
+
+// TestTCPStalledMidBody: a peer that sends a valid put header and part of
+// its body, then goes silent with its side still open, is dropped once
+// bodyStall has passed — the connection closed, the goroutine serving it
+// gone — and the server keeps serving.
+func TestTCPStalledMidBody(t *testing.T) {
+	addr := rawTCPServer(t)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, &frame{Op: opPutSub, Seq: 3, P: [5]int64{1, 0, 8, 1, 8}, Body: floatBytes(make([]float64, 8))}); err != nil {
+		t.Fatal(err)
+	}
+	before := rmaConnServers()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(buf.Bytes()[:headerLen+24]); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(bodyStall + 5*time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("stalled mid-body: read %v after %v, want the server to close the connection", err, time.Since(start))
+	}
+	for deadline := time.Now().Add(2 * time.Second); rmaConnServers() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connection server(s) still running, %d before the stalled peer", rmaConnServers(), before)
+		}
+	}
+	expectServerAlive(t, addr)
 }
 
 var (

@@ -281,9 +281,13 @@ func writeFrame(w io.Writer, f *frame) error {
 
 // readFrame reads and validates one frame, allocating the body only after
 // the header passed validation and only as its bytes arrive.
-func readFrame(r io.Reader) (frame, error) {
+func readFrame(r io.Reader) (frame, error) { return readSplitFrame(r, r) }
+
+// readSplitFrame is readFrame with the header read from hdr and the body
+// from body, so that a server can bound the one and not the other.
+func readSplitFrame(hdr, body io.Reader) (frame, error) {
 	var h [headerLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+	if _, err := io.ReadFull(hdr, h[:]); err != nil {
 		return frame{}, err
 	}
 	f, bodyLen, err := parseHeader(h[:])
@@ -291,7 +295,7 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, err
 	}
 	if bodyLen > 0 {
-		if f.Body, err = readBody(r, int(bodyLen)); err != nil {
+		if f.Body, err = readBody(body, int(bodyLen)); err != nil {
 			return frame{}, fmt.Errorf("ipcrt: short body for %v: %w", f.Op, err)
 		}
 	}

@@ -17,6 +17,13 @@ package server
 // same path runs with an in-place byte swap after the read, so the wire
 // image is identical everywhere.
 //
+// Admission runs on the way in, not after: the operand buffer is filled
+// window by window (admitWindow, 64 KiB), and each window gets the one
+// admission pass (scan.go) while it is still in cache from the read — the
+// finite test and, with the cache on, the next stretch of the operand's
+// GHASH content address — so a poisoned window is refused before the next
+// one is read.
+//
 // Resource protection happens BEFORE allocation: the header's shapes are
 // validated against the server's MaxDim bound, and (for identity-encoded
 // bodies) the Content-Length must equal the header-derived body size
@@ -27,6 +34,7 @@ package server
 // negotiated with the standard Content-Encoding/Accept-Encoding headers.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
@@ -34,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"os"
 	"strconv"
@@ -172,10 +181,15 @@ type wireRequest struct {
 	// (nil otherwise); it goes back with the operands.
 	result *mat.Buf
 
-	// Content addressing, in A, B, C order (filled by admit when the cache
+	// Content addressing, in A, B, C order (filled by seal when the cache
 	// is enabled); resultKey builds the cache key from them.
-	dig              [3]digest
-	validate, digest time.Duration // spent in admit's two passes
+	dig [3]digest
+	// gh is the content address of the operand being admitted, advanced
+	// window by window (vector path, cache on).
+	gh ghash
+	// Time in the admission pass: validate when it is the finite scan
+	// alone, digest when it also advances the GHASH, and sealing.
+	validate, digest time.Duration
 
 	// scratch is header/probe space for the binary decoder: reading into a
 	// field of the (already heap-allocated) request keeps the steady-state
@@ -312,12 +326,11 @@ func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, dg *diges
 			continue
 		}
 		wr.bufs[i] = mat.GetBuf(shp[0] * shp[1])
-		if err := readFloats(r, wr.bufs[i].Data); err != nil {
-			return badWire("truncated operand %c: %w", 'a'+i, err)
-		}
-		if werr := wr.admit(i, shp, wr.bufs[i].Data, dg); werr != nil {
+		data := wr.bufs[i].Data
+		if werr := wr.readOperand(r, i, data, dg); werr != nil {
 			return werr
 		}
+		wr.seal(i, shp, data, dg)
 	}
 	// The body must end exactly where the header said it would; trailing
 	// bytes mean a framing bug (or a length-smuggling attempt).
@@ -346,37 +359,71 @@ func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, dg *diges
 	return nil
 }
 
-// encodeBinaryRequest is the client-side encoder (srumma-load, tests, the
-// fuzz round-trip): the exact inverse of decodeBinaryRequest.
-func encodeBinaryRequest(w io.Writer, req *MultiplyRequest) error {
-	cs, err := parseCase(req.Case)
-	if err != nil {
-		return err
-	}
-	var hdr [binReqHeaderLen]byte
-	copy(hdr[0:4], binReqMagic)
-	hdr[4] = binVersion
-	hdr[5] = byte(cs)
-	if len(req.C) > 0 {
-		hdr[6] |= binFlagHasC
-	}
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(req.ARows))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(req.ACols))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(req.BRows))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(req.BCols))
-	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(req.alpha()))
-	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(req.beta()))
-	binary.LittleEndian.PutUint32(hdr[40:], uint32(req.KernelThreads))
-	binary.LittleEndian.PutUint32(hdr[44:], uint32(req.TimeoutMillis))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, f := range [][]float64{req.A, req.B, req.C} {
-		if err := writeFloats(w, f); err != nil {
-			return err
+// readOperand fills data, operand i, with little-endian float64s from r,
+// reading the wire bytes directly into its backing store. Each read asks for
+// all that is still missing, so the transport hands over what it has; every
+// admitWindow-sized window gets the admission pass as soon as it has landed,
+// so a poisoned window is refused before the rest of the operand is read.
+func (wr *wireRequest) readOperand(r io.Reader, i int, data []float64, dg *digester) *wireError {
+	b := floatBytes(data)
+	for got, done := 0, 0; done < len(data); {
+		n, err := r.Read(b[got:])
+		got += n
+		for done+admitWindow <= got/8 || done < len(data) && got == len(b) {
+			win := data[done:min(done+admitWindow, len(data))]
+			if !hostLittleEndian {
+				for j := range win {
+					win[j] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(win[j])))
+				}
+			}
+			if werr := wr.scan(i, win, dg); werr != nil {
+				return werr
+			}
+			done += len(win)
+		}
+		if err != nil && done < len(data) {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return badWire("truncated operand %c: %w", 'a'+i, err)
 		}
 	}
 	return nil
+}
+
+// EncodeBinaryRequest marshals req onto the binary wire (client side:
+// srumma-load, the benchmark, tests): the exact inverse of
+// decodeBinaryRequest, written into one buffer of exactly the body's size.
+func EncodeBinaryRequest(req *MultiplyRequest) ([]byte, error) {
+	cs, err := parseCase(req.Case)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, binReqHeaderLen, binReqHeaderLen+8*(len(req.A)+len(req.B)+len(req.C)))
+	copy(b[0:4], binReqMagic)
+	b[4] = binVersion
+	b[5] = byte(cs)
+	if len(req.C) > 0 {
+		b[6] |= binFlagHasC
+	}
+	binary.LittleEndian.PutUint32(b[8:], uint32(req.ARows))
+	binary.LittleEndian.PutUint32(b[12:], uint32(req.ACols))
+	binary.LittleEndian.PutUint32(b[16:], uint32(req.BRows))
+	binary.LittleEndian.PutUint32(b[20:], uint32(req.BCols))
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(req.alpha()))
+	binary.LittleEndian.PutUint64(b[32:], math.Float64bits(req.beta()))
+	binary.LittleEndian.PutUint32(b[40:], uint32(req.KernelThreads))
+	binary.LittleEndian.PutUint32(b[44:], uint32(req.TimeoutMillis))
+	for _, f := range [][]float64{req.A, req.B, req.C} {
+		if hostLittleEndian {
+			b = append(b, floatBytes(f)...)
+			continue
+		}
+		for _, v := range f {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -421,22 +468,6 @@ func DecodeBinaryResponse(r io.Reader) (rows, cols int, c []float64, err error) 
 	return rows, cols, c, nil
 }
 
-// EncodeBinaryRequest marshals req onto the binary wire (client side).
-func EncodeBinaryRequest(req *MultiplyRequest) ([]byte, error) {
-	var sb sliceWriter
-	if err := encodeBinaryRequest(&sb, req); err != nil {
-		return nil, err
-	}
-	return sb.b, nil
-}
-
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
 // ---------------------------------------------------------------------------
 // HTTP glue.
 
@@ -463,11 +494,15 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireReq
 	// the read fails at the deadline and the request is answered. Recorders
 	// without a connection cannot arm one, and have nothing to stall.
 	rc := http.NewResponseController(w)
-	if rc.SetReadDeadline(time.Now().Add(s.cfg.MaxTimeout)) == nil {
-		defer rc.SetReadDeadline(time.Time{})
-	}
+	armed := rc.SetReadDeadline(time.Now().Add(s.cfg.MaxTimeout)) == nil
 	wr := &wireRequest{wire: wireJSON, gzipped: r.Header.Get("Content-Encoding") == "gzip"}
 	if werr := s.decodeBody(w, r, wr); werr != nil {
+		// A refused body is read no further: the rest of it, still in
+		// flight, is not drained before the answer, and the connection
+		// closes after it.
+		if armed {
+			rc.SetReadDeadline(time.Now())
+		}
 		wr.release()
 		var mbe *http.MaxBytesError
 		if errors.As(werr, &mbe) {
@@ -476,6 +511,9 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireReq
 			werr.status = http.StatusRequestTimeout
 		}
 		return nil, werr
+	}
+	if armed {
+		rc.SetReadDeadline(time.Time{})
 	}
 	s.met.decodeMs.Observe((time.Since(t0) - wr.validate - wr.digest).Seconds() * 1e3)
 	s.met.validateMs.Observe(wr.validate.Seconds() * 1e3)
@@ -534,8 +572,24 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, wr *wireRequ
 // decodeJSONRequest reads one JSON request from r into wr.
 func decodeJSONRequest(r io.Reader, dg *digester, wr *wireRequest) *wireError {
 	req := &wr.req
-	if err := json.NewDecoder(r).Decode(req); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(req); err != nil {
 		return badWire("bad request body: %w", err)
+	}
+	// As on the binary wire, the body ends where the request does: a
+	// Content-Length that claims more than the client sent, or anything
+	// but white space after the object, is a malformed request.
+	for rest := io.MultiReader(dec.Buffered(), r); ; {
+		n, err := rest.Read(wr.scratch[:])
+		if len(bytes.TrimLeft(wr.scratch[:n], " \t\r\n")) > 0 {
+			return badWire("trailing bytes after request body")
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return badWire("request body does not end after the JSON object: %w", err)
+		}
 	}
 	if !isFinite(req.alpha()) || !isFinite(req.beta()) {
 		return badWire("alpha and beta must be finite")
@@ -552,32 +606,67 @@ func decodeJSONRequest(r io.Reader, dg *digester, wr *wireRequest) *wireError {
 	return nil
 }
 
-// admit is the one look each operand gets on the way in, still warm from the
-// read: the non-finite policy, then (cache on) its content address. A NaN
-// poisons every block it meets and defeats both the ABFT checksums and
-// content addressing (NaN != NaN): a malformed request, not an edge case.
+// admitWindow is how many elements of an operand land before the admission
+// pass looks at them: small enough to stay in cache from the read, large
+// enough that the pass's per-call cost is noise.
+const admitWindow = 64 << 10 / 8
+
+// admit is the one look each operand gets on the way in: scan over the whole
+// operand, then seal. A NaN poisons every block it meets and defeats both
+// the ABFT checksums and content addressing (NaN != NaN): a malformed
+// request, not an edge case.
 func (wr *wireRequest) admit(i int, shape [2]int, data []float64, dg *digester) *wireError {
+	if werr := wr.scan(i, data, dg); werr != nil {
+		return werr
+	}
+	wr.seal(i, shape, data, dg)
+	return nil
+}
+
+// scan is the admission pass over win, the next landed window of operand i,
+// still warm from the read. With the cache on and the vector kernel
+// present, one pass tests every exponent and advances the operand's GHASH
+// (booked as digest time); otherwise it is the finite scan alone (booked as
+// validate time).
+func (wr *wireRequest) scan(i int, win []float64, dg *digester) *wireError {
 	t0 := time.Now()
-	ok := allFinite(data)
-	t1 := time.Now()
-	wr.validate += t1.Sub(t0)
+	var ok bool
+	if dg != nil && dg.pow != nil {
+		ok = dg.fold(&wr.gh, win)
+		wr.digest += time.Since(t0)
+	} else {
+		ok = finite(win)
+		wr.validate += time.Since(t0)
+	}
 	if !ok {
 		return badWire("operand %c contains a non-finite value", 'a'+i)
-	}
-	if dg != nil {
-		wr.dig[i] = dg.sum(shape[0], shape[1], data)
-		wr.digest += time.Since(t1)
 	}
 	return nil
 }
 
+// seal records operand i's content address once all of data has passed
+// scan (cache on): the GHASH scan advanced, sealed, or — without the vector
+// kernel — the whole operand through the standard library's GCM.
+func (wr *wireRequest) seal(i int, shape [2]int, data []float64, dg *digester) {
+	if dg == nil {
+		return
+	}
+	t0 := time.Now()
+	if dg.pow != nil {
+		wr.dig[i] = dg.seal(&wr.gh, shape[0], shape[1])
+	} else {
+		wr.dig[i] = dg.sumGCM(shape[0], shape[1], data)
+	}
+	wr.digest += time.Since(t0)
+}
+
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// allFinite is isFinite over a whole operand: a float64 is NaN or Inf
-// exactly when all eleven exponent bits are set, and adding one exponent ulp
-// to the masked field carries into bit 63 only then. Four words fold without
-// a branch; the verdict is tested per block, so a poisoned body is still
-// refused early.
+// allFinite is isFinite over a whole operand, the portable finite scan: a
+// float64 is NaN or Inf exactly when all eleven exponent bits are set, and
+// adding one exponent ulp to the masked field carries into bit 63 only then.
+// Four words fold without a branch; the verdict is tested per block, so a
+// poisoned window is still refused early.
 func allFinite(data []float64) bool {
 	const exp, one = 0x7ff0000000000000, 1 << 52
 	if len(data) == 0 {

@@ -697,3 +697,24 @@ func TestBodyLimitCauseIs413(t *testing.T) {
 		t.Fatalf("plain truncation: %v", werr)
 	}
 }
+
+// TestEncodeBinaryRequestSizesOnce: the client encoder writes the body into
+// one buffer of exactly its size — header plus A, B and C — so no operand
+// is copied twice on the way out.
+func TestEncodeBinaryRequestSizesOnce(t *testing.T) {
+	req := randReq(48, 40, 56, 823)
+	req.C = mat.Random(48, 56, 824).Data
+	body, err := EncodeBinaryRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := binReqHeaderLen + 8*(len(req.A)+len(req.B)+len(req.C)); len(body) != want || cap(body) != want {
+		t.Fatalf("body len %d cap %d, want both %d", len(body), cap(body), want)
+	}
+	if raceEnabled {
+		return // allocation counts are meaningless under the race detector
+	}
+	if avg := testing.AllocsPerRun(50, func() { EncodeBinaryRequest(&req) }); avg != 1 {
+		t.Fatalf("EncodeBinaryRequest allocates %.1f objects, want 1", avg)
+	}
+}

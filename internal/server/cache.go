@@ -3,7 +3,10 @@ package server
 // Content addressing for the serving layer. Every operand is identified
 // by a keyed 128-bit digest of its shape and native float64 image (see
 // digester) — wire-independent, so the same matrix sent over JSON and over
-// the binary wire digests identically. The digests key one structure,
+// the binary wire digests identically. Where the CPU has AVX-512 and
+// VPCLMULQDQ the digest is advanced window by window in the admission
+// pass (scan.go) as the operand lands, bit-identical to the standard
+// library's GCM, which stays the portable path. The digests key one structure,
 // resultCache: a bounded LRU keyed by the full multiply identity
 // (digest_A, digest_B, case, alpha, beta, digest_C). A hit returns the
 // cached result matrix and skips admission queueing, the scheduler, and the
@@ -37,28 +40,41 @@ type digest = [16]byte
 
 // digester computes AES_k2(GCM_k1.Seal(nonce = shape, plaintext = nil,
 // additionalData = the operand's float64 image)): a hash-then-PRP MAC from
-// the standard library's AES alone, at GHASH speed (several times SHA-256's).
-// GHASH is almost-XOR-universal, not collision resistant against someone who
-// sees its output, so the GCM tag never leaves sum: seen only through the
-// second key, collisions can neither be searched for offline nor solved for
-// from echoed digests — what a cache shared between clients needs.
+// AES and GHASH alone. GHASH is almost-XOR-universal, not collision
+// resistant against someone who sees its output, so the GCM tag never
+// leaves the digester: seen only through the second key, collisions can
+// neither be searched for offline nor solved for from echoed digests — what
+// a cache shared between clients needs.
+//
+// On the vector path (scan.go) the GHASH is advanced window by window as an
+// operand lands, in the same AVX-512 pass as the finite test, with H =
+// AES_k1(0¹²⁸) and the tag mask AES_k1(J0) computed here; sumGCM is the
+// same construction through the standard library's GCM, the portable path.
 type digester struct {
-	mac cipher.AEAD  // GCM under k1
-	prp cipher.Block // AES under k2
+	mac cipher.AEAD   // GCM under k1
+	enc cipher.Block  // AES under k1: the tag mask on the vector path
+	prp cipher.Block  // AES under k2
+	pow *[64][16]byte // H^64, ..., H^1 for the vector kernel; nil without it
 }
 
 // newDigester panics on a key that is not an AES key (a bug, never input).
 func newDigester(k1, k2 []byte) *digester {
-	b1, err1 := aes.NewCipher(k1)
+	enc, err1 := aes.NewCipher(k1)
 	prp, err2 := aes.NewCipher(k2)
 	if err1 != nil || err2 != nil {
 		panic("server: digester keys must be AES keys")
 	}
-	mac, err := cipher.NewGCM(b1)
+	mac, err := cipher.NewGCM(enc)
 	if err != nil {
 		panic(err)
 	}
-	return &digester{mac: mac, prp: prp}
+	dg := &digester{mac: mac, enc: enc, prp: prp}
+	if vectorScan {
+		var h [16]byte
+		enc.Encrypt(h[:], h[:])
+		dg.pow = ghashPowers(h[:])
+	}
+	return dg
 }
 
 // processDigester is keyed once and shared by every Server in the process.
@@ -73,7 +89,17 @@ var processDigester = func() *digester {
 // sum content-addresses one operand. The shape rides in the nonce (a 2x8 and
 // an 8x2 with equal elements differ); the image is the host's own float64
 // bytes — keys are per process, there is no other host to agree with.
-func (dg *digester) sum(rows, cols int, data []float64) (d digest) {
+func (dg *digester) sum(rows, cols int, data []float64) digest {
+	if dg.pow == nil {
+		return dg.sumGCM(rows, cols, data)
+	}
+	var g ghash // the one allocation (escapes through the cipher interfaces)
+	dg.fold(&g, data)
+	return dg.seal(&g, rows, cols)
+}
+
+// sumGCM is sum through the standard library's GCM.
+func (dg *digester) sumGCM(rows, cols int, data []float64) (d digest) {
 	var buf [12 + 16]byte // nonce | tag; the one allocation (escapes through the cipher interfaces)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(rows))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(cols))
