@@ -36,31 +36,6 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
-func TestParseClasses(t *testing.T) {
-	inter, batch := classAssign{name: "interactive"}, classAssign{name: "batch"}
-	hinted := classAssign{name: "interactive", deadlineMs: 500}
-	for _, tc := range []struct {
-		spec     string
-		deadline time.Duration
-		want     []classAssign
-	}{
-		{"", 0, nil},
-		{"batch", 0, []classAssign{batch}},
-		{"interactive:3,batch:1", 0, []classAssign{inter, inter, inter, batch}},
-		// The deadline hint rides on interactive requests only.
-		{"interactive:1, batch:2", 500 * time.Millisecond, []classAssign{hinted, batch, batch}},
-	} {
-		if got, err := parseClasses(tc.spec, tc.deadline); err != nil || !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseClasses(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{",", "bulk:1", ":2", "batch:0", "batch:-1", "batch:x", "batch:"} {
-		if got, err := parseClasses(bad, 0); err == nil {
-			t.Errorf("parseClasses(%q) = %v, want an error", bad, got)
-		}
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	for _, tc := range []struct {
@@ -203,7 +178,7 @@ func TestDriveReusesConnections(t *testing.T) {
 		}
 		ts.Start()
 
-		items := buildItems([]shape{{96, 96, 96}}, nil, 1, 1, wire, false)
+		items := buildItems([]shape{{96, 96, 96}}, 1, 1, wire)
 		pick := func(int) workItem { return items[0][0] }
 		results, _ := drive(newClient(concurrency), ts.URL, pick, requests, concurrency, true, 1e-9, 100)
 		for i, o := range results {
@@ -230,7 +205,7 @@ var shownFlag = regexp.MustCompile("[ `]-([a-z][a-z0-9-]*)")
 // every README paragraph that names srumma-load — prose or command line —
 // names registered flags only.
 func TestFlagsMatchREADME(t *testing.T) {
-	want := strings.Fields("addr classes concurrency deadline gzip max-retries min-cache-hits mix out repeat-operands requests seed tol verify wait wire")
+	want := strings.Fields("addr concurrency max-retries min-cache-hits mix out repeat-operands requests seed tol verify wait wire")
 	var registered []string
 	flag.VisitAll(func(f *flag.Flag) {
 		if !strings.HasPrefix(f.Name, "test.") {

@@ -1,18 +1,15 @@
 // Command srumma-load drives a running srumma-serve instance with a
-// configurable concurrency level, shape mix and workload-class mix,
-// verifies every result against the serial kernel, honors 429
-// backpressure with Retry-After backoff, and emits a machine-readable
-// report on stdout (or -out): throughput plus p50/p99 latency overall,
-// per mix entry and per workload class.
+// configurable concurrency level and shape mix, verifies every result
+// against the serial kernel, honors 429 backpressure with Retry-After
+// backoff, and emits a machine-readable report on stdout (or -out):
+// throughput plus p50/p99 latency overall and per mix entry.
 //
 //	srumma-load -addr http://127.0.0.1:8711 -concurrency 8 -requests 64 \
-//	    -mix 32x32x32,96x96x96,256x256x256 -classes interactive:3,batch:1 \
-//	    -deadline 500ms -out report.json
+//	    -mix 32x32x32,96x96x96,256x256x256 -out report.json
 package main
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,7 +25,6 @@ import (
 	"time"
 
 	"srumma/internal/mat"
-	"srumma/internal/sched"
 	"srumma/internal/server"
 )
 
@@ -63,66 +59,15 @@ func parseMix(spec string) ([]shape, error) {
 	return out, nil
 }
 
-// classAssign is one slot of the cyclic class pattern: requests are
-// tagged round-robin through the expanded weights, so a spec of
-// "interactive:3,batch:1" tags 3 of every 4 requests interactive.
-type classAssign struct {
-	name       string
-	deadlineMs int64
-}
-
-// parseClasses expands "interactive:3,batch:1" into the cyclic pattern.
-// deadline, when positive, is attached (as the EDF placement hint
-// deadline_ms) to interactive-class requests only: batch work is
-// throughput-oriented and runs deadline-less.
-func parseClasses(spec string, deadline time.Duration) ([]classAssign, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var pattern []classAssign
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, weightStr, hasW := strings.Cut(part, ":")
-		if _, err := sched.ParseClass(name); err != nil || name == "" {
-			return nil, fmt.Errorf("bad class %q in %q", name, spec)
-		}
-		weight := 1
-		if hasW {
-			w, err := strconv.Atoi(weightStr)
-			if err != nil || w <= 0 {
-				return nil, fmt.Errorf("bad weight %q for class %q", weightStr, name)
-			}
-			weight = w
-		}
-		ca := classAssign{name: name}
-		if name == sched.ClassInteractive.String() && deadline > 0 {
-			ca.deadlineMs = deadline.Milliseconds()
-		}
-		for i := 0; i < weight; i++ {
-			pattern = append(pattern, ca)
-		}
-	}
-	if len(pattern) == 0 {
-		return nil, fmt.Errorf("empty class spec %q", spec)
-	}
-	return pattern, nil
-}
-
 // workItem is one pre-generated request with its serial reference result.
 type workItem struct {
-	mix   int
-	class string
-	body  []byte // wire-encoded (and, under -gzip, compressed) request body
-	want  *mat.Matrix
+	mix  int
+	body []byte // wire-encoded request body
+	want *mat.Matrix
 
-	id         string
-	deadlineMs int64
-	wire       string // "json" or "binary"
-	gzip       bool
-	dig        *digestCell
+	id   string
+	wire string // "json" or "binary"
+	dig  *digestCell
 }
 
 // digestCell records the first result digest the server reports for one
@@ -153,7 +98,6 @@ func (d *digestCell) check(dig string) error {
 // outcome is one completed request as observed by the client.
 type outcome struct {
 	mix      int
-	class    string
 	route    string
 	latency  float64 // seconds, including queueing and transport
 	gflops   float64 // server-side execution rate
@@ -188,26 +132,13 @@ type MixReport struct {
 	ServerGFlops float64 `json:"server_gflops_mean"`
 }
 
-// ClassReport is the per-workload-class slice of a report: the latency
-// quantiles the scheduler's fairness and EDF policies act on.
-type ClassReport struct {
-	Count          int     `json:"count"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	MeanMs         float64 `json:"mean_ms"`
-	DeadlineMisses int     `json:"deadline_misses"`
-}
-
 // Report is the document one run writes to -out.
 type Report struct {
 	Addr           string `json:"addr"`
 	Concurrency    int    `json:"concurrency"`
 	Requests       int    `json:"requests"`
 	Mix            string `json:"mix"`
-	Classes        string `json:"classes,omitempty"`
-	DeadlineMs     int64  `json:"deadline_ms,omitempty"`
 	Wire           string `json:"wire"`
-	Gzip           bool   `json:"gzip,omitempty"`
 	RepeatOperands int    `json:"repeat_operands,omitempty"`
 
 	OK             int     `json:"ok"`
@@ -227,8 +158,7 @@ type Report struct {
 	CacheHits       int64   `json:"cache_hits,omitempty"`
 	CacheHitRate    float64 `json:"cache_hit_rate,omitempty"`
 
-	Mixes      []MixReport            `json:"mixes"`
-	ClassStats map[string]ClassReport `json:"class_stats,omitempty"`
+	Mixes []MixReport `json:"mixes"`
 
 	ServerMetrics *server.MetricsSnapshot `json:"server_metrics,omitempty"`
 }
@@ -240,8 +170,6 @@ var (
 	flagConcurrency  = flag.Int("concurrency", 8, "concurrent client workers")
 	flagRequests     = flag.Int("requests", 64, "total requests to issue")
 	flagMix          = flag.String("mix", "32x32x32,96x96x96,192x192x192", "comma-separated MxKxN shapes, cycled")
-	flagClasses      = flag.String("classes", "", `weighted workload-class mix, e.g. "interactive:3,batch:1", cycled (empty: untagged)`)
-	flagDeadline     = flag.Duration("deadline", 0, "deadline_ms placement hint attached to interactive-class requests (0: none)")
 	flagVerify       = flag.Bool("verify", true, "check every result against the serial kernel")
 	flagTol          = flag.Float64("tol", 1e-9, "max abs elementwise difference allowed under -verify")
 	flagOut          = flag.String("out", "-", "report path ('-' for stdout)")
@@ -249,8 +177,7 @@ var (
 	flagSeed         = flag.Uint64("seed", 1, "base seed for generated matrices")
 	flagMaxRetries   = flag.Int("max-retries", 100, "429 retry rounds per request before giving up")
 	flagWire         = flag.String("wire", "json", `request wire format: "json" or "binary"`)
-	flagGzip         = flag.Bool("gzip", false, "gzip-compress request bodies (and, on the binary wire, accept gzip responses)")
-	flagRepeatOps    = flag.Int("repeat-operands", 1, "distinct operand sets cycled per shape/class slot; with 1 (the default) every request for a shape repeats the same operands, so a server-side result cache hits on every revisit")
+	flagRepeatOps    = flag.Int("repeat-operands", 1, "distinct operand sets cycled per shape; with 1 (the default) every request for a shape repeats the same operands, so a server-side result cache hits on every revisit")
 	flagMinCacheHits = flag.Int64("min-cache-hits", -1, "fail unless the server reports at least this many result-cache hits after the run (-1: no check)")
 )
 
@@ -270,16 +197,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pattern, err := parseClasses(*flagClasses, *flagDeadline)
-	if err != nil {
-		log.Fatal(err)
-	}
 	client := newClient(*flagConcurrency)
 	if err := waitHealthy(client, *flagAddr, *flagWait); err != nil {
 		log.Fatal(err)
 	}
 
-	items := buildItems(shapes, pattern, *flagSeed, *flagRepeatOps, *flagWire, *flagGzip)
+	items := buildItems(shapes, *flagSeed, *flagRepeatOps, *flagWire)
 	pick := func(idx int) workItem {
 		row := items[idx%len(items)]
 		return row[idx%len(row)]
@@ -288,14 +211,8 @@ func main() {
 	results, wall := drive(client, *flagAddr, pick, *flagRequests, *flagConcurrency, *flagVerify, *flagTol, *flagMaxRetries)
 
 	rep := buildReport(*flagAddr, *flagConcurrency, *flagRequests, *flagMix, shapes, results, wall)
-	rep.Classes = *flagClasses
-	rep.DeadlineMs = flagDeadline.Milliseconds()
 	rep.Wire = *flagWire
-	rep.Gzip = *flagGzip
 	rep.RepeatOperands = *flagRepeatOps
-	if len(pattern) > 0 {
-		rep.ClassStats = classStats(results)
-	}
 	rep.ServerMetrics = fetchMetrics(client, *flagAddr)
 	if rep.ServerMetrics != nil && rep.ServerMetrics.Cache != nil {
 		rep.CacheHits = rep.ServerMetrics.Cache.Hits
@@ -321,45 +238,25 @@ func main() {
 	}
 }
 
-// encodeBody marshals one request onto the chosen wire, optionally
-// gzip-compressed, exactly as issue() will ship it. The binary encoding
-// carries only shape/scalars/operands; ID, class and deadline ride as
-// X-Srumma-* headers set at send time.
-func encodeBody(req *server.MultiplyRequest, wire string, gz bool) ([]byte, error) {
-	var raw []byte
-	var err error
+// encodeBody marshals one request onto the chosen wire, exactly as issue()
+// will ship it. The binary encoding carries only shape/scalars/operands;
+// the ID rides as the X-Srumma-Id header set at send time.
+func encodeBody(req *server.MultiplyRequest, wire string) ([]byte, error) {
 	if wire == "binary" {
-		raw, err = server.EncodeBinaryRequest(req)
-	} else {
-		raw, err = json.Marshal(req)
+		return server.EncodeBinaryRequest(req)
 	}
-	if err != nil || !gz {
-		return raw, err
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	zw.Write(raw)
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return json.Marshal(req)
 }
 
-// buildItems pre-generates one template per (mix entry, class slot,
-// operand variant): the request body bytes and the serial-kernel
-// reference result. Bodies are marshaled once so the request loop
-// allocates nothing per request. With no class pattern each row has a
-// single untagged entry per variant; variants > 1 cycles distinct
-// operand sets through the same shape so a server-side result cache sees
-// a mix of repeats and fresh content.
-func buildItems(shapes []shape, pattern []classAssign, seed uint64, variants int, wire string, gz bool) [][]workItem {
-	slots := pattern
-	if len(slots) == 0 {
-		slots = []classAssign{{}}
-	}
+// buildItems pre-generates one template per (mix entry, operand variant):
+// the request body bytes and the serial-kernel reference result. Bodies
+// are marshaled once so the request loop allocates nothing per request;
+// variants > 1 cycles distinct operand sets through the same shape so a
+// server-side result cache sees a mix of repeats and fresh content.
+func buildItems(shapes []shape, seed uint64, variants int, wire string) [][]workItem {
 	items := make([][]workItem, len(shapes))
 	for i, sh := range shapes {
-		items[i] = make([]workItem, 0, len(slots)*variants)
+		items[i] = make([]workItem, 0, variants)
 		for v := 0; v < variants; v++ {
 			vseed := seed + uint64(3*i) + uint64(v)*1_000_003
 			a := mat.Random(sh.m, sh.k, vseed)
@@ -368,29 +265,20 @@ func buildItems(shapes []shape, pattern []classAssign, seed uint64, variants int
 			if err := mat.Gemm(false, false, 1, a, b, 0, want); err != nil {
 				log.Fatal(err)
 			}
+			req := server.MultiplyRequest{
+				ID:    fmt.Sprintf("load-%s", sh),
+				ARows: sh.m, ACols: sh.k, A: a.Data,
+				BRows: sh.k, BCols: sh.n, B: b.Data,
+			}
+			body, err := encodeBody(&req, wire)
+			if err != nil {
+				log.Fatal(err)
+			}
 			// One digest cell per operand set: every response to this
 			// content must report the same result digest.
-			cell := &digestCell{}
-			for _, slot := range slots {
-				req := server.MultiplyRequest{
-					ID:    fmt.Sprintf("load-%s", sh),
-					ARows: sh.m, ACols: sh.k, A: a.Data,
-					BRows: sh.k, BCols: sh.n, B: b.Data,
-					Class:          slot.name,
-					DeadlineMillis: slot.deadlineMs,
-				}
-				if slot.name != "" {
-					req.ID = fmt.Sprintf("load-%s-%s", sh, slot.name)
-				}
-				body, err := encodeBody(&req, wire, gz)
-				if err != nil {
-					log.Fatal(err)
-				}
-				items[i] = append(items[i], workItem{
-					mix: i, class: slot.name, body: body, want: want,
-					id: req.ID, deadlineMs: slot.deadlineMs, wire: wire, gzip: gz, dig: cell,
-				})
-			}
+			items[i] = append(items[i], workItem{
+				mix: i, body: body, want: want, id: req.ID, wire: wire, dig: &digestCell{},
+			})
 		}
 	}
 	return items
@@ -468,8 +356,8 @@ func waitHealthy(client *http.Client, addr string, wait time.Duration) error {
 }
 
 // newWireRequest builds one HTTP request for it, setting the wire's
-// content type and, on the binary wire, the X-Srumma-* scalar headers
-// that have no binary body field.
+// content type and, on the binary wire, the X-Srumma-Id header the binary
+// body has no field for.
 func newWireRequest(addr string, it workItem) (*http.Request, error) {
 	req, err := http.NewRequest(http.MethodPost, addr+"/v1/multiply", bytes.NewReader(it.body))
 	if err != nil {
@@ -481,20 +369,8 @@ func newWireRequest(addr string, it workItem) (*http.Request, error) {
 		if it.id != "" {
 			req.Header.Set("X-Srumma-Id", it.id)
 		}
-		if it.class != "" {
-			req.Header.Set("X-Srumma-Class", it.class)
-		}
-		if it.deadlineMs > 0 {
-			req.Header.Set("X-Srumma-Deadline-Ms", strconv.FormatInt(it.deadlineMs, 10))
-		}
 	} else {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if it.gzip {
-		req.Header.Set("Content-Encoding", "gzip")
-		if it.wire == "binary" {
-			req.Header.Set("Accept-Encoding", "gzip")
-		}
 	}
 	return req, nil
 }
@@ -504,7 +380,7 @@ func newWireRequest(addr string, it workItem) (*http.Request, error) {
 // is a deadline miss — an expected outcome under overload, reported
 // separately from errors.
 func issue(client *http.Client, addr string, it workItem, verify bool, tol float64, maxRetries int) outcome {
-	o := outcome{mix: it.mix, class: it.class, bytesOut: int64(len(it.body))}
+	o := outcome{mix: it.mix, bytesOut: int64(len(it.body))}
 	start := time.Now()
 	for {
 		pause, err := exchange(client, addr, it, verify, tol, start, &o)
@@ -565,13 +441,7 @@ func exchange(client *http.Client, addr string, it workItem, verify bool, tol fl
 	var got *mat.Matrix
 	var digest string
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), server.ContentTypeBinaryResult) {
-		var body io.Reader = cr
-		if resp.Header.Get("Content-Encoding") == "gzip" {
-			if body, err = gzip.NewReader(cr); err != nil {
-				return 0, err
-			}
-		}
-		rows, cols, data, err := server.DecodeBinaryResponse(body)
+		rows, cols, data, err := server.DecodeBinaryResponse(cr)
 		if err != nil {
 			return 0, err
 		}
@@ -678,37 +548,6 @@ func summarize(lat []float64) (p50, p99, mean float64) {
 		sum += v
 	}
 	return percentile(lat, 0.50) * 1e3, percentile(lat, 0.99) * 1e3, sum / float64(len(lat)) * 1e3
-}
-
-// classStats aggregates latency quantiles per workload class.
-func classStats(results []outcome) map[string]ClassReport {
-	lat := map[string][]float64{}
-	misses := map[string]int{}
-	for _, r := range results {
-		name := r.class
-		if name == "" {
-			name = sched.ClassInteractive.String()
-		}
-		if r.missed {
-			misses[name]++
-			continue
-		}
-		if r.err == nil {
-			lat[name] = append(lat[name], r.latency)
-		}
-	}
-	out := make(map[string]ClassReport, len(lat))
-	for name, ls := range lat {
-		cr := ClassReport{Count: len(ls), DeadlineMisses: misses[name]}
-		cr.P50Ms, cr.P99Ms, cr.MeanMs = summarize(ls)
-		out[name] = cr
-	}
-	for name, n := range misses {
-		if _, ok := out[name]; !ok {
-			out[name] = ClassReport{DeadlineMisses: n}
-		}
-	}
-	return out
 }
 
 func fetchMetrics(client *http.Client, addr string) *server.MetricsSnapshot {

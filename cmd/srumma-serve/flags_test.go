@@ -14,7 +14,7 @@ import (
 // A backticked -flag there that is neither one of these nor registered by
 // srumma-serve is a stale mention.
 var otherTools = map[string]bool{
-	"classes": true, "deadline": true, "wire": true, "gzip": true, "repeat-operands": true,
+	"wire": true, "repeat-operands": true,
 	"min-cache-hits": true, "out": true, // srumma-load
 	"join": true, "rank": true, "np": true, "dir": true, "transport": true, // srumma-worker
 	"race": true,

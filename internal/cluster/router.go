@@ -3,14 +3,14 @@ package cluster
 // The shard router. Placement is by locality key: jobs with the same
 // (shape, transpose case) hash to the same preferred node, so its
 // persistent segment pool stays warm for exactly that shape — the repeat
-// jobs of a serving workload pay zero mmap calls in steady state.
-// Interactive jobs trade that affinity for latency: if the preferred node
-// is busy they take any free node rather than queue behind a batch job.
+// jobs of a serving workload pay zero mmap calls in steady state. If the
+// preferred node is busy a job takes any free node rather than queue
+// behind the one running there.
 
 // PlaceKey describes one job for placement.
 type PlaceKey struct {
-	// Class is the serving class ("interactive" steers to free nodes,
-	// anything else sticks with the locality-preferred node).
+	// Class is read by nothing: every job scans from its preferred node
+	// for a free one. It stays because benchmark/probe_cluster.go sets it.
 	Class string
 	// Shape + transpose case form the locality key (the segment-pool
 	// affinity domain: same key, same operand size profile).
@@ -48,12 +48,11 @@ func preferredNode(n int, key PlaceKey, healthy func(i int) bool) int {
 	return -1
 }
 
-// acquire picks a node for key and returns it LOCKED. Interactive jobs
-// scan from the preferred node for any free healthy node before queueing;
-// batch jobs block on the preferred node to keep its segment pool warm.
-// With every node unhealthy the preferred node is used anyway — its
-// poisoned cluster fails the job with the typed error the caller's retry
-// policy expects.
+// acquire picks a node for key and returns it LOCKED: the first free
+// healthy node scanning from the preferred one, or, when every node is
+// busy, the preferred node once it frees. With every node unhealthy the
+// preferred node is used anyway — its poisoned cluster fails the job with
+// the typed error the caller's retry policy expects.
 func (p *Pool) acquire(key PlaceKey) *node {
 	n := len(p.nodes)
 	healthy := func(i int) bool { return p.nodes[i].healthy.Load() }
@@ -61,15 +60,10 @@ func (p *Pool) acquire(key PlaceKey) *node {
 	if pref < 0 {
 		pref = int(key.Locality() % uint64(n))
 	}
-	if key.Class == "interactive" {
-		for off := 0; off < n; off++ {
-			nd := p.nodes[(pref+off)%n]
-			if !nd.healthy.Load() && n > 1 {
-				continue
-			}
-			if nd.mu.TryLock() {
-				return nd
-			}
+	for off := 0; off < n; off++ {
+		nd := p.nodes[(pref+off)%n]
+		if nd.healthy.Load() && nd.mu.TryLock() {
+			return nd
 		}
 	}
 	nd := p.nodes[pref]

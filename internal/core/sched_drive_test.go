@@ -129,12 +129,7 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 			seedB: uint64(101 + 2*i),
 		}
 		srumma = append(srumma, job)
-		tasks = append(tasks, &sched.Task{
-			Class:    sched.ClassBatch,
-			Cost:     2 * 48 * 48 * 48,
-			Deadline: time.Now().Add(time.Minute),
-			Payload:  job,
-		})
+		tasks = append(tasks, &sched.Task{Payload: job})
 	}
 	var gemms []*gemmDriveJob
 	for i := 0; i < 12; i++ {
@@ -143,13 +138,7 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 			b: mat.Random(24, 24, uint64(201+2*i)),
 		}
 		gemms = append(gemms, job)
-		tasks = append(tasks, &sched.Task{
-			Class:     sched.ClassInteractive,
-			Cost:      2 * 24 * 24 * 24,
-			Batchable: true,
-			LocKey:    24,
-			Payload:   job,
-		})
+		tasks = append(tasks, &sched.Task{Batchable: true, Payload: job})
 	}
 	for _, tk := range tasks {
 		if err := sch.Submit(tk); err != nil {

@@ -51,7 +51,8 @@ func (h *Histogram) Observe(seconds float64) {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of the
-// bucket containing it — a deliberate over-estimate, never flattering.
+// bucket containing it — a deliberate over-estimate, never flattering —
+// clamped to the largest observation, which no quantile exceeds.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -66,14 +67,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			if i == 0 {
-				return histBase
+			if ub := histBase * math.Pow(histGrowth, float64(i)); ub < h.max {
+				return ub
 			}
-			ub := histBase * math.Pow(histGrowth, float64(i))
-			if ub > h.max && h.max > 0 {
-				return h.max
-			}
-			return ub
+			return h.max
 		}
 	}
 	return h.max

@@ -188,11 +188,20 @@ func TestHistogram(t *testing.T) {
 	if m := h.Mean(); math.Abs(m-(100*0.001+0.5)/101) > 1e-12 {
 		t.Fatalf("mean = %v", m)
 	}
-	// Sub-base and beyond-top observations land in the edge buckets.
+	// Sub-base and beyond-top observations land in the edge buckets; no
+	// quantile reads above the largest observation, so an all-zero
+	// histogram reads zero.
+	var zero Histogram
+	for i := 0; i < 1000; i++ {
+		zero.Observe(0)
+	}
+	if p50, p99 := zero.Quantile(0.5), zero.Quantile(0.99); p50 != 0 || p99 != 0 {
+		t.Fatalf("all-zero quantiles p50 %v p99 %v, want 0", p50, p99)
+	}
 	var edge Histogram
 	edge.Observe(1e-9)
-	if q := edge.Quantile(0.5); q != histBase {
-		t.Fatalf("sub-base quantile = %v, want %v", q, histBase)
+	if q := edge.Quantile(0.5); q != 1e-9 {
+		t.Fatalf("sub-base quantile = %v, want the observation 1e-9", q)
 	}
 	edge.Observe(1e9)
 	if edge.Count() != 2 {

@@ -7,7 +7,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
@@ -39,6 +39,29 @@ func (h *harness) parkCallers(n int) (release func()) {
 				h.t.Errorf("parked Submit: %v", err)
 			}
 		}
+	}
+}
+
+// waitWorkersParked returns once every pool worker waits for a wakeup
+// with nothing to dispatch — read off the goroutine stacks, since an empty
+// pop leaves no other trace.
+func (h *harness) waitWorkersParked() {
+	h.t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "sched.(*Scheduler).runWorker(") {
+				parked++
+			}
+		}
+		if parked >= h.s.cfg.MinWorkers {
+			return
+		}
+		if time.Now().After(deadline) {
+			h.t.Fatalf("%d of %d workers parked after 5s", parked, h.s.cfg.MinWorkers)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -96,7 +119,7 @@ func TestWhoRunsADispatch(t *testing.T) {
 			arrange: func(h *harness) func() {
 				h.s.mu.Lock()
 				h.s.inflight.Add(1)
-				h.s.q.push(&Task{Batchable: true, s: h.s, done: make(chan struct{})}, h.s.now())
+				h.s.q.push(&Task{Batchable: true, s: h.s, done: make(chan struct{}), enq: time.Now()})
 				h.s.mu.Unlock()
 				return func() {}
 			},
@@ -107,15 +130,8 @@ func TestWhoRunsADispatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Arrange once the worker has made its first, empty pop: from then
 			// on it dispatches only when a Submit wakes it.
-			cfg := tc.cfg
-			idle := make(chan struct{})
-			var once sync.Once
-			cfg.Now = func() time.Time {
-				once.Do(func() { close(idle) })
-				return time.Now()
-			}
-			h := newHarness(t, cfg, gateExec)
-			<-idle
+			h := newHarness(t, tc.cfg, gateExec)
+			h.waitWorkersParked()
 			release := tc.arrange(h)
 			probe := Task{Batchable: tc.batchable}
 			mustSubmit(t, h.s, &probe)

@@ -1,150 +1,46 @@
 package sched
 
-// The run queue: one index heap per workload class, EDF-ordered within the
-// class, picked across classes by weighted fair queueing with starvation
-// aging. The heap is an index heap (every task carries its heap position)
-// so membership operations stay O(log n) and cancelled tasks can be
-// dropped the moment they surface, not after a full scan.
+// The run queue: one FIFO of admitted tasks in arrival order. Every serving
+// workload keeps it at most one deep (DESIGN.md "Workload scheduler"), so
+// there is nothing for a priority order to reorder.
 
-import (
-	"container/heap"
-	"fmt"
-	"time"
-)
-
-// Class is a workload class. Classes share the engine pool under weighted
-// fairness; within a class dispatch order is earliest-deadline-first.
-type Class uint8
-
-const (
-	// ClassInteractive is latency-sensitive traffic: the default class,
-	// weighted ahead of batch work.
-	ClassInteractive Class = iota
-	// ClassBatch is throughput traffic: it yields to interactive work up to
-	// the fairness weights and the starvation bound.
-	ClassBatch
-	// NumClasses is the number of workload classes.
-	NumClasses = 2
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassInteractive:
-		return "interactive"
-	case ClassBatch:
-		return "batch"
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
-
-// ParseClass maps wire names onto classes; the empty string is the
-// interactive default.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "", "interactive":
-		return ClassInteractive, nil
-	case "batch":
-		return ClassBatch, nil
-	}
-	return 0, fmt.Errorf("sched: unknown class %q (want interactive or batch)", s)
-}
-
-// taskLess orders a class heap: earliest deadline first, deadline-less
-// tasks last in FIFO (submission) order, ties broken FIFO.
-func taskLess(a, b *Task) bool {
-	az, bz := a.Deadline.IsZero(), b.Deadline.IsZero()
-	switch {
-	case az && bz:
-		return a.seq < b.seq
-	case az:
-		return false
-	case bz:
-		return true
-	case a.Deadline.Equal(b.Deadline):
-		return a.seq < b.seq
-	}
-	return a.Deadline.Before(b.Deadline)
-}
-
-// taskHeap is an index heap of tasks (container/heap interface).
-type taskHeap []*Task
-
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return taskLess(h[i], h[j]) }
-func (h taskHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *taskHeap) Push(x any) {
-	t := x.(*Task)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
-}
-
-// runQueue is the scheduler's admitted-but-undispatched state. All access
-// is under the scheduler mutex.
+// runQueue is the scheduler's admitted-but-undispatched state: tasks[head:]
+// in Submit order. All access is under the scheduler mutex. The slice is
+// reused from its start whenever the queue empties and compacted before it
+// would grow, so a steady state allocates nothing and the backing array
+// stays within twice the deepest backlog.
 type runQueue struct {
-	heaps [NumClasses]taskHeap
-	// vtime is each class's weighted virtual service time: picking the
-	// smallest implements weighted fair queueing across classes.
-	vtime [NumClasses]float64
-	seq   uint64
+	tasks []*Task
+	head  int
 }
 
-func (q *runQueue) len() int {
-	n := 0
-	for c := range q.heaps {
-		n += len(q.heaps[c])
+func (q *runQueue) len() int { return len(q.tasks) - q.head }
+
+// push appends t at the tail.
+func (q *runQueue) push(t *Task) {
+	if q.head > 0 && len(q.tasks) == cap(q.tasks) {
+		n := copy(q.tasks, q.tasks[q.head:])
+		clear(q.tasks[n:])
+		q.tasks, q.head = q.tasks[:n], 0
 	}
-	return n
+	q.tasks = append(q.tasks, t)
 }
 
-// push enqueues t, stamping its FIFO sequence. A class waking from empty
-// has its virtual time pulled up to the busiest floor of the active
-// classes, so an idle class cannot hoard credit and then monopolize the
-// pool.
-func (q *runQueue) push(t *Task, enq time.Time) {
-	t.seq = q.seq
-	q.seq++
-	t.enq = enq
-	c := t.Class
-	if len(q.heaps[c]) == 0 {
-		floor, ok := q.minActiveVtime(c)
-		if ok && floor > q.vtime[c] {
-			q.vtime[c] = floor
-		}
+// peek returns the head, or nil when the queue is empty.
+func (q *runQueue) peek() *Task {
+	if q.head == len(q.tasks) {
+		return nil
 	}
-	heap.Push(&q.heaps[c], t)
+	return q.tasks[q.head]
 }
 
-// minActiveVtime returns the smallest virtual time among non-empty classes
-// other than `except`.
-func (q *runQueue) minActiveVtime(except Class) (float64, bool) {
-	best, ok := 0.0, false
-	for c := range q.heaps {
-		if Class(c) == except || len(q.heaps[c]) == 0 {
-			continue
-		}
-		if !ok || q.vtime[c] < best {
-			best = q.vtime[c]
-			ok = true
-		}
+// pop removes and returns the head; the queue must not be empty.
+func (q *runQueue) pop() *Task {
+	t := q.tasks[q.head]
+	q.tasks[q.head] = nil
+	q.head++
+	if q.head == len(q.tasks) {
+		q.tasks, q.head = q.tasks[:0], 0
 	}
-	return best, ok
-}
-
-func (q *runQueue) popHead(c Class) *Task {
-	return heap.Pop(&q.heaps[c]).(*Task)
+	return t
 }

@@ -1,146 +1,141 @@
 package sched
 
 import (
+	"errors"
+	"reflect"
+	"sync"
 	"testing"
-	"time"
 )
 
-func TestParseClass(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Class
-		err  bool
-	}{
-		{"", ClassInteractive, false},
-		{"interactive", ClassInteractive, false},
-		{"batch", ClassBatch, false},
-		{"bulk", 0, true},
-		{"INTERACTIVE", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseClass(c.in)
-		if c.err != (err != nil) {
-			t.Fatalf("ParseClass(%q): err=%v, want err=%v", c.in, err, c.err)
-		}
-		if err == nil && got != c.want {
-			t.Fatalf("ParseClass(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if ClassInteractive.String() != "interactive" || ClassBatch.String() != "batch" {
-		t.Fatalf("Class.String mismatch: %q %q", ClassInteractive, ClassBatch)
-	}
-}
-
-// TestQueueEDFOrder: within a class, pops come earliest-deadline-first,
-// deadline-less tasks last, all ties FIFO.
-func TestQueueEDFOrder(t *testing.T) {
-	var q runQueue
-	base := time.Now()
-	mk := func(id int, dl time.Time) *Task {
-		return &Task{Deadline: dl, Payload: id}
-	}
-	// Push out of order: no-deadline, late, early, duplicate-early, no-deadline.
-	q.push(mk(0, time.Time{}), base)
-	q.push(mk(1, base.Add(300*time.Millisecond)), base)
-	q.push(mk(2, base.Add(100*time.Millisecond)), base)
-	q.push(mk(3, base.Add(100*time.Millisecond)), base)
-	q.push(mk(4, time.Time{}), base)
-
-	want := []int{2, 3, 1, 0, 4}
-	for i, w := range want {
-		got := q.popHead(ClassInteractive).Payload.(int)
-		if got != w {
-			t.Fatalf("pop %d: got task %d, want %d", i, got, w)
-		}
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue not empty after draining: %d", q.len())
-	}
-}
-
-// TestQueueFIFOWithoutDeadlines: with no deadlines at all the heap degrades
-// to plain FIFO.
+// TestQueueFIFOWithoutDeadlines: the run queue is one FIFO. Queued tasks,
+// batchable or not, dispatch in Submit order — a run of batchable ones at
+// the head as one dispatch — and a retry, being a new Task, queues behind
+// everything that arrived before it.
 func TestQueueFIFOWithoutDeadlines(t *testing.T) {
-	var q runQueue
-	base := time.Now()
-	for i := 0; i < 16; i++ {
-		q.push(&Task{Payload: i}, base)
-	}
-	for i := 0; i < 16; i++ {
-		if got := q.popHead(ClassInteractive).Payload.(int); got != i {
-			t.Fatalf("pop %d: got %d, want FIFO order", i, got)
+	errFirst := errors.New("first attempt fails")
+	var mu sync.Mutex
+	attempted := map[any]bool{}
+	exec := func(w Worker, tasks []*Task) Outcome {
+		for _, tk := range tasks {
+			if g, ok := tk.Payload.(*gate); ok {
+				close(g.entered)
+				<-g.release
+			}
+			mu.Lock()
+			again := attempted[tk.Payload]
+			attempted[tk.Payload] = true
+			mu.Unlock()
+			if tk.Payload == "a" && !again {
+				tk.Finish(errFirst)
+				continue
+			}
+			tk.Finish(nil)
 		}
+		return Outcome{}
 	}
-}
+	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 32}, exec)
 
-// TestQueueClassesIndependent: each class has its own heap and length.
-func TestQueueClassesIndependent(t *testing.T) {
-	var q runQueue
-	base := time.Now()
-	q.push(&Task{Class: ClassBatch, Payload: "b"}, base)
-	q.push(&Task{Class: ClassInteractive, Payload: "i"}, base)
-	if q.len() != 2 {
-		t.Fatalf("len = %d, want 2", q.len())
-	}
-	if got := q.popHead(ClassBatch).Payload; got != "b" {
-		t.Fatalf("batch head = %v", got)
-	}
-	if got := q.popHead(ClassInteractive).Payload; got != "i" {
-		t.Fatalf("interactive head = %v", got)
-	}
-}
-
-// TestQueueVtimeFloor: a class waking from empty is pulled up to the
-// smallest active virtual time, so idle classes cannot bank credit.
-func TestQueueVtimeFloor(t *testing.T) {
-	var q runQueue
-	base := time.Now()
-	q.vtime[ClassInteractive] = 10
-	q.push(&Task{Class: ClassInteractive}, base) // interactive active at vtime 10
-	q.push(&Task{Class: ClassBatch}, base)       // batch wakes: floored to 10
-	if got := q.vtime[ClassBatch]; got != 10 {
-		t.Fatalf("batch vtime = %v, want floored to 10", got)
-	}
-	// A class that is already ahead is not pulled backwards.
-	q.popHead(ClassBatch)
-	q.vtime[ClassBatch] = 50
-	q.push(&Task{Class: ClassBatch}, base)
-	if got := q.vtime[ClassBatch]; got != 50 {
-		t.Fatalf("batch vtime = %v, want unchanged 50", got)
-	}
-}
-
-// TestQueueIndexMaintenance: heap indices track positions through pushes,
-// pops and swaps (required for future in-place removal correctness).
-func TestQueueIndexMaintenance(t *testing.T) {
-	var q runQueue
-	base := time.Now()
-	tasks := make([]*Task, 0, 20)
-	for i := 0; i < 20; i++ {
-		var dl time.Time
-		if i%3 != 0 {
-			dl = base.Add(time.Duration((i*7)%13) * time.Millisecond)
-		}
-		tk := &Task{Deadline: dl}
+	// Arrival order with batchable and non-batchable tasks interleaved.
+	g := h.submitGate()
+	batchable := []bool{true, false, true, true, false, true}
+	var tasks []*Task
+	for i, b := range batchable {
+		tk := &Task{Batchable: b, Payload: i}
 		tasks = append(tasks, tk)
-		q.push(tk, base)
+		mustSubmit(t, h.s, tk)
 	}
-	h := q.heaps[ClassInteractive]
-	for i, tk := range h {
-		if tk.index != i {
-			t.Fatalf("heap[%d].index = %d", i, tk.index)
+	close(g.release)
+	waitDone(t, tasks...)
+	h.mu.Lock()
+	var groups [][]any
+	for _, d := range h.dispatches[1:] {
+		var ids []any
+		for _, tk := range d {
+			ids = append(ids, tk.Payload)
 		}
+		groups = append(groups, ids)
 	}
-	for q.len() > 0 {
-		popped := q.popHead(ClassInteractive)
-		if popped.index != -1 {
-			t.Fatalf("popped task keeps index %d", popped.index)
+	h.dispatches = nil
+	h.mu.Unlock()
+	want := [][]any{{0}, {1}, {2, 3}, {4}, {5}}
+	if !reflect.DeepEqual(groups, want) {
+		t.Fatalf("dispatches %v, want %v", groups, want)
+	}
+
+	// A retry queues behind newer arrivals. The first attempt of "a" fails
+	// while a second gate waits behind it; "b" and "c" arrive, then the
+	// retry of "a".
+	g1, g2 := newGate(), newGate()
+	first := &Task{Payload: g1}
+	mustSubmit(t, h.s, first)
+	<-g1.entered
+	a1 := &Task{Payload: "a"}
+	second := &Task{Payload: g2}
+	mustSubmit(t, h.s, a1)
+	mustSubmit(t, h.s, second)
+	close(g1.release)
+	waitDone(t, a1)
+	<-g2.entered
+	if !errors.Is(a1.Err(), errFirst) {
+		t.Fatalf("first attempt: %v, want %v", a1.Err(), errFirst)
+	}
+	b, c := &Task{Payload: "b"}, &Task{Batchable: true, Payload: "c"}
+	a2 := &Task{Batchable: true, Payload: "a"}
+	mustSubmit(t, h.s, b)
+	mustSubmit(t, h.s, c)
+	mustSubmit(t, h.s, a2)
+	close(g2.release)
+	waitDone(t, b, c, a2)
+	var order []any
+	for _, tk := range h.dispatchOrder() {
+		order = append(order, tk.Payload)
+	}
+	if got, want := order[3:], []any{"b", "c", "a"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the failed attempt: %v, want %v", got, want)
+	}
+	if err := a2.Err(); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+}
+
+// TestRunQueueReusesItsSlice: the queue restarts at the front of its slice
+// when it empties and compacts instead of growing while its head has
+// advanced, so a backlog that comes and goes never grows it without bound.
+func TestRunQueueReusesItsSlice(t *testing.T) {
+	var q runQueue
+	tasks := make([]*Task, 8)
+	for i := range tasks {
+		tasks[i] = &Task{Payload: i}
+	}
+	for round := 0; round < 100; round++ {
+		for _, tk := range tasks[:4] {
+			q.push(tk)
 		}
-		for i, tk := range q.heaps[ClassInteractive] {
-			if tk.index != i {
-				t.Fatalf("after pop: heap[%d].index = %d", i, tk.index)
+		q.pop()
+		for _, tk := range tasks[4:] {
+			q.push(tk)
+		}
+		// Three of the first four and all of the last four remain, in order.
+		for i, want := range []int{1, 2, 3, 4, 5, 6, 7} {
+			if got := q.pop().Payload; got != want {
+				t.Fatalf("round %d pop %d: got %v, want %d", round, i, got, want)
 			}
 		}
+		if q.len() != 0 || q.peek() != nil {
+			t.Fatalf("round %d: %d left", round, q.len())
+		}
 	}
-	_ = tasks
+	if c := cap(q.tasks); c > 2*len(tasks) {
+		t.Fatalf("queue slice grew to %d for a backlog of %d", c, len(tasks))
+	}
+	// A backlog that never empties compacts rather than growing.
+	for i := 0; i < 1000; i++ {
+		q.push(tasks[i%8])
+		if q.len() > 4 {
+			q.pop()
+		}
+	}
+	if c := cap(q.tasks); c > 2*len(tasks) {
+		t.Fatalf("queue slice grew to %d for a backlog of 5", c)
+	}
 }

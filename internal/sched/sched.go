@@ -9,16 +9,10 @@
 // needs no engine (Exec gets a nil Worker), so handing it to a worker
 // goroutine would buy two goroutine switches and a place in single file
 // behind whatever that worker runs next, and nothing else. Everything else
-// is queued for the pool, where two policies compose — they exist for
-// contention, and apply exactly when there is some:
-//
-//   - batched execution: queued batchable tasks of one class are coalesced
-//     into a single dispatch, sorted by locality key, so equal shapes run
-//     back to back and one worker hand-off serves the whole backlog;
-//   - priority + deadline dispatch: per-class index-heap run queues with
-//     EDF order within a class, weighted fair queueing across classes, and
-//     starvation aging (a head task waiting past StarveAfter is served
-//     regardless of weights).
+// is queued for the pool in one FIFO run queue, served in arrival order.
+// One policy acts on it, and only when there is a backlog: batchable tasks
+// queued back to back at the head are coalesced, up to BatchMax, into a
+// single dispatch, so one worker hand-off serves the whole run of them.
 //
 // The pool is the MinWorkers workers New builds; it never grows, shrinks
 // or replaces one. A task is dispatched at most once: the scheduler does
@@ -35,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -82,26 +75,17 @@ type Config struct {
 	QueueCap int
 	// BatchMax caps tasks coalesced into one dispatch (default 32).
 	BatchMax int
-	// Weights are the per-class fair shares (default interactive 4,
-	// batch 1).
-	Weights [NumClasses]float64
-	// StarveAfter bounds cross-class starvation: a class head waiting this
-	// long is dispatched regardless of weights (default 2s; <0 disables).
-	StarveAfter time.Duration
 	// NewWorker creates a pool worker (required).
 	NewWorker func() (Worker, error)
-	// Exec runs one dispatch — a locality-sorted batch of one class, or a
-	// single non-batchable task — on a worker (required). It should Finish
-	// every task, with an error for one that failed: a task still
+	// Exec runs one dispatch — a run of batchable tasks in arrival order,
+	// or a single non-batchable task — on a worker (required). It should
+	// Finish every task, with an error for one that failed: a task still
 	// unfinished when Exec returns is finished with an error for it, and
 	// is never dispatched again. w is nil for a dispatch run by Submit's
 	// caller (one batchable task, see the package comment): batchable
 	// work must not need the engine. Exec may then be running on several
 	// goroutines at once.
 	Exec func(w Worker, tasks []*Task) Outcome
-	// Now is the clock used for deadlines and aging (default time.Now;
-	// injectable for tests).
-	Now func() time.Time
 	// Metrics is the registry the scheduler's counters live in (names
 	// "sched.*"). A private registry is created when nil; either way
 	// Scheduler.Registry returns the one in use, so the serving layer can
@@ -122,18 +106,6 @@ func (c Config) fill() Config {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 32
-	}
-	if c.Weights[ClassInteractive] <= 0 {
-		c.Weights[ClassInteractive] = 4
-	}
-	if c.Weights[ClassBatch] <= 0 {
-		c.Weights[ClassBatch] = 1
-	}
-	if c.StarveAfter == 0 {
-		c.StarveAfter = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -175,10 +147,7 @@ type Scheduler struct {
 	inline          *obs.Counter // dispatches run by Submit's caller
 	maxBatch        *obs.Counter // running maximum via RaiseTo
 	expired         *obs.Counter
-	misses          *obs.Counter
-	starved         *obs.Counter
-	served          [NumClasses]*obs.Counter
-	qwait           [NumClasses]*obs.Histogram // admission-to-dispatch wait
+	qwait           *obs.Histogram // admission-to-dispatch wait
 }
 
 // New builds a scheduler and its MinWorkers workers synchronously (a
@@ -209,12 +178,7 @@ func New(cfg Config) (*Scheduler, error) {
 		inline:          reg.Counter("sched.inline_dispatches"),
 		maxBatch:        reg.Counter("sched.max_batch"),
 		expired:         reg.Counter("sched.expired_before_run"),
-		misses:          reg.Counter("sched.deadline_misses"),
-		starved:         reg.Counter("sched.starvation_promotions"),
-	}
-	for c := 0; c < NumClasses; c++ {
-		s.served[c] = reg.Counter("sched.served." + Class(c).String())
-		s.qwait[c] = reg.Histogram("sched.queue_wait." + Class(c).String())
+		qwait:           reg.Histogram("sched.queue_wait"),
 	}
 	initial := make([]Worker, 0, cfg.MinWorkers)
 	for i := 0; i < cfg.MinWorkers; i++ {
@@ -246,16 +210,11 @@ func (s *Scheduler) Queued() int {
 	return s.q.len()
 }
 
-func (s *Scheduler) now() time.Time { return s.cfg.Now() }
-
 // Submit admits t or refuses with ErrQueueFull/ErrClosed. On admission the
 // task WILL be finished eventually; wait on t.Done(). A batchable task may
 // be dispatched on the calling goroutine (package comment): Submit then
 // returns with t finished, and Done is already closed.
 func (s *Scheduler) Submit(t *Task) error {
-	if t.Class >= NumClasses {
-		return fmt.Errorf("sched: invalid class %d", t.Class)
-	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -269,14 +228,13 @@ func (s *Scheduler) Submit(t *Task) error {
 	s.inflight.Add(1)
 	t.s = s
 	t.done = make(chan struct{})
-	now := s.now()
+	t.enq = time.Now()
 	callerRun := t.Batchable && s.q.len() == 0 && s.busy < s.cfg.MinWorkers && s.callers < s.maxCallers
 	if callerRun {
 		s.callers++
-		t.enq = now
-		s.q.vtime[t.Class] += s.issueLocked(t, now) / s.cfg.Weights[t.Class]
+		s.issueLocked(t, t.enq)
 	} else {
-		s.q.push(t, now)
+		s.q.push(t)
 	}
 	s.mu.Unlock()
 	s.submitted.Add(1)
@@ -323,83 +281,35 @@ func (s *Scheduler) taskFinished(t *Task, err error) {
 	switch {
 	case err == nil:
 		s.completed.Add(1)
-		if !t.Deadline.IsZero() && s.now().After(t.Deadline) {
-			s.misses.Add(1)
-		}
 	case errors.Is(err, ErrCancelled), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		s.cancelled.Add(1)
 	default:
 		s.failed.Add(1)
 	}
-	s.served[t.Class].Add(1)
 }
 
-// pickClassLocked chooses the class to dispatch from: a starving head
-// overrides the weighted-fair choice (oldest starving head wins); ties on
-// virtual time go to the lower class index (interactive).
-func (s *Scheduler) pickClassLocked(now time.Time) (Class, bool) {
-	aged, fair := -1, -1
-	var oldest time.Time
-	for c := 0; c < NumClasses; c++ {
-		h := s.q.heaps[c]
-		if len(h) == 0 {
-			continue
-		}
-		head := h[0]
-		if s.cfg.StarveAfter > 0 && now.Sub(head.enq) >= s.cfg.StarveAfter {
-			if aged < 0 || head.enq.Before(oldest) {
-				aged = c
-				oldest = head.enq
-			}
-		}
-		if fair < 0 || s.q.vtime[c] < s.q.vtime[fair] {
-			fair = c
-		}
-	}
-	if aged >= 0 {
-		if aged != fair {
-			s.starved.Add(1)
-		}
-		return Class(aged), true
-	}
-	if fair >= 0 {
-		return Class(fair), true
-	}
-	return 0, false
-}
-
-// issueLocked books t's passage from admitted to dispatched at now — the
-// queue-wait sample and span — and returns its fairness cost.
-func (s *Scheduler) issueLocked(t *Task, now time.Time) float64 {
-	// Queue-wait lands in the per-class histogram so /metrics separates
-	// wait p99 from service p99 — the queueing-delay half of latency.
-	s.qwait[t.Class].Observe(now.Sub(t.enq).Seconds())
+// issueLocked books t's passage from admitted to dispatched at now: the
+// queue-wait sample and span.
+func (s *Scheduler) issueLocked(t *Task, now time.Time) {
+	s.qwait.Observe(now.Sub(t.enq).Seconds())
 	if s.cfg.Trace != nil {
 		// Queue-wait span: admission (enq) to dispatch, on the sched lane.
 		s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindQueue, t.enq, now)
 	}
-	return max(t.Cost, 1)
 }
 
-// popBatch assembles the next dispatch into buf: the picked class's EDF
-// head, extended with up to BatchMax-1 further batchable heads of the same
-// class, sorted by locality key. Cancelled tasks surfacing at the head are
+// popBatch assembles the next dispatch into buf: the head of the queue,
+// extended while the head stays batchable with up to BatchMax-1 further
+// tasks, in arrival order. Cancelled tasks surfacing at the head are
 // dropped on the spot. An empty result means no dispatchable work; a
 // non-empty one marks the calling worker busy until it says otherwise.
 func (s *Scheduler) popBatch(buf []*Task) []*Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
-	c, ok := s.pickClassLocked(now)
-	if !ok {
-		return buf
-	}
-	h := &s.q.heaps[c]
-	var cost float64
-	for len(*h) > 0 {
-		head := (*h)[0]
+	var now time.Time
+	for head := s.q.peek(); head != nil; head = s.q.peek() {
 		if head.Cancelled() {
-			s.q.popHead(c)
+			s.q.pop()
 			s.expired.Add(1)
 			head.Finish(ErrCancelled)
 			continue
@@ -407,25 +317,18 @@ func (s *Scheduler) popBatch(buf []*Task) []*Task {
 		if len(buf) > 0 && (!head.Batchable || len(buf) >= s.cfg.BatchMax) {
 			break
 		}
-		s.q.popHead(c)
-		cost += s.issueLocked(head, now)
+		if now.IsZero() {
+			now = time.Now()
+		}
+		s.q.pop()
+		s.issueLocked(head, now)
 		buf = append(buf, head)
 		if !head.Batchable {
 			break
 		}
 	}
-	if len(buf) == 0 {
-		return buf
-	}
-	s.busy++
-	s.q.vtime[c] += cost / s.cfg.Weights[c]
-	if len(buf) > 1 {
-		sort.Slice(buf, func(i, j int) bool {
-			if buf[i].LocKey != buf[j].LocKey {
-				return buf[i].LocKey < buf[j].LocKey
-			}
-			return buf[i].seq < buf[j].seq
-		})
+	if len(buf) > 0 {
+		s.busy++
 	}
 	return buf
 }
@@ -474,11 +377,11 @@ func (s *Scheduler) dispatch(w Worker, batch []*Task) {
 	s.maxBatch.RaiseTo(int64(len(batch)))
 	var t0 time.Time
 	if s.cfg.Trace != nil {
-		t0 = s.now()
+		t0 = time.Now()
 	}
 	s.cfg.Exec(w, batch)
 	if s.cfg.Trace != nil {
-		s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindBatch, t0, s.now())
+		s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindBatch, t0, time.Now())
 	}
 	for _, t := range batch {
 		t.Finish(errNotFinished) // a no-op for every task Exec finished
@@ -549,10 +452,7 @@ func (s *Scheduler) Close(ctx context.Context) error {
 func (s *Scheduler) flush(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for c := 0; c < NumClasses; c++ {
-		for len(s.q.heaps[c]) > 0 {
-			t := s.q.popHead(Class(c))
-			t.Finish(err)
-		}
+	for s.q.len() > 0 {
+		s.q.pop().Finish(err)
 	}
 }

@@ -150,17 +150,6 @@ func waitDone(t *testing.T, tasks ...*Task) {
 	}
 }
 
-// fakeClock is an injectable Config.Now.
-type fakeClock struct{ t atomic.Int64 }
-
-func newFakeClock(at time.Time) *fakeClock {
-	c := &fakeClock{}
-	c.t.Store(at.UnixNano())
-	return c
-}
-func (c *fakeClock) now() time.Time          { return time.Unix(0, c.t.Load()) }
-func (c *fakeClock) advance(d time.Duration) { c.t.Add(int64(d)) }
-
 // ---- behavior --------------------------------------------------------------
 
 func TestSchedulerRunsTasks(t *testing.T) {
@@ -182,40 +171,15 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	}
 }
 
-// TestSchedulerEDFWithinClass: with a single pinned worker, queued tasks of
-// one class dispatch earliest-deadline-first regardless of arrival order.
-func TestSchedulerEDFWithinClass(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 16}, gateExec)
-	g := h.submitGate()
-
-	base := time.Now().Add(time.Hour)
-	order := []int{3, 0, 2, 1} // submit deadlines out of order
-	tasks := make([]*Task, len(order))
-	for i, d := range order {
-		tasks[i] = &Task{Deadline: base.Add(time.Duration(d) * time.Minute), Payload: d}
-		mustSubmit(t, h.s, tasks[i])
-	}
-	close(g.release)
-	waitDone(t, tasks...)
-
-	got := h.dispatchOrder()[1:] // strip the gate
-	for i, tk := range got {
-		if tk.Payload.(int) != i {
-			t.Fatalf("dispatch %d: deadline rank %v, want %d", i, tk.Payload, i)
-		}
-	}
-}
-
-// TestSchedulerBatchCoalescing: queued batchable tasks of one class
-// dispatch as a single locality-sorted batch.
+// TestSchedulerBatchCoalescing: queued batchable tasks dispatch as a
+// single batch, in arrival order.
 func TestSchedulerBatchCoalescing(t *testing.T) {
 	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 32, BatchMax: 16}, gateExec)
 	g := h.submitGate()
 
-	keys := []uint64{5, 1, 9, 1, 3, 7, 2, 8}
-	tasks := make([]*Task, len(keys))
-	for i, k := range keys {
-		tasks[i] = &Task{Batchable: true, LocKey: k, Payload: i}
+	tasks := make([]*Task, 8)
+	for i := range tasks {
+		tasks[i] = &Task{Batchable: true, Payload: i}
 		mustSubmit(t, h.s, tasks[i])
 	}
 	close(g.release)
@@ -227,21 +191,17 @@ func TestSchedulerBatchCoalescing(t *testing.T) {
 		t.Fatalf("got %d dispatches, want 2 (gate + batch)", len(h.dispatches))
 	}
 	batch := h.dispatches[1]
-	if len(batch) != len(keys) {
-		t.Fatalf("batch size %d, want %d", len(batch), len(keys))
+	if len(batch) != len(tasks) {
+		t.Fatalf("batch size %d, want %d", len(batch), len(tasks))
 	}
-	for i := 1; i < len(batch); i++ {
-		if batch[i-1].LocKey > batch[i].LocKey {
-			t.Fatalf("batch not locality-sorted: key[%d]=%d > key[%d]=%d",
-				i-1, batch[i-1].LocKey, i, batch[i].LocKey)
-		}
-		if batch[i-1].LocKey == batch[i].LocKey && batch[i-1].seq > batch[i].seq {
-			t.Fatalf("equal keys not FIFO at %d", i)
+	for i, tk := range batch {
+		if tk != tasks[i] {
+			t.Fatalf("batch[%d] is task %v, want arrival order", i, tk.Payload)
 		}
 	}
 	snap := h.s.Snapshot()
-	if snap.MaxBatch != int64(len(keys)) {
-		t.Fatalf("MaxBatch = %d, want %d", snap.MaxBatch, len(keys))
+	if snap.MaxBatch != int64(len(tasks)) {
+		t.Fatalf("MaxBatch = %d, want %d", snap.MaxBatch, len(tasks))
 	}
 	if snap.BatchOccupancy <= 1 {
 		t.Fatalf("BatchOccupancy = %v, want > 1", snap.BatchOccupancy)
@@ -295,121 +255,6 @@ func TestSchedulerNonBatchableSingleton(t *testing.T) {
 	}
 }
 
-// TestSchedulerWeightedFairness: with both classes backlogged, the 4:1
-// default weights serve roughly four interactive tasks per batch task.
-func TestSchedulerWeightedFairness(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 64, StarveAfter: -1}, gateExec)
-	g := h.submitGate()
-	var tasks []*Task
-	for i := 0; i < 20; i++ {
-		ti := &Task{Class: ClassInteractive, Payload: i}
-		tb := &Task{Class: ClassBatch, Payload: i}
-		tasks = append(tasks, ti, tb)
-		mustSubmit(t, h.s, ti)
-		mustSubmit(t, h.s, tb)
-	}
-	close(g.release)
-	waitDone(t, tasks...)
-
-	order := h.dispatchOrder()[1:]
-	// Count interactive completions in the first half of the schedule: with
-	// weights 4:1 the share must be close to 4/5, certainly above 3/5.
-	half := order[:len(order)/2]
-	ni := 0
-	for _, tk := range half {
-		if tk.Class == ClassInteractive {
-			ni++
-		}
-	}
-	if ni*5 < len(half)*3 {
-		t.Fatalf("interactive share %d/%d below weighted-fair expectation", ni, len(half))
-	}
-	// And batch work is not locked out entirely.
-	nb := 0
-	for _, tk := range half {
-		if tk.Class == ClassBatch {
-			nb++
-		}
-	}
-	if nb == 0 {
-		t.Fatalf("batch class fully starved in first half of schedule")
-	}
-}
-
-// TestSchedulerStarvationAging: a batch head older than StarveAfter is
-// dispatched ahead of the weighted-fair (interactive) pick.
-func TestSchedulerStarvationAging(t *testing.T) {
-	clk := newFakeClock(time.Unix(1000, 0))
-	h := newHarness(t, Config{
-		MinWorkers: 1, QueueCap: 32,
-		StarveAfter: 2 * time.Second, Now: clk.now,
-	}, gateExec)
-	// Pin the worker with a batch-class gate so both classes carry equal
-	// virtual time when the contested pick happens (tie → interactive is
-	// the fair choice; only aging can promote the batch head).
-	g := newGate()
-	gt := &Task{Class: ClassBatch, Payload: g}
-	mustSubmit(t, h.s, gt)
-	select {
-	case <-g.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("gate never entered")
-	}
-
-	old := &Task{Class: ClassBatch, Payload: "old"}
-	mustSubmit(t, h.s, old)
-	clk.advance(3 * time.Second) // old batch task is now starving
-	young := &Task{Class: ClassInteractive, Payload: "young"}
-	mustSubmit(t, h.s, young)
-
-	close(g.release)
-	waitDone(t, old, young)
-	order := h.dispatchOrder()[1:]
-	if order[0].Payload != "old" {
-		t.Fatalf("aged batch task not promoted: first dispatch %v", order[0].Payload)
-	}
-	if snap := h.s.Snapshot(); snap.StarvationPromotions == 0 {
-		t.Fatalf("StarvationPromotions not counted")
-	}
-}
-
-// TestSchedulerNoStarvationUnderLoad: under a sustained stream of
-// interactive work on one worker, a batch task still completes within the
-// aging bound.
-func TestSchedulerNoStarvationUnderLoad(t *testing.T) {
-	exec := func(w Worker, tasks []*Task) Outcome {
-		time.Sleep(200 * time.Microsecond)
-		for _, tk := range tasks {
-			tk.Finish(nil)
-		}
-		return Outcome{}
-	}
-	h := newHarness(t, Config{
-		MinWorkers: 1, QueueCap: 8,
-		StarveAfter: 20 * time.Millisecond,
-		Weights:     [NumClasses]float64{1000, 0.001},
-	}, exec)
-
-	victim := &Task{Class: ClassBatch, Payload: "victim"}
-	mustSubmit(t, h.s, victim)
-
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case <-victim.Done():
-			return
-		case <-deadline:
-			t.Fatalf("batch task starved for 5s under interactive load")
-		default:
-		}
-		tk := &Task{Class: ClassInteractive}
-		if err := h.s.Submit(tk); err != nil {
-			// queue full: let the worker drain a little
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 // TestSchedulerDropsCancelledAtHead: a task whose Cancel fires while queued
 // is finished with ErrCancelled without reaching the executor.
 func TestSchedulerDropsCancelledAtHead(t *testing.T) {
@@ -457,14 +302,6 @@ func TestSchedulerQueueFull(t *testing.T) {
 	}
 	close(g.release)
 	waitDone(t, a, b)
-}
-
-// TestSchedulerSubmitInvalidClass rejects out-of-range classes.
-func TestSchedulerSubmitInvalidClass(t *testing.T) {
-	h := newHarness(t, Config{}, nil)
-	if err := h.s.Submit(&Task{Class: Class(9)}); err == nil {
-		t.Fatalf("invalid class accepted")
-	}
 }
 
 // TestSchedulerCloseDrains: Close finishes admitted work before stopping

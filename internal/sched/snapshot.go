@@ -7,9 +7,6 @@ type Snapshot struct {
 	Workers  int   `json:"workers"`
 	Queued   int   `json:"queued"`
 	InFlight int64 `json:"in_flight"`
-	// QueuedByClass is the per-class run-queue depth, indexed by
-	// Class.String().
-	QueuedByClass map[string]int `json:"queued_by_class"`
 
 	// Admission counters.
 	Submitted uint64 `json:"submitted"`
@@ -17,12 +14,10 @@ type Snapshot struct {
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
 	Cancelled uint64 `json:"cancelled"`
-	// ServedByClass counts finished tasks per class.
-	ServedByClass map[string]uint64 `json:"served_by_class"`
-	// QueueWait is the per-class admission-to-dispatch wait distribution,
-	// indexed by Class.String() — queueing delay, separate from service
-	// time, so a loaded server's latency decomposes in /metrics.
-	QueueWait map[string]WaitStats `json:"queue_wait"`
+	// QueueWait is the admission-to-dispatch wait distribution — queueing
+	// delay, separate from service time, so a loaded server's latency
+	// decomposes in /metrics.
+	QueueWait WaitStats `json:"queue_wait"`
 
 	// Batching.
 	Dispatches      uint64  `json:"dispatches"`
@@ -33,13 +28,12 @@ type Snapshot struct {
 	// itself (one batchable task, idle pool): work that never woke a worker.
 	InlineDispatches uint64 `json:"inline_dispatches"`
 
-	// Deadlines and aging.
-	DeadlineMisses       uint64 `json:"deadline_misses"`
-	ExpiredBeforeRun     uint64 `json:"expired_before_run"`
-	StarvationPromotions uint64 `json:"starvation_promotions"`
+	// ExpiredBeforeRun counts tasks dropped at the head of the queue
+	// because their Cancel fired while they waited.
+	ExpiredBeforeRun uint64 `json:"expired_before_run"`
 }
 
-// WaitStats summarizes one class's queue-wait distribution.
+// WaitStats summarizes the queue-wait distribution.
 type WaitStats struct {
 	Count  uint64  `json:"count"`
 	MeanMs float64 `json:"mean_ms"`
@@ -49,45 +43,26 @@ type WaitStats struct {
 
 // Snapshot captures the scheduler's current state.
 func (s *Scheduler) Snapshot() Snapshot {
-	s.mu.Lock()
-	queued := s.q.len()
-	byClass := make(map[string]int, NumClasses)
-	for c := 0; c < NumClasses; c++ {
-		byClass[Class(c).String()] = len(s.q.heaps[c])
-	}
-	s.mu.Unlock()
-
-	served := make(map[string]uint64, NumClasses)
-	qwait := make(map[string]WaitStats, NumClasses)
-	for c := 0; c < NumClasses; c++ {
-		served[Class(c).String()] = uint64(s.served[c].Load())
-		h := s.qwait[c]
-		qwait[Class(c).String()] = WaitStats{
-			Count:  h.Count(),
-			MeanMs: h.Mean() * 1e3,
-			P50Ms:  h.Quantile(0.5) * 1e3,
-			P99Ms:  h.Quantile(0.99) * 1e3,
-		}
-	}
 	snap := Snapshot{
-		Workers:              s.cfg.MinWorkers,
-		Queued:               queued,
-		InFlight:             s.inflight.Load(),
-		QueuedByClass:        byClass,
-		Submitted:            uint64(s.submitted.Load()),
-		Rejected:             uint64(s.rejected.Load()),
-		Completed:            uint64(s.completed.Load()),
-		Failed:               uint64(s.failed.Load()),
-		Cancelled:            uint64(s.cancelled.Load()),
-		ServedByClass:        served,
-		QueueWait:            qwait,
-		Dispatches:           uint64(s.dispatches.Load()),
-		DispatchedTasks:      uint64(s.dispatchedTasks.Load()),
-		MaxBatch:             s.maxBatch.Load(),
-		InlineDispatches:     uint64(s.inline.Load()),
-		DeadlineMisses:       uint64(s.misses.Load()),
-		ExpiredBeforeRun:     uint64(s.expired.Load()),
-		StarvationPromotions: uint64(s.starved.Load()),
+		Workers:   s.cfg.MinWorkers,
+		Queued:    s.Queued(),
+		InFlight:  s.inflight.Load(),
+		Submitted: uint64(s.submitted.Load()),
+		Rejected:  uint64(s.rejected.Load()),
+		Completed: uint64(s.completed.Load()),
+		Failed:    uint64(s.failed.Load()),
+		Cancelled: uint64(s.cancelled.Load()),
+		QueueWait: WaitStats{
+			Count:  s.qwait.Count(),
+			MeanMs: s.qwait.Mean() * 1e3,
+			P50Ms:  s.qwait.Quantile(0.5) * 1e3,
+			P99Ms:  s.qwait.Quantile(0.99) * 1e3,
+		},
+		Dispatches:       uint64(s.dispatches.Load()),
+		DispatchedTasks:  uint64(s.dispatchedTasks.Load()),
+		MaxBatch:         s.maxBatch.Load(),
+		InlineDispatches: uint64(s.inline.Load()),
+		ExpiredBeforeRun: uint64(s.expired.Load()),
 	}
 	if snap.Dispatches > 0 {
 		snap.BatchOccupancy = float64(snap.DispatchedTasks) / float64(snap.Dispatches)

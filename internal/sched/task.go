@@ -8,27 +8,12 @@ import (
 // Task is one schedulable unit of work. The caller fills the public
 // fields, Submit-s it, and waits on Done; the executor completes it with
 // Finish. A Task is engine-agnostic: the scheduler never looks inside
-// Payload, it only orders, groups and dispatches. A Task is submitted
+// Payload, it only queues, groups and dispatches. A Task is submitted
 // once; a retry is a new Task.
 type Task struct {
-	// Class selects the run queue (weighted fairness across classes).
-	Class Class
-	// Deadline is the EDF key within the class; the zero time means "no
-	// deadline" and sorts after every deadlined task, FIFO. A deadline is a
-	// scheduling hint, not an enforcement mechanism — a task that misses it
-	// still runs (and is counted in DeadlineMisses); enforcement is the
-	// caller's Cancel channel.
-	Deadline time.Time
-	// Cost estimates the work (e.g. flop count); it feeds the weighted
-	// fairness accounting. Zero is treated as 1.
-	Cost float64
-	// Batchable marks tasks that may be coalesced with other batchable
-	// tasks of the same class into one dispatch.
+	// Batchable marks tasks that may be coalesced with other queued
+	// batchable tasks into one dispatch.
 	Batchable bool
-	// LocKey is the locality key: a dispatch batch is sorted by it, so
-	// tasks sharing a key (e.g. a GEMM shape) run consecutively against
-	// warm scratch pools.
-	LocKey uint64
 	// Cancel, when non-nil and closed, aborts the task: the scheduler
 	// drops it if still queued, and executors should skip it.
 	Cancel <-chan struct{}
@@ -36,9 +21,7 @@ type Task struct {
 	Payload any
 
 	s     *Scheduler
-	seq   uint64
 	enq   time.Time
-	index int          // heap position; -1 when not queued
 	state atomic.Int32 // 0 pending, 1 finished
 	err   error
 	done  chan struct{}

@@ -10,9 +10,8 @@ package server
 // sched's package comment), or the pool worker that popped a coalesced
 // backlog, with helpers up to the processor count pulling from the same
 // counter. Results are bit identical however a product was reached because
-// mat.GemmParallel's stripe split is thread-count-invariant. The LocKey sort
-// puts equal shapes back to back, so a batch runs against warm scratch; every
-// gemmLocal still packs its own operands' panels.
+// mat.GemmParallel's stripe split is thread-count-invariant. A batch runs
+// in arrival order; every gemmLocal packs its own operands' panels.
 
 import (
 	"context"
@@ -58,17 +57,8 @@ type teamWorker struct {
 
 func (w *teamWorker) Close() error { return w.tm.Close() }
 
-// locKey packs the problem shape and transpose case into the scheduler's
-// locality key: batches sort by it, so equal shapes run consecutively
-// against warm scratch. Dims are bounded by MaxDim (<= 4096), well inside
-// the 20-bit fields.
-func locKey(cs core.Case, d core.Dims) uint64 {
-	return uint64(d.M)<<42 | uint64(d.N)<<22 | uint64(d.K)<<2 | uint64(cs)&3
-}
-
 // newScheduler builds the workload scheduler over a fixed pool of Teams
-// persistent teams, with the scheduler's default class weights and
-// starvation bound.
+// persistent teams.
 func (s *Server) newScheduler() (*sched.Scheduler, error) {
 	return sched.New(sched.Config{
 		MinWorkers: s.cfg.Teams,
@@ -96,8 +86,8 @@ func (s *Server) newScheduler() (*sched.Scheduler, error) {
 
 // schedExec runs one dispatch: a singleton distributed job on the worker's
 // team, or small GEMMs (one that the scheduler had its submitter run, w nil,
-// or a locality-sorted backlog) on the goroutine that holds them. Only
-// distributed jobs carry recovery state. Every task is finished here, with
+// or a backlog coalesced in arrival order) on the goroutine that holds
+// them. Only distributed jobs carry recovery state. Every task is finished here, with
 // its error if it failed; retrying is runScheduled's.
 func (s *Server) schedExec(w sched.Worker, tasks []*sched.Task) sched.Outcome {
 	if tasks[0].Payload.(*schedJob).rec != nil {
@@ -109,9 +99,9 @@ func (s *Server) schedExec(w sched.Worker, tasks []*sched.Task) sched.Outcome {
 // execDistributedTask runs one large multiply and finishes its task with
 // the run's error. On the cluster route the team hosting the dispatch only
 // bounds how many cluster jobs are in flight — one per team, so with the
-// default two teams two interactive jobs can hold both nodes at once (the
-// pool's router takes any free node for them). The pool's worker processes
-// do the arithmetic, and a node failure is repaired inside the pool.
+// default two teams two jobs can hold both nodes at once (the pool's router
+// takes any free node). The pool's worker processes do the arithmetic, and
+// a node failure is repaired inside the pool.
 func (s *Server) execDistributedTask(tm *armci.Team, t *sched.Task) sched.Outcome {
 	job := t.Payload.(*schedJob)
 	if hook := s.batchHook(); hook != nil {

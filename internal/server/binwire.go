@@ -5,8 +5,8 @@ package server
 // (shape, case, alpha/beta, per-request knobs) followed by the operands as
 // raw little-endian float64 arrays: A, then B, then (when flagged) the
 // input C. A response is a 16-byte header followed by the result floats.
-// Request identity, workload class and the deadline hint — strings and
-// scheduling metadata, not bulk data — ride as X-Srumma-* HTTP headers.
+// The request identity — a string, not bulk data — rides as the
+// X-Srumma-Id HTTP header.
 //
 // The decoder is zero-copy on little-endian hosts: the body is read with
 // io.ReadFull directly into the float64 backing store of a buffer from the
@@ -30,12 +30,10 @@ package server
 // exactly, so a hostile or truncated request is refused without ever
 // sizing a buffer from attacker-controlled lengths. A body that stops
 // arriving is cut off at the server's MaxTimeout, so a silent client cannot
-// pin the buffers its header drew. Optional gzip is
-// negotiated with the standard Content-Encoding/Accept-Encoding headers.
+// pin the buffers its header drew.
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -45,7 +43,6 @@ import (
 	"math/bits"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 	"unsafe"
@@ -171,8 +168,7 @@ func badWire(format string, args ...any) *wireError {
 type wireRequest struct {
 	req     MultiplyRequest
 	wire    string // wireJSON or wireBinary
-	gzipped bool   // request body arrived gzip-encoded
-	bytesIn int64  // wire bytes of the request body (compressed size if gzipped)
+	bytesIn int64  // wire bytes of the request body
 
 	// bufs holds pooled operand storage in A, B, C order (nil entries on the
 	// JSON wire). The request that decoded them is their one owner.
@@ -302,8 +298,8 @@ func (sh binShape) bodyLen() int64 {
 // decodeBinaryRequest reads one binary request from r into wr, drawing
 // operand storage from the buffer pool and admitting each operand as it
 // lands.
-// contentLength is the transport's claimed body size (-1 when unknown or
-// gzip-compressed); when known it must match the header-derived size
+// contentLength is the transport's claimed body size (-1 when unknown);
+// when known it must match the header-derived size
 // exactly — checked before allocation. On error wr owns the buffers drawn.
 func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, dg *digester, wr *wireRequest) *wireError {
 	if _, err := io.ReadFull(r, wr.scratch[:]); err != nil {
@@ -478,15 +474,15 @@ func jsonBodyLimit(maxDim int) int64 {
 	return 3*int64(maxDim)*int64(maxDim)*32 + 1<<16
 }
 
-// binBodyLimit bounds a binary request body independently of its header
-// (the header-derived exact check is stricter, but gzip-encoded bodies
-// have no trustworthy Content-Length to compare against).
+// binBodyLimit bounds a binary request body independently of its header.
+// The decoder reads no more than the header-derived size plus one byte, so
+// this is a second fence, not the bound a body meets.
 func binBodyLimit(maxDim int) int64 {
 	return 3*int64(maxDim)*int64(maxDim)*8 + binReqHeaderLen + 1<<12
 }
 
-// decodeRequest decodes one /v1/multiply body. A failure any byte limit
-// caused — either wire, compressed or inflated — is a 413; a body that
+// decodeRequest decodes one /v1/multiply body. A failure the byte limit
+// caused, on either wire, is a 413; a body that
 // stopped arriving before the read deadline is a 408.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireRequest, *wireError) {
 	t0 := time.Now()
@@ -495,7 +491,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireReq
 	// without a connection cannot arm one, and have nothing to stall.
 	rc := http.NewResponseController(w)
 	armed := rc.SetReadDeadline(time.Now().Add(s.cfg.MaxTimeout)) == nil
-	wr := &wireRequest{wire: wireJSON, gzipped: r.Header.Get("Content-Encoding") == "gzip"}
+	wr := &wireRequest{wire: wireJSON}
 	if werr := s.decodeBody(w, r, wr); werr != nil {
 		// A refused body is read no further: the rest of it, still in
 		// flight, is not drained before the answer, and the connection
@@ -524,7 +520,9 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireReq
 }
 
 // decodeBody dispatches on Content-Type — the binary wire, or JSON for
-// everything else — over a size-bounded, optionally gzipped, counted body.
+// everything else — over a size-bounded, counted body. The body is read as
+// it arrives: a Content-Encoding is not undone, so an encoded body fails
+// to decode.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, wr *wireRequest) *wireError {
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -537,35 +535,14 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, wr *wireRequ
 	}
 	cr := &countingReader{r: http.MaxBytesReader(w, r.Body, limit)}
 	defer func() { wr.bytesIn = cr.n }()
-	var body io.Reader = cr
-	contentLength := r.ContentLength
-	if wr.gzipped {
-		gz, err := gzip.NewReader(cr)
-		if err != nil {
-			return badWire("bad gzip body: %w", err)
-		}
-		defer gz.Close()
-		// cr bounds the compressed bytes only, and a small body can inflate
-		// without end: hold what comes out of gz to the same limit.
-		body = http.MaxBytesReader(w, gz, limit)
-		contentLength = -1 // compressed size says nothing about the payload
-	}
 	if wr.wire == wireJSON {
-		return decodeJSONRequest(body, s.dg, wr)
+		return decodeJSONRequest(cr, s.dg, wr)
 	}
-	if werr := decodeBinaryRequest(body, contentLength, s.cfg.MaxDim, s.dg, wr); werr != nil {
+	if werr := decodeBinaryRequest(cr, r.ContentLength, s.cfg.MaxDim, s.dg, wr); werr != nil {
 		return werr
 	}
-	// Scalars that have no binary field ride as headers.
+	// The one scalar that has no binary field rides as a header.
 	wr.req.ID = r.Header.Get("X-Srumma-Id")
-	wr.req.Class = r.Header.Get("X-Srumma-Class")
-	if v := r.Header.Get("X-Srumma-Deadline-Ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
-			return badWire("bad X-Srumma-Deadline-Ms %q", v)
-		}
-		wr.req.DeadlineMillis = ms
-	}
 	return nil
 }
 

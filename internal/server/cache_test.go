@@ -73,7 +73,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 
 	// Same operands over the binary wire: digests are computed over the
 	// decoded operand, not the wire encoding, so this hits too.
-	w := binPost(t, s, req, false, "")
+	w := binPost(t, s, req, "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("binary status %d: %s", w.Code, w.Body.String())
 	}
@@ -234,7 +234,7 @@ func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 		})
 		req := blockerReq()
 		req.TimeoutMillis = 50
-		if w := binPost(t, s, req, false, ""); w.Code != http.StatusGatewayTimeout {
+		if w := binPost(t, s, req, ""); w.Code != http.StatusGatewayTimeout {
 			t.Fatalf("cache entries %d: status %d, want 504", entries, w.Code)
 		}
 		ops := <-held
@@ -277,7 +277,7 @@ func TestIdenticalOperandsDigestEqually(t *testing.T) {
 	if resp.DigestA == "" || resp.DigestA != resp.DigestB {
 		t.Fatalf("identical operands digested differently: %q vs %q", resp.DigestA, resp.DigestB)
 	}
-	w := binPost(t, s, req, false, "")
+	w := binPost(t, s, req, "")
 	if a, b := w.Header().Get("X-Srumma-Digest-A"), w.Header().Get("X-Srumma-Digest-B"); a != resp.DigestA || b != a {
 		t.Fatalf("binary wire digests %q, %q; want both %q", a, b, resp.DigestA)
 	}
@@ -348,7 +348,7 @@ func TestMetricsWireAndCacheSnapshot(t *testing.T) {
 	req := randReq(8, 8, 8, 903)
 	post(t, s, req, nil)
 	post(t, s, req, nil)
-	binPost(t, s, req, false, "")
+	binPost(t, s, req, "")
 
 	raw, err := json.Marshal(s.Metrics())
 	if err != nil {
@@ -472,7 +472,7 @@ func TestDigestAcrossWiresAndServers(t *testing.T) {
 	if code, _ := post(t, s1, req, &viaJSON); code != http.StatusOK {
 		t.Fatalf("json status %d", code)
 	}
-	w := binPost(t, s2, req, false, "")
+	w := binPost(t, s2, req, "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("binary status %d: %s", w.Code, w.Body.String())
 	}
@@ -497,7 +497,7 @@ func TestDigestAcrossWiresAndServers(t *testing.T) {
 func TestStageHistograms(t *testing.T) {
 	for _, entries := range []int{4, 0} {
 		s := newTestServer(t, Config{NProcs: 4, CacheEntries: entries})
-		if w := binPost(t, s, randReq(16, 16, 16, 906), false, ""); w.Code != http.StatusOK {
+		if w := binPost(t, s, randReq(16, 16, 16, 906), ""); w.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
 		want := map[string]uint64{"decode": 1, "validate": 1, "digest": 1}

@@ -31,7 +31,6 @@ import (
 	"srumma/internal/job"
 	"srumma/internal/mat"
 	"srumma/internal/rt"
-	"srumma/internal/sched"
 )
 
 // jobSpec is the one place a request becomes a job: operands inline,
@@ -90,11 +89,7 @@ func (s *Server) runDistributed(tm *armci.Team, job *schedJob) (*mat.Matrix, err
 	var results []*ipcrt.RankResult
 	var err error
 	if s.cpool != nil {
-		class := job.req.Class
-		if class == "" {
-			class = sched.ClassInteractive.String()
-		}
-		results, err = s.cpool.Run(spec, cluster.PlaceKey{Class: class, M: spec.M, N: spec.N, K: spec.K, Case: spec.Case})
+		results, err = s.cpool.Run(spec, cluster.PlaceKey{M: spec.M, N: spec.N, K: spec.K, Case: spec.Case})
 	} else {
 		var buf *mat.Buf
 		spec.Out, buf = s.resultMatrix(spec.M, spec.N)

@@ -6,7 +6,6 @@ package server
 
 import (
 	"bytes"
-	"compress/gzip"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -241,7 +240,7 @@ func TestCachedResultSurvivesPoolReuse(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, CacheEntries: 64})
 	first := randReq(48, 48, 48, 4000)
 	want := wantGemm(t, first)
-	w := binPost(t, s, first, false, "")
+	w := binPost(t, s, first, "")
 	if w.Code != http.StatusOK || w.Header().Get("X-Srumma-Cached") != "" {
 		t.Fatalf("first request: status %d, cached %q", w.Code, w.Header().Get("X-Srumma-Cached"))
 	}
@@ -249,11 +248,11 @@ func TestCachedResultSurvivesPoolReuse(t *testing.T) {
 	// result storage of the size class the first one used.
 	for i := 0; i < 16; i++ {
 		other := randReq(48, 48, 48, uint64(4100+2*i))
-		if w := binPost(t, s, other, false, ""); w.Code != http.StatusOK {
+		if w := binPost(t, s, other, ""); w.Code != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, w.Code)
 		}
 	}
-	w = binPost(t, s, first, false, "")
+	w = binPost(t, s, first, "")
 	if w.Code != http.StatusOK || w.Header().Get("X-Srumma-Cached") != "1" {
 		t.Fatalf("repeat: status %d, cached %q, want a hit", w.Code, w.Header().Get("X-Srumma-Cached"))
 	}
@@ -263,70 +262,49 @@ func TestCachedResultSurvivesPoolReuse(t *testing.T) {
 	}
 }
 
-// TestBinaryResponseStatesItsLength: over a real connection an uncompressed
-// binary result carries Content-Length and is not chunked; a gzip one, whose
-// size is not known up front, still is. The bytes counted out are the body.
+// TestBinaryResponseStatesItsLength: over a real connection a binary result
+// carries Content-Length and is not chunked. The bytes counted out are the
+// body.
 func TestBinaryResponseStatesItsLength(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	req := randReq(40, 24, 32, 77)
-	plain, err := EncodeBinaryRequest(&req)
+	body, err := EncodeBinaryRequest(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var zipped bytes.Buffer
-	zw := gzip.NewWriter(&zipped)
-	zw.Write(plain)
-	zw.Close()
-
-	for _, tc := range []struct {
-		name string
-		body []byte
-		gz   bool
-	}{
-		{"identity", plain, false},
-		{"gzip", zipped.Bytes(), true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			before := s.Metrics().Wire[wireBinary].BytesOut
-			hr, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/multiply", bytes.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			hr.Header.Set("Content-Type", ContentTypeBinary)
-			if tc.gz {
-				hr.Header.Set("Content-Encoding", "gzip")
-				hr.Header.Set("Accept-Encoding", "gzip")
-			}
-			resp, err := ts.Client().Do(hr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			got, err := io.ReadAll(resp.Body)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d, read error %v", resp.StatusCode, err)
-			}
-			if out := s.Metrics().Wire[wireBinary].BytesOut - before; out != uint64(len(got)) {
-				t.Errorf("bytes_out grew by %d for a body of %d", out, len(got))
-			}
-			if tc.gz {
-				if resp.Header.Get("Content-Encoding") != "gzip" || resp.ContentLength != -1 {
-					t.Fatalf("gzip response: Content-Encoding %q, Content-Length %d; want gzip and none",
-						resp.Header.Get("Content-Encoding"), resp.ContentLength)
-				}
-				return
-			}
-			if want := binRespHeaderLen + 8*40*32; len(got) != want || resp.ContentLength != int64(want) {
-				t.Fatalf("body %d bytes, Content-Length %d, want both %d", len(got), resp.ContentLength, want)
-			}
-			if len(resp.TransferEncoding) != 0 {
-				t.Fatalf("Transfer-Encoding %v on a response of known length", resp.TransferEncoding)
-			}
-			if _, _, c, err := DecodeBinaryResponse(bytes.NewReader(got)); err != nil || !bitsEqual(c, wantGemm(t, req).Data) {
-				t.Fatalf("decoded result wrong (decode error %v)", err)
-			}
-		})
-	}
+	t.Run("identity", func(t *testing.T) {
+		before := s.Metrics().Wire[wireBinary].BytesOut
+		hr, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/multiply", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Content-Type", ContentTypeBinary)
+		resp, err := ts.Client().Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+		}
+		// The handler counts the bytes after writing the last of them, so
+		// the client can hold the whole body first.
+		bytesOut := func() uint64 { return s.Metrics().Wire[wireBinary].BytesOut - before }
+		waitFor(t, "bytes_out to move", func() bool { return bytesOut() != 0 })
+		if out := bytesOut(); out != uint64(len(got)) {
+			t.Errorf("bytes_out grew by %d for a body of %d", out, len(got))
+		}
+		if want := binRespHeaderLen + 8*40*32; len(got) != want || resp.ContentLength != int64(want) {
+			t.Fatalf("body %d bytes, Content-Length %d, want both %d", len(got), resp.ContentLength, want)
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Fatalf("Transfer-Encoding %v on a response of known length", resp.TransferEncoding)
+		}
+		if _, _, c, err := DecodeBinaryResponse(bytes.NewReader(got)); err != nil || !bitsEqual(c, wantGemm(t, req).Data) {
+			t.Fatalf("decoded result wrong (decode error %v)", err)
+		}
+	})
 }

@@ -55,8 +55,6 @@ type MetricsSnapshot struct {
 	RecentRPS float64 `json:"recent_rps"`
 
 	Routes map[string]RouteStats `json:"routes"`
-	// Classes breaks latency down by workload class (interactive/batch).
-	Classes map[string]RouteStats `json:"classes"`
 
 	// Stages is each pre-admission stage's cost from inside: "decode" (read
 	// and parse), "validate" (non-finite scan), "digest" (cache on only).
@@ -70,8 +68,8 @@ type MetricsSnapshot struct {
 	// cache is disabled).
 	Cache *CacheStats `json:"cache,omitempty"`
 
-	// Sched is the workload scheduler's view: pool size, per-class queue
-	// depth and wait, batch occupancy, deadline misses.
+	// Sched is the workload scheduler's view: pool size, run-queue depth
+	// and queue wait, batch occupancy, caller-run dispatches.
 	Sched *sched.Snapshot `json:"sched,omitempty"`
 
 	// Recovery is the block-level job recovery view: handler retries,
@@ -132,7 +130,6 @@ type metrics struct {
 	flops     *obs.FloatCounter
 	overall   *obs.Histogram
 	routes    map[string]*obs.Histogram
-	classes   map[string]*obs.Histogram
 	// decodeRequest's stages, observed in milliseconds as named.
 	decodeMs, validateMs, digestMs *obs.Histogram
 	rate                           obs.RateWindow
@@ -180,10 +177,6 @@ func newMetrics(queueCap int) *metrics {
 		wires: map[string]*wireInstruments{
 			wireJSON:   newWireInstruments(reg, wireJSON),
 			wireBinary: newWireInstruments(reg, wireBinary),
-		},
-		classes: map[string]*obs.Histogram{
-			sched.ClassInteractive.String(): reg.Histogram("server.latency.class." + sched.ClassInteractive.String()),
-			sched.ClassBatch.String():       reg.Histogram("server.latency.class." + sched.ClassBatch.String()),
 		},
 		decodeMs:       reg.Histogram("server.decode_ms"),
 		validateMs:     reg.Histogram("server.validate_ms"),
@@ -289,9 +282,9 @@ func (m *metrics) reject() {
 	m.rejected.Inc()
 }
 
-// finish settles one admitted request. class labels the workload class;
-// outcome is one of "ok", "error", "cancelled".
-func (m *metrics) finish(route, class string, outcome string, latency time.Duration, flops float64) {
+// finish settles one admitted request. outcome is one of "ok", "error",
+// "cancelled".
+func (m *metrics) finish(route, outcome string, latency time.Duration, flops float64) {
 	m.inFlight.Add(-1)
 	switch outcome {
 	case "ok":
@@ -300,9 +293,6 @@ func (m *metrics) finish(route, class string, outcome string, latency time.Durat
 		m.rate.Record(time.Now())
 		m.overall.Observe(latency.Seconds())
 		if h := m.routes[route]; h != nil {
-			h.Observe(latency.Seconds())
-		}
-		if h := m.classes[class]; h != nil {
 			h.Observe(latency.Seconds())
 		}
 	case "cancelled":
@@ -353,7 +343,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		LatencyMaxMs:  m.overall.Max() * 1e3,
 		RecentRPS:     m.rate.RPS(time.Now()),
 		Routes:        histStats(m.routes, 1e3),
-		Classes:       histStats(m.classes, 1e3),
 		Stages:        histStats(map[string]*obs.Histogram{"decode": m.decodeMs, "validate": m.validateMs, "digest": m.digestMs}, 1),
 		Sched:         &ss,
 		Recovery: RecoveryStats{

@@ -301,7 +301,7 @@ func TestRunnersRefuseMalformedSpec(t *testing.T) {
 	defer tm.Close()
 	cfg.Cluster, cfg.ClusterNodes, cfg.ClusterHeartbeat = true, 1, -1
 	poolSrv := newTestServer(t, cfg)
-	key := cluster.PlaceKey{Class: "interactive", M: 24, N: 20, K: 28}
+	key := cluster.PlaceKey{M: 24, N: 20, K: 28}
 	runners := map[string]func(*ipcrt.JobSpec) (*mat.Matrix, error){
 		"team": func(spec *ipcrt.JobSpec) (*mat.Matrix, error) {
 			spec.Out = mat.New(spec.M, spec.N)

@@ -1,11 +1,12 @@
 package server
 
-// Scheduler serving tests: batching bit-identity, priority dispatch,
-// deadline handling, overflow, two jobs on two teams, drain, and the chaos
-// case where an executor crash mid-batch fails one task and its handler
-// retries it.
+// Scheduler serving tests: batching bit-identity, deadline handling,
+// overflow, two jobs on two teams, drain, requests that still carry the
+// retired scheduling inputs, and the chaos case where an executor crash
+// mid-batch fails one task and its handler retries it.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -143,62 +144,6 @@ func TestServerSchedBatchingBitIdentical(t *testing.T) {
 	}
 	if m.Sched.MaxBatch < 2 {
 		t.Fatalf("max batch %d, want >= 2", m.Sched.MaxBatch)
-	}
-}
-
-// TestServerSchedPriorityOrder: with equal virtual time, an interactive
-// request dispatches ahead of an earlier-submitted batch request.
-func TestServerSchedPriorityOrder(t *testing.T) {
-	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 8, SmallMNK: 1})
-
-	var mu sync.Mutex
-	var order []string
-	rel := make(chan struct{})
-	entered := make(chan struct{})
-	var onceEnter sync.Once
-	s.setBatchHook(func(tk *sched.Task) {
-		job := tk.Payload.(*schedJob)
-		if job.req.ID == "blocker" {
-			onceEnter.Do(func() { close(entered) })
-			<-rel
-			return
-		}
-		mu.Lock()
-		order = append(order, job.req.ID)
-		mu.Unlock()
-	})
-
-	blocker := randReq(24, 24, 24, 1)
-	blocker.ID = "blocker"
-	blocker.Class = "batch"
-	blockerCh := postAsync(t, s, blocker)
-	<-entered
-
-	// Batch-class first, interactive second: dispatch order must invert.
-	bReq := randReq(24, 24, 24, 2)
-	bReq.ID = "batch-req"
-	bReq.Class = "batch"
-	bCh := postAsync(t, s, bReq)
-	waitQueued(t, s, 1)
-	iReq := randReq(24, 24, 24, 3)
-	iReq.ID = "interactive-req"
-	iReq.Class = "interactive"
-	iCh := postAsync(t, s, iReq)
-	waitQueued(t, s, 2)
-	close(rel)
-
-	for _, ch := range []<-chan struct {
-		code int
-		resp MultiplyResponse
-	}{blockerCh, bCh, iCh} {
-		if res := <-ch; res.code != http.StatusOK {
-			t.Fatalf("request failed with %d", res.code)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "interactive-req" || order[1] != "batch-req" {
-		t.Fatalf("dispatch order %v, want [interactive-req batch-req]", order)
 	}
 }
 
@@ -434,26 +379,58 @@ func TestServerSchedShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestServerSchedClassValidation: an unknown class is a 400, and classes
-// are echoed in responses and broken out in metrics.
-func TestServerSchedClassValidation(t *testing.T) {
+// TestServerIgnoresRetiredSchedulingInputs: a request that still names a
+// workload class or a scheduling deadline — in the JSON body, or as the
+// binary wire's X-Srumma-Class / X-Srumma-Deadline-Ms headers — is served
+// in arrival order like any other, bit for bit what its untagged twin
+// gets, whatever values those inputs hold; and /metrics reports no
+// per-class breakdown.
+func TestServerIgnoresRetiredSchedulingInputs(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4})
-	req := randReq(8, 8, 8, 1)
-	req.Class = "bulk"
-	if code, _ := post(t, s, req, nil); code != http.StatusBadRequest {
-		t.Fatalf("unknown class: status %d, want 400", code)
+	for _, req := range []MultiplyRequest{randReq(24, 24, 24, 31), randReq(130, 130, 130, 32)} {
+		var twin MultiplyResponse
+		if code, w := post(t, s, req, &twin); code != http.StatusOK {
+			t.Fatalf("untagged JSON: status %d: %s", code, w.Body.String())
+		}
+
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tagged := append([]byte(`{"class":"bogus","deadline_ms":5,`), body[1:]...)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(tagged)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("JSON with class and deadline_ms: status %d: %s", w.Code, w.Body.String())
+		}
+		var resp MultiplyResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Route != twin.Route || !bitsEqual(resp.C, twin.C) {
+			t.Fatalf("JSON with class and deadline_ms: route %s, want %s, or a different product", resp.Route, twin.Route)
+		}
+
+		wb := binPost(t, s, req, "", "X-Srumma-Class", "bogus", "X-Srumma-Deadline-Ms", "-1")
+		if wb.Code != http.StatusOK {
+			t.Fatalf("binary with class and deadline headers: status %d: %s", wb.Code, wb.Body.String())
+		}
+		if _, _, c := decodeBinRecorder(t, wb); !bitsEqual(c, twin.C) {
+			t.Fatal("binary with class and deadline headers: a different product")
+		}
+		if wb.Header().Get("X-Srumma-Class") != "" {
+			t.Fatalf("response carries X-Srumma-Class %q", wb.Header().Get("X-Srumma-Class"))
+		}
 	}
-	req.Class = "batch"
-	var resp MultiplyResponse
-	if code, _ := post(t, s, req, &resp); code != http.StatusOK {
-		t.Fatalf("batch class: status %d", code)
+
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
+		t.Fatalf("/metrics: %v", err)
 	}
-	if resp.Class != "batch" {
-		t.Fatalf("response class %q, want batch", resp.Class)
-	}
-	m := s.Metrics()
-	if m.Classes["batch"].Count != 1 {
-		t.Fatalf("batch class count = %d, want 1", m.Classes["batch"].Count)
+	if _, ok := m["classes"]; ok {
+		t.Fatalf("/metrics has a classes key: %s", m["classes"])
 	}
 }
 

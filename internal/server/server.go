@@ -5,10 +5,11 @@
 //   - a pool of persistent engine teams (armci.Team) whose rank goroutines,
 //     kernel-thread configuration and scratch pools stay warm across
 //     requests;
-//   - an admission-controlled run queue with backpressure (the workload
-//     scheduler, internal/sched): a bounded number of requests is admitted
-//     (queued + executing); overflow is refused immediately with 429 and a
-//     Retry-After hint rather than buffered without bound;
+//   - an admission-controlled run queue, served in arrival order, with
+//     backpressure (the workload scheduler, internal/sched): a bounded
+//     number of requests is admitted (queued + executing); overflow is
+//     refused immediately with 429 and a Retry-After hint rather than
+//     buffered without bound;
 //   - size-based routing across execution tiers (cf. the hierarchical
 //     platform argument of Quintin et al.): small products run directly on
 //     the local packed parallel kernel, large ones on the distributed
@@ -22,7 +23,6 @@
 package server
 
 import (
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -579,19 +579,17 @@ func (s *Server) retryAfter() int {
 }
 
 // reqEnv bundles one decoded request's routing state through the handler
-// layers: the wire it arrived (and will answer) on, the validated shape,
-// class and deadline, and — when the cache is on — its content-addressed
+// layers: the wire it arrived (and will answer) on, the validated shape
+// and timeout, and — when the cache is on — its content-addressed
 // identity.
 type reqEnv struct {
 	wr      *wireRequest
 	cs      core.Case
 	d       core.Dims
-	cls     sched.Class
 	timeout time.Duration
 	route   string
 
 	respWire string // wireJSON or wireBinary, from Accept (default: mirror the request)
-	gzipOut  bool   // gzip the (binary) response body
 
 	key cacheKey // set when the cache is on
 }
@@ -630,12 +628,6 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{ID: req.ID, Error: err.Error()})
 		return
 	}
-	cls, err := sched.ParseClass(req.Class)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{ID: req.ID, Error: err.Error()})
-		return
-	}
-
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {
 		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
@@ -643,8 +635,8 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 			timeout = s.cfg.MaxTimeout
 		}
 	}
-	env := &reqEnv{wr: wr, cs: cs, d: d, cls: cls, timeout: timeout}
-	env.respWire, env.gzipOut = s.negotiateRespWire(r, wr)
+	env := &reqEnv{wr: wr, cs: cs, d: d, timeout: timeout}
+	env.respWire = negotiateRespWire(r, wr)
 
 	// Content addressing: key the request by its decode-time digests and
 	// probe the result cache. A hit is served straight from memory —
@@ -672,20 +664,15 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 
 // negotiateRespWire picks the response encoding: Accept wins when it names
 // a supported type, otherwise the response mirrors the request's wire.
-// gzipOut additionally compresses a binary response when the client both
-// sent gzip and accepts it — compression stays a client choice, never a
-// surprise CPU cost.
-func (s *Server) negotiateRespWire(r *http.Request, wr *wireRequest) (string, bool) {
-	wire := wr.wire
+func negotiateRespWire(r *http.Request, wr *wireRequest) string {
 	accept := r.Header.Get("Accept")
 	if strings.Contains(accept, ContentTypeBinaryResult) {
-		wire = wireBinary
-	} else if strings.Contains(accept, ContentTypeJSON) {
-		wire = wireJSON
+		return wireBinary
 	}
-	gzipOut := wire == wireBinary && wr.gzipped &&
-		strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-	return wire, gzipOut
+	if strings.Contains(accept, ContentTypeJSON) {
+		return wireJSON
+	}
+	return wr.wire
 }
 
 // countingWriter counts response bytes for the per-wire traffic metrics.
@@ -718,7 +705,6 @@ func (s *Server) writeOK(w http.ResponseWriter, env *reqEnv, resp *MultiplyRespo
 		h.Set("X-Srumma-Queue-Ms", strconv.FormatFloat(resp.QueueMillis, 'g', -1, 64))
 		h.Set("X-Srumma-Elapsed-Ms", strconv.FormatFloat(resp.ElapsedMillis, 'g', -1, 64))
 		h.Set("X-Srumma-Gflops", strconv.FormatFloat(resp.GFlops, 'g', -1, 64))
-		setIf("X-Srumma-Class", resp.Class)
 		if resp.Batch > 0 {
 			h.Set("X-Srumma-Batch", strconv.Itoa(resp.Batch))
 		}
@@ -729,21 +715,11 @@ func (s *Server) writeOK(w http.ResponseWriter, env *reqEnv, resp *MultiplyRespo
 		setIf("X-Srumma-Digest-B", resp.DigestB)
 		setIf("X-Srumma-Digest-C-In", resp.DigestCIn)
 		setIf("X-Srumma-Digest", resp.Digest)
-		if env.gzipOut {
-			h.Set("Content-Encoding", "gzip")
-		} else {
-			// The size is known before the first byte: say so, and the body
-			// goes out as it is instead of chunk by chunk.
-			h.Set("Content-Length", strconv.Itoa(binRespHeaderLen+8*len(resp.C)))
-		}
+		// The size is known before the first byte: say so, and the body goes
+		// out as it is instead of chunk by chunk.
+		h.Set("Content-Length", strconv.Itoa(binRespHeaderLen+8*len(resp.C)))
 		w.WriteHeader(http.StatusOK)
-		if env.gzipOut {
-			gz := gzip.NewWriter(cw)
-			encodeBinaryResponse(gz, resp.Rows, resp.Cols, resp.C)
-			gz.Close()
-		} else {
-			encodeBinaryResponse(cw, resp.Rows, resp.Cols, resp.C)
-		}
+		encodeBinaryResponse(cw, resp.Rows, resp.Cols, resp.C)
 	} else {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -774,11 +750,10 @@ func (s *Server) serveCacheHit(w http.ResponseWriter, env *reqEnv, t0 time.Time,
 		Cols:   env.d.N,
 		C:      out.Data,
 		Route:  routeCache,
-		Class:  env.cls.String(),
 		Cached: true,
 	}
 	env.stampDigests(resp, dig)
-	s.met.finish(routeCache, env.cls.String(), "ok", time.Since(t0), 0)
+	s.met.finish(routeCache, "ok", time.Since(t0), 0)
 	s.writeOK(w, env, resp)
 }
 
@@ -816,19 +791,10 @@ func (s *Server) storeResult(env *reqEnv, out *mat.Matrix, resp *MultiplyRespons
 // one restarted. A job wedged inside its dispatch is not detected here: it
 // holds its team, and the request answers 504 at its deadline.
 func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEnv) {
-	req, cs, d := &env.wr.req, env.cs, env.d
-	cls, timeout, route := env.cls, env.timeout, env.route
+	req, cs, d, route := &env.wr.req, env.cs, env.d, env.route
 	admitted := time.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), env.timeout)
 	defer cancel()
-
-	// The scheduling deadline (EDF key) defaults to the enforcement
-	// deadline; deadline_ms lets a client ask for earlier placement
-	// without shrinking its timeout.
-	deadline := admitted.Add(timeout)
-	if req.DeadlineMillis > 0 {
-		deadline = admitted.Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
-	}
 	flops := 2 * float64(d.M) * float64(d.N) * float64(d.K)
 
 	job := &schedJob{req: req, cs: cs, d: d, ctx: ctx}
@@ -845,15 +811,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 	var err error
 	inFlight := false
 	for attempt := 0; ; attempt++ {
-		task := &sched.Task{
-			Class:     cls,
-			Deadline:  deadline,
-			Cost:      flops,
-			Batchable: route == routeSmall,
-			LocKey:    locKey(cs, d),
-			Cancel:    ctx.Done(),
-			Payload:   job,
-		}
+		task := &sched.Task{Batchable: route == routeSmall, Cancel: ctx.Done(), Payload: job}
 		// In flight from before Submit: a small request on an idle pool is
 		// computed inside it, by this goroutine. admitted_total is monotonic,
 		// so it waits until Submit has accepted.
@@ -896,7 +854,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 			// task when it surfaces; an executing one finishes into the void —
 			// possibly still reading the operands, so wr.noPool stays set. A
 			// run that finished past the deadline is late all the same.
-			s.met.finish(route, cls.String(), "cancelled", 0, 0)
+			s.met.finish(route, "cancelled", 0, 0)
 			s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "deadline exceeded: " + ctx.Err().Error()})
 			return
 		}
@@ -911,7 +869,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 			s.rec.RecordWall(s.cfg.NProcs, obs.KindRecover, t0, time.Now())
 		}
 		if !sleepCtx(ctx, retryBackoff(s.cfg.RetryBackoff, attempt)) {
-			s.met.finish(route, cls.String(), "cancelled", 0, 0)
+			s.met.finish(route, "cancelled", 0, 0)
 			s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "deadline exceeded: " + ctx.Err().Error()})
 			return
 		}
@@ -925,7 +883,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 	case err == nil:
 		env.wr.result = job.outBuf // recycled with the operands, after the response
 		total := time.Since(admitted)
-		s.met.finish(route, cls.String(), "ok", total, flops)
+		s.met.finish(route, "ok", total, flops)
 		elapsed := job.finished.Sub(job.started)
 		resp := MultiplyResponse{
 			ID:            req.ID,
@@ -935,7 +893,6 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 			Route:         route,
 			QueueMillis:   job.started.Sub(admitted).Seconds() * 1e3,
 			ElapsedMillis: elapsed.Seconds() * 1e3,
-			Class:         cls.String(),
 			Batch:         job.batch,
 		}
 		if secs := elapsed.Seconds(); secs > 0 {
@@ -945,13 +902,13 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 		s.writeOK(w, env, &resp)
 	case errors.Is(err, sched.ErrCancelled), errors.Is(err, core.ErrCancelled),
 		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.met.finish(route, cls.String(), "cancelled", 0, 0)
+		s.met.finish(route, "cancelled", 0, 0)
 		s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "cancelled: " + err.Error()})
 	case errors.Is(err, sched.ErrClosed):
-		s.met.finish(route, cls.String(), "cancelled", 0, 0)
+		s.met.finish(route, "cancelled", 0, 0)
 		s.writeErr(w, env, http.StatusServiceUnavailable, ErrorResponse{ID: req.ID, Error: "server draining"})
 	default:
-		s.met.finish(route, cls.String(), "error", 0, 0)
+		s.met.finish(route, "error", 0, 0)
 		s.writeErr(w, env, http.StatusInternalServerError, ErrorResponse{ID: req.ID, Error: err.Error()})
 	}
 }

@@ -40,16 +40,6 @@ type MultiplyRequest struct {
 	// 0 uses the server default. The deadline is enforced as cooperative
 	// cancellation between SRUMMA tasks.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-
-	// Class is the workload class: "interactive" (default) or "batch".
-	// Under the scheduler, classes share the engine pool by weighted
-	// fairness; interactive traffic is weighted ahead of batch.
-	Class string `json:"class,omitempty"`
-	// DeadlineMillis is the scheduling deadline from admission: requests
-	// with earlier deadlines dispatch first within their class (EDF). It is
-	// a hint, not an enforcement bound — enforcement stays with
-	// timeout_ms. 0 derives the deadline from the effective timeout.
-	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 }
 
 // MultiplyResponse is the success body of POST /v1/multiply.
@@ -67,8 +57,6 @@ type MultiplyResponse struct {
 	QueueMillis   float64 `json:"queue_ms"`
 	ElapsedMillis float64 `json:"elapsed_ms"`
 	GFlops        float64 `json:"gflops"`
-	// Class echoes the workload class the request was scheduled under.
-	Class string `json:"class,omitempty"`
 	// Batch is the size of the dispatch that served this request: 1 for a
 	// solo run, >1 when the scheduler coalesced it with other small GEMMs
 	// that were queued.

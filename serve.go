@@ -10,8 +10,8 @@ import (
 	"srumma/internal/server"
 )
 
-// Server is an HTTP GEMM service: a workload scheduler (batched small
-// GEMMs, priority/deadline-aware dispatch) in front of a fixed pool of
+// Server is an HTTP GEMM service: a workload scheduler (one run queue in
+// arrival order, queued small GEMMs batched) in front of a fixed pool of
 // persistent SRUMMA engine teams, with admission backpressure
 // (429 + Retry-After priced from the observed service rate), size-based
 // routing between the direct local kernel and the distributed engine,
@@ -31,8 +31,8 @@ type ServerConfig = server.Config
 type ServerMetrics = server.MetricsSnapshot
 
 // SchedSnapshot is the workload scheduler's section of a ServerMetrics
-// snapshot: pool size, per-class queue depths and waits, batch occupancy,
-// caller-run dispatches and deadline misses.
+// snapshot: pool size, run-queue depth and queue wait, batch occupancy and
+// caller-run dispatches.
 type SchedSnapshot = sched.Snapshot
 
 // NewServer builds a GEMM service and spins up its persistent engine teams.
