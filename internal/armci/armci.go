@@ -8,7 +8,9 @@
 // It mirrors the paper's portable implementation layer: ARMCI_Malloc returns
 // the addresses of every rank's segment, ranks in the same shared-memory
 // domain access each other's segments directly, and everything else goes
-// through the (here trivially implemented) get/put calls.
+// through the (here trivially implemented) get/put calls — or, for a reader
+// that asks, the window get (rt.WindowGetter), which books the get and
+// hands back the owner's region to read where it lies.
 package armci
 
 import (
@@ -220,6 +222,19 @@ func (c *ctx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer
 	return doneHandle{}
 }
 
+// GetWindow implements rt.WindowGetter: every rank's segment lies in this
+// address space, so a get that lands where the caller reads is its booking
+// alone — the region check, the accounting and the get span NbGetSub has,
+// without the copy. The caller's pack is then the only copy of the region.
+func (c *ctx) GetWindow(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, bool) {
+	t0 := c.SpanStart()
+	seg := g.(*global).segs[rank]
+	rt.MustRegion(len(seg.Data), off, ld, rows, cols)
+	c.bookGet(c.CanDirect(rank), rows*cols)
+	c.Span(obs.KindGet, t0)
+	return rt.Mat{Buf: seg, Off: off, LD: ld, Rows: rows, Cols: cols, Remote: rank != c.rank}, true
+}
+
 func (c *ctx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
 	c.PutRegion(src, srcOff, g.(*global).segs[rank].Data, c.CanDirect(rank), off, ld, rows, cols)
 	return doneHandle{}
@@ -323,4 +338,5 @@ var (
 	_ rt.Adopter        = (*ctx)(nil)
 	_ rt.BufferReleaser = (*ctx)(nil)
 	_ rt.Recorded       = (*ctx)(nil)
+	_ rt.WindowGetter   = (*ctx)(nil)
 )

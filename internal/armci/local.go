@@ -162,14 +162,19 @@ func (l *LocalOps) GetRegion(seg []float64, shared bool, off, ld, rows, cols int
 	t0 := l.SpanStart()
 	rt.MustRegion(len(seg), off, ld, rows, cols)
 	PackRegion(Window("get dst", dst, dstOff, rows*cols), seg, off, ld, rows, cols)
+	l.bookGet(shared, rows*cols)
+	l.Span(obs.KindGet, t0)
+}
+
+// bookGet accounts one get of elems elements, shared-memory or remote.
+func (l *LocalOps) bookGet(shared bool, elems int) {
 	if shared {
-		l.stats.BytesShared += int64(rows*cols) * 8
+		l.stats.BytesShared += int64(elems) * 8
 		l.stats.GetsShared++
 	} else {
-		l.stats.BytesRemote += int64(rows*cols) * 8
+		l.stats.BytesRemote += int64(elems) * 8
 		l.stats.GetsRemote++
 	}
-	l.Span(obs.KindGet, t0)
 }
 
 // PutRegion is the symmetric strided put into an addressable segment.

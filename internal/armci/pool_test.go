@@ -53,7 +53,8 @@ func poisonScratch(maxElems, perClass int) {
 // with NaN before each run, one unwritten element read anywhere would turn
 // C into NaN; a NaN-free C bit-identical to an unpoisoned run proves none
 // is. Every transpose case runs at ragged shapes, twice on one persistent
-// team, on a topology where every block is fetched.
+// team, on a topology where every block is fetched, under the flavor that
+// copies every fetch (the other reads cross-domain blocks through windows).
 func TestPoisonedScratchNeverRead(t *testing.T) {
 	// A collection empties the pool, and the poison with it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -71,7 +72,7 @@ func TestPoisonedScratchNeverRead(t *testing.T) {
 	shapes := []core.Dims{{M: 37, N: 29, K: 41}, {M: 61, N: 7, K: 83}, {M: 5, N: 53, K: 300}}
 	for i, d := range shapes {
 		for _, cs := range core.Cases {
-			opts := core.Options{Case: cs, MaxTaskK: 16 * (i % 2)}
+			opts := core.Options{Case: cs, Flavor: core.FlavorCopy, MaxTaskK: 16 * (i % 2)}
 			da, db, dc := core.Dists(g, d, cs)
 			a, b := mat.Random(da.Rows, da.Cols, 5), mat.Random(db.Rows, db.Cols, 6)
 			run := func() (*mat.Matrix, int64) {

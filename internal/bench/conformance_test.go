@@ -3,10 +3,11 @@ package bench
 // One-sided conformance: rt.Ctx has one get and one put, both strided, and
 // every engine and wrapper must give them the same meaning. One op table
 // runs on the real engine and the virtual-time engine, bare and under the
-// chaos stack with a plan that injects nothing; final memory is held to a
-// sequential reference where there is memory, the communication signature
-// is held equal across all four, and a region the one check (rt.CheckRegion)
-// refuses is refused by all four in its words.
+// chaos stack with a plan that injects nothing, and on the real engine once
+// more with every get a window get (rt.WindowGetter); final memory and what
+// a get reads are held to a sequential reference where there is memory, the
+// communication signature is held equal across all six, and a region the
+// one check (rt.CheckRegion) refuses is refused by all six in its words.
 
 import (
 	"fmt"
@@ -55,9 +56,21 @@ func conformanceOps() (good, bad []rmaOp) {
 }
 
 // issue performs op on c and returns what a get landed (nil on the
-// size-only engine). A put's payload is 1000*(i+1) + element index.
-func (op rmaOp) issue(c rt.Ctx, i int, g rt.Global) []float64 {
+// size-only engine). A put's payload is 1000*(i+1) + element index. With
+// window, a get is c's window get, read where it lies.
+func (op rmaOp) issue(c rt.Ctx, i int, g rt.Global, window bool) []float64 {
 	n := op.rows * op.cols
+	if window && !op.put {
+		m, ok := c.(rt.WindowGetter).GetWindow(g, op.owner, op.off, op.ld, op.rows, op.cols)
+		if !ok {
+			panic("window get refused")
+		}
+		var got []float64
+		for r := 0; r < m.Rows && m.Cols > 0; r++ {
+			got = append(got, c.ReadBuf(m.Buf, m.Off+r*m.LD, m.Cols)...)
+		}
+		return got
+	}
 	buf := c.LocalBuf(n)
 	if op.put {
 		c.WriteBuf(buf, 0, putPayload(i, n))
@@ -110,17 +123,22 @@ func TestOneSidedConformance(t *testing.T) {
 		}
 	}
 	bare := func(c rt.Ctx) rt.Ctx { return c }
+	inject := func(c rt.Ctx) rt.Ctx { return faults.Inject(c, plan, nil) }
 	engines := []struct {
-		name string
-		data bool // moves real data
-		run  func(func(rt.Ctx)) ([]*rt.Stats, error)
+		name   string
+		data   bool // moves real data
+		window bool // gets are window gets
+		run    func(func(rt.Ctx)) ([]*rt.Stats, error)
 	}{
-		{"armci", true, real(bare)},
-		{"armci under Inject", true, real(func(c rt.Ctx) rt.Ctx { return faults.Inject(c, plan, nil) })},
-		{"simrt", false, sim(bare)},
+		{"armci", true, false, real(bare)},
+		{"armci under Inject", true, false, real(inject)},
+		{"armci window gets", true, true, real(bare)},
+		// The injector forwards the engine's window get.
+		{"armci window gets under Inject", true, true, real(inject)},
+		{"simrt", false, false, sim(bare)},
 		// The injector, with nothing to inject, passes the engine's handles
 		// through and can sit on either engine.
-		{"simrt under Inject", false, sim(func(c rt.Ctx) rt.Ctx { return faults.Inject(c, plan, nil) })},
+		{"simrt under Inject", false, false, sim(inject)},
 	}
 	good, bad := conformanceOps()
 
@@ -153,7 +171,7 @@ func TestOneSidedConformance(t *testing.T) {
 			c.Barrier()
 			for i, op := range good {
 				if c.Rank() == op.by {
-					got[i] = op.issue(c, i, g)
+					got[i] = op.issue(c, i, g, e.window)
 				}
 				c.Barrier()
 			}
@@ -184,7 +202,7 @@ func TestOneSidedConformance(t *testing.T) {
 			_, err := e.run(func(c rt.Ctx) {
 				g := c.Malloc(confSeg)
 				if c.Rank() == op.by {
-					op.issue(c, 0, g)
+					op.issue(c, 0, g, e.window)
 				}
 			})
 			if what := fmt.Sprintf("%s: %q (put=%v)", e.name, op.name, op.put); err == nil {

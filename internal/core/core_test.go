@@ -301,7 +301,8 @@ func TestMultiplyMaxTaskK(t *testing.T) {
 }
 
 func TestMaxTaskKBoundsBuffers(t *testing.T) {
-	// With a cap, the scratch buffers must shrink accordingly.
+	// With a cap, the scratch buffers must shrink accordingly. FlavorCopy
+	// copies every fetch; FlavorDirect windows them and takes none.
 	g, _ := grid.New(2, 2)
 	d := Dims{M: 64, N: 64, K: 64}
 	topo := rt.Topology{NProcs: 4, ProcsPerNode: 1}
@@ -312,7 +313,7 @@ func TestMaxTaskKBoundsBuffers(t *testing.T) {
 			ga := driver.AllocBlock(c, da)
 			gb := driver.AllocBlock(c, db)
 			gc := driver.AllocBlock(c, dc)
-			if err := Multiply(c, g, d, Options{MaxTaskK: maxK}, ga, gb, gc); err != nil {
+			if err := Multiply(c, g, d, Options{Flavor: FlavorCopy, MaxTaskK: maxK}, ga, gb, gc); err != nil {
 				panic(err)
 			}
 		})

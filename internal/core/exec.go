@@ -30,12 +30,14 @@ func cancelled(ch <-chan struct{}) bool {
 
 // fetchItem is one communication unit: the exact sub-block a task (or a
 // run of consecutive tasks) multiplies, fetched with a strided get from the
-// owner's segment.
+// owner's segment. Once issued, view is where the tasks read it: its scratch
+// copy packed tight, landing when h completes, or the owner's window.
 type fetchItem struct {
 	owner      int
 	off, ld    int // region within the owner's segment
 	rows, cols int
 	h          rt.Handle
+	view       rt.Mat
 }
 
 func (f *fetchItem) elems() int { return f.rows * f.cols }
@@ -60,27 +62,6 @@ func aRegion(t *Task, g rt.Global) fetchItem {
 func bRegion(t *Task, g rt.Global) fetchItem {
 	ld := rt.SegLD(g, t.BBlockCols)
 	return fetchItem{owner: t.BOwner, off: t.BSubI*ld + t.BSubJ, ld: ld, rows: t.BSubR, cols: t.BSubC}
-}
-
-// operandView is the Gemm operand for a task's piece of A or B: the fetched
-// copy packed tight in buf or, when buf is nil (nothing was fetched), the
-// piece where staged holds it or in place inside its owner's segment.
-func operandView(c rt.Ctx, g rt.Global, staged inPlacer, reg fetchItem, buf rt.Buffer, trans bool) rt.Mat {
-	m := rt.Mat{Buf: buf, LD: reg.cols, Rows: reg.rows, Cols: reg.cols, Trans: trans}
-	if buf != nil {
-		return m
-	}
-	if v, held := inPlace(staged, g, reg); held {
-		v.Trans = trans
-		return v
-	}
-	m.Off, m.LD = reg.off, reg.ld
-	if reg.owner == c.Rank() {
-		m.Buf = c.Local(g)
-	} else {
-		m.Buf, m.Remote = c.Direct(g, reg.owner), true
-	}
-	return m
 }
 
 func sameRegion(a, b fetchItem) bool {
@@ -243,16 +224,20 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 	if opts.ABFT {
 		ab = newABFTState(c, opts.ABFTTol)
 	}
+	// Under FlavorDirect what the ctx holds in place is not fetched, and
+	// what it can window is fetched without a copy; FlavorCopy copies all.
 	var staged inPlacer
+	var win rt.WindowGetter
 	if opts.Flavor == FlavorDirect {
 		staged, _ = c.(inPlacer)
+		win, _ = c.(rt.WindowGetter)
 	}
 	rec := rt.FindRecorder(c)
 	cBuf := c.Local(gc)
 
 	nbuf, sa, sb := fetchSchedules(pending, opts.SingleBuffer, ga, gb, staged)
-	pa := newPipe(c, rec, ga, nbuf, sa)
-	pb := newPipe(c, rec, gb, nbuf, sb)
+	pa := &pipe{c: c, rec: rec, g: ga, staged: staged, win: win, nbuf: nbuf, s: sa, issued: -1}
+	pb := &pipe{c: c, rec: rec, g: gb, staged: staged, win: win, nbuf: nbuf, s: sb, issued: -1}
 	// Warm the pipeline: with double buffering both buffers may be filled
 	// before any compute, so the first remote transfers hide behind the
 	// shared-memory tasks at the head of the list (paper §3.1 step 2).
@@ -273,8 +258,8 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 		lookahead := nbuf > 1 && ti+1 < len(pending)
 		pa.issue(pa.target(ti, lookahead))
 		pb.issue(pb.target(ti, lookahead))
-		aMat := operandView(c, ga, staged, aRegion(t, ga), pa.ready(ti), transA)
-		bMat := operandView(c, gb, staged, bRegion(t, gb), pb.ready(ti), transB)
+		aMat := pa.operand(ti, aRegion(t, ga), transA)
+		bMat := pb.operand(ti, bRegion(t, gb), transB)
 
 		cMat := rt.Mat{Buf: cBuf, Off: t.CI*ldc + t.CJ, LD: ldc, Rows: t.CR, Cols: t.CC}
 		taskBeta := 1.0
@@ -303,41 +288,58 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 }
 
 // pipe is one operand's half of the pipeline: its fetch schedule, the
-// Global the fetches read, and the nbuf buffers (taken at the first fetch)
-// they cycle through.
+// Global the fetches read, what the ctx holds in place or can window, and
+// the scratch buffers (taken at the first copy) the copied items cycle
+// through.
 type pipe struct {
 	c      rt.Ctx
 	rec    *obs.Recorder
 	g      rt.Global
+	staged inPlacer
+	win    rt.WindowGetter
 	nbuf   int
 	s      schedule
 	bufs   []rt.Buffer
 	issued int // last item put in flight
-	waited int // last item whose completion was waited for
-}
-
-func newPipe(c rt.Ctx, rec *obs.Recorder, g rt.Global, nbuf int, s schedule) *pipe {
-	return &pipe{c: c, rec: rec, g: g, nbuf: nbuf, s: s, issued: -1, waited: -1}
 }
 
 // issue puts every item up to upTo in flight, each burst bracketed with a
 // KindIssue span — the executor-level view of "how long does putting
 // transfers in flight cost" that the overlap analysis separates from the
-// Wait time those transfers hide.
+// Wait time those transfers hide. An item the ctx windows is booked there
+// and read where it lies; any other is copied into a scratch slot.
 func (p *pipe) issue(upTo int) {
 	if p.issued >= upTo {
 		return
-	}
-	for len(p.bufs) < p.nbuf {
-		p.bufs = append(p.bufs, p.c.LocalBuf(p.s.maxElems()))
 	}
 	t0 := p.rec.SpanStart()
 	for p.issued < upTo {
 		p.issued++
 		it := &p.s.items[p.issued]
-		it.h = p.c.NbGetSub(p.g, it.owner, it.off, it.ld, it.rows, it.cols, p.bufs[p.issued%len(p.bufs)], 0)
+		if p.win != nil {
+			if v, ok := p.win.GetWindow(p.g, it.owner, it.off, it.ld, it.rows, it.cols); ok {
+				it.view = v
+				continue
+			}
+		}
+		buf := p.slot(p.issued)
+		it.h = p.c.NbGetSub(p.g, it.owner, it.off, it.ld, it.rows, it.cols, buf, 0)
+		it.view = rt.Mat{Buf: buf, LD: it.cols, Rows: it.rows, Cols: it.cols}
 	}
 	p.rec.SpanEnd(p.c.Rank(), obs.KindIssue, t0)
+}
+
+// slot is the scratch buffer item fi is copied into. The buffers are taken
+// at the first copy, one per slot the schedule can fill: nbuf, or as many
+// as it has items when that is fewer.
+func (p *pipe) slot(fi int) rt.Buffer {
+	if p.bufs == nil {
+		p.bufs = make([]rt.Buffer, min(p.nbuf, len(p.s.items)))
+		for i := range p.bufs {
+			p.bufs[i] = p.c.LocalBuf(p.s.maxElems())
+		}
+	}
+	return p.bufs[fi%len(p.bufs)]
 }
 
 // target is how far the fetches must be issued before task ti runs:
@@ -358,20 +360,31 @@ func (p *pipe) target(ti int, lookahead bool) int {
 	return t
 }
 
-// ready waits for task ti's fetch and returns the buffer it landed in,
-// packed tight — or nil for a direct operand, which has no fetch.
-func (p *pipe) ready(ti int) rt.Buffer {
-	fi := p.s.ofTask[ti]
-	if fi < 0 {
-		return nil
+// operand is the Gemm operand for task ti's piece reg of the pipe's matrix:
+// where its fetch left it — waited for at first use, which is in item order
+// — or, when it has no fetch, where staged holds it or in place inside its
+// owner's segment.
+func (p *pipe) operand(ti int, reg fetchItem, trans bool) rt.Mat {
+	var m rt.Mat
+	if fi := p.s.ofTask[ti]; fi >= 0 {
+		it := &p.s.items[fi]
+		if it.h != nil {
+			p.c.Wait(it.h)
+			it.h = nil
+		}
+		m = it.view
+	} else if v, held := inPlace(p.staged, p.g, reg); held {
+		m = v
+	} else {
+		m = rt.Mat{Off: reg.off, LD: reg.ld, Rows: reg.rows, Cols: reg.cols}
+		if reg.owner == p.c.Rank() {
+			m.Buf = p.c.Local(p.g)
+		} else {
+			m.Buf, m.Remote = p.c.Direct(p.g, reg.owner), true
+		}
 	}
-	// Items are first used, so waited for, in order. A task reusing a region
-	// that already landed does not wait again.
-	if fi > p.waited {
-		p.waited = fi
-		p.c.Wait(p.s.items[fi].h)
-	}
-	return p.bufs[fi%len(p.bufs)]
+	m.Trans = trans
+	return m
 }
 
 // releaseScratch hands the per-multiply communication buffers back to the

@@ -25,7 +25,7 @@ const (
 )
 
 // FetchRegion is one distinct strided sub-block a rank's executor fetches
-// with NbGetSub: the one-sided get against the owner's segment of matrix
+// with NbGetSub (or books as a window get): the one-sided get against the owner's segment of matrix
 // Matrix (MatA or MatB), starting at element Off with row stride LD,
 // Rows x Cols elements.
 type FetchRegion struct {

@@ -36,6 +36,12 @@ const (
 // stats. rec may be nil.
 func chaosRun(t *testing.T, cfg *faults.Config, rec *faults.Recorder) (*mat.Matrix, rt.Stats, error) {
 	t.Helper()
+	return chaosRunOver(t, cfg, rec, func(c rt.Ctx) rt.Ctx { return c })
+}
+
+// chaosRunOver is chaosRun with the injector layered over under(engine ctx).
+func chaosRunOver(t *testing.T, cfg *faults.Config, rec *faults.Recorder, under func(rt.Ctx) rt.Ctx) (*mat.Matrix, rt.Stats, error) {
+	t.Helper()
 	g, err := grid.Square(chaosProcs)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +73,7 @@ func chaosRun(t *testing.T, cfg *faults.Config, rec *faults.Recorder) (*mat.Matr
 			t.Fatal(perr)
 		}
 		stats, err = armci.RunWithTimeout(topo, chaosTimout, func(c rt.Ctx) {
-			body(faults.Inject(c, plan, rec))
+			body(faults.Inject(under(c), plan, rec))
 		})
 	} else {
 		stats, err = armci.Run(topo, body)
@@ -127,6 +133,46 @@ func TestChaosCrash(t *testing.T) {
 			if !strings.Contains(msg, "rank") || !strings.Contains(msg, "crash") {
 				t.Errorf("%s seed %d: error lacks rank/crash context: %q", class, seed, msg)
 			}
+		}
+	}
+}
+
+// copyGets hides the engine's window get: beneath the injector, every
+// cross-domain fetch of the executor is then an NbGetSub copy.
+type copyGets struct{ rt.Ctx }
+
+func (c copyGets) Unwrap() rt.Ctx { return c.Ctx }
+
+// TestChaosCrashOnWindowGet: the injector forwards the engine's window get
+// through its op counter, one op index per get like the NbGetSub it stands
+// in for, so a crash planned at a get op fires at that op on a window get —
+// the same rank, op and recorded sequence as when every get is a copy.
+func TestChaosCrashOnWindowGet(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		cfg := faults.Config{Seed: seed, Crash: true, CrashOpSpan: 4}
+		plan, err := faults.NewPlan(cfg, chaosProcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRank, wantOp := plan.CrashPoint()
+		var logs [2]*faults.Recorder
+		for i, under := range []func(rt.Ctx) rt.Ctx{
+			func(c rt.Ctx) rt.Ctx { return c },
+			func(c rt.Ctx) rt.Ctx { return copyGets{c} },
+		} {
+			form := [...]string{"window", "copy"}[i]
+			logs[i] = faults.NewRecorder(chaosProcs)
+			_, sum, err := chaosRunOver(t, &cfg, logs[i], under)
+			var ce faults.CrashError
+			if !errors.As(err, &ce) || ce.Rank != wantRank || ce.Op != wantOp || ce.Compute {
+				t.Fatalf("seed %d, %s gets: crash planned at rank %d op %d, run ended with %v", seed, form, wantRank, wantOp, err)
+			}
+			if windows := i == 0; windows != (sum.ScratchBytes == 0) {
+				t.Fatalf("seed %d, %s gets: the ranks took %d B of scratch", seed, form, sum.ScratchBytes)
+			}
+		}
+		if !reflect.DeepEqual(logs[0].Log(wantRank), logs[1].Log(wantRank)) {
+			t.Errorf("seed %d: rank %d recorded %v through windows, %v through copies", seed, wantRank, logs[0].Log(wantRank), logs[1].Log(wantRank))
 		}
 	}
 }

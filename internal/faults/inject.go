@@ -55,9 +55,10 @@ func (r *Recorder) Total() int {
 
 // Inject wraps a real-engine ctx so every one-sided transfer — NbGetSub
 // and NbPutSub, which is all of them: rt.Get, rt.NbGet and rt.Put are built
-// on the pair — and every local gemm consults the plan: the planned crash
-// panics with CrashError, and BadBlock faults corrupt the gemm's output.
-// rec may be nil.
+// on the pair, and the engine's window get is forwarded as one more get —
+// and every local gemm consults the plan: the planned crash panics with
+// CrashError, and BadBlock faults corrupt the gemm's output. rec may be
+// nil.
 func Inject(inner rt.Ctx, p *Plan, rec *Recorder) rt.Ctx {
 	return &injCtx{Ctx: inner, plan: p, rec: rec}
 }
@@ -118,6 +119,18 @@ func (c *injCtx) record(op int, cl Class) {
 func (c *injCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
 	c.next()
 	return c.Ctx.NbGetSub(g, rank, off, ld, rows, cols, dst, dstOff)
+}
+
+// GetWindow forwards the engine's window get (rt.WindowGetter) through the
+// op counter: it consumes one op index, as the NbGetSub it stands in for
+// does, so a crash planned at a get op fires at the same op either way.
+func (c *injCtx) GetWindow(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, bool) {
+	w, ok := c.Ctx.(rt.WindowGetter)
+	if !ok {
+		return rt.Mat{}, false
+	}
+	c.next()
+	return w.GetWindow(g, rank, off, ld, rows, cols)
 }
 
 func (c *injCtx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {

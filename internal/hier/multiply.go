@@ -174,9 +174,9 @@ func freeBand(c rt.Ctx, band rt.Global, seg *mat.Buf) {
 // which fetch regions the outer level staged. Under FlavorDirect the
 // executor asks InPlace and multiplies them where they lie; under
 // FlavorCopy it fetches as ever and NbGetSub serves the staged ones from
-// the band. Everything else — member fetches, direct operands, scratch,
-// Gemm, barriers, fault injection in a wrapped engine — flows to the
-// underlying ctx unchanged.
+// the band. Everything else — member fetches (windowed where the engine
+// beneath windows them), direct operands, scratch, Gemm, barriers, fault
+// injection in a wrapped engine — flows to the underlying ctx unchanged.
 type stagedCtx struct {
 	rt.Ctx
 	band rt.Global
@@ -201,6 +201,16 @@ func (s *stagedCtx) InPlace(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat,
 		m.Buf, m.Remote = s.Direct(s.band, bl.member), true
 	}
 	return m, true
+}
+
+// GetWindow forwards the window get of the ctx beneath (rt.WindowGetter is
+// found on the ctx at hand, not through Unwrap). The executor asks it only
+// for the regions it fetches — never a staged one, which it reads in place.
+func (s *stagedCtx) GetWindow(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, bool) {
+	if w, ok := s.Ctx.(rt.WindowGetter); ok {
+		return w.GetWindow(g, rank, off, ld, rows, cols)
+	}
+	return rt.Mat{}, false
 }
 
 // servedHandle is the no-op handle of a fetch satisfied from the band.

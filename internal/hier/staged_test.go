@@ -326,7 +326,9 @@ func TestSameGlobalBothOperands(t *testing.T) {
 // the group's fetches — nothing staged where nothing is shared, the
 // predicted split where something is — and every byte of the group's union
 // is fetched exactly once, by the stager or by the one consumer, whichever
-// flavour reads the band. The last topology has one rank per group: all it
+// flavour reads the band; under FlavorDirect the members' own fetches, like
+// the flat path's, are read through the engine's windows, into no scratch
+// (stagedCtx forwards them). The last topology has one rank per group: all it
 // can stage is what that rank would fetch twice (single-buffered TT on a
 // 2x3 grid re-fetches), which keeps "fetched once" true there too.
 func TestStagedSplitCounted(t *testing.T) {
@@ -352,6 +354,10 @@ func TestStagedSplitCounted(t *testing.T) {
 					if st[1].HierStagedBytes != 8*v.Staged || st[1].HierMemberBytes != 8*v.MemberFetch {
 						t.Errorf("%s: counted %d staged %d member-fetched, predicted %d and %d", label,
 							st[1].HierStagedBytes, st[1].HierMemberBytes, 8*v.Staged, 8*v.MemberFetch)
+					}
+					if fl == core.FlavorDirect && (st[0].ScratchBytes != 0 || st[1].ScratchBytes != 0) {
+						t.Errorf("%s: fetch scratch %d B flat, %d B two-level: a remote block was copied, not windowed", label,
+							st[0].ScratchBytes, st[1].ScratchBytes)
 					}
 					if cs == core.NN && fl == core.FlavorDirect && (v.Staged > 0) != tc.shares {
 						t.Errorf("%s: %d elements staged, sharing=%v", label, v.Staged, tc.shares)

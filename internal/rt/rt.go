@@ -7,7 +7,8 @@
 //     locality queries, direct shared-memory access) — what SRUMMA uses.
 //     A contiguous or blocking transfer is a free function over that pair
 //     (Get, NbGet, Put below), so a wrapper that overrides NbGetSub,
-//     NbPutSub and Wait has intercepted all data movement;
+//     NbPutSub and Wait — and GetWindow, where it forwards that
+//     capability — has intercepted all data movement;
 //   - MPI-style two-sided communication (Send/Recv, Isend/Irecv) — what the
 //     SUMMA/pdgemm/Cannon baselines use;
 //   - a compute interface (Gemm, Pack) so the engine decides whether work is
@@ -142,6 +143,24 @@ type Adopter interface {
 	// ld. The memory stays the caller's: it must outlive the Global, and a
 	// window that is only read must not be written meanwhile.
 	Adopt(seg []float64, ld int) Global
+}
+
+// WindowGetter is an optional capability of a Ctx whose ranks read each
+// other's segments in one address space: the one-sided get that lands where
+// the caller reads. GetWindow books the transfer of the rows x cols region
+// at off of rank's segment (rows ld apart) exactly as NbGetSub books it —
+// one get of rows*cols elements, shared or remote by the same rule — and
+// returns the region where it lies instead of copying it: a view to read,
+// never to write, valid while the segment's owner leaves it unwritten. ok is
+// false when the ctx cannot serve the region so (a wrapper over an engine
+// without windows); nothing is booked then, and the caller fetches it.
+//
+// Unlike the capabilities around it, it is found by a direct type assertion
+// on the ctx at hand, never through Unwrap: a wrapper that sees every get
+// (fault injection, the staging band) must see window gets too, so one that
+// does not forward GetWindow hides it.
+type WindowGetter interface {
+	GetWindow(g Global, rank, off, ld, rows, cols int) (m Mat, ok bool)
 }
 
 // FindAdopter walks c's Unwrap chain and returns the first layer that can

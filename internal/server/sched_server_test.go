@@ -9,7 +9,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -17,8 +19,13 @@ import (
 	"testing"
 	"time"
 
+	"srumma/internal/armci"
+	"srumma/internal/core"
+	"srumma/internal/ipcrt"
+	"srumma/internal/job"
 	"srumma/internal/mat"
 	"srumma/internal/obs"
+	"srumma/internal/rt"
 	"srumma/internal/sched"
 )
 
@@ -333,6 +340,106 @@ func TestDefaultTeamsRunTwoJobsAtOnce(t *testing.T) {
 		t.Fatalf("held job: status %d", res.code)
 	}
 	checkResult(t, res.resp, wantGemm(t, blockerReq()), 1e-9)
+}
+
+// gemmTrip is a rank's ctx that calls stop once its n-th gemm has run. It
+// forwards the engine's window get, so its fetches stay where they lie.
+type gemmTrip struct {
+	rt.Ctx
+	n    int
+	stop func()
+}
+
+func (g *gemmTrip) Unwrap() rt.Ctx { return g.Ctx }
+
+func (g *gemmTrip) GetWindow(ga rt.Global, rank, off, ld, rows, cols int) (rt.Mat, bool) {
+	return g.Ctx.(rt.WindowGetter).GetWindow(ga, rank, off, ld, rows, cols)
+}
+
+func (g *gemmTrip) Gemm(alpha float64, a, b rt.Mat, beta float64, c rt.Mat) {
+	g.Ctx.Gemm(alpha, a, b, beta, c)
+	if g.n--; g.n == 0 {
+		g.stop()
+	}
+}
+
+// TestDefaultTeamsShareOperandWindows: the default pool's two teams run the
+// serving job at once over one request's A and B, every cross-domain block
+// read through its owner's window, while one job is cancelled mid-list. The
+// other job's C is bit for bit a lone run's, the cancelled team's next job
+// is too, and no rank takes scratch for a fetch.
+func TestDefaultTeamsShareOperandWindows(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2})
+	if s.cfg.Teams != 2 {
+		t.Fatalf("default pool has %d teams, want 2", s.cfg.Teams)
+	}
+	req := randReq(130, 129, 131, 7)
+	spec := func(cancel <-chan struct{}) *ipcrt.JobSpec {
+		return &ipcrt.JobSpec{M: 130, N: 131, K: 129, Alpha: 1, Data: true, A: req.A, B: req.B,
+			MaxTaskK: 16, Cancel: cancel, Out: mat.New(130, 131)}
+	}
+	// run runs sp on tm, rank 0's ctx tripping stop after its second gemm
+	// when stop is set, and fails on anything but a rank's cancellation.
+	run := func(tm *armci.Team, sp *ipcrt.JobSpec, stop func()) []error {
+		errs := make([]error, s.topo.NProcs)
+		stats, err := tm.Run(func(c rt.Ctx) {
+			if stop != nil && c.Rank() == 0 {
+				c = &gemmTrip{Ctx: c, n: 2, stop: stop}
+			}
+			_, errs[c.Rank()] = job.Run(c, sp, nil)
+		})
+		if err != nil {
+			t.Error(err)
+			return errs
+		}
+		for rank, st := range stats {
+			if st.ScratchBytes != 0 || st.GetsRemote == 0 {
+				t.Errorf("rank %d: %d remote gets into %d B of scratch, want some through windows and none", rank, st.GetsRemote, st.ScratchBytes)
+			}
+			if errs[rank] != nil && !errors.Is(errs[rank], core.ErrCancelled) {
+				t.Errorf("rank %d: %v", rank, errs[rank])
+			}
+		}
+		return errs
+	}
+	same := func(what string, got, want *mat.Matrix) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: C[%d] = %v, a lone run's %v", what, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+
+	teams := make([]*armci.Team, s.cfg.Teams)
+	for i := range teams {
+		tm, err := armci.NewTeam(s.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tm.Close()
+		teams[i] = tm
+	}
+	lone := spec(nil)
+	run(teams[0], lone, nil)
+	checkResult(t, MultiplyResponse{Rows: 130, Cols: 131, C: lone.Out.Data}, wantGemm(t, req), 1e-9)
+
+	cancel := make(chan struct{})
+	kept, cut := spec(nil), spec(cancel)
+	var wg sync.WaitGroup
+	var cutErrs []error
+	wg.Add(2)
+	go func() { defer wg.Done(); run(teams[0], kept, nil) }()
+	go func() { defer wg.Done(); cutErrs = run(teams[1], cut, func() { close(cancel) }) }()
+	wg.Wait()
+	if !errors.Is(cutErrs[0], core.ErrCancelled) {
+		t.Fatalf("rank 0 of the cut job returned %v after its second gemm, want cancellation", cutErrs[0])
+	}
+	same("job beside a cancelled one", kept.Out, lone.Out)
+
+	again := spec(nil)
+	run(teams[1], again, nil)
+	same("next job on the cancelled team", again.Out, lone.Out)
 }
 
 // TestServerSchedShutdownDrains: graceful shutdown — the
