@@ -60,7 +60,7 @@ serve-smoke:
 	$(GO) build -o $$tmp/srumma-serve ./cmd/srumma-serve; \
 	$(GO) build -o $$tmp/srumma-load ./cmd/srumma-load; \
 	$$tmp/srumma-serve -addr 127.0.0.1:18711 -nprocs 4 -teams 1 \
-	    -queue-cap 2 -batch-max 8 -cache-entries 64 & pid=$$!; \
+	    -queue-cap 2 -cache-entries 64 & pid=$$!; \
 	set +e; \
 	$$tmp/srumma-load -addr http://127.0.0.1:18711 -concurrency 6 -requests 24 \
 	    -mix 24x24x24,96x96x96,160x160x160 \
@@ -157,8 +157,8 @@ repro:
 # op or mid-gemm — fails loudly under the watchdog instead of hanging, and
 # its retry resumes from the ledger to the fault-free bits; planted bad
 # blocks are caught and recomputed by ABFT. Plus the serving-layer case of
-# an executor crash mid-batch: the rest of the batch completes, and the
-# crashed request's handler retries it.
+# an executor crash in a backlog: only the crashed request fails, the rest
+# complete on their first dispatch, and its handler retries it.
 chaos:
 	$(GO) test -count=1 -run 'TestChaos|TestBadBlock|TestComputeCrash' ./internal/faults
 	$(GO) test -count=1 -run TestServerSchedChaosCrashRetried ./internal/server

@@ -51,7 +51,6 @@ var (
 	timeout          = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	kernelThreads    = flag.Int("kernel-threads", 0, "local-dgemm workers per rank (0: engine default)")
 	drainGrace       = flag.Duration("drain-grace", 30*time.Second, "max time to drain in-flight work on shutdown")
-	batchMax         = flag.Int("batch-max", 0, "max queued small GEMMs coalesced into one dispatch (0: 32)")
 	traceEvents      = flag.Int("trace-events", 0, "per-lane span ring size for GET /debug/trace (0: tracing off)")
 	abft             = flag.Bool("abft", false, "verify every SRUMMA task's C block with Huang-Abraham checksums; corrupted blocks are restored and recomputed")
 	abftTol          = flag.Float64("abft-tol", 0, "relative ABFT tolerance (0: engine default 1e-6)")
@@ -88,7 +87,6 @@ func main() {
 		MaxDim:           *maxDim,
 		DefaultTimeout:   *timeout,
 		KernelThreads:    *kernelThreads,
-		BatchMax:         *batchMax,
 		TraceEvents:      *traceEvents,
 		ABFT:             *abft,
 		ABFTTol:          *abftTol,

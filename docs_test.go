@@ -183,3 +183,38 @@ func TestDocsNameLiveDataFiles(t *testing.T) {
 		}
 	}
 }
+
+var docTestName = regexp.MustCompile("`(Test\\w*)(\\*?)`")
+
+// TestDocsNameLiveTests keeps a renamed or deleted test from leaving its
+// name behind: every backticked `TestXxx` in README.md, DESIGN.md and the
+// verify skill must name a Test function somewhere in the module. A
+// trailing * reads as a prefix (`TestGemm*`). EXPERIMENTS.md, CHANGES.md
+// and ROADMAP.md are history and are not read.
+func TestDocsNameLiveTests(t *testing.T) {
+	live := testFuncs(t, ".")
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && !strings.HasPrefix(e.Name(), ".") {
+			live = append(live, testFuncs(t, "./"+e.Name()+"/...")...)
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docTestName.FindAllStringSubmatch(string(text), -1) {
+			pattern := "^" + m[1] + "$"
+			if m[2] == "*" {
+				pattern = "^" + m[1]
+			}
+			if !matchesAny(regexp.MustCompile(pattern), live) {
+				t.Errorf("%s names `%s%s`, which is no test in the module", doc, m[1], m[2])
+			}
+		}
+	}
+}

@@ -1,11 +1,11 @@
 package core
 
-// The workload scheduler is engine-agnostic: it orders, groups and
-// dispatches opaque payloads. This test drives it straight from the core
-// engine — no HTTP serving layer — mixing full SRUMMA team jobs
-// (non-batchable singletons) with coalesced local-kernel batches and a
-// small product its submitter computes, and verifies every result against
-// the naive kernel.
+// The workload scheduler is engine-agnostic: it orders and dispatches
+// opaque payloads, one per dispatch. This test drives it straight from the
+// core engine — no HTTP serving layer — mixing full SRUMMA team jobs
+// (non-batchable) with a backlog of local-kernel products and a small
+// product its submitter computes, and verifies every result against the
+// naive kernel.
 
 import (
 	"context"
@@ -32,8 +32,8 @@ type srummaDriveJob struct {
 	got          *mat.Matrix
 }
 
-// gemmDriveJob is one small product executed on the local kernel inside
-// a coalesced batch.
+// gemmDriveJob is one small product executed on the local kernel by
+// whoever holds its dispatch.
 type gemmDriveJob struct {
 	a, b *mat.Matrix
 	got  *mat.Matrix
@@ -51,6 +51,9 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 
 	var callerRuns atomic.Int64
 	exec := func(w sched.Worker, tasks []*sched.Task) sched.Outcome {
+		if len(tasks) != 1 {
+			t.Errorf("dispatch of %d tasks, want 1", len(tasks))
+		}
 		if !tasks[0].Batchable {
 			// An engine job always comes with an engine.
 			tm := w.(*engineWorker).tm
@@ -76,29 +79,23 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 			tasks[0].Finish(runErr)
 			return sched.Outcome{}
 		}
-		// Small products need no engine, and may get none: a coalesced batch
-		// arrives on a worker, a lone task on an idle pool on the goroutine
-		// that submitted it (w nil). Whoever holds them computes them.
+		// Small products need no engine, and may get none: a queued one
+		// arrives on a worker, one on an idle pool on the goroutine that
+		// submitted it (w nil). Whoever holds it computes it.
 		if w == nil {
 			callerRuns.Add(1)
-			if len(tasks) != 1 {
-				t.Errorf("caller-run dispatch of %d tasks, want 1", len(tasks))
-			}
 		}
-		for _, tk := range tasks {
-			job := tk.Payload.(*gemmDriveJob)
-			got := mat.New(job.a.Rows, job.b.Cols)
-			err := mat.GemmParallel(1, false, false, 1, job.a, job.b, 0, got)
-			job.got = got
-			tk.Finish(err)
-		}
+		job := tasks[0].Payload.(*gemmDriveJob)
+		got := mat.New(job.a.Rows, job.b.Cols)
+		err := mat.GemmParallel(1, false, false, 1, job.a, job.b, 0, got)
+		job.got = got
+		tasks[0].Finish(err)
 		return sched.Outcome{}
 	}
 
 	sch, err := sched.New(sched.Config{
 		MinWorkers: 2,
 		QueueCap:   64,
-		BatchMax:   8,
 		NewWorker: func() (sched.Worker, error) {
 			tm, err := armci.NewTeam(topo)
 			if err != nil {
@@ -203,8 +200,8 @@ func TestSchedulerDrivesEngine(t *testing.T) {
 		}
 	}
 	snap = sch.Snapshot()
-	if snap.MaxBatch < 2 {
-		t.Errorf("max batch %d: small products were never coalesced", snap.MaxBatch)
+	if snap.Dispatches != snap.Completed {
+		t.Errorf("%d dispatches for %d tasks, want one each", snap.Dispatches, snap.Completed)
 	}
 	if snap.Failed != 0 || snap.Cancelled != 0 {
 		t.Errorf("failed %d cancelled %d, want 0", snap.Failed, snap.Cancelled)

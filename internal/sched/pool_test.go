@@ -27,7 +27,7 @@ func TestPoolFixedByDefault(t *testing.T) {
 // unfinished is finished with an error — Exec never sees it again.
 func TestPoolIsFixedAndNeverRetries(t *testing.T) {
 	const dropped = "dropped"
-	h := newHarness(t, Config{MinWorkers: 2, QueueCap: 64, BatchMax: 4}, func(w Worker, tasks []*Task) Outcome {
+	h := newHarness(t, Config{MinWorkers: 2, QueueCap: 64}, func(w Worker, tasks []*Task) Outcome {
 		for _, tk := range tasks {
 			if tk.Payload == dropped {
 				continue

@@ -26,14 +26,6 @@ func (q *runQueue) push(t *Task) {
 	q.tasks = append(q.tasks, t)
 }
 
-// peek returns the head, or nil when the queue is empty.
-func (q *runQueue) peek() *Task {
-	if q.head == len(q.tasks) {
-		return nil
-	}
-	return q.tasks[q.head]
-}
-
 // pop removes and returns the head; the queue must not be empty.
 func (q *runQueue) pop() *Task {
 	t := q.tasks[q.head]

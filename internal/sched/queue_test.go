@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestQueueFIFOWithoutDeadlines: the run queue is one FIFO. Queued tasks,
-// batchable or not, dispatch in Submit order — a run of batchable ones at
-// the head as one dispatch — and a retry, being a new Task, queues behind
-// everything that arrived before it.
+// TestQueueFIFOWithoutDeadlines: the run queue is one FIFO and every
+// dispatch is one task. Queued tasks, batchable or not, dispatch alone in
+// Submit order — batchable ones queued back to back too — and a retry,
+// being a new Task, queues behind everything that arrived before it.
 func TestQueueFIFOWithoutDeadlines(t *testing.T) {
 	errFirst := errors.New("first attempt fails")
 	var mu sync.Mutex
@@ -57,7 +57,7 @@ func TestQueueFIFOWithoutDeadlines(t *testing.T) {
 	}
 	h.dispatches = nil
 	h.mu.Unlock()
-	want := [][]any{{0}, {1}, {2, 3}, {4}, {5}}
+	want := [][]any{{0}, {1}, {2}, {3}, {4}, {5}}
 	if !reflect.DeepEqual(groups, want) {
 		t.Fatalf("dispatches %v, want %v", groups, want)
 	}
@@ -121,7 +121,7 @@ func TestRunQueueReusesItsSlice(t *testing.T) {
 				t.Fatalf("round %d pop %d: got %v, want %d", round, i, got, want)
 			}
 		}
-		if q.len() != 0 || q.peek() != nil {
+		if q.len() != 0 {
 			t.Fatalf("round %d: %d left", round, q.len())
 		}
 	}

@@ -3,16 +3,14 @@
 // goroutine, while staying agnostic about what an engine is (Worker) and
 // how work executes on it (Config.Exec).
 //
-// Who runs a dispatch: a batchable task submitted while nothing is queued,
-// a pool worker is idle and fewer than GOMAXPROCS such dispatches are in
-// flight is dispatched — alone — on the goroutine that called Submit. It
-// needs no engine (Exec gets a nil Worker), so handing it to a worker
-// goroutine would buy two goroutine switches and a place in single file
-// behind whatever that worker runs next, and nothing else. Everything else
-// is queued for the pool in one FIFO run queue, served in arrival order.
-// One policy acts on it, and only when there is a backlog: batchable tasks
-// queued back to back at the head are coalesced, up to BatchMax, into a
-// single dispatch, so one worker hand-off serves the whole run of them.
+// Every dispatch is exactly one task. Who runs it: a batchable task
+// submitted while nothing is queued, a pool worker is idle and fewer than
+// GOMAXPROCS such dispatches are in flight is dispatched on the goroutine
+// that called Submit. It needs no engine (Exec gets a nil Worker), so
+// handing it to a worker goroutine would buy two goroutine switches and a
+// place in single file behind whatever that worker runs next, and nothing
+// else. Everything else is queued for the pool in one FIFO run queue,
+// served in arrival order.
 //
 // The pool is the MinWorkers workers New builds; it never grows, shrinks
 // or replaces one. A task is dispatched at most once: the scheduler does
@@ -73,23 +71,21 @@ type Config struct {
 	// QueueCap bounds admitted tasks — queued plus executing (default
 	// 4*MinWorkers).
 	QueueCap int
-	// BatchMax caps tasks coalesced into one dispatch (default 32).
-	BatchMax int
 	// NewWorker creates a pool worker (required).
 	NewWorker func() (Worker, error)
-	// Exec runs one dispatch — a run of batchable tasks in arrival order,
-	// or a single non-batchable task — on a worker (required). It should
-	// Finish every task, with an error for one that failed: a task still
-	// unfinished when Exec returns is finished with an error for it, and
-	// is never dispatched again. w is nil for a dispatch run by Submit's
-	// caller (one batchable task, see the package comment): batchable
-	// work must not need the engine. Exec may then be running on several
-	// goroutines at once.
+	// Exec runs one dispatch on a worker (required). tasks always holds
+	// exactly one task; the slice form stays because
+	// benchmark/probe_sched.go is written against it. Exec should Finish
+	// the task, with an error if it failed: a task still unfinished when
+	// Exec returns is finished with an error for it, and is never
+	// dispatched again. w is nil for a dispatch run by Submit's caller (a
+	// batchable task, see the package comment): batchable work must not
+	// need the engine. Exec may then be running on several goroutines at
+	// once.
 	Exec func(w Worker, tasks []*Task) Outcome
 	// Metrics is the registry the scheduler's counters live in (names
-	// "sched.*"). A private registry is created when nil; either way
-	// Scheduler.Registry returns the one in use, so the serving layer can
-	// export scheduler and server metrics from one namespace.
+	// "sched.*"), so the serving layer can export scheduler and server
+	// metrics from one namespace. A private registry is created when nil.
 	Metrics *obs.Registry
 	// Trace receives queue-wait and dispatch spans on lane TraceLane when
 	// non-nil. Tracing off (nil, the default) costs nothing.
@@ -103,9 +99,6 @@ func (c Config) fill() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4 * c.MinWorkers
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 32
 	}
 	return c
 }
@@ -134,20 +127,17 @@ type Scheduler struct {
 	// Counters live in an obs.Registry (cfg.Metrics or a private one) under
 	// "sched.*" names; the struct caches the pointers so hot paths never
 	// take the registry lock.
-	reg      *obs.Registry
 	inflight *obs.Gauge // admitted and not yet finished
 
-	submitted       *obs.Counter
-	rejected        *obs.Counter
-	completed       *obs.Counter
-	failed          *obs.Counter
-	cancelled       *obs.Counter
-	dispatches      *obs.Counter
-	dispatchedTasks *obs.Counter
-	inline          *obs.Counter // dispatches run by Submit's caller
-	maxBatch        *obs.Counter // running maximum via RaiseTo
-	expired         *obs.Counter
-	qwait           *obs.Histogram // admission-to-dispatch wait
+	submitted  *obs.Counter
+	rejected   *obs.Counter
+	completed  *obs.Counter
+	failed     *obs.Counter
+	cancelled  *obs.Counter
+	dispatches *obs.Counter
+	inline     *obs.Counter // dispatches run by Submit's caller
+	expired    *obs.Counter
+	qwait      *obs.Histogram // admission-to-dispatch wait
 }
 
 // New builds a scheduler and its MinWorkers workers synchronously (a
@@ -162,23 +152,20 @@ func New(cfg Config) (*Scheduler, error) {
 		reg = obs.NewRegistry()
 	}
 	s := &Scheduler{
-		cfg:             cfg,
-		ready:           make(chan struct{}, cfg.QueueCap),
-		stop:            make(chan struct{}),
-		maxCallers:      runtime.GOMAXPROCS(0),
-		reg:             reg,
-		inflight:        reg.Gauge("sched.in_flight"),
-		submitted:       reg.Counter("sched.submitted"),
-		rejected:        reg.Counter("sched.rejected"),
-		completed:       reg.Counter("sched.completed"),
-		failed:          reg.Counter("sched.failed"),
-		cancelled:       reg.Counter("sched.cancelled"),
-		dispatches:      reg.Counter("sched.dispatches"),
-		dispatchedTasks: reg.Counter("sched.dispatched_tasks"),
-		inline:          reg.Counter("sched.inline_dispatches"),
-		maxBatch:        reg.Counter("sched.max_batch"),
-		expired:         reg.Counter("sched.expired_before_run"),
-		qwait:           reg.Histogram("sched.queue_wait"),
+		cfg:        cfg,
+		ready:      make(chan struct{}, cfg.QueueCap),
+		stop:       make(chan struct{}),
+		maxCallers: runtime.GOMAXPROCS(0),
+		inflight:   reg.Gauge("sched.in_flight"),
+		submitted:  reg.Counter("sched.submitted"),
+		rejected:   reg.Counter("sched.rejected"),
+		completed:  reg.Counter("sched.completed"),
+		failed:     reg.Counter("sched.failed"),
+		cancelled:  reg.Counter("sched.cancelled"),
+		dispatches: reg.Counter("sched.dispatches"),
+		inline:     reg.Counter("sched.inline_dispatches"),
+		expired:    reg.Counter("sched.expired_before_run"),
+		qwait:      reg.Histogram("sched.queue_wait"),
 	}
 	initial := make([]Worker, 0, cfg.MinWorkers)
 	for i := 0; i < cfg.MinWorkers; i++ {
@@ -197,11 +184,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	return s, nil
 }
-
-// Registry returns the obs.Registry holding the scheduler's "sched.*"
-// counters — cfg.Metrics when one was provided, a private registry
-// otherwise.
-func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 
 // Queued returns the number of admitted tasks waiting for dispatch.
 func (s *Scheduler) Queued() int {
@@ -247,7 +229,7 @@ func (s *Scheduler) Submit(t *Task) error {
 	return nil
 }
 
-// runCaller is a caller-run dispatch: one task, no worker, the same books
+// runCaller is a caller-run dispatch: no worker, the same books
 // as a worker's. A panic out of Exec must not unwind into Submit's caller
 // with the task admitted and never finished, so it finishes the task with
 // the panic as its error.
@@ -298,39 +280,24 @@ func (s *Scheduler) issueLocked(t *Task, now time.Time) {
 	}
 }
 
-// popBatch assembles the next dispatch into buf: the head of the queue,
-// extended while the head stays batchable with up to BatchMax-1 further
-// tasks, in arrival order. Cancelled tasks surfacing at the head are
-// dropped on the spot. An empty result means no dispatchable work; a
-// non-empty one marks the calling worker busy until it says otherwise.
-func (s *Scheduler) popBatch(buf []*Task) []*Task {
+// pop takes the next dispatch off the queue: the head, once any cancelled
+// tasks surfacing there are dropped on the spot. nil means no dispatchable
+// work; a task marks the calling worker busy until it says otherwise.
+func (s *Scheduler) pop() *Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var now time.Time
-	for head := s.q.peek(); head != nil; head = s.q.peek() {
-		if head.Cancelled() {
-			s.q.pop()
+	for s.q.len() > 0 {
+		t := s.q.pop()
+		if t.Cancelled() {
 			s.expired.Add(1)
-			head.Finish(ErrCancelled)
+			t.Finish(ErrCancelled)
 			continue
 		}
-		if len(buf) > 0 && (!head.Batchable || len(buf) >= s.cfg.BatchMax) {
-			break
-		}
-		if now.IsZero() {
-			now = time.Now()
-		}
-		s.q.pop()
-		s.issueLocked(head, now)
-		buf = append(buf, head)
-		if !head.Batchable {
-			break
-		}
-	}
-	if len(buf) > 0 {
+		s.issueLocked(t, time.Now())
 		s.busy++
+		return t
 	}
-	return buf
+	return nil
 }
 
 // runWorker is one pool worker: loop pop → exec until shut down, then
@@ -346,10 +313,10 @@ func (s *Scheduler) runWorker(w Worker) {
 			s.mu.Unlock()
 		}
 	}()
-	batch := make([]*Task, 0, s.cfg.BatchMax)
+	one := make([]*Task, 1) // reused: a worker's dispatches allocate nothing
 	for {
-		batch = s.popBatch(batch[:0])
-		if len(batch) == 0 {
+		t := s.pop()
+		if t == nil {
 			select {
 			case <-s.stop:
 				return
@@ -357,35 +324,33 @@ func (s *Scheduler) runWorker(w Worker) {
 				continue
 			}
 		}
-		s.dispatch(w, batch)
+		one[0] = t
+		s.dispatch(w, one)
+		one[0] = nil
 		s.mu.Lock()
 		s.busy--
 		s.mu.Unlock()
 	}
 }
 
-// dispatch counts and runs one dispatch, on worker w or (w nil) on the
-// goroutine that submitted its only task, and fails whatever Exec left
+// dispatch counts and runs the dispatch of one[0], on worker w or (w nil)
+// on the goroutine that submitted it, and fails the task if Exec left it
 // unfinished. A Task is single-use for this reason: the scheduler reads it
 // until Exec returns, which may be after its Done closed.
-func (s *Scheduler) dispatch(w Worker, batch []*Task) {
-	// Count the dispatch when it is issued, not when Exec returns:
-	// tasks Finish() inside Exec, so an observer woken by a completion
+func (s *Scheduler) dispatch(w Worker, one []*Task) {
+	// Count the dispatch when it is issued, not when Exec returns: the
+	// task Finish()es inside Exec, so an observer woken by its completion
 	// must already see the dispatch that produced it in the counters.
 	s.dispatches.Add(1)
-	s.dispatchedTasks.Add(int64(len(batch)))
-	s.maxBatch.RaiseTo(int64(len(batch)))
 	var t0 time.Time
 	if s.cfg.Trace != nil {
 		t0 = time.Now()
 	}
-	s.cfg.Exec(w, batch)
+	s.cfg.Exec(w, one)
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.RecordWall(s.cfg.TraceLane, obs.KindBatch, t0, time.Now())
 	}
-	for _, t := range batch {
-		t.Finish(errNotFinished) // a no-op for every task Exec finished
-	}
+	one[0].Finish(errNotFinished) // a no-op if Exec finished it
 }
 
 // Close drains and stops the scheduler: Submit starts refusing, admitted

@@ -171,90 +171,6 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	}
 }
 
-// TestSchedulerBatchCoalescing: queued batchable tasks dispatch as a
-// single batch, in arrival order.
-func TestSchedulerBatchCoalescing(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 32, BatchMax: 16}, gateExec)
-	g := h.submitGate()
-
-	tasks := make([]*Task, 8)
-	for i := range tasks {
-		tasks[i] = &Task{Batchable: true, Payload: i}
-		mustSubmit(t, h.s, tasks[i])
-	}
-	close(g.release)
-	waitDone(t, tasks...)
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.dispatches) != 2 { // gate + one coalesced batch
-		t.Fatalf("got %d dispatches, want 2 (gate + batch)", len(h.dispatches))
-	}
-	batch := h.dispatches[1]
-	if len(batch) != len(tasks) {
-		t.Fatalf("batch size %d, want %d", len(batch), len(tasks))
-	}
-	for i, tk := range batch {
-		if tk != tasks[i] {
-			t.Fatalf("batch[%d] is task %v, want arrival order", i, tk.Payload)
-		}
-	}
-	snap := h.s.Snapshot()
-	if snap.MaxBatch != int64(len(tasks)) {
-		t.Fatalf("MaxBatch = %d, want %d", snap.MaxBatch, len(tasks))
-	}
-	if snap.BatchOccupancy <= 1 {
-		t.Fatalf("BatchOccupancy = %v, want > 1", snap.BatchOccupancy)
-	}
-}
-
-// TestSchedulerBatchMaxRespected: a backlog larger than BatchMax splits
-// into dispatches of at most BatchMax tasks.
-func TestSchedulerBatchMaxRespected(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 64, BatchMax: 4}, gateExec)
-	g := h.submitGate()
-	tasks := make([]*Task, 10)
-	for i := range tasks {
-		tasks[i] = &Task{Batchable: true, Payload: i}
-		mustSubmit(t, h.s, tasks[i])
-	}
-	close(g.release)
-	waitDone(t, tasks...)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, d := range h.dispatches[1:] {
-		if len(d) > 4 {
-			t.Fatalf("dispatch of %d tasks exceeds BatchMax 4", len(d))
-		}
-	}
-}
-
-// TestSchedulerNonBatchableSingleton: a non-batchable task never rides in a
-// multi-task dispatch.
-func TestSchedulerNonBatchableSingleton(t *testing.T) {
-	h := newHarness(t, Config{MinWorkers: 1, QueueCap: 32}, gateExec)
-	g := h.submitGate()
-	var tasks []*Task
-	for i := 0; i < 6; i++ {
-		tk := &Task{Batchable: i%2 == 0, Payload: i}
-		tasks = append(tasks, tk)
-		mustSubmit(t, h.s, tk)
-	}
-	close(g.release)
-	waitDone(t, tasks...)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, d := range h.dispatches {
-		if len(d) > 1 {
-			for _, tk := range d {
-				if !tk.Batchable {
-					t.Fatalf("non-batchable task in a %d-task dispatch", len(d))
-				}
-			}
-		}
-	}
-}
-
 // TestSchedulerDropsCancelledAtHead: a task whose Cancel fires while queued
 // is finished with ErrCancelled without reaching the executor.
 func TestSchedulerDropsCancelledAtHead(t *testing.T) {
@@ -391,7 +307,7 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 				<-tk.Done()
 			})
 			// Budget: the done channel, the harness's dispatch-record copy, the
-			// caller's one-task batch, and a couple of runtime incidentals. The
+			// caller's one-task slice, and a couple of runtime incidentals. The
 			// hot path itself must not allocate per task beyond that.
 			if avg > 8 {
 				t.Fatalf("steady-state allocs per task = %.1f, want <= 8", avg)

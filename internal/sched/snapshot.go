@@ -19,13 +19,14 @@ type Snapshot struct {
 	// decomposes in /metrics.
 	QueueWait WaitStats `json:"queue_wait"`
 
-	// Batching.
-	Dispatches      uint64  `json:"dispatches"`
-	DispatchedTasks uint64  `json:"dispatched_tasks"`
-	BatchOccupancy  float64 `json:"batch_occupancy"` // mean tasks per dispatch
-	MaxBatch        int64   `json:"max_batch"`
+	// Dispatches.
+	Dispatches uint64 `json:"dispatches"`
+	// DispatchedTasks equals Dispatches, since every dispatch carries one
+	// task; it is filled from the dispatch count and stays because
+	// benchmark/probe_server.go reads it.
+	DispatchedTasks uint64 `json:"dispatched_tasks"`
 	// InlineDispatches is the part of Dispatches that Submit's caller ran
-	// itself (one batchable task, idle pool): work that never woke a worker.
+	// itself (a batchable task, idle pool): work that never woke a worker.
 	InlineDispatches uint64 `json:"inline_dispatches"`
 
 	// ExpiredBeforeRun counts tasks dropped at the head of the queue
@@ -43,7 +44,8 @@ type WaitStats struct {
 
 // Snapshot captures the scheduler's current state.
 func (s *Scheduler) Snapshot() Snapshot {
-	snap := Snapshot{
+	dispatches := uint64(s.dispatches.Load())
+	return Snapshot{
 		Workers:   s.cfg.MinWorkers,
 		Queued:    s.Queued(),
 		InFlight:  s.inflight.Load(),
@@ -58,14 +60,9 @@ func (s *Scheduler) Snapshot() Snapshot {
 			P50Ms:  s.qwait.Quantile(0.5) * 1e3,
 			P99Ms:  s.qwait.Quantile(0.99) * 1e3,
 		},
-		Dispatches:       uint64(s.dispatches.Load()),
-		DispatchedTasks:  uint64(s.dispatchedTasks.Load()),
-		MaxBatch:         s.maxBatch.Load(),
+		Dispatches:       dispatches,
+		DispatchedTasks:  dispatches,
 		InlineDispatches: uint64(s.inline.Load()),
 		ExpiredBeforeRun: uint64(s.expired.Load()),
 	}
-	if snap.Dispatches > 0 {
-		snap.BatchOccupancy = float64(snap.DispatchedTasks) / float64(snap.Dispatches)
-	}
-	return snap
 }

@@ -8,11 +8,12 @@ import (
 // Task is one schedulable unit of work. The caller fills the public
 // fields, Submit-s it, and waits on Done; the executor completes it with
 // Finish. A Task is engine-agnostic: the scheduler never looks inside
-// Payload, it only queues, groups and dispatches. A Task is submitted
-// once; a retry is a new Task.
+// Payload, it only queues and dispatches. A Task is submitted once; a
+// retry is a new Task.
 type Task struct {
-	// Batchable marks tasks that may be coalesced with other queued
-	// batchable tasks into one dispatch.
+	// Batchable marks a task that needs no engine, so it may run on the
+	// submitter's goroutine (package comment). The name dates from
+	// coalescing; it stays because benchmark/probe_sched.go sets it.
 	Batchable bool
 	// Cancel, when non-nil and closed, aborts the task: the scheduler
 	// drops it if still queued, and executors should skip it.

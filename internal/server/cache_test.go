@@ -223,7 +223,7 @@ func TestAbandonedRequestWithholdsItsBuffers(t *testing.T) {
 		rel := make(chan struct{})
 		var once sync.Once
 		t.Cleanup(func() { once.Do(func() { close(rel) }) }) // before the server's shutdown
-		s.setBatchHook(func(tk *sched.Task) {
+		s.setDispatchHook(func(tk *sched.Task) {
 			job := tk.Payload.(*schedJob)
 			held <- [2]uintptr{uintptrOf(job.req.A), uintptrOf(job.req.B)}
 			<-rel

@@ -20,7 +20,7 @@ import (
 )
 
 // TestSmallRequestsRunOnTheirHandlers holds GOMAXPROCS+1 simultaneous small
-// requests in the batch hook: GOMAXPROCS of them are computing on their own
+// requests in the dispatch hook: GOMAXPROCS of them are computing on their own
 // handler goroutines, so exactly one went through the queue to the pool's
 // worker — and every result is bit-identical to the serial kernel.
 func TestSmallRequestsRunOnTheirHandlers(t *testing.T) {
@@ -28,7 +28,7 @@ func TestSmallRequestsRunOnTheirHandlers(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: procs + 4})
 	rel := make(chan struct{})
 	var held atomic.Int64
-	s.setBatchHook(func(*sched.Task) {
+	s.setDispatchHook(func(*sched.Task) {
 		held.Add(1)
 		<-rel
 	})
@@ -54,8 +54,8 @@ func TestSmallRequestsRunOnTheirHandlers(t *testing.T) {
 		if res.code != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, res.code)
 		}
-		if res.resp.Route != routeSmall || res.resp.Batch != 1 {
-			t.Errorf("request %d: route %q in a dispatch of %d, want small alone", i, res.resp.Route, res.resp.Batch)
+		if res.resp.Route != routeSmall {
+			t.Errorf("request %d: route %q, want small", i, res.resp.Route)
 		}
 		want := wantGemm(t, reqs[i])
 		got := &mat.Matrix{Rows: res.resp.Rows, Cols: res.resp.Cols, Stride: res.resp.Cols, Data: res.resp.C}
@@ -63,8 +63,8 @@ func TestSmallRequestsRunOnTheirHandlers(t *testing.T) {
 			t.Errorf("request %d: result differs from mat.Gemm by %g, want bit-identical", i, diff)
 		}
 	}
-	if sc := s.Metrics().Sched; sc.Failed != 0 || sc.BatchOccupancy != 1 {
-		t.Errorf("failed %d, batch occupancy %g; want 0 and 1", sc.Failed, sc.BatchOccupancy)
+	if sc := s.Metrics().Sched; sc.Failed != 0 {
+		t.Errorf("failed %d, want 0", sc.Failed)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestSmallRequestsRunOnTheirHandlers(t *testing.T) {
 // waiting for a worker.
 func TestSmallRequestDeadlineDuringOwnRun(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 8})
-	s.setBatchHook(func(tk *sched.Task) { <-tk.Payload.(*schedJob).ctx.Done() })
+	s.setDispatchHook(func(tk *sched.Task) { <-tk.Payload.(*schedJob).ctx.Done() })
 	req := randReq(16, 16, 16, 2)
 	req.TimeoutMillis = 20
 	code, w := post(t, s, req, nil)
@@ -87,7 +87,7 @@ func TestSmallRequestDeadlineDuringOwnRun(t *testing.T) {
 	if m.Cancelled != 1 || m.Sched.InFlight != 0 {
 		t.Fatalf("cancelled_total %d, sched in flight %d; want 1 and 0", m.Cancelled, m.Sched.InFlight)
 	}
-	s.setBatchHook(func(*sched.Task) {})
+	s.setDispatchHook(func(*sched.Task) {})
 	req.TimeoutMillis = 0
 	var resp MultiplyResponse
 	if code, _ := post(t, s, req, &resp); code != http.StatusOK {
@@ -98,7 +98,7 @@ func TestSmallRequestDeadlineDuringOwnRun(t *testing.T) {
 
 // TestSmallRequestIsInFlightWhileItsHandlerRuns: server.in_flight counts a
 // request from before Submit, so one being computed by its own handler —
-// parked here in the batch hook — reads 1, and 0 again once answered.
+// parked here in the dispatch hook — reads 1, and 0 again once answered.
 func TestSmallRequestIsInFlightWhileItsHandlerRuns(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: 8})
 	req := randReq(16, 16, 16, 3)

@@ -69,7 +69,7 @@ type MetricsSnapshot struct {
 	Cache *CacheStats `json:"cache,omitempty"`
 
 	// Sched is the workload scheduler's view: pool size, run-queue depth
-	// and queue wait, batch occupancy, caller-run dispatches.
+	// and queue wait, dispatches, caller-run dispatches.
 	Sched *sched.Snapshot `json:"sched,omitempty"`
 
 	// Recovery is the block-level job recovery view: handler retries,

@@ -190,12 +190,11 @@ func TestJobRecoverySalvage(t *testing.T) {
 // queue depth. A seeded plan corrupts computed blocks while a pinned team
 // holds a backlog filled to the queue cap — four small requests, then
 // distributed ones until 19 wait behind the blocker. Every response must
-// bit-equal a clean twin's, and the detections show the plan fired. The four
-// queued small requests still go out in one dispatch. The distributed
-// operands lie in [1, 3): every element of a C view is then within a small
-// factor of the view's mean, so a flipped exponent bit always moves the view's
-// sum past ABFT's relative tolerance (with signed operands an element near
-// zero can change by less than the tolerance and go unseen).
+// bit-equal a clean twin's, and the detections show the plan fired. The
+// distributed operands lie in [1, 3): every element of a C view is then
+// within a small factor of the view's mean, so a flipped exponent bit always
+// moves the view's sum past ABFT's relative tolerance (with signed operands
+// an element near zero can change by less than the tolerance and go unseen).
 func TestABFTHoldsUnderBacklog(t *testing.T) {
 	plan, err := faults.NewPlan(faults.Config{Seed: 3, BadBlockRate: 0.05}, 4)
 	if err != nil {
@@ -252,9 +251,6 @@ func TestABFTHoldsUnderBacklog(t *testing.T) {
 	m := s.Metrics()
 	if m.Recovery.ABFTDetected == 0 {
 		t.Fatal("ABFT detected no corrupted blocks; the plan never fired")
-	}
-	if m.Sched.MaxBatch != smalls {
-		t.Fatalf("largest dispatch %d, want the whole backlog of %d small requests in one", m.Sched.MaxBatch, smalls)
 	}
 	t.Logf("recovery under backlog: %+v", m.Recovery)
 }

@@ -1,9 +1,9 @@
 package server
 
-// Scheduler serving tests: batching bit-identity, deadline handling,
+// Scheduler serving tests: backlog bit-identity, deadline handling,
 // overflow, two jobs on two teams, drain, requests that still carry the
 // retired scheduling inputs, and the chaos case where an executor crash
-// mid-batch fails one task and its handler retries it.
+// in a backlog fails one task and its handler retries it.
 
 import (
 	"bytes"
@@ -29,7 +29,7 @@ import (
 	"srumma/internal/sched"
 )
 
-// blockOn installs a batch hook that parks any dispatch whose request ID
+// blockOn installs a dispatch hook that parks any dispatch whose request ID
 // matches id until the returned release func is called. It pins one
 // scheduler worker — the only one on a Teams: 1 pool — so tests can build a
 // backlog deterministically.
@@ -37,7 +37,7 @@ func blockOn(s *Server, id string) (release func(), entered <-chan struct{}) {
 	rel := make(chan struct{})
 	ent := make(chan struct{})
 	var onceEnter sync.Once
-	s.setBatchHook(func(tk *sched.Task) {
+	s.setDispatchHook(func(tk *sched.Task) {
 		job := tk.Payload.(*schedJob)
 		if job.req.ID == id {
 			onceEnter.Do(func() { close(ent) })
@@ -48,7 +48,7 @@ func blockOn(s *Server, id string) (release func(), entered <-chan struct{}) {
 	return func() { onceRel.Do(func() { close(rel) }) }, ent
 }
 
-// blockerReq is the request tests park in the batch hook to pin a pool
+// blockerReq is the request tests park in the dispatch hook to pin a pool
 // worker: just too large for the small route, so the scheduler queues it for
 // the worker's team. (A small one would be computed — and parked —
 // by its own handler, leaving the worker free.)
@@ -96,17 +96,18 @@ func waitQueued(t *testing.T, s *Server, n int) {
 	waitFor(t, fmt.Sprintf("%d queued tasks", n), func() bool { return s.sched.Queued() >= n })
 }
 
-// TestServerSchedBatchingBitIdentical pre-queues a pile of small GEMMs
-// behind a pinned worker, releases it, and verifies they were served by
-// coalesced dispatches with results BIT-IDENTICAL to the serial kernel.
-func TestServerSchedBatchingBitIdentical(t *testing.T) {
+// TestServerSchedBacklogBitIdentical pre-queues a pile of small GEMMs
+// behind a pinned worker, releases it, and verifies each was served by a
+// dispatch of its own with a result BIT-IDENTICAL to the serial kernel.
+func TestServerSchedBacklogBitIdentical(t *testing.T) {
 	const n = 24
-	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: n + 4, BatchMax: n})
+	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: n + 4})
 	release, entered := blockOn(s, "blocker")
 
 	blocker := blockerReq()
 	blockerCh := postAsync(t, s, blocker)
 	<-entered
+	before := s.Metrics().Sched.Dispatches
 
 	reqs := make([]MultiplyRequest, n)
 	chans := make([]<-chan struct {
@@ -121,7 +122,6 @@ func TestServerSchedBatchingBitIdentical(t *testing.T) {
 	release()
 
 	<-blockerCh
-	sawCoalesced := false
 	for i, ch := range chans {
 		res := <-ch
 		if res.code != http.StatusOK {
@@ -130,27 +130,14 @@ func TestServerSchedBatchingBitIdentical(t *testing.T) {
 		if res.resp.Route != routeSmall {
 			t.Fatalf("request %d routed %q, want small", i, res.resp.Route)
 		}
-		if res.resp.Batch > 1 {
-			sawCoalesced = true
-		}
 		want := wantGemm(t, reqs[i])
 		got := &mat.Matrix{Rows: res.resp.Rows, Cols: res.resp.Cols, Stride: res.resp.Cols, Data: res.resp.C}
 		if diff := mat.MaxAbsDiff(got, want); diff != 0 {
-			t.Fatalf("request %d: batched result differs from serial by %g, want bit-identical", i, diff)
+			t.Fatalf("request %d: backlogged result differs from serial by %g, want bit-identical", i, diff)
 		}
 	}
-	if !sawCoalesced {
-		t.Fatal("no request was served by a coalesced dispatch")
-	}
-	m := s.Metrics()
-	if m.Sched == nil {
-		t.Fatal("metrics missing sched section")
-	}
-	if m.Sched.BatchOccupancy <= 1 {
-		t.Fatalf("batch occupancy %g, want > 1", m.Sched.BatchOccupancy)
-	}
-	if m.Sched.MaxBatch < 2 {
-		t.Fatalf("max batch %d, want >= 2", m.Sched.MaxBatch)
+	if d := s.Metrics().Sched.Dispatches - before; d != n {
+		t.Fatalf("%d dispatches served %d queued requests, want one each", d, n)
 	}
 }
 
@@ -231,19 +218,20 @@ func TestServerSchedOverflow429(t *testing.T) {
 	}
 }
 
-// TestServerSchedChaosCrashRetried: an executor panic mid-batch (injected
-// via the batch hook, recovered by the executor) fails only the task it
-// held — the other seven complete in that first dispatch — and its handler
-// retries it as a restarted job: every request still completes correctly.
+// TestServerSchedChaosCrashRetried: an executor panic in a backlog
+// (injected via the dispatch hook, recovered by the executor) fails only
+// the task it held — the other seven complete on their first dispatch —
+// and its handler retries it as a restarted job: every request still
+// completes correctly.
 func TestServerSchedChaosCrashRetried(t *testing.T) {
 	const n = 8
-	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: n + 4, BatchMax: n})
+	s := newTestServer(t, Config{NProcs: 4, Teams: 1, QueueCap: n + 4})
 
 	rel := make(chan struct{})
 	entered := make(chan struct{})
 	var onceEnter sync.Once
 	var crashed atomic.Pointer[string]
-	s.setBatchHook(func(tk *sched.Task) {
+	s.setDispatchHook(func(tk *sched.Task) {
 		job := tk.Payload.(*schedJob)
 		if job.req.ID == "blocker" {
 			onceEnter.Do(func() { close(entered) })
@@ -251,13 +239,14 @@ func TestServerSchedChaosCrashRetried(t *testing.T) {
 			return
 		}
 		if crashed.CompareAndSwap(nil, &job.req.ID) {
-			panic("chaos: injected rank crash mid-batch")
+			panic("chaos: injected executor crash")
 		}
 	})
 
 	blocker := blockerReq()
 	blockerCh := postAsync(t, s, blocker)
 	<-entered
+	before := s.Metrics().Sched.Dispatches
 
 	reqs := make([]MultiplyRequest, n)
 	chans := make([]<-chan struct {
@@ -283,15 +272,6 @@ func TestServerSchedChaosCrashRetried(t *testing.T) {
 		if diff := mat.MaxAbsDiff(got, want); diff != 0 {
 			t.Fatalf("request %d: result differs by %g after the retry", i, diff)
 		}
-		// The crashed request is retried alone; the rest rode the first
-		// dispatch.
-		wantBatch := n
-		if reqs[i].ID == *crashed.Load() {
-			wantBatch = 1
-		}
-		if res.resp.Batch != wantBatch {
-			t.Errorf("request %s: served by a dispatch of %d, want %d", reqs[i].ID, res.resp.Batch, wantBatch)
-		}
 	}
 	m := s.Metrics()
 	if m.Recovery.Retries != 1 || m.Recovery.RestartedJobs != 1 {
@@ -300,8 +280,10 @@ func TestServerSchedChaosCrashRetried(t *testing.T) {
 	if m.Completed != n+1 || m.Errors != 0 {
 		t.Fatalf("completed_total = %d, error_total = %d; want %d and 0", m.Completed, m.Errors, n+1)
 	}
-	if m.Sched.Failed != 1 || m.Sched.MaxBatch != n {
-		t.Fatalf("sched failed %d, max batch %d; want 1 and %d", m.Sched.Failed, m.Sched.MaxBatch, n)
+	// One dispatch per request, plus the crashed one's retry: the other
+	// seven completed on their first.
+	if d := m.Sched.Dispatches - before; m.Sched.Failed != 1 || d != n+1 {
+		t.Fatalf("sched failed %d, %d dispatches; want 1 and %d", m.Sched.Failed, d, n+1)
 	}
 }
 

@@ -106,10 +106,6 @@ type Config struct {
 	// allocates nothing.
 	TraceEvents int
 
-	// BatchMax caps how many queued small GEMMs coalesce into one dispatch
-	// (default 32).
-	BatchMax int
-
 	// MaxTaskK caps the contraction length of one SRUMMA task on the
 	// distributed route (core.Options.MaxTaskK). Finer tasks mean smaller
 	// fetch buffers AND finer recovery units: the ledger resumes at task
@@ -149,7 +145,7 @@ type Config struct {
 	// Cluster shards the SRUMMA route across OS-process worker nodes: an
 	// internal/cluster pool of ClusterNodes nodes (each NProcs ranks, PPN
 	// ProcsPerNode) replaces the in-process distributed tier. The small
-	// route, batching, cache and retry machinery are unchanged; worker death
+	// route, scheduler, cache and retry machinery are unchanged; worker death
 	// folds into the retry budget via the pool's typed errors and the
 	// cross-process salvage.
 	Cluster bool
@@ -195,9 +191,6 @@ func (c Config) fill() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4 * c.Teams
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 32
 	}
 	if c.SmallMNK <= 0 {
 		c.SmallMNK = 128 * 128 * 128
@@ -248,7 +241,7 @@ type Server struct {
 	g    *grid.Grid
 
 	// sched is the workload scheduler: it owns admission, ordering,
-	// batching and the fixed pool of persistent engine teams.
+	// dispatch and the fixed pool of persistent engine teams.
 	sched *sched.Scheduler
 
 	// cpool is the cluster node pool (nil unless Config.Cluster): the
@@ -279,9 +272,9 @@ type Server struct {
 	rec       *obs.Recorder
 	laneNames []string
 
-	// testBatchHook holds a func(*sched.Task) tests install to block or
+	// testDispatchHook holds a func(*sched.Task) tests install to block or
 	// crash dispatches deterministically; nil in production.
-	testBatchHook atomic.Value
+	testDispatchHook atomic.Value
 
 	mux *http.ServeMux
 
@@ -503,8 +496,6 @@ type InfoResponse struct {
 	Kernel        string `json:"kernel"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	KernelThreads int    `json:"default_kernel_threads"`
-	// Scheduler deployment parameters.
-	BatchMax int `json:"batch_max"`
 	// The content-addressed result cache bounds (zero entries = content
 	// addressing off).
 	CacheEntries int   `json:"cache_entries"`
@@ -543,7 +534,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Kernel:        mat.KernelName(),
 		GOMAXPROCS:    goruntime.GOMAXPROCS(0),
 		KernelThreads: kt,
-		BatchMax:      s.cfg.BatchMax,
 
 		CacheEntries: s.cfg.CacheEntries,
 		CacheBytes:   s.cfg.CacheBytes,
@@ -705,9 +695,6 @@ func (s *Server) writeOK(w http.ResponseWriter, env *reqEnv, resp *MultiplyRespo
 		h.Set("X-Srumma-Queue-Ms", strconv.FormatFloat(resp.QueueMillis, 'g', -1, 64))
 		h.Set("X-Srumma-Elapsed-Ms", strconv.FormatFloat(resp.ElapsedMillis, 'g', -1, 64))
 		h.Set("X-Srumma-Gflops", strconv.FormatFloat(resp.GFlops, 'g', -1, 64))
-		if resp.Batch > 0 {
-			h.Set("X-Srumma-Batch", strconv.Itoa(resp.Batch))
-		}
 		if resp.Cached {
 			h.Set("X-Srumma-Cached", "1")
 		}
@@ -893,7 +880,6 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 			Route:         route,
 			QueueMillis:   job.started.Sub(admitted).Seconds() * 1e3,
 			ElapsedMillis: elapsed.Seconds() * 1e3,
-			Batch:         job.batch,
 		}
 		if secs := elapsed.Seconds(); secs > 0 {
 			resp.GFlops = flops / secs / 1e9

@@ -98,7 +98,7 @@ func TestDebugTraceConcurrentJobs(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(rel) }) }
 	defer release()
-	s.setBatchHook(func(*sched.Task) {
+	s.setDispatchHook(func(*sched.Task) {
 		entered <- struct{}{}
 		<-rel
 	})

@@ -57,10 +57,6 @@ type MultiplyResponse struct {
 	QueueMillis   float64 `json:"queue_ms"`
 	ElapsedMillis float64 `json:"elapsed_ms"`
 	GFlops        float64 `json:"gflops"`
-	// Batch is the size of the dispatch that served this request: 1 for a
-	// solo run, >1 when the scheduler coalesced it with other small GEMMs
-	// that were queued.
-	Batch int `json:"batch,omitempty"`
 
 	// Digest chain (present when the server runs with the result cache
 	// enabled): keyed 128-bit content addresses of the operands as decoded

@@ -11,7 +11,7 @@ import (
 )
 
 // Server is an HTTP GEMM service: a workload scheduler (one run queue in
-// arrival order, queued small GEMMs batched) in front of a fixed pool of
+// arrival order, one request per dispatch) in front of a fixed pool of
 // persistent SRUMMA engine teams, with admission backpressure
 // (429 + Retry-After priced from the observed service rate), size-based
 // routing between the direct local kernel and the distributed engine,
@@ -31,7 +31,7 @@ type ServerConfig = server.Config
 type ServerMetrics = server.MetricsSnapshot
 
 // SchedSnapshot is the workload scheduler's section of a ServerMetrics
-// snapshot: pool size, run-queue depth and queue wait, batch occupancy and
+// snapshot: pool size, run-queue depth and queue wait, dispatches and
 // caller-run dispatches.
 type SchedSnapshot = sched.Snapshot
 
