@@ -49,7 +49,6 @@ var (
 	smallMNK         = flag.Int("small-mnk", 0, "route products with M*N*K <= this to the local kernel (0: 128^3)")
 	maxDim           = flag.Int("max-dim", 0, "reject matrix dimensions beyond this (0: 4096)")
 	timeout          = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-	kernelThreads    = flag.Int("kernel-threads", 0, "local-dgemm workers per rank (0: engine default)")
 	drainGrace       = flag.Duration("drain-grace", 30*time.Second, "max time to drain in-flight work on shutdown")
 	traceEvents      = flag.Int("trace-events", 0, "per-lane span ring size for GET /debug/trace (0: tracing off)")
 	abft             = flag.Bool("abft", false, "verify every SRUMMA task's C block with Huang-Abraham checksums; corrupted blocks are restored and recomputed")
@@ -86,7 +85,6 @@ func main() {
 		SmallMNK:         *smallMNK,
 		MaxDim:           *maxDim,
 		DefaultTimeout:   *timeout,
-		KernelThreads:    *kernelThreads,
 		TraceEvents:      *traceEvents,
 		ABFT:             *abft,
 		ABFTTol:          *abftTol,
@@ -131,7 +129,7 @@ func main() {
 		info := s.Metrics()
 		log.Printf("hierarchical: %d group(s), intra-group shape %s", info.HierGroups, info.HierGroupShape)
 	}
-	log.Printf("default kernel threads/rank: %d", armci.DefaultKernelThreads(*nprocs))
+	log.Printf("kernel threads/rank: %d (GOMAXPROCS / ranks)", armci.DefaultKernelThreads(*nprocs))
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(l) }()

@@ -1,9 +1,13 @@
 package srumma
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -217,4 +221,103 @@ func TestDocsNameLiveTests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flagTools are the CLIs whose invocations TestDocsShowRegisteredFlags
+// reads; srumma-serve and srumma-load hold their own README flag tables to
+// their binaries (their TestFlagsMatchREADME).
+var flagTools = []string{"srumma-bench", "srumma-trace", "srumma-plan", "srumma-info"}
+
+// shownFlag is one -flag in an invocation.
+var shownFlag = regexp.MustCompile(`[ \t]-([a-z][a-z0-9-]*)`)
+
+// TestDocsShowRegisteredFlags keeps a renamed or deleted flag from leaving
+// its invocations behind: every -flag that README, DESIGN, the verify skill
+// or the Makefile writes after one of flagTools — on a command line,
+// backslash continuations included, or backticked in prose, up to the end
+// of the line or span, a pipe, a redirection or a comment — must be
+// registered by that binary. What a binary registers is read from its
+// source: the flag.* calls of cmd/<tool>.
+func TestDocsShowRegisteredFlags(t *testing.T) {
+	docs := map[string]string{}
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[doc] = string(text)
+	}
+	for _, tool := range flagTools {
+		registered := registeredFlags(t, filepath.Join("cmd", tool))
+		invocation := regexp.MustCompile(regexp.QuoteMeta(tool) + `((?:(?:[ \t]+|[ \t]*\\\n[ \t]*)[^ \t\\` + "`" + `\n|;&#>]+)*)`)
+		for doc, text := range docs {
+			for _, inv := range invocation.FindAllStringSubmatch(text, -1) {
+				for _, m := range shownFlag.FindAllStringSubmatch(inv[1], -1) {
+					if !registered[m[1]] {
+						t.Errorf("%s shows `%s`, but %s does not register -%s", doc, inv[0], tool, m[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// flagDefiners are the flag functions that take the flag's name first; the
+// ...Var forms (flag.IntVar, flag.Var, flag.TextVar) take it second.
+var flagDefiners = map[string]bool{
+	"Bool": true, "Int": true, "Int64": true, "Uint": true, "Uint64": true,
+	"Float64": true, "String": true, "Duration": true, "Func": true, "BoolFunc": true,
+}
+
+// registeredFlags parses the non-test Go files of dir and returns the names
+// its flag.* registration calls define (flag.Int("n", ...), flag.IntVar(&n,
+// "n", ...), flag.Var(v, "n", ...), ...).
+func registeredFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			} else if !flagDefiners[sel.Sel.Name] {
+				return true
+			}
+			if len(call.Args) > arg {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						names[v] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(names) == 0 {
+		t.Fatalf("%s registers no flag", dir)
+	}
+	return names
 }

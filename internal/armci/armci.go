@@ -334,7 +334,6 @@ func (c *ctx) Barrier() {
 
 var (
 	_ rt.Ctx            = (*ctx)(nil)
-	_ rt.KernelTuner    = (*ctx)(nil)
 	_ rt.Adopter        = (*ctx)(nil)
 	_ rt.BufferReleaser = (*ctx)(nil)
 	_ rt.Recorded       = (*ctx)(nil)

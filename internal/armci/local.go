@@ -24,9 +24,10 @@ import (
 // All methods but ObsRecorder and SetRecorder belong to the rank's own
 // goroutine.
 type LocalOps struct {
-	rank, nprocs int
-	stats        *rt.Stats
-	// kernelThreads is the local-dgemm worker count (rt.KernelTuner).
+	rank  int
+	stats *rt.Stats
+	// kernelThreads is the local-dgemm worker count, DefaultKernelThreads
+	// at Init.
 	kernelThreads int
 	// rec receives wall-clock spans when tracing is on (nil otherwise — the
 	// default, in which case every span helper is a pointer compare). Atomic
@@ -35,10 +36,10 @@ type LocalOps struct {
 }
 
 // Init makes l the local half of rank in an nprocs-rank run: fresh
-// accounting, the default kernel thread share, no recorder.
+// accounting, the machine's kernel thread share, no recorder.
 func (l *LocalOps) Init(rank, nprocs int) {
-	l.rank, l.nprocs = rank, nprocs
-	l.kernelThreads = defaultKernelThreads(nprocs)
+	l.rank = rank
+	l.kernelThreads = DefaultKernelThreads(nprocs)
 	l.stats = &rt.Stats{}
 }
 
@@ -67,30 +68,15 @@ func (l *LocalOps) SpanStart() time.Time { return l.rec.Load().SpanStart() }
 // Span records one wall-clock interval ending now on this rank's lane.
 func (l *LocalOps) Span(k obs.Kind, t0 time.Time) { l.rec.Load().SpanEnd(l.rank, k, t0) }
 
-// defaultKernelThreads is the oversubscription guard: with nprocs SPMD
-// ranks already competing for GOMAXPROCS cores, each rank's local dgemm
-// gets an equal share of the remaining parallelism (at least one worker). A
-// multiply on 4 ranks of a 16-core machine thus defaults to 4 kernel
-// workers per rank — 16 busy goroutines total, not 64.
-func defaultKernelThreads(nprocs int) int {
-	return max(1, goruntime.GOMAXPROCS(0)/nprocs)
-}
-
-// DefaultKernelThreads reports the engine's oversubscription guard for an
-// nprocs-rank run on this machine: the per-rank local-dgemm worker count a
-// rank gets when nothing overrides it. Exposed so operator tooling
-// (srumma-info) can show how a deployment will slice the machine.
+// DefaultKernelThreads is the engine's oversubscription guard: with nprocs
+// SPMD ranks already competing for GOMAXPROCS cores, each rank's local
+// dgemm gets an equal share of the remaining parallelism (at least one
+// worker). A multiply on 4 ranks of a 16-core machine thus runs 4 kernel
+// workers per rank — 16 busy goroutines total, not 64. The width is the
+// machine's, not a setting: every rank computes it at Init, and operator
+// tooling (srumma-info, srumma-serve's startup log) shows it.
 func DefaultKernelThreads(nprocs int) int {
-	return defaultKernelThreads(max(1, nprocs))
-}
-
-// SetKernelThreads implements rt.KernelTuner: it sets how many goroutines
-// this rank's Gemm calls may use (n <= 0 restores the engine default).
-func (l *LocalOps) SetKernelThreads(n int) {
-	if n <= 0 {
-		n = defaultKernelThreads(l.nprocs)
-	}
-	l.kernelThreads = n
+	return max(1, goruntime.GOMAXPROCS(0)/max(1, nprocs))
 }
 
 // Segment wraps memory an engine already owns (a Global segment) as a

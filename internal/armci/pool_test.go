@@ -228,54 +228,54 @@ func TestMailboxPreservesOrderWithPooling(t *testing.T) {
 // TestKernelThreadsDefault checks the oversubscription guard: with more
 // ranks than GOMAXPROCS each rank gets exactly one kernel worker.
 func TestKernelThreadsDefault(t *testing.T) {
-	if got := defaultKernelThreads(1 << 20); got != 1 {
+	if got := DefaultKernelThreads(1 << 20); got != 1 {
 		t.Fatalf("default for huge nprocs = %d, want 1", got)
 	}
-	if got := defaultKernelThreads(1); got < 1 {
+	if got := DefaultKernelThreads(1); got < 1 {
 		t.Fatalf("default for 1 rank = %d, want >= 1", got)
 	}
 }
 
-// TestSetKernelThreads exercises the rt.KernelTuner plumbing end to end on
-// the real engine: a multi-threaded Gemm must produce the same numbers as
-// the serial one (the parallel kernel preserves summation order).
-func TestSetKernelThreads(t *testing.T) {
-	topo := rt.Topology{NProcs: 1, ProcsPerNode: 1}
-	var serial, parallel []float64
-	for _, threads := range []int{1, 4} {
-		threads := threads
-		_, err := Run(topo, func(c rt.Ctx) {
-			tuner := rt.FindKernelTuner(c)
-			if tuner == nil {
-				panic("armci ctx must implement rt.KernelTuner")
+// TestKernelWidthIsDerived runs a 2-rank, one-domain multiply through
+// windows at GOMAXPROCS 4, where each rank's local dgemm is 2 workers wide
+// (GemmParallel stripes beside the other rank's), and at GOMAXPROCS 2, where
+// it is 1 wide: the width on every ctx is GOMAXPROCS / nprocs, and the two
+// products are bit-identical (the parallel kernel keeps summation order).
+// Raising GOMAXPROCS itself makes the wide case run on any machine.
+func TestKernelWidthIsDerived(t *testing.T) {
+	g, err := grid.New(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := rt.Topology{NProcs: 2, ProcsPerNode: 2}
+	d := core.Dims{M: 160, N: 144, K: 128}
+	opts := core.Options{Flavor: core.FlavorDirect}
+	da, db, dc := core.Dists(g, d, opts.Case)
+	a, b := mat.Random(da.Rows, da.Cols, 7), mat.Random(db.Rows, db.Cols, 8)
+	multiply := func(procs int) *mat.Matrix {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+		out := mat.New(d.M, d.N)
+		widths := make([]int, topo.NProcs)
+		if _, err := Run(topo, func(c rt.Ctx) {
+			widths[c.Rank()] = c.(*ctx).kernelThreads
+			ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
+			if err := core.Multiply(c, g, d, opts, ga, gb, gc); err != nil {
+				panic(err)
 			}
-			tuner.SetKernelThreads(threads)
-			n := 96
-			buf := c.LocalBuf(3 * n * n)
-			vals := make([]float64, n*n)
-			for i := range vals {
-				vals[i] = float64(i%17) - 8
-			}
-			c.WriteBuf(buf, 0, vals)
-			c.WriteBuf(buf, n*n, vals)
-			am := rt.Mat{Buf: buf, Off: 0, LD: n, Rows: n, Cols: n}
-			bm := rt.Mat{Buf: buf, Off: n * n, LD: n, Rows: n, Cols: n}
-			cm := rt.Mat{Buf: buf, Off: 2 * n * n, LD: n, Rows: n, Cols: n}
-			c.Gemm(1, am, bm, 0, cm)
-			out := c.ReadBuf(buf, 2*n*n, n*n)
-			if threads == 1 {
-				serial = out
-			} else {
-				parallel = out
-			}
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
+		for rank, w := range widths {
+			if want := procs / topo.NProcs; w != want {
+				t.Fatalf("GOMAXPROCS %d: rank %d kernel width %d, want %d", procs, rank, w, want)
+			}
+		}
+		return out
 	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("element %d: serial %g != parallel %g", i, serial[i], parallel[i])
+	wide, narrow := multiply(4), multiply(2)
+	for i := range narrow.Data {
+		if wide.Data[i] != narrow.Data[i] {
+			t.Fatalf("element %d: width 2 %g != width 1 %g", i, wide.Data[i], narrow.Data[i])
 		}
 	}
 }

@@ -4,10 +4,9 @@ package armci
 // one SPMD body and tears everything down — the right lifecycle for a test,
 // the wrong one for a server multiplying matrices all day. A Team keeps the
 // rank goroutines parked between jobs: successive Run calls dispatch new
-// SPMD bodies onto the SAME goroutines, so per-rank kernel-thread
-// configuration (SetKernelThreads) stays warm across jobs and the process
-// keeps its buffer pool (mat.GetBuf) hot without re-paying goroutine and
-// scheduler setup per multiply.
+// SPMD bodies onto the SAME goroutines, so the process keeps its buffer
+// pool (mat.GetBuf) hot without re-paying goroutine and scheduler setup per
+// multiply. A team carries no per-job configuration.
 //
 // Lifecycle and failure model:
 //
@@ -197,10 +196,9 @@ func (t *Team) RunWithTimeout(timeout time.Duration, body func(rt.Ctx)) ([]*rt.S
 	job.wg.Add(n)
 	stats := make([]*rt.Stats, n)
 	for rank, c := range t.ctxs {
-		// Fresh per-job runtime and accounting; kernelThreads deliberately
-		// persists (the warm configuration a serving layer relies on). The
-		// job-channel send below publishes these writes to the rank
-		// goroutine; wg.Wait publishes the rank's writes back to us.
+		// Fresh per-job runtime and accounting. The job-channel send below
+		// publishes these writes to the rank goroutine; wg.Wait publishes
+		// the rank's writes back to us.
 		c.rt = job.r
 		c.collSeq = 0
 		stats[rank] = c.ResetStats()

@@ -55,25 +55,6 @@ func TestTeamSequentialJobs(t *testing.T) {
 	}
 }
 
-func TestTeamKernelThreadsStayWarm(t *testing.T) {
-	tm := newTestTeam(t, 2)
-	if _, err := tm.Run(func(c rt.Ctx) {
-		c.(rt.KernelTuner).SetKernelThreads(3 + c.Rank())
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The next job on the same team sees the configuration it set.
-	got := make([]int, 2)
-	if _, err := tm.Run(func(c rt.Ctx) {
-		got[c.Rank()] = c.(*ctx).kernelThreads
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 3 || got[1] != 4 {
-		t.Fatalf("kernelThreads after restart = %v, want [3 4]", got)
-	}
-}
-
 func TestTeamPanicLeavesTeamReusable(t *testing.T) {
 	tm := newTestTeam(t, 4)
 	_, err := tm.Run(func(c rt.Ctx) {

@@ -107,7 +107,6 @@ func armciWant(t *testing.T, np, ppn int, spec *ipcrt.JobSpec) [][]float64 {
 func specFor(m, n, k int) *ipcrt.JobSpec {
 	spec := ipcrt.DefaultSpec(m, n, k)
 	spec.ReturnC = true
-	spec.KernelThreads = 1
 	return spec
 }
 

@@ -166,11 +166,6 @@ func MultiplyEx(c rt.Ctx, g *grid.Grid, d Dims, opts Options, alpha, beta float6
 	}
 
 	me := c.Rank()
-	if opts.KernelThreads > 0 {
-		if t := rt.FindKernelTuner(c); t != nil {
-			t.SetKernelThreads(opts.KernelThreads)
-		}
-	}
 	tasks := Plan(c.Topo(), me, g, d, opts)
 	_, myCol := g.Coords(me)
 	ldc := rt.SegLD(gc, dc.ColChunks[myCol].N)

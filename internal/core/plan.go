@@ -90,11 +90,6 @@ type Options struct {
 	// turning the nonblocking pipeline into blocking gets (the "blocking"
 	// configuration of paper Figure 9).
 	SingleBuffer bool
-	// KernelThreads, when positive, sets how many goroutines each rank's
-	// local dgemm may use (forwarded to the engine via rt.KernelTuner).
-	// Zero keeps the engine default — on the real engine an
-	// oversubscription guard of GOMAXPROCS / nprocs workers, at least one.
-	KernelThreads int
 	// MaxTaskK, when positive, caps the contraction length of a single
 	// task, splitting longer k-pieces. This bounds the communication
 	// buffers (each fetch moves at most blockRows x MaxTaskK elements) and

@@ -101,7 +101,7 @@ func newCtx(rank int, topo rt.Topology, dir string, coord *coordClient) *ipcCtx 
 		peers:  make(map[int]*peerConn),
 		start:  time.Now(),
 	}
-	// The default kernel thread count is armci's oversubscription guard:
+	// The kernel thread count is armci's oversubscription guard:
 	// NProcs worker PROCESSES share this machine as NProcs goroutines would.
 	c.Init(rank, topo.NProcs)
 	return c
@@ -519,7 +519,6 @@ func (c *ipcCtx) closePeers() {
 
 var (
 	_ rt.Ctx            = (*ipcCtx)(nil)
-	_ rt.KernelTuner    = (*ipcCtx)(nil)
 	_ rt.BufferReleaser = (*ipcCtx)(nil)
 	_ rt.Recorded       = (*ipcCtx)(nil)
 )

@@ -32,7 +32,6 @@ func TestHierIPCBitIdentical(t *testing.T) {
 			spec.Beta = -0.25
 			spec.MaxTaskK = 17
 			spec.ReturnC = true
-			spec.KernelThreads = 1
 			spec.Hier = true
 
 			results, err := cl.RunJob(spec, 2*time.Minute)
@@ -83,7 +82,6 @@ func TestHierIPCSharedBand(t *testing.T) {
 		spec.Beta = -0.25
 		spec.MaxTaskK = 17
 		spec.ReturnC = true
-		spec.KernelThreads = 1
 		spec.Hier = true
 
 		results, err := cl.RunJob(spec, 2*time.Minute)

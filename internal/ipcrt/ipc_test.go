@@ -96,9 +96,6 @@ func TestIPCBitIdentical(t *testing.T) {
 			spec.Case = int(cs)
 			spec.Beta = 0.5
 			spec.ReturnC = true
-			// One kernel thread keeps the dgemm partitioning out of the
-			// comparison; task order is already pinned by the shared topology.
-			spec.KernelThreads = 1
 
 			results, err := cl.RunJob(spec, 2*time.Minute)
 			if err != nil {
@@ -140,7 +137,6 @@ func TestTCPBitIdentical(t *testing.T) {
 			spec.Case = int(cs)
 			spec.Beta = 0.5
 			spec.ReturnC = true
-			spec.KernelThreads = 1
 
 			results, err := cl.RunJob(spec, 2*time.Minute)
 			if err != nil {
@@ -179,7 +175,6 @@ func TestIPCPaths(t *testing.T) {
 		t.Skip("multi-process run in -short mode")
 	}
 	spec := ipcrt.DefaultSpec(64, 64, 64)
-	spec.KernelThreads = 1
 
 	t.Run("split", func(t *testing.T) {
 		cl := launchCluster(t, 4, 2)
@@ -347,7 +342,6 @@ func TestIPCTrace(t *testing.T) {
 	cl := launchCluster(t, 4, 2)
 	spec := ipcrt.DefaultSpec(64, 64, 64)
 	spec.Trace = true
-	spec.KernelThreads = 1
 
 	results, err := cl.RunJob(spec, 2*time.Minute)
 	if err != nil {
@@ -526,7 +520,6 @@ func TestSegmentPoolReuse(t *testing.T) {
 	spec := ipcrt.DefaultSpec(64, 64, 64)
 	spec.Beta = 0.5
 	spec.ReturnC = true
-	spec.KernelThreads = 1
 
 	first, err := cl.RunJob(spec, 2*time.Minute)
 	if err != nil {
@@ -569,7 +562,6 @@ func TestSegmentPoolReuse(t *testing.T) {
 
 	// A different shape must not be force-fitted into parked segments.
 	other := ipcrt.DefaultSpec(96, 48, 32)
-	other.KernelThreads = 1
 	third, err := cl.RunJob(other, 2*time.Minute)
 	if err != nil {
 		t.Fatalf("job 3: %v", err)

@@ -43,12 +43,9 @@ type JobSpec struct {
 	// ABFT forwards Huang–Abraham block verification to core.Options.
 	ABFT    bool
 	ABFTTol float64
-	// Executor knobs, forwarded to core.Options. KernelThreads is stated to
-	// the engine on every job, 0 (the engine default) included: persistent
-	// ranks keep the previous job's setting otherwise.
+	// Executor knobs, forwarded to core.Options.
 	SingleBuffer    bool
 	NoDiagonalShift bool
-	KernelThreads   int
 	MaxTaskK        int
 	// Cancel is the job's cancellation signal (core.Options.Cancel). A
 	// channel cannot cross a process boundary, so only in-process runs of

@@ -139,7 +139,6 @@ func TestExternalWorkerJoin(t *testing.T) {
 	spec := ipcrt.DefaultSpec(64, 48, 56)
 	spec.Case = int(core.NT)
 	spec.ReturnC = true
-	spec.KernelThreads = 1
 	results, err := cl.RunJob(spec, 2*time.Minute)
 	if err != nil {
 		t.Fatalf("RunJob: %v", err)

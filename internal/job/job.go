@@ -54,9 +54,9 @@ func Validate(s *ipcrt.JobSpec, nprocs int) error {
 
 // Run executes spec on this rank and returns its block of C, or nil when the
 // ranks computed C in place in spec.Out. It validates the spec, injects the
-// spec's fault plan, states the kernel threads, places the operands (bound
-// where they lie when the run has an Out, allocated otherwise), resumes from
-// the rank's salvage or loads beta's C, and runs the row. When it panics
+// spec's fault plan, places the operands (bound where they lie when the run
+// has an Out, allocated otherwise), resumes from the rank's salvage or loads
+// beta's C, and runs the row. When it panics
 // mid-run with a ledger attached, the partial block and completion bitset
 // go into salv (marked Salvaged) before the panic continues — the raw
 // material of a resume, in this process or another.
@@ -74,11 +74,6 @@ func Run(c rt.Ctx, spec *ipcrt.JobSpec, salv *ipcrt.RankResult) (*mat.Matrix, er
 			return nil, err
 		}
 		c = faults.Inject(c, plan, nil)
-	}
-	// Stated unconditionally, not through core.Options (which forwards only
-	// positive counts): persistent ranks keep the previous job's setting.
-	if kt := rt.FindKernelTuner(c); kt != nil {
-		kt.SetKernelThreads(spec.KernelThreads)
 	}
 	g, _ := grid.Square(c.Size()) // Validate accepted the rank count
 	d, cs, me := core.Dims{M: spec.M, N: spec.N, K: spec.K}, core.Case(spec.Case), c.Rank()

@@ -33,7 +33,7 @@ func TestRunPlacements(t *testing.T) {
 		var results []*mat.Matrix
 		for _, inPlace := range []bool{true, false} {
 			spec := &ipcrt.JobSpec{M: d.M, N: d.N, K: d.K, Case: int(core.TN), Alpha: -1.5, Beta: 0.25,
-				Data: true, A: a.Data, B: b.Data, CIn: c0.Data, KernelThreads: 1, Hier: hierOn, ExitRank: -1, HangRank: -1}
+				Data: true, A: a.Data, B: b.Data, CIn: c0.Data, Hier: hierOn, ExitRank: -1, HangRank: -1}
 			if inPlace {
 				spec.Out = mat.New(d.M, d.N)
 			}

@@ -110,18 +110,6 @@ func (m Mat) OpShape() (r, c int) {
 	return m.Rows, m.Cols
 }
 
-// KernelTuner is an optional capability of a Ctx (or of the engine ctx at
-// the bottom of a wrapper chain — discover it by walking Unwrap): setting
-// the number of worker goroutines the local Gemm kernel may use. Engines
-// that execute real flops honor it; the sim engine models a single-threaded
-// dgemm and ignores it. Callers find it with a type assertion and fall back
-// to the engine default when absent.
-type KernelTuner interface {
-	// SetKernelThreads sets this process's local-dgemm worker count.
-	// n <= 0 restores the engine default.
-	SetKernelThreads(n int)
-}
-
 // BufferReleaser is an optional capability of a Ctx: returning a LocalBuf
 // scratch buffer to the engine for reuse. A released buffer must not be
 // touched again by the caller. Engines without buffer pooling simply do not
@@ -131,7 +119,7 @@ type BufferReleaser interface {
 }
 
 // Adopter is an optional capability of a Ctx (found through the Unwrap chain
-// like KernelTuner) that only an engine whose ranks live in the caller's
+// like BufferReleaser) that only an engine whose ranks live in the caller's
 // address space can offer: binding memory the caller already holds as the
 // segments of a Global — the paper's direct-access flavour applied to the
 // operands themselves.
@@ -202,10 +190,6 @@ func Find[T any](c Ctx) T {
 	var none T
 	return none
 }
-
-// FindKernelTuner walks c's Unwrap chain and returns the first layer that
-// can tune kernel threads, or nil.
-func FindKernelTuner(c Ctx) KernelTuner { return Find[KernelTuner](c) }
 
 // FindBufferReleaser walks c's Unwrap chain and returns the first layer
 // that can recycle scratch buffers, or nil.

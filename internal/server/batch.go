@@ -135,20 +135,10 @@ func (s *Server) execSmallTask(t *sched.Task) {
 	}
 	job := t.Payload.(*schedJob)
 	job.started = time.Now()
-	out, buf, err := s.gemmLocal(job.req, job.cs, job.d, s.smallKernelThreads())
+	out, buf, err := s.gemmLocal(job.req, job.cs, job.d)
 	job.out, job.outBuf = out, buf
 	job.finished = time.Now()
 	t.Finish(err)
-}
-
-// smallKernelThreads is the local-kernel width of one small GEMM: the
-// configured per-rank width, which divides the machine by the rank count —
-// concurrent requests, not threads inside one, are what fill the processors.
-func (s *Server) smallKernelThreads() int {
-	if s.cfg.KernelThreads > 0 {
-		return s.cfg.KernelThreads
-	}
-	return armci.DefaultKernelThreads(s.cfg.NProcs)
 }
 
 // resultMatrix returns the m x n matrix a product is computed into: storage
@@ -165,24 +155,19 @@ func (s *Server) resultMatrix(m, n int) (*mat.Matrix, *mat.Buf) {
 	return &mat.Matrix{Rows: m, Cols: n, Stride: n, Data: buf.Data}, buf
 }
 
-// gemmLocal runs one product on the local packed parallel kernel. The
-// result is bit-identical for every threads value (GemmParallel's
-// guarantee), which is what makes the small route's result independent of
-// the kernel width a request asks for.
-func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims, threads int) (*mat.Matrix, *mat.Buf, error) {
+// gemmLocal runs one product on the local packed parallel kernel, as wide
+// as one rank's kernel (armci.DefaultKernelThreads): the width divides the
+// machine by the rank count — concurrent requests, not threads inside one,
+// are what fill the processors. GemmParallel's result is bit-identical for
+// every width, so the product does not depend on the machine.
+func (s *Server) gemmLocal(req *MultiplyRequest, cs core.Case, d core.Dims) (*mat.Matrix, *mat.Buf, error) {
 	a := &mat.Matrix{Rows: req.ARows, Cols: req.ACols, Stride: req.ACols, Data: req.A}
 	b := &mat.Matrix{Rows: req.BRows, Cols: req.BCols, Stride: req.BCols, Data: req.B}
 	c, buf := s.resultMatrix(d.M, d.N)
 	if req.beta() != 0 {
 		copy(c.Data, req.C)
 	}
-	if req.KernelThreads > 0 {
-		threads = req.KernelThreads
-	}
-	if threads <= 0 {
-		threads = 1
-	}
-	if err := mat.GemmParallel(threads, cs.TransA(), cs.TransB(), req.alpha(), a, b, req.beta(), c); err != nil {
+	if err := mat.GemmParallel(armci.DefaultKernelThreads(s.cfg.NProcs), cs.TransA(), cs.TransB(), req.alpha(), a, b, req.beta(), c); err != nil {
 		mat.PutBuf(buf)
 		return nil, nil, err
 	}

@@ -2,7 +2,7 @@ package server
 
 // Dense binary wire format for /v1/multiply — the serving hot path without
 // float→decimal text. A request is a fixed 48-byte little-endian header
-// (shape, case, alpha/beta, per-request knobs) followed by the operands as
+// (shape, case, alpha/beta, timeout) followed by the operands as
 // raw little-endian float64 arrays: A, then B, then (when flagged) the
 // input C. A response is a 16-byte header followed by the result floats.
 // The request identity — a string, not bulk data — rides as the
@@ -81,9 +81,10 @@ const (
 
 	binFlagHasC = 1 << 0 // request body carries an input C after B
 
-	// maxWireKernelThreads bounds the per-request kernel-thread knob; a
-	// wire value beyond it is a malformed request, not a tuning choice.
-	maxWireKernelThreads = 4096
+	// respWholeElems is the largest response the client sizes in one
+	// allocation from the header (8 MiB of floats); a larger one grows as
+	// its bytes land, so a lying header costs no more than the body sent.
+	respWholeElems = 1 << 20
 )
 
 var binCaseNames = [4]string{"NN", "TN", "NT", "TT"}
@@ -230,13 +231,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // binShape is the header-derived shape of one binary request, validated
 // against the server bound before any buffer is sized from it.
 type binShape struct {
-	cs                     core.Case
-	aRows, aCols           int
-	bRows, bCols           int
-	m, n                   int // result shape under the transpose case
-	hasC                   bool
-	alpha, beta            float64
-	kernelThreads, timeout int
+	cs           core.Case
+	aRows, aCols int
+	bRows, bCols int
+	m, n         int // result shape under the transpose case
+	hasC         bool
+	alpha, beta  float64
+	timeout      int
 }
 
 // parseBinHeader validates a request header, rejecting before the caller
@@ -275,11 +276,8 @@ func parseBinHeader(hdr *[binReqHeaderLen]byte, maxDim int) (binShape, *wireErro
 	if !isFinite(sh.alpha) || !isFinite(sh.beta) {
 		return sh, badWire("alpha and beta must be finite")
 	}
-	kt := binary.LittleEndian.Uint32(hdr[40:])
-	if kt > maxWireKernelThreads {
-		return sh, badWire("kernel_threads %d out of range [0, %d]", kt, maxWireKernelThreads)
-	}
-	sh.kernelThreads = int(kt)
+	// Bytes 40-43 are a reserved word (once the kernel-thread count):
+	// ignored whatever it holds, so older clients keep working.
 	sh.timeout = int(binary.LittleEndian.Uint32(hdr[44:]))
 	sh.m, _ = opShape(sh.cs.TransA(), sh.aRows, sh.aCols)
 	_, sh.n = opShape(sh.cs.TransB(), sh.bRows, sh.bCols)
@@ -350,7 +348,6 @@ func decodeBinaryRequest(r io.Reader, contentLength int64, maxDim int, dg *diges
 		b := sh.beta
 		wr.req.Beta = &b
 	}
-	wr.req.KernelThreads = sh.kernelThreads
 	wr.req.TimeoutMillis = int64(sh.timeout)
 	return nil
 }
@@ -408,7 +405,6 @@ func EncodeBinaryRequest(req *MultiplyRequest) ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[20:], uint32(req.BCols))
 	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(req.alpha()))
 	binary.LittleEndian.PutUint64(b[32:], math.Float64bits(req.beta()))
-	binary.LittleEndian.PutUint32(b[40:], uint32(req.KernelThreads))
 	binary.LittleEndian.PutUint32(b[44:], uint32(req.TimeoutMillis))
 	for _, f := range [][]float64{req.A, req.B, req.C} {
 		if hostLittleEndian {
@@ -457,11 +453,21 @@ func DecodeBinaryResponse(r io.Reader) (rows, cols int, c []float64, err error) 
 	if rows <= 0 || cols <= 0 || int64(rows)*int64(cols) > int64(math.MaxInt32) {
 		return 0, 0, nil, fmt.Errorf("bad response shape %dx%d", rows, cols)
 	}
-	c = make([]float64, rows*cols)
-	if err = readFloats(r, c); err != nil {
-		return 0, 0, nil, fmt.Errorf("truncated binary response body: %w", err)
+	// Up to respWholeElems the result is sized at once; beyond, each step
+	// at most doubles what has arrived and never passes the header's count.
+	n := rows * cols
+	c = make([]float64, min(n, respWholeElems))
+	for got := 0; ; {
+		if err = readFloats(r, c[got:]); err != nil {
+			return 0, 0, nil, fmt.Errorf("truncated binary response body: %w", err)
+		}
+		if got = len(c); got == n {
+			return rows, cols, c, nil
+		}
+		next := make([]float64, min(2*got, n))
+		copy(next, c)
+		c = next
 	}
-	return rows, cols, c, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -92,7 +92,6 @@ func TestClusterServeSmoke(t *testing.T) {
 	for i, cse := range []string{"NN", "TN", "NT", "TT"} {
 		req := clusterCaseReq(96, 80, 112, cse, uint64(40+3*i), 0.5)
 		req.ID = "cluster-" + cse
-		req.KernelThreads = 1
 		var refResp, clResp MultiplyResponse
 		if code, w := post(t, ref, req, &refResp); code != http.StatusOK {
 			t.Fatalf("case %s in-process: HTTP %d: %s", cse, code, w.Body.String())
@@ -115,7 +114,6 @@ func TestClusterServeSmoke(t *testing.T) {
 	cl.cpool.InjectExit(1, 3)
 	req := clusterCaseReq(96, 80, 112, "NN", 40, 0.5)
 	req.ID = "cluster-after-death"
-	req.KernelThreads = 1
 	var refResp, clResp MultiplyResponse
 	if code, w := post(t, ref, req, &refResp); code != http.StatusOK {
 		t.Fatalf("post-death in-process: HTTP %d: %s", code, w.Body.String())
@@ -166,7 +164,6 @@ func TestClusterServeChaosResume(t *testing.T) {
 
 	req := clusterCaseReq(96, 80, 112, "NN", 7, 0.5)
 	req.ID = "cluster-chaos"
-	req.KernelThreads = 1
 	var refResp, clResp MultiplyResponse
 	if code, w := post(t, ref, req, &refResp); code != http.StatusOK {
 		t.Fatalf("in-process: HTTP %d: %s", code, w.Body.String())

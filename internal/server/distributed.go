@@ -38,10 +38,6 @@ import (
 // the job's recovery state — the salvage a failed attempt left behind.
 func (s *Server) jobSpec(job *schedJob) *ipcrt.JobSpec {
 	req, d, rec := job.req, job.d, job.rec
-	kt := req.KernelThreads
-	if kt <= 0 {
-		kt = s.cfg.KernelThreads
-	}
 	spec := &ipcrt.JobSpec{
 		M: d.M, N: d.N, K: d.K,
 		Case:  int(job.cs),
@@ -51,17 +47,16 @@ func (s *Server) jobSpec(job *schedJob) *ipcrt.JobSpec {
 		A:     req.A,
 		B:     req.B,
 
-		KernelThreads: kt,
-		MaxTaskK:      s.cfg.MaxTaskK,
-		Cancel:        job.ctx.Done(),
-		ReturnC:       true,
-		Trace:         s.rec != nil,
-		ExitRank:      -1,
-		HangRank:      -1,
-		UseLedger:     true,
-		Prior:         rec.take(),
-		ABFT:          s.cfg.ABFT,
-		ABFTTol:       s.cfg.ABFTTol,
+		MaxTaskK:  s.cfg.MaxTaskK,
+		Cancel:    job.ctx.Done(),
+		ReturnC:   true,
+		Trace:     s.rec != nil,
+		ExitRank:  -1,
+		HangRank:  -1,
+		UseLedger: true,
+		Prior:     rec.take(),
+		ABFT:      s.cfg.ABFT,
+		ABFTTol:   s.cfg.ABFTTol,
 		// Hierarchical routing mode: same grid, task lists and ledger/salvage
 		// semantics, only the data movement changes. HierGroup 0 keeps one
 		// group per shared-memory domain (per worker node on the cluster).

@@ -4,9 +4,8 @@ package server
 // runners of ONE job — same spec from the one builder, same rank body,
 // same recovery state — so for the same request they must return the same
 // bits, clean or resumed after a planted mid-job rank death. Plus the
-// regressions the collapse could have introduced: per-request kernel
-// threads stated on every job, and an interrupted drain that still tears
-// the worker processes down.
+// regression the collapse could have introduced: an interrupted drain that
+// still tears the worker processes down.
 
 import (
 	"bytes"
@@ -26,9 +25,7 @@ import (
 	"srumma/internal/faults"
 	"srumma/internal/grid"
 	"srumma/internal/ipcrt"
-	"srumma/internal/job"
 	"srumma/internal/mat"
-	"srumma/internal/rt"
 )
 
 // runnerJob wraps req as the scheduler payload runDistributed takes, with
@@ -77,7 +74,7 @@ func TestRunnersOnePipeline(t *testing.T) {
 	for _, hierOn := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hier=%v", hierOn), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 8, KernelThreads: 1, Hier: hierOn}
+			cfg := Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 8, Hier: hierOn}
 			teamSrv := newTestServer(t, cfg)
 			tm, err := armci.NewTeam(teamSrv.topo)
 			if err != nil {
@@ -170,47 +167,6 @@ func TestRunnersOnePipeline(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// tunerSpy records what the rank body tells the engine's kernel tuner.
-type tunerSpy struct {
-	rt.Ctx
-	seen *[]int
-}
-
-func (s tunerSpy) SetKernelThreads(n int) { *s.seen = append(*s.seen, n) }
-
-// TestKernelThreadsStatedEveryJob: team ranks keep the previous job's
-// kernel-thread setting, so a request that names none must reset it to the
-// configured default — the body has to state the count on every job, not
-// only when it is positive.
-func TestKernelThreadsStatedEveryJob(t *testing.T) {
-	for _, def := range []int{2, 0} {
-		s := newTestServer(t, Config{NProcs: 4, SmallMNK: 1, KernelThreads: def})
-		tm, err := armci.NewTeam(s.topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tm.Close()
-		seen := make([][]int, 4)
-		for _, threads := range []int{3, 0} {
-			req := randReq(24, 24, 24, 11)
-			req.KernelThreads = threads
-			spec := s.jobSpec(runnerJob(t, &req))
-			if _, err := tm.Run(func(c rt.Ctx) {
-				if _, err := job.Run(tunerSpy{c, &seen[c.Rank()]}, spec, nil); err != nil {
-					panic(err)
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for rank, got := range seen {
-			if want := []int{3, def}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("default %d, rank %d: kernel threads stated %v, want %v", def, rank, got, want)
-			}
-		}
 	}
 }
 

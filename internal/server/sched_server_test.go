@@ -8,6 +8,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -469,11 +470,12 @@ func TestServerSchedShutdownDrains(t *testing.T) {
 }
 
 // TestServerIgnoresRetiredSchedulingInputs: a request that still names a
-// workload class or a scheduling deadline — in the JSON body, or as the
-// binary wire's X-Srumma-Class / X-Srumma-Deadline-Ms headers — is served
-// in arrival order like any other, bit for bit what its untagged twin
-// gets, whatever values those inputs hold; and /metrics reports no
-// per-class breakdown.
+// workload class, a scheduling deadline or a kernel width — in the JSON
+// body, as the binary wire's X-Srumma-Class / X-Srumma-Deadline-Ms headers,
+// or in the binary header's reserved word (bytes 40-43, once the kernel
+// thread count) — is served in arrival order like any other, bit for bit
+// what its untagged twin gets on the same route, whatever values those
+// inputs hold; and /metrics reports no per-class breakdown.
 func TestServerIgnoresRetiredSchedulingInputs(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 4})
 	for _, req := range []MultiplyRequest{randReq(24, 24, 24, 31), randReq(130, 130, 130, 32)} {
@@ -486,18 +488,20 @@ func TestServerIgnoresRetiredSchedulingInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tagged := append([]byte(`{"class":"bogus","deadline_ms":5,`), body[1:]...)
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(tagged)))
-		if w.Code != http.StatusOK {
-			t.Fatalf("JSON with class and deadline_ms: status %d: %s", w.Code, w.Body.String())
-		}
-		var resp MultiplyResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Route != twin.Route || !bitsEqual(resp.C, twin.C) {
-			t.Fatalf("JSON with class and deadline_ms: route %s, want %s, or a different product", resp.Route, twin.Route)
+		for _, tag := range []string{`"class":"bogus","deadline_ms":5`, `"kernel_threads":3`} {
+			tagged := append([]byte("{"+tag+","), body[1:]...)
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(tagged)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("JSON with %s: status %d: %s", tag, w.Code, w.Body.String())
+			}
+			var resp MultiplyResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Route != twin.Route || !bitsEqual(resp.C, twin.C) {
+				t.Fatalf("JSON with %s: route %s, want %s, or a different product", tag, resp.Route, twin.Route)
+			}
 		}
 
 		wb := binPost(t, s, req, "", "X-Srumma-Class", "bogus", "X-Srumma-Deadline-Ms", "-1")
@@ -509,6 +513,27 @@ func TestServerIgnoresRetiredSchedulingInputs(t *testing.T) {
 		}
 		if wb.Header().Get("X-Srumma-Class") != "" {
 			t.Fatalf("response carries X-Srumma-Class %q", wb.Header().Get("X-Srumma-Class"))
+		}
+
+		bin, err := EncodeBinaryRequest(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, word := range []uint32{3, 5000} {
+			binary.LittleEndian.PutUint32(bin[40:], word)
+			r := httptest.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(bin))
+			r.Header.Set("Content-Type", ContentTypeBinary)
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				t.Fatalf("binary with reserved word %d: status %d: %s", word, w.Code, w.Body.String())
+			}
+			if route := w.Header().Get("X-Srumma-Route"); route != twin.Route {
+				t.Fatalf("binary with reserved word %d: route %s, want %s", word, route, twin.Route)
+			}
+			if _, _, c := decodeBinRecorder(t, w); !bitsEqual(c, twin.C) {
+				t.Fatalf("binary with reserved word %d: a different product", word)
+			}
 		}
 	}
 

@@ -2,9 +2,8 @@
 // turns the SRUMMA engine from a one-shot library call into a long-running
 // service. It combines
 //
-//   - a pool of persistent engine teams (armci.Team) whose rank goroutines,
-//     kernel-thread configuration and scratch pools stay warm across
-//     requests;
+//   - a pool of persistent engine teams (armci.Team) whose rank goroutines
+//     and scratch pools stay warm across requests;
 //   - an admission-controlled run queue, served in arrival order, with
 //     backpressure (the workload scheduler, internal/sched): a bounded
 //     number of requests is admitted (queued + executing); overflow is
@@ -94,9 +93,6 @@ type Config struct {
 	// is as long as the server waits for a request's header or its body.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// KernelThreads is the per-rank local-dgemm worker count used when a
-	// request does not choose one; 0 keeps the engine default.
-	KernelThreads int
 
 	// TraceEvents, when positive, turns on always-on span tracing: every
 	// engine rank, the request handlers and the scheduler record into a
@@ -487,15 +483,17 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // InfoResponse is the body of GET /v1/info: the deployment parameters an
 // operator or load balancer needs.
 type InfoResponse struct {
-	NProcs        int    `json:"nprocs"`
-	ProcsPerNode  int    `json:"procs_per_node"`
-	Teams         int    `json:"teams"`
-	QueueCap      int    `json:"queue_cap"`
-	SmallMNK      int    `json:"small_mnk"`
-	MaxDim        int    `json:"max_dim"`
-	Kernel        string `json:"kernel"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-	KernelThreads int    `json:"default_kernel_threads"`
+	NProcs       int    `json:"nprocs"`
+	ProcsPerNode int    `json:"procs_per_node"`
+	Teams        int    `json:"teams"`
+	QueueCap     int    `json:"queue_cap"`
+	SmallMNK     int    `json:"small_mnk"`
+	MaxDim       int    `json:"max_dim"`
+	Kernel       string `json:"kernel"`
+	GOMAXPROCS   int    `json:"gomaxprocs"`
+	// KernelThreads is each rank's local-dgemm width, derived from the
+	// machine: armci.DefaultKernelThreads(nprocs).
+	KernelThreads int `json:"default_kernel_threads"`
 	// The content-addressed result cache bounds (zero entries = content
 	// addressing off).
 	CacheEntries int   `json:"cache_entries"`
@@ -512,10 +510,6 @@ type InfoResponse struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	kt := s.cfg.KernelThreads
-	if kt <= 0 {
-		kt = armci.DefaultKernelThreads(s.cfg.NProcs)
-	}
 	clusterNodes, clusterTransport := 0, ""
 	if s.cpool != nil {
 		clusterNodes = s.cpool.Nodes()
@@ -533,7 +527,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		MaxDim:        s.cfg.MaxDim,
 		Kernel:        mat.KernelName(),
 		GOMAXPROCS:    goruntime.GOMAXPROCS(0),
-		KernelThreads: kt,
+		KernelThreads: armci.DefaultKernelThreads(s.cfg.NProcs),
 
 		CacheEntries: s.cfg.CacheEntries,
 		CacheBytes:   s.cfg.CacheBytes,

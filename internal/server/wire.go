@@ -33,9 +33,6 @@ type MultiplyRequest struct {
 	Alpha *float64 `json:"alpha,omitempty"`
 	Beta  *float64 `json:"beta,omitempty"`
 
-	// KernelThreads caps the local-dgemm worker count per rank for this
-	// request; 0 keeps the engine's oversubscription guard.
-	KernelThreads int `json:"kernel_threads,omitempty"`
 	// TimeoutMillis bounds this request's execution (queueing excluded);
 	// 0 uses the server default. The deadline is enforced as cooperative
 	// cancellation between SRUMMA tasks.

@@ -81,11 +81,6 @@ type MultiplyOptions struct {
 	NoDiagonalShift bool
 	NoSharedFirst   bool
 	SingleBuffer    bool
-	// KernelThreads sets how many goroutines each rank's local dgemm may
-	// use (SRUMMA only). Zero keeps the engine's oversubscription guard:
-	// GOMAXPROCS / nprocs workers per rank, at least one, so nprocs ranks
-	// multiplying at once do not oversubscribe the machine.
-	KernelThreads int
 	// Context, when non-nil, bounds the multiply (SRUMMA only): if it is
 	// cancelled or its deadline passes, every process stops between tasks,
 	// releases its pooled scratch, and Multiply returns ErrCancelled with C
@@ -146,7 +141,7 @@ func newCluster(nprocs, procsPerNode int, sharedMachine bool, shape func(nprocs 
 
 // Persist switches the cluster to a persistent engine team: its SPMD rank
 // goroutines are spawned once and parked between Multiply calls, keeping
-// the buffer pool and kernel-thread configuration warm. Results are
+// the buffer pool warm. Results are
 // bit-identical to the default one-shot mode; what changes is per-call
 // overhead (no spawn/teardown, zero steady-state allocations in the
 // buffer-pool cycle). Call Close when done.
@@ -201,7 +196,6 @@ func (cl *Cluster) Multiply(a, b *Matrix, opts MultiplyOptions) (*Matrix, *Repor
 		NoDiagonalShift: opts.NoDiagonalShift,
 		NoSharedFirst:   opts.NoSharedFirst,
 		SingleBuffer:    opts.SingleBuffer,
-		KernelThreads:   opts.KernelThreads,
 	}
 	if opts.Context != nil {
 		ao.Cancel = opts.Context.Done()
