@@ -52,19 +52,12 @@ var (
 	drainGrace       = flag.Duration("drain-grace", 30*time.Second, "max time to drain in-flight work on shutdown")
 	traceEvents      = flag.Int("trace-events", 0, "per-lane span ring size for GET /debug/trace (0: tracing off)")
 	abft             = flag.Bool("abft", false, "verify every SRUMMA task's C block with Huang-Abraham checksums; corrupted blocks are restored and recomputed")
-	abftTol          = flag.Float64("abft-tol", 0, "relative ABFT tolerance (0: engine default 1e-6)")
-	maxTaskK         = flag.Int("max-task-k", 0, "SRUMMA task contraction cap; finer tasks mean finer recovery units (0: one task per K block)")
-	retryBudget      = flag.Int("retry-budget", 0, "retries for recoverably-failed jobs, distributed (resumed) or small (restarted) (0: 2; negative: no retries)")
-	retryBackoff     = flag.Duration("retry-backoff", 0, "base pre-retry backoff, doubling per attempt (0: 10ms)")
 	cacheEntries     = flag.Int("cache-entries", 0, "content-addressed result cache capacity in entries; enables keyed 128-bit operand digests and result caching (0: off)")
-	cacheBytes       = flag.Int64("cache-bytes", 0, "result cache capacity in bytes (0: 256 MiB when the cache is on)")
 	clusterOn        = flag.Bool("cluster", false, "shard the distributed route across OS-process worker nodes instead of in-process teams")
 	nodes            = flag.Int("nodes", 0, "cluster worker nodes (0: 2; needs -cluster)")
 	clusterTransport = flag.String("cluster-transport", "", `node RMA transport: "unix" (default) or "tcp"`)
 	clusterListen    = flag.String("listen", "", `fixed "host:port" for the node coordinators' TCP control listeners (node i binds port+i; the addresses srumma-worker -join dials; implies -cluster-transport tcp)`)
-	clusterHeartbeat = flag.Duration("cluster-heartbeat", 0, "idle-node health-check period (0: 2s; negative: off)")
 	hierOn           = flag.Bool("hier", false, "hierarchical routing mode: two-level multiply, outer SUMMA panels across rank groups, inner SRUMMA within each group")
-	hierGroup        = flag.Int("hier-group", 0, "ranks per hierarchical group (0: one group per shared-memory domain; must nest in domains)")
 )
 
 func main() {
@@ -87,19 +80,12 @@ func main() {
 		DefaultTimeout:   *timeout,
 		TraceEvents:      *traceEvents,
 		ABFT:             *abft,
-		ABFTTol:          *abftTol,
-		MaxTaskK:         *maxTaskK,
-		RetryBudget:      *retryBudget,
-		RetryBackoff:     *retryBackoff,
 		CacheEntries:     *cacheEntries,
-		CacheBytes:       *cacheBytes,
 		Cluster:          *clusterOn,
 		ClusterNodes:     *nodes,
 		ClusterTransport: *clusterTransport,
 		ClusterListen:    strings.TrimPrefix(*clusterListen, "tcp:"),
-		ClusterHeartbeat: *clusterHeartbeat,
 		Hier:             *hierOn,
-		HierGroup:        *hierGroup,
 	})
 	if err != nil {
 		log.Fatal(err)

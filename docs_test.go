@@ -321,3 +321,53 @@ func registeredFlags(t *testing.T, dir string) map[string]bool {
 	}
 	return names
 }
+
+var (
+	workloadName = regexp.MustCompile(`(?m)^\s*name:\s*"([^"]+)"`)
+	// A benchmark invocation: the word benchmark (go run ./benchmark, a
+	// built binary, ...) and the words after it — across backslash
+	// continuations and the line breaks of wrapped prose — up to a
+	// backtick, a pipe, a redirection or a comment.
+	benchInvocation = regexp.MustCompile(`\bbenchmark((?:(?:[ \t]+|[ \t]*\\?\n[ \t]*)[^ \t\\` + "`" + `\n|;&#>]+)*)`)
+	shownWorkload   = regexp.MustCompile(`(?:^|\s)-workload(?:=|\s+)([^\s]+)`)
+	// A workload name as the benchmark defines them; anything else after
+	// -workload (W, "$w") is a placeholder.
+	workloadLike = regexp.MustCompile(`^[a-z][a-z0-9]*(?:-[a-z0-9]+)+$`)
+)
+
+// TestDocsNameLiveWorkloads keeps a renamed or deleted benchmark workload
+// from leaving its invocations behind: every -workload W that the living
+// documents, the Makefile or CI pass to the benchmark must be a workload
+// benchmark/workloads.go defines. Only the command form is read, so prose
+// such as "single-workload probe" is not a name, and a placeholder (W) is
+// not checked. CHANGES.md and ROADMAP.md are history and are not read.
+func TestDocsNameLiveWorkloads(t *testing.T) {
+	src, err := os.ReadFile("benchmark/workloads.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range workloadName.FindAllSubmatch(src, -1) {
+		defined[string(m[1])] = true
+	}
+	if len(defined) == 0 {
+		t.Fatal("benchmark/workloads.go defines no workload")
+	}
+	for _, doc := range []string{
+		"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md",
+		"Makefile", ".github/workflows/ci.yml",
+	} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inv := range benchInvocation.FindAllStringSubmatch(string(text), -1) {
+			for _, m := range shownWorkload.FindAllStringSubmatch(inv[1], -1) {
+				name := strings.TrimRight(m[1], ".,:)")
+				if workloadLike.MatchString(name) && !defined[name] {
+					t.Errorf("%s shows `benchmark ... -workload %s`, which benchmark/workloads.go does not define", doc, name)
+				}
+			}
+		}
+	}
+}

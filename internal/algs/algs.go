@@ -52,10 +52,10 @@ type Options struct {
 	// Scale, when set, makes the product the full dgemm form
 	// C = Alpha·op(A)·op(B) + Beta·C; nil is the plain product.
 	Scale *Scale
-	// Hier runs SRUMMA as its two-level variant (internal/hier) in groups of
-	// HierGroup ranks; HierGroup 0 is one group per shared-memory domain.
-	Hier      bool
-	HierGroup int
+	// Hier runs SRUMMA as its two-level variant (internal/hier) in the
+	// groups of the ctx's topology: one per shared-memory domain unless
+	// rt.Topology.GroupSize carves them finer.
+	Hier bool
 }
 
 // Scale holds the dgemm scalars alpha and beta.
@@ -148,9 +148,7 @@ func srumma(g *grid.Grid, d core.Dims, o Options) *Row {
 			if !o.Hier {
 				return core.MultiplyEx(c, g, d, o.Options, sc.Alpha, sc.Beta, ga, gb, gc)
 			}
-			topo := c.Topo()
-			topo.GroupSize = o.HierGroup
-			return hier.MultiplyEx(c, hier.From(topo, g), d, hier.Options{Options: o.Options}, sc.Alpha, sc.Beta, ga, gb, gc)
+			return hier.MultiplyEx(c, hier.From(c.Topo(), g), d, hier.Options{Options: o.Options}, sc.Alpha, sc.Beta, ga, gb, gc)
 		},
 	}
 }

@@ -11,7 +11,7 @@ package core
 //
 // The check needs real element data, so it requires a data-carrying engine
 // (internal/armci); the size-only sim engine cannot support it. The
-// tolerance is relative: the deviation must exceed ABFTTol times the
+// tolerance is relative: the deviation must exceed abftTol times the
 // accumulated magnitude of the inputs, which sits orders of magnitude above
 // round-off for any admissible k and below any corruption that could
 // matter numerically.
@@ -22,10 +22,9 @@ import (
 	"srumma/internal/rt"
 )
 
-// defaultABFTTol is the relative tolerance when Options.ABFTTol is unset:
-// comfortably above float64 summation noise (~k·eps), far below a
-// significant bit flip.
-const defaultABFTTol = 1e-6
+// abftTol is the relative tolerance: comfortably above float64 summation
+// noise (~k·eps), far below a significant bit flip.
+const abftTol = 1e-6
 
 // abftMaxRedo bounds recomputation of one persistently failing block
 // before the executor gives up loudly.
@@ -43,7 +42,6 @@ var ErrABFT = fmt.Errorf("core: abft verification failed after recompute")
 // view held (a recycled segment's NaN or Inf included) is overwritten.
 type abftState struct {
 	c    rt.Ctx
-	tol  float64
 	save []float64 // pre-gemm C view, packed row-major
 	colA []float64 // colsums of op(A), length k
 	absA []float64 // colsums of |op(A)|
@@ -51,13 +49,6 @@ type abftState struct {
 	absB []float64
 	s0   float64 // sum of the saved C view
 	abs0 float64 // sum of |saved C view|
-}
-
-func newABFTState(c rt.Ctx, tol float64) *abftState {
-	if tol <= 0 {
-		tol = defaultABFTTol
-	}
-	return &abftState{c: c, tol: tol}
 }
 
 func grow(s []float64, n int) []float64 {
@@ -165,7 +156,7 @@ func (a *abftState) ok(alpha, taskBeta, pred, absPred float64, cMat rt.Mat) bool
 	if scale < 1 {
 		scale = 1
 	}
-	return abs(s1-want) <= a.tol*scale
+	return abs(s1-want) <= abftTol*scale
 }
 
 // restore rewrites the saved pre-gemm C view, the precondition for a clean

@@ -217,7 +217,7 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 	transA, transB := opts.Case.TransA(), opts.Case.TransB()
 	var ab *abftState
 	if opts.ABFT {
-		ab = newABFTState(c, opts.ABFTTol)
+		ab = &abftState{c: c}
 	}
 	// Under FlavorDirect what the ctx holds in place is not fetched, and
 	// what it can window is fetched without a copy; FlavorCopy copies all.

@@ -115,10 +115,8 @@ type Options struct {
 	// ABFT enables Huang–Abraham-style block verification (see abft.go):
 	// every produced C view is checked against operand row/column sums and
 	// recomputed on mismatch. Needs a data-carrying engine (the real armci
-	// engine; not the size-only sim engine). ABFTTol is the relative
-	// tolerance (default 1e-6).
-	ABFT    bool
-	ABFTTol float64
+	// engine; not the size-only sim engine).
+	ABFT bool
 }
 
 // Dists returns the block distributions of A, B and C implied by the grid,

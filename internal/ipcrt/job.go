@@ -41,8 +41,7 @@ type JobSpec struct {
 	UseLedger bool
 	Prior     map[int]RankPrior `json:",omitempty"`
 	// ABFT forwards Huang–Abraham block verification to core.Options.
-	ABFT    bool
-	ABFTTol float64
+	ABFT bool
 	// Executor knobs, forwarded to core.Options.
 	SingleBuffer    bool
 	NoDiagonalShift bool
@@ -58,11 +57,10 @@ type JobSpec struct {
 	Out *mat.Matrix `json:"-"`
 	// Hier routes the job through the hierarchical two-level path
 	// (internal/hier): groups of ranks stage their outer panels once per
-	// group, bit-identical to the flat path. HierGroup overrides the group
-	// size (0 = one group per emulated shared-memory domain, i.e. per
-	// worker node — how internal/cluster maps groups onto nodes).
-	Hier      bool
-	HierGroup int
+	// group, bit-identical to the flat path. A group is an emulated
+	// shared-memory domain, i.e. a worker node — how internal/cluster maps
+	// groups onto nodes.
+	Hier bool
 	// ReturnC ships each rank's C block back in its RankResult.
 	ReturnC bool
 	// Trace attaches a per-worker obs.Recorder; events come back in the

@@ -83,9 +83,9 @@ func Run(c rt.Ctx, spec *ipcrt.JobSpec, salv *ipcrt.RankResult) (*mat.Matrix, er
 	}
 	row, err := algs.Resolve(algs.SRUMMA, g, d, algs.Options{
 		Options: core.Options{Case: cs, SingleBuffer: spec.SingleBuffer, NoDiagonalShift: spec.NoDiagonalShift,
-			MaxTaskK: spec.MaxTaskK, Ledger: jl, ABFT: spec.ABFT, ABFTTol: spec.ABFTTol, Cancel: spec.Cancel},
+			MaxTaskK: spec.MaxTaskK, Ledger: jl, ABFT: spec.ABFT, Cancel: spec.Cancel},
 		Scale: &algs.Scale{Alpha: spec.Alpha, Beta: spec.Beta},
-		Hier:  spec.Hier, HierGroup: spec.HierGroup,
+		Hier:  spec.Hier,
 	})
 	if err != nil {
 		return nil, err

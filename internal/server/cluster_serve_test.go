@@ -86,7 +86,7 @@ func TestClusterServeSmoke(t *testing.T) {
 	ref := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1})
 	cl := newTestServer(t, Config{
 		NProcs: 4, ProcsPerNode: 2, SmallMNK: 1,
-		Cluster: true, ClusterNodes: 2, ClusterHeartbeat: -1,
+		Cluster: true, ClusterNodes: 2, clusterHeartbeat: -1,
 	})
 
 	for i, cse := range []string{"NN", "TN", "NT", "TT"} {
@@ -148,10 +148,10 @@ func TestClusterServeSmoke(t *testing.T) {
 // restart — and still produce the bit-identical result.
 func TestClusterServeChaosResume(t *testing.T) {
 	skipWithoutCluster(t)
-	ref := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 8})
+	ref := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, maxTaskK: 8})
 	cl := newTestServer(t, Config{
-		NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 8,
-		Cluster: true, ClusterNodes: 1, ClusterHeartbeat: -1,
+		NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, maxTaskK: 8,
+		Cluster: true, ClusterNodes: 1, clusterHeartbeat: -1,
 	})
 
 	// One-shot planted fault: a deterministically chosen rank panics at a

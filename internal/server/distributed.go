@@ -47,7 +47,7 @@ func (s *Server) jobSpec(job *schedJob) *ipcrt.JobSpec {
 		A:     req.A,
 		B:     req.B,
 
-		MaxTaskK:  s.cfg.MaxTaskK,
+		MaxTaskK:  s.cfg.maxTaskK,
 		Cancel:    job.ctx.Done(),
 		ReturnC:   true,
 		Trace:     s.rec != nil,
@@ -56,12 +56,10 @@ func (s *Server) jobSpec(job *schedJob) *ipcrt.JobSpec {
 		UseLedger: true,
 		Prior:     rec.take(),
 		ABFT:      s.cfg.ABFT,
-		ABFTTol:   s.cfg.ABFTTol,
 		// Hierarchical routing mode: same grid, task lists and ledger/salvage
-		// semantics, only the data movement changes. HierGroup 0 keeps one
-		// group per shared-memory domain (per worker node on the cluster).
-		Hier:      s.cfg.Hier,
-		HierGroup: s.cfg.HierGroup,
+		// semantics, only the data movement changes. A group is a
+		// shared-memory domain (a worker node on the cluster).
+		Hier: s.cfg.Hier,
 	}
 	if req.beta() != 0 {
 		spec.CIn = req.C

@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"srumma/internal/core"
 	"srumma/internal/faults"
@@ -25,8 +24,8 @@ import (
 // requests with bit-identical products, across sizes that exercise both
 // tie and strict-staging group carvings.
 func TestHierServeBitIdentical(t *testing.T) {
-	flat := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 16})
-	hierS := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 16, Hier: true})
+	flat := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, maxTaskK: 16})
+	hierS := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, maxTaskK: 16, Hier: true})
 
 	for i, dims := range [][3]int{{64, 64, 64}, {72, 60, 84}, {48, 96, 32}} {
 		req := randReq(dims[0], dims[1], dims[2], uint64(700+i))
@@ -70,7 +69,7 @@ func TestHierServeBitIdentical(t *testing.T) {
 // counters report exactly the predicted staged / member-fetched split of
 // every request served, on /metrics and on the Prometheus surface.
 func TestHierServeCountsTheSplit(t *testing.T) {
-	cfg := Config{NProcs: 8, ProcsPerNode: 4, SmallMNK: 1, MaxTaskK: 16, Hier: true}
+	cfg := Config{NProcs: 8, ProcsPerNode: 4, SmallMNK: 1, maxTaskK: 16, Hier: true}
 	s := newTestServer(t, cfg)
 	var want hier.Volumes
 	for i, mkn := range [][3]int{{64, 64, 64}, {72, 60, 84}} {
@@ -80,7 +79,7 @@ func TestHierServeCountsTheSplit(t *testing.T) {
 			t.Fatalf("request %d: status %d: %s", i, code, w.Body.String())
 		}
 		v := hier.PredictVolumes(hier.From(s.topo, s.g), core.Dims{M: mkn[0], K: mkn[1], N: mkn[2]},
-			hier.Options{Options: core.Options{MaxTaskK: cfg.MaxTaskK}})
+			hier.Options{Options: core.Options{MaxTaskK: cfg.maxTaskK}})
 		want.Staged += v.Staged
 		want.MemberFetch += v.MemberFetch
 	}
@@ -120,13 +119,11 @@ func TestHierServeChaosKillGroup(t *testing.T) {
 		NProcs:       4,
 		ProcsPerNode: 2,
 		SmallMNK:     1,
-		MaxTaskK:     8,
+		maxTaskK:     8,
 		Hier:         true,
-		FaultPlan:    plan,
-		RetryBudget:  3,
-		RetryBackoff: 2 * time.Millisecond,
+		faultPlan:    plan,
 	})
-	clean := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 8})
+	clean := newTestServer(t, Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, maxTaskK: 8})
 
 	for i := 0; i < 4; i++ {
 		n := 64 - 8*(i%2)

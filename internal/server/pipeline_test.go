@@ -74,14 +74,14 @@ func TestRunnersOnePipeline(t *testing.T) {
 	for _, hierOn := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hier=%v", hierOn), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, MaxTaskK: 8, Hier: hierOn}
+			cfg := Config{NProcs: 4, ProcsPerNode: 2, SmallMNK: 1, maxTaskK: 8, Hier: hierOn}
 			teamSrv := newTestServer(t, cfg)
 			tm, err := armci.NewTeam(teamSrv.topo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer tm.Close()
-			cfg.Cluster, cfg.ClusterNodes, cfg.ClusterHeartbeat = true, 1, -1
+			cfg.Cluster, cfg.ClusterNodes, cfg.clusterHeartbeat = true, 1, -1
 			poolSrv := newTestServer(t, cfg)
 
 			type runner struct {
@@ -195,7 +195,7 @@ func TestInterruptedDrainClosesClusterPool(t *testing.T) {
 	skipWithoutCluster(t)
 	s := newTestServer(t, Config{
 		NProcs: 4, ProcsPerNode: 2, SmallMNK: 1,
-		Cluster: true, ClusterNodes: 2, ClusterHeartbeat: -1,
+		Cluster: true, ClusterNodes: 2, clusterHeartbeat: -1,
 	})
 	var dirs []string
 	var pids []int
@@ -255,7 +255,7 @@ func TestRunnersRefuseMalformedSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tm.Close()
-	cfg.Cluster, cfg.ClusterNodes, cfg.ClusterHeartbeat = true, 1, -1
+	cfg.Cluster, cfg.ClusterNodes, cfg.clusterHeartbeat = true, 1, -1
 	poolSrv := newTestServer(t, cfg)
 	key := cluster.PlaceKey{M: 24, N: 20, K: 28}
 	runners := map[string]func(*ipcrt.JobSpec) (*mat.Matrix, error){

@@ -102,18 +102,9 @@ func retryableRunError(err error) bool {
 		errors.As(err, &rje)
 }
 
-// retryBackoff is the wait before retry attempt `attempt` (0-based):
-// base * 2^attempt.
-func retryBackoff(base time.Duration, attempt int) time.Duration {
-	return base << uint(attempt)
-}
-
 // sleepCtx sleeps d unless ctx is done first; reports whether the full
 // sleep happened.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

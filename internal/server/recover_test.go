@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
-	"time"
 
 	"srumma/internal/armci"
 	"srumma/internal/core"
@@ -41,27 +40,23 @@ func TestChaosServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := newTestServer(t, Config{
-		NProcs:       4,
-		SmallMNK:     1, // everything on the distributed engine
-		MaxTaskK:     8,
-		ABFT:         true,
-		FaultPlan:    plan,
-		RetryBudget:  3,
-		RetryBackoff: 2 * time.Millisecond,
+		NProcs:    4,
+		SmallMNK:  1, // everything on the distributed engine
+		maxTaskK:  8,
+		ABFT:      true,
+		faultPlan: plan,
 	})
 	// A twin with the same plan pins seeded determinism: the whole recovery
 	// story — which request crashes, what resumes, what ABFT catches — must
 	// replay identically, or chaos failures cannot be reproduced at a desk.
 	twin := newTestServer(t, Config{
-		NProcs:       4,
-		SmallMNK:     1,
-		MaxTaskK:     8,
-		ABFT:         true,
-		FaultPlan:    plan,
-		RetryBudget:  3,
-		RetryBackoff: 2 * time.Millisecond,
+		NProcs:    4,
+		SmallMNK:  1,
+		maxTaskK:  8,
+		ABFT:      true,
+		faultPlan: plan,
 	})
-	clean := newTestServer(t, Config{NProcs: 4, SmallMNK: 1, MaxTaskK: 8})
+	clean := newTestServer(t, Config{NProcs: 4, SmallMNK: 1, maxTaskK: 8})
 
 	const requests = 10
 	for i := 0; i < requests; i++ {
@@ -200,9 +195,9 @@ func TestABFTHoldsUnderBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{NProcs: 4, MaxTaskK: 8, SmallMNK: 16 * 16 * 16}
+	cfg := Config{NProcs: 4, maxTaskK: 8, SmallMNK: 16 * 16 * 16}
 	clean := newTestServer(t, cfg)
-	cfg.Teams, cfg.QueueCap, cfg.ABFT, cfg.FaultPlan = 1, 20, true, plan
+	cfg.Teams, cfg.QueueCap, cfg.ABFT, cfg.faultPlan = 1, 20, true, plan
 	s := newTestServer(t, cfg)
 	release, entered := blockOn(s, "blocker")
 	defer release()

@@ -102,48 +102,28 @@ type Config struct {
 	// allocates nothing.
 	TraceEvents int
 
-	// MaxTaskK caps the contraction length of one SRUMMA task on the
-	// distributed route (core.Options.MaxTaskK). Finer tasks mean smaller
-	// fetch buffers AND finer recovery units: the ledger resumes at task
-	// granularity, so a retried job re-executes at most one MaxTaskK panel
-	// per rank beyond what completed. 0 keeps the engine default (one task
-	// per K block).
-	MaxTaskK int
-
 	// ABFT verifies every SRUMMA task's produced C block against
 	// Huang-Abraham operand sums (core.Options.ABFT), restoring and
-	// recomputing corrupted blocks. ABFTTol is the relative tolerance
-	// (0 = core default 1e-6).
-	ABFT    bool
-	ABFTTol float64
-	// RetryBudget is how many times a recoverably-failed job (rank or
-	// small-route executor panic, rank death, exhausted ABFT recompute) is
-	// retried with exponential backoff before its error surfaces (default
-	// 2; negative disables retries).
-	RetryBudget int
-	// RetryBackoff is the base pre-retry backoff, doubling per attempt
-	// (default 10ms).
-	RetryBackoff time.Duration
+	// recomputing corrupted blocks.
+	ABFT bool
 
 	// Hier routes distributed SRUMMA requests through the hierarchical
-	// two-level path (internal/hier): ranks are carved into groups —
-	// shared-memory domains by default, HierGroup consecutive ranks when
-	// set — and each remote operand region is staged ONCE per group before
-	// the flat executor runs, cutting inter-node volume while staying
-	// bit-identical to the flat path. Applies to the in-process teams and
-	// to the cluster route (where groups map onto worker nodes). The
-	// ledger/salvage recovery machinery is unchanged: the hierarchical
-	// path runs the same grid and task lists, so resumed retries work
-	// identically.
-	Hier      bool
-	HierGroup int
+	// two-level path (internal/hier): ranks are carved into groups, one per
+	// shared-memory domain, and each remote operand region is staged ONCE
+	// per group before the flat executor runs, cutting inter-node volume
+	// while staying bit-identical to the flat path. Applies to the
+	// in-process teams and to the cluster route (where groups map onto
+	// worker nodes). The ledger/salvage recovery machinery is unchanged:
+	// the hierarchical path runs the same grid and task lists, so resumed
+	// retries work identically.
+	Hier bool
 
 	// Cluster shards the SRUMMA route across OS-process worker nodes: an
 	// internal/cluster pool of ClusterNodes nodes (each NProcs ranks, PPN
 	// ProcsPerNode) replaces the in-process distributed tier. The small
 	// route, scheduler, cache and retry machinery are unchanged; worker death
 	// folds into the retry budget via the pool's typed errors and the
-	// cross-process salvage.
+	// cross-process salvage. An idle node is health-checked every 2s.
 	Cluster bool
 	// ClusterNodes is the pool size (default 2).
 	ClusterNodes int
@@ -155,25 +135,42 @@ type Config struct {
 	// ephemeral one — the addresses external workers -join, reported per
 	// node in /metrics. Implies ClusterTransport "tcp".
 	ClusterListen string
-	// ClusterHeartbeat is the idle-node health-check period (default 2s;
-	// negative disables the background checker).
-	ClusterHeartbeat time.Duration
 
 	// CacheEntries enables the content-addressed result cache when > 0:
 	// operands get a keyed 128-bit digest at decode, and identical requests
-	// are served bit-identical results from a bounded LRU without touching
-	// the scheduler or engine. 0 (the default) disables content addressing
-	// entirely.
+	// are served bit-identical results from a bounded LRU, holding at most
+	// cacheBytes of results, without touching the scheduler or engine. 0
+	// (the default) disables content addressing entirely.
 	CacheEntries int
-	// CacheBytes bounds the cache's resident result bytes (default 256
-	// MiB when the cache is enabled).
-	CacheBytes int64
-	// FaultPlan, when set, layers the deterministic fault injector over
-	// every engine job, drawing op indices from process-wide counters
-	// (faults.Shared) so schedules advance across jobs and an injected
-	// crash fires exactly once. Chaos testing only; nil in production.
-	FaultPlan *faults.Plan
+
+	// Test seams, set only by this package's tests; production runs their
+	// zero values.
+	//
+	// maxTaskK caps the contraction length of one SRUMMA task on the
+	// distributed route (core.Options.MaxTaskK), so a planted crash leaves
+	// completed tasks for the retry to resume; 0 is one task per K block.
+	maxTaskK int
+	// clusterHeartbeat overrides the idle-node health-check period
+	// (0: 2s; negative: no background checker).
+	clusterHeartbeat time.Duration
+	// faultPlan layers the deterministic fault injector over every engine
+	// job, drawing op indices from process-wide counters (faults.Shared) so
+	// schedules advance across jobs and an injected crash fires exactly
+	// once.
+	faultPlan *faults.Plan
 }
+
+// Serving constants every deployment runs.
+const (
+	// cacheBytes bounds the result cache's resident result bytes.
+	cacheBytes = 256 << 20
+	// retryBudget is how many times a recoverably-failed job (rank or
+	// small-route executor panic, rank death, exhausted ABFT recompute) is
+	// retried before its error surfaces; the waits before the retries are
+	// retryBackoff, doubling per attempt.
+	retryBudget  = 2
+	retryBackoff = 10 * time.Millisecond
+)
 
 func (c Config) fill() Config {
 	if c.NProcs <= 0 {
@@ -200,18 +197,6 @@ func (c Config) fill() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
 	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 2
-	}
-	if c.RetryBudget < 0 {
-		c.RetryBudget = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
-	}
-	if c.CacheEntries > 0 && c.CacheBytes <= 0 {
-		c.CacheBytes = 256 << 20
-	}
 	if c.Cluster {
 		if c.ClusterNodes <= 0 {
 			c.ClusterNodes = 2
@@ -219,11 +204,11 @@ func (c Config) fill() Config {
 		if c.ClusterListen != "" && c.ClusterTransport == "" {
 			c.ClusterTransport = "tcp"
 		}
-		if c.ClusterHeartbeat == 0 {
-			c.ClusterHeartbeat = 2 * time.Second
+		if c.clusterHeartbeat == 0 {
+			c.clusterHeartbeat = 2 * time.Second
 		}
-		if c.ClusterHeartbeat < 0 {
-			c.ClusterHeartbeat = 0
+		if c.clusterHeartbeat < 0 {
+			c.clusterHeartbeat = 0
 		}
 	}
 	return c
@@ -254,7 +239,7 @@ type Server struct {
 	cache *resultCache
 
 	// chaos is the process-wide fault injector state (nil unless
-	// Config.FaultPlan is set).
+	// Config.faultPlan is set).
 	chaos *faults.Shared
 
 	// hierGroups and hierShape describe the two-level topology in
@@ -286,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	topo := rt.Topology{NProcs: cfg.NProcs, ProcsPerNode: cfg.ProcsPerNode,
-		DomainSpansMachine: cfg.ProcsPerNode >= cfg.NProcs, GroupSize: cfg.HierGroup}
+		DomainSpansMachine: cfg.ProcsPerNode >= cfg.NProcs}
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -308,10 +293,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CacheEntries > 0 {
 		s.dg = processDigester
-		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes, s.met.reg)
+		s.cache = newResultCache(cfg.CacheEntries, cacheBytes, s.met.reg)
 	}
-	if cfg.FaultPlan != nil {
-		s.chaos = faults.NewShared(cfg.FaultPlan)
+	if cfg.faultPlan != nil {
+		s.chaos = faults.NewShared(cfg.faultPlan)
 	}
 	if cfg.TraceEvents > 0 {
 		// One ring-buffered lane per engine rank plus one for the request
@@ -339,7 +324,7 @@ func New(cfg Config) (*Server, error) {
 			Transport:      cfg.ClusterTransport,
 			ListenAddr:     cfg.ClusterListen,
 			JobTimeout:     cfg.MaxTimeout,
-			HeartbeatEvery: cfg.ClusterHeartbeat,
+			HeartbeatEvery: cfg.clusterHeartbeat,
 			Metrics:        s.met.reg,
 		})
 		if err != nil {
@@ -510,13 +495,16 @@ type InfoResponse struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	clusterNodes, clusterTransport := 0, ""
+	clusterNodes, clusterTransport, cacheCap := 0, "", int64(0)
 	if s.cpool != nil {
 		clusterNodes = s.cpool.Nodes()
 		clusterTransport = s.cfg.ClusterTransport
 		if clusterTransport == "" {
 			clusterTransport = "unix"
 		}
+	}
+	if s.cache != nil {
+		cacheCap = cacheBytes
 	}
 	writeJSON(w, http.StatusOK, InfoResponse{
 		NProcs:        s.cfg.NProcs,
@@ -530,7 +518,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		KernelThreads: armci.DefaultKernelThreads(s.cfg.NProcs),
 
 		CacheEntries: s.cfg.CacheEntries,
-		CacheBytes:   s.cfg.CacheBytes,
+		CacheBytes:   cacheCap,
 
 		ClusterNodes:     clusterNodes,
 		ClusterTransport: clusterTransport,
@@ -767,7 +755,7 @@ func (s *Server) storeResult(env *reqEnv, out *mat.Matrix, resp *MultiplyRespons
 // or the deadline — and translate the outcome. This loop is the one retry
 // path, for every route: a job that fails recoverably (retryableRunError:
 // rank or executor panic, worker death, exhausted ABFT recompute) is
-// resubmitted as a new task with exponential backoff up to RetryBudget
+// resubmitted as a new task with exponential backoff up to retryBudget
 // times — a distributed one resuming from what its ranks salvaged, a small
 // one restarted. A job wedged inside its dispatch is not detected here: it
 // holds its team, and the request answers 504 at its deadline.
@@ -841,7 +829,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 		}
 
 		err = task.Err()
-		if err == nil || attempt >= s.cfg.RetryBudget || !retryableRunError(err) {
+		if err == nil || attempt >= retryBudget || !retryableRunError(err) {
 			break
 		}
 		t0 := time.Now()
@@ -849,7 +837,7 @@ func (s *Server) runScheduled(w http.ResponseWriter, r *http.Request, env *reqEn
 		if s.rec != nil {
 			s.rec.RecordWall(s.cfg.NProcs, obs.KindRecover, t0, time.Now())
 		}
-		if !sleepCtx(ctx, retryBackoff(s.cfg.RetryBackoff, attempt)) {
+		if !sleepCtx(ctx, retryBackoff<<attempt) {
 			s.met.finish(route, "cancelled", 0, 0)
 			s.writeErr(w, env, http.StatusGatewayTimeout, ErrorResponse{ID: req.ID, Error: "deadline exceeded: " + ctx.Err().Error()})
 			return
