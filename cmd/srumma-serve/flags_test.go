@@ -21,15 +21,16 @@ var otherTools = map[string]bool{
 }
 
 var (
-	tableRow   = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
+	tableRow   = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\| `([^`]*)` \\| (.*) \\|$")
 	cmdFlag    = regexp.MustCompile(` -([a-z][a-z0-9-]*)`)
 	quotedFlag = regexp.MustCompile("`-([a-z][a-z0-9-]*)[ `]")
 )
 
 // TestFlagsMatchREADME keeps the binary and its documentation from
 // drifting: the flag table in README's Serving section lists exactly the
-// flags the binary registers, every srumma-serve command line shown there
-// uses registered flags only, and the prose names no flag that is gone.
+// flags the binary registers, each row with the binary's default and help
+// text, every srumma-serve command line shown there uses registered flags
+// only, and the prose names no flag that is gone.
 func TestFlagsMatchREADME(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -55,7 +56,25 @@ func TestFlagsMatchREADME(t *testing.T) {
 
 	listed := map[string]bool{}
 	for _, m := range tableRow.FindAllStringSubmatch(table, -1) {
-		listed[m[1]] = true
+		name, def, meaning := m[1], m[2], m[3]
+		listed[name] = true
+		f := flag.Lookup(name)
+		if f == nil {
+			continue // reported below
+		}
+		want := f.DefValue
+		if want == "" {
+			want = `""`
+		}
+		if def != want {
+			t.Errorf("README's flag table gives -%s the default `%s`; the binary's is `%s`", name, def, want)
+		}
+		if meaning != f.Usage {
+			t.Errorf("README's flag table describes -%s as %q; the binary's help text is %q", name, meaning, f.Usage)
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatal("README's `srumma-serve` flags table has no rows of the form | `-flag` | `default` | meaning |")
 	}
 	for _, name := range sorted(registered) {
 		if !listed[name] {

@@ -226,21 +226,25 @@ func TestDocsNameLiveTests(t *testing.T) {
 // flagTools are the CLIs whose invocations TestDocsShowRegisteredFlags
 // reads; srumma-serve and srumma-load hold their own README flag tables to
 // their binaries (their TestFlagsMatchREADME).
-var flagTools = []string{"srumma-bench", "srumma-trace", "srumma-plan", "srumma-info"}
+var flagTools = []string{"srumma-bench", "srumma-trace", "srumma-plan", "srumma-info", "srumma-worker"}
+
+// flagDocs are the files whose invocations TestDocsShowRegisteredFlags
+// reads: the documents, the Makefile, and the usage text srumma-worker
+// prints when started without -join.
+var flagDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", "Makefile", "cmd/srumma-worker/main.go"}
 
 // shownFlag is one -flag in an invocation.
 var shownFlag = regexp.MustCompile(`[ \t]-([a-z][a-z0-9-]*)`)
 
 // TestDocsShowRegisteredFlags keeps a renamed or deleted flag from leaving
-// its invocations behind: every -flag that README, DESIGN, the verify skill
-// or the Makefile writes after one of flagTools — on a command line,
-// backslash continuations included, or backticked in prose, up to the end
-// of the line or span, a pipe, a redirection or a comment — must be
-// registered by that binary. What a binary registers is read from its
+// its invocations behind: every -flag that one of flagDocs writes after one
+// of flagTools — on a command line, backslash continuations included, or
+// backticked in prose, up to the end of the line or span, a pipe, a
+// redirection or a comment — must be registered by that binary. What a binary registers is read from its
 // source: the flag.* calls of cmd/<tool>.
 func TestDocsShowRegisteredFlags(t *testing.T) {
 	docs := map[string]string{}
-	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", "Makefile"} {
+	for _, doc := range flagDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

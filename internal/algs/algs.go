@@ -42,13 +42,12 @@ const (
 var Names = []string{SRUMMA, Pdgemm, SUMMA, Cannon, Fox}
 
 // Options are every knob a row forwards: SRUMMA's core.Options (its Case
-// reaches every algorithm), plus the panel width and broadcast tree of the
-// SUMMA and pdgemm baselines. A row ignores the fields that are not its own,
-// except Scale, which the baselines refuse.
+// reaches every algorithm), plus the panel width of the SUMMA and pdgemm
+// baselines. A row ignores the fields that are not its own, except Scale,
+// which the baselines refuse.
 type Options struct {
 	core.Options
-	NB            int
-	BinomialBcast bool
+	NB int
 	// Scale, when set, makes the product the full dgemm form
 	// C = Alpha·op(A)·op(B) + Beta·C; nil is the plain product.
 	Scale *Scale
@@ -94,13 +93,13 @@ func Resolve(name string, g *grid.Grid, d core.Dims, o Options) (*Row, error) {
 	}
 	switch name {
 	case SUMMA:
-		so := summa.Options{Case: o.Case, NB: o.NB, BinomialBcast: o.BinomialBcast}
+		so := summa.Options{Case: o.Case, NB: o.NB}
 		da, db, dc := summa.Dists(g, d, o.Case)
 		return &Row{a: block{da}, b: block{db}, c: block{dc},
 			multiply: func(c rt.Ctx, ga, gb, gc rt.Global) error { return summa.Multiply(c, g, d, so, ga, gb, gc) },
 		}, nil
 	case Pdgemm:
-		po := pdgemm.Options{Case: o.Case, NB: o.NB, BinomialBcast: o.BinomialBcast}
+		po := pdgemm.Options{Case: o.Case, NB: o.NB}
 		da, db, dc, err := pdgemm.Dists(g, d, o.Case, o.NB)
 		if err != nil {
 			return nil, err

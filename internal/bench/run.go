@@ -28,9 +28,8 @@ type MatmulConfig struct {
 	NoSharedFirst   bool
 	MaxTaskK        int // task-granularity cap (0 = whole owner blocks)
 
-	// pdgemm/SUMMA knobs.
-	NB            int
-	BinomialBcast bool
+	// pdgemm/SUMMA panel width.
+	NB int
 
 	// DisableZeroCopy turns the platform's zero-copy RMA off (Figure 9).
 	DisableZeroCopy bool
@@ -56,7 +55,7 @@ func RunMatmul(cfg MatmulConfig) (MatmulResult, error) {
 	if err != nil {
 		return MatmulResult{}, err
 	}
-	o := algs.Options{NB: cfg.NB, BinomialBcast: cfg.BinomialBcast}
+	o := algs.Options{NB: cfg.NB}
 	o.Options = core.Options{
 		Case:            cfg.Case,
 		Flavor:          algs.FlavorFor(cfg.Platform),

@@ -17,10 +17,7 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -49,33 +46,18 @@ type Config struct {
 	// address is what external workers -join; it appears per node in
 	// Snapshot.
 	ListenAddr string
-	// WorkerPath is the worker executable (empty = re-exec self; the
-	// binary's main must call ipcrt.MaybeWorker first).
-	WorkerPath string
-	// Dir, when set, roots each node's run directory at Dir/node<i>.
-	// Empty = per-node temp dirs.
-	Dir string
-	// Stderr receives worker process output (default os.Stderr).
-	Stderr io.Writer
-	// LaunchTimeout bounds a node launch (spawn + hellos), default 30s.
-	LaunchTimeout time.Duration
 	// JobTimeout is the per-job deadlock watchdog (default 2m).
 	JobTimeout time.Duration
 	// HeartbeatEvery enables the background health checker: every period,
 	// idle nodes are pinged and unresponsive ones replaced. 0 disables.
 	HeartbeatEvery time.Duration
-	// HeartbeatTimeout bounds one ping round (default 5s).
-	HeartbeatTimeout time.Duration
-	// SegPoolCap forwards to each node's persistent segment pool
-	// (0 = ipcrt default, negative disables).
-	SegPoolCap int
 	// Metrics, when set, receives pool counters (cluster.jobs,
 	// cluster.worker_deaths, cluster.node_replaced, cluster.heartbeats).
 	Metrics *obs.Registry
-	// Logf, when set, receives supervision events (replacements, failed
-	// relaunches).
-	Logf func(format string, args ...any)
 }
+
+// heartbeatTimeout bounds one ping round of the health checker.
+const heartbeatTimeout = 5 * time.Second
 
 // node is one supervised worker node. mu serializes jobs on the node and
 // protects cl across replacement; everything else is atomics so Snapshot
@@ -130,12 +112,6 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 2 * time.Minute
 	}
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = 5 * time.Second
-	}
-	if cfg.Stderr == nil {
-		cfg.Stderr = os.Stderr
-	}
 	p := &Pool{cfg: cfg, nodes: make([]*node, cfg.Nodes)}
 	if cfg.Metrics != nil {
 		p.jobs = cfg.Metrics.Counter("cluster.jobs")
@@ -167,26 +143,11 @@ func New(cfg Config) (*Pool, error) {
 }
 
 func (p *Pool) launchNode(id int) (*ipcrt.Cluster, error) {
-	dir := ""
-	if p.cfg.Dir != "" {
-		// Replacement reuses the id, so the directory must be fresh each
-		// launch: a poisoned cluster's socket and segment files linger
-		// until its Close finishes.
-		dir = filepath.Join(p.cfg.Dir, fmt.Sprintf("node%d-%d", id, time.Now().UnixNano()))
-		if err := os.MkdirAll(dir, 0o700); err != nil {
-			return nil, err
-		}
-	}
 	return ipcrt.Launch(ipcrt.Config{
-		NP:            p.cfg.NP,
-		PPN:           p.cfg.PPN,
-		Dir:           dir,
-		WorkerPath:    p.cfg.WorkerPath,
-		Stderr:        p.cfg.Stderr,
-		LaunchTimeout: p.cfg.LaunchTimeout,
-		Transport:     p.cfg.Transport,
-		ListenAddr:    nodeListenAddr(p.cfg.ListenAddr, id),
-		SegPoolCap:    p.cfg.SegPoolCap,
+		NP:         p.cfg.NP,
+		PPN:        p.cfg.PPN,
+		Transport:  p.cfg.Transport,
+		ListenAddr: nodeListenAddr(p.cfg.ListenAddr, id),
 	})
 }
 
@@ -214,12 +175,6 @@ func (p *Pool) Nodes() int { return len(p.nodes) }
 // NP returns each node's rank count (the topology every sharded job runs
 // on, which the serving layer needs for block assembly).
 func (p *Pool) NP() int { return p.cfg.NP }
-
-func (p *Pool) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf(format, args...)
-	}
-}
 
 // InjectExit plants a one-shot worker death: the next job dispatched
 // through the pool kills the given rank at job start. Chaos-test hook.
@@ -284,7 +239,7 @@ func (p *Pool) Run(spec *ipcrt.JobSpec, key PlaceKey) ([]*ipcrt.RankResult, erro
 		if p.deaths != nil {
 			p.deaths.Inc()
 		}
-		p.replaceLocked(nd, err)
+		p.replaceLocked(nd)
 		return results, err
 	}
 	return results, nil
@@ -292,15 +247,15 @@ func (p *Pool) Run(spec *ipcrt.JobSpec, key PlaceKey) ([]*ipcrt.RankResult, erro
 
 // replaceLocked swaps a poisoned node's cluster for a fresh launch. Called
 // with nd.mu held. Two launch attempts; a node that cannot relaunch is
-// marked unhealthy and the router routes around it.
-func (p *Pool) replaceLocked(nd *node, cause error) {
+// marked unhealthy and the router routes around it. It keeps the poisoned
+// cluster handle (which refuses jobs with a typed error) rather than a nil
+// that would panic a racing Run.
+func (p *Pool) replaceLocked(nd *node) {
 	nd.healthy.Store(false)
 	nd.cl.Close()
-	p.logf("cluster: node %d down (%v), relaunching", nd.id, cause)
 	for attempt := 0; attempt < 2; attempt++ {
 		cl, err := p.launchNode(nd.id)
 		if err != nil {
-			p.logf("cluster: node %d relaunch attempt %d failed: %v", nd.id, attempt+1, err)
 			continue
 		}
 		nd.cl = cl
@@ -312,9 +267,6 @@ func (p *Pool) replaceLocked(nd *node, cause error) {
 		}
 		return
 	}
-	// Keep the poisoned cluster handle (it refuses jobs with a typed
-	// error) rather than a nil that would panic a racing Run.
-	p.logf("cluster: node %d is out of service", nd.id)
 }
 
 // heartbeatLoop pings idle nodes on a timer; a node that misses a ping is
@@ -336,12 +288,12 @@ func (p *Pool) heartbeatLoop() {
 			if !nd.mu.TryLock() {
 				continue // mid-job; the watchdog covers it
 			}
-			if err := nd.cl.Ping(p.cfg.HeartbeatTimeout); err != nil {
+			if err := nd.cl.Ping(heartbeatTimeout); err != nil {
 				nd.lastErr.Store(err.Error())
 				if p.deaths != nil {
 					p.deaths.Inc()
 				}
-				p.replaceLocked(nd, err)
+				p.replaceLocked(nd)
 			}
 			nd.mu.Unlock()
 		}

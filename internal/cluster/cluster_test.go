@@ -208,11 +208,7 @@ func TestHeartbeatReplace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process run in -short mode")
 	}
-	p := newPool(t, Config{
-		Nodes: 1, NP: 2, PPN: 2,
-		HeartbeatEvery:   50 * time.Millisecond,
-		HeartbeatTimeout: 2 * time.Second,
-	})
+	p := newPool(t, Config{Nodes: 1, NP: 2, PPN: 2, HeartbeatEvery: 50 * time.Millisecond})
 
 	p.nodes[0].mu.Lock()
 	if err := p.nodes[0].cl.Kill(1); err != nil {

@@ -95,10 +95,6 @@ func (t Topo) GroupShape(grp int) (rows, cols int) {
 // result bit-identical to flat SRUMMA under the same options).
 type Options struct {
 	core.Options
-	// NoOuterShift disables the group-level diagonal rotation of the outer
-	// panel schedule (ablation; flat SRUMMA's Figure 4 argument applied to
-	// groups).
-	NoOuterShift bool
 }
 
 // Panel is one outer-level step of the group schedule: every region of the
@@ -113,28 +109,24 @@ type Panel struct {
 
 // Schedule plans group grp's outer level: the regions of
 // core.GroupFetchPlan arranged into per-owner-group panels, with the owner
-// sequence rotated by grp (the group-level diagonal shift) unless
-// NoOuterShift. Deterministic — every member of grp computes the same
-// schedule, which is what lets the staging work be split without
-// negotiation.
+// sequence rotated by grp (the group-level diagonal shift: flat SRUMMA's
+// Figure 4 argument applied to groups). Deterministic — every member of grp
+// computes the same schedule, which is what lets the staging work be split
+// without negotiation.
 func Schedule(t Topo, grp int, d core.Dims, opts Options) []Panel {
-	return panels(t, grp, opts, core.GroupFetchPlan(t.Topology, grp, t.Grid, d, opts.Options, nil, nil))
+	return panels(t, grp, core.GroupFetchPlan(t.Topology, grp, t.Grid, d, opts.Options, nil, nil))
 }
 
 // panels arranges a group's fetch plan into the outer schedule. The
 // arrangement reads only each region's owner, so it is the same whatever
 // leading dimension the regions were planned against.
-func panels(t Topo, grp int, opts Options, regions []core.GroupRegion) []Panel {
+func panels(t Topo, grp int, regions []core.GroupRegion) []Panel {
 	if len(regions) == 0 {
 		return nil
 	}
 	nG := t.NumGroups()
-	rot := 0
-	if !opts.NoOuterShift {
-		rot = grp % nG
-	}
 	order := summa.ScheduleOrder(len(regions),
-		func(i int) int { return t.GroupOf(regions[i].Owner) }, nG, rot, true)
+		func(i int) int { return t.GroupOf(regions[i].Owner) }, nG, grp%nG)
 	byGroup := make(map[int]*Panel)
 	var out []Panel
 	for _, i := range order {

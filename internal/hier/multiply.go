@@ -89,7 +89,7 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 	var staged []core.GroupRegion
 	if direct {
 		plan := core.GroupFetchPlan(t.Topology, grp, t.Grid, d, opts.Options, ga, gb)
-		for _, p := range panels(t, grp, opts, plan) {
+		for _, p := range panels(t, grp, plan) {
 			if me == lo { // one member speaks for the group: rank sums are machine totals
 				c.Stats().HierStagedBytes += int64(p.Staged) * 8
 				c.Stats().HierMemberBytes += int64(p.Elems-p.Staged) * 8

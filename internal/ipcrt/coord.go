@@ -4,7 +4,8 @@ package ipcrt
 // plane (hello, counting barrier, Malloc/Free segment registration),
 // dispatches JobSpecs and collects RankResults. It lives in the launching
 // process (a CLI, a test) — workers are re-executions of the same binary
-// diverted by MaybeWorker, or an explicit cmd/srumma-worker path.
+// diverted by MaybeWorker, or (NoSpawn) external cmd/srumma-worker
+// processes that join over the control listener.
 //
 // Failure model: worker death is detected by the process watcher, not by
 // a hung read — RunJob returns a *RankExitError naming the dead rank and
@@ -16,7 +17,6 @@ package ipcrt
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -40,13 +40,6 @@ type Config struct {
 	// RMA sockets and segment files. Empty = a fresh temp dir, removed
 	// by Close. Unix socket paths are length-limited; keep it short.
 	Dir string
-	// WorkerPath is the worker executable. Empty = this executable,
-	// re-executed (its main must call ipcrt.MaybeWorker first).
-	WorkerPath string
-	// Stderr receives worker stderr/stdout (default os.Stderr).
-	Stderr io.Writer
-	// LaunchTimeout bounds worker spawn+hello (default 30s).
-	LaunchTimeout time.Duration
 	// Transport selects the inter-node RMA transport: "unix" (default)
 	// keeps every cross-node frame on unix-domain sockets; "tcp" makes
 	// each worker open a TCP RMA listener too and publishes both in the
@@ -63,18 +56,18 @@ type Config struct {
 	// in. Death detection then rides on the control connection instead
 	// of a process watcher.
 	NoSpawn bool
-	// SegPoolCap bounds the persistent segment pool: collectively freed
-	// segments (and every mapping of them) are parked and reused by the
-	// next Malloc with an identical per-rank size table, so steady-state
-	// jobs pay zero mmap/creat calls. 0 = default (12), negative =
-	// disable pooling.
-	SegPoolCap int
 }
 
-// defaultSegPoolCap holds one GEMM job's three operand profiles for a few
-// distinct shapes; exact-match reuse keeps correctness trivial (stale
-// contents are fully overwritten by the next job's loads).
-const defaultSegPoolCap = 12
+// segPoolCap bounds the persistent segment pool: collectively freed
+// segments (and every mapping of them) are parked and reused by the next
+// Malloc with an identical per-rank size table, so steady-state jobs pay
+// zero mmap/creat calls. Twelve holds one GEMM job's three operand
+// profiles for a few distinct shapes; exact-match reuse keeps correctness
+// trivial (stale contents are fully overwritten by the next job's loads).
+const segPoolCap = 12
+
+// launchTimeout bounds worker spawn and hellos.
+const launchTimeout = 30 * time.Second
 
 // death is one observed worker-process exit.
 type death struct {
@@ -124,9 +117,8 @@ type Cluster struct {
 	segSeq       int64
 	// The persistent segment pool: freed segments parked for exact
 	// size-profile reuse, plus the size table of every live segment.
-	segPoolCap int
-	segPool    []pooledSeg
-	segSizes   map[int64][]int64
+	segPool  []pooledSeg
+	segSizes map[int64][]int64
 
 	fins    chan *RankResult
 	deaths  chan death
@@ -168,22 +160,6 @@ func Launch(cfg Config) (*Cluster, error) {
 		}
 		ownDir = true
 	}
-	workerPath := cfg.WorkerPath
-	if workerPath == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("ipcrt: resolving own executable for worker re-exec: %w", err)
-		}
-		workerPath = exe
-	}
-	stderr := cfg.Stderr
-	if stderr == nil {
-		stderr = os.Stderr
-	}
-	launchTimeout := cfg.LaunchTimeout
-	if launchTimeout <= 0 {
-		launchTimeout = 30 * time.Second
-	}
 	transport := cfg.Transport
 	if transport == "" {
 		transport = "unix"
@@ -193,12 +169,6 @@ func Launch(cfg Config) (*Cluster, error) {
 			os.RemoveAll(dir)
 		}
 		return nil, fmt.Errorf("ipcrt: unknown transport %q (want unix or tcp)", transport)
-	}
-	segPoolCap := cfg.SegPoolCap
-	if segPoolCap == 0 {
-		segPoolCap = defaultSegPoolCap
-	} else if segPoolCap < 0 {
-		segPoolCap = 0
 	}
 
 	// The control listener follows the transport so external workers can
@@ -233,7 +203,6 @@ func Launch(cfg Config) (*Cluster, error) {
 		ln:          ln,
 		workers:     make([]*workerHandle, cfg.NP),
 		mallocSizes: make([]int64, cfg.NP),
-		segPoolCap:  segPoolCap,
 		segSizes:    make(map[int64][]int64),
 		fins:        make(chan *RankResult, cfg.NP),
 		deaths:      make(chan death, cfg.NP*2),
@@ -241,8 +210,15 @@ func Launch(cfg Config) (*Cluster, error) {
 	}
 
 	if !cfg.NoSpawn {
+		// Workers re-execute this binary, whose main diverts them through
+		// MaybeWorker.
+		exe, err := os.Executable()
+		if err != nil {
+			cl.cleanup()
+			return nil, fmt.Errorf("ipcrt: resolving own executable for worker re-exec: %w", err)
+		}
 		for rank := 0; rank < cfg.NP; rank++ {
-			cmd := exec.Command(workerPath)
+			cmd := exec.Command(exe)
 			cmd.Env = append(os.Environ(),
 				envWorker+"=1",
 				envRank+"="+strconv.Itoa(rank),
@@ -252,8 +228,8 @@ func Launch(cfg Config) (*Cluster, error) {
 				envCoord+"="+coordAddr,
 				envTransport+"="+transport,
 			)
-			cmd.Stdout = stderr
-			cmd.Stderr = stderr
+			cmd.Stdout = os.Stderr
+			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
 				cl.killAll()
 				cl.cleanup()
@@ -488,7 +464,7 @@ func (cl *Cluster) collFree(segID int64) {
 	if done {
 		cl.freeCount = 0
 		id := cl.freeSegID
-		if sizes := cl.segSizes[id]; sizes != nil && len(cl.segPool) < cl.segPoolCap {
+		if sizes := cl.segSizes[id]; sizes != nil && len(cl.segPool) < segPoolCap {
 			cl.segPool = append(cl.segPool, pooledSeg{id: id, sizes: sizes})
 			pooled = 1
 		} else {

@@ -3,11 +3,11 @@ package ipcrt
 // The worker process. Every rank of the multi-process engine is one OS
 // process running workerMain: it dials the coordinator's unix socket,
 // announces its rank, opens its own RMA listener, and then executes the
-// jobs the coordinator dispatches. Workers are usually the SAME executable
+// jobs the coordinator dispatches. A spawned worker is the SAME executable
 // as the coordinator, re-executed with the SRUMMA_IPC_WORKER environment
 // set — MaybeWorker() at the top of a main() (or TestMain) diverts the
 // process into worker mode before any CLI logic runs. cmd/srumma-worker
-// is the standalone form of the same loop.
+// -join runs the same loop as an external rank of a NoSpawn coordinator.
 
 import (
 	"encoding/json"

@@ -26,10 +26,6 @@ const DefaultNB = 64
 type Options struct {
 	Case core.Case
 	NB   int // tile/panel width; DefaultNB when zero
-	// BinomialBcast uses a binomial tree instead of the pipelined ring.
-	BinomialBcast bool
-	// Segment is the ring-broadcast pipeline segment in elements.
-	Segment int
 }
 
 // Dists returns the block-cyclic distributions of the stored operands.
@@ -110,18 +106,6 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 	bLocal := c.Local(bNN)
 	cLocal := c.Local(gc)
 
-	bcast := func(root int, group []int, buf rt.Buffer, n, tag int) {
-		if opts.BinomialBcast {
-			mp.Bcast(c, root, group, buf, 0, n, tag)
-			return
-		}
-		seg := opts.Segment
-		if seg <= 0 {
-			seg = n
-		}
-		mp.RingBcast(c, root, group, buf, 0, n, seg, tag)
-	}
-
 	nTiles := (d.K + nb - 1) / nb
 	for kt := 0; kt < nTiles; kt++ {
 		w := nb
@@ -136,7 +120,8 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 			c.Pack(rt.Mat{Buf: aLocal, Off: (kt / g.Q) * nb, LD: kLocA, Rows: mLoc, Cols: w}, aPanel, 0)
 		}
 		if mLoc > 0 {
-			bcast(aRoot, rowGroup, aPanel, mLoc*w, tagA+kt%64)
+			n := mLoc * w
+			mp.RingBcast(c, aRoot, rowGroup, aPanel, 0, n, n, tagA+kt%64)
 		}
 		// B panel: on process row kt mod P at local row offset (kt/P)*nb.
 		orB := kt % g.P
@@ -145,7 +130,8 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 			c.Pack(rt.Mat{Buf: bLocal, Off: (kt / g.P) * nb * nLoc, LD: nLoc, Rows: w, Cols: nLoc}, bPanel, 0)
 		}
 		if nLoc > 0 {
-			bcast(bRoot, colGroup, bPanel, w*nLoc, tagB+kt%64)
+			n := w * nLoc
+			mp.RingBcast(c, bRoot, colGroup, bPanel, 0, n, n, tagB+kt%64)
 		}
 		if mLoc > 0 && nLoc > 0 {
 			beta := 1.0

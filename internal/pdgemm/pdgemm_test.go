@@ -90,11 +90,6 @@ func TestPdgemmTileWidths(t *testing.T) {
 	}
 }
 
-func TestPdgemmBcastVariants(t *testing.T) {
-	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 4, BinomialBcast: true})
-	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 4, Segment: 11})
-}
-
 func TestPdgemmQuick(t *testing.T) {
 	f := func(mm, nn, kk, cc8, nb8 uint8) bool {
 		d := core.Dims{M: 1 + int(mm%20), N: 1 + int(nn%20), K: 1 + int(kk%20)}

@@ -28,17 +28,6 @@ type Options struct {
 	Case core.Case
 	// NB is the panel width (DefaultNB when zero).
 	NB int
-	// BinomialBcast replaces the pipelined ring broadcast with a binomial
-	// tree (ablation; real SUMMA pipelines).
-	BinomialBcast bool
-	// Segment is the ring-broadcast pipeline segment in elements
-	// (panel-size when zero, i.e. no segmentation).
-	Segment int
-	// DIMMA processes k-panels grouped by owning grid column/row instead of
-	// in ascending k order — Choi's DIMMA (IPPS'97) modification of SUMMA's
-	// communication schedule, which keeps each broadcast root streaming
-	// consecutive panels instead of handing the ring off every step.
-	DIMMA bool
 }
 
 // Dists returns the block distributions of the stored operands A, B, C.
@@ -59,22 +48,19 @@ const (
 	tagB = 8200
 )
 
-// ScheduleOrder is the reusable core of SUMMA's communication schedule: the
-// processing order of n panel steps given the broadcast root of each step.
-// With dimma false it is the identity (van de Geijn & Watts' ascending-k
-// SUMMA). With dimma true it applies Choi's DIMMA (IPPS'97) regrouping —
-// steps sorted stably by root so each root streams its panels back to back —
-// with the root sequence additionally rotated by rot (mod nRoots), the
-// diagonal-shift stagger SRUMMA applies per requester (paper Figure 4).
+// ScheduleOrder is Choi's DIMMA (IPPS'97) regrouping of a panel schedule:
+// the processing order of n panel steps given the broadcast root of each
+// step, sorted stably by root so each root streams its panels back to back,
+// with the root sequence rotated by rot (mod nRoots), the diagonal-shift
+// stagger SRUMMA applies per requester (paper Figure 4).
 //
-// SUMMA itself calls it with grid columns as roots and rot 0; the
-// hierarchical outer level (internal/hier) reuses it with GROUPS as roots
-// and rot = the requesting group's index, so at any outer step each group
-// serves roughly one other group instead of all groups draining the same
-// owner.
-func ScheduleOrder(n int, root func(step int) int, nRoots, rot int, dimma bool) []int {
+// The hierarchical outer level (internal/hier) calls it with GROUPS as
+// roots and rot = the requesting group's index, so at any outer step each
+// group serves roughly one other group instead of all groups draining the
+// same owner. SUMMA itself runs its panels in ascending k order.
+func ScheduleOrder(n int, root func(step int) int, nRoots, rot int) []int {
 	order := make([]int, 0, n)
-	if !dimma || nRoots <= 0 {
+	if nRoots <= 0 {
 		for i := 0; i < n; i++ {
 			order = append(order, i)
 		}
@@ -150,25 +136,10 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 	bLocal := c.Local(bNN)
 	cLocal := c.Local(gc)
 
-	bcast := func(root int, group []int, buf rt.Buffer, n, tag int) {
-		if opts.BinomialBcast {
-			mp.Bcast(c, root, group, buf, 0, n, tag)
-			return
-		}
-		seg := opts.Segment
-		if seg <= 0 {
-			seg = n
-		}
-		mp.RingBcast(c, root, group, buf, 0, n, seg, tag)
-	}
-
-	// Walk K in panels that never straddle an owner boundary: cut at every
-	// multiple of nb and at every chunk edge of A's and B's k-partitions.
-	type panel struct {
-		kLo, w, ocA, orB int
-	}
-	var panels []panel
-	for kLo := 0; kLo < d.K; {
+	// Walk K in ascending panels that never straddle an owner boundary: cut
+	// at every multiple of nb and at every chunk edge of A's and B's
+	// k-partitions.
+	for step, kLo := 0, 0; kLo < d.K; step++ {
 		ocA := grid.PartitionOf(d.K, g.Q, kLo)
 		orB := grid.PartitionOf(d.K, g.P, kLo)
 		w := nb
@@ -181,23 +152,6 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 		if rem := d.K - kLo; rem < w {
 			w = rem
 		}
-		panels = append(panels, panel{kLo: kLo, w: w, ocA: ocA, orB: orB})
-		kLo += w
-	}
-	if opts.DIMMA {
-		// Group panels by their A-broadcast root column so each root streams
-		// its panels back to back (stable within a group, so k stays
-		// ascending per root).
-		order := ScheduleOrder(len(panels), func(i int) int { return panels[i].ocA }, g.Q, 0, true)
-		grouped := make([]panel, 0, len(panels))
-		for _, i := range order {
-			grouped = append(grouped, panels[i])
-		}
-		panels = grouped
-	}
-
-	for step, pn := range panels {
-		kLo, w, ocA, orB := pn.kLo, pn.w, pn.ocA, pn.orB
 
 		// A panel: owner column ocA packs local columns, broadcast along rows.
 		aRoot := g.Rank(myRow, ocA)
@@ -211,7 +165,8 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 			}, aPanel, 0)
 		}
 		if mLoc > 0 && w > 0 {
-			bcast(aRoot, rowGroup, aPanel, mLoc*w, tagA+step%64)
+			n := mLoc * w
+			mp.RingBcast(c, aRoot, rowGroup, aPanel, 0, n, n, tagA+step%64)
 		}
 		// B panel: owner row orB packs local rows, broadcast along columns.
 		bRoot := g.Rank(orB, myCol)
@@ -225,7 +180,8 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 			}, bPanel, 0)
 		}
 		if nLoc > 0 && w > 0 {
-			bcast(bRoot, colGroup, bPanel, w*nLoc, tagB+step%64)
+			n := w * nLoc
+			mp.RingBcast(c, bRoot, colGroup, bPanel, 0, n, n, tagB+step%64)
 		}
 
 		if mLoc > 0 && nLoc > 0 && w > 0 {
@@ -239,6 +195,7 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 				beta,
 				rt.Mat{Buf: cLocal, LD: nLoc, Rows: mLoc, Cols: nLoc})
 		}
+		kLo += w
 	}
 	if opts.Case.TransA() {
 		c.Free(aNN)

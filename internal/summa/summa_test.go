@@ -85,11 +85,6 @@ func TestSummaPanelWidths(t *testing.T) {
 	}
 }
 
-func TestSummaBinomialAndSegments(t *testing.T) {
-	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 6, BinomialBcast: true})
-	check(t, 2, 3, core.Dims{M: 20, N: 20, K: 20}, Options{NB: 6, Segment: 13})
-}
-
 func TestSummaUnevenAndSkinny(t *testing.T) {
 	check(t, 3, 3, core.Dims{M: 17, N: 19, K: 23}, Options{NB: 4})
 	check(t, 2, 2, core.Dims{M: 40, N: 40, K: 3}, Options{NB: 8})
@@ -136,44 +131,4 @@ func TestSummaOnSimEngine(t *testing.T) {
 	if t1 != t2 || t1 <= 0 {
 		t.Fatalf("sim run bad: %v vs %v", t1, t2)
 	}
-}
-
-func TestSummaDIMMA(t *testing.T) {
-	// DIMMA reorders the panel schedule; results must be unchanged.
-	check(t, 2, 3, core.Dims{M: 20, N: 24, K: 28}, Options{NB: 5, DIMMA: true})
-	check(t, 3, 3, core.Dims{M: 17, N: 19, K: 23}, Options{NB: 4, DIMMA: true})
-	for _, cs := range []core.Case{core.TN, core.NT, core.TT} {
-		check(t, 2, 2, core.Dims{M: 16, N: 16, K: 16}, Options{Case: cs, NB: 4, DIMMA: true})
-	}
-}
-
-func TestSummaDIMMAOnSimEngine(t *testing.T) {
-	// Both schedules must terminate; DIMMA should be at least competitive
-	// on a latency-heavy platform at small panels.
-	prof := machine.IBMSP()
-	g, _ := grid.New(2, 4)
-	d := core.Dims{M: 512, N: 512, K: 512}
-	da, db, dc := Dists(g, d, core.NN)
-	timeOf := func(dimma bool) float64 {
-		res, err := simrt.Run(prof, 8, func(c rt.Ctx) {
-			r, cc := da.LocalShape(c.Rank())
-			ga := c.Malloc(r * cc)
-			r, cc = db.LocalShape(c.Rank())
-			gb := c.Malloc(r * cc)
-			r, cc = dc.LocalShape(c.Rank())
-			gcG := c.Malloc(r * cc)
-			if err := Multiply(c, g, d, Options{NB: 32, DIMMA: dimma}, ga, gb, gcG); err != nil {
-				panic(err)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Time
-	}
-	plain, dimma := timeOf(false), timeOf(true)
-	if dimma <= 0 || plain <= 0 {
-		t.Fatal("zero simulated time")
-	}
-	t.Logf("summa %.4gs vs dimma %.4gs", plain, dimma)
 }
