@@ -197,6 +197,58 @@ func TestDriveReusesConnections(t *testing.T) {
 	}
 }
 
+// laggingWriter is a client connection whose writes return late, after
+// their bytes have landed: the transport's writer goroutine descheduled
+// once its request is on the wire, as on a loaded box.
+type laggingWriter struct{ net.Conn }
+
+func (c laggingWriter) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	time.Sleep(60 * time.Millisecond)
+	return n, err
+}
+
+// TestDriveReusesConnectionsBehindALaggingWriter: the server answers as soon
+// as it has read the request, while the client's writer goroutine has not
+// yet reported the request written. The transport keeps a connection only
+// once that report is in — it waits 50 ms for it when the response body has
+// been read, then closes the connection — so the client must not finish a
+// response before its request is reported written.
+func TestDriveReusesConnectionsBehindALaggingWriter(t *testing.T) {
+	const requests, concurrency = 8, 2
+	srv, err := server.New(server.Config{NProcs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	var opened atomic.Int32
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	client := newClient(concurrency)
+	var d net.Dialer
+	client.Transport.(*http.Transport).DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := d.DialContext(ctx, network, addr)
+		return laggingWriter{c}, err
+	}
+	items := buildItems([]shape{{32, 32, 32}}, 1, 1, "binary")
+	results, _ := drive(client, ts.URL, func(int) workItem { return items[0][0] }, requests, concurrency, true, 1e-9, 100)
+	for i, o := range results {
+		if o.err != nil || o.missed {
+			t.Fatalf("request %d: %+v", i, o)
+		}
+	}
+	if n := opened.Load(); n > concurrency {
+		t.Errorf("%d requests at concurrency %d opened %d connections", requests, concurrency, n)
+	}
+}
+
 // A flag as README shows it: on a command line, or backticked in prose.
 var shownFlag = regexp.MustCompile("[ `]-([a-z][a-z0-9-]*)")
 

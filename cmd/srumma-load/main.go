@@ -17,6 +17,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/http/httptrace"
 	"os"
 	"sort"
 	"strconv"
@@ -405,6 +406,21 @@ func exchange(client *http.Client, addr string, it workItem, verify bool, tol fl
 	if err != nil {
 		return 0, err
 	}
+	// The transport keeps a connection for the next request only if its
+	// writer goroutine has reported this request written by the time the
+	// response body is read to its end; it waits 50 ms for the report, then
+	// closes the connection. The server answers once it has read the
+	// request, and on a loaded box the writer can lag that long behind, so
+	// a 200's body is not touched before the report is in.
+	wrote := make(chan struct{}, 1)
+	hreq = hreq.WithContext(httptrace.WithClientTrace(hreq.Context(), &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) {
+			select {
+			case wrote <- struct{}{}:
+			default: // a retried write; one report is enough
+			}
+		},
+	}))
 	resp, err := client.Do(hreq)
 	if err != nil {
 		return 0, err
@@ -413,6 +429,7 @@ func exchange(client *http.Client, addr string, it workItem, verify bool, tol fl
 
 	switch resp.StatusCode {
 	case http.StatusOK:
+		<-wrote
 	case http.StatusTooManyRequests:
 		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
 			return min(time.Duration(ra)*time.Second, maxRetryPause), nil

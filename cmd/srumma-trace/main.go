@@ -273,11 +273,11 @@ func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, b
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := &simrt.Tracer{}
+	rec := obs.NewRecorder(procs, 0)
 	var t0, t1 float64
 	body := tracedRun(g, d, alg, &prof, blocking, noshift, &t0, &t1)
 
-	res, err := simrt.RunTraced(prof, procs, tr, body)
+	res, err := simrt.RunTraced(prof, procs, rec, body)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -288,11 +288,14 @@ func runSim(g *grid.Grid, d core.Dims, platform, alg string, procs, width int, b
 	fmt.Println()
 
 	fmt.Printf("timeline (g=gemm w=wait c=copy p=pack b=barrier s=steal):\n")
-	fmt.Print(tr.Timeline(procs, width, res.Time))
-	printActivity(tr.Events(), procs, res.Time)
+	events := rec.Events()
+	fmt.Print(obs.Timeline(events, procs, width, res.Time))
+	printActivity(events, procs, res.Time)
 
-	writeChrome(chrome, func(w io.Writer) error { return tr.WriteChromeTrace(w, procs) })
-	return tr.Events(), res.Time
+	writeChrome(chrome, func(w io.Writer) error {
+		return obs.WriteChromeTrace(w, events, procs, "srumma virtual-time run")
+	})
+	return events, res.Time
 }
 
 // runReal runs the armci engine on this machine with an unbounded span

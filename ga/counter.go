@@ -29,7 +29,7 @@ func (e *Env) NewCounter() *Counter {
 
 // Next atomically claims and returns the next value (0, 1, 2, ...).
 func (ct *Counter) Next() int {
-	return int(ct.e.ctx.FetchAdd(ct.glob, ct.home, 0, 1))
+	return int(ct.e.upd.FetchAdd(ct.glob, ct.home, 0, 1))
 }
 
 // Destroy collectively releases the counter.

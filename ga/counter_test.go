@@ -3,10 +3,6 @@ package ga
 import (
 	"sync"
 	"testing"
-
-	"srumma/internal/machine"
-	"srumma/internal/rt"
-	"srumma/internal/simrt"
 )
 
 func TestCounterClaimsEachTaskOnce(t *testing.T) {
@@ -55,45 +51,5 @@ func TestCounterMonotonePerRank(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The same dynamic load-balancing loop must work on the sim engine, with
-// true counter semantics (every task claimed exactly once) and modeled
-// round-trip costs.
-func TestFetchAddOnSimEngine(t *testing.T) {
-	const nprocs, tasks = 8, 64
-	claimed := make([]int, tasks) // index = task; turn-based kernel, no mutex needed
-	res, err := simrt.Run(machine.LinuxMyrinet(), nprocs, func(c rt.Ctx) {
-		elems := 0
-		if c.Rank() == 0 {
-			elems = 1
-		}
-		g := c.Malloc(elems)
-		for {
-			task := int(c.FetchAdd(g, 0, 0, 1))
-			if task >= tasks {
-				break
-			}
-			claimed[task]++
-			// Simulated work per task.
-			b := c.LocalBuf(32 * 32)
-			cb := c.LocalBuf(32 * 32)
-			m := rt.Mat{Buf: b, LD: 32, Rows: 32, Cols: 32}
-			c.Gemm(1, m, m, 0, rt.Mat{Buf: cb, LD: 32, Rows: 32, Cols: 32})
-		}
-		c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for task, n := range claimed {
-		if n != 1 {
-			t.Fatalf("task %d claimed %d times", task, n)
-		}
-	}
-	// Each claim pays at least one RMA round trip; the run cannot be free.
-	if res.Time <= 0 {
-		t.Fatal("no virtual time elapsed")
 	}
 }

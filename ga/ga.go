@@ -32,7 +32,18 @@ func NewMatrix(r, c int) *Matrix { return mat.New(r, c) }
 // Env is the per-process handle passed to the SPMD body.
 type Env struct {
 	ctx rt.Ctx
+	upd updater
 	g   *grid.Grid
+}
+
+// updater is the update half of ARMCI that ga's Put, Acc and Counter need
+// beyond rt.Ctx — strided put, atomic accumulate, fetch-add. No algorithm
+// calls them, so the engine interface leaves them out and the in-process
+// engine, the one ga runs on, provides them on its own ctx.
+type updater interface {
+	NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle
+	Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank, off int)
+	FetchAdd(g rt.Global, rank, off int, delta float64) float64
 }
 
 // Run executes body once per rank on the real engine: nprocs processes,
@@ -47,7 +58,7 @@ func Run(nprocs, procsPerNode int, sharedMachine bool, body func(*Env)) error {
 		return err
 	}
 	_, err = armci.Run(topo, func(c rt.Ctx) {
-		body(&Env{ctx: c, g: g})
+		body(&Env{ctx: c, upd: c.(updater), g: g})
 	})
 	return err
 }
@@ -155,7 +166,7 @@ func (a *Array) Put(i, j int, m *Matrix) error {
 		buf := make([]float64, p.r*p.c)
 		mat.PackInto(buf, m, p.gi-i, p.gj-j, p.r, p.c)
 		ctx.WriteBuf(scratch, 0, buf)
-		ctx.Wait(ctx.NbPutSub(scratch, 0, a.glob, p.owner, p.blockOff, p.ld, p.r, p.c))
+		ctx.Wait(a.e.upd.NbPutSub(scratch, 0, a.glob, p.owner, p.blockOff, p.ld, p.r, p.c))
 	}
 	return nil
 }
@@ -193,7 +204,7 @@ func (a *Array) Acc(i, j int, alpha float64, m *Matrix) error {
 		// Accumulate row by row: the remote region is strided while Acc
 		// operates on contiguous runs.
 		for row := 0; row < p.r; row++ {
-			ctx.Acc(alpha, scratch, row*p.c, p.c, a.glob, p.owner, p.blockOff+row*p.ld)
+			a.e.upd.Acc(alpha, scratch, row*p.c, p.c, a.glob, p.owner, p.blockOff+row*p.ld)
 		}
 	}
 	return nil

@@ -214,9 +214,9 @@ func (c *ctx) Direct(g rt.Global, rank int) rt.Buffer {
 	return g.(*global).segs[rank]
 }
 
-// NbGetSub and NbPutSub: in a single address space the copy is the whole
-// operation; completing it eagerly satisfies the nonblocking contract (Wait
-// is a no-op).
+// NbGetSub: in a single address space the copy is the whole operation;
+// completing it eagerly satisfies the nonblocking contract (Wait is a
+// no-op).
 func (c *ctx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
 	c.GetRegion(g.(*global).segs[rank].Data, c.CanDirect(rank), off, ld, rows, cols, dst, dstOff)
 	return doneHandle{}
@@ -235,11 +235,31 @@ func (c *ctx) GetWindow(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, boo
 	return rt.Mat{Buf: seg, Off: off, LD: ld, Rows: rows, Cols: cols, Remote: rank != c.rank}, true
 }
 
+// NbPutSub, Acc and FetchAdd are the update half of ARMCI — strided put,
+// atomic accumulate, atomic read-modify-write. No algorithm moves data with
+// them, so they are not part of rt.Ctx: they are this engine's own, and
+// package ga, whose arrays take puts and accumulates and whose task
+// counter is a fetch-add, reaches them by type assertion.
+
+// NbPutSub (ARMCI_NbPutS) scatters a tight row-major rows x cols block from
+// src at srcOff into rank's segment at element off with row stride ld; like
+// the get, it completes before it returns.
 func (c *ctx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	c.PutRegion(src, srcOff, g.(*global).segs[rank].Data, c.CanDirect(rank), off, ld, rows, cols)
+	t0 := c.SpanStart()
+	seg := g.(*global).segs[rank].Data
+	rt.MustRegion(len(seg), off, ld, rows, cols)
+	s := Window("put src", src, srcOff, rows*cols)
+	for r := 0; r < rows && cols > 0; r++ {
+		copy(seg[off+r*ld:off+r*ld+cols], s[r*cols:(r+1)*cols])
+	}
+	c.bookUpdate(rank, rows*cols)
+	c.Span(obs.KindPut, t0)
 	return doneHandle{}
 }
 
+// Acc atomically accumulates (ARMCI_Acc): rank's segment[off+i] +=
+// alpha * src[srcOff+i] for i in [0, n). Concurrent Accs to overlapping
+// regions are safe.
 func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
 	t0 := c.SpanStart()
 	gg := g.(*global)
@@ -254,15 +274,13 @@ func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank
 		d[off+i] += alpha * s[srcOff+i]
 	}
 	gg.accMu.Unlock()
-	c.stats.Puts++
-	if c.rt.topo.SameDomain(c.rank, rank) {
-		c.stats.BytesShared += int64(n) * 8
-	} else {
-		c.stats.BytesRemote += int64(n) * 8
-	}
+	c.bookUpdate(rank, n)
 	c.Span(obs.KindPut, t0)
 }
 
+// FetchAdd atomically adds delta to element off of rank's segment and
+// returns the previous value (ARMCI_Rmw, GA read_inc); linearizable with
+// respect to other FetchAdds and Accs on the array.
 func (c *ctx) FetchAdd(g rt.Global, rank, off int, delta float64) float64 {
 	gg := g.(*global)
 	d := gg.segs[rank].Data
@@ -273,13 +291,19 @@ func (c *ctx) FetchAdd(g rt.Global, rank, off int, delta float64) float64 {
 	old := d[off]
 	d[off] = old + delta
 	gg.accMu.Unlock()
-	c.stats.Puts++
-	if c.rt.topo.SameDomain(c.rank, rank) {
-		c.stats.BytesShared += 8
-	} else {
-		c.stats.BytesRemote += 8
-	}
+	c.bookUpdate(rank, 1)
 	return old
+}
+
+// bookUpdate accounts one put-like update of elems elements into rank's
+// segment, shared-memory or remote.
+func (c *ctx) bookUpdate(rank, elems int) {
+	c.stats.Puts++
+	if c.CanDirect(rank) {
+		c.stats.BytesShared += int64(elems) * 8
+	} else {
+		c.stats.BytesRemote += int64(elems) * 8
+	}
 }
 
 func (c *ctx) Wait(h rt.Handle) {

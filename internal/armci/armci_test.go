@@ -1,6 +1,7 @@
 package armci
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -60,7 +61,7 @@ func TestMallocGetPut(t *testing.T) {
 		if c.Rank() == 0 {
 			b := c.LocalBuf(2).(*mat.Buf)
 			b.Data[0], b.Data[1] = -1, -2
-			rt.Put(c, b, 0, 2, g, 3, 6)
+			c.Wait(c.(*ctx).NbPutSub(b, 0, g, 3, 6, 2, 1, 2))
 		}
 		c.Barrier()
 		if c.Rank() == 3 {
@@ -288,12 +289,11 @@ func TestPackUnpackThroughCtx(t *testing.T) {
 				t.Fatalf("packed[%d] = %v, want %v", i, packed.(*mat.Buf).Data[i], w)
 			}
 		}
-		dst := c.LocalBuf(20)
-		clear(dst.(*mat.Buf).Data) // scratch arrives unspecified
-		dv := rt.Mat{Buf: dst, Off: 1*5 + 1, LD: 5, Rows: 2, Cols: 3}
-		c.Unpack(packed, 0, dv)
-		if dst.(*mat.Buf).Data[6] != 6 || dst.(*mat.Buf).Data[13] != 13 || dst.(*mat.Buf).Data[0] != 0 {
-			t.Fatalf("unpack wrong: %v", dst.(*mat.Buf).Data)
+		// The transposing unpack lands the packed block as its transpose.
+		dst := c.LocalBuf(6)
+		c.UnpackTranspose(packed, 0, rt.Mat{Buf: dst, LD: 2, Rows: 3, Cols: 2})
+		if got := c.ReadBuf(dst, 0, 6); !slices.Equal(got, []float64{6, 11, 7, 12, 8, 13}) {
+			t.Fatalf("unpacked transpose %v", got)
 		}
 	})
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 // LocalOps is the real engines' local half: everything a rank does to
 // memory in its own address space, with its accounting and spans — the
 // buffers and their pooled scratch, the local dgemm and its thread count,
-// pack / unpack, the strided row copy behind a get or put whose other end
-// is directly addressable, the harness accessors. Both engines that move
+// pack and the transposing unpack, the strided row copy behind a get whose
+// source is directly addressable, the harness accessors. Both engines that move
 // real data embed it: this package's goroutine ranks, and internal/ipcrt's
 // worker processes, whose mmap'd segments are wrapped with Segment. What an
 // engine adds is how it reaches memory that is NOT its own, and how it
@@ -163,23 +163,6 @@ func (l *LocalOps) bookGet(shared bool, elems int) {
 	}
 }
 
-// PutRegion is the symmetric strided put into an addressable segment.
-func (l *LocalOps) PutRegion(src rt.Buffer, srcOff int, seg []float64, shared bool, off, ld, rows, cols int) {
-	t0 := l.SpanStart()
-	rt.MustRegion(len(seg), off, ld, rows, cols)
-	s := Window("put src", src, srcOff, rows*cols)
-	for r := 0; r < rows && cols > 0; r++ {
-		copy(seg[off+r*ld:off+r*ld+cols], s[r*cols:(r+1)*cols])
-	}
-	l.stats.Puts++
-	if shared {
-		l.stats.BytesShared += int64(rows*cols) * 8
-	} else {
-		l.stats.BytesRemote += int64(rows*cols) * 8
-	}
-	l.Span(obs.KindPut, t0)
-}
-
 func matView(m rt.Mat) *mat.Matrix {
 	if err := m.Valid(); err != nil {
 		panic(err)
@@ -217,12 +200,6 @@ func (l *LocalOps) Gemm(alpha float64, a, b rt.Mat, beta float64, cm rt.Mat) {
 func (l *LocalOps) Pack(src rt.Mat, dst rt.Buffer, dstOff int) {
 	t0 := time.Now()
 	mat.PackInto(Window("Pack", dst, dstOff, src.Rows*src.Cols), matView(src), 0, 0, src.Rows, src.Cols)
-	l.packed(t0)
-}
-
-func (l *LocalOps) Unpack(src rt.Buffer, srcOff int, dst rt.Mat) {
-	t0 := time.Now()
-	mat.UnpackFrom(matView(dst), Window("Unpack", src, srcOff, dst.Rows*dst.Cols), 0, 0, dst.Rows, dst.Cols)
 	l.packed(t0)
 }
 

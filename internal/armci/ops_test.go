@@ -14,7 +14,7 @@ func TestAccAccumulates(t *testing.T) {
 		c.Barrier()
 		src := c.LocalBuf(4)
 		c.WriteBuf(src, 0, []float64{1, 1, 1, 1})
-		c.Acc(float64(c.Rank()+1), src, 0, 4, g, 0, 0) // +1, +2, +3
+		c.(*ctx).Acc(float64(c.Rank()+1), src, 0, 4, g, 0, 0) // +1, +2, +3
 		c.Barrier()
 		if c.Rank() == 0 {
 			got := c.ReadBuf(c.Local(g), 0, 4)
@@ -38,7 +38,7 @@ func TestFetchAddLinearizable(t *testing.T) {
 		c.Barrier()
 		seen := make(map[int]bool)
 		for i := 0; i < per; i++ {
-			v := int(c.FetchAdd(g, 0, 0, 1))
+			v := int(c.(*ctx).FetchAdd(g, 0, 0, 1))
 			if seen[v] {
 				t.Errorf("rank %d saw duplicate ticket %d", c.Rank(), v)
 			}
@@ -97,11 +97,11 @@ func TestOpsRangeErrors(t *testing.T) {
 	for name, body := range map[string]func(c rt.Ctx){
 		"Acc-overrun": func(c rt.Ctx) {
 			g := c.Malloc(4)
-			c.Acc(1, c.LocalBuf(8), 0, 8, g, 0, 0)
+			c.(*ctx).Acc(1, c.LocalBuf(8), 0, 8, g, 0, 0)
 		},
 		"FetchAdd-offset": func(c rt.Ctx) {
 			g := c.Malloc(2)
-			c.FetchAdd(g, 0, 5, 1)
+			c.(*ctx).FetchAdd(g, 0, 5, 1)
 		},
 	} {
 		_, err := Run(topo(1, 1, false), body)

@@ -305,22 +305,6 @@ func (t *Team) closeLocked(grace time.Duration) error {
 	return nil
 }
 
-// Team satisfies the rt.Runner capability, as does the one-shot engine via
-// OneShot.
-var _ rt.Runner = (*Team)(nil)
-
-// OneShot adapts the package-level one-shot Run to the rt.Runner
-// capability: each Run call builds a fresh team, runs the body once, and
-// tears it down.
-type OneShot struct{ Topo rt.Topology }
-
-// Run executes body with one-shot lifecycle.
-func (o OneShot) Run(body func(rt.Ctx)) ([]*rt.Stats, error) {
-	return Run(o.Topo, body)
-}
-
-var _ rt.Runner = OneShot{}
-
 // RunTraced is the one-shot Run with an obs.Recorder attached: every rank
 // emits wall-clock spans (gemm, wait, get/put, pack, barrier, job) onto its
 // lane. The recorder should have at least topo.NProcs lanes; unbounded

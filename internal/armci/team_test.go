@@ -161,24 +161,3 @@ func TestTeamScratchSteadyStateNoAlloc(t *testing.T) {
 		t.Fatalf("team LocalBuf/ReleaseBuf cycle allocates %.1f objects, want 0", avg)
 	}
 }
-
-func TestOneShotRunnerMatchesTeam(t *testing.T) {
-	topo := rt.Topology{NProcs: 3, ProcsPerNode: 3}
-	run := func(r rt.Runner) []float64 {
-		out := make([]float64, topo.NProcs)
-		if _, err := r.Run(func(c rt.Ctx) {
-			out[c.Rank()] = float64(c.Rank() * 10)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	oneShot := run(OneShot{Topo: topo})
-	tm := newTestTeam(t, 3)
-	team := run(tm)
-	for i := range oneShot {
-		if oneShot[i] != team[i] {
-			t.Fatalf("rank %d: one-shot %v vs team %v", i, oneShot, team)
-		}
-	}
-}

@@ -104,7 +104,7 @@ func TestUntracedOneSidedOpsZeroAlloc(t *testing.T) {
 			c.Wait(h)
 		})
 		putAllocs = testing.AllocsPerRun(100, func() {
-			rt.Put(c, dst, 0, 64*64, g, 0, 0)
+			c.Wait(c.(*ctx).NbPutSub(dst, 0, g, 0, 0, 64*64, 1, 64*64))
 		})
 		c.Free(g)
 	}); err != nil {

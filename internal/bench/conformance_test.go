@@ -1,11 +1,11 @@
 package bench
 
-// One-sided conformance: rt.Ctx has one get and one put, both strided, and
-// every engine and wrapper must give them the same meaning. One op table
-// runs on the real engine and the virtual-time engine, bare and under the
-// chaos stack with a plan that injects nothing, and on the real engine once
-// more with every get a window get (rt.WindowGetter); final memory and what
-// a get reads are held to a sequential reference where there is memory, the
+// One-sided conformance: rt.Ctx has one get, strided, and every engine and
+// wrapper must give it the same meaning. One op table runs on the real
+// engine and the virtual-time engine, bare and under the chaos stack with a
+// plan that injects nothing, and on the real engine once more with every get
+// a window get (rt.WindowGetter); what a get reads is held to the segments
+// where there is memory, and a get leaves them as they were, the
 // communication signature is held equal across all six, and a region the
 // one check (rt.CheckRegion) refuses is refused by all six in its words.
 
@@ -22,12 +22,11 @@ import (
 	"srumma/internal/simrt"
 )
 
-// rmaOp is one transfer: rank by gets from / puts to owner's segment the
-// rows x cols region at off with row stride ld. bad is the region check's
-// complaint when the region must be refused.
+// rmaOp is one transfer: rank by gets from owner's segment the rows x cols
+// region at off with row stride ld. bad is the region check's complaint when
+// the region must be refused.
 type rmaOp struct {
 	name                string
-	put                 bool
 	by, owner           int
 	off, ld, rows, cols int
 	bad                 string
@@ -36,31 +35,29 @@ type rmaOp struct {
 const confSeg = 24 // every rank's segment: a 4x6 block
 
 func conformanceOps() (good, bad []rmaOp) {
-	for _, put := range []bool{false, true} {
-		good = append(good,
-			rmaOp{"strided remote", put, 0, 2, 7, 6, 3, 2, ""},
-			rmaOp{"strided same node", put, 0, 1, 1, 6, 2, 4, ""},
-			rmaOp{"one row", put, 3, 0, 3, 5, 1, 5, ""}, // ld == cols: goes through rt.Get / rt.Put
-			rmaOp{"one row of a wider matrix", put, 2, 1, 13, 6, 1, 4, ""},
-			rmaOp{"no rows", put, 1, 3, 2, 6, 0, 3, ""},
-			rmaOp{"no columns, row starts past the end", put, 1, 2, 2, 6, 9, 0, ""},
-			rmaOp{"ends at the segment end", put, 2, 0, 8, 6, 3, 4, ""},
-		)
-		bad = append(bad,
-			rmaOp{"one past the end", put, 2, 0, 9, 6, 3, 4, "region ends at 25 of 24"},
-			rmaOp{"negative offset", put, 0, 1, -1, 6, 2, 2, "malformed region 2x2 ld=6 off=-1"},
-			rmaOp{"ld < cols", put, 0, 3, 0, 3, 2, 4, "malformed region 2x4 ld=3 off=0"},
-		)
+	good = []rmaOp{
+		{"strided remote", 0, 2, 7, 6, 3, 2, ""},
+		{"strided same node", 0, 1, 1, 6, 2, 4, ""},
+		{"one row", 3, 0, 3, 5, 1, 5, ""}, // ld == cols: goes through rt.Get
+		{"one row of a wider matrix", 2, 1, 13, 6, 1, 4, ""},
+		{"no rows", 1, 3, 2, 6, 0, 3, ""},
+		{"no columns, row starts past the end", 1, 2, 2, 6, 9, 0, ""},
+		{"ends at the segment end", 2, 0, 8, 6, 3, 4, ""},
+	}
+	bad = []rmaOp{
+		{"one past the end", 2, 0, 9, 6, 3, 4, "region ends at 25 of 24"},
+		{"negative offset", 0, 1, -1, 6, 2, 2, "malformed region 2x2 ld=6 off=-1"},
+		{"ld < cols", 0, 3, 0, 3, 2, 4, "malformed region 2x4 ld=3 off=0"},
 	}
 	return good, bad
 }
 
-// issue performs op on c and returns what a get landed (nil on the
-// size-only engine). A put's payload is 1000*(i+1) + element index. With
-// window, a get is c's window get, read where it lies.
-func (op rmaOp) issue(c rt.Ctx, i int, g rt.Global, window bool) []float64 {
+// issue performs op on c and returns what the get landed (nil on the
+// size-only engine). With window, the get is c's window get, read where it
+// lies.
+func (op rmaOp) issue(c rt.Ctx, g rt.Global, window bool) []float64 {
 	n := op.rows * op.cols
-	if window && !op.put {
+	if window {
 		m, ok := c.(rt.WindowGetter).GetWindow(g, op.owner, op.off, op.ld, op.rows, op.cols)
 		if !ok {
 			panic("window get refused")
@@ -72,28 +69,12 @@ func (op rmaOp) issue(c rt.Ctx, i int, g rt.Global, window bool) []float64 {
 		return got
 	}
 	buf := c.LocalBuf(n)
-	if op.put {
-		c.WriteBuf(buf, 0, putPayload(i, n))
-	}
-	switch contiguous := op.rows == 1 && op.ld == op.cols; {
-	case op.put && contiguous:
-		rt.Put(c, buf, 0, n, g, op.owner, op.off)
-	case op.put:
-		c.Wait(c.NbPutSub(buf, 0, g, op.owner, op.off, op.ld, op.rows, op.cols))
-	case contiguous:
+	if op.rows == 1 && op.ld == op.cols {
 		rt.Get(c, g, op.owner, op.off, n, buf, 0)
-	default:
+	} else {
 		c.Wait(c.NbGetSub(g, op.owner, op.off, op.ld, op.rows, op.cols, buf, 0))
 	}
 	return c.ReadBuf(buf, 0, n)
-}
-
-func putPayload(i, n int) []float64 {
-	vals := make([]float64, n)
-	for k := range vals {
-		vals[k] = float64(1000*(i+1) + k)
-	}
-	return vals
 }
 
 func segInit(rank int) []float64 {
@@ -142,22 +123,12 @@ func TestOneSidedConformance(t *testing.T) {
 	}
 	good, bad := conformanceOps()
 
-	// The sequential reference: the ops applied one after another to plain
-	// slices.
-	wantMem := make([][]float64, topo.NProcs)
-	for r := range wantMem {
-		wantMem[r] = segInit(r)
-	}
+	// The reference: each region read out of the initial segments.
 	wantGot := make([][]float64, len(good))
 	for i, op := range good {
-		seg, payload := wantMem[op.owner], putPayload(i, op.rows*op.cols)
+		seg := segInit(op.owner)
 		for r := 0; r < op.rows && op.cols > 0; r++ {
-			row := seg[op.off+r*op.ld : op.off+r*op.ld+op.cols]
-			if op.put {
-				copy(row, payload[r*op.cols:])
-			} else {
-				wantGot[i] = append(wantGot[i], row...)
-			}
+			wantGot[i] = append(wantGot[i], seg[op.off+r*op.ld:op.off+r*op.ld+op.cols]...)
 		}
 	}
 
@@ -171,7 +142,7 @@ func TestOneSidedConformance(t *testing.T) {
 			c.Barrier()
 			for i, op := range good {
 				if c.Rank() == op.by {
-					got[i] = op.issue(c, i, g, e.window)
+					got[i] = op.issue(c, g, e.window)
 				}
 				c.Barrier()
 			}
@@ -182,12 +153,12 @@ func TestOneSidedConformance(t *testing.T) {
 		}
 		if e.data {
 			for r := range mem {
-				if !slices.Equal(mem[r], wantMem[r]) {
-					t.Errorf("%s: rank %d's segment\n got  %v\n want %v", e.name, r, mem[r], wantMem[r])
+				if !slices.Equal(mem[r], segInit(r)) {
+					t.Errorf("%s: rank %d's segment\n got  %v\n want %v", e.name, r, mem[r], segInit(r))
 				}
 			}
 			for i, op := range good {
-				if !op.put && !slices.Equal(got[i], wantGot[i]) {
+				if !slices.Equal(got[i], wantGot[i]) {
 					t.Errorf("%s: get %q landed %v, want %v", e.name, op.name, got[i], wantGot[i])
 				}
 			}
@@ -202,17 +173,17 @@ func TestOneSidedConformance(t *testing.T) {
 			_, err := e.run(func(c rt.Ctx) {
 				g := c.Malloc(confSeg)
 				if c.Rank() == op.by {
-					op.issue(c, 0, g, e.window)
+					op.issue(c, g, e.window)
 				}
 			})
-			if what := fmt.Sprintf("%s: %q (put=%v)", e.name, op.name, op.put); err == nil {
+			if what := fmt.Sprintf("%s: %q", e.name, op.name); err == nil {
 				t.Errorf("%s was accepted", what)
 			} else if !strings.Contains(err.Error(), op.bad) {
 				t.Errorf("%s: refused with %q, want the region check's %q", what, err, op.bad)
 			}
 		}
 	}
-	if first.BytesRemote == 0 || first.BytesShared == 0 || first.Puts == 0 {
-		t.Fatalf("the table exercises no remote, shared or put traffic: %+v", first)
+	if first.BytesRemote == 0 || first.BytesShared == 0 {
+		t.Fatalf("the table exercises no remote or shared traffic: %+v", first)
 	}
 }

@@ -121,9 +121,9 @@ func TestCrashPointBounds(t *testing.T) {
 }
 
 // TestInjectorSeesContiguousTransfers: the injector overrides the strided
-// pair, and rt.Get / rt.Put are built on the pair — so contiguous transfers
-// consume one-sided op indices like any other, and the planned crash fires
-// on the op the plan names, whichever kind it is.
+// get, and rt.Get is built on it — so contiguous transfers consume
+// one-sided op indices like strided ones, and the planned crash fires on the
+// op the plan names, whichever kind it is.
 func TestInjectorSeesContiguousTransfers(t *testing.T) {
 	const n = 8
 	plan, err := faults.NewPlan(faults.Config{Seed: 3, Crash: true, CrashOpSpan: 6}, 2)
@@ -141,7 +141,7 @@ func TestInjectorSeesContiguousTransfers(t *testing.T) {
 			if op%2 == 0 {
 				rt.Get(c, g, peer, 0, n, buf, 0)
 			} else {
-				rt.Put(c, buf, 0, n, g, peer, 0)
+				c.Wait(c.NbGetSub(g, peer, 0, n/2, 2, n/2, buf, 0))
 			}
 		}
 	})

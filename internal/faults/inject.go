@@ -53,12 +53,11 @@ func (r *Recorder) Total() int {
 	return n
 }
 
-// Inject wraps a real-engine ctx so every one-sided transfer — NbGetSub
-// and NbPutSub, which is all of them: rt.Get, rt.NbGet and rt.Put are built
-// on the pair, and the engine's window get is forwarded as one more get —
-// and every local gemm consults the plan: the planned crash panics with
-// CrashError, and BadBlock faults corrupt the gemm's output. rec may be
-// nil.
+// Inject wraps a real-engine ctx so every one-sided transfer — NbGetSub,
+// which is all of them: rt.Get and rt.NbGet are built on it, and the
+// engine's window get is forwarded as one more get — and every local gemm
+// consults the plan: the planned crash panics with CrashError, and
+// BadBlock faults corrupt the gemm's output. rec may be nil.
 func Inject(inner rt.Ctx, p *Plan, rec *Recorder) rt.Ctx {
 	return &injCtx{Ctx: inner, plan: p, rec: rec}
 }
@@ -131,11 +130,6 @@ func (c *injCtx) GetWindow(g rt.Global, rank, off, ld, rows, cols int) (rt.Mat, 
 	}
 	c.next()
 	return w.GetWindow(g, rank, off, ld, rows, cols)
-}
-
-func (c *injCtx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	c.next()
-	return c.Ctx.NbPutSub(src, srcOff, g, rank, off, ld, rows, cols)
 }
 
 // Gemm consults the gemm fault stream: the planned compute crash panics

@@ -5,9 +5,9 @@ package ipcrt
 //
 // Memory model. Three kinds of goroutine touch float data in one worker
 // process: the rank goroutine (the SPMD body), the per-connection RMA
-// server goroutines (peers' gets, puts and Accs landing in this rank's segments),
-// and the peer-connection reader goroutines (responses landing in this
-// rank's destination buffers). Cross-PROCESS ordering is the algorithm's
+// server goroutines (peers' gets reading this rank's segments), and the
+// peer-connection reader goroutines (responses landing in this rank's
+// destination buffers). Cross-PROCESS ordering is the algorithm's
 // responsibility (SPMD barrier discipline, same as real ARMCI). In-PROCESS
 // ordering — which the race detector checks — is built from two edges:
 //
@@ -17,13 +17,11 @@ package ipcrt
 //   - the hb mutex: server goroutines hold hbMu while touching segment
 //     memory, and Barrier lock/unlocks hbMu after the coordinator ack.
 //     A segment write by the rank goroutine before a barrier is therefore
-//     ordered before any later served remote read, and a served remote
-//     write is ordered before the rank goroutine's post-barrier reads —
-//     the in-process shadow of the cross-process barrier ordering.
+//     ordered before any later served remote read — the in-process shadow
+//     of the cross-process barrier ordering.
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -106,9 +104,6 @@ func newCtx(rank int, topo rt.Topology, dir string, coord *coordClient) *ipcCtx 
 	c.Init(rank, topo.NProcs)
 	return c
 }
-
-func float64bits(v float64) int64     { return int64(math.Float64bits(v)) }
-func float64frombits(b int64) float64 { return math.Float64frombits(uint64(b)) }
 
 func (c *ipcCtx) Size() int         { return c.topo.NProcs }
 func (c *ipcCtx) Topo() rt.Topology { return c.topo }
@@ -325,26 +320,6 @@ func (c *ipcCtx) Direct(g rt.Global, rank int) rt.Buffer {
 
 // ---- one-sided operations ----
 
-// remote issues one strided RMA request to rank's owner process and returns
-// its handle; land, when non-nil, runs on the peer connection's reader
-// goroutine with the response body before the handle completes.
-func (c *ipcCtx) remote(f *frame, rank int, kind obs.Kind, land func(body []byte) error) rt.Handle {
-	h := newOpHandle()
-	rec, lane, t0 := c.ObsRecorder(), c.Rank(), time.Now()
-	c.peer(rank).issue(f, &pendingOp{h: h, complete: func(f *frame) error {
-		if land != nil {
-			if err := land(f.Body); err != nil {
-				return err
-			}
-		}
-		if rec != nil {
-			rec.RecordWall(lane, kind, t0, time.Now())
-		}
-		return nil
-	}})
-	return h
-}
-
 // NbGetSub: inside the node a memcpy out of the owner's mmap segment (the
 // local half's GetRegion), across nodes an opGetSub to the owner's server.
 func (c *ipcCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
@@ -358,88 +333,20 @@ func (c *ipcCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buf
 	dstSlice := armci.Window("NbGetSub dst", dst, dstOff, n)
 	c.Stats().BytesRemote += int64(n) * 8
 	c.Stats().GetsRemote++
-	return c.remote(&frame{Op: opGetSub, P: [5]int64{gg.id, int64(off), int64(ld), int64(rows), int64(cols)}},
-		rank, obs.KindGet, func(body []byte) error {
-			if len(body) != n*8 {
-				return fmt.Errorf("ipcrt: get-sub of %d elements returned %d bytes", n, len(body))
-			}
-			copyFloats(dstSlice, body)
-			return nil
-		})
-}
-
-func (c *ipcCtx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	gg := g.(*ipcGlobal)
-	if c.CanDirect(rank) {
-		c.PutRegion(src, srcOff, c.mapping(gg.id, rank).data, true, off, ld, rows, cols)
-		return doneHandle{}
-	}
-	rt.MustRegion(gg.sizes[rank], off, ld, rows, cols)
-	payload := armci.Window("NbPutSub src", src, srcOff, rows*cols)
-	c.Stats().Puts++
-	c.Stats().BytesRemote += int64(len(payload)) * 8
-	return c.remote(&frame{Op: opPutSub, P: [5]int64{gg.id, int64(off), int64(ld), int64(rows), int64(cols)},
-		Body: floatBytes(payload)}, rank, obs.KindPut, nil)
-}
-
-// Acc routes through the owner's RMA server even locally: the server's hb
-// mutex is the single serialization point, giving ARMCI's Acc-vs-Acc
-// atomicity across processes (a local fast path would race a concurrent
-// remote Acc landing through the server).
-func (c *ipcCtx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
-	gg := g.(*ipcGlobal)
-	s := armci.Floats(src)
-	if srcOff < 0 || n < 0 || srcOff+n > len(s) || off < 0 || off+n > gg.sizes[rank] {
-		panic(fmt.Sprintf("ipcrt: Acc range [%d,%d) of %d -> [%d,%d) of %d",
-			srcOff, srcOff+n, len(s), off, off+n, gg.sizes[rank]))
-	}
-	t0 := c.SpanStart()
+	// The reply lands on the peer connection's reader goroutine, before the
+	// handle completes.
 	h := newOpHandle()
-	c.peer(rank).issue(
-		&frame{Op: opAcc, P: [5]int64{gg.id, int64(off), float64bits(alpha)},
-			Body: floatBytes(s[srcOff : srcOff+n])},
-		&pendingOp{h: h, complete: func(f *frame) error { return nil }},
-	)
-	c.waitHandle(h)
-	c.Stats().Puts++
-	if c.CanDirect(rank) {
-		c.Stats().BytesShared += int64(n) * 8
-	} else {
-		c.Stats().BytesRemote += int64(n) * 8
-	}
-	c.Span(obs.KindPut, t0)
-}
-
-func (c *ipcCtx) FetchAdd(g rt.Global, rank, off int, delta float64) float64 {
-	gg := g.(*ipcGlobal)
-	if off < 0 || off >= gg.sizes[rank] {
-		panic(fmt.Sprintf("ipcrt: FetchAdd offset %d of %d", off, gg.sizes[rank]))
-	}
-	h := newOpHandle()
-	var old float64
-	c.peer(rank).issue(
-		&frame{Op: opFetchAdd, P: [5]int64{gg.id, int64(off), float64bits(delta)}},
+	rec, lane, t0 := c.ObsRecorder(), c.Rank(), time.Now()
+	c.peer(rank).issue(&frame{Op: opGetSub, P: [5]int64{gg.id, int64(off), int64(ld), int64(rows), int64(cols)}},
 		&pendingOp{h: h, complete: func(f *frame) error {
-			old = float64frombits(f.P[0])
+			if len(f.Body) != n*8 {
+				return fmt.Errorf("ipcrt: get-sub of %d elements returned %d bytes", n, len(f.Body))
+			}
+			copyFloats(dstSlice, f.Body)
+			rec.RecordWall(lane, obs.KindGet, t0, time.Now())
 			return nil
-		}},
-	)
-	c.waitHandle(h)
-	c.Stats().Puts++
-	if c.CanDirect(rank) {
-		c.Stats().BytesShared += 8
-	} else {
-		c.Stats().BytesRemote += 8
-	}
-	return old
-}
-
-// waitHandle blocks without stats/span accounting (internal round trips).
-func (c *ipcCtx) waitHandle(h *opHandle) {
-	<-h.done
-	if h.err != nil {
-		panic(h.err)
-	}
+		}})
+	return h
 }
 
 func (c *ipcCtx) Wait(h rt.Handle) {

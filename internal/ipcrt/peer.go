@@ -15,11 +15,6 @@ package ipcrt
 //   - On the owning side, one goroutine per inbound connection serves
 //     requests sequentially against the owner's own mmap segment, under
 //     the process-wide hb mutex (see ctx.go for the memory model).
-//
-// Atomics (Acc, FetchAdd) always go through the owner's socket — even from
-// the owner itself or a same-node peer — so the owner's server is the one
-// serialization point, exactly like ARMCI routing atomics through the
-// owning node's data server.
 
 import (
 	"fmt"
@@ -291,6 +286,9 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 		c.mbox.deposit(int(f.P[0]), int(f.P[1]), payload)
 		return nil, true
 	}
+	if f.Op != opGetSub {
+		return fail("op %v is not a peer RMA request", f.Op)
+	}
 
 	// The maps container is mutated by the rank goroutine (lazy same-node
 	// peer mappings), so the read of this rank's own entry must hold segMu
@@ -299,63 +297,17 @@ func (c *ipcCtx) handleRMA(f *frame) (resp *frame, oneway bool) {
 	if !ok {
 		return fail("unknown segment %d", f.P[0])
 	}
-	off := int(f.P[1])
+	off, ld, rows, cols := int(f.P[1]), int(f.P[2]), int(f.P[3]), int(f.P[4])
 	t0 := time.Now()
-
-	var ld, rows, cols int
-	switch f.Op {
-	case opGetSub, opPutSub:
-		ld, rows, cols = int(f.P[2]), int(f.P[3]), int(f.P[4])
-		if err := rt.CheckRegion(len(own), off, ld, rows, cols); err != nil {
-			return fail("%v: %v", f.Op, err)
-		}
+	if err := rt.CheckRegion(len(own), off, ld, rows, cols); err != nil {
+		return fail("%v: %v", f.Op, err)
 	}
-	switch f.Op {
-	case opGetSub:
-		out := make([]float64, rows*cols)
-		c.hbMu.Lock()
-		armci.PackRegion(out, own, off, ld, rows, cols)
-		c.hbMu.Unlock()
-		c.serveSpan(t0)
-		return &frame{Op: opAck, Body: floatBytes(out)}, false
-
-	case opPutSub: // validateFrame held the body to exactly the region
-		c.hbMu.Lock()
-		for r := 0; r < rows && cols > 0; r++ { // no columns: no row starts to trust
-			copyFloats(own[off+r*ld:off+r*ld+cols], f.Body[r*cols*8:(r+1)*cols*8])
-		}
-		c.hbMu.Unlock()
-		c.serveSpan(t0)
-		return &frame{Op: opAck}, false
-
-	case opAcc:
-		n := len(f.Body) / 8
-		if off+n > len(own) {
-			return fail("acc [%d,%d) of %d", off, off+n, len(own))
-		}
-		alpha := float64frombits(f.P[2])
-		vals := make([]float64, n)
-		copyFloats(vals, f.Body)
-		c.hbMu.Lock()
-		for i, v := range vals {
-			own[off+i] += alpha * v
-		}
-		c.hbMu.Unlock()
-		c.serveSpan(t0)
-		return &frame{Op: opAck}, false
-
-	case opFetchAdd:
-		if off >= len(own) {
-			return fail("fetch-add offset %d of %d", off, len(own))
-		}
-		delta := float64frombits(f.P[2])
-		c.hbMu.Lock()
-		old := own[off]
-		own[off] = old + delta
-		c.hbMu.Unlock()
-		return &frame{Op: opAck, P: [5]int64{float64bits(old)}}, false
-	}
-	return fail("op %v is not a peer RMA request", f.Op)
+	out := make([]float64, rows*cols)
+	c.hbMu.Lock()
+	armci.PackRegion(out, own, off, ld, rows, cols)
+	c.hbMu.Unlock()
+	c.serveSpan(t0)
+	return &frame{Op: opAck, Body: floatBytes(out)}, false
 }
 
 // serveSpan records owner CPU spent servicing a remote op (the paper's

@@ -67,6 +67,10 @@ func TestTCPMalformed(t *testing.T) {
 		{"retired contiguous put", corrupt(t, get, func(h []byte) { h[5] = 13 })},
 		{"version 2 header", corrupt(t, get, func(h []byte) { h[4] = 2 })},
 		{"retired source checksum", corrupt(t, get, func(h []byte) { h[5] = 18 })},
+		{"version 3 header", corrupt(t, get, func(h []byte) { h[4] = 3 })},
+		{"retired strided put", corrupt(t, get, func(h []byte) { h[5] = 14 })},
+		{"retired accumulate", corrupt(t, get, func(h []byte) { h[5] = 15 })},
+		{"retired fetch-add", corrupt(t, get, func(h []byte) { h[5] = 16 })},
 		{"bad magic", corrupt(t, get, func(h []byte) {
 			binary.LittleEndian.PutUint32(h[0:4], 0xdeadbeef)
 		})},
@@ -93,9 +97,7 @@ func TestTCPMalformed(t *testing.T) {
 			func(h []byte) {})},
 		{"get-sub product overflow", corrupt(t, frame{Op: opGetSub,
 			P: [5]int64{1, 0, maxElems, maxElems, maxElems}}, func(h []byte) {})},
-		{"put body not float-aligned", corrupt(t, frame{Op: opPutSub, P: [5]int64{1, 0, 2, 1, 2}, Body: make([]byte, 12)},
-			func(h []byte) {})},
-		{"put body shorter than its region", corrupt(t, frame{Op: opPutSub, P: [5]int64{1, 0, 4, 1, 4}, Body: make([]byte, 16)},
+		{"msg body not float-aligned", corrupt(t, frame{Op: opMsg, P: [5]int64{0, 1}, Body: make([]byte, 12)},
 			func(h []byte) {})},
 		{"get-sub request with a body", corrupt(t, frame{Op: opGetSub, P: [5]int64{1, 0, 4, 1, 4}, Body: make([]byte, 8)},
 			func(h []byte) {})},
@@ -140,7 +142,7 @@ func TestTCPMalformed(t *testing.T) {
 func TestTCPTruncated(t *testing.T) {
 	addr := rawTCPServer(t)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{Op: opPutSub, Seq: 3, P: [5]int64{1, 0, 8, 1, 8}, Body: floatBytes(make([]float64, 8))}); err != nil {
+	if err := writeFrame(&buf, &frame{Op: opMsg, P: [5]int64{0, 1}, Body: floatBytes(make([]float64, 8))}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -177,14 +179,14 @@ func rmaConnServers() int {
 	return bytes.Count(buf, []byte(").serveRMAConn("))
 }
 
-// TestTCPStalledMidBody: a peer that sends a valid put header and part of
+// TestTCPStalledMidBody: a peer that sends a valid msg header and part of
 // its body, then goes silent with its side still open, is dropped once
 // bodyStall has passed — the connection closed, the goroutine serving it
 // gone — and the server keeps serving.
 func TestTCPStalledMidBody(t *testing.T) {
 	addr := rawTCPServer(t)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{Op: opPutSub, Seq: 3, P: [5]int64{1, 0, 8, 1, 8}, Body: floatBytes(make([]float64, 8))}); err != nil {
+	if err := writeFrame(&buf, &frame{Op: opMsg, P: [5]int64{0, 1}, Body: floatBytes(make([]float64, 8))}); err != nil {
 		t.Fatal(err)
 	}
 	before := rmaConnServers()
@@ -223,8 +225,9 @@ func FuzzTCPWire(f *testing.F) {
 	seed := []frame{
 		{Op: opGetSub, Seq: 7, P: [5]int64{1, 0, 8, 1, 8}},
 		{Op: opGetSub, Seq: 8, P: [5]int64{1, 0, 16, 4, 8}},
-		{Op: opPutSub, Seq: 9, P: [5]int64{1, 8, 3, 1, 3}, Body: floatBytes([]float64{1, 2, 3})},
-		{Op: opFetchAdd, Seq: 10, P: [5]int64{1, 3, float64bits(1)}},
+		{Op: opMsg, P: [5]int64{0, 9}, Body: floatBytes([]float64{1, 2, 3})},
+		// An op value wire version 4 retired: refused as unknown.
+		{Op: 16, Seq: 10, P: [5]int64{1, 3}},
 		{Op: opMsg, P: [5]int64{0, 17}, Body: floatBytes([]float64{9})},
 		// No columns, row starts past the 16-element segment: what the fuzzer
 		// killed the version-1 server with.

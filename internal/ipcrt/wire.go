@@ -6,10 +6,9 @@
 //   - Ranks on the same emulated node map each other's Globals as
 //     mmap(MAP_SHARED) segments, so CanDirect/Direct are true load/store
 //     and the shared-memory-first task order pays only cache traffic.
-//   - Ranks on different nodes speak a one-sided RMA protocol (strided
-//     get, strided put, Acc, FetchAdd, plus the mailbox
-//     behind internal/mp) over unix-domain or TCP sockets, paying genuine
-//     serialization + copy costs.
+//   - Ranks on different nodes speak a one-sided RMA protocol (the strided
+//     get, plus the mailbox behind internal/mp) over unix-domain or TCP
+//     sockets, paying genuine serialization + copy costs.
 //   - A coordinator process (the CLI, a test) launches the workers, runs
 //     the collectives (Barrier, Malloc/Free segment registration),
 //     dispatches jobs, and converts worker death into a typed error
@@ -50,9 +49,6 @@ import (
 //	opFin        body=JSON RankResult
 //	opJob        body=JSON JobSpec
 //	opGetSub     p0=segID p1=off p2=ld p3=rows p4=cols   ack: body=floats (packed)
-//	opPutSub     p0=segID p1=off p2=ld p3=rows p4=cols, body=floats   ack: empty
-//	opAcc        p0=segID p1=off p2=alphaBits, body=floats            ack: empty
-//	opFetchAdd   p0=segID p1=off p2=deltaBits    ack: p0=oldBits
 //	opMsg        p0=srcRank p1=tag, body=floats  (one-way, no ack)
 //	opAck        response frame; seq echoes the request
 //	opErr        response frame; body=error text
@@ -61,14 +57,16 @@ import (
 //	opPong       p0=echoed ping seq (worker -> coordinator)
 //
 // Version 2 retired the contiguous get and put (op values 11 and 13): a
-// contiguous transfer is the one-row region of the strided pair. Version 3
+// contiguous transfer is the one-row region of a strided one. Version 3
 // retired the source checksum (op value 18), which only a transfer-retry
-// layer over injected faults ever asked for. The values stay unassigned and
-// a frame carrying one is refused as an unknown op, as is any peer still
-// speaking an earlier version.
+// layer over injected faults ever asked for. Version 4 retired the strided
+// put, the accumulate and the fetch-add (op values 14, 15 and 16), which no
+// algorithm calls: one-sided data moves by the strided get alone. The values
+// stay unassigned and a frame carrying one is refused as an unknown op, as
+// is any peer still speaking an earlier version.
 const (
 	wireMagic   = uint32(0x31495253) // "SRI1" read little-endian
-	wireVersion = 3
+	wireVersion = 4
 	headerLen   = 64
 )
 
@@ -102,14 +100,14 @@ const (
 	opFreeAck
 	opShutdown
 	// One-sided RMA, requester -> owning worker.
-	_ // 11, retired with wire version 1
+	_ // 11, retired by wire version 2
 	opGetSub
-	_ // 13, retired with wire version 1
-	opPutSub
-	opAcc
-	opFetchAdd
+	_ // 13, retired by wire version 2
+	_ // 14, retired by wire version 4
+	_ // 15, retired by wire version 4
+	_ // 16, retired by wire version 4
 	opMsg
-	_ // 18, retired with wire version 2
+	_ // 18, retired by wire version 3
 	// RMA responses, owning worker -> requester.
 	opAck
 	opErr
@@ -123,11 +121,11 @@ const (
 )
 
 // opNames names the assigned op values; "" marks one that is not (zero, and
-// the three retired ones), which parseHeader refuses.
+// the six retired ones), which parseHeader refuses.
 var opNames = [opCount]string{
 	"", "hello", "barrier", "malloc", "free", "fin",
 	"job", "barrier-ack", "malloc-ack", "free-ack", "shutdown",
-	"", "get-sub", "", "put-sub", "acc", "fetch-add", "msg", "",
+	"", "get-sub", "", "", "", "", "msg", "",
 	"ack", "err", "addrs", "ping", "pong",
 }
 
@@ -202,7 +200,7 @@ func parseHeader(h []byte) (frame, int64, error) {
 // range-check again.
 func validateFrame(f *frame, bodyLen int64) error {
 	switch f.Op {
-	case opGetSub, opPutSub, opAcc, opFetchAdd:
+	case opGetSub:
 		if f.P[0] < 0 || f.P[0] > maxSegID {
 			return fmt.Errorf("ipcrt: %v: segment id %d out of range", f.Op, f.P[0])
 		}
@@ -211,9 +209,6 @@ func validateFrame(f *frame, bodyLen int64) error {
 		if f.P[1] < 0 || f.P[1] > maxElems {
 			return fmt.Errorf("ipcrt: %v: offset %d out of range", f.Op, f.P[1])
 		}
-	}
-	switch f.Op {
-	case opGetSub, opPutSub:
 		// The region must fit the largest segment the wire allows; which
 		// segment it really names is the owner's check, by the same rule.
 		ld, rows, cols := f.P[2], f.P[3], f.P[4]
@@ -243,14 +238,8 @@ func validateFrame(f *frame, bodyLen int64) error {
 			return fmt.Errorf("ipcrt: msg: negative source rank %d", f.P[0])
 		}
 	}
-	switch f.Op {
-	case opPutSub, opAcc, opMsg:
-		if bodyLen%8 != 0 {
-			return fmt.Errorf("ipcrt: %v: body %d bytes is not whole float64s", f.Op, bodyLen)
-		}
-	}
-	if f.Op == opPutSub && bodyLen != 8*f.P[3]*f.P[4] {
-		return fmt.Errorf("ipcrt: put-sub: body %d bytes for a %dx%d region", bodyLen, f.P[3], f.P[4])
+	if f.Op == opMsg && bodyLen%8 != 0 {
+		return fmt.Errorf("ipcrt: %v: body %d bytes is not whole float64s", f.Op, bodyLen)
 	}
 	if bodyLen > bodyLimit[f.Op] {
 		return fmt.Errorf("ipcrt: %v: body %d bytes exceeds the op's limit %d", f.Op, bodyLen, bodyLimit[f.Op])
@@ -259,10 +248,9 @@ func validateFrame(f *frame, bodyLen int64) error {
 }
 
 // bodyLimit bounds each op's body by what the op can carry: a table its
-// ranks, an error its text, a request or control frame nothing. A put is
-// held to exactly its region's bytes besides.
-var bodyLimit = [opCount]int64{opPutSub: maxBodyLen, opAcc: maxBodyLen, opMsg: maxBodyLen, opAck: maxBodyLen,
-	opJob: maxBodyLen, opFin: maxBodyLen, opMallocAck: 8 * maxRanks, opAddrs: maxAddrLen * maxRanks, opErr: maxErrLen}
+// ranks, an error its text, a request or control frame nothing.
+var bodyLimit = [opCount]int64{opMsg: maxBodyLen, opAck: maxBodyLen, opJob: maxBodyLen, opFin: maxBodyLen,
+	opMallocAck: 8 * maxRanks, opAddrs: maxAddrLen * maxRanks, opErr: maxErrLen}
 
 // writeFrame writes one frame. Callers serialize per connection.
 func writeFrame(w io.Writer, f *frame) error {

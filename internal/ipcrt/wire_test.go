@@ -19,10 +19,7 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: opMallocAck, P: [5]int64{7}, Body: putInt64s([]int64{16, 32, 0, 64})},
 		{Op: opGetSub, Seq: 42, P: [5]int64{1, 128, 256, 1, 256}},
 		{Op: opGetSub, Seq: 43, P: [5]int64{1, 10, 64, 8, 16}},
-		{Op: opPutSub, Seq: 44, P: [5]int64{2, 0, 3, 1, 3}, Body: floatBytes([]float64{1.5, -2.25, math.Pi})},
-		{Op: opAcc, Seq: 45, P: [5]int64{2, 8, float64bits(0.5)}, Body: floatBytes([]float64{4, 8})},
-		{Op: opFetchAdd, Seq: 46, P: [5]int64{0, 3, float64bits(1)}},
-		{Op: opMsg, P: [5]int64{2, 17}, Body: floatBytes([]float64{9})},
+		{Op: opMsg, P: [5]int64{2, 17}, Body: floatBytes([]float64{1.5, -2.25, math.Pi})},
 		{Op: opAck, Seq: 42, Body: floatBytes([]float64{0, 1, 2})},
 		{Op: opErr, Seq: 44, Body: []byte("boom")},
 		{Op: opFin, Body: []byte(`{"Rank":1}`)},
@@ -66,6 +63,10 @@ func TestWireMalformed(t *testing.T) {
 		{"retired contiguous put", corrupt(t, get, func(h []byte) { h[5] = 13 }), "unknown op"},
 		{"version 2 header", corrupt(t, get, func(h []byte) { h[4] = 2 }), "wire version"},
 		{"retired source checksum", corrupt(t, get, func(h []byte) { h[5] = 18 }), "unknown op"},
+		{"version 3 header", corrupt(t, get, func(h []byte) { h[4] = 3 }), "wire version"},
+		{"retired strided put", corrupt(t, get, func(h []byte) { h[5] = 14 }), "unknown op"},
+		{"retired accumulate", corrupt(t, get, func(h []byte) { h[5] = 15 }), "unknown op"},
+		{"retired fetch-add", corrupt(t, get, func(h []byte) { h[5] = 16 }), "unknown op"},
 		{"bad magic", corrupt(t, get, func(h []byte) {
 			binary.LittleEndian.PutUint32(h[0:4], 0xdeadbeef)
 		}), "bad magic"},
@@ -102,8 +103,6 @@ func TestWireMalformed(t *testing.T) {
 			func(h []byte) {}), "too large"},
 		{"get-sub product overflow", corrupt(t, frame{Op: opGetSub,
 			P: [5]int64{1, 0, maxElems, maxElems, maxElems}}, func(h []byte) {}), "region ends at"},
-		{"put body not float-aligned", corrupt(t, frame{Op: opPutSub, P: [5]int64{1, 0, 2, 1, 2}, Body: make([]byte, 12)},
-			func(h []byte) {}), "not whole float64s"},
 		{"msg body not float-aligned", corrupt(t, frame{Op: opMsg, P: [5]int64{0, 1}, Body: make([]byte, 7)},
 			func(h []byte) {}), "not whole float64s"},
 		{"malloc huge count", corrupt(t, frame{Op: opMalloc, P: [5]int64{maxElems + 1}},
@@ -114,8 +113,6 @@ func TestWireMalformed(t *testing.T) {
 		{"msg negative source", corrupt(t, frame{Op: opMsg}, func(h []byte) {
 			binary.LittleEndian.PutUint64(h[16:24], math.MaxUint64)
 		}), "negative source"},
-		{"put body shorter than its region", corrupt(t, frame{Op: opPutSub, P: [5]int64{1, 0, 4, 1, 4}, Body: make([]byte, 16)},
-			func(h []byte) {}), "for a 1x4 region"},
 		{"get-sub request with a body", corrupt(t, frame{Op: opGetSub, P: [5]int64{1, 0, 4, 1, 4}, Body: make([]byte, 8)},
 			func(h []byte) {}), "limit 0"},
 		{"barrier with a body", corrupt(t, frame{Op: opBarrier, Body: make([]byte, 8)}, func(h []byte) {}), "limit 0"},
@@ -140,11 +137,11 @@ func TestWireMalformed(t *testing.T) {
 	}
 }
 
-// hostileHeader is a valid put-sub header whose declared body — its 1 x 2^25
-// region, 256 MiB — never follows.
+// hostileHeader is a valid msg header whose declared body — 2^25 elements,
+// 256 MiB — never follows.
 func hostileHeader() []byte {
 	h := make([]byte, headerLen)
-	putHeader(h, &frame{Op: opPutSub, Seq: 1, P: [5]int64{1, 0, 1 << 25, 1, 1 << 25}})
+	putHeader(h, &frame{Op: opMsg, P: [5]int64{0, 1}})
 	binary.LittleEndian.PutUint64(h[56:64], 8<<25)
 	return h
 }
@@ -166,7 +163,7 @@ func TestWireBodyGrowsWithBytes(t *testing.T) {
 		vals[i] = float64(i)
 	}
 	var buf bytes.Buffer
-	want := frame{Op: opPutSub, Seq: 2, P: [5]int64{1, 0, int64(len(vals)), 1, int64(len(vals))}, Body: floatBytes(vals)}
+	want := frame{Op: opMsg, P: [5]int64{1, 2}, Body: floatBytes(vals)}
 	if err := writeFrame(&buf, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestWireBodyGrowsWithBytes(t *testing.T) {
 
 func TestWireTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{Op: opPutSub, P: [5]int64{1, 0, 16, 1, 16}, Body: floatBytes(make([]float64, 16))}); err != nil {
+	if err := writeFrame(&buf, &frame{Op: opMsg, P: [5]int64{1, 2}, Body: floatBytes(make([]float64, 16))}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

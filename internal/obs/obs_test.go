@@ -90,7 +90,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(0, KindGemm, 0, 1)
 	r.RecordWall(0, KindGemm, time.Now(), time.Now().Add(time.Second))
-	if r.Enabled() || r.Lanes() != 0 || r.Events() != nil || r.Dropped() != 0 || r.Now() != 0 {
+	if r.Events() != nil || r.Dropped() != 0 || r.Now() != 0 {
 		t.Fatalf("nil recorder misbehaved")
 	}
 	r.Reset()
@@ -129,14 +129,6 @@ func TestCountersAndGauges(t *testing.T) {
 	c.Add(4)
 	if c.Load() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Load())
-	}
-	c.RaiseTo(3)
-	if c.Load() != 5 {
-		t.Fatalf("RaiseTo lowered the counter")
-	}
-	c.RaiseTo(9)
-	if c.Load() != 9 {
-		t.Fatalf("RaiseTo(9) = %d", c.Load())
 	}
 	if reg.Counter("x.count") != c {
 		t.Fatalf("registry returned a different pointer for the same name")

@@ -50,18 +50,6 @@ func NewRecorder(lanes, perLaneCap int) *Recorder {
 	return r
 }
 
-// Enabled reports whether the recorder actually records (nil receivers do
-// not).
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Lanes returns the lane count (0 for a nil recorder).
-func (r *Recorder) Lanes() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.lanes)
-}
-
 // Epoch returns the recorder's wall-clock zero point.
 func (r *Recorder) Epoch() time.Time {
 	if r == nil {

@@ -19,16 +19,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// RaiseTo lifts the counter to v if v is larger (a running maximum).
-func (c *Counter) RaiseTo(v int64) {
-	for {
-		cur := c.v.Load()
-		if v <= cur || c.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Gauge is an atomic instantaneous value (goes up and down).
 type Gauge struct{ v atomic.Int64 }
 

@@ -3,12 +3,11 @@
 // once per process against a Ctx, which exposes:
 //
 //   - ARMCI-style one-sided communication (collective Malloc, one strided
-//     nonblocking get and one strided nonblocking put completed by Wait,
-//     locality queries, direct shared-memory access) — what SRUMMA uses.
-//     A contiguous or blocking transfer is a free function over that pair
-//     (Get, NbGet, Put below), so a wrapper that overrides NbGetSub,
-//     NbPutSub and Wait — and GetWindow, where it forwards that
-//     capability — has intercepted all data movement;
+//     nonblocking get completed by Wait, locality queries, direct
+//     shared-memory access) — what SRUMMA uses. A contiguous or blocking
+//     get is a free function over it (Get, NbGet below), so a wrapper that
+//     overrides NbGetSub and Wait — and GetWindow, where it forwards that
+//     capability — has intercepted all one-sided data movement;
 //   - MPI-style two-sided communication (Send/Recv, Isend/Irecv) — what the
 //     SUMMA/pdgemm/Cannon baselines use;
 //   - a compute interface (Gemm, Pack) so the engine decides whether work is
@@ -154,17 +153,6 @@ type WindowGetter interface {
 // FindAdopter walks c's Unwrap chain and returns the first layer that can
 // adopt caller memory, or nil.
 func FindAdopter(c Ctx) Adopter { return Find[Adopter](c) }
-
-// Runner abstracts "execute one SPMD body and return per-rank stats" — the
-// engine lifecycle, as opposed to Ctx, which is the in-body API. Two
-// lifecycles implement it on the real engine: the one-shot form (spawn
-// ranks, run, tear down; armci.OneShot) and the persistent team (ranks stay
-// parked between bodies; armci.Team). Harness and serving code written
-// against Runner works with either, so a test path and a production path
-// can share one multiply implementation.
-type Runner interface {
-	Run(body func(Ctx)) ([]*Stats, error)
-}
 
 // Unwrapper is implemented by Ctx middleware (fault injection, the staging band)
 // so capability interfaces provided by the underlying engine stay
@@ -360,9 +348,9 @@ type Ctx interface {
 	// !CanDirect(rank).
 	Direct(g Global, rank int) Buffer
 
-	// One-sided operations (ARMCI model): one get, one put, both strided
-	// and nonblocking, completed by Wait. The region they name must pass
-	// CheckRegion against rank's segment.
+	// One-sided operations (ARMCI model): one get, strided and nonblocking,
+	// completed by Wait. The region it names must pass CheckRegion against
+	// rank's segment.
 	//
 	// NbGetSub (ARMCI_NbGetS) fetches the rows x cols sub-block starting at
 	// element off of rank's segment, whose rows are ld elements apart,
@@ -370,21 +358,6 @@ type Ctx interface {
 	// the sub-blocks its tasks multiply, so on misaligned (transposed /
 	// p != q) layouts it moves no excess data.
 	NbGetSub(g Global, rank, off, ld, rows, cols int, dst Buffer, dstOff int) Handle
-	// NbPutSub (ARMCI_NbPutS) scatters a tight row-major rows x cols block
-	// from src at srcOff into rank's segment at element off with row stride
-	// ld. The source buffer must not be reused until completion.
-	NbPutSub(src Buffer, srcOff int, g Global, rank, off, ld, rows, cols int) Handle
-	// Acc atomically accumulates (ARMCI_Acc): rank's segment[off+i] +=
-	// alpha * src[srcOff+i] for i in [0, n). Blocking; concurrent Accs to
-	// overlapping regions are safe.
-	Acc(alpha float64, src Buffer, srcOff, n int, g Global, rank, off int)
-	// FetchAdd atomically adds delta to element off of rank's segment and
-	// returns the PREVIOUS value (ARMCI_Rmw / GA read_inc) — the primitive
-	// behind Global Arrays' dynamic load balancing. Blocking; linearizable
-	// with respect to other FetchAdds on the same element. The sim engine
-	// maintains real counter values (control flow depends on them) while
-	// charging a round trip to the owner.
-	FetchAdd(g Global, rank, off int, delta float64) float64
 	Wait(h Handle)
 
 	// Two-sided operations (MPI model).
@@ -402,9 +375,6 @@ type Ctx interface {
 	// Pack copies the src view into dst as a tight row-major block starting
 	// at dstOff (charging memory-copy cost on the sim engine).
 	Pack(src Mat, dst Buffer, dstOff int)
-	// Unpack is the inverse: scatter a tight block from src at srcOff into
-	// the dst view.
-	Unpack(src Buffer, srcOff int, dst Mat)
 	// UnpackTranspose scatters a tight row-major (dst.Cols x dst.Rows)
 	// block from src at srcOff into the dst view transposed:
 	// dst(i,j) = block(j,i). Redistribution of transposed operands (the
@@ -430,18 +400,12 @@ func Get(c Ctx, g Global, rank, off, n int, dst Buffer, dstOff int) {
 	c.Wait(NbGet(c, g, rank, off, n, dst, dstOff))
 }
 
-// Put is the blocking contiguous put: n elements of src at srcOff land at
-// off of rank's segment of g.
-func Put(c Ctx, src Buffer, srcOff, n int, g Global, rank, off int) {
-	c.Wait(c.NbPutSub(src, srcOff, g, rank, off, n, 1, n))
-}
-
-// CheckRegion is the one region check behind every engine's get, put and
-// checksum and behind the multi-process engine's RMA server: a rows x cols
-// region whose rows are ld elements apart, starting at element off, must lie
-// inside a segment of segLen elements. An empty region (no rows or no
-// columns) only needs well-formed geometry. The arithmetic cannot overflow,
-// whatever a hostile frame carries.
+// CheckRegion is the one region check behind every engine's get, the
+// in-process engine's put and the multi-process engine's RMA server: a
+// rows x cols region whose rows are ld elements apart, starting at element
+// off, must lie inside a segment of segLen elements. An empty region (no
+// rows or no columns) only needs well-formed geometry. The arithmetic
+// cannot overflow, whatever a hostile frame carries.
 func CheckRegion(segLen, off, ld, rows, cols int) error {
 	if rows < 0 || cols < 0 || ld < cols || off < 0 {
 		return fmt.Errorf("rt: malformed region %dx%d ld=%d off=%d", rows, cols, ld, off)

@@ -9,7 +9,7 @@
 //
 // Protocol model summary:
 //
-//   - Same-domain get/put: a memory copy executed by the calling CPU
+//   - Same-domain get: a memory copy executed by the calling CPU
 //     (ARMCI implements intra-SMP get as memcpy), so it cannot overlap.
 //   - Cross-domain get: an RMA request (RMALatency) followed by a wire
 //     transfer progressed by the NIC; the initiator is free — full overlap.
@@ -48,10 +48,15 @@ type Result struct {
 // Run executes body once per rank on the modeled platform and returns the
 // virtual-time result.
 func Run(prof machine.Profile, nprocs int, body func(rt.Ctx)) (*Result, error) {
-	return run(prof, nprocs, nil, body)
+	return RunTraced(prof, nprocs, nil, body)
 }
 
-func run(prof machine.Profile, nprocs int, tr *Tracer, body func(rt.Ctx)) (*Result, error) {
+// RunTraced is Run with every rank's activity intervals (compute,
+// communication waits, copies, packs, barriers, steals) recorded on its
+// lane of rec, in virtual seconds, which cmd/srumma-trace renders as a
+// pipeline view. rec needs nprocs lanes — unbounded ones keep a whole run;
+// a nil rec records nothing, at the cost of a pointer compare per span.
+func RunTraced(prof machine.Profile, nprocs int, rec *obs.Recorder, body func(rt.Ctx)) (*Result, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,9 +77,8 @@ func run(prof machine.Profile, nprocs int, tr *Tracer, body func(rt.Ctx)) (*Resu
 		MemLatency:  vtime.FromSeconds(prof.MemLatency),
 		BisectionBW: prof.BisectionPerNode * float64(topo.NumNodes()),
 	})
-	tr.ensure(nprocs)
 	w := &world{
-		tr:        tr,
+		rec:       rec,
 		prof:      prof,
 		topo:      topo,
 		k:         k,
@@ -98,7 +102,7 @@ func run(prof machine.Profile, nprocs int, tr *Tracer, body func(rt.Ctx)) (*Resu
 // world is the shared simulation state. The vtime kernel guarantees only
 // one process (or event callback) runs at a time, so plain maps suffice.
 type world struct {
-	tr      *Tracer
+	rec     *obs.Recorder
 	prof    machine.Profile
 	topo    rt.Topology
 	k       *vtime.Kernel
@@ -113,11 +117,7 @@ type world struct {
 	// operations whenever the application is inside the library.
 	unstarted [][]*simMsg
 	steal     []vtime.Time // CPU time stolen from each rank by staging copies
-	// counters backs FetchAdd cells with real values: even the size-only
-	// engine must return true counter values because callers' control flow
-	// (dynamic load balancing) depends on them.
-	counters map[*global]map[int]float64
-	nextID   int
+	nextID    int
 }
 
 // progress marks every pending rendezvous send of rank as sender-ready and
@@ -178,7 +178,7 @@ type ctx struct {
 
 // trace records an activity interval ending now.
 func (c *ctx) trace(kind obs.Kind, t0 vtime.Time) {
-	c.w.tr.add(c.p.Rank(), kind, t0.Seconds(), c.p.Now().Seconds())
+	c.w.rec.Record(c.p.Rank(), kind, t0.Seconds(), c.p.Now().Seconds())
 }
 
 func (c *ctx) Rank() int         { return c.p.Rank() }
@@ -277,96 +277,6 @@ func (c *ctx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer
 	return &handle{h: done}
 }
 
-// putFlow starts the wire movement for a put-like operation of `bytes`
-// toward rank and returns its completion handle, charging stats and
-// (without zero-copy) the victim's staging steal.
-func (c *ctx) putFlow(bytes int64, rank int) *vtime.Handle {
-	myNode := c.w.topo.NodeOf(c.Rank())
-	dstNode := c.w.topo.NodeOf(rank)
-	c.stats.Puts++
-	var cap float64
-	var lat vtime.Time
-	if c.w.topo.SameDomain(c.Rank(), rank) {
-		c.stats.BytesShared += bytes
-		cap = c.w.prof.CopyBW
-	} else {
-		c.stats.BytesRemote += bytes
-		lat = vtime.FromSeconds(c.w.prof.RMALatency)
-		if !c.w.prof.ZeroCopy {
-			cap = c.w.prof.HostCopyBW
-			c.w.steal[rank] += vtime.FromSeconds(float64(bytes) / c.w.prof.HostCopyBW)
-		}
-	}
-	return c.w.net.Transfer(myNode, dstNode, bytes, lat, cap)
-}
-
-func (c *ctx) NbPutSub(src rt.Buffer, srcOff int, g rt.Global, rank, off, ld, rows, cols int) rt.Handle {
-	rt.MustRegion(g.(*global).segs[rank], off, ld, rows, cols)
-	c.checkRange("NbPutSub src", src.Len(), srcOff, rows*cols)
-	done := c.putFlow(int64(rows*cols)*8, rank)
-	if c.w.topo.SameDomain(c.Rank(), rank) {
-		// Intra-domain put is a memcpy by the calling CPU, like a get.
-		t0 := c.p.Now()
-		c.p.Wait(done)
-		c.stats.WaitTime += (c.p.Now() - t0).Seconds()
-	}
-	return &handle{h: done}
-}
-
-func (c *ctx) Acc(alpha float64, src rt.Buffer, srcOff, n int, g rt.Global, rank, off int) {
-	gg := g.(*global)
-	c.checkRange("Acc src", src.Len(), srcOff, n)
-	c.checkRange("Acc dst", gg.segs[rank], off, n)
-	bytes := int64(n) * 8
-	// The data moves like a put; the addition is done by the owner's CPU
-	// (host-assisted accumulate), which shows up as stolen time there.
-	done := c.putFlow(bytes, rank)
-	if rank != c.Rank() && c.w.prof.CopyBW > 0 {
-		c.w.steal[rank] += vtime.FromSeconds(float64(bytes) / c.w.prof.CopyBW)
-	}
-	t0 := c.p.Now()
-	c.p.Wait(done)
-	c.stats.WaitTime += (c.p.Now() - t0).Seconds()
-	if rank == c.Rank() {
-		// Local accumulate: the caller does the additions.
-		c.p.Advance(vtime.FromSeconds(float64(n) / c.w.prof.PeakFlops))
-	}
-}
-
-func (c *ctx) FetchAdd(g rt.Global, rank, off int, delta float64) float64 {
-	gg := g.(*global)
-	if off < 0 || off >= gg.segs[rank] {
-		panic(fmt.Sprintf("simrt: FetchAdd offset %d of %d", off, gg.segs[rank]))
-	}
-	// Semantics: the kernel is single-threaded-at-a-turn, so a plain map
-	// gives linearizable counters. Cost: a small blocking round trip to the
-	// owner (request + reply through the fabric).
-	if c.w.counters == nil {
-		c.w.counters = make(map[*global]map[int]float64)
-	}
-	cells := c.w.counters[gg]
-	if cells == nil {
-		cells = make(map[int]float64)
-		c.w.counters[gg] = cells
-	}
-	c.stats.Puts++
-	if c.w.topo.SameDomain(c.Rank(), rank) {
-		c.stats.BytesShared += 8
-	} else {
-		c.stats.BytesRemote += 8
-	}
-	myNode := c.w.topo.NodeOf(c.Rank())
-	ownerNode := c.w.topo.NodeOf(rank)
-	done := c.w.net.Transfer(ownerNode, myNode, 8, vtime.FromSeconds(c.w.prof.RMALatency), 0)
-	t0 := c.p.Now()
-	c.p.Wait(done)
-	c.stats.WaitTime += (c.p.Now() - t0).Seconds()
-	// Linearization point: after the round trip completes.
-	old := cells[off]
-	cells[off] = old + delta
-	return old
-}
-
 func (c *ctx) Wait(h rt.Handle) {
 	sh, ok := h.(*handle)
 	if !ok {
@@ -455,15 +365,6 @@ func (c *ctx) Pack(src rt.Mat, dst rt.Buffer, dstOff int) {
 	}
 	need := src.Rows * src.Cols
 	c.checkRange("Pack dst", dst.Len(), dstOff, need)
-	c.copyCost(need)
-}
-
-func (c *ctx) Unpack(src rt.Buffer, srcOff int, dst rt.Mat) {
-	if err := dst.Valid(); err != nil {
-		panic(err)
-	}
-	need := dst.Rows * dst.Cols
-	c.checkRange("Unpack src", src.Len(), srcOff, need)
 	c.copyCost(need)
 }
 

@@ -21,17 +21,18 @@ import (
 	"srumma/internal/driver"
 	"srumma/internal/grid"
 	"srumma/internal/machine"
+	"srumma/internal/obs"
 	"srumma/internal/rt"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // renderTrace formats a traced run the way cmd/srumma-trace does.
-func renderTrace(tr *Tracer, nprocs, width int, horizon float64) string {
+func renderTrace(events []obs.Event, nprocs, width int, horizon float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeline (g=gemm w=wait c=copy p=pack b=barrier s=steal):\n")
-	b.WriteString(tr.Timeline(nprocs, width, horizon))
-	sum := tr.Summary()
+	b.WriteString(obs.Timeline(events, nprocs, width, horizon))
+	sum := obs.Summary(events)
 	kinds := make([]string, 0, len(sum))
 	for k := range sum {
 		kinds = append(kinds, k)
@@ -64,8 +65,8 @@ func TestTraceRenderGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := core.Dims{M: 384, N: 384, K: 384}
-	tr := &Tracer{}
-	res, err := RunTraced(prof, nprocs, tr, func(c rt.Ctx) {
+	rec := obs.NewRecorder(nprocs, 0)
+	res, err := RunTraced(prof, nprocs, rec, func(c rt.Ctx) {
 		da, db, dc := core.Dists(g, d, core.NN)
 		ga := driver.AllocBlock(c, da)
 		gb := driver.AllocBlock(c, db)
@@ -78,7 +79,7 @@ func TestTraceRenderGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := fmt.Sprintf("srumma 384x384x384 on %s, %d procs: %.3f ms\n\n%s",
-		prof.Name, nprocs, res.Time*1e3, renderTrace(tr, nprocs, 100, res.Time))
+		prof.Name, nprocs, res.Time*1e3, renderTrace(rec.Events(), nprocs, 100, res.Time))
 
 	path := filepath.Join("testdata", "trace_golden.txt")
 	if *updateGolden {

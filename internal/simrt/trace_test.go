@@ -12,8 +12,8 @@ import (
 
 func TestTracerCollectsEvents(t *testing.T) {
 	prof := testProfile()
-	tr := &Tracer{}
-	res, err := RunTraced(prof, 4, tr, func(c rt.Ctx) {
+	rec := obs.NewRecorder(4, 0)
+	res, err := RunTraced(prof, 4, rec, func(c rt.Ctx) {
 		g := c.Malloc(1 << 14)
 		dst := c.LocalBuf(1 << 14)
 		h := rt.NbGet(c, g, (c.Rank()+2)%4, 0, 1<<14, dst, 0)
@@ -27,15 +27,15 @@ func TestTracerCollectsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events()) == 0 {
+	if len(rec.Events()) == 0 {
 		t.Fatal("no events collected")
 	}
-	sum := tr.Summary()
+	sum := obs.Summary(rec.Events())
 	if sum["gemm"] <= 0 || sum["barrier"] <= 0 {
 		t.Fatalf("summary missing kinds: %v", sum)
 	}
 	// Events are consistent: within [0, Time], End >= Start, ranks valid.
-	for _, e := range tr.Events() {
+	for _, e := range rec.Events() {
 		if e.Start < 0 || e.End > res.Time+1e-12 || e.End < e.Start {
 			t.Fatalf("bad event %+v (run time %g)", e, res.Time)
 		}
@@ -43,14 +43,14 @@ func TestTracerCollectsEvents(t *testing.T) {
 			t.Fatalf("bad rank in %+v", e)
 		}
 	}
-	// ByRank returns sorted, rank-filtered events.
-	ev := tr.ByRank(1)
+	// ByLane returns sorted, rank-filtered events.
+	ev := rec.ByLane(1)
 	for i := 1; i < len(ev); i++ {
 		if ev[i].Start < ev[i-1].Start {
-			t.Fatal("ByRank not sorted")
+			t.Fatal("ByLane not sorted")
 		}
 		if ev[i].Rank != 1 {
-			t.Fatal("ByRank leaked other ranks")
+			t.Fatal("ByLane leaked other ranks")
 		}
 	}
 	// Per-rank gemm trace must match the stats' compute time.
@@ -67,8 +67,8 @@ func TestTracerCollectsEvents(t *testing.T) {
 
 func TestTracerTimelineRenders(t *testing.T) {
 	prof := testProfile()
-	tr := &Tracer{}
-	res, err := RunTraced(prof, 2, tr, func(c rt.Ctx) {
+	rec := obs.NewRecorder(2, 0)
+	res, err := RunTraced(prof, 2, rec, func(c rt.Ctx) {
 		b := c.LocalBuf(64 * 64)
 		cb := c.LocalBuf(64 * 64)
 		m := rt.Mat{Buf: b, LD: 64, Rows: 64, Cols: 64}
@@ -78,20 +78,20 @@ func TestTracerTimelineRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := tr.Timeline(2, 40, res.Time)
+	tl := obs.Timeline(rec.Events(), 2, 40, res.Time)
 	if !strings.Contains(tl, "rank   0") || !strings.Contains(tl, "g") {
 		t.Fatalf("timeline malformed:\n%s", tl)
 	}
 	if strings.Count(tl, "\n") != 2 {
 		t.Fatalf("want 2 rows:\n%s", tl)
 	}
-	if tr.Timeline(2, 0, res.Time) != "" || tr.Timeline(2, 40, 0) != "" {
+	if obs.Timeline(rec.Events(), 2, 0, res.Time) != "" || obs.Timeline(rec.Events(), 2, 40, 0) != "" {
 		t.Fatal("degenerate timelines should be empty")
 	}
 }
 
 func TestRunWithoutTracerStillWorks(t *testing.T) {
-	// nil tracer must be a no-op, not a nil dereference.
+	// Without a recorder every span is a no-op, not a nil dereference.
 	_, err := Run(testProfile(), 2, func(c rt.Ctx) {
 		b := c.LocalBuf(16)
 		cb := c.LocalBuf(16)
@@ -106,8 +106,8 @@ func TestRunWithoutTracerStillWorks(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	prof := testProfile()
-	tr := &Tracer{}
-	_, err := RunTraced(prof, 2, tr, func(c rt.Ctx) {
+	rec := obs.NewRecorder(2, 0)
+	_, err := RunTraced(prof, 2, rec, func(c rt.Ctx) {
 		b := c.LocalBuf(32 * 32)
 		cb := c.LocalBuf(32 * 32)
 		m := rt.Mat{Buf: b, LD: 32, Rows: 32, Cols: 32}
@@ -118,7 +118,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, 2); err != nil {
+	if err := obs.WriteChromeTrace(&buf, rec.Events(), 2, "srumma virtual-time run"); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

@@ -7,9 +7,12 @@ import (
 	"io/fs"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"srumma/internal/rt"
 )
 
 // TestLayering pins the layers the paper draws between ARMCI, SRUMMA and
@@ -76,5 +79,64 @@ func TestLayering(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCtxMethodsHaveCallers keeps the engine interface to what its users
+// call: every rt.Ctx method must be called by name somewhere in non-test
+// code outside the engines and wrappers that implement it (armci, simrt,
+// ipcrt, faults, and hier's staging wrapper). A method only the engines
+// call among themselves is an op every engine carries for nobody; it
+// belongs on the one engine a caller needs it from, or nowhere.
+func TestCtxMethodsHaveCallers(t *testing.T) {
+	implementers := map[string]bool{"internal/armci": true, "internal/simrt": true,
+		"internal/ipcrt": true, "internal/faults": true}
+	called := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if implementers[path] || path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// The staging wrapper's own methods forward to the ctx beneath.
+				if n.Recv != nil && len(n.Recv.List) == 1 {
+					if star, ok := n.Recv.List[0].Type.(*ast.StarExpr); ok {
+						if id, ok := star.X.(*ast.Ident); ok && id.Name == "stagedCtx" {
+							return false
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					called[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := reflect.TypeOf((*rt.Ctx)(nil)).Elem()
+	for i := 0; i < ctx.NumMethod(); i++ {
+		if m := ctx.Method(i).Name; !called[m] {
+			t.Errorf("rt.Ctx.%s has no caller outside the engines and wrappers: drop it from the interface", m)
+		}
 	}
 }

@@ -32,15 +32,45 @@
 # machine: same coordinator, same external-join workers, same TCP RMA
 # path across the domain cut — so it doubles as the CI smoke for the
 # multi-host plumbing.
+#
+# Whatever the outcome, it leaves nothing behind: on every exit it stops
+# the coordinator and workers still running and removes the build and run
+# directories it made. A BIN or DIR passed in stays, and so does an OUT
+# outside them.
 set -eu
 
 NP=${NP:-4}
 PPN=${PPN:-2}
 N=${N:-384}
 PORT=${PORT:-7411}
-BIN=${BIN:-$(mktemp -d)}
+
+MADE="" # the directories this script created
+PIDS="" # the coordinator and workers it started
+cleanup() {
+  status=$?
+  for p in $PIDS; do
+    kill "$p" 2>/dev/null || true
+  done
+  wait 2>/dev/null || true
+  if [ -n "$MADE" ]; then
+    rm -rf $MADE
+  fi
+  exit "$status"
+}
+trap cleanup EXIT
+trap 'exit 129' HUP
+trap 'exit 130' INT
+trap 'exit 143' TERM
+
+if [ -z "${BIN:-}" ]; then
+  BIN=$(mktemp -d)
+  MADE="$BIN"
+fi
+if [ -z "${DIR:-}" ]; then
+  DIR=$(mktemp -d /tmp/srumma-mh.XXXXXX)
+  MADE="$MADE $DIR"
+fi
 OUT=${OUT:-$BIN/multihost_run.json}
-DIR=${DIR:-$(mktemp -d /tmp/srumma-mh.XXXXXX)}
 
 echo "multihost-trace: building srumma-trace and srumma-worker into $BIN"
 go build -o "$BIN/srumma-trace" ./cmd/srumma-trace
@@ -50,6 +80,7 @@ echo "multihost-trace: starting coordinator (listen 127.0.0.1:$PORT, dir $DIR)"
 "$BIN/srumma-trace" -engine ipc -no-spawn -procs "$NP" -ppn "$PPN" -n "$N" \
   -listen "127.0.0.1:$PORT" -dir "$DIR" -out "$OUT" &
 COORD=$!
+PIDS=$COORD
 
 # Give the listener a moment to bind, then join the workers. Each domain's
 # worker set stands in for one host/container.
@@ -58,6 +89,7 @@ r=0
 while [ "$r" -lt "$NP" ]; do
   "$BIN/srumma-worker" -join "tcp:127.0.0.1:$PORT" -rank "$r" -np "$NP" \
     -ppn "$PPN" -dir "$DIR" -transport tcp &
+  PIDS="$PIDS $!"
   r=$((r + 1))
 done
 
@@ -66,7 +98,8 @@ if ! wait $COORD; then
   exit 1
 fi
 wait
+PIDS=""
 
-grep -q '"overlap_ratio"' "$OUT"
+grep '"overlap_ratio"' "$OUT"
 grep -q '"external_workers"' "$OUT"
-echo "multihost-trace: PASS (cross-host overlap ratio in the run summary, $OUT)"
+echo "multihost-trace: PASS (cross-host overlap ratio in the run summary above)"
