@@ -127,7 +127,7 @@ cluster-smoke:
 # Hierarchical (two-level) multiplication gate, race-enabled: a two-group
 # run on the sim and ipc engines. The property tests pin hier-vs-flat
 # BIT-identity across all four transpose cases on the armci and ipc
-# engines — staged regions read in place and copied out, member fetches,
+# engines — staged regions read in place, the copy flavour refused, member fetches,
 # the pooled (poisoned) band, cancel/resume, ABFT on band views — the sim
 # test pins measured remote volume == the analytic per-level prediction
 # for both paths across P with the volume crossover at exactly P = 16 and

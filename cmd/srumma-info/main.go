@@ -131,7 +131,7 @@ func show(p machine.Profile) {
 		v := hier.PredictVolumes(ht, d, hier.Options{})
 		fmt.Printf("    %6d %10s %6d x %dx%d %14d %14d %14d\n",
 			procs, fmt.Sprintf("%dx%d", ht.Grid.P, ht.Grid.Q),
-			ht.NumGroups(), gr, gc, v.FlatRemote, v.OuterRemote, v.Staged)
+			ht.NumDomains(), gr, gc, v.FlatRemote, v.OuterRemote, v.Staged)
 	}
 	fmt.Println()
 }

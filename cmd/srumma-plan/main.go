@@ -139,22 +139,18 @@ func main() {
 func printHier(topo rt.Topology, g *grid.Grid, rank int, d core.Dims, opts core.Options) {
 	ht := hier.From(topo, g)
 	fmt.Printf("\ntwo-level topology:\n")
-	if err := ht.Validate(); err != nil {
-		fmt.Printf("  hierarchical mode unavailable: %v\n", err)
-		return
-	}
-	grp := ht.GroupOf(rank)
+	grp := ht.DomainOf(rank)
 	gr, gc := ht.GroupShape(grp)
-	lo, hi := ht.GroupRanks(grp)
+	lo, hi := ht.DomainRanks(grp)
 	fmt.Printf("  %d groups x %d ranks; rank %d in group %d (ranks %d..%d), intra-group shape %dx%d\n",
-		ht.NumGroups(), hi-lo, rank, grp, lo, hi-1, gr, gc)
+		ht.NumDomains(), hi-lo, rank, grp, lo, hi-1, gr, gc)
 
 	v := hier.PredictVolumes(ht, d, hier.Options{Options: opts})
 	fmt.Printf("  predicted comm volume (elements):\n")
 	fmt.Printf("    flat:  %12d remote  %12d shared\n", v.FlatRemote, v.FlatShared)
 	fmt.Printf("    hier:  %12d remote  %12d shared\n", v.OuterRemote, v.OuterShared)
-	fmt.Printf("           %12d staged once per group  %12d fetched by their only consumer  %12d band copy-outs\n",
-		v.Staged, v.MemberFetch, v.InnerCopy)
+	fmt.Printf("           %12d staged once per group  %12d fetched by their only consumer\n",
+		v.Staged, v.MemberFetch)
 
 	panels := hier.Schedule(ht, grp, d, hier.Options{Options: opts})
 	fmt.Printf("  group %d outer panel schedule (%d panels):\n", grp, len(panels))

@@ -4,15 +4,21 @@ import (
 	"reflect"
 	"testing"
 
+	"srumma/internal/algs"
 	"srumma/internal/cluster"
+	"srumma/internal/core"
 	"srumma/internal/ipcrt"
+	"srumma/internal/pdgemm"
+	"srumma/internal/rt"
 	"srumma/internal/server"
+	"srumma/internal/summa"
 )
 
-// configSetters is the configuration surface of the serving stack, one
-// table per config type: every exported field and who sets it — a benchmark
-// workload (benchmark/workloads.go), a make target, a command, a deployment,
-// or the layer above that forwards one of those. A setting nobody sets is a
+// configSetters is the configuration surface of the serving stack and of
+// the layers below it, one table per config type: every exported field and
+// who sets it — a benchmark workload (benchmark/workloads.go), a make
+// target, a command, a deployment, a library or simulator option, or the
+// layer above that forwards one of those. A setting nobody sets is a
 // constant or, when a test needs another value, an unexported field.
 var configSetters = map[reflect.Type][]struct{ field, setBy string }{
 	reflect.TypeOf(server.Config{}): {
@@ -50,6 +56,36 @@ var configSetters = map[reflect.Type][]struct{ field, setBy string }{
 		{"Transport", "cluster.Config.Transport; srumma-trace -transport"},
 		{"ListenAddr", "cluster.Config.ListenAddr; srumma-trace -listen (make multihost-smoke)"},
 		{"NoSpawn", "srumma-trace -no-spawn (make multihost-smoke)"},
+	},
+	reflect.TypeOf(rt.Topology{}): {
+		{"NProcs", "srumma.NewCluster, ga.New, simrt.Run, server.New, ipcrt's coordinator and workers, srumma-plan -procs"},
+		{"ProcsPerNode", "srumma.NewCluster, ga.New, the machine profile (simrt.Run), server.New, ipcrt, srumma-plan -ppn"},
+		{"DomainSpansMachine", "srumma.NewCluster and ga.New (sharedMachine), the machine profile (simrt.Run), server.New and srumma-trace (ppn >= procs), srumma-plan -shared-machine"},
+	},
+	reflect.TypeOf(core.Options{}): {
+		{"Case", "every caller: MultiplyOptions.Case, ga.MatMul, job.Run, bench.RunMatmul, srumma-plan -case"},
+		{"Flavor", "algs.FlavorFor(platform) in bench.RunMatmul and srumma-trace; srumma-bench -fig 5 and SimOptions.ForceCopyShared force it"},
+		{"NoDiagonalShift", "MultiplyOptions/SimOptions.NoDiagonalShift, ipcrt.JobSpec, srumma-plan/-trace -noshift"},
+		{"NoSharedFirst", "MultiplyOptions/SimOptions.NoSharedFirst, srumma-bench -ablations, srumma-plan -nosharedfirst"},
+		{"SingleBuffer", "MultiplyOptions.SingleBuffer, SimOptions.Blocking, ipcrt.JobSpec, srumma-trace -blocking"},
+		{"MaxTaskK", "SimOptions.MaxTaskK, srumma-bench -blocksize, ipcrt.JobSpec (the server's maxTaskK seam), srumma-plan -maxk"},
+		{"Cancel", "MultiplyOptions.Context; ipcrt.JobSpec.Cancel, the server's per-request context"},
+		{"Ledger", "job.Run when ipcrt.JobSpec.UseLedger (every serving job)"},
+		{"ABFT", "job.Run from ipcrt.JobSpec.ABFT (server.Config.ABFT, -abft)"},
+	},
+	reflect.TypeOf(algs.Options{}): {
+		{"Options", "every row's core options: srumma.Cluster.Multiply, ga.MatMul, job.Run, bench.RunMatmul, srumma-trace"},
+		{"NB", "MultiplyOptions.NB, SimOptions.NB (bench.RunMatmul)"},
+		{"Scale", "ga.MatMul and job.Run (alpha, beta)"},
+		{"Hier", "job.Run from ipcrt.JobSpec.Hier (server.Config.Hier, workload serve-hier-p16)"},
+	},
+	reflect.TypeOf(summa.Options{}): {
+		{"Case", "algs.Resolve (algs.Options.Case)"},
+		{"NB", "algs.Resolve (algs.Options.NB)"},
+	},
+	reflect.TypeOf(pdgemm.Options{}): {
+		{"Case", "algs.Resolve (algs.Options.Case)"},
+		{"NB", "algs.Resolve (algs.Options.NB)"},
 	},
 }
 

@@ -51,9 +51,9 @@ type Options struct {
 	// Scale, when set, makes the product the full dgemm form
 	// C = Alpha·op(A)·op(B) + Beta·C; nil is the plain product.
 	Scale *Scale
-	// Hier runs SRUMMA as its two-level variant (internal/hier) in the
-	// groups of the ctx's topology: one per shared-memory domain unless
-	// rt.Topology.GroupSize carves them finer.
+	// Hier runs SRUMMA as its two-level variant (internal/hier), one group
+	// per shared-memory domain of the ctx's topology, under FlavorDirect
+	// only.
 	Hier bool
 }
 

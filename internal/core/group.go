@@ -74,15 +74,15 @@ type GroupRegion struct {
 // it is left to its only consumer, who overlaps the fetch with compute.
 func (r GroupRegion) Shared() bool { return r.Fetches > 1 }
 
-// GroupFetchPlan plans against the sub-grid owned by group grp (per
-// topo.GroupRanks): it returns the deduplicated union of the fetch regions
+// GroupFetchPlan plans against the sub-grid owned by group grp, the
+// shared-memory domain of topo.DomainRanks: it returns the deduplicated union of the fetch regions
 // every member's executor will request from the operands ga and gb (nil =
 // stored tight), in first-need order (members ascending, each member's
 // issue order within), each with its fetch count. Staging the Shared ones
 // once per group is exactly the inter-group communication the two-level
 // scheme saves over flat SRUMMA.
 func GroupFetchPlan(topo rt.Topology, grp int, g *grid.Grid, d Dims, opts Options, ga, gb rt.Global) []GroupRegion {
-	lo, hi := topo.GroupRanks(grp)
+	lo, hi := topo.DomainRanks(grp)
 	at := make(map[FetchRegion]int)
 	var out []GroupRegion
 	add := func(r FetchRegion) {

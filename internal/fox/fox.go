@@ -75,7 +75,7 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, ga, gb, gc rt.Global) error {
 			c.Pack(rt.Mat{Buf: c.Local(ga), LD: w, Rows: mLoc, Cols: w}, aBuf, 0)
 		}
 		if mLoc > 0 && w > 0 {
-			mp.RingBcast(c, root, rowGroup, aBuf, 0, mLoc*w, 0, tagBcast+s%8)
+			mp.RingBcast(c, root, rowGroup, aBuf, 0, mLoc*w, tagBcast+s%8)
 		}
 		// The B block currently held rolls with the step: at step s it is
 		// B((i+s) mod p, j) — exactly the k-chunk the A panel needs.

@@ -2,8 +2,9 @@
 // group-level SUMMA over SRUMMA teams (Quintin, Hasanov & Lastovetsky,
 // arXiv:1306.4161, composed with the paper's flat SRUMMA).
 //
-// Ranks are partitioned into GROUPS — shared-memory domains by default,
-// carved finer when rt.Topology.GroupSize says so. Each group plans the
+// Ranks are partitioned into GROUPS, the shared-memory domains of
+// rt.Topology: inside one, members read each other's memory directly;
+// between them, only one-sided gets move data. Each group plans the
 // deduplicated union of the sub-blocks its members' task lists will fetch
 // (core.GroupFetchPlan), and the OUTER level moves a region through the
 // group only when that removes traffic. A region two members need (or one
@@ -15,11 +16,10 @@
 // shared, the two-level path is the flat data path.
 //
 // The INNER level is the untouched flat SRUMMA executor (core.MultiplyEx)
-// on a ctx wrapper that knows the band. A staged region gets the paper's two
-// flavours, chosen by core.Options.Flavor: FlavorDirect multiplies it in
-// place from the band like any in-domain block, FlavorCopy copies it out
-// into the executor's fetch buffer. Task lists, their order and every Gemm
-// operand value are exactly the flat plan's, so the result is bit-identical
+// on a ctx wrapper that knows the band, under FlavorDirect: a staged region
+// is multiplied in place from the band like any in-domain block. (The copy
+// flavour is refused: no caller runs it.) Task lists, their order and every
+// Gemm operand value are exactly the flat plan's, so the result is bit-identical
 // to flat SRUMMA; what changes is volume — a staged region crosses the
 // interconnect once instead of once per fetch (TestSimVolumesMatchPrediction
 // pins the sweep over P; srumma-plan -hier shows a shape's split).
@@ -45,23 +45,20 @@ import (
 )
 
 // Topo is the two-level topology: the composite process grid the flat plan
-// runs on, plus the group structure (carried by rt.Topology) the outer
-// level schedules across.
+// runs on, plus the shared-memory domains (rt.Topology) the outer level
+// schedules across.
 type Topo struct {
 	rt.Topology
 	Grid *grid.Grid
 }
 
-// From builds a two-level topology over an explicit composite grid. The
-// group size comes from topo (0 = shared-memory domains).
+// From builds a two-level topology over an explicit composite grid.
 func From(topo rt.Topology, g *grid.Grid) Topo {
 	return Topo{Topology: topo, Grid: g}
 }
 
-// Validate checks the two-level topology: a usable flat topology, a grid
-// matching the rank count, and groups that nest inside shared-memory
-// domains — the precondition for members to read the staged band by direct
-// load/store.
+// Validate checks the two-level topology: a usable flat topology and a grid
+// matching the rank count.
 func (t Topo) Validate() error {
 	if err := t.Topology.Validate(); err != nil {
 		return err
@@ -69,17 +66,13 @@ func (t Topo) Validate() error {
 	if t.Grid == nil || t.Grid.Size() != t.NProcs {
 		return fmt.Errorf("hier: grid does not cover %d ranks", t.NProcs)
 	}
-	if !t.GroupsNestInDomains() {
-		return fmt.Errorf("hier: groups of %d ranks straddle shared-memory domains (%d per node)",
-			t.GroupSize, t.ProcsPerNode)
-	}
 	return nil
 }
 
 // GroupShape returns the intra-group shape of group grp on the composite
 // grid: how many distinct grid rows and columns its members occupy.
 func (t Topo) GroupShape(grp int) (rows, cols int) {
-	lo, hi := t.GroupRanks(grp)
+	lo, hi := t.DomainRanks(grp)
 	seenR := map[int]bool{}
 	seenC := map[int]bool{}
 	for m := lo; m < hi; m++ {
@@ -124,13 +117,13 @@ func panels(t Topo, grp int, regions []core.GroupRegion) []Panel {
 	if len(regions) == 0 {
 		return nil
 	}
-	nG := t.NumGroups()
+	nG := t.NumDomains()
 	order := summa.ScheduleOrder(len(regions),
-		func(i int) int { return t.GroupOf(regions[i].Owner) }, nG, grp%nG)
+		func(i int) int { return t.DomainOf(regions[i].Owner) }, nG, grp%nG)
 	byGroup := make(map[int]*Panel)
 	var out []Panel
 	for _, i := range order {
-		og := t.GroupOf(regions[i].Owner)
+		og := t.DomainOf(regions[i].Owner)
 		p := byGroup[og]
 		if p == nil {
 			out = append(out, Panel{OwnerGroup: og})
@@ -149,8 +142,7 @@ func panels(t Topo, grp int, regions []core.GroupRegion) []Panel {
 // Volumes is the predicted communication volume of one multiply, in
 // float64 elements, split by level. Flat* is what flat SRUMMA moves (every
 // rank fetches for itself); Outer* is what the two-level path moves, the
-// per-group union, which Staged/MemberFetch split by issuer; InnerCopy is
-// what is copied out of the band again.
+// per-group union, which Staged/MemberFetch split by issuer.
 type Volumes struct {
 	FlatRemote  int64 `json:"flat_remote"`  // flat: fetched across domains
 	FlatShared  int64 `json:"flat_shared"`  // flat: fetched within a domain
@@ -158,7 +150,6 @@ type Volumes struct {
 	OuterShared int64 `json:"outer_shared"` // hier: fetched within a domain
 	Staged      int64 `json:"staged"`       // hier: of Outer*, staged into a band
 	MemberFetch int64 `json:"member_fetch"` // hier: of Outer*, fetched by the one consumer
-	InnerCopy   int64 `json:"inner_copy"`   // hier: band copy-outs (FlavorCopy only)
 }
 
 // PredictVolumes computes the per-level communication volumes analytically
@@ -177,8 +168,8 @@ func PredictVolumes(t Topo, d core.Dims, opts Options) Volumes {
 			}
 		}
 	}
-	for grp := 0; grp < t.NumGroups(); grp++ {
-		lo, _ := t.GroupRanks(grp)
+	for grp := 0; grp < t.NumDomains(); grp++ {
+		lo, _ := t.DomainRanks(grp)
 		for _, p := range Schedule(t, grp, d, opts) {
 			v.Staged += int64(p.Staged)
 			v.MemberFetch += int64(p.Elems - p.Staged)
@@ -187,9 +178,6 @@ func PredictVolumes(t Topo, d core.Dims, opts Options) Volumes {
 					v.OuterShared += int64(r.Elems())
 				} else {
 					v.OuterRemote += int64(r.Elems())
-				}
-				if r.Shared() && opts.Flavor == core.FlavorCopy {
-					v.InnerCopy += int64(r.Elems() * r.Fetches)
 				}
 			}
 		}

@@ -67,33 +67,36 @@ func bitsEqual(t *testing.T, flat, hier *mat.Matrix, label string) {
 }
 
 // TestHierBitIdenticalToFlat is the property the whole design hangs on:
-// across all four transpose cases, grids, group carvings and a non-trivial
+// across all four transpose cases, grids, domain sizes and a non-trivial
 // alpha/beta, the hierarchical path produces the SAME BITS as flat SRUMMA.
+// The groups are the domains; the "gs0" in the subtest names is what earlier
+// revisions called that carving, kept so the names stay comparable.
 func TestHierBitIdenticalToFlat(t *testing.T) {
 	configs := []struct {
-		p, q, ppn, groupSize int
-		span                 bool
-		d                    core.Dims
-		maxK                 int
+		p, q, ppn int
+		span      bool
+		d         core.Dims
+		maxK      int
 	}{
 		{p: 2, q: 2, ppn: 2, d: core.Dims{M: 24, N: 24, K: 24}},
 		{p: 2, q: 3, ppn: 2, d: core.Dims{M: 20, N: 25, K: 30}, maxK: 7},
 		{p: 3, q: 2, ppn: 3, d: core.Dims{M: 19, N: 17, K: 23}},
-		// Four ranks per node carved into two groups of two.
-		{p: 2, q: 4, ppn: 4, groupSize: 2, d: core.Dims{M: 32, N: 28, K: 26}, maxK: 9},
-		// Shared machine: one domain, groups carved out of it.
-		{p: 2, q: 2, ppn: 4, span: true, groupSize: 2, d: core.Dims{M: 16, N: 16, K: 16}},
+		// Domains of two: a grid column each, and half a grid column each
+		// (whose members share remote blocks in every case).
+		{p: 2, q: 4, ppn: 2, d: core.Dims{M: 32, N: 28, K: 26}, maxK: 9},
+		{p: 4, q: 2, ppn: 2, d: core.Dims{M: 16, N: 16, K: 16}},
+		// Shared machine: one domain, nothing fetched.
+		{p: 2, q: 2, ppn: 4, span: true, d: core.Dims{M: 16, N: 16, K: 16}},
 	}
 	for _, cfg := range configs {
 		for _, cs := range core.Cases {
-			label := fmt.Sprintf("%dx%d/ppn%d/gs%d/%v", cfg.p, cfg.q, cfg.ppn, cfg.groupSize, cs)
+			label := fmt.Sprintf("%dx%d/ppn%d/gs0/%v", cfg.p, cfg.q, cfg.ppn, cs)
 			t.Run(label, func(t *testing.T) {
 				g, err := grid.New(cfg.p, cfg.q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				topo := rt.Topology{NProcs: g.Size(), ProcsPerNode: cfg.ppn,
-					DomainSpansMachine: cfg.span, GroupSize: cfg.groupSize}
+				topo := rt.Topology{NProcs: g.Size(), ProcsPerNode: cfg.ppn, DomainSpansMachine: cfg.span}
 				opts := Options{Options: core.Options{Case: cs, MaxTaskK: cfg.maxK}}
 				flat := runEngine(t, topo, g, cfg.d, opts, false, 1.25, -0.5, 11, 22, 33)
 				hier := runEngine(t, topo, g, cfg.d, opts, true, 1.25, -0.5, 11, 22, 33)
@@ -156,10 +159,10 @@ func TestScheduleCoversAllFetches(t *testing.T) {
 			tp := From(topo, g)
 			label := fmt.Sprintf("%dx%d/ppn%d/%v", tc.p, tc.q, tc.ppn, cs)
 			anyStaged := false
-			for grp := 0; grp < tp.NumGroups(); grp++ {
+			for grp := 0; grp < tp.NumDomains(); grp++ {
 				// What the members would fetch, flat: region -> issuing members.
 				issues := make(map[core.FetchRegion][]int)
-				lo, hi := tp.GroupRanks(grp)
+				lo, hi := tp.DomainRanks(grp)
 				for me := lo; me < hi; me++ {
 					for _, r := range core.RankFetches(topo, me, g, d, opts.Options) {
 						issues[r] = append(issues[r], me)
@@ -333,23 +336,6 @@ func TestChoosePrefersCheaperGrid(t *testing.T) {
 	if got.OuterRemote > def.OuterRemote {
 		t.Errorf("Choose picked %dx%d with outer volume %d, square default %d",
 			tp.Grid.P, tp.Grid.Q, got.OuterRemote, def.OuterRemote)
-	}
-}
-
-// TestValidateRejectsStraddlingGroups: a group larger than its domain
-// cannot share a staged band.
-func TestValidateRejectsStraddlingGroups(t *testing.T) {
-	g, err := grid.New(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := From(rt.Topology{NProcs: 8, ProcsPerNode: 2, GroupSize: 4}, g)
-	if err := tp.Validate(); err == nil {
-		t.Fatal("expected validation error for groups straddling domains")
-	}
-	tp = From(rt.Topology{NProcs: 8, ProcsPerNode: 2, GroupSize: 4, DomainSpansMachine: true}, g)
-	if err := tp.Validate(); err != nil {
-		t.Fatalf("shared machine should allow any carving: %v", err)
 	}
 }
 

@@ -45,16 +45,18 @@ func Multiply(c rt.Ctx, t Topo, d core.Dims, opts Options, ga, gb, gc rt.Global)
 // barriers, and runs core.MultiplyEx through a ctx wrapper that knows what
 // the band holds; the rest the executor fetches itself. Where group members
 // cannot direct-map each other's band segments the group degrades to the
-// flat path for this call (still correct, no staging win).
+// flat path for this call (still correct, no staging win). Only
+// FlavorDirect runs: any other flavour is refused before a band exists.
 func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64, ga, gb, gc rt.Global) error {
+	if opts.Flavor != core.FlavorDirect {
+		return fmt.Errorf("hier: flavour %d: the two-level multiply runs only FlavorDirect", opts.Flavor)
+	}
 	// The engine's topology is the ground truth the inner executor plans
-	// against (core.MultiplyEx calls Plan with c.Topo()); only the group
-	// carving and the grid are the caller's to choose. Overlaying here
-	// keeps the staging plan and the executor's fetch keys derived from
-	// the SAME topology no matter what the caller stuffed into t.
-	et := c.Topo()
-	et.GroupSize = t.GroupSize
-	t.Topology = et
+	// against (core.MultiplyEx calls Plan with c.Topo()); only the grid is
+	// the caller's to choose. Taking it here keeps the staging plan and the
+	// executor's fetch keys derived from the SAME topology no matter what
+	// the caller stuffed into t.
+	t.Topology = c.Topo()
 	if err := t.Validate(); err != nil {
 		return err
 	}
@@ -67,8 +69,8 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 	}
 
 	me := c.Rank()
-	grp := t.GroupOf(me)
-	lo, hi := t.GroupRanks(grp)
+	grp := t.DomainOf(me)
+	lo, hi := t.DomainRanks(grp)
 	nMembers := hi - lo
 
 	// Can this group share a band at all? Direct access is symmetric inside
@@ -171,12 +173,11 @@ func freeBand(c rt.Ctx, band rt.Global, seg *mat.Buf) {
 }
 
 // stagedCtx is the inner team's runtime: a pass-through rt.Ctx that knows
-// which fetch regions the outer level staged. Under FlavorDirect the
-// executor asks InPlace and multiplies them where they lie; under
-// FlavorCopy it fetches as ever and NbGetSub serves the staged ones from
-// the band. Everything else — member fetches (windowed where the engine
-// beneath windows them), direct operands, scratch, Gemm, barriers, fault
-// injection in a wrapped engine — flows to the underlying ctx unchanged.
+// which fetch regions the outer level staged. The executor asks InPlace and
+// multiplies them where they lie, so it never fetches one. Everything else —
+// member fetches (windowed where the engine beneath windows them), direct
+// operands, scratch, Gemm, barriers, fault injection in a wrapped engine —
+// flows to the underlying ctx unchanged.
 type stagedCtx struct {
 	rt.Ctx
 	band rt.Global
@@ -211,27 +212,4 @@ func (s *stagedCtx) GetWindow(g rt.Global, rank, off, ld, rows, cols int) (rt.Ma
 		return w.GetWindow(g, rank, off, ld, rows, cols)
 	}
 	return rt.Mat{}, false
-}
-
-// servedHandle is the no-op handle of a fetch satisfied from the band.
-type servedHandle struct{}
-
-func (servedHandle) Done() bool { return true }
-
-// NbGetSub is the FlavorCopy arm: a staged region is copied out of the band
-// into the executor's fetch buffer — a contiguous Pack, charged as a
-// shared-memory copy by the sim engine, a plain memcpy on the real ones.
-func (s *stagedCtx) NbGetSub(g rt.Global, rank, off, ld, rows, cols int, dst rt.Buffer, dstOff int) rt.Handle {
-	if m, ok := s.InPlace(g, rank, off, ld, rows, cols); ok {
-		s.Ctx.Pack(m, dst, dstOff)
-		return servedHandle{}
-	}
-	return s.Ctx.NbGetSub(g, rank, off, ld, rows, cols, dst, dstOff)
-}
-
-func (s *stagedCtx) Wait(h rt.Handle) {
-	if _, ok := h.(servedHandle); ok {
-		return
-	}
-	s.Ctx.Wait(h)
 }

@@ -1,9 +1,9 @@
 package hier
 
-// Gates for the per-region outer level: what is staged is read in place
-// (FlavorDirect) or copied out (FlavorCopy), what has one consumer is fetched
-// by it, and the band's memory is pooled and handed out unzeroed. Every test
-// holds the two-level result to flat SRUMMA bit for bit.
+// Gates for the per-region outer level: what is staged is read in place,
+// what has one consumer is fetched by it, and the band's memory is pooled and
+// handed out unzeroed. Every test holds the two-level result to flat SRUMMA
+// bit for bit.
 
 import (
 	"errors"
@@ -13,6 +13,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"srumma/internal/armci"
@@ -124,27 +125,33 @@ func (r *rig) both(t *testing.T, v run) (flat, two *mat.Matrix, stats [2]rt.Stat
 
 // The topologies of the matrix: nothing shared (each group is one grid
 // column), row-mates sharing A's remote blocks (two columns per group, at
-// P=16 and P=8), a domain carved into groups of 2, 4 and 8 (which share
-// in-domain blocks only under FlavorCopy, where those are fetched at all),
-// and a single group.
-var topologies = []rt.Topology{
-	{NProcs: 16, ProcsPerNode: 4},
-	{NProcs: 16, ProcsPerNode: 8},
-	{NProcs: 16, ProcsPerNode: 8, GroupSize: 2},
-	{NProcs: 16, ProcsPerNode: 8, GroupSize: 4},
-	{NProcs: 16, ProcsPerNode: 8, GroupSize: 8},
-	{NProcs: 8, ProcsPerNode: 4},
-	{NProcs: 4, ProcsPerNode: 4},
+// P=16 and P=8), column-mates sharing B's (half a column per group), and a
+// single group. Groups of 8 at P=16 run twice, as they did when one row set
+// the group size explicitly and kept its name: the round-robin deals the
+// second row the other buffering of each case's large shapes and another
+// third of the small matrix under -race.
+var topologies = []struct {
+	rt.Topology
+	name string // the subtest's name when not topoName's
+}{
+	{Topology: rt.Topology{NProcs: 16, ProcsPerNode: 4}},
+	{Topology: rt.Topology{NProcs: 16, ProcsPerNode: 8}},
+	{Topology: rt.Topology{NProcs: 16, ProcsPerNode: 2}},
+	{Topology: rt.Topology{NProcs: 16, ProcsPerNode: 8}, name: "P16/ppn8/gs8"},
+	{Topology: rt.Topology{NProcs: 8, ProcsPerNode: 4}},
+	{Topology: rt.Topology{NProcs: 4, ProcsPerNode: 4}},
 }
 
+// topoName keeps the "gs0" (groups are the domains) of earlier revisions'
+// subtest names, so the names stay comparable.
 func topoName(tp rt.Topology) string {
-	return fmt.Sprintf("P%d/ppn%d/gs%d", tp.NProcs, tp.ProcsPerNode, tp.GroupSize)
+	return fmt.Sprintf("P%d/ppn%d/gs0", tp.NProcs, tp.ProcsPerNode)
 }
 
 // TestStagedPathsBitIdentical is the matrix: every topology x transpose case
-// x flavour x executor variant x placement on shapes that leave ranks
-// without rows or columns, and the large shapes once per (topology, case),
-// the other axes dealt round-robin across them.
+// x executor variant x placement on shapes that leave ranks without rows or
+// columns, and the large shapes once per (topology, case), the executor
+// variant and placement dealt round-robin across them.
 func TestStagedPathsBitIdentical(t *testing.T) {
 	small := []core.Dims{{M: 7, N: 5, K: 3}, {M: 1, N: 1, K: 1}, {M: 3, N: 40, K: 9}, {M: 40, N: 2, K: 9}, {M: 33, N: 47, K: 70}}
 	big := []core.Dims{{M: 768, N: 768, K: 768}, {M: 1021, N: 509, K: 1531}}
@@ -156,31 +163,32 @@ func TestStagedPathsBitIdentical(t *testing.T) {
 		maxK   int
 		single bool
 	}{{0, false}, {64, false}, {0, true}, {64, true}}
-	for ti, tp := range topologies {
-		t.Run(topoName(tp), func(t *testing.T) {
-			r := newRig(t, tp)
+	for ti, row := range topologies {
+		name := row.name
+		if name == "" {
+			name = topoName(row.Topology)
+		}
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, row.Topology)
 			check := func(v run) {
 				flat, two, _ := r.both(t, v)
 				bitsEqual(t, flat, two, fmt.Sprintf("%+v %+v adopted=%v", v.d, v.opts, v.adopted))
 			}
 			n := 0
 			for _, cs := range core.Cases {
-				for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
-					for vi, ev := range variants {
-						for _, adopted := range []bool{false, true} {
-							opts := core.Options{Case: cs, Flavor: fl, MaxTaskK: ev.maxK, SingleBuffer: ev.single}
-							if n++; raceEnabled && n%3 != ti%3 {
-								continue // a third of the small matrix per topology under -race
-							}
-							for _, d := range small {
-								check(run{d: d, opts: opts, adopted: adopted})
-							}
+				for vi, ev := range variants {
+					opts := core.Options{Case: cs, MaxTaskK: ev.maxK, SingleBuffer: ev.single}
+					for _, adopted := range []bool{false, true} {
+						if n++; raceEnabled && n%3 != ti%3 {
+							continue // a third of the small matrix per topology under -race
 						}
-						if !testing.Short() && vi == (ti+int(cs))%len(variants) && int(fl) == (ti+int(cs)/2)%2 {
-							for bi, d := range big {
-								opts := core.Options{Case: cs, Flavor: fl, MaxTaskK: ev.maxK, SingleBuffer: ev.single}
-								check(run{d: d, opts: opts, adopted: (bi+vi)%2 == 0})
-							}
+						for _, d := range small {
+							check(run{d: d, opts: opts, adopted: adopted})
+						}
+					}
+					if !testing.Short() && vi == (ti+int(cs))%len(variants) {
+						for bi, d := range big {
+							check(run{d: d, opts: opts, adopted: (bi+vi)%2 == 0})
 						}
 					}
 				}
@@ -225,24 +233,22 @@ func TestPoisonedBandNeverRead(t *testing.T) {
 	for _, tp := range []rt.Topology{{NProcs: 16, ProcsPerNode: 8}, {NProcs: 8, ProcsPerNode: 4}, {NProcs: 16, ProcsPerNode: 2}} {
 		r := newRig(t, tp)
 		for i, d := range shapes {
-			for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
-				cs := core.Cases[i%len(core.Cases)]
-				// Poison after the flat multiply, which draws from the same
-				// pool, and before any member draws its band: a member's
-				// share holds at most all of A and B.
-				poison := func(c rt.Ctx) rt.Ctx {
-					if c.Rank() == 0 {
-						poisonBands(tp.NProcs, d.M*d.K+d.K*d.N)
-					}
-					c.Barrier()
-					return c
+			cs := core.Cases[i%len(core.Cases)]
+			// Poison after the flat multiply, which draws from the same
+			// pool, and before any member draws its band: a member's
+			// share holds at most all of A and B.
+			poison := func(c rt.Ctx) rt.Ctx {
+				if c.Rank() == 0 {
+					poisonBands(tp.NProcs, d.M*d.K+d.K*d.N)
 				}
-				v := run{d: d, opts: core.Options{Case: cs, Flavor: fl, MaxTaskK: 16 * (i % 2)}, adopted: true, wrap: poison}
-				flat, two, st := r.both(t, v)
-				bitsEqual(t, flat, two, fmt.Sprintf("%s %+v %v flavour %d", topoName(tp), d, cs, fl))
-				if d.M >= 33 && d.N >= 33 && st[1].HierStagedBytes == 0 {
-					t.Fatalf("%s %+v %v: nothing was staged, the poison was never at risk", topoName(tp), d, cs)
-				}
+				c.Barrier()
+				return c
+			}
+			v := run{d: d, opts: core.Options{Case: cs, MaxTaskK: 16 * (i % 2)}, adopted: true, wrap: poison}
+			flat, two, st := r.both(t, v)
+			bitsEqual(t, flat, two, fmt.Sprintf("%s %+v %v", topoName(tp), d, cs))
+			if d.M >= 33 && d.N >= 33 && st[1].HierStagedBytes == 0 {
+				t.Fatalf("%s %+v %v: nothing was staged, the poison was never at risk", topoName(tp), d, cs)
 			}
 		}
 	}
@@ -304,19 +310,16 @@ func TestSameGlobalBothOperands(t *testing.T) {
 	for _, tp := range []rt.Topology{{NProcs: 16, ProcsPerNode: 2}, {NProcs: 16, ProcsPerNode: 8}} {
 		r := newRig(t, tp)
 		d := core.Dims{M: 64, N: 64, K: 64}
-		for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
-			for _, adopted := range []bool{false, true} {
-				opts := core.Options{Flavor: fl}
-				flat, two, st := r.both(t, run{d: d, opts: opts, adopted: adopted, same: true})
-				label := fmt.Sprintf("%s flavour %d adopted=%v", topoName(tp), fl, adopted)
-				bitsEqual(t, flat, two, label)
-				v := PredictVolumes(From(tp, r.g), d, Options{Options: opts})
-				if st[1].BytesRemote != 8*v.OuterRemote || st[0].BytesRemote != 8*v.FlatRemote {
-					t.Errorf("%s: remote bytes hier %d flat %d, predicted %d and %d", label, st[1].BytesRemote, st[0].BytesRemote, 8*v.OuterRemote, 8*v.FlatRemote)
-				}
-				if v.Staged == 0 {
-					t.Fatalf("%s: the topology stages nothing", label)
-				}
+		for _, adopted := range []bool{false, true} {
+			flat, two, st := r.both(t, run{d: d, adopted: adopted, same: true})
+			label := fmt.Sprintf("%s adopted=%v", topoName(tp), adopted)
+			bitsEqual(t, flat, two, label)
+			v := PredictVolumes(From(tp, r.g), d, Options{})
+			if st[1].BytesRemote != 8*v.OuterRemote || st[0].BytesRemote != 8*v.FlatRemote {
+				t.Errorf("%s: remote bytes hier %d flat %d, predicted %d and %d", label, st[1].BytesRemote, st[0].BytesRemote, 8*v.OuterRemote, 8*v.FlatRemote)
+			}
+			if v.Staged == 0 {
+				t.Fatalf("%s: the topology stages nothing", label)
 			}
 		}
 	}
@@ -325,10 +328,9 @@ func TestSameGlobalBothOperands(t *testing.T) {
 // TestStagedSplitCounted: the rank meters say what the outer level did with
 // the group's fetches — nothing staged where nothing is shared, the
 // predicted split where something is — and every byte of the group's union
-// is fetched exactly once, by the stager or by the one consumer, whichever
-// flavour reads the band; under FlavorDirect the members' own fetches, like
-// the flat path's, are read through the engine's windows, into no scratch
-// (stagedCtx forwards them). The last topology has one rank per group: all it
+// is fetched exactly once, by the stager or by the one consumer; the
+// members' own fetches, like the flat path's, are read through the engine's
+// windows, into no scratch (stagedCtx forwards them). The last topology has one rank per group: all it
 // can stage is what that rank would fetch twice (single-buffered TT on a
 // 2x3 grid re-fetches), which keeps "fetched once" true there too.
 func TestStagedSplitCounted(t *testing.T) {
@@ -344,38 +346,36 @@ func TestStagedSplitCounted(t *testing.T) {
 	} {
 		r := newRig(t, tc.topo)
 		for _, cs := range core.Cases {
-			for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
-				for _, single := range []bool{false, true} {
-					opts := core.Options{Case: cs, Flavor: fl, MaxTaskK: 24, SingleBuffer: single}
-					flat, two, st := r.both(t, run{d: d, opts: opts, adopted: true})
-					v := PredictVolumes(From(tc.topo, r.g), d, Options{Options: opts})
-					label := fmt.Sprintf("%s %v flavour %d single=%v", topoName(tc.topo), cs, fl, single)
-					bitsEqual(t, flat, two, label)
-					if st[1].HierStagedBytes != 8*v.Staged || st[1].HierMemberBytes != 8*v.MemberFetch {
-						t.Errorf("%s: counted %d staged %d member-fetched, predicted %d and %d", label,
-							st[1].HierStagedBytes, st[1].HierMemberBytes, 8*v.Staged, 8*v.MemberFetch)
-					}
-					if fl == core.FlavorDirect && (st[0].ScratchBytes != 0 || st[1].ScratchBytes != 0) {
-						t.Errorf("%s: fetch scratch %d B flat, %d B two-level: a remote block was copied, not windowed", label,
-							st[0].ScratchBytes, st[1].ScratchBytes)
-					}
-					if cs == core.NN && fl == core.FlavorDirect && (v.Staged > 0) != tc.shares {
-						t.Errorf("%s: %d elements staged, sharing=%v", label, v.Staged, tc.shares)
-					}
-					if tc.topo.ProcsPerNode == 1 && cs == core.TT && single && (v.Staged == 0 || v.OuterRemote >= v.FlatRemote) {
-						t.Errorf("%s: a rank's own re-fetches are not staged: %+v", label, v)
-					}
-					if v.Staged+v.MemberFetch != v.OuterRemote+v.OuterShared {
-						t.Errorf("%s: staged %d + member %d != outer %d + %d", label, v.Staged, v.MemberFetch, v.OuterRemote, v.OuterShared)
-					}
-					if st[1].BytesRemote != 8*v.OuterRemote || st[1].BytesShared != 8*v.OuterShared {
-						t.Errorf("%s: fetched %d remote %d shared bytes, the group unions hold %d and %d", label,
-							st[1].BytesRemote, st[1].BytesShared, 8*v.OuterRemote, 8*v.OuterShared)
-					}
-					if st[0].BytesRemote != 8*v.FlatRemote || st[0].HierStagedBytes != 0 || st[0].HierMemberBytes != 0 {
-						t.Errorf("%s: the flat path fetched %d remote bytes (predicted %d) and counted two-level bytes %d/%d", label,
-							st[0].BytesRemote, 8*v.FlatRemote, st[0].HierStagedBytes, st[0].HierMemberBytes)
-					}
+			for _, single := range []bool{false, true} {
+				opts := core.Options{Case: cs, MaxTaskK: 24, SingleBuffer: single}
+				flat, two, st := r.both(t, run{d: d, opts: opts, adopted: true})
+				v := PredictVolumes(From(tc.topo, r.g), d, Options{Options: opts})
+				label := fmt.Sprintf("%s %v single=%v", topoName(tc.topo), cs, single)
+				bitsEqual(t, flat, two, label)
+				if st[1].HierStagedBytes != 8*v.Staged || st[1].HierMemberBytes != 8*v.MemberFetch {
+					t.Errorf("%s: counted %d staged %d member-fetched, predicted %d and %d", label,
+						st[1].HierStagedBytes, st[1].HierMemberBytes, 8*v.Staged, 8*v.MemberFetch)
+				}
+				if st[0].ScratchBytes != 0 || st[1].ScratchBytes != 0 {
+					t.Errorf("%s: fetch scratch %d B flat, %d B two-level: a remote block was copied, not windowed", label,
+						st[0].ScratchBytes, st[1].ScratchBytes)
+				}
+				if cs == core.NN && (v.Staged > 0) != tc.shares {
+					t.Errorf("%s: %d elements staged, sharing=%v", label, v.Staged, tc.shares)
+				}
+				if tc.topo.ProcsPerNode == 1 && cs == core.TT && single && (v.Staged == 0 || v.OuterRemote >= v.FlatRemote) {
+					t.Errorf("%s: a rank's own re-fetches are not staged: %+v", label, v)
+				}
+				if v.Staged+v.MemberFetch != v.OuterRemote+v.OuterShared {
+					t.Errorf("%s: staged %d + member %d != outer %d + %d", label, v.Staged, v.MemberFetch, v.OuterRemote, v.OuterShared)
+				}
+				if st[1].BytesRemote != 8*v.OuterRemote || st[1].BytesShared != 8*v.OuterShared {
+					t.Errorf("%s: fetched %d remote %d shared bytes, the group unions hold %d and %d", label,
+						st[1].BytesRemote, st[1].BytesShared, 8*v.OuterRemote, 8*v.OuterShared)
+				}
+				if st[0].BytesRemote != 8*v.FlatRemote || st[0].HierStagedBytes != 0 || st[0].HierMemberBytes != 0 {
+					t.Errorf("%s: the flat path fetched %d remote bytes (predicted %d) and counted two-level bytes %d/%d", label,
+						st[0].BytesRemote, 8*v.FlatRemote, st[0].HierStagedBytes, st[0].HierMemberBytes)
 				}
 			}
 		}
@@ -384,8 +384,7 @@ func TestStagedSplitCounted(t *testing.T) {
 
 // TestABFTOnBandViews: with Gemm outputs silently corrupted at a planted
 // rate, verification works on operands that are in-place views of the band
-// (and on copied-out ones) — detected, restored, recomputed, and the result
-// is a clean flat run's.
+// — detected, restored, recomputed, and the result is a clean flat run's.
 func TestABFTOnBandViews(t *testing.T) {
 	tp := rt.Topology{NProcs: 8, ProcsPerNode: 4}
 	r := newRig(t, tp)
@@ -394,31 +393,28 @@ func TestABFTOnBandViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cs := range core.Cases {
-		for _, fl := range []core.Flavor{core.FlavorDirect, core.FlavorCopy} {
-			v := run{
-				d: core.Dims{M: 48, N: 40, K: 56}, opts: core.Options{Case: cs, Flavor: fl, MaxTaskK: 8}, adopted: true,
-				wrap:    func(c rt.Ctx) rt.Ctx { return faults.Inject(c, plan, nil) },
-				hierOpt: func(o *core.Options) { o.ABFT = true },
-			}
-			flat, two, st := r.both(t, v)
-			if st[1].ABFTDetected == 0 || st[1].ABFTRecomputed == 0 {
-				t.Fatalf("%v flavour %d: %d corrupted blocks detected, %d recomputed — the plan planted none", cs, fl, st[1].ABFTDetected, st[1].ABFTRecomputed)
-			}
-			if st[1].HierStagedBytes == 0 {
-				t.Fatalf("%v flavour %d: no operand came from the band", cs, fl)
-			}
-			bitsEqual(t, flat, two, fmt.Sprintf("abft %v flavour %d", cs, fl))
+		v := run{
+			d: core.Dims{M: 48, N: 40, K: 56}, opts: core.Options{Case: cs, MaxTaskK: 8}, adopted: true,
+			wrap:    func(c rt.Ctx) rt.Ctx { return faults.Inject(c, plan, nil) },
+			hierOpt: func(o *core.Options) { o.ABFT = true },
 		}
+		flat, two, st := r.both(t, v)
+		if st[1].ABFTDetected == 0 || st[1].ABFTRecomputed == 0 {
+			t.Fatalf("%v: %d corrupted blocks detected, %d recomputed — the plan planted none", cs, st[1].ABFTDetected, st[1].ABFTRecomputed)
+		}
+		if st[1].HierStagedBytes == 0 {
+			t.Fatalf("%v: no operand came from the band", cs)
+		}
+		bitsEqual(t, flat, two, fmt.Sprintf("abft %v", cs))
 	}
 }
 
-// TestStagedCtxInterceptsAllGets: the band wrapper overrides NbGetSub and
-// Wait and nothing else, and that is every get there is — a contiguous one
-// (rt.Get) asking for a staged region is served from the band and moves no
-// remote byte, where an engine's own contiguous Get used to answer it past
-// the wrapper. And the wrapper hides nothing beneath it: the engine's
-// capabilities stay discoverable through it and the fault injector.
-func TestStagedCtxInterceptsAllGets(t *testing.T) {
+// TestStagedCtxServesBandInPlace: the band wrapper answers InPlace for the
+// regions staged into it — a view of the band holding the region's values —
+// and for nothing else, and it hides nothing beneath it: a get, staged region
+// or not, is the engine's, and the engine's capabilities stay discoverable
+// through the wrapper and the fault injector.
+func TestStagedCtxServesBandInPlace(t *testing.T) {
 	const n = 16
 	plan, err := faults.NewPlan(faults.Config{Seed: 1}, 4)
 	if err != nil {
@@ -436,18 +432,25 @@ func TestStagedCtxInterceptsAllGets(t *testing.T) {
 		// this rank's band, the way the outer level does.
 		c.Wait(c.NbGetSub(g, 2, n, n, 1, n, c.Local(band), 0))
 		s := &stagedCtx{Ctx: c, band: band, loc: map[bandKey]bandLoc{{g, 2, n, n, 1, n}: {member: 0}}}
+		want := mat.Random(1, n, 2).Data
+		m, ok := s.InPlace(g, 2, n, n, 1, n)
+		if !ok || m.Rows != 1 || m.Cols != n || m.Remote {
+			t.Fatalf("InPlace of the staged region = %+v, %v; want this rank's band, 1x%d", m, ok, n)
+		}
+		if got := c.ReadBuf(m.Buf, m.Off, n); !slices.Equal(got, want) {
+			t.Errorf("the band holds %v, want %v", got, want)
+		}
+		if _, ok := s.InPlace(g, 2, 0, n, 1, n); ok {
+			t.Error("InPlace answered for a region nobody staged")
+		}
 		before := c.Stats().BytesRemote
 		dst := c.LocalBuf(n)
 		rt.Get(s, g, 2, n, n, dst, 0)
-		if moved := c.Stats().BytesRemote - before; moved != 0 {
-			t.Errorf("a contiguous get of a staged region moved %d remote bytes round the band", moved)
-		}
-		if want := mat.Random(1, n, 2).Data; !slices.Equal(c.ReadBuf(dst, 0, n), want) {
-			t.Errorf("the band served %v, want %v", c.ReadBuf(dst, 0, n), want)
-		}
-		rt.Get(s, g, 2, 0, n, dst, 0) // not staged: the engine's
 		if moved := c.Stats().BytesRemote - before; moved != 8*n {
-			t.Errorf("a get of an unstaged region moved %d remote bytes, want %d", moved, 8*n)
+			t.Errorf("a get through the wrapper moved %d remote bytes, want the engine's %d", moved, 8*n)
+		}
+		if !slices.Equal(c.ReadBuf(dst, 0, n), want) {
+			t.Errorf("the get returned %v, want %v", c.ReadBuf(dst, 0, n), want)
 		}
 		for capability, found := range map[string]bool{
 			"rt.Adopter":        rt.FindAdopter(s) != nil,
@@ -460,6 +463,56 @@ func TestStagedCtxInterceptsAllGets(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mallocCounter counts the collective allocations made through it.
+type mallocCounter struct {
+	rt.Ctx
+	n *atomic.Int64
+}
+
+func (m mallocCounter) Unwrap() rt.Ctx { return m.Ctx }
+
+func (m mallocCounter) Malloc(n int) rt.Global {
+	m.n.Add(1)
+	return m.Ctx.Malloc(n)
+}
+
+// TestCopyFlavourRefused: the two-level multiply runs only FlavorDirect.
+// Asked for FlavorCopy, every rank returns an error before a band exists —
+// nothing allocated, nothing drawn from the pool, C untouched — and the
+// team stays usable.
+func TestCopyFlavourRefused(t *testing.T) {
+	for _, tp := range []rt.Topology{{NProcs: 8, ProcsPerNode: 4}, {NProcs: 4, ProcsPerNode: 4, DomainSpansMachine: true}} {
+		r := newRig(t, tp)
+		d := core.Dims{M: 32, N: 32, K: 32}
+		da, db, dc := core.Dists(r.g, d, core.NN)
+		a, b := mat.Random(da.Rows, da.Cols, 1), mat.Random(db.Rows, db.Cols, 2)
+		c0 := mat.Random(d.M, d.N, 3)
+		out := c0.Clone()
+		errs := make([]error, tp.NProcs)
+		var mallocs atomic.Int64
+		held := mat.BufHeld()
+		_, err := r.team.Run(func(c rt.Ctx) {
+			ga, gb, gc := driver.Bind(c, da, a), driver.Bind(c, db, b), driver.Bind(c, dc, out)
+			opts := Options{Options: core.Options{Flavor: core.FlavorCopy}}
+			errs[c.Rank()] = Multiply(mallocCounter{c, &mallocs}, From(tp, r.g), d, opts, ga, gb, gc)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, err := range errs {
+			if err == nil {
+				t.Fatalf("%s rank %d: FlavorCopy ran", topoName(tp), rank)
+			}
+		}
+		if mallocs.Load() != 0 || mat.BufHeld() != held {
+			t.Errorf("%s: refused multiply allocated %d segments and kept %d B of the pool", topoName(tp), mallocs.Load(), mat.BufHeld()-held)
+		}
+		bitsEqual(t, c0, out, topoName(tp)+" C after a refused multiply")
+		flat, two, _ := r.both(t, run{d: d, adopted: true})
+		bitsEqual(t, flat, two, topoName(tp)+" after the refusal")
 	}
 }
 
@@ -550,13 +603,15 @@ func TestCancelThenResumeOnBand(t *testing.T) {
 
 // TestStageSpanSeparatesOuterLevel: a traced two-level multiply shows the
 // outer level as one stage span per rank — the staging gets and the publish
-// barrier inside it — that ends before the executor's first issue burst.
+// barrier inside it — that ends before the executor's first issue burst. In
+// domains of two on a 4x4 grid the members stage the column's B blocks they
+// share and each fetches its own row's A blocks.
 func TestStageSpanSeparatesOuterLevel(t *testing.T) {
-	tp := rt.Topology{NProcs: 8, ProcsPerNode: 4}
+	tp := rt.Topology{NProcs: 16, ProcsPerNode: 2}
 	r := newRig(t, tp)
 	rec := obs.NewRecorder(tp.NProcs, 1<<12)
 	r.team.SetRecorder(rec)
-	r.both(t, run{d: core.Dims{M: 96, N: 96, K: 96}, opts: core.Options{MaxTaskK: 24, Flavor: core.FlavorCopy}, adopted: true})
+	r.both(t, run{d: core.Dims{M: 96, N: 96, K: 96}, opts: core.Options{MaxTaskK: 24}, adopted: true})
 	for rank := 0; rank < tp.NProcs; rank++ {
 		var stage []obs.Event
 		gets, barriers, issues := 0, 0, 0

@@ -192,8 +192,9 @@ func (c *ipcCtx) peerAddr(rank int) string {
 	return "unix:" + rankSockPath(c.dir, rank)
 }
 
-// peer returns the lazily-dialed RMA connection to rank (including this
-// rank itself — atomics route through the owner's server unconditionally).
+// peer returns the lazily-dialed RMA connection to rank's server. Two ops
+// travel on it: a strided get of a segment this rank cannot map (opGetSub),
+// and every mailbox message (opMsg), a Send to this rank itself included.
 func (c *ipcCtx) peer(rank int) *peerConn {
 	c.peerMu.Lock()
 	defer c.peerMu.Unlock()

@@ -237,7 +237,7 @@ func runMPCheck(c rt.Ctx, spec *ipcrt.JobSpec, _ *ipcrt.RankResult) (*mat.Matrix
 	if c.Rank() == 0 {
 		c.WriteBuf(b, 0, mpCheckBase(n, spec.Seed))
 	}
-	mp.Bcast(c, 0, all, b, 0, n, 7)
+	mp.RingBcast(c, 0, all, b, 0, n, 7)
 	vals := c.ReadBuf(b, 0, n)
 	for i := range vals {
 		vals[i] += float64(c.Rank())
@@ -247,7 +247,7 @@ func runMPCheck(c rt.Ctx, spec *ipcrt.JobSpec, _ *ipcrt.RankResult) (*mat.Matrix
 	return mat.FromData(1, n, c.ReadBuf(b, 0, n)), nil
 }
 
-// mpCheckBase is deliberately small-integer-valued so Bcast+Allreduce
+// mpCheckBase is deliberately small-integer-valued so RingBcast+Allreduce
 // results are exact regardless of reduction association order.
 func mpCheckBase(n int, seed uint64) []float64 {
 	out := make([]float64, n)
@@ -268,7 +268,7 @@ func expectedMPCheck(n, nprocs int, seed uint64) []float64 {
 	return out
 }
 
-// TestIPCMPCollectives drives internal/mp (Bcast + Allreduce, i.e. the
+// TestIPCMPCollectives drives internal/mp (RingBcast + Allreduce, i.e. the
 // mailbox send/recv layer) across the process boundary — as a body this
 // test file registered, which proves such a body reaches the workers.
 func TestIPCMPCollectives(t *testing.T) {

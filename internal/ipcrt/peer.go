@@ -71,8 +71,9 @@ func pickAddr(entry string, sameDomain bool) string {
 	return addrs[0]
 }
 
-// doneHandle is an already-completed nonblocking operation (direct-path
-// gets and puts complete eagerly, like armci's single-address-space ops).
+// doneHandle is an already-completed nonblocking operation: a get from a
+// mapped segment and an eager Isend complete before they return, like
+// armci's single-address-space ops.
 type doneHandle struct{}
 
 func (doneHandle) Done() bool { return true }

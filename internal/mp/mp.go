@@ -1,10 +1,8 @@
-// Package mp implements the message-passing collectives the SUMMA/pdgemm
-// and Cannon baselines need, built portably on rt.Ctx point-to-point calls
-// so they run on both the real and the virtual-time engines. Two broadcast
-// algorithms are provided, matching practice in MPI implementations and in
-// SUMMA itself: a binomial tree for short messages and a pipelined ring for
-// long panels (van de Geijn & Watts use pipelined broadcasts to overlap the
-// panel movement with the rank-k updates).
+// Package mp implements the message-passing collectives the SUMMA, pdgemm,
+// Fox and Cannon baselines need, built portably on rt.Ctx point-to-point
+// calls so they run on both the real and the virtual-time engines. There is
+// one broadcast, RingBcast: the whole message passed around the group ring,
+// unsegmented, as every baseline calls it.
 package mp
 
 import "fmt"
@@ -21,52 +19,13 @@ func indexOf(group []int, rank int) int {
 	return -1
 }
 
-// Bcast broadcasts n elements of buf starting at off from root to every
-// rank in group, using a binomial tree. All group members must call it with
-// the same root, group, n and tag; buf is the source on root and the
-// destination elsewhere. tag must not collide with other traffic between
-// the same rank pairs.
-func Bcast(c rt.Ctx, root int, group []int, buf rt.Buffer, off, n, tag int) {
-	me := indexOf(group, c.Rank())
-	if me < 0 {
-		panic(fmt.Sprintf("mp: rank %d not in bcast group %v", c.Rank(), group))
-	}
-	rootIdx := indexOf(group, root)
-	if rootIdx < 0 {
-		panic(fmt.Sprintf("mp: root %d not in bcast group %v", root, group))
-	}
-	size := len(group)
-	if size == 1 || n == 0 {
-		return
-	}
-	vrank := (me - rootIdx + size) % size
-	// Receive from the parent.
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			parent := group[(vrank-mask+rootIdx)%size]
-			c.Recv(parent, tag, buf, off, n)
-			break
-		}
-		mask <<= 1
-	}
-	// Forward to children.
-	mask >>= 1
-	for mask > 0 {
-		if vrank&mask == 0 && vrank+mask < size {
-			child := group[(vrank+mask+rootIdx)%size]
-			c.Send(child, tag, buf, off, n)
-		}
-		mask >>= 1
-	}
-}
-
-// RingBcast broadcasts n elements of buf from root around the group ring in
-// segments of segElems elements, pipelining so that downstream ranks start
-// forwarding before the whole message has arrived. This is the broadcast
-// SUMMA uses for its panels. All group members must call it with identical
-// arguments (except buf contents).
-func RingBcast(c rt.Ctx, root int, group []int, buf rt.Buffer, off, n, segElems, tag int) {
+// RingBcast broadcasts n elements of buf starting at off from root around
+// the group ring: each rank receives the whole message from its predecessor
+// and forwards it to its successor. This is the broadcast SUMMA uses for its
+// panels. All group members must call it with the same root, group, n and
+// tag; buf is the source on root and the destination elsewhere. tag must not
+// collide with other traffic between the same rank pairs.
+func RingBcast(c rt.Ctx, root int, group []int, buf rt.Buffer, off, n, tag int) {
 	me := indexOf(group, c.Rank())
 	if me < 0 {
 		panic(fmt.Sprintf("mp: rank %d not in ring group %v", c.Rank(), group))
@@ -79,25 +38,12 @@ func RingBcast(c rt.Ctx, root int, group []int, buf rt.Buffer, off, n, segElems,
 	if size == 1 || n == 0 {
 		return
 	}
-	if segElems <= 0 {
-		segElems = n
-	}
 	vrank := (me - rootIdx + size) % size
-	next := group[(vrank+1+rootIdx)%size]
-	prev := group[(vrank-1+size+rootIdx)%size]
-	isRoot := vrank == 0
-	isLast := vrank == size-1
-	for lo := 0; lo < n; lo += segElems {
-		seg := segElems
-		if lo+seg > n {
-			seg = n - lo
-		}
-		if !isRoot {
-			c.Recv(prev, tag, buf, off+lo, seg)
-		}
-		if !isLast {
-			c.Send(next, tag, buf, off+lo, seg)
-		}
+	if vrank != 0 {
+		c.Recv(group[(vrank-1+rootIdx)%size], tag, buf, off, n)
+	}
+	if vrank != size-1 {
+		c.Send(group[(vrank+1+rootIdx)%size], tag, buf, off, n)
 	}
 }
 

@@ -44,7 +44,7 @@ func checkBcast(t *testing.T, nprocs, root int, group []int, n int,
 	}
 }
 
-func TestBcastBinomialVariousGroups(t *testing.T) {
+func TestRingBcastVariousGroups(t *testing.T) {
 	cases := []struct {
 		nprocs int
 		root   int
@@ -59,33 +59,14 @@ func TestBcastBinomialVariousGroups(t *testing.T) {
 	}
 	for _, tc := range cases {
 		checkBcast(t, tc.nprocs, tc.root, tc.group, 33, func(c rt.Ctx, buf rt.Buffer) {
-			Bcast(c, tc.root, tc.group, buf, 0, 33, 99)
-		})
-	}
-}
-
-func TestRingBcastSegmented(t *testing.T) {
-	cases := []struct {
-		nprocs, root, n, seg int
-		group                []int
-	}{
-		{4, 0, 64, 16, []int{0, 1, 2, 3}},
-		{4, 2, 64, 10, []int{0, 1, 2, 3}}, // non-dividing segment
-		{6, 5, 31, 7, []int{5, 1, 3}},
-		{3, 1, 5, 100, []int{0, 1, 2}}, // segment bigger than message
-		{2, 0, 8, 0, []int{0, 1}},      // segElems<=0 means whole message
-	}
-	for _, tc := range cases {
-		checkBcast(t, tc.nprocs, tc.root, tc.group, tc.n, func(c rt.Ctx, buf rt.Buffer) {
-			RingBcast(c, tc.root, tc.group, buf, 0, tc.n, tc.seg, 44)
+			RingBcast(c, tc.root, tc.group, buf, 0, 33, 99)
 		})
 	}
 }
 
 func TestBcastZeroElements(t *testing.T) {
 	checkBcast(t, 4, 0, []int{0, 1, 2, 3}, 0, func(c rt.Ctx, buf rt.Buffer) {
-		Bcast(c, 0, []int{0, 1, 2, 3}, buf, 0, 0, 7)
-		RingBcast(c, 0, []int{0, 1, 2, 3}, buf, 0, 0, 4, 8)
+		RingBcast(c, 0, []int{0, 1, 2, 3}, buf, 0, 0, 8)
 	})
 }
 
@@ -98,7 +79,7 @@ func TestBcastWithOffset(t *testing.T) {
 		if c.Rank() == 1 {
 			c.WriteBuf(buf, 5, pattern(1, 10))
 		}
-		Bcast(c, 1, group, buf, 5, 10, 3)
+		RingBcast(c, 1, group, buf, 5, 10, 3)
 		got := c.ReadBuf(buf, 5, 10)
 		for i, w := range pattern(1, 10) {
 			if got[i] != w {
@@ -148,7 +129,7 @@ func TestBcastRankOutsideGroupPanics(t *testing.T) {
 	topo := rt.Topology{NProcs: 2, ProcsPerNode: 1}
 	_, err := armci.Run(topo, func(c rt.Ctx) {
 		buf := c.LocalBuf(4)
-		Bcast(c, 0, []int{0}, buf, 0, 4, 1) // rank 1 not in group
+		RingBcast(c, 0, []int{0}, buf, 0, 4, 1) // rank 1 not in group
 	})
 	if err == nil {
 		t.Fatal("expected panic for rank outside group")
@@ -167,8 +148,8 @@ func TestCollectivesOnSimEngine(t *testing.T) {
 					group := []int{0, 1, 2, 3, 4, 5, 6, 7}
 					small := c.LocalBuf(512)     // eager
 					large := c.LocalBuf(1 << 16) // rendezvous (512 KB)
-					Bcast(c, 0, group, small, 0, 512, 1)
-					RingBcast(c, 3, group, large, 0, 1<<16, 8192, 2)
+					RingBcast(c, 0, group, small, 0, 512, 1)
+					RingBcast(c, 3, group, large, 0, 1<<16, 2)
 					Sendrecv(c, (c.Rank()+1)%8, 3, small, 0, 512,
 						(c.Rank()+7)%8, 3, small, 0, 512)
 					c.Barrier()
@@ -186,30 +167,6 @@ func TestCollectivesOnSimEngine(t *testing.T) {
 				t.Fatal("zero virtual time for collective traffic")
 			}
 		})
-	}
-}
-
-// Pipelined ring broadcast of a large panel should beat the binomial tree
-// on the sim engine once the message is long enough to pipeline — the
-// property SUMMA relies on.
-func TestRingBeatsBinomialForLargePanels(t *testing.T) {
-	prof := machine.LinuxMyrinet()
-	group := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	n := 1 << 17 // 1 MB
-	timeOf := func(body func(c rt.Ctx, buf rt.Buffer)) float64 {
-		res, err := simrt.Run(prof, 8, func(c rt.Ctx) {
-			buf := c.LocalBuf(n)
-			body(c, buf)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Time
-	}
-	tree := timeOf(func(c rt.Ctx, buf rt.Buffer) { Bcast(c, 0, group, buf, 0, n, 1) })
-	ring := timeOf(func(c rt.Ctx, buf rt.Buffer) { RingBcast(c, 0, group, buf, 0, n, 8192, 1) })
-	if ring >= tree {
-		t.Fatalf("pipelined ring (%.3gs) not faster than binomial (%.3gs) for 1 MB", ring, tree)
 	}
 }
 

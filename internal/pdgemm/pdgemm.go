@@ -121,7 +121,7 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 		}
 		if mLoc > 0 {
 			n := mLoc * w
-			mp.RingBcast(c, aRoot, rowGroup, aPanel, 0, n, n, tagA+kt%64)
+			mp.RingBcast(c, aRoot, rowGroup, aPanel, 0, n, tagA+kt%64)
 		}
 		// B panel: on process row kt mod P at local row offset (kt/P)*nb.
 		orB := kt % g.P
@@ -131,7 +131,7 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 		}
 		if nLoc > 0 {
 			n := w * nLoc
-			mp.RingBcast(c, bRoot, colGroup, bPanel, 0, n, n, tagB+kt%64)
+			mp.RingBcast(c, bRoot, colGroup, bPanel, 0, n, tagB+kt%64)
 		}
 		if mLoc > 0 && nLoc > 0 {
 			beta := 1.0

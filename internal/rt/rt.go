@@ -215,22 +215,17 @@ type Stats = obs.Meters
 // the paper treats the whole machine as one domain even though the hardware
 // is built from small bricks, so the two notions are kept separate.
 //
-// A third, logical level sits on top: ranks are partitioned into GROUPS of
-// GroupSize consecutive ranks. Groups are the unit of the hierarchical
-// two-level multiplication (internal/hier): the outer level schedules panel
-// movement between groups, the inner level is a flat SRUMMA team inside
-// each group. GroupSize == 0 means "groups coincide with shared-memory
-// domains", the natural default; an explicit GroupSize lets a planner carve
-// a large domain into several groups.
+// A domain is a run of consecutive ranks that load/store each other's
+// memory; between domains ranks reach each other only through the
+// interconnect (one-sided RMA, or messages) — the paper's two levels. The hierarchical multiplication (internal/hier)
+// uses the domains as its groups: the outer level moves panels between
+// domains, the inner level is a flat SRUMMA team inside each.
 type Topology struct {
 	NProcs       int
 	ProcsPerNode int
 	// DomainSpansMachine marks scalable shared-memory systems where every
 	// rank can load/store (or memcpy) any other rank's segment.
 	DomainSpansMachine bool
-	// GroupSize is the number of consecutive ranks per logical group, or 0
-	// when groups are the shared-memory domains themselves.
-	GroupSize int
 }
 
 // Validate checks the topology is usable.
@@ -240,9 +235,6 @@ func (t Topology) Validate() error {
 	}
 	if t.ProcsPerNode <= 0 {
 		return fmt.Errorf("rt: %d procs per node", t.ProcsPerNode)
-	}
-	if t.GroupSize < 0 {
-		return fmt.Errorf("rt: %d group size", t.GroupSize)
 	}
 	return nil
 }
@@ -255,64 +247,33 @@ func (t Topology) NumNodes() int {
 // NodeOf returns the physical node of rank.
 func (t Topology) NodeOf(rank int) int { return rank / t.ProcsPerNode }
 
-// DomainOf returns the shared-memory domain of rank.
-func (t Topology) DomainOf(rank int) int {
-	if t.DomainSpansMachine {
-		return 0
-	}
-	return t.NodeOf(rank)
-}
-
-// SameDomain reports whether two ranks share a memory domain.
-func (t Topology) SameDomain(a, b int) bool { return t.DomainOf(a) == t.DomainOf(b) }
-
-// groupSize resolves GroupSize: an unset (0) group size means groups are
-// the shared-memory domains — the whole machine when the domain spans it,
-// one node otherwise.
-func (t Topology) groupSize() int {
-	if t.GroupSize > 0 {
-		return t.GroupSize
-	}
+// domainSize is the number of ranks per shared-memory domain: the whole
+// machine when the domain spans it, one node otherwise.
+func (t Topology) domainSize() int {
 	if t.DomainSpansMachine {
 		return t.NProcs
 	}
 	return t.ProcsPerNode
 }
 
-// GroupOf returns the logical group of rank.
-func (t Topology) GroupOf(rank int) int { return rank / t.groupSize() }
+// DomainOf returns the shared-memory domain of rank.
+func (t Topology) DomainOf(rank int) int { return rank / t.domainSize() }
 
-// SameGroup reports whether two ranks belong to the same logical group.
-func (t Topology) SameGroup(a, b int) bool { return t.GroupOf(a) == t.GroupOf(b) }
+// SameDomain reports whether two ranks share a memory domain.
+func (t Topology) SameDomain(a, b int) bool { return t.DomainOf(a) == t.DomainOf(b) }
 
-// NumGroups returns the number of logical groups (the last may be partial).
-func (t Topology) NumGroups() int {
-	gs := t.groupSize()
-	return (t.NProcs + gs - 1) / gs
+// NumDomains returns the number of shared-memory domains (the last may be
+// partial).
+func (t Topology) NumDomains() int {
+	ds := t.domainSize()
+	return (t.NProcs + ds - 1) / ds
 }
 
-// GroupRanks returns the rank range [lo, hi) of group g.
-func (t Topology) GroupRanks(g int) (lo, hi int) {
-	gs := t.groupSize()
-	lo = g * gs
-	hi = lo + gs
-	if hi > t.NProcs {
-		hi = t.NProcs
-	}
-	return lo, hi
-}
-
-// GroupsNestInDomains reports whether every group fits inside one
-// shared-memory domain — the precondition for the hierarchical path's
-// staged bands to be readable by direct load/store within a group.
-func (t Topology) GroupsNestInDomains() bool {
-	for g := 0; g < t.NumGroups(); g++ {
-		lo, hi := t.GroupRanks(g)
-		if !t.SameDomain(lo, hi-1) {
-			return false
-		}
-	}
-	return true
+// DomainRanks returns the rank range [lo, hi) of domain d.
+func (t Topology) DomainRanks(d int) (lo, hi int) {
+	ds := t.domainSize()
+	lo = d * ds
+	return lo, min(lo+ds, t.NProcs)
 }
 
 // Ctx is the per-process runtime handle. All methods are called from the

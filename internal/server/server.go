@@ -282,14 +282,10 @@ func New(cfg Config) (*Server, error) {
 		met:  newMetrics(cfg.QueueCap),
 	}
 	if cfg.Hier {
-		// Fail fast on a group carving the staged-band handoff cannot
-		// serve, instead of erroring every request.
+		// The groups are topo's shared-memory domains, vetted with it above.
 		ht := hier.From(topo, g)
-		if err := ht.Validate(); err != nil {
-			return nil, err
-		}
 		gr, gc := ht.GroupShape(0)
-		s.hierGroups, s.hierShape = ht.NumGroups(), fmt.Sprintf("%dx%d", gr, gc)
+		s.hierGroups, s.hierShape = ht.NumDomains(), fmt.Sprintf("%dx%d", gr, gc)
 	}
 	if cfg.CacheEntries > 0 {
 		s.dg = processDigester

@@ -1,7 +1,7 @@
 // Package summa implements SUMMA (van de Geijn & Watts 1997), the
 // message-passing matrix multiplication the paper compares against: a loop
 // over K panels of width nb, each step broadcasting a column panel of A
-// along grid rows and a row panel of B along grid columns (pipelined ring
+// along grid rows and a row panel of B along grid columns (ring
 // broadcasts), followed by a local rank-nb dgemm update. Operands use the
 // regular block distribution; transposed cases are reduced to NN by a
 // distributed transpose first (package redist), the way PBLAS handles
@@ -166,7 +166,7 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 		}
 		if mLoc > 0 && w > 0 {
 			n := mLoc * w
-			mp.RingBcast(c, aRoot, rowGroup, aPanel, 0, n, n, tagA+step%64)
+			mp.RingBcast(c, aRoot, rowGroup, aPanel, 0, n, tagA+step%64)
 		}
 		// B panel: owner row orB packs local rows, broadcast along columns.
 		bRoot := g.Rank(orB, myCol)
@@ -181,7 +181,7 @@ func Multiply(c rt.Ctx, g *grid.Grid, d core.Dims, opts Options, ga, gb, gc rt.G
 		}
 		if nLoc > 0 && w > 0 {
 			n := w * nLoc
-			mp.RingBcast(c, bRoot, colGroup, bPanel, 0, n, n, tagB+step%64)
+			mp.RingBcast(c, bRoot, colGroup, bPanel, 0, n, tagB+step%64)
 		}
 
 		if mLoc > 0 && nLoc > 0 && w > 0 {
